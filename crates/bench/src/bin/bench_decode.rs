@@ -1,7 +1,9 @@
 //! Decode pipeline throughput harness.
 //!
-//! Emits `BENCH_decode.json` (schema `pj2k.bench_decode.v1`) tracking the
-//! staged decode pipeline (DESIGN.md §15) against the barriered decoder:
+//! Emits `BENCH_decode.json` (schema `pj2k.bench_decode.v2`) tracking the
+//! staged decode pipeline (DESIGN.md §15) against the barriered decoder,
+//! and the packed Tier-1 block decoder (DESIGN.md §13) against the
+//! per-coefficient oracle it replaced:
 //!
 //! 1. **Bit-identity cross-check**: every decoder variant this harness
 //!    times (barriered/pipelined × static/cost-weighted × worker counts)
@@ -23,6 +25,14 @@
 //!    must allocate exactly zero times per block — the runtime proof
 //!    behind the `AUDIT(hot): amortized` justifications in the pipelined
 //!    Tier-1 drain closure.
+//! 5. **Tier-1 decode engines** (`tier1_decode`): the packed decoder vs
+//!    the `pj2k_ebcot::oracle` decoder over the same warm block set —
+//!    blocks/s, ns per block and allocations per warm block (0 enforced
+//!    for both), reported only after both reproduced every block's
+//!    coefficients exactly. `packed_speedup` is the headline key.
+//!
+//! Every document carries `host_cores`; measured rows with `p` above it
+//! are flagged `oversubscribed`.
 //!
 //! ```sh
 //! cargo run --release -p pj2k-bench --bin bench_decode -- [--smoke] [--out PATH]
@@ -32,7 +42,10 @@ use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::{paper_config, test_image, time};
 use pj2k_core::report::stage;
 use pj2k_core::{DecodeStagePolicy, Decoder, Encoder, EncoderConfig, ParallelMode, StageOverlap};
-use pj2k_ebcot::{BandCtx, BlockCoder, BlockDecoderScratch, EncodedBlock, Tier1Options};
+use pj2k_ebcot::oracle::OracleDecoderScratch;
+use pj2k_ebcot::{
+    BandCtx, BlockCoder, BlockDecoderScratch, DecodeError, EncodedBlock, Tier1Options,
+};
 use pj2k_image::{synth, Image, Plane};
 use pj2k_smpsim::{
     barriered_decode_makespan, pipelined_decode_makespan, DecodeStageCosts, Schedule,
@@ -128,9 +141,18 @@ fn jf(v: f64) -> String {
 const REQUIRED_KEYS: &[&str] = &[
     "\"schema\"",
     "\"smoke\"",
+    "\"host_cores\"",
     "\"bit_identity\"",
     "\"steady_state\"",
     "\"steady_allocs_per_block\"",
+    "\"tier1_decode\"",
+    "\"equality\"",
+    "\"oracle\"",
+    "\"packed\"",
+    "\"blocks_per_sec\"",
+    "\"ns_per_block\"",
+    "\"warm_allocs_per_block\"",
+    "\"packed_speedup\"",
     "\"workloads\"",
     "\"pyramid\"",
     "\"skewed\"",
@@ -143,6 +165,7 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"barriered_mpix_per_sec\"",
     "\"pipelined_mpix_per_sec\"",
     "\"pipelined_over_barriered\"",
+    "\"oversubscribed\"",
     "\"modeled\"",
     "\"barriered_speedup\"",
     "\"pipelined_speedup\"",
@@ -166,12 +189,12 @@ fn validate(doc: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Exact steady-state allocation count of one warm scratch pass: encode a
-/// block set, slice the per-pass segments up front, then decode every
-/// block through one recycled [`BlockDecoderScratch`] — after the warm-up
-/// pass the loop must not allocate at all.
-fn steady_state_allocs(n_blocks: usize) -> (u64, usize) {
-    let opts = Tier1Options::default();
+const BANDS: [BandCtx; 3] = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
+
+/// The Tier-1 probe's block set: `n` 64x64 blocks of mixed density (three
+/// sparse fine-level, one mid, one dense per five) with their source
+/// coefficients, encoded once.
+fn probe_blocks(n: usize) -> Vec<(EncodedBlock, Vec<i32>)> {
     let mut state = 0x00DE_C0DE_u64;
     let mut next = move || {
         state = state
@@ -179,9 +202,8 @@ fn steady_state_allocs(n_blocks: usize) -> (u64, usize) {
             .wrapping_add(1442695040888963407);
         state
     };
-    let bands = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
     let mut coder = BlockCoder::new();
-    let blocks: Vec<EncodedBlock> = (0..n_blocks)
+    (0..n)
         .map(|b| {
             let keep = [4u64, 4, 4, 12, 70][b % 5];
             let coeffs: Vec<i32> = (0..64 * 64)
@@ -194,57 +216,57 @@ fn steady_state_allocs(n_blocks: usize) -> (u64, usize) {
                     }
                 })
                 .collect();
-            coder.encode_with(&coeffs, 64, 64, bands[b % 3], opts)
+            let blk = coder.encode_with(&coeffs, 64, 64, BANDS[b % 3], Tier1Options::default());
+            (blk, coeffs)
         })
-        .collect();
-    // Pre-sliced per-pass segments, exactly what the Tier-2 parser hands
-    // the pipelined drain.
+        .collect()
+}
+
+struct EngineRow {
+    secs: f64,
+    allocs: u64,
+    decoded: usize,
+}
+
+/// Decode the probe set through `decode`: one warm-up pass that sizes the
+/// scratch and checks every block against its source coefficients (exit 1
+/// on any difference — no number is reported for a wrong decoder), then
+/// `reps` timed passes under the allocation counter. Segments are sliced
+/// up front, exactly what the Tier-2 parser hands the pipelined drain.
+fn run_engine(
+    name: &str,
+    blocks: &[(EncodedBlock, Vec<i32>)],
+    reps: usize,
+    mut decode: impl FnMut(&EncodedBlock, BandCtx, &[&[u8]], &mut Vec<i32>) -> Result<(), DecodeError>,
+) -> EngineRow {
     let segments: Vec<Vec<&[u8]>> = blocks
         .iter()
-        .map(|blk| {
-            let mut segs = Vec::new();
-            let mut off = 0usize;
-            for pass in &blk.passes {
-                segs.push(&blk.data[off..off + pass.len]);
-                off += pass.len;
-            }
-            segs
-        })
+        .map(|(blk, _)| (0..blk.passes.len()).map(|p| blk.segment(p)).collect())
         .collect();
-    let mut scratch = BlockDecoderScratch::new();
     let mut out = Vec::new();
-    // Warm-up: size every scratch buffer for the block set.
-    for (b, (blk, segs)) in blocks.iter().zip(&segments).enumerate() {
-        scratch
-            .decode_into(
-                blk.width,
-                blk.height,
-                bands[b % 3],
-                blk.msb_planes,
-                segs,
-                opts,
-                &mut out,
-            )
-            .expect("self-encoded block must decode");
+    for (b, ((blk, coeffs), segs)) in blocks.iter().zip(&segments).enumerate() {
+        decode(blk, BANDS[b % 3], segs, &mut out).expect("self-encoded block must decode");
+        if out != *coeffs {
+            eprintln!("FAIL: {name} decoder did not reproduce block {b}");
+            std::process::exit(1);
+        }
     }
     let a0 = alloc_count::thread_allocs();
     let mut sink = 0i64;
-    for (b, (blk, segs)) in blocks.iter().zip(&segments).enumerate() {
-        scratch
-            .decode_into(
-                blk.width,
-                blk.height,
-                bands[b % 3],
-                blk.msb_planes,
-                segs,
-                opts,
-                &mut out,
-            )
-            .expect("self-encoded block must decode");
-        sink += i64::from(out.first().copied().unwrap_or(0));
-    }
+    let ((), secs) = time(|| {
+        for _ in 0..reps {
+            for (b, ((blk, _), segs)) in blocks.iter().zip(&segments).enumerate() {
+                decode(blk, BANDS[b % 3], segs, &mut out).expect("self-encoded block must decode");
+                sink += i64::from(out.first().copied().unwrap_or(0));
+            }
+        }
+    });
     std::hint::black_box(sink);
-    (alloc_count::thread_allocs() - a0, blocks.len())
+    EngineRow {
+        secs,
+        allocs: alloc_count::thread_allocs() - a0,
+        decoded: reps * blocks.len(),
+    }
 }
 
 fn main() {
@@ -256,7 +278,12 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_decode.json".to_string());
-    let (kpx, trials, oracle_blocks) = if smoke { (64, 1, 6) } else { (1024, 3, 48) };
+    let (kpx, trials, oracle_blocks, engine_reps) = if smoke {
+        (64, 1, 10, 8)
+    } else {
+        (1024, 3, 48, 12)
+    };
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // --- workloads --------------------------------------------------------
     let pyramid_img = test_image(kpx);
@@ -297,16 +324,42 @@ fn main() {
     }
     println!("bit-identity: all decoder variants match the sequential reference");
 
-    // --- steady-state allocation oracle ----------------------------------
-    let (steady_allocs, oracle_n) = steady_state_allocs(oracle_blocks);
-    let steady_per_block = steady_allocs as f64 / oracle_n as f64;
-    println!("steady-state oracle: {steady_allocs} allocs over {oracle_n} warm blocks");
-    if steady_allocs != 0 {
-        eprintln!(
-            "FAIL: warm decode scratch allocated {steady_allocs} time(s); the contract is zero"
+    // --- Tier-1 engines: equality, steady-state allocations, throughput --
+    let opts = Tier1Options::default();
+    let probe = probe_blocks(oracle_blocks);
+    let mut packed_scratch = BlockDecoderScratch::new();
+    let packed = run_engine("packed", &probe, engine_reps, |blk, band, segs, out| {
+        packed_scratch.decode_into(blk.width, blk.height, band, blk.msb_planes, segs, opts, out)
+    });
+    let mut oracle_scratch = OracleDecoderScratch::new();
+    let oracle = run_engine("oracle", &probe, engine_reps, |blk, band, segs, out| {
+        oracle_scratch.decode_into(blk.width, blk.height, band, blk.msb_planes, segs, opts, out)
+    });
+    println!("tier-1 engines: packed and oracle decoders reproduce every probe block");
+    for (name, row) in [("packed", &packed), ("oracle", &oracle)] {
+        println!(
+            "  {name}: {:.0} blocks/s, {:.0} ns/block, {} allocs over {} warm blocks",
+            row.decoded as f64 / row.secs,
+            row.secs * 1e9 / row.decoded as f64,
+            row.allocs,
+            row.decoded
         );
+        if row.allocs != 0 {
+            eprintln!(
+                "FAIL: warm {name} decode scratch allocated {} time(s); the contract is zero",
+                row.allocs
+            );
+            std::process::exit(1);
+        }
+    }
+    let packed_speedup = oracle.secs / packed.secs;
+    println!("  packed / oracle: x{packed_speedup:.3}");
+    if packed_speedup <= 1.0 {
+        eprintln!("FAIL: the packed decoder is not faster than the oracle it replaced");
         std::process::exit(1);
     }
+    let (steady_allocs, oracle_n) = (packed.allocs, packed.decoded);
+    let steady_per_block = steady_allocs as f64 / oracle_n as f64;
 
     // --- measured + modeled sweeps ---------------------------------------
     let cpus = [1usize, 2, 4, 8];
@@ -392,14 +445,33 @@ fn main() {
     // --- hand-rolled JSON -------------------------------------------------
     let mut doc = String::new();
     doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_decode.v1\",\n");
+    doc.push_str("  \"schema\": \"pj2k.bench_decode.v2\",\n");
     doc.push_str(&format!("  \"smoke\": {smoke},\n"));
+    doc.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     doc.push_str(&format!("  \"kpixels\": {kpx},\n"));
     doc.push_str("  \"bit_identity\": \"ok\",\n");
     doc.push_str(&format!(
         "  \"steady_state\": {{ \"blocks\": {oracle_n}, \"allocs\": {steady_allocs}, \
          \"steady_allocs_per_block\": {} }},\n",
         jf(steady_per_block)
+    ));
+    doc.push_str(&format!(
+        "  \"tier1_decode\": {{\n    \"blocks\": {}, \"reps\": {engine_reps}, \"equality\": \"ok\",\n",
+        probe.len()
+    ));
+    for (name, row) in [("oracle", &oracle), ("packed", &packed)] {
+        doc.push_str(&format!(
+            "    \"{name}\": {{ \"secs\": {}, \"blocks_per_sec\": {}, \"ns_per_block\": {}, \
+             \"warm_allocs_per_block\": {} }},\n",
+            jf(row.secs),
+            jf(row.decoded as f64 / row.secs),
+            jf(row.secs * 1e9 / row.decoded as f64),
+            jf(row.allocs as f64 / row.decoded as f64)
+        ));
+    }
+    doc.push_str(&format!(
+        "    \"packed_speedup\": {}\n  }},\n",
+        jf(packed_speedup)
     ));
     doc.push_str("  \"workloads\": {\n");
     for (wi, (w, parse, tier1, dwt, n, measured, modeled)) in sections.iter().enumerate() {
@@ -414,13 +486,14 @@ fn main() {
             doc.push_str(&format!(
                 "        {{ \"p\": {}, \"barriered_secs\": {}, \"pipelined_secs\": {}, \
                  \"barriered_mpix_per_sec\": {}, \"pipelined_mpix_per_sec\": {}, \
-                 \"pipelined_over_barriered\": {} }}{}\n",
+                 \"pipelined_over_barriered\": {}, \"oversubscribed\": {} }}{}\n",
                 r.p,
                 jf(r.barriered_secs),
                 jf(r.pipelined_secs),
                 jf(mp / r.barriered_secs),
                 jf(mp / r.pipelined_secs),
                 jf(r.barriered_secs / r.pipelined_secs),
+                r.p > host_cores,
                 if i + 1 < measured.len() { "," } else { "" }
             ));
         }

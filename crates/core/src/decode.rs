@@ -962,18 +962,35 @@ impl Decoder {
          -> Result<(), pj2k_ebcot::DecodeError> {
             scratch.decode_into(j.geom.w, j.geom.h, j.ctx, j.msb, &j.segs, hdr.tier1, out)
         };
+        let mut planes_q: Vec<Plane<i32>> = (0..hdr.ncomp).map(|_| Plane::new(w, h)).collect();
+        // AUDIT(block): job geometry comes from `blocks_of` over the tile's
+        // own decomposition, so every row range lies inside the `w x h`
+        // plane, each `coeffs` has exactly `geom.w * geom.h` elements with
+        // `geom.w > 0` (tier-1 contract: empty blocks are a `DecodeError`
+        // before this runs), and `comp < ncomp` by construction. Untrusted
+        // bytes cannot reach any of these indices.
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        let mut scatter = |j: &BlockJob, coeffs: &[i32]| {
+            let plane = &mut planes_q[j.comp];
+            for (dy, row) in coeffs.chunks_exact(j.geom.w).enumerate() {
+                plane.row_mut(j.geom.y0 + dy)[j.geom.x0..j.geom.x0 + j.geom.w].copy_from_slice(row);
+            }
+        };
         // The Kmax/zbp/max_passes validation in the parser makes these block
         // decodes infallible in practice, but the error path is still
         // propagated — the tier-1 decoder is its own line of defense.
         let attempted: Vec<Result<Vec<i32>, pj2k_ebcot::DecodeError>> = match self.parallel {
             ParallelMode::Sequential => {
+                // One warm scratch and one reused coefficient buffer: each
+                // block's rows land in the plane as soon as it is decoded,
+                // so the tile is never staged a second time.
                 let mut scratch = BlockDecoderScratch::new();
-                jobs.iter()
-                    .map(|j| {
-                        let mut out = Vec::new();
-                        decode_one(&mut scratch, &mut out, j).map(|()| out)
-                    })
-                    .collect()
+                let mut out = Vec::new();
+                for j in &jobs {
+                    decode_one(&mut scratch, &mut out, j)?;
+                    scatter(j, &out);
+                }
+                Vec::new() // nothing left for the scatter loop below
             }
             ParallelMode::WorkerPool { workers } => {
                 let costs: Vec<u64> = jobs.iter().map(|j| j.cost).collect();
@@ -1000,23 +1017,8 @@ impl Decoder {
                 })
                 .collect(),
         };
-        let mut decoded: Vec<Vec<i32>> = Vec::with_capacity(attempted.len());
-        for a in attempted {
-            decoded.push(a?);
-        }
-        let mut planes_q: Vec<Plane<i32>> = (0..hdr.ncomp).map(|_| Plane::new(w, h)).collect();
-        // AUDIT(block): job geometry comes from `blocks_of` over the tile's
-        // own decomposition, so every row range lies inside the `w x h`
-        // plane, each `coeffs` has exactly `geom.w * geom.h` elements
-        // (tier-1 contract), and `comp < ncomp` by construction. Untrusted
-        // bytes cannot reach any of these indices.
-        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-        for (j, coeffs) in jobs.iter().zip(&decoded) {
-            let plane = &mut planes_q[j.comp];
-            for dy in 0..j.geom.h {
-                let row = &coeffs[dy * j.geom.w..(dy + 1) * j.geom.w];
-                plane.row_mut(j.geom.y0 + dy)[j.geom.x0..j.geom.x0 + j.geom.w].copy_from_slice(row);
-            }
+        for (j, coeffs) in jobs.iter().zip(attempted) {
+            scatter(j, &coeffs?);
         }
         // --- inverse ROI scaling ---------------------------------------------
         crate::roi::undo_roi_shift(&mut planes_q, roi_s, roi_d);

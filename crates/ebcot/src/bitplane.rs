@@ -38,8 +38,10 @@
 //! branches with two shifts and one byte load. Sign coding likewise
 //! resolves through a 256-entry LUT ([`sc_lut`]) keyed on the packed
 //! neighbor significance and sign bits. Both tables are *generated from*
-//! [`zc_context`] / [`sc_context`], so agreement with the reference engine
-//! is by construction.
+//! [`crate::context::zc_context`] / [`crate::context::sc_context`], so
+//! agreement with the reference engine is by construction. The scratch
+//! layout, the window gathers and the tables live in [`crate::packed`],
+//! shared with the block decoder ([`crate::decoder`]).
 //!
 //! Every decision, its context, and the f64 distortion accumulation order
 //! are identical to the reference engine, which stays available behind
@@ -54,12 +56,14 @@
 //! DESIGN.md §13).
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
-use crate::context::{
-    initial_states, mr_context, sc_context, zc_context, BandCtx, CTX_RL, CTX_UNI, NUM_CTX,
-};
+use crate::context::{initial_states, mr_context, BandCtx, CTX_RL, CTX_UNI, NUM_CTX};
 use crate::encoder::{
     in_bypass_region, ref_distortion_gain, sig_distortion_gain, EncodedBlock, PassInfo, PassKind,
     Sink, Tier1Options, Tier1Profile,
+};
+use crate::packed::{
+    band_index, bit_at, gather_win, sc_index, sc_lut, set_bit, spp_members, win_regs, zc_lut,
+    BitplaneScratch, NB_NEIGHBORS, NB_NO_SOUTH, NB_SELF,
 };
 use crate::STRIPE_HEIGHT;
 use pj2k_mq::{CtxState, MqEncoder, RawEncoder};
@@ -128,326 +132,6 @@ impl Tier1Engine {
     }
 }
 
-/// Packed 3x3 neighborhood bit layout, shared by the window gather and the
-/// context LUTs: bit 0 = NW, 1 = N, 2 = NE, 3 = W, 4 = self, 5 = E,
-/// 6 = SW, 7 = S, 8 = SE. A coefficient's slice is `(win >> 3*i) & 511`
-/// where `i` is its row within the gathered window.
-const NB_SELF: u32 = 1 << 4;
-/// All eight neighbor bits (self excluded).
-const NB_NEIGHBORS: u32 = 0b1_1110_1111;
-/// Neighborhood restricted to the rows above (vertically causal mode hides
-/// the stripe below, i.e. the south row of a stripe's last coefficient).
-const NB_NO_SOUTH: u32 = 0b0_0011_1111;
-
-/// Zero-coding context table per band: `zc_lut()[band][nb]` for a 9-bit
-/// packed neighborhood (self bit ignored). Generated from [`zc_context`],
-/// so the branchy Table D.1 logic runs 1536 times at startup instead of
-/// once per coded decision.
-// AUDIT(fn): startup LUT generation — `bi` enumerates the 3-row table
-// and the neighbor-bit sums are bounded by the 9-bit window.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-fn zc_lut() -> &'static [[u8; 512]; 3] {
-    static LUT: OnceLock<[[u8; 512]; 3]> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let mut t = [[0u8; 512]; 3];
-        for (bi, band) in [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh]
-            .into_iter()
-            .enumerate()
-        {
-            // AUDIT: `bi` enumerates a 3-element array; `t` has 3 rows.
-            for (nb, slot) in t[bi].iter_mut().enumerate() {
-                let b = |i: usize| (nb >> i) as u32 & 1;
-                let h = b(3) + b(5);
-                let v = b(1) + b(7);
-                let d = b(0) + b(2) + b(6) + b(8);
-                *slot = zc_context(band, h, v, d) as u8;
-            }
-        }
-        t
-    })
-}
-
-/// LUT row index of a [`BandCtx`] in [`zc_lut`].
-fn band_index(band: BandCtx) -> usize {
-    match band {
-        BandCtx::LlLh => 0,
-        BandCtx::Hl => 1,
-        BandCtx::Hh => 2,
-    }
-}
-
-/// Sign-coding table: `sc_lut()[idx] = (ctx << 1) | xor` for index bits
-/// 0 = sigW, 1 = sigE, 2 = sigN, 3 = sigS, 4..=7 the matching sign bits
-/// (set = negative). Insignificant neighbors' sign bits are don't-care.
-/// Generated from [`sc_context`].
-// AUDIT(fn): startup LUT generation — contributions are in {-1, 0, 1}
-// before the clamp, so the sums cannot overflow.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-fn sc_lut() -> &'static [u8; 256] {
-    static LUT: OnceLock<[u8; 256]> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let mut t = [0u8; 256];
-        for (idx, slot) in t.iter_mut().enumerate() {
-            let b = |i: usize| (idx >> i) as i32 & 1;
-            let con = |sig: i32, neg: i32| sig * (1 - 2 * neg);
-            let hc = (con(b(0), b(4)) + con(b(1), b(5))).clamp(-1, 1);
-            let vc = (con(b(2), b(6)) + con(b(3), b(7))).clamp(-1, 1);
-            let (sc, xor) = sc_context(hc, vc);
-            *slot = ((sc as u8) << 1) | xor;
-        }
-        t
-    })
-}
-
-/// Reusable word-array scratch for the bitplane engine.
-///
-/// Every array is rows-major with one guard row above and below the block
-/// (permanently zero, standing for the out-of-block border), `wpr` words
-/// per row. `bitp` holds the magnitude bit-planes, planes-major, without
-/// guard rows (it is never consulted for neighbors).
-pub(crate) struct BitplaneScratch {
-    w: usize,
-    h: usize,
-    wpr: usize,
-    /// Live significance bits.
-    sig: Vec<u64>,
-    /// Sign bits (static after setup; set = negative).
-    neg: Vec<u64>,
-    /// Coded-in-this-plane's-SPP bits (cleared each plane).
-    visited: Vec<u64>,
-    /// Snapshot of `sig` at the current plane's start.
-    sigstart: Vec<u64>,
-    /// Snapshot of `sig` at the previous plane's start.
-    sigprev: Vec<u64>,
-    /// Magnitude bit-planes: `bitp[(plane * h + y) * wpr + wi]`.
-    bitp: Vec<u64>,
-    /// Stripe-interleaved magnitude copy: a column's [`STRIPE_HEIGHT`]
-    /// values sit in one 16-byte chunk (`smag[((y/4 * w + x) * 4) | y%4]`),
-    /// so the column-major pass visits hit one cache line where the
-    /// row-major layout touched four lines 256 bytes apart.
-    smag: Vec<u32>,
-    /// Per-stripe scratch: OR of consulted significance rows.
-    rowor: Vec<u64>,
-    /// Per-stripe scratch: active-column / run masks.
-    colmask: Vec<u64>,
-    aux: Vec<u64>,
-    aux2: Vec<u64>,
-    /// Per-pass refinement-gain table (see `mag_ref_pass`).
-    rgain: Vec<f64>,
-}
-
-impl BitplaneScratch {
-    // AUDIT(hot): setup-time — empty vectors, no heap until `reset`
-    // sizes them; one scratch lives per coder and is recycled across
-    // blocks.
-    pub(crate) fn new() -> Self {
-        Self {
-            w: 0,
-            h: 0,
-            wpr: 0,
-            sig: Vec::new(),
-            neg: Vec::new(),
-            visited: Vec::new(),
-            sigstart: Vec::new(),
-            sigprev: Vec::new(),
-            bitp: Vec::new(),
-            smag: Vec::new(),
-            rowor: Vec::new(),
-            colmask: Vec::new(),
-            aux: Vec::new(),
-            aux2: Vec::new(),
-            rgain: Vec::new(),
-        }
-    }
-
-    /// Re-dimension for a `w`×`h` block with `planes` magnitude planes and
-    /// zero all state, keeping allocations when large enough.
-    // AUDIT(hot): amortized — every buffer is clear + resize over
-    // recycled capacity; steady state allocates nothing (oracle-checked).
-    // AUDIT(fn): encoder side — sizes derive from the caller-validated
-    // block geometry (w, h <= 1024, planes <= MAX_PLANES), far below
-    // overflow range.
-    #[allow(clippy::arithmetic_side_effects)]
-    fn reset(&mut self, w: usize, h: usize, planes: usize) {
-        self.w = w;
-        self.h = h;
-        self.wpr = w.div_ceil(64);
-        let rows = (h + 2) * self.wpr;
-        for buf in [
-            &mut self.sig,
-            &mut self.neg,
-            &mut self.visited,
-            &mut self.sigstart,
-            &mut self.sigprev,
-        ] {
-            buf.clear();
-            buf.resize(rows, 0);
-        }
-        self.bitp.clear();
-        self.bitp.resize(planes * h * self.wpr, 0);
-        self.smag.clear();
-        self.smag
-            .resize(h.div_ceil(STRIPE_HEIGHT) * w * STRIPE_HEIGHT, 0);
-        for buf in [
-            &mut self.rowor,
-            &mut self.colmask,
-            &mut self.aux,
-            &mut self.aux2,
-        ] {
-            buf.clear();
-            buf.resize(self.wpr, 0);
-        }
-    }
-
-    /// Word offset of in-block row `y` (guard row 0 sits above).
-    #[inline]
-    fn row(&self, y: usize) -> usize {
-        // AUDIT: y < h and wpr * (h + 2) is the allocation size.
-        (y.wrapping_add(1)).wrapping_mul(self.wpr)
-    }
-
-    /// Word offset of row `y` of `plane` in `bitp`.
-    #[inline]
-    fn prow(&self, plane: u8, y: usize) -> usize {
-        // AUDIT: plane < planes, y < h; the product is the bitp layout.
-        ((plane as usize).wrapping_mul(self.h).wrapping_add(y)).wrapping_mul(self.wpr)
-    }
-
-    /// Magnitude of `(x, y)` from the stripe-interleaved copy.
-    // AUDIT(fn): x < w and y < h index inside the copy by construction.
-    #[allow(clippy::indexing_slicing)]
-    #[inline]
-    fn smag_at(&self, x: usize, y: usize) -> u32 {
-        // AUDIT: x < w and y < h index inside the copy by construction;
-        // the shifts encode STRIPE_HEIGHT == 4.
-        self.smag[(((y >> 2).wrapping_mul(self.w).wrapping_add(x)) << 2) | (y & 3)]
-    }
-
-    /// Valid-column mask for word `wi` (bits at and above `w` cleared).
-    #[inline]
-    fn tail(&self, wi: usize) -> u64 {
-        let used = self.w.wrapping_sub(wi.wrapping_shl(6));
-        if used >= 64 {
-            u64::MAX
-        } else {
-            // AUDIT: used in 1..=63 here — wi indexes a word that covers at
-            // least one in-block column.
-            (1u64 << used).wrapping_sub(1)
-        }
-    }
-}
-
-/// Bits `x-1`, `x`, `x+1` of the row starting at word offset `base`
-/// (result bit 0 = west, bit 1 = center, bit 2 = east). Word-boundary and
-/// block-edge reads resolve to 0 through the zero padding invariant (bits
-/// `>= w` of a row's last word are never set).
-// AUDIT(fn): `base + wi` stays inside the row (wi < wpr is checked on both
-// cross-word reads); shifts are by values in 0..=63 by construction.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-#[inline]
-fn get3(buf: &[u64], base: usize, wpr: usize, x: usize) -> u32 {
-    let wi = x >> 6;
-    let sh = x & 63;
-    let w = buf[base + wi];
-    if sh == 0 {
-        let west = if wi == 0 { 0 } else { buf[base + wi - 1] >> 63 };
-        (((w & 3) << 1) | west) as u32
-    } else if sh == 63 {
-        let east = if wi + 1 < wpr {
-            buf[base + wi + 1] & 1
-        } else {
-            0
-        };
-        (((w >> 62) & 3) | (east << 2)) as u32
-    } else {
-        ((w >> (sh - 1)) & 7) as u32
-    }
-}
-
-/// Pack the 3-wide windows of `nrows` consecutive rows of column `x` into
-/// one word: bits `3j .. 3j+3` are (west, center, east) of the row at word
-/// offset `top + j*wpr` (see the `NB_*` layout constants). Single-word rows
-/// — every block 64 columns wide or narrower — take a contiguous-slice fast
-/// path: one bounds check covers the whole gather.
-// AUDIT(fn): `top + nrows*wpr` stays inside the guard-padded buffer (the
-// caller gathers at most rows y0-1 ..= ymax of an in-block stripe); `sh`
-// and `3*j` shifts are bounded by 63 / 15.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-#[inline]
-fn gather_win(buf: &[u64], top: usize, wpr: usize, nrows: usize, x: usize) -> u32 {
-    let sh = x & 63;
-    let mut win = 0u32;
-    if wpr == 1 {
-        let rows = &buf[top..top + nrows];
-        if sh == 0 {
-            for (j, &r) in rows.iter().enumerate() {
-                win |= (((r & 3) << 1) as u32) << (3 * j);
-            }
-        } else if sh == 63 {
-            for (j, &r) in rows.iter().enumerate() {
-                win |= (((r >> 62) & 3) as u32) << (3 * j);
-            }
-        } else {
-            for (j, &r) in rows.iter().enumerate() {
-                win |= (((r >> (sh - 1)) & 7) as u32) << (3 * j);
-            }
-        }
-    } else {
-        let mut base = top;
-        for j in 0..nrows {
-            win |= get3(buf, base, wpr, x) << (3 * j);
-            base += wpr;
-        }
-    }
-    win
-}
-
-/// [`gather_win`] from per-word row registers instead of memory: `regs[j]`
-/// holds the word of row `j`, `sh` the column's bit position within it.
-/// For `sh == 0` / `sh == 63` the west / east neighbor is taken as 0,
-/// which is only correct at the block border — callers at interior word
-/// boundaries of multi-word rows must use the memory gather instead.
-// AUDIT(fn): regs is a fixed 6-word array, nrows <= 6; shifts bounded by
-// 62 / 15.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-#[inline]
-fn win_regs(regs: &[u64; STRIPE_HEIGHT + 2], sh: usize) -> u32 {
-    // All six rows are extracted unconditionally: rows past a partial
-    // stripe's end are zero in `regs`, so their slices contribute nothing
-    // and the fixed trip count lets the extraction unroll.
-    let mut win = 0u32;
-    if sh == 0 {
-        for (j, &r) in regs.iter().enumerate() {
-            win |= (((r & 3) << 1) as u32) << (3 * j);
-        }
-    } else if sh == 63 {
-        for (j, &r) in regs.iter().enumerate() {
-            win |= (((r >> 62) & 3) as u32) << (3 * j);
-        }
-    } else {
-        for (j, &r) in regs.iter().enumerate() {
-            win |= (((r >> (sh - 1)) & 7) as u32) << (3 * j);
-        }
-    }
-    win
-}
-
-/// Bit `x` of the row starting at `base`.
-// AUDIT(fn): base + (x >> 6) is inside the row for x < w.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-#[inline]
-fn bit_at(buf: &[u64], base: usize, x: usize) -> u64 {
-    (buf[base + (x >> 6)] >> (x & 63)) & 1
-}
-
-/// Set bit `x` of the row starting at `base`.
-// AUDIT(fn): as `bit_at`.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-#[inline]
-fn set_bit(buf: &mut [u64], base: usize, x: usize) {
-    buf[base + (x >> 6)] |= 1u64 << (x & 63);
-}
-
 /// The bitplane engine's per-block coding state (sink + contexts + the
 /// word arrays), shared by the three pass drivers.
 struct Coder<'a> {
@@ -499,18 +183,7 @@ impl Coder<'_> {
     #[inline]
     fn code_sign_and_mark_nb(&mut self, x: usize, y: usize, plane: u8, nb: u32) -> f64 {
         let base = self.bp.row(y);
-        let wpr = self.bp.wpr;
-        let cn = get3(&self.bp.neg, base, wpr, x);
-        let nn = bit_at(&self.bp.neg, base - wpr, x) as u32;
-        let sn = bit_at(&self.bp.neg, base + wpr, x) as u32;
-        let idx = ((nb >> 3) & 1)        // sigW
-            | (((nb >> 5) & 1) << 1)     // sigE
-            | (((nb >> 1) & 1) << 2)     // sigN
-            | (((nb >> 7) & 1) << 3)     // sigS
-            | ((cn & 1) << 4)            // negW
-            | (((cn >> 2) & 1) << 5)     // negE
-            | (nn << 6)                  // negN
-            | (sn << 7); // negS
+        let (idx, cn) = sc_index(&self.bp.neg, base, self.bp.wpr, x, nb);
         let v = self.sc_tab[idx as usize];
         self.sink.sign(
             &mut self.ctx[(v >> 1) as usize],
@@ -692,42 +365,12 @@ fn sig_prop_pass(enc: &mut Coder, plane: u8) -> f64 {
                                 // center magnitude bits, and batched visited updates (flushed
                                 // once per word; nothing reads visited until cleanup).
             let mut regs = [0u64; STRIPE_HEIGHT + 2];
-            for (j, reg) in regs.iter_mut().enumerate().take(rows + 2) {
-                *reg = enc.bp.sig[top + j * wpr + wi];
-            }
-            // Exact member columns at pass start: a member row bit is
-            // insignificant with a significant neighbor — per row, the or
-            // of the dilated row above, the dilated row below (hidden from
-            // the last in-stripe row under stripe-causal formation), and
-            // the east/west bits of the row itself, anded with ~self.
+            // Exact member columns at pass start (see `spp_members`).
             // Columns made members mid-pass by west-neighbor significance
             // re-enter via the `bits |=` below (same word) or are caught
             // by the next word's lazy computation seeing the updated sig
             // (cross-word west inputs read live memory).
-            let mut bits = 0u64;
-            for i in 0..rows {
-                let (p, c, n) = (regs[i], regs[i + 1], regs[i + 2]);
-                let mut hp = p | (p << 1) | (p >> 1);
-                let mut hc = (c << 1) | (c >> 1);
-                let mut hn = n | (n << 1) | (n >> 1);
-                if wpr > 1 {
-                    if wi > 0 {
-                        hp |= enc.bp.sig[top + i * wpr + wi - 1] >> 63;
-                        hc |= enc.bp.sig[top + (i + 1) * wpr + wi - 1] >> 63;
-                        hn |= enc.bp.sig[top + (i + 2) * wpr + wi - 1] >> 63;
-                    }
-                    if wi + 1 < wpr {
-                        hp |= enc.bp.sig[top + i * wpr + wi + 1] << 63;
-                        hc |= enc.bp.sig[top + (i + 1) * wpr + wi + 1] << 63;
-                        hn |= enc.bp.sig[top + (i + 2) * wpr + wi + 1] << 63;
-                    }
-                }
-                let mut nb = hp | hc;
-                if !(causal && i + 1 == STRIPE_HEIGHT) {
-                    nb |= hn;
-                }
-                bits |= !c & nb;
-            }
+            let mut bits = spp_members(&enc.bp.sig, top, wpr, wi, rows, causal, &mut regs);
             bits &= enc.bp.tail(wi);
             if bits == 0 {
                 continue;
@@ -958,58 +601,22 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
             continue;
         }
 
-        // Column classification masks, all per stripe:
-        //   quiet    — no coefficient has SIG or VISITED;
-        //   done     — every coefficient has SIG or VISITED (emits nothing);
-        //   nbr-free — no (causally visible) significant neighbor;
-        //   zero     — no magnitude bit at this plane.
-        // rl_zero = quiet & nbr-free & zero columns code a single RL-0
-        // decision each and change no state, so maximal stretches of
-        // rl_zero/done columns collapse into one encode_run call.
+        // Column classification (see `classify_cleanup_columns`): `colmask`
+        // = run-length columns (quiet and neighbor-free), `aux2` = done
+        // columns (emit nothing). The encoder also knows which columns
+        // hold no bit at this plane: rl_zero = run-length & zero columns
+        // code a single RL-0 decision each and change no state, so maximal
+        // stretches of rl_zero/done columns collapse into one encode_run
+        // call.
+        enc.bp.classify_cleanup_columns(y0, causal);
         for wi in 0..wpr {
-            let mut or_flags = 0u64;
-            let mut and_flags = u64::MAX;
             let mut or_bits = 0u64;
             for y in y0..ymax {
-                let f = enc.bp.sig[enc.bp.row(y) + wi] | enc.bp.visited[enc.bp.row(y) + wi];
-                or_flags |= f;
-                and_flags &= f;
                 or_bits |= enc.bp.bitp[enc.bp.prow(plane, y) + wi];
             }
-            // Consulted significance rows: y0-1 ..= ymax (ymax invisible
-            // when stripe-causal).
-            let mut m = enc.bp.sig[y0 * wpr + wi]; // row y0 - 1
-            for y in y0..ymax {
-                m |= enc.bp.sig[enc.bp.row(y) + wi];
-            }
-            if !causal {
-                m |= enc.bp.sig[enc.bp.row(ymax - 1) + wpr + wi]; // row ymax (or guard)
-            }
-            enc.bp.rowor[wi] = m;
-            enc.bp.aux[wi] = !or_flags; // quiet
-            enc.bp.aux2[wi] = and_flags; // done
-            enc.bp.colmask[wi] = !or_bits; // zero at this plane
-        }
-        // Combine into the final column masks (the dilation of rowor is
-        // computed word-locally so colmask can keep holding the zero mask).
-        for wi in 0..wpr {
-            let t = enc.bp.tail(wi);
-            let src = &enc.bp.rowor;
-            let m = src[wi];
-            let mut nbr = m | (m << 1) | (m >> 1);
-            if wi > 0 {
-                nbr |= src[wi - 1] >> 63;
-            }
-            if wi + 1 < wpr {
-                nbr |= src[wi + 1] << 63;
-            }
-            let quiet = enc.bp.aux[wi] & t;
-            let done = enc.bp.aux2[wi] & t;
-            let zero = enc.bp.colmask[wi] & t;
-            let rl_ok = quiet & !nbr;
-            enc.bp.aux[wi] = rl_ok & zero; // rl_zero
-            enc.bp.aux2[wi] = (rl_ok & zero) | done; // run_ok
-            enc.bp.colmask[wi] = rl_ok; // rl (column may still hold a 1 bit)
+            let rl_zero = enc.bp.colmask[wi] & !or_bits;
+            enc.bp.aux[wi] = rl_zero;
+            enc.bp.aux2[wi] |= rl_zero; // run_ok
         }
 
         // Per-word row registers (magnitude bits, visited, significance
@@ -1089,7 +696,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
                 dd += enc.code_sign_and_mark_nb(x, y0 + ri, plane, nb);
                 win |= NB_SELF << (3 * ri);
                 regs[ri + 1] |= 1u64 << sh;
-                clear_run_bits(enc, x, w);
+                enc.bp.clear_run_bits(x);
                 for i in (ri + 1)..STRIPE_HEIGHT {
                     if win & (NB_SELF << (3 * i)) != 0 {
                         continue;
@@ -1104,7 +711,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
                     if newsig {
                         win |= NB_SELF << (3 * i);
                         regs[i + 1] |= 1u64 << sh;
-                        clear_run_bits(enc, x, w);
+                        enc.bp.clear_run_bits(x);
                     }
                 }
                 x += 1;
@@ -1130,7 +737,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
                 if newsig {
                     win |= NB_SELF << (3 * i);
                     regs[i + 1] |= 1u64 << sh;
-                    clear_run_bits(enc, x, w);
+                    enc.bp.clear_run_bits(x);
                 }
             }
             x += 1;
@@ -1138,21 +745,6 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
         y0 = ymax;
     }
     dd
-}
-
-/// New significance at column `x` reaches column `x + 1`: it is no longer
-/// run-length eligible in this stripe.
-// AUDIT(fn): word index bounded by wpr since x + 1 < w.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-#[inline]
-fn clear_run_bits(enc: &mut Coder, x: usize, w: usize) {
-    if x + 1 < w {
-        let wj = (x + 1) >> 6;
-        let m = !(1u64 << ((x + 1) & 63));
-        enc.bp.aux[wj] &= m;
-        enc.bp.aux2[wj] &= m;
-        enc.bp.colmask[wj] &= m;
-    }
 }
 
 #[cfg(test)]

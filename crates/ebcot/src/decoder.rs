@@ -1,18 +1,48 @@
-//! Tier-1 block decoder (exact mirror of the encoder's pass structure).
+//! Tier-1 block decoder on the packed flag-word state.
+//!
+//! The decoder mirrors the bitplane encoder ([`crate::bitplane`]) pass for
+//! pass and shares its representation ([`crate::packed`]): significance,
+//! sign, visited and the two plane-start significance snapshots are `u64`
+//! row words with guard rows, so
+//!
+//! - **significance propagation** visits only the member columns of each
+//!   stripe word (the same word stencil the encoder uses, walked with
+//!   `trailing_zeros`),
+//! - **magnitude refinement** membership is the plane-start snapshot and
+//!   "first refinement" is "not significant at the previous plane's start",
+//!   so no per-coefficient REFINED/NEWSIG flags exist,
+//! - **cleanup** takes run-length applicability and the columns with nothing
+//!   left to code from mask algebra,
+//!
+//! and contexts come from the shared 9-bit-window tables. Where decode
+//! differs from encode: the bits are not known in advance, so there is no
+//! zero-column pre-classification and every decision waits for the one
+//! before it; magnitudes accumulate in the stripe-interleaved layout and are
+//! reconstructed row by row at the end, the known plane of each coefficient
+//! derived from which pass was decoded last rather than stored per sample.
+//! The entropy source (MQ codeword or raw bypass segment) is chosen once per
+//! pass: the pass bodies are generic over [`Source`].
 //!
 //! The decoder sits on the untrusted-input boundary (DESIGN.md §9):
 //! inconsistent block parameters are reported through [`DecodeError`]
 //! rather than panics, a segment shortfall simply truncates the decode
 //! (every pass boundary is a valid truncation point), and the MQ/raw
-//! sources below never read out of bounds on any input.
+//! sources never read out of bounds on any input. Every index below derives
+//! from the validated block geometry; decoded bits pick branches and values,
+//! never positions — the one exception is the cleanup pass's 2-bit
+//! run-length row offset, which is bounded by the full stripe it applies to.
+//!
+//! The per-coefficient decoder this replaced survives as a test oracle in
+//! `crate::oracle` (cargo feature `oracle`, off by default).
 
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
-use crate::context::{
-    initial_states, mr_context, sc_context, zc_context, BandCtx, CTX_RL, CTX_UNI, NUM_CTX,
-};
+use crate::context::{initial_states, mr_context, BandCtx, CTX_RL, CTX_UNI, NUM_CTX};
 use crate::encoder::{in_bypass_region, Tier1Options};
-use crate::state::{FlagGrid, NEG, NEWSIG, REFINED, SIG, VISITED};
+use crate::packed::{
+    band_index, gather_win, sc_index, sc_lut, set_bit, spp_members, win_regs, zc_lut,
+    BitplaneScratch, NB_NEIGHBORS, NB_NO_SOUTH, NB_SELF,
+};
 use crate::{MAX_PLANES, STRIPE_HEIGHT};
 use pj2k_mq::{CtxState, MqDecoder, RawDecoder};
 
@@ -63,51 +93,103 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// The per-pass entropy source: MQ codeword or raw segment.
-enum Source<'a> {
-    Mq(MqDecoder<'a>),
-    Raw(RawDecoder<'a>),
+/// Validate a block's structural parameters. `Ok(false)` is the zero-plane
+/// block, which carries no passes and decodes to all zeros; `Ok(true)` a
+/// block whose `passes` segments fit its plane structure.
+// AUDIT(fn): `msb_planes` is in 1..=MAX_PLANES at the subtraction and the
+// pass bound is at most 1 + 3 * 30.
+#[allow(clippy::arithmetic_side_effects)]
+pub(crate) fn check_params(
+    w: usize,
+    h: usize,
+    msb_planes: u8,
+    passes: usize,
+) -> Result<bool, DecodeError> {
+    if w == 0 || h == 0 {
+        return Err(DecodeError::EmptyBlock);
+    }
+    if msb_planes == 0 {
+        if passes != 0 {
+            return Err(DecodeError::ZeroPlanePasses { passes });
+        }
+        return Ok(false);
+    }
+    if msb_planes > MAX_PLANES {
+        return Err(DecodeError::TooManyPlanes {
+            planes: msb_planes,
+            max: MAX_PLANES,
+        });
+    }
+    let max = 1 + 3 * (usize::from(msb_planes) - 1);
+    if passes > max {
+        return Err(DecodeError::TooManyPasses { passes, max });
+    }
+    Ok(true)
 }
 
-impl Source<'_> {
-    #[inline]
-    fn decision(&mut self, ctx: &mut CtxState) -> u8 {
-        match self {
-            Source::Mq(m) => m.decode(ctx),
-            Source::Raw(r) => r.get(),
-        }
-    }
+/// The per-pass entropy source. Pass bodies are generic over it, so the
+/// MQ/raw choice is made once per pass, not per decision.
+trait Source {
+    /// Whether decisions are context-coded (the raw lane ignores contexts,
+    /// so callers skip forming them).
+    const CODED: bool;
+
+    fn decision(&mut self, ctx: &mut CtxState) -> u8;
 
     /// Sign decoding: MQ uses the context/XOR scheme, raw reads the bit.
+    fn sign(&mut self, ctx: &mut CtxState, xor: u8) -> u8;
+}
+
+impl Source for MqDecoder<'_> {
+    const CODED: bool = true;
+
+    #[inline]
+    fn decision(&mut self, ctx: &mut CtxState) -> u8 {
+        self.decode(ctx)
+    }
+
     #[inline]
     fn sign(&mut self, ctx: &mut CtxState, xor: u8) -> u8 {
-        match self {
-            Source::Mq(m) => m.decode(ctx) ^ xor,
-            Source::Raw(r) => r.get(),
-        }
+        self.decode(ctx) ^ xor
     }
 }
 
-/// Reusable decode-side scratch arena: the flag grid, magnitude
-/// accumulator and known-plane map survive across blocks so a warm
-/// worker decodes with zero steady-state allocations (the decode mirror
-/// of the encoder's `BlockCoder` arena; the counting-allocator oracle in
-/// `crates/bench` pins the steady state at zero).
-#[derive(Default)]
+impl Source for RawDecoder<'_> {
+    const CODED: bool = false;
+
+    #[inline]
+    fn decision(&mut self, _ctx: &mut CtxState) -> u8 {
+        self.get()
+    }
+
+    #[inline]
+    fn sign(&mut self, _ctx: &mut CtxState, _xor: u8) -> u8 {
+        self.get()
+    }
+}
+
+/// Reusable decode-side scratch arena: the packed state words and the
+/// magnitude accumulator survive across blocks so a warm worker decodes
+/// with zero steady-state allocations (the decode mirror of the encoder's
+/// `BlockCoder` arena; the counting-allocator oracle in `crates/bench`
+/// pins the steady state at zero).
 pub struct BlockDecoderScratch {
-    grid: FlagGrid,
-    /// Decoded magnitude bits so far.
-    mag: Vec<u32>,
-    /// Lowest plane whose bit is known per coefficient (for midpoint
-    /// reconstruction of truncated streams).
-    known_plane: Vec<u8>,
+    st: BitplaneScratch,
+}
+
+impl Default for BlockDecoderScratch {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BlockDecoderScratch {
     /// Empty scratch; buffers grow to the largest block seen and stay.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            st: BitplaneScratch::new(),
+        }
     }
 
     /// Decode a code-block into `out` (cleared first), reusing this
@@ -128,61 +210,7 @@ impl BlockDecoderScratch {
         opts: Tier1Options,
         out: &mut Vec<i32>,
     ) -> Result<(), DecodeError> {
-        decode_block_into(self, w, h, band, msb_planes, segments, opts, out)
-    }
-}
-
-/// Per-block decoder view: borrows the scratch buffers (already sized to
-/// `w * h`) plus the per-block context states and options.
-struct BlockDecoder<'a> {
-    grid: &'a mut FlagGrid,
-    band: BandCtx,
-    ctx: [CtxState; NUM_CTX],
-    mag: &'a mut [u32],
-    known_plane: &'a mut [u8],
-    opts: Tier1Options,
-}
-
-impl BlockDecoder<'_> {
-    // AUDIT(fn): `y < h` in every caller, so `y + 1` cannot overflow.
-    #[allow(clippy::arithmetic_side_effects)]
-    #[inline]
-    fn skip_south(&self, y: usize) -> bool {
-        self.opts.stripe_causal && (y + 1).is_multiple_of(STRIPE_HEIGHT)
-    }
-
-    // AUDIT(fn): context indices come from the context tables, whose
-    // contract is `< NUM_CTX`; input bits select branches, never indices.
-    #[allow(clippy::indexing_slicing)]
-    fn decode_significance(&mut self, mq: &mut Source, x: usize, y: usize, plane: u8) {
-        let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
-        let (h, v, d) = (
-            self.grid.h_count(i),
-            self.grid.v_count(i, ss),
-            self.grid.d_count(i, ss),
-        );
-        let zc = zc_context(self.band, h, v, d);
-        let bit = mq.decision(&mut self.ctx[zc]);
-        if bit == 1 {
-            self.decode_sign_and_mark(mq, x, y, plane);
-        }
-    }
-
-    // AUDIT(fn): `(x, y)` comes from the scan over the validated `w x h`
-    // grid, so `k < w * h == mag.len()`; `plane < msb_planes <= 31` keeps
-    // the shift in range. Untrusted bits only pick the sign branch.
-    #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-    fn decode_sign_and_mark(&mut self, mq: &mut Source, x: usize, y: usize, plane: u8) {
-        let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
-        let (sc, xor) = sc_context(self.grid.hc(i), self.grid.vc(i, ss));
-        let neg = mq.sign(&mut self.ctx[sc], xor);
-        self.grid
-            .set(i, SIG | NEWSIG | if neg == 1 { NEG } else { 0 });
-        let k = y * self.grid.w + x;
-        self.mag[k] = 1u32 << plane;
-        self.known_plane[k] = plane;
+        decode_block_into(&mut self.st, w, h, band, msb_planes, segments, opts, out)
     }
 }
 
@@ -222,19 +250,101 @@ pub fn decode_block_with(
     Ok(out)
 }
 
+/// The decoder's per-block state (contexts + the packed words), shared by
+/// the three pass drivers.
+struct Dec<'a> {
+    st: &'a mut BitplaneScratch,
+    ctx: [CtxState; NUM_CTX],
+    causal: bool,
+    /// Zero-coding LUT row for this block's band.
+    zc_tab: &'static [u8; 512],
+    /// Sign-coding LUT.
+    sc_tab: &'static [u8; 256],
+}
+
+impl Dec<'_> {
+    /// Decode significance (ZC) + possible sign (SC) of the insignificant
+    /// coefficient `(x, y)` at `plane` from its packed, causally masked
+    /// neighborhood slice `nb` (self bit clear); returns whether it became
+    /// significant.
+    // AUDIT(fn): `nb` is masked to the 9-bit window and the LUT holds ZC
+    // indices < NUM_CTX by zc_context's contract; the decoded bit selects
+    // a branch, never an index.
+    #[allow(clippy::indexing_slicing)]
+    #[inline]
+    fn decode_sig<S: Source>(
+        &mut self,
+        src: &mut S,
+        x: usize,
+        y: usize,
+        plane: u8,
+        nb: u32,
+    ) -> bool {
+        let zc = if S::CODED {
+            usize::from(self.zc_tab[(nb & 511) as usize])
+        } else {
+            0
+        };
+        if src.decision(&mut self.ctx[zc]) == 0 {
+            return false;
+        }
+        self.decode_sign_and_mark(src, x, y, plane, nb);
+        true
+    }
+
+    /// Sign decoding for a coefficient turning significant at `plane`
+    /// whose (causally masked) neighborhood slice is `nb`; marks
+    /// significance and sign and starts its magnitude.
+    // AUDIT(fn): `(x, y)` is an in-block position from the scan over the
+    // validated geometry, so its row (and the guard-padded rows around it)
+    // exist and the stripe-interleaved magnitude slot is inside the
+    // `ceil(h/4) * w * 4` accumulator; `sc_index` is 8 bits wide and the
+    // LUT packs contexts 9..=13 < NUM_CTX; `plane < msb_planes <= 31`
+    // bounds the shift. The decoded sign lands in a bit *value* only.
+    #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+    #[inline]
+    fn decode_sign_and_mark<S: Source>(
+        &mut self,
+        src: &mut S,
+        x: usize,
+        y: usize,
+        plane: u8,
+        nb: u32,
+    ) {
+        let base = self.st.row(y);
+        let (sc, xor) = if S::CODED {
+            let (idx, _) = sc_index(&self.st.neg, base, self.st.wpr, x, nb);
+            let v = self.sc_tab[idx as usize];
+            (usize::from(v >> 1), v & 1)
+        } else {
+            (0, 0)
+        };
+        let neg = src.sign(&mut self.ctx[sc], xor);
+        set_bit(&mut self.st.sig, base, x);
+        self.st.neg[base + (x >> 6)] |= u64::from(neg & 1) << (x & 63);
+        self.st.smag[(((y >> 2) * self.st.w + x) << 2) | (y & 3)] = 1u32 << plane;
+    }
+}
+
+/// Which pass was decoded last: the known bit-plane of every coefficient
+/// follows from it (see [`reconstruct`]).
+#[derive(Clone, Copy)]
+struct LastPass {
+    plane: u8,
+    /// The pass was a significance-propagation pass: only the coefficients
+    /// it turned significant are known down to `plane`.
+    sig_prop: bool,
+}
+
 /// Shared body for [`decode_block_with`] and
 /// [`BlockDecoderScratch::decode_into`].
-// AUDIT(fn): arithmetic and indexing run over the validated geometry —
-// `w * h > 0` (non-empty check above), `msb_planes <= 31` (bounds the
-// shifts and `max_passes`), and `k` scans `0..w * h` over buffers resized
-// to exactly that length. Untrusted segment bytes never influence an
-// index. The resize/extend sites are AUDIT(hot)-amortized: scratch
-// buffers keep their high-water capacity across blocks, so a warm worker
-// performs zero allocations here (pinned by the bench alloc oracle).
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+// AUDIT(fn): `msb_planes` is in 1..=31 past `check_params`, so `plane + 1`
+// cannot overflow; untrusted segment bytes never influence an index. The
+// zero-block resize is AUDIT(hot)-amortized like the reconstruction's.
+#[allow(clippy::arithmetic_side_effects)]
 #[allow(clippy::too_many_arguments)]
 fn decode_block_into<S: AsRef<[u8]>>(
-    scratch: &mut BlockDecoderScratch,
+    st: &mut BitplaneScratch,
     w: usize,
     h: usize,
     band: BandCtx,
@@ -243,71 +353,48 @@ fn decode_block_into<S: AsRef<[u8]>>(
     opts: Tier1Options,
     out: &mut Vec<i32>,
 ) -> Result<(), DecodeError> {
-    if w == 0 || h == 0 {
-        return Err(DecodeError::EmptyBlock);
-    }
-    if msb_planes == 0 {
-        if !segments.is_empty() {
-            return Err(DecodeError::ZeroPlanePasses {
-                passes: segments.len(),
-            });
-        }
+    if !check_params(w, h, msb_planes, segments.len())? {
         out.clear();
         // AUDIT(hot): amortized — reuses the caller's high-water capacity.
         out.resize(w * h, 0);
         return Ok(());
     }
-    if msb_planes > MAX_PLANES {
-        return Err(DecodeError::TooManyPlanes {
-            planes: msb_planes,
-            max: MAX_PLANES,
-        });
-    }
-    let max_passes = 1 + 3 * (usize::from(msb_planes) - 1);
-    if segments.len() > max_passes {
-        return Err(DecodeError::TooManyPasses {
-            passes: segments.len(),
-            max: max_passes,
-        });
-    }
-    scratch.grid.reset(w, h);
-    scratch.mag.clear();
-    // AUDIT(hot): amortized — scratch keeps its high-water capacity.
-    scratch.mag.resize(w * h, 0);
-    scratch.known_plane.clear();
-    // AUDIT(hot): amortized — scratch keeps its high-water capacity.
-    scratch.known_plane.resize(w * h, 0);
-    let mut dec = BlockDecoder {
-        grid: &mut scratch.grid,
-        band,
+    st.reset(w, h, 0);
+    // AUDIT: `band_index` is < 3, the LUT's row count.
+    #[allow(clippy::indexing_slicing)]
+    let zc_tab = &zc_lut()[band_index(band)];
+    let mut dec = Dec {
+        st,
         ctx: initial_states(),
-        mag: scratch.mag.as_mut_slice(),
-        known_plane: scratch.known_plane.as_mut_slice(),
-        opts,
+        causal: opts.stripe_causal,
+        zc_tab,
+        sc_tab: sc_lut(),
     };
     let mut seg_iter = segments.iter();
+    let mut last = None;
 
     'outer: for plane in (0..msb_planes).rev() {
-        dec.grid.clear_plane_flags();
+        // New plane: drop visited marks, snapshot significance.
+        dec.st.visited.iter_mut().for_each(|w| *w = 0);
+        std::mem::swap(&mut dec.st.sigstart, &mut dec.st.sigprev);
+        dec.st.sigstart.copy_from_slice(&dec.st.sig);
+
         let first_plane = plane + 1 == msb_planes;
         let bypassed = opts.bypass && in_bypass_region(plane, msb_planes);
         if !first_plane {
-            for kind in 0..2 {
+            for sig_prop in [true, false] {
                 // A short prefix is a legal truncation point: stop cleanly.
                 let Some(seg) = seg_iter.next() else {
                     break 'outer;
                 };
                 let seg = seg.as_ref();
-                let mut mq = if bypassed {
-                    Source::Raw(RawDecoder::new(seg))
-                } else {
-                    Source::Mq(MqDecoder::new(seg))
-                };
-                if kind == 0 {
-                    sig_prop_pass(&mut dec, &mut mq, plane);
-                } else {
-                    mag_ref_pass(&mut dec, &mut mq, plane);
+                match (sig_prop, bypassed) {
+                    (true, false) => sig_prop_pass(&mut dec, &mut MqDecoder::new(seg), plane),
+                    (true, true) => sig_prop_pass(&mut dec, &mut RawDecoder::new(seg), plane),
+                    (false, false) => mag_ref_pass(&mut dec, &mut MqDecoder::new(seg), plane),
+                    (false, true) => mag_ref_pass(&mut dec, &mut RawDecoder::new(seg), plane),
                 }
+                last = Some(LastPass { plane, sig_prop });
                 if opts.reset_contexts {
                     dec.ctx = initial_states();
                 }
@@ -316,49 +403,137 @@ fn decode_block_into<S: AsRef<[u8]>>(
         let Some(seg) = seg_iter.next() else {
             break;
         };
-        let mut mq = Source::Mq(MqDecoder::new(seg.as_ref()));
-        cleanup_pass(&mut dec, &mut mq, plane);
+        cleanup_pass(&mut dec, &mut MqDecoder::new(seg.as_ref()), plane);
+        last = Some(LastPass {
+            plane,
+            sig_prop: false,
+        });
         if opts.reset_contexts {
             dec.ctx = initial_states();
         }
     }
 
-    // Midpoint reconstruction with sign.
-    out.clear();
-    // AUDIT(hot): amortized — extend into the caller's recycled buffer.
-    out.extend((0..w * h).map(|k| {
-        let m = dec.mag[k];
-        if m == 0 {
-            return 0;
-        }
-        let p = dec.known_plane[k];
-        let half = if p == 0 { 0 } else { 1i64 << (p - 1) };
-        let v = i64::from(m) + half;
-        let (x, y) = (k % w, k / w);
-        if dec.grid.get(dec.grid.idx(x, y)) & NEG != 0 {
-            -(v as i32)
-        } else {
-            v as i32
-        }
-    }));
+    reconstruct(dec.st, last, out);
     Ok(())
 }
 
-// AUDIT(fn): stripe geometry over the validated grid (`ymax <= h`); all
-// indexing happens through the FlagGrid accessors on in-range (x, y).
-#[allow(clippy::arithmetic_side_effects)]
-fn sig_prop_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
-    let (w, h) = (dec.grid.w, dec.grid.h);
+/// Signed midpoint reconstruction, row by row from the packed words.
+///
+/// No per-sample known-plane map exists: every pass but significance
+/// propagation codes *all* significant coefficients at its plane
+/// (refinement the plane-start members, with the new ones just coded by
+/// the propagation pass before it; cleanup whatever is left), so after a
+/// last pass at plane `q` every significant coefficient is known down to
+/// `q` — except after a propagation pass, where only the coefficients it
+/// turned significant (`sig & !sigstart`) are, and the rest stop at `q + 1`.
+// AUDIT(fn): `w * h` is the validated geometry; rows are `w` wide, words
+// cover `min(64, w - 64*wi)` columns of them, and set bits of `sig` lie
+// below the block width (padding bits are never set), so `x < w` indexes
+// inside the row and inside the stripe-interleaved accumulator.
+// `q + 1 <= 31` bounds the shifts. Magnitudes hold bits at and above their
+// known plane only, so adding the midpoint cannot carry past bit 30.
+#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+fn reconstruct(st: &BitplaneScratch, last: Option<LastPass>, out: &mut Vec<i32>) {
+    let (w, h, wpr) = (st.w, st.h, st.wpr);
+    out.clear();
+    // AUDIT(hot): amortized — fills the caller's recycled buffer.
+    out.resize(w * h, 0);
+    let Some(last) = last else {
+        return; // no pass decoded: nothing is significant
+    };
+    let half = |p: u8| if p == 0 { 0 } else { 1u32 << (p - 1) };
+    let (half_low, half_high) = (half(last.plane), half(last.plane + 1));
+    for (y, row) in out.chunks_exact_mut(w).enumerate() {
+        let base = st.row(y);
+        let sbase = (((y >> 2) * w) << 2) | (y & 3);
+        for wi in 0..wpr {
+            let sig = st.sig[base + wi];
+            let neg = st.neg[base + wi];
+            let low = if last.sig_prop {
+                sig & !st.sigstart[base + wi]
+            } else {
+                sig
+            };
+            let mut bits = sig;
+            while bits != 0 {
+                let sh = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let x = (wi << 6) | sh;
+                let m = st.smag[sbase + (x << 2)];
+                let v = m + if (low >> sh) & 1 != 0 {
+                    half_low
+                } else {
+                    half_high
+                };
+                let s = ((neg >> sh) & 1) as i32;
+                row[x] = (v as i32 ^ -s) + s;
+            }
+        }
+    }
+}
+
+/// Significance-propagation pass over the packed state: the encoder's
+/// member stencil, with the bit decoded instead of looked up.
+// AUDIT(fn): stripe offsets and word indices are bounded by the scratch
+// dimensions established in `reset` from the validated geometry; column
+// indices iterate set bits of masks whose padding bits are cleared via
+// `tail`; window shifts are bounded by 3*3+4. Decoded bits only decide
+// whether a coefficient turns significant.
+#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+fn sig_prop_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
+    let (w, h, wpr) = (dec.st.w, dec.st.h, dec.st.wpr);
+    let causal = dec.causal;
     let mut y0 = 0;
     while y0 < h {
         let ymax = (y0 + STRIPE_HEIGHT).min(h);
-        for x in 0..w {
-            for y in y0..ymax {
-                let i = dec.grid.idx(x, y);
-                let f = dec.grid.get(i);
-                if f & SIG == 0 && dec.grid.any_sig_neighbor(i, dec.skip_south(y)) {
-                    dec.decode_significance(mq, x, y, plane);
-                    dec.grid.set(i, VISITED);
+        let rows = ymax - y0;
+        let top = y0 * wpr; // row y0 - 1 (the guard row covers y0 = 0)
+        for wi in 0..wpr {
+            // Per-word significance rows y0-1 ..= ymax, kept in step with
+            // memory as coefficients turn significant. Members minted
+            // mid-pass re-enter through the same-word east bit below or
+            // are caught by the next word's stencil reading live memory.
+            let mut regs = [0u64; STRIPE_HEIGHT + 2];
+            let mut bits = spp_members(&dec.st.sig, top, wpr, wi, rows, causal, &mut regs);
+            bits &= dec.st.tail(wi);
+            if bits == 0 {
+                continue;
+            }
+            let mut vup = [0u64; STRIPE_HEIGHT];
+            while bits != 0 {
+                let sh = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let x = (wi << 6) | sh;
+                let mut win = if wpr == 1 || (sh != 0 && sh != 63) {
+                    win_regs(&regs, sh)
+                } else {
+                    gather_win(&dec.st.sig, top, wpr, rows + 2, x)
+                };
+                for i in 0..rows {
+                    if win & (NB_SELF << (3 * i)) != 0 {
+                        continue; // already significant
+                    }
+                    let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
+                    if causal && i + 1 == STRIPE_HEIGHT {
+                        nb &= NB_NO_SOUTH;
+                    }
+                    if nb == 0 {
+                        continue; // no significant neighbor: not a member
+                    }
+                    vup[i] |= 1u64 << sh;
+                    if dec.decode_sig(src, x, y0 + i, plane, nb) {
+                        win |= NB_SELF << (3 * i);
+                        regs[i + 1] |= 1u64 << sh;
+                        if x + 1 < w && sh != 63 {
+                            bits |= 1u64 << (sh + 1);
+                        }
+                    }
+                }
+            }
+            for (i, &v) in vup.iter().enumerate() {
+                if v != 0 {
+                    let r = dec.st.row(y0 + i) + wi;
+                    dec.st.visited[r] |= v;
                 }
             }
         }
@@ -366,27 +541,75 @@ fn sig_prop_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
     }
 }
 
-// AUDIT(fn): stripe geometry over the validated grid; `k = y * w + x` with
-// `x < w`, `y < h` stays below `mag.len() == w * h`, the context index is
-// `< NUM_CTX` by the table contract, and `plane <= 30` bounds the shift.
+/// Magnitude-refinement pass over the packed state: membership is the
+/// plane-start significance snapshot, "first refinement" its predecessor.
+// AUDIT(fn): offsets as in `sig_prop_pass`; the magnitude slot
+// `((srow + x) << 2) | i` with `x < w`, `i < rows` is inside the
+// stripe-interleaved accumulator, `mr_context` returns 14..=16 < NUM_CTX
+// and `plane <= 30` bounds the shift. The decoded bit is OR-ed into a
+// magnitude *value*.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-fn mag_ref_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
-    let (w, h) = (dec.grid.w, dec.grid.h);
+fn mag_ref_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
+    let (w, h, wpr) = (dec.st.w, dec.st.h, dec.st.wpr);
+    let causal = dec.causal;
     let mut y0 = 0;
     while y0 < h {
         let ymax = (y0 + STRIPE_HEIGHT).min(h);
-        for x in 0..w {
-            for y in y0..ymax {
-                let i = dec.grid.idx(x, y);
-                let f = dec.grid.get(i);
-                if f & SIG != 0 && f & NEWSIG == 0 {
-                    let first = f & REFINED == 0;
-                    let mr = mr_context(first, dec.grid.any_sig_neighbor(i, dec.skip_south(y)));
-                    let bit = mq.decision(&mut dec.ctx[mr]);
-                    dec.grid.set(i, REFINED);
-                    let k = y * w + x;
-                    dec.mag[k] |= u32::from(bit) << plane;
-                    dec.known_plane[k] = plane;
+        let rows = ymax - y0;
+        let top = y0 * wpr;
+        let srow = (y0 >> 2) * w;
+        for wi in 0..wpr {
+            let mut ss = [0u64; STRIPE_HEIGHT];
+            let mut sp = [0u64; STRIPE_HEIGHT];
+            for i in 0..rows {
+                let r = dec.st.row(y0 + i) + wi;
+                ss[i] = dec.st.sigstart[r];
+                sp[i] = dec.st.sigprev[r];
+            }
+            let t = dec.st.tail(wi);
+            let mut bits = (ss[0] | ss[1] | ss[2] | ss[3]) & t;
+            if bits == 0 {
+                continue;
+            }
+            // Only first refinements (ss & !sp) consult the neighborhood,
+            // and significance is static during this pass.
+            let first =
+                ((ss[0] & !sp[0]) | (ss[1] & !sp[1]) | (ss[2] & !sp[2]) | (ss[3] & !sp[3])) & t;
+            let mut regs = [0u64; STRIPE_HEIGHT + 2];
+            if S::CODED && first != 0 {
+                for (j, reg) in regs.iter_mut().enumerate().take(rows + 2) {
+                    *reg = dec.st.sig[top + j * wpr + wi];
+                }
+            }
+            while bits != 0 {
+                let sh = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let x = (wi << 6) | sh;
+                let sb = (srow + x) << 2;
+                let win = if !S::CODED || (first >> sh) & 1 == 0 {
+                    0
+                } else if wpr == 1 || (sh != 0 && sh != 63) {
+                    win_regs(&regs, sh)
+                } else {
+                    gather_win(&dec.st.sig, top, wpr, rows + 2, x)
+                };
+                for i in 0..rows {
+                    if (ss[i] >> sh) & 1 == 0 {
+                        continue;
+                    }
+                    let mr = if !S::CODED {
+                        0
+                    } else if (sp[i] >> sh) & 1 == 0 {
+                        let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
+                        if causal && i + 1 == STRIPE_HEIGHT {
+                            nb &= NB_NO_SOUTH;
+                        }
+                        mr_context(true, nb != 0)
+                    } else {
+                        mr_context(false, false)
+                    };
+                    let bit = src.decision(&mut dec.ctx[mr]);
+                    dec.st.smag[sb | i] |= u32::from(bit) << plane;
                 }
             }
         }
@@ -394,41 +617,90 @@ fn mag_ref_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
     }
 }
 
-// AUDIT(fn): the run-length row offset is the only input-derived position
-// and it is two bits (`r <= 3`), applied only when the stripe is full
-// (`ymax - y0 == STRIPE_HEIGHT`), so `y0 + r < ymax <= h`; everything
-// else is validated-grid geometry and `< NUM_CTX` context indices.
+/// Cleanup pass over the packed state: run-length applicability and the
+/// columns with nothing left to code come from mask algebra; unlike the
+/// encoder, the decoder cannot pre-classify zero columns (their bits are
+/// what it is about to learn), so every other column is walked.
+// AUDIT(fn): offsets as in `sig_prop_pass`. The run-length row offset is
+// the only input-derived position and it is two bits (`r <= 3`), applied
+// only inside a full stripe (`y0 + STRIPE_HEIGHT <= h`), so `y0 + r < h`
+// and `regs[r + 1]`, `3 * r` stay in range.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-fn cleanup_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
-    let (w, h) = (dec.grid.w, dec.grid.h);
+fn cleanup_pass(dec: &mut Dec<'_>, src: &mut MqDecoder<'_>, plane: u8) {
+    let (h, wpr) = (dec.st.h, dec.st.wpr);
+    let causal = dec.causal;
     let mut y0 = 0;
     while y0 < h {
         let ymax = (y0 + STRIPE_HEIGHT).min(h);
-        for x in 0..w {
-            let full_stripe = ymax - y0 == STRIPE_HEIGHT;
-            let rl_applicable = full_stripe
-                && (y0..ymax).all(|y| {
-                    let i = dec.grid.idx(x, y);
-                    dec.grid.get(i) & (SIG | VISITED) == 0
-                        && !dec.grid.any_sig_neighbor(i, dec.skip_south(y))
-                });
-            let mut y = y0;
-            if rl_applicable {
-                if mq.decision(&mut dec.ctx[CTX_RL]) == 0 {
+        let rows = ymax - y0;
+        let top = y0 * wpr;
+        let full = rows == STRIPE_HEIGHT;
+        if full {
+            // `colmask` = run-length columns, `aux2` = done columns.
+            dec.st.classify_cleanup_columns(y0, causal);
+        }
+        for wi in 0..wpr {
+            let mut todo = dec.st.tail(wi);
+            if full {
+                todo &= !dec.st.aux2[wi];
+            }
+            if todo == 0 {
+                continue;
+            }
+            // Per-word row registers (visited, significance rows y0-1 ..=
+            // ymax); in-word changes are applied to `regs` in step with
+            // memory, earlier words never change once the scan passed.
+            let mut vis = [0u64; STRIPE_HEIGHT];
+            let mut regs = [0u64; STRIPE_HEIGHT + 2];
+            for (i, v) in vis.iter_mut().enumerate().take(rows) {
+                *v = dec.st.visited[dec.st.row(y0 + i) + wi];
+            }
+            for (j, reg) in regs.iter_mut().enumerate().take(rows + 2) {
+                *reg = dec.st.sig[top + j * wpr + wi];
+            }
+            while todo != 0 {
+                let sh = todo.trailing_zeros() as usize;
+                todo &= todo - 1;
+                let x = (wi << 6) | sh;
+                let mut first = 0;
+                // Run-length mode (full stripes only; the bit is read live
+                // because new significance one column west clears it).
+                let rl = full && (dec.st.colmask[wi] >> sh) & 1 != 0;
+                if rl && src.decode(&mut dec.ctx[CTX_RL]) == 0 {
                     continue; // all four stay zero
                 }
-                let hi = mq.decision(&mut dec.ctx[CTX_UNI]);
-                let lo = mq.decision(&mut dec.ctx[CTX_UNI]);
-                let r = usize::from((hi << 1) | lo);
-                let ys = y0 + r;
-                dec.decode_sign_and_mark(mq, x, ys, plane);
-                y = ys + 1;
-            }
-            for yy in y..ymax {
-                let i = dec.grid.idx(x, yy);
-                let f = dec.grid.get(i);
-                if f & (SIG | VISITED) == 0 {
-                    dec.decode_significance(mq, x, yy, plane);
+                let mut win = if wpr == 1 || (sh != 0 && sh != 63) {
+                    win_regs(&regs, sh)
+                } else {
+                    gather_win(&dec.st.sig, top, wpr, rows + 2, x)
+                };
+                if rl {
+                    let hi = src.decode(&mut dec.ctx[CTX_UNI]);
+                    let lo = src.decode(&mut dec.ctx[CTX_UNI]);
+                    let r = usize::from(((hi << 1) | lo) & 3);
+                    let mut nb = (win >> (3 * r)) & NB_NEIGHBORS;
+                    if causal && r + 1 == STRIPE_HEIGHT {
+                        nb &= NB_NO_SOUTH;
+                    }
+                    dec.decode_sign_and_mark(src, x, y0 + r, plane, nb);
+                    win |= NB_SELF << (3 * r);
+                    regs[r + 1] |= 1u64 << sh;
+                    dec.st.clear_run_bits(x);
+                    first = r + 1;
+                }
+                for i in first..rows {
+                    if win & (NB_SELF << (3 * i)) != 0 || (vis[i] >> sh) & 1 != 0 {
+                        continue;
+                    }
+                    let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
+                    if causal && i + 1 == STRIPE_HEIGHT {
+                        nb &= NB_NO_SOUTH;
+                    }
+                    if dec.decode_sig(src, x, y0 + i, plane, nb) {
+                        win |= NB_SELF << (3 * i);
+                        regs[i + 1] |= 1u64 << sh;
+                        dec.st.clear_run_bits(x);
+                    }
                 }
             }
         }

@@ -348,7 +348,7 @@ pub struct BlockCoder {
     engine: Tier1Engine,
     mag: Vec<u32>,
     grid: FlagGrid,
-    bp: crate::bitplane::BitplaneScratch,
+    bp: crate::packed::BitplaneScratch,
     coeffs: Vec<i32>,
     seg_buf: Vec<u8>,
 }
@@ -375,7 +375,7 @@ impl BlockCoder {
             engine,
             mag: Vec::new(),
             grid: FlagGrid::new(0, 0),
-            bp: crate::bitplane::BitplaneScratch::new(),
+            bp: crate::packed::BitplaneScratch::new(),
             coeffs: Vec::new(),
             seg_buf: Vec::new(),
         }

@@ -19,6 +19,9 @@ pub mod bitplane;
 pub mod context;
 pub mod decoder;
 pub mod encoder;
+#[cfg(feature = "oracle")]
+pub mod oracle;
+pub(crate) mod packed;
 pub(crate) mod state;
 
 pub use bitplane::Tier1Engine;

@@ -423,21 +423,29 @@ impl<'a> MqDecoder<'a> {
         d
     }
 
-    // AUDIT(fn): decoder-reachable; `byte_in` refills whenever `ct`
-    // reaches 0, so the decrement never wraps, and A/C shifts are the
-    // standard's 16/28-bit register discipline (overflow of high garbage
-    // bits is masked off by the exchange comparisons).
+    // AUDIT(fn): decoder-reachable. On entry `0 < a < 0x8000` (a is either
+    // a table Qe, all non-zero, or `a - qe` with `a >= 0x8000 > qe`), so the
+    // shortfall `n` is in 1..=15. `byte_in` leaves `ct` at 7 or 8, so each
+    // round shifts `k = min(n, ct) >= 1` bits and `ct - k`, `n - k` cannot
+    // wrap. The refill fires exactly where the Annex C bit-at-a-time loop
+    // fires it — before the first shift that finds `ct == 0` — so the C
+    // register and `bp` see the same bytes at the same shift positions
+    // (overflow of high garbage bits is masked off by the exchange
+    // comparisons). Untrusted bytes reach register *values* only.
     #[allow(clippy::arithmetic_side_effects)]
     #[inline]
     fn renorm(&mut self) {
+        let mut n = self.a.leading_zeros() as i32 - 16;
         loop {
             if self.ct == 0 {
                 self.byte_in();
             }
-            self.a <<= 1;
-            self.c <<= 1;
-            self.ct -= 1;
-            if self.a & 0x8000 != 0 {
+            let k = n.min(self.ct);
+            self.a <<= k;
+            self.c <<= k;
+            self.ct -= k;
+            n -= k;
+            if n == 0 {
                 break;
             }
         }
@@ -670,6 +678,150 @@ mod tests {
         for &(c, d) in &decisions {
             assert_eq!(d1.decode(&mut c1[c]), d);
             assert_eq!(d2.decode(&mut c2[c]), d);
+        }
+    }
+
+    /// The Annex C decoder exactly as it stood before `renorm` was batched:
+    /// same DECODE / exchange logic, RENORMD one bit at a time.
+    fn decode_bit_at_a_time(d: &mut MqDecoder<'_>, ctx: &mut CtxState) -> u8 {
+        let row = &QE_TABLE[ctx.index as usize];
+        let qe = u32::from(row.qe);
+        d.a -= qe;
+        let lps = |ctx: &mut CtxState| {
+            let bit = 1 - ctx.mps;
+            if row.switch {
+                ctx.mps ^= 1;
+            }
+            ctx.index = row.nlps;
+            bit
+        };
+        let mps = |ctx: &mut CtxState| {
+            ctx.index = row.nmps;
+            ctx.mps
+        };
+        let bit = if (d.c >> 16) < qe {
+            let bit = if d.a < qe { mps(ctx) } else { lps(ctx) };
+            d.a = qe;
+            bit
+        } else {
+            d.c -= qe << 16;
+            if d.a & 0x8000 != 0 {
+                return ctx.mps;
+            }
+            if d.a < qe {
+                lps(ctx)
+            } else {
+                mps(ctx)
+            }
+        };
+        loop {
+            if d.ct == 0 {
+                d.byte_in();
+            }
+            d.a <<= 1;
+            d.c <<= 1;
+            d.ct -= 1;
+            if d.a & 0x8000 != 0 {
+                break;
+            }
+        }
+        bit
+    }
+
+    /// Decode `n` decisions from `bytes` through both renormalizations in
+    /// lockstep: same decision, same registers, same bytes consumed after
+    /// every single step.
+    fn assert_renorm_lockstep(bytes: &[u8], n: usize, n_ctx: usize, what: &str) {
+        let mut fast = MqDecoder::new(bytes);
+        let mut slow = MqDecoder::new(bytes);
+        let mut fast_ctx = vec![CtxState::default(); n_ctx];
+        let mut slow_ctx = vec![CtxState::default(); n_ctx];
+        for i in 0..n {
+            let c = (i * 7) % n_ctx;
+            let got = fast.decode(&mut fast_ctx[c]);
+            let want = decode_bit_at_a_time(&mut slow, &mut slow_ctx[c]);
+            assert_eq!(got, want, "{what}: decision {i}");
+            assert_eq!(
+                (fast.a, fast.c, fast.ct, fast.bp),
+                (slow.a, slow.c, slow.ct, slow.bp),
+                "{what}: registers / bytes consumed after decision {i}"
+            );
+            assert_eq!(
+                fast_ctx[c], slow_ctx[c],
+                "{what}: context after decision {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn batched_renorm_matches_bit_at_a_time_loop() {
+        // The seeded streams of the roundtrip tests above, encoded once.
+        let mut state = 0x1234_5678_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut streams: Vec<Vec<(usize, u8)>> = vec![(0..5000)
+            .map(|i| ((i * 7) % 19, ((i * i + i / 3) % 2) as u8))
+            .collect()];
+        for bias in [1u64, 3, 7, 15, 63] {
+            streams.push(
+                (0..3000)
+                    .map(|_| {
+                        let r = next();
+                        ((r % 5) as usize, u8::from(r % (bias + 1) == 0))
+                    })
+                    .collect(),
+            );
+        }
+        for (si, stream) in streams.iter().enumerate() {
+            let mut ctx = [CtxState::default(); 19];
+            let mut enc = MqEncoder::new();
+            for &(c, d) in stream {
+                enc.encode(&mut ctx[c], d);
+            }
+            let bytes = enc.flush();
+            // Past the coded decisions the decoder runs on fed 1-bits.
+            assert_renorm_lockstep(&bytes, stream.len() + 200, 19, &format!("stream {si}"));
+            // Mid-byte truncation, and tails that end in a bare 0xFF or in
+            // a marker-range pair: the refill must switch to 1-bit feeding
+            // at the same shift position either way.
+            for cut in [0, 1, 2, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+                let head = &bytes[..cut.min(bytes.len())];
+                assert_renorm_lockstep(head, 600, 19, &format!("stream {si} cut {cut}"));
+                for tail in [
+                    &[0xFFu8][..],
+                    &[0xFF, 0x90],
+                    &[0xFF, 0x8F, 0x12],
+                    &[0xFF, 0xFF],
+                ] {
+                    let mut seg = head.to_vec();
+                    seg.extend_from_slice(tail);
+                    assert_renorm_lockstep(
+                        &seg,
+                        600,
+                        19,
+                        &format!("stream {si} cut {cut} tail {tail:02X?}"),
+                    );
+                }
+            }
+        }
+        // Pure garbage, including runs of stuffed and marker bytes.
+        for seed in 0..40u64 {
+            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let bytes: Vec<u8> = (0..(seed % 50))
+                .map(|_| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    match (s >> 40) % 5 {
+                        0 => 0xFF,
+                        1 => 0x8F,
+                        _ => (s >> 33) as u8,
+                    }
+                })
+                .collect();
+            assert_renorm_lockstep(&bytes, 800, 5, &format!("garbage {seed}"));
         }
     }
 

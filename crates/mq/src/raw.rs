@@ -142,6 +142,7 @@ impl<'a> RawDecoder<'a> {
     // after the refill set it to 7 or 8; untrusted bytes only become bit
     // *values*.
     #[allow(clippy::arithmetic_side_effects)]
+    #[inline]
     pub fn get(&mut self) -> u8 {
         if self.left == 0 {
             let byte = self.data.get(self.pos).copied().unwrap_or(0);

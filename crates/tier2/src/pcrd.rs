@@ -98,6 +98,9 @@ impl BlockRd {
 #[derive(Debug, Clone, Copy)]
 struct Increment {
     block: usize,
+    /// The hull point before this one (0 for the block's first increment):
+    /// the increment is includable only from exactly there.
+    from: usize,
     /// Cumulative pass count this increment reaches.
     upto: usize,
     /// Additional bytes over the previous hull point.
@@ -124,17 +127,22 @@ pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<u
     }
     let mut incs: Vec<Increment> = Vec::new();
     for (b, blk) in blocks.iter().enumerate() {
+        let mut prev_n = 0usize;
         let mut prev_r = 0usize;
         let mut prev_d = 0f64;
+        // Each block's hull is computed exactly once, here; the selection
+        // loop below only needs every increment's hull predecessor.
         for &n in &blk.hull() {
             let r = blk.rates[n - 1];
             let d = blk.dists[n - 1];
             incs.push(Increment {
                 block: b,
+                from: prev_n,
                 upto: n,
                 dr: r - prev_r,
                 slope: (d - prev_d) / (r - prev_r) as f64,
             });
+            prev_n = n;
             prev_r = r;
             prev_d = d;
         }
@@ -163,8 +171,7 @@ pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<u
             }
             // This is the next pending increment of the block (in-order by
             // the sort); check contiguity then budget.
-            let is_next = is_next_hull_step(blocks, inc.block, upto[inc.block], inc.upto);
-            if !is_next {
+            if inc.from != upto[inc.block] {
                 closed[inc.block] = true;
                 continue;
             }
@@ -178,19 +185,6 @@ pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<u
         out.push(upto.clone());
     }
     out
-}
-
-/// True when `next` immediately follows `cur` in block `b`'s hull.
-// AUDIT(fn): encoder-only; `b` enumerates `blocks` and `p >= 1` in the
-// indexed arm.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-fn is_next_hull_step(blocks: &[BlockRd], b: usize, cur: usize, next: usize) -> bool {
-    let hull = blocks[b].hull();
-    match hull.iter().position(|&n| n == next) {
-        Some(0) => cur == 0,
-        Some(p) => hull[p - 1] == cur,
-        None => false,
-    }
 }
 
 #[cfg(test)]

@@ -90,11 +90,20 @@ const BENCHES: &[BenchSpec] = &[
     BenchSpec {
         bin: "bench_decode",
         out: "target/BENCH_decode_smoke.json",
-        schema: "pj2k.bench_decode.v1",
+        schema: "pj2k.bench_decode.v2",
         keys: &[
+            "\"host_cores\"",
             "\"bit_identity\"",
             "\"steady_state\"",
             "\"steady_allocs_per_block\"",
+            "\"tier1_decode\"",
+            "\"equality\"",
+            "\"oracle\"",
+            "\"packed\"",
+            "\"blocks_per_sec\"",
+            "\"ns_per_block\"",
+            "\"warm_allocs_per_block\"",
+            "\"packed_speedup\"",
             "\"workloads\"",
             "\"pyramid\"",
             "\"skewed\"",
@@ -110,10 +119,20 @@ const BENCHES: &[BenchSpec] = &[
         // beat the static barriered decoder (modeled from measured stage
         // totals, so the claim holds on single-core runners too; the
         // binary itself enforces 1.25 in full runs).
-        floors: &[("\"skewed_p4_pipelined_speedup\"", 1.0)],
+        // The packed Tier-1 decoder must beat the per-coefficient oracle
+        // it replaced in the same run (the binary exits non-zero on
+        // <= 1.0 and reports nothing before both reproduced every block).
+        floors: &[
+            ("\"skewed_p4_pipelined_speedup\"", 1.0),
+            ("\"packed_speedup\"", 1.0),
+        ],
         // The warm Tier-1 decode scratch must allocate exactly zero times
-        // per block — the decode half of the audit-hotpath contract.
-        ceilings: &[("\"steady_allocs_per_block\"", 0.0)],
+        // per block — the decode half of the audit-hotpath contract
+        // (`warm_allocs_per_block` is the same contract per engine row).
+        ceilings: &[
+            ("\"steady_allocs_per_block\"", 0.0),
+            ("\"warm_allocs_per_block\"", 0.0),
+        ],
     },
     BenchSpec {
         bin: "bench_serve",
@@ -299,17 +318,38 @@ mod tests {
     fn decode_spec_enforces_speedup_floor_and_alloc_ceiling() {
         let spec = &BENCHES[2];
         assert_eq!(spec.bin, "bench_decode");
-        assert_eq!(spec.floors, &[("\"skewed_p4_pipelined_speedup\"", 1.0)]);
-        assert_eq!(spec.ceilings, &[("\"steady_allocs_per_block\"", 0.0)]);
-        // The floor is strict: a pipeline exactly matching the barriered
-        // decoder (1.0) is a regression of the overlap win.
+        assert_eq!(
+            spec.floors,
+            &[
+                ("\"skewed_p4_pipelined_speedup\"", 1.0),
+                ("\"packed_speedup\"", 1.0)
+            ]
+        );
+        assert_eq!(
+            spec.ceilings,
+            &[
+                ("\"steady_allocs_per_block\"", 0.0),
+                ("\"warm_allocs_per_block\"", 0.0)
+            ]
+        );
+        // The floors are strict: a pipeline exactly matching the barriered
+        // decoder (1.0) is a regression of the overlap win, and a packed
+        // decoder exactly matching the oracle has lost its reason to exist.
         let at_floor = doc_with_all_keys(spec);
         assert!(check_doc(&at_floor, spec).is_err());
-        let above = at_floor.replace(
+        let pipeline_above = at_floor.replace(
             "\"skewed_p4_pipelined_speedup\": 1",
             "\"skewed_p4_pipelined_speedup\": 1.7",
         );
+        assert!(check_doc(&pipeline_above, spec).is_err());
+        let above = pipeline_above.replace("\"packed_speedup\": 1", "\"packed_speedup\": 1.6");
         assert!(check_doc(&above, spec).is_ok());
+        // A warm engine row that allocates breaks the per-engine ceiling.
+        let leaky = above.replace(
+            "\"warm_allocs_per_block\": 0",
+            "\"warm_allocs_per_block\": 0.25",
+        );
+        assert!(check_doc(&leaky, spec).is_err());
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //! 1. **Roots** are declared in a checked-in `hotpaths.toml` at the
 //!    workspace root: each `[[root]]` names a crate + module file (and
 //!    optionally a single function) whose functions are hot entry points.
-//!    New subsystems opt in by adding a root.
+//!    New subsystems opt in by adding a root. An `[[exclude]]` table
+//!    (same keys) takes a module out of the graph altogether — for code
+//!    that shares names with a hot module but is compiled out of the
+//!    production build (a feature-gated test oracle).
 //! 2. The pass parses every `crates/*/src/**.rs` file, extracts function
 //!    definitions (name, body extent, enclosing `impl` type) and the call
 //!    tokens inside each body, and builds an **approximate intra-workspace
@@ -68,10 +71,13 @@ pub struct RootSpec {
     pub function: Option<String>,
     /// Why this is a hot entry point (documentation only).
     pub note: String,
+    /// Declared as `[[exclude]]` instead of `[[root]]`: the matching
+    /// functions leave the call graph (like test code, on both ends).
+    pub exclude: bool,
 }
 
-/// Parse the `hotpaths.toml` subset: `[[root]]` tables with string
-/// key/value assignments. A hand parser keeps xtask dependency-free; the
+/// Parse the `hotpaths.toml` subset: `[[root]]` / `[[exclude]]` tables
+/// with string key/value assignments. A hand parser keeps xtask dependency-free; the
 /// file's grammar is deliberately restricted to what this reads.
 pub fn parse_roots(text: &str) -> Result<Vec<RootSpec>, String> {
     let mut roots: Vec<RootSpec> = Vec::new();
@@ -81,8 +87,11 @@ pub fn parse_roots(text: &str) -> Result<Vec<RootSpec>, String> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line == "[[root]]" {
-            roots.push(RootSpec::default());
+        if line == "[[root]]" || line == "[[exclude]]" {
+            roots.push(RootSpec {
+                exclude: line == "[[exclude]]",
+                ..RootSpec::default()
+            });
             open = true;
             continue;
         }
@@ -94,7 +103,7 @@ pub fn parse_roots(text: &str) -> Result<Vec<RootSpec>, String> {
         };
         if !open {
             return Err(format!(
-                "hotpaths.toml:{}: assignment outside a [[root]] table",
+                "hotpaths.toml:{}: assignment outside a [[root]]/[[exclude]] table",
                 ln + 1
             ));
         }
@@ -534,6 +543,34 @@ pub fn audit_sources(
         }
         file_lines.push(lines);
     }
+    // Excluded modules leave the graph exactly as test code does: never a
+    // root, never a call target, never scanned for sites.
+    let matches = |spec: &RootSpec, d: &FnDef| {
+        let krate_dir = spec
+            .krate
+            .strip_prefix("pj2k-")
+            .unwrap_or(spec.krate.as_str());
+        d.krate == krate_dir
+            && d.module == spec.module
+            && spec.function.as_ref().is_none_or(|f| *f == d.name)
+    };
+    for spec in roots.iter().filter(|s| s.exclude) {
+        let mut hit = false;
+        for d in defs.iter_mut().filter(|d| matches(spec, d)) {
+            d.in_test = true;
+            hit = true;
+        }
+        if !hit {
+            report.violations.push(HotViolation {
+                path: PathBuf::from("hotpaths.toml"),
+                line: 0,
+                message: format!(
+                    "exclude `{}::{}` matches no function in the workspace",
+                    spec.krate, spec.module
+                ),
+            });
+        }
+    }
     report.fns_indexed = defs.iter().filter(|d| !d.in_test).count();
 
     // Name index over non-test definitions.
@@ -546,20 +583,11 @@ pub fn audit_sources(
 
     // Roots: every non-test fn matching a spec.
     let mut root_ids: Vec<usize> = Vec::new();
-    for spec in roots {
-        let krate_dir = spec
-            .krate
-            .strip_prefix("pj2k-")
-            .unwrap_or(spec.krate.as_str());
+    for spec in roots.iter().filter(|s| !s.exclude) {
         let matched: Vec<usize> = defs
             .iter()
             .enumerate()
-            .filter(|(_, d)| {
-                !d.in_test
-                    && d.krate == krate_dir
-                    && d.module == spec.module
-                    && spec.function.as_ref().is_none_or(|f| *f == d.name)
-            })
+            .filter(|(_, d)| !d.in_test && matches(spec, d))
             .map(|(i, _)| i)
             .collect();
         let label = format!(
@@ -1181,6 +1209,7 @@ mod tests {
             module: module.to_string(),
             function: None,
             note: String::new(),
+            exclude: false,
         }
     }
 
@@ -1205,6 +1234,41 @@ mod tests {
         assert_eq!(roots[0].krate, "pj2k-ebcot");
         assert_eq!(roots[0].module, "bitplane");
         assert_eq!(roots[1].function.as_deref(), Some("encode"));
+    }
+
+    #[test]
+    fn excluded_module_leaves_the_call_graph() {
+        // `decode` in the hot module calls `pass`; a same-named `pass` in an
+        // oracle module would be linked too (ambiguous bare call resolves
+        // same-module first, but `helper` only exists in the oracle) — the
+        // exclude table keeps its unjustified allocation out of the wall.
+        let files = src(&[
+            (
+                "crates/ebcot/src/hotmod.rs",
+                "pub fn decode() {\n    helper();\n}\n",
+            ),
+            (
+                "crates/ebcot/src/oracle.rs",
+                "pub fn helper() {\n    let v: Vec<u8> = Vec::new();\n}\n",
+            ),
+        ]);
+        let hot = root("pj2k-ebcot", "hotmod");
+        let r = run(&files, std::slice::from_ref(&hot));
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        let text = "[[root]]\ncrate = \"pj2k-ebcot\"\nmodule = \"hotmod\"\n\
+                    [[exclude]]\ncrate = \"pj2k-ebcot\"\nmodule = \"oracle\"\nnote = \"n\"\n";
+        let specs = parse_roots(text).unwrap();
+        assert!(!specs[0].exclude && specs[1].exclude);
+        let r = run(&files, &specs);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        assert_eq!(r.roots.len(), 1);
+        // An exclude that matches nothing is a stale declaration.
+        let stale = RootSpec {
+            exclude: true,
+            ..root("pj2k-ebcot", "gone")
+        };
+        let r = run(&files, &[hot, stale]);
+        assert!(r.violations.iter().any(|v| v.message.contains("exclude")));
     }
 
     #[test]
