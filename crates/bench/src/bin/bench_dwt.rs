@@ -176,7 +176,7 @@ fn simd_modes() -> Vec<(&'static str, SimdMode)> {
 }
 
 /// Re-validate on the bench workload itself that every tier produces the
-/// scalar coefficients bit for bit (the proptests cover small shapes; this
+/// scalar coefficients bit for bit (the property tests cover small shapes; this
 /// covers the exact planes being timed).
 fn check_bit_identity(side: usize, levels: u8) -> bool {
     let mut ok = true;

@@ -1,5 +1,4 @@
-//! Shared harness for the figure-regeneration binaries and criterion
-//! benches.
+//! Shared harness for the figure-regeneration and `bench_*` binaries.
 //!
 //! Every table/figure of the paper has a `fig*` binary (see DESIGN.md §4)
 //! built from the helpers here: workload construction, host measurement,

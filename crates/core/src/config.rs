@@ -10,10 +10,11 @@ pub use pj2k_parutil::Schedule;
 
 /// How (and how wide) the codec runs in parallel.
 ///
-/// The two parallel variants mirror the paper's two implementations:
-/// `WorkerPool` is the JJ2000 scheme (explicit threads; Tier-1 code-blocks
-/// handed out staggered round-robin), `Rayon` is the Jasper/OpenMP scheme
-/// (parallel loop splitting).
+/// `WorkerPool` covers both of the paper's implementations: the JJ2000
+/// scheme (explicit threads; Tier-1 code-blocks handed out per
+/// [`Schedule`]) and the Jasper/OpenMP static loop split, which is the
+/// contiguous-range [`Exec`](pj2k_parutil::Exec) the DWT and quantization
+/// loops run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelMode {
     /// Single-threaded reference execution.
@@ -23,11 +24,6 @@ pub enum ParallelMode {
         /// Worker thread count (>= 1).
         workers: usize,
     },
-    /// Rayon tasks inside a dedicated pool of the given width.
-    Rayon {
-        /// Rayon pool width (>= 1).
-        workers: usize,
-    },
 }
 
 impl ParallelMode {
@@ -35,9 +31,7 @@ impl ParallelMode {
     pub fn workers(&self) -> usize {
         match self {
             ParallelMode::Sequential => 1,
-            ParallelMode::WorkerPool { workers } | ParallelMode::Rayon { workers } => {
-                (*workers).max(1)
-            }
+            ParallelMode::WorkerPool { workers } => (*workers).max(1),
         }
     }
 
@@ -46,7 +40,6 @@ impl ParallelMode {
         match self {
             ParallelMode::Sequential => pj2k_parutil::Exec::SEQ,
             ParallelMode::WorkerPool { workers } => pj2k_parutil::Exec::threads(*workers),
-            ParallelMode::Rayon { workers } => pj2k_parutil::Exec::rayon(*workers),
         }
     }
 }
@@ -100,9 +93,7 @@ pub enum StageOverlap {
     ///
     /// Configurations the overlap cannot express fall back to the
     /// barriered path transparently: an ROI (MAXSHIFT rescales coefficients
-    /// *across* subbands after quantization) and
-    /// [`ParallelMode::Rayon`] (the OpenMP analogue in the paper is
-    /// barrier-stepped loop splitting).
+    /// *across* subbands after quantization).
     ///
     /// [`Barriered`]: StageOverlap::Barriered
     Pipelined,
@@ -502,7 +493,7 @@ mod tests {
     fn parallel_mode_workers() {
         assert_eq!(ParallelMode::Sequential.workers(), 1);
         assert_eq!(ParallelMode::WorkerPool { workers: 4 }.workers(), 4);
-        assert_eq!(ParallelMode::Rayon { workers: 0 }.workers(), 1);
+        assert_eq!(ParallelMode::WorkerPool { workers: 0 }.workers(), 1);
     }
 
     #[test]

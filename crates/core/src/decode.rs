@@ -17,7 +17,7 @@ use pj2k_dwt::{
     inverse_53_level, inverse_53_with, inverse_97_level, inverse_97_with, Decomposition, DwtStats,
     LiftingMode, SimdMode, Subband, VerticalStrategy, Wavelet,
 };
-use pj2k_ebcot::{decode_block_with, BlockDecoderScratch, Tier1Options};
+use pj2k_ebcot::{BlockDecoderScratch, Tier1Options};
 use pj2k_image::tile::TileGrid;
 use pj2k_image::transform::{dc_level_shift_inverse, ict_inverse, rct_inverse};
 use pj2k_image::{Image, Plane};
@@ -27,7 +27,6 @@ use pj2k_parutil::{
 };
 use pj2k_tier2::codestream::{self, MarkerReader, ParseError, PayloadReader};
 use pj2k_tier2::{decode_packet, PacketError, PrecinctState};
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -126,8 +125,8 @@ pub struct Decoder {
     /// `Pipelined` streams decoded-block jobs out of the Tier-2 parser as
     /// soon as each precinct's segment lengths are known and starts each
     /// inverse-DWT level once all of its bands are reassembled. Output is
-    /// bit-identical either way. Streams carrying an ROI shift and
-    /// [`ParallelMode::Rayon`] fall back to the barriered path.
+    /// bit-identical either way. Streams carrying an ROI shift fall back
+    /// to the barriered path.
     pub overlap: StageOverlap,
     /// How workers are split between Tier-1 draining and the inverse DWT
     /// at each level boundary of the pipelined decoder (see
@@ -694,29 +693,9 @@ impl Decoder {
     ///
     /// # Errors
     /// Returns [`CodecError`] on malformed input.
-    // AUDIT(hot): once per stream — pool construction and the resource
-    // error format! are setup-time / cold.
-    pub fn decode(&self, bytes: &[u8]) -> Result<(Image, DecodeReport), CodecError> {
-        match self.parallel {
-            ParallelMode::Rayon { workers } => {
-                // AUDIT: pool construction depends on the caller's config
-                // and process resources, never on the untrusted input
-                // bytes; failure surfaces as `CodecError::Resource` so the
-                // no-panic decode contract also covers resource
-                // exhaustion.
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers.max(1))
-                    .build()
-                    .map_err(|e| CodecError::Resource(format!("rayon pool: {e}")))?;
-                pool.install(|| self.decode_inner(bytes))
-            }
-            _ => self.decode_inner(bytes),
-        }
-    }
-
     // AUDIT(hot): main-header parsing runs once per stream (setup-time);
     // every format! here is a cold malformed-input error path.
-    fn decode_inner(&self, bytes: &[u8]) -> Result<(Image, DecodeReport), CodecError> {
+    pub fn decode(&self, bytes: &[u8]) -> Result<(Image, DecodeReport), CodecError> {
         let mut report = DecodeReport::default();
         let t0 = Instant::now();
         let mut r = MarkerReader::new(bytes);
@@ -911,13 +890,9 @@ impl Decoder {
         };
         // The pipelined path dequantizes per sample as blocks land in their
         // band buffers, which is only valid while no ROI shift sits between
-        // Tier-1 output and dequantization; Rayon's pool has no hook for
-        // the queue-draining worker loop. Both fall back to the barriered
-        // path, which decodes identical pixels.
-        let pipelined = self.overlap == StageOverlap::Pipelined
-            && roi_s == 0
-            && roi_d == 0
-            && !matches!(self.parallel, ParallelMode::Rayon { .. });
+        // Tier-1 output and dequantization; an ROI stream falls back to the
+        // barriered path, which decodes identical pixels.
+        let pipelined = self.overlap == StageOverlap::Pipelined && roi_s == 0 && roi_d == 0;
         if pipelined {
             self.decode_tile_pipelined(hdr, &ctx, &deco, &res, report)
         } else {
@@ -1009,13 +984,6 @@ impl Decoder {
                     },
                 )
             }
-            ParallelMode::Rayon { .. } => jobs
-                .par_iter()
-                .map(|j| {
-                    let refs: Vec<&[u8]> = j.segs.iter().map(|s| s.as_slice()).collect();
-                    decode_block_with(j.geom.w, j.geom.h, j.ctx, j.msb, &refs, hdr.tier1)
-                })
-                .collect(),
         };
         for (j, coeffs) in jobs.iter().zip(attempted) {
             scatter(j, &coeffs?);
@@ -1585,7 +1553,7 @@ mod tests {
         let (a, _) = Decoder::default().decode(&bytes).unwrap();
         for parallel in [
             ParallelMode::WorkerPool { workers: 3 },
-            ParallelMode::Rayon { workers: 2 },
+            ParallelMode::WorkerPool { workers: 2 },
         ] {
             let (b, _) = Decoder {
                 parallel,
@@ -1900,7 +1868,6 @@ mod tests {
                 ParallelMode::Sequential,
                 ParallelMode::WorkerPool { workers: 2 },
                 ParallelMode::WorkerPool { workers: 4 },
-                ParallelMode::Rayon { workers: 2 },
             ] {
                 for schedule in [
                     Schedule::StaggeredRoundRobin,

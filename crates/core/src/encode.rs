@@ -16,7 +16,6 @@ use pj2k_parutil::{pipeline_map_with_state, pool_map_with_state, Exec, PipelineQ
 use pj2k_tier2::codestream::{self, MarkerWriter, PayloadWriter};
 use pj2k_tier2::pcrd::{allocate_layers, BlockRd};
 use pj2k_tier2::{encode_packet, PrecinctState};
-use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -123,19 +122,6 @@ impl Encoder {
 
     /// Encode `img` into a pj2k codestream, reporting per-stage timings.
     pub fn encode(&self, img: &Image) -> (Vec<u8>, EncodeReport) {
-        match self.cfg.parallel {
-            ParallelMode::Rayon { workers } => {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers.max(1))
-                    .build()
-                    .expect("rayon pool");
-                pool.install(|| self.encode_inner(img))
-            }
-            _ => self.encode_inner(img),
-        }
-    }
-
-    fn encode_inner(&self, img: &Image) -> (Vec<u8>, EncodeReport) {
         let mut report = EncodeReport::default();
         let grid = match self.cfg.tiles {
             Some((tw, th)) => TileGrid::new(img.width(), img.height(), tw, th),
@@ -266,12 +252,9 @@ impl Encoder {
         // codestream) invariant.
         let (jobs, precincts) = self.build_jobs(&deco, ncomp);
         let mut roi_sd = (0u8, 0u8);
-        // MAXSHIFT rescales coefficients across subbands after quantization
-        // and the rayon mode models the paper's barrier-stepped OpenMP loop
-        // splitting, so both take the barriered path regardless of `overlap`.
-        let use_pipeline = cfg.overlap == StageOverlap::Pipelined
-            && cfg.roi.is_none()
-            && !matches!(cfg.parallel, ParallelMode::Rayon { .. });
+        // MAXSHIFT rescales coefficients across subbands after quantization,
+        // so an ROI takes the barriered path regardless of `overlap`.
+        let use_pipeline = cfg.overlap == StageOverlap::Pipelined && cfg.roi.is_none();
 
         let coded: Vec<(EncodedBlock, f64)> = if use_pipeline {
             self.run_pipelined(
@@ -536,14 +519,6 @@ impl Encoder {
                 |_| BlockCoder::with_engine(engine),
                 |coder, i| code_one(coder, &jobs[i]),
             ),
-            // Ambient pool installed by `encode`.
-            ParallelMode::Rayon { .. } => jobs
-                .par_iter()
-                .map_init(
-                    || BlockCoder::with_engine(engine),
-                    |coder, j| code_one(coder, j),
-                )
-                .collect(),
         }
     }
 
@@ -583,12 +558,7 @@ impl Encoder {
             band_jobs[pg.comp * nbands + pg.band_idx] = (pg.first_job, pg.n_blocks);
         }
 
-        let workers = match cfg.parallel {
-            ParallelMode::Sequential => 1,
-            ParallelMode::WorkerPool { workers } => workers.max(1),
-            // Routed to the barriered path by `encode_tile`.
-            ParallelMode::Rayon { .. } => 1,
-        };
+        let workers = cfg.parallel.workers();
 
         let code_one = |coder: &mut BlockCoder, i: usize, band: Arc<BandBuf>| {
             let t = Instant::now();
@@ -905,7 +875,6 @@ mod tests {
         };
         let seq = mk(ParallelMode::Sequential);
         assert_eq!(seq, mk(ParallelMode::WorkerPool { workers: 3 }));
-        assert_eq!(seq, mk(ParallelMode::Rayon { workers: 2 }));
     }
 
     #[test]
@@ -1044,25 +1013,6 @@ mod tests {
             enc.encode(&img).0
         };
         assert_eq!(mk(StageOverlap::Barriered), mk(StageOverlap::Pipelined));
-    }
-
-    #[test]
-    fn pipelined_with_rayon_falls_back_and_matches_barriered() {
-        let img = synth::natural_gray(64, 48, 6);
-        let mk = |overlap, parallel| {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 2,
-                overlap,
-                parallel,
-                ..Default::default()
-            })
-            .unwrap();
-            enc.encode(&img).0
-        };
-        assert_eq!(
-            mk(StageOverlap::Barriered, ParallelMode::Sequential),
-            mk(StageOverlap::Pipelined, ParallelMode::Rayon { workers: 2 })
-        );
     }
 
     #[test]

@@ -15,26 +15,10 @@ use pj2k_core::{
     Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, StageOverlap, Wavelet,
 };
 use pj2k_image::synth;
+use pj2k_testkit::Rng;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
-
-/// Deterministic xorshift64* PRNG — no `rand` dependency, reproducible
-/// failures (mirrors `hardening.rs`).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
 
 /// A decoder routed through the staged pipeline: Tier-2 parse feeding a
 /// block queue drained by `workers` Tier-1 threads, with the inverse DWT
@@ -123,13 +107,13 @@ fn bit_flip_mutants_never_hang_the_pipeline() {
     // that never comes.
     with_deadline(120, "bit-flip sweep", || {
         let corpus = corpus();
-        let mut rng = Rng(0xDECD_0001);
+        let mut rng = Rng::new(0xDECD_0001);
         for _ in 0..1_500 {
-            let stream = &corpus[rng.below(corpus.len())];
+            let stream = &corpus[rng.range(0..corpus.len())];
             let mut bytes = stream.clone();
-            for _ in 0..=rng.below(3) {
-                let i = rng.below(bytes.len());
-                bytes[i] ^= 1 << rng.below(8);
+            for _ in 0..rng.range(1..=3) {
+                let i = rng.range(0..bytes.len());
+                bytes[i] ^= 1 << rng.range(0..8);
             }
             let _ = pipelined(2).decode(&bytes);
         }
@@ -182,18 +166,16 @@ fn late_parse_error_unparks_waiting_workers() {
 #[test]
 fn garbage_and_empty_inputs_error_before_spawning() {
     with_deadline(60, "garbage inputs", || {
-        let mut rng = Rng(0xDECD_0002);
+        let mut rng = Rng::new(0xDECD_0002);
         assert!(pipelined(4).decode(&[]).is_err());
         for len in 0..128 {
             let bytes = vec![0xFFu8; len];
             assert!(pipelined(4).decode(&bytes).is_err(), "all-FF len {len}");
         }
         for iter in 0..500 {
-            let len = rng.below(384);
+            let len = rng.range(0..384);
             let mut bytes = vec![0u8; len];
-            for b in bytes.iter_mut() {
-                *b = (rng.next() >> 32) as u8;
-            }
+            rng.fill(&mut bytes);
             let _ = pipelined(3).decode(&bytes);
             let _ = iter;
         }

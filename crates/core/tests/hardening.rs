@@ -3,31 +3,14 @@
 //!
 //! Every test here asserts the same contract: `Decoder::decode` over
 //! arbitrary corrupted bytes returns `Ok` or `Err` — it never panics and
-//! never attempts an input-disproportionate allocation. The harness is
-//! dependency-free (deterministic xorshift mutations) so it runs on
-//! offline builders; `prop_hardening.rs` layers proptest shrinking on top
-//! of the same properties.
+//! never attempts an input-disproportionate allocation. The mutations are
+//! deterministic (fixed `testkit::Rng` seeds); `prop_hardening.rs` samples
+//! the same properties over many seeded cases.
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, StageOverlap};
 use pj2k_dwt::Wavelet;
 use pj2k_image::synth;
-
-/// Deterministic xorshift64* PRNG — no `rand` dependency, reproducible
-/// failures (the seed is printed in every assertion message).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n.max(1) as u64) as usize
-    }
-}
+use pj2k_testkit::Rng;
 
 /// Small but structurally rich corpus: tiles, layers, both wavelets, and
 /// the Tier-1 coding-style variations all exercise different header paths.
@@ -100,15 +83,15 @@ fn truncation_sweep_never_panics() {
 #[test]
 fn bit_flip_sweep_never_panics() {
     let corpus = corpus();
-    let mut rng = Rng(0x5EED_0001);
+    let mut rng = Rng::new(0x5EED_0001);
     let mut tried = 0usize;
     while tried < 6_000 {
-        let stream = &corpus[rng.below(corpus.len())];
+        let stream = &corpus[rng.range(0..corpus.len())];
         let mut bytes = stream.clone();
-        // 1..=4 independent bit flips per mutant.
-        for _ in 0..=rng.below(3) {
-            let i = rng.below(bytes.len());
-            bytes[i] ^= 1 << rng.below(8);
+        // 1..=3 independent bit flips per mutant.
+        for _ in 0..rng.range(1..=3) {
+            let i = rng.range(0..bytes.len());
+            bytes[i] ^= 1 << rng.range(0..8);
         }
         decode_must_not_panic(&bytes, &format!("bit-flip seed iter {tried}"));
         tried += 1;
@@ -118,14 +101,14 @@ fn bit_flip_sweep_never_panics() {
 #[test]
 fn byte_splice_sweep_never_panics() {
     let corpus = corpus();
-    let mut rng = Rng(0x5EED_0002);
+    let mut rng = Rng::new(0x5EED_0002);
     for iter in 0..2_000 {
-        let a = &corpus[rng.below(corpus.len())];
-        let b = &corpus[rng.below(corpus.len())];
+        let a = &corpus[rng.range(0..corpus.len())];
+        let b = &corpus[rng.range(0..corpus.len())];
         // Random prefix of a + random suffix of b: valid marker structure
         // with inconsistent bodies.
-        let cut_a = rng.below(a.len());
-        let cut_b = rng.below(b.len());
+        let cut_a = rng.range(0..a.len());
+        let cut_b = rng.range(0..b.len());
         let mut bytes = a[..cut_a].to_vec();
         bytes.extend_from_slice(&b[cut_b..]);
         decode_must_not_panic(&bytes, &format!("splice iter {iter}"));
@@ -161,13 +144,11 @@ fn length_field_corruption_never_panics() {
 
 #[test]
 fn random_garbage_never_panics() {
-    let mut rng = Rng(0x5EED_0003);
+    let mut rng = Rng::new(0x5EED_0003);
     for iter in 0..2_000 {
-        let len = rng.below(512);
+        let len = rng.range(0..512);
         let mut bytes = vec![0u8; len];
-        for b in bytes.iter_mut() {
-            *b = (rng.next() >> 32) as u8;
-        }
+        rng.fill(&mut bytes);
         decode_must_not_panic(&bytes, &format!("garbage iter {iter}"));
     }
     // All-0xFF strings of every length: nothing but marker prefixes.
@@ -184,7 +165,7 @@ fn untouched_streams_decode_bit_identically() {
         let (b, _) = Decoder::default().decode(&stream).expect("valid stream");
         assert_eq!(a, b, "repeated decodes must agree bit-for-bit");
         let dec = Decoder {
-            parallel: ParallelMode::Rayon { workers: 2 },
+            parallel: ParallelMode::WorkerPool { workers: 2 },
             ..Default::default()
         };
         let (c, _) = dec.decode(&stream).expect("valid stream");

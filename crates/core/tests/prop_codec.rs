@@ -7,30 +7,23 @@ use pj2k_core::{
     StageOverlap, Wavelet,
 };
 use pj2k_image::{metrics, Image, Plane};
-use proptest::prelude::*;
+use pj2k_testkit::{cases, Rng};
 
-#[allow(clippy::type_complexity)]
-fn arb_image() -> impl Strategy<Value = Image> {
-    (1usize..48, 1usize..48, any::<u64>()).prop_map(|(w, h, seed)| {
-        let mut state = seed | 1;
-        Image::gray8(Plane::from_fn(w, h, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) % 256) as i32
-        }))
-    })
+fn arb_image(rng: &mut Rng) -> Image {
+    let (w, h) = (rng.range(1..48), rng.range(1..48));
+    Image::gray8(Plane::from_fn(w, h, |_, _| rng.range(0..256)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+const CASES: u32 = 24;
 
-    /// Lossless coding is bit exact for any image content, size, level
-    /// count and code-block shape.
-    #[test]
-    fn lossless_always_exact(
-        img in arb_image(),
-        levels in 0u8..6,
-        cb_pow in 2u32..7,
-    ) {
+/// Lossless coding is bit exact for any image content, size, level
+/// count and code-block shape.
+#[test]
+fn lossless_always_exact() {
+    cases(CASES, |rng| {
+        let img = arb_image(rng);
+        let levels = rng.range(0u8..6);
+        let cb_pow = rng.range(2u32..7);
         let cb = 1usize << cb_pow;
         let cfg = EncoderConfig {
             wavelet: Wavelet::Reversible53,
@@ -41,31 +34,39 @@ proptest! {
         };
         let (bytes, _) = Encoder::new(cfg).unwrap().encode(&img);
         let (out, _) = Decoder::default().decode(&bytes).unwrap();
-        prop_assert_eq!(metrics::max_abs_error(&img, &out), 0);
-    }
+        assert_eq!(metrics::max_abs_error(&img, &out), 0);
+    });
+}
 
-    /// Lossy coding is total and quality is bounded below at decent rates.
-    #[test]
-    fn lossy_is_total_and_sane(img in arb_image(), bpp in 0.1f64..6.0) {
+/// Lossy coding is total and quality is bounded below at decent rates.
+#[test]
+fn lossy_is_total_and_sane() {
+    cases(CASES, |rng| {
+        let img = arb_image(rng);
+        let bpp = rng.range_f64(0.1f64..6.0);
         let cfg = EncoderConfig {
             rate: RateControl::TargetBpp(vec![bpp]),
             levels: 3,
             ..EncoderConfig::default()
         };
         let (bytes, report) = Encoder::new(cfg).unwrap().encode(&img);
-        prop_assert!(report.bytes == bytes.len());
+        assert!(report.bytes == bytes.len());
         let (out, _) = Decoder::default().decode(&bytes).unwrap();
-        prop_assert_eq!(out.width(), img.width());
-        prop_assert_eq!(out.height(), img.height());
+        assert_eq!(out.width(), img.width());
+        assert_eq!(out.height(), img.height());
         // Reconstruction stays in range (clamped to depth).
         for v in out.component(0).samples() {
-            prop_assert!((0..=255).contains(&v));
+            assert!((0..=255).contains(&v));
         }
-    }
+    });
+}
 
-    /// Truncating the stream anywhere yields an error, never a panic.
-    #[test]
-    fn decoder_survives_truncation(img in arb_image(), frac in 0.0f64..1.0) {
+/// Truncating the stream anywhere yields an error, never a panic.
+#[test]
+fn decoder_survives_truncation() {
+    cases(CASES, |rng| {
+        let img = arb_image(rng);
+        let frac = rng.range_f64(0.0f64..1.0);
         let cfg = EncoderConfig {
             levels: 2,
             ..EncoderConfig::default()
@@ -73,46 +74,69 @@ proptest! {
         let (bytes, _) = Encoder::new(cfg).unwrap().encode(&img);
         let cut = ((bytes.len() as f64) * frac) as usize;
         let _ = Decoder::default().decode(&bytes[..cut]);
-    }
+    });
+}
 
-    /// Flipping a byte anywhere yields either an error or a decoded image,
-    /// never a panic (decoder totality under corruption).
-    #[test]
-    fn decoder_survives_corruption(
-        img in arb_image(),
-        pos_seed in any::<u64>(),
-        xor in 1u8..=255,
-    ) {
-        let cfg = EncoderConfig {
-            levels: 2,
-            ..EncoderConfig::default()
-        };
-        let (mut bytes, _) = Encoder::new(cfg).unwrap().encode(&img);
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        let pos = (pos_seed % bytes.len() as u64) as usize;
-        bytes[pos] ^= xor;
-        let _ = Decoder::default().decode(&bytes);
-    }
+/// Flipping a byte anywhere yields either an error or a decoded image,
+/// never a panic (decoder totality under corruption).
+#[test]
+fn decoder_survives_corruption() {
+    cases(CASES, |rng| {
+        let img = arb_image(rng);
+        let pos_seed = rng.range(..);
+        let xor = rng.range(1u8..=255);
+        check_corruption(&img, pos_seed, xor);
+    });
+}
 
-    /// The staged decode pipeline (DESIGN.md §15) is bit-identical to the
-    /// sequential barriered decoder for arbitrary image content, worker
-    /// counts, schedules, stage policies, and Tier-1 engines — overlap
-    /// and dynamic repartitioning must never change a pixel.
-    #[test]
-    fn pipelined_decode_matches_sequential(
-        img in arb_image(),
-        levels in 0u8..5,
-        workers in 1usize..5,
-        chunk in 1usize..9,
-        dynamic in any::<bool>(),
-        cost_weighted in any::<bool>(),
-        reference_engine in any::<bool>(),
-        lossless in any::<bool>(),
-    ) {
+fn check_corruption(img: &Image, pos_seed: u64, xor: u8) {
+    let cfg = EncoderConfig {
+        levels: 2,
+        ..EncoderConfig::default()
+    };
+    let (mut bytes, _) = Encoder::new(cfg).unwrap().encode(img);
+    if bytes.is_empty() {
+        return;
+    }
+    let pos = (pos_seed % bytes.len() as u64) as usize;
+    bytes[pos] ^= xor;
+    let _ = Decoder::default().decode(&bytes);
+}
+
+/// Inputs once recorded as panicking the decoder, kept as explicit cases.
+#[test]
+fn decoder_survives_corruption_regression_19x27() {
+    let img = Image::gray8(Plane::from_fn(19, 27, |x, y| REGRESSION_19X27[y * 19 + x]));
+    check_corruption(&img, 4361412939294653671, 64);
+}
+
+#[test]
+fn decoder_survives_corruption_regression_4x10() {
+    let img = Image::gray8(Plane::from_fn(4, 10, |x, y| REGRESSION_4X10[y * 4 + x]));
+    check_corruption(&img, 3487118254581580605, 208);
+}
+
+/// The staged decode pipeline (DESIGN.md §15) is bit-identical to the
+/// sequential barriered decoder for arbitrary image content, worker
+/// counts, schedules, stage policies, and Tier-1 engines — overlap
+/// and dynamic repartitioning must never change a pixel.
+#[test]
+fn pipelined_decode_matches_sequential() {
+    cases(CASES, |rng| {
+        let img = arb_image(rng);
+        let levels = rng.range(0u8..5);
+        let workers = rng.range(1usize..5);
+        let chunk = rng.range(1usize..9);
+        let dynamic = rng.bool();
+        let cost_weighted = rng.bool();
+        let reference_engine = rng.bool();
+        let lossless = rng.bool();
         let cfg = EncoderConfig {
-            wavelet: if lossless { Wavelet::Reversible53 } else { Wavelet::Irreversible97 },
+            wavelet: if lossless {
+                Wavelet::Reversible53
+            } else {
+                Wavelet::Irreversible97
+            },
             rate: if lossless {
                 RateControl::Lossless
             } else {
@@ -127,7 +151,7 @@ proptest! {
             ..EncoderConfig::default()
         };
         let (bytes, _) = Encoder::new(cfg).unwrap().encode(&img);
-        let (sequential, _) = Decoder::default().decode(&bytes).unwrap();
+        let (sequential, sequential_report) = Decoder::default().decode(&bytes).unwrap();
         let dec = Decoder {
             parallel: ParallelMode::WorkerPool { workers },
             overlap: StageOverlap::Pipelined,
@@ -144,13 +168,18 @@ proptest! {
             ..Decoder::default()
         };
         let (pipelined, report) = dec.decode(&bytes).unwrap();
-        prop_assert_eq!(&sequential, &pipelined);
-        prop_assert!(report.num_blocks > 0);
-    }
+        assert_eq!(&sequential, &pipelined);
+        // `num_blocks` counts Tier-1 jobs; an image whose blocks all code
+        // zero passes has none, on either path.
+        assert_eq!(report.num_blocks, sequential_report.num_blocks);
+    });
+}
 
-    /// The codestream is deterministic: same input, same bytes.
-    #[test]
-    fn encoding_is_deterministic(img in arb_image()) {
+/// The codestream is deterministic: same input, same bytes.
+#[test]
+fn encoding_is_deterministic() {
+    cases(CASES, |rng| {
+        let img = arb_image(rng);
         let cfg = EncoderConfig {
             levels: 3,
             ..EncoderConfig::default()
@@ -158,6 +187,39 @@ proptest! {
         let enc = Encoder::new(cfg).unwrap();
         let (a, _) = enc.encode(&img);
         let (b, _) = enc.encode(&img);
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }
+
+const REGRESSION_19X27: [i32; 513] = [
+    30, 123, 216, 100, 221, 200, 247, 144, 191, 179, 129, 207, 226, 227, 172, 241, 80, 208, 133,
+    57, 237, 113, 99, 164, 214, 104, 104, 112, 252, 13, 167, 55, 171, 164, 249, 50, 151, 10, 234,
+    78, 189, 199, 81, 28, 182, 43, 214, 229, 65, 4, 30, 22, 21, 94, 220, 10, 6, 123, 44, 107, 77,
+    177, 155, 25, 35, 252, 125, 128, 160, 151, 46, 122, 247, 23, 188, 18, 145, 110, 218, 159, 213,
+    231, 30, 182, 244, 40, 203, 252, 58, 205, 38, 55, 85, 193, 43, 123, 146, 95, 53, 87, 16, 40, 7,
+    244, 35, 116, 16, 81, 214, 5, 242, 212, 244, 73, 10, 81, 162, 184, 189, 68, 6, 122, 189, 21,
+    154, 199, 220, 207, 101, 126, 178, 161, 179, 219, 146, 111, 48, 39, 185, 243, 62, 45, 70, 226,
+    236, 147, 5, 109, 2, 86, 214, 235, 231, 202, 132, 159, 194, 34, 4, 8, 209, 64, 95, 225, 153, 9,
+    151, 33, 11, 55, 195, 42, 199, 193, 19, 103, 146, 230, 167, 93, 23, 68, 83, 160, 199, 52, 122,
+    39, 67, 121, 178, 235, 180, 172, 26, 117, 46, 160, 209, 242, 220, 47, 205, 95, 42, 114, 90, 70,
+    230, 198, 92, 60, 216, 208, 158, 174, 255, 232, 194, 148, 147, 178, 33, 225, 250, 78, 82, 88,
+    198, 246, 182, 43, 206, 102, 141, 208, 204, 124, 6, 62, 55, 67, 62, 112, 127, 239, 208, 105,
+    219, 215, 224, 195, 227, 108, 154, 65, 125, 32, 161, 92, 184, 34, 202, 165, 80, 198, 195, 177,
+    49, 219, 155, 243, 196, 153, 107, 168, 98, 80, 196, 28, 159, 54, 112, 103, 75, 243, 231, 35,
+    108, 239, 230, 234, 235, 213, 96, 121, 217, 18, 184, 201, 243, 10, 97, 130, 227, 97, 234, 91,
+    63, 247, 158, 119, 7, 136, 104, 100, 127, 184, 55, 170, 40, 67, 223, 70, 236, 171, 237, 44, 42,
+    176, 59, 148, 47, 47, 12, 142, 157, 45, 251, 197, 21, 84, 213, 130, 72, 36, 204, 178, 3, 73,
+    142, 219, 175, 200, 73, 71, 128, 10, 207, 98, 18, 234, 22, 220, 124, 219, 234, 204, 217, 185,
+    250, 105, 115, 213, 192, 8, 155, 61, 237, 186, 221, 197, 174, 228, 120, 48, 117, 154, 182, 113,
+    154, 10, 176, 187, 14, 224, 92, 61, 140, 25, 249, 138, 182, 15, 79, 3, 162, 137, 56, 104, 35,
+    53, 201, 217, 131, 240, 217, 159, 104, 129, 124, 87, 225, 16, 54, 21, 92, 237, 48, 217, 242, 1,
+    0, 28, 78, 65, 84, 21, 50, 165, 220, 163, 6, 141, 235, 47, 12, 114, 235, 143, 112, 16, 177,
+    122, 129, 134, 47, 165, 169, 127, 172, 193, 54, 212, 52, 130, 138, 78, 186, 8, 168, 16, 204,
+    220, 45, 183, 2, 108, 199, 249, 234, 57, 70, 238, 184, 188, 113, 91, 59, 26, 136, 224, 200, 72,
+    182, 50, 66, 146, 184, 196, 147, 57, 70, 254, 89, 249, 104, 154, 27, 163, 159, 123, 28,
+];
+
+const REGRESSION_4X10: [i32; 40] = [
+    80, 253, 108, 183, 101, 130, 89, 156, 91, 236, 120, 40, 244, 242, 175, 108, 229, 232, 62, 54,
+    106, 110, 154, 17, 244, 77, 105, 73, 87, 175, 90, 96, 197, 113, 82, 139, 116, 194, 102, 84,
+];

@@ -1,17 +1,16 @@
-//! Proptest layer of the untrusted-input hardening harness.
+//! Randomized layer of the untrusted-input hardening harness.
 //!
-//! `hardening.rs` sweeps deterministic mutation families; this file lets
-//! proptest explore (and shrink!) the same mutation space: arbitrary
-//! truncations, bit flips, byte splices and length-field rewrites of valid
-//! codestreams must yield `Ok` or `Err` from `Decoder::decode` — never a
-//! panic. Shrinking matters here: when a mutant does panic, proptest
-//! reduces it to a minimal reproducer worth pinning in `hardening.rs`'s
-//! fixture module.
+//! `hardening.rs` sweeps deterministic mutation families; this file samples
+//! the same mutation space at random: arbitrary truncations, bit flips,
+//! byte splices and length-field rewrites of valid codestreams must yield
+//! `Ok` or `Err` from `Decoder::decode` — never a panic. When a mutant does
+//! panic, `testkit::cases` reports the case seed; the mutant it replays is
+//! worth pinning in `hardening.rs`'s fixture module.
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
 use pj2k_dwt::Wavelet;
 use pj2k_image::synth;
-use proptest::prelude::*;
+use pj2k_testkit::cases;
 use std::sync::OnceLock;
 
 /// Encoded corpus, built once per process: the same structurally diverse
@@ -57,56 +56,59 @@ fn decode_both(bytes: &[u8]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+const CASES: u32 = 256;
 
-    /// Arbitrary truncation of a valid stream never panics.
-    #[test]
-    fn truncated_stream_never_panics(which in 0usize..4, frac in 0.0f64..1.0) {
+/// Arbitrary truncation of a valid stream never panics.
+#[test]
+fn truncated_stream_never_panics() {
+    cases(CASES, |rng| {
+        let which = rng.range(0usize..4);
+        let frac = rng.range_f64(0.0f64..1.0);
         let stream = &corpus()[which];
         let cut = ((stream.len() as f64) * frac) as usize;
         decode_both(&stream[..cut.min(stream.len())]);
-    }
+    });
+}
 
-    /// Up to 8 independent bit flips anywhere in the stream never panic.
-    #[test]
-    fn bit_flipped_stream_never_panics(
-        which in 0usize..4,
-        flips in proptest::collection::vec((any::<prop::sample::Index>(), 0u8..8), 1..8),
-    ) {
+/// Up to 8 independent bit flips anywhere in the stream never panic.
+#[test]
+fn bit_flipped_stream_never_panics() {
+    cases(CASES, |rng| {
+        let which = rng.range(0usize..4);
         let mut bytes = corpus()[which].clone();
-        for (idx, bit) in flips {
-            let i = idx.index(bytes.len());
-            bytes[i] ^= 1 << bit;
+        for _ in 0..rng.range(1..8) {
+            let i = rng.range(0..bytes.len());
+            bytes[i] ^= 1 << rng.range(0..8);
         }
         decode_both(&bytes);
-    }
+    });
+}
 
-    /// Overwriting a random window with arbitrary bytes never panics.
-    #[test]
-    fn spliced_stream_never_panics(
-        which in 0usize..4,
-        at in any::<prop::sample::Index>(),
-        patch in proptest::collection::vec(any::<u8>(), 1..64),
-    ) {
+/// Overwriting a random window with arbitrary bytes never panics.
+#[test]
+fn spliced_stream_never_panics() {
+    cases(CASES, |rng| {
+        let which = rng.range(0usize..4);
+        let mut patch = vec![0u8; rng.range(1..64)];
+        rng.fill(&mut patch);
         let mut bytes = corpus()[which].clone();
-        let start = at.index(bytes.len());
+        let start = rng.range(0..bytes.len());
         for (i, b) in patch.into_iter().enumerate() {
             if let Some(slot) = bytes.get_mut(start + i) {
                 *slot = b;
             }
         }
         decode_both(&bytes);
-    }
+    });
+}
 
-    /// Rewriting the 16-bit word after any 0xFF byte (i.e. candidate
-    /// marker-segment length fields) never panics.
-    #[test]
-    fn corrupted_length_field_never_panics(
-        which in 0usize..4,
-        at in any::<prop::sample::Index>(),
-        val in any::<u16>(),
-    ) {
+/// Rewriting the 16-bit word after any 0xFF byte (i.e. candidate
+/// marker-segment length fields) never panics.
+#[test]
+fn corrupted_length_field_never_panics() {
+    cases(CASES, |rng| {
+        let which = rng.range(0usize..4);
+        let val: u16 = rng.range(..);
         let mut bytes = corpus()[which].clone();
         let positions: Vec<usize> = bytes
             .iter()
@@ -114,31 +116,39 @@ proptest! {
             .filter(|&(i, &b)| b == 0xFF && i + 3 < bytes.len())
             .map(|(i, _)| i)
             .collect();
-        prop_assume!(!positions.is_empty());
-        let i = positions[at.index(positions.len())];
+        // Never empty: every stream opens with the SOC marker.
+        let i = positions[rng.range(0..positions.len())];
         bytes[i + 2] = (val >> 8) as u8;
         bytes[i + 3] = (val & 0xFF) as u8;
         decode_both(&bytes);
-    }
+    });
+}
 
-    /// Pure random bytes (no valid structure at all) never panic.
-    #[test]
-    fn random_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+/// Pure random bytes (no valid structure at all) never panic.
+#[test]
+fn random_bytes_never_panic() {
+    cases(CASES, |rng| {
+        let mut bytes = vec![0u8; rng.range(0..512)];
+        rng.fill(&mut bytes);
         decode_both(&bytes);
-    }
+    });
+}
 
-    /// Untouched corpus streams keep decoding bit-identically, including
-    /// across execution modes — the hardening work must not perturb the
-    /// happy path.
-    #[test]
-    fn untouched_streams_stay_bit_identical(which in 0usize..4, workers in 1usize..4) {
+/// Untouched corpus streams keep decoding bit-identically, including
+/// across execution modes — the hardening work must not perturb the
+/// happy path.
+#[test]
+fn untouched_streams_stay_bit_identical() {
+    cases(CASES, |rng| {
+        let which = rng.range(0usize..4);
+        let workers = rng.range(1usize..4);
         let stream = &corpus()[which];
         let (a, _) = Decoder::default().decode(stream).expect("valid stream");
         let dec = Decoder {
-            parallel: ParallelMode::Rayon { workers },
+            parallel: ParallelMode::WorkerPool { workers },
             ..Default::default()
         };
         let (b, _) = dec.decode(stream).expect("valid stream");
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
 }

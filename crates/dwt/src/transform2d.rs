@@ -421,7 +421,6 @@ define_2d!(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pj2k_parutil::Backend;
 
     fn test_plane_i32(w: usize, h: usize, stride: usize) -> Plane<i32> {
         let mut p = Plane::with_stride(w, h, stride);
@@ -508,10 +507,10 @@ mod tests {
         let orig = test_plane_i32(50, 38, 50);
         let mut seq = orig.clone();
         forward_53(&mut seq, 3, VerticalStrategy::DEFAULT_STRIP, &Exec::SEQ);
-        for exec in [Exec::threads(2), Exec::threads(4), Exec::rayon(3)] {
+        for exec in [Exec::threads(2), Exec::threads(3), Exec::threads(4)] {
             let mut par = orig.clone();
             forward_53(&mut par, 3, VerticalStrategy::DEFAULT_STRIP, &exec);
-            assert_eq!(par, seq, "{:?}", exec.backend);
+            assert_eq!(par, seq, "{exec:?}");
             // and roundtrip in parallel too
             inverse_53(&mut par, 3, VerticalStrategy::DEFAULT_STRIP, &exec);
             assert_eq!(par, orig);
@@ -525,15 +524,7 @@ mod tests {
         let mut seq = orig.clone();
         forward_97(&mut seq, 4, VerticalStrategy::Naive, &Exec::SEQ);
         let mut par = orig.clone();
-        forward_97(
-            &mut par,
-            4,
-            VerticalStrategy::Naive,
-            &Exec {
-                backend: Backend::Threads,
-                workers: 3,
-            },
-        );
+        forward_97(&mut par, 4, VerticalStrategy::Naive, &Exec { workers: 3 });
         // Static split + identical kernels => bit-identical floats.
         for y in 0..48 {
             for x in 0..48 {
@@ -691,7 +682,7 @@ mod tests {
             SimdMode::Scalar,
             &Exec::SEQ,
         );
-        for exec in [Exec::threads(2), Exec::threads(4), Exec::rayon(3)] {
+        for exec in [Exec::threads(2), Exec::threads(3), Exec::threads(4)] {
             let mut par = orig.clone();
             forward_97_with(
                 &mut par,
@@ -706,8 +697,7 @@ mod tests {
                     assert_eq!(
                         par.get(x, y).to_bits(),
                         seq.get(x, y).to_bits(),
-                        "{:?} ({x},{y})",
-                        exec.backend
+                        "{exec:?} ({x},{y})"
                     );
                 }
             }
@@ -954,7 +944,7 @@ mod tests {
             SimdMode::Auto,
             &Exec::SEQ,
         );
-        for exec in [Exec::threads(3), Exec::rayon(2)] {
+        for exec in [Exec::threads(3), Exec::threads(2)] {
             let mut par = orig.clone();
             forward_97_with(
                 &mut par,
@@ -969,8 +959,7 @@ mod tests {
                     assert_eq!(
                         par.get(x, y).to_bits(),
                         seq.get(x, y).to_bits(),
-                        "{:?} ({x},{y})",
-                        exec.backend
+                        "{exec:?} ({x},{y})"
                     );
                 }
             }

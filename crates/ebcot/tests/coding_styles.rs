@@ -2,7 +2,7 @@
 //! formation, per-pass context reset).
 
 use pj2k_ebcot::{decode_block_with, encode_block_with, BandCtx, Tier1Options};
-use proptest::prelude::*;
+use pj2k_testkit::{cases, Rng};
 
 const ALL_OPTS: [Tier1Options; 6] = [
     Tier1Options {
@@ -37,18 +37,15 @@ const ALL_OPTS: [Tier1Options; 6] = [
     },
 ];
 
+/// One coefficient in three zero, the rest uniform in -1000..1000.
 fn sample_block(w: usize, h: usize, seed: u64) -> Vec<i32> {
-    let mut state = seed | 1;
-    (0..w * h)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if state.is_multiple_of(3) {
-                0
-            } else {
-                ((state >> 40) as i32 % 2000) - 1000
-            }
-        })
-        .collect()
+    Rng::new(seed).vec(w * h, |r| {
+        if r.range(0..3) == 0 {
+            0
+        } else {
+            r.range(-1000..1000)
+        }
+    })
 }
 
 #[test]
@@ -154,30 +151,46 @@ fn causal_only_differs_when_stripes_interact() {
     assert_eq!(base.data, causal.data);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+const CASES: u32 = 32;
 
-    #[test]
-    fn styles_roundtrip_arbitrary_blocks(
-        w in 1usize..20,
-        h in 1usize..20,
-        seed in any::<u64>(),
-        causal in any::<bool>(),
-        reset in any::<bool>(),
-        bypass in any::<bool>(),
-    ) {
-        let opts = Tier1Options { stripe_causal: causal, reset_contexts: reset, bypass };
+#[test]
+fn styles_roundtrip_arbitrary_blocks() {
+    cases(CASES, |rng| {
+        let w = rng.range(1usize..20);
+        let h = rng.range(1usize..20);
+        let seed = rng.range(..);
+        let causal = rng.bool();
+        let reset = rng.bool();
+        let bypass = rng.bool();
+        let opts = Tier1Options {
+            stripe_causal: causal,
+            reset_contexts: reset,
+            bypass,
+        };
         let coeffs = sample_block(w, h, seed);
         let blk = encode_block_with(&coeffs, w, h, BandCtx::Hl, opts);
         let segs: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
-        prop_assert_eq!(decode_block_with(w, h, BandCtx::Hl, blk.msb_planes, &segs, opts).unwrap(), coeffs);
-    }
+        assert_eq!(
+            decode_block_with(w, h, BandCtx::Hl, blk.msb_planes, &segs, opts).unwrap(),
+            coeffs
+        );
+    });
+}
 
-    /// Truncated decodes still match the encoder's distortion bookkeeping
-    /// under every style.
-    #[test]
-    fn styles_keep_rd_contract(seed in any::<u64>(), causal in any::<bool>(), reset in any::<bool>(), bypass in any::<bool>()) {
-        let opts = Tier1Options { stripe_causal: causal, reset_contexts: reset, bypass };
+/// Truncated decodes still match the encoder's distortion bookkeeping
+/// under every style.
+#[test]
+fn styles_keep_rd_contract() {
+    cases(CASES, |rng| {
+        let seed = rng.range(..);
+        let causal = rng.bool();
+        let reset = rng.bool();
+        let bypass = rng.bool();
+        let opts = Tier1Options {
+            stripe_causal: causal,
+            reset_contexts: reset,
+            bypass,
+        };
         let (w, h) = (12, 10);
         let coeffs = sample_block(w, h, seed);
         let blk = encode_block_with(&coeffs, w, h, BandCtx::Hh, opts);
@@ -190,7 +203,11 @@ proptest! {
                 .map(|(a, b)| (f64::from(*a) - f64::from(*b)).powi(2))
                 .sum();
             let predicted = blk.distortion_after(n);
-            prop_assert!((actual - predicted).abs() < 1e-6 * (1.0 + predicted), "pass {}", n);
+            assert!(
+                (actual - predicted).abs() < 1e-6 * (1.0 + predicted),
+                "pass {}",
+                n
+            );
         }
-    }
+    });
 }

@@ -5,13 +5,13 @@
 //! hostile bytes, where both decoders are deterministic functions of the
 //! input and so must produce the same *wrong* coefficients, never a panic.
 //!
-//! Plain seeded `#[test]` loops on purpose (no proptest), so the suite runs
-//! wherever `cargo test` does.
+//! Plain seeded `#[test]` loops over fixed geometry matrices.
 
 use pj2k_ebcot::oracle::{self, OracleDecoderScratch};
 use pj2k_ebcot::{
     decode_block_with, BandCtx, BlockCoder, BlockDecoderScratch, EncodedBlock, Tier1Options,
 };
+use pj2k_testkit::Rng;
 
 const BANDS: [BandCtx; 3] = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
 
@@ -51,22 +51,6 @@ const GEOMETRIES: [(usize, usize); 14] = [
     (3, 66),
 ];
 
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Fill {
     Dense,
@@ -75,30 +59,21 @@ enum Fill {
 }
 
 fn synth_block(seed: u64, n: usize, fill: Fill, max_mag: i32) -> Vec<i32> {
-    let mut rng = Lcg::new(seed);
-    let value = |rng: &mut Lcg| {
-        let m = (rng.next() % max_mag as u64) as i32 + 1;
-        if rng.next() & 1 == 0 {
+    let mut rng = Rng::new(seed);
+    let value = |rng: &mut Rng| {
+        let m = rng.range(1..=max_mag);
+        if rng.bool() {
             m
         } else {
             -m
         }
     };
     match fill {
-        Fill::Dense => (0..n).map(|_| value(&mut rng)).collect(),
-        Fill::Sparse => (0..n)
-            .map(|_| {
-                if rng.next().is_multiple_of(13) {
-                    value(&mut rng)
-                } else {
-                    0
-                }
-            })
-            .collect(),
+        Fill::Dense => rng.vec(n, value),
+        Fill::Sparse => rng.vec(n, |r| if r.range(0..13) == 0 { value(r) } else { 0 }),
         Fill::Single => {
             let mut v = vec![0; n];
-            let at = (rng.next() % n as u64) as usize;
-            v[at] = value(&mut rng);
+            v[rng.range(0..n)] = value(&mut rng);
             v
         }
     }
@@ -218,11 +193,11 @@ fn packed_matches_oracle_on_deep_planes() {
     let mut coder = BlockCoder::new();
     for (seed, opts) in all_styles().into_iter().enumerate() {
         let (w, h) = (11, 6);
-        let mut rng = Lcg::new(900 + seed as u64);
+        let mut rng = Rng::new(900 + seed as u64);
         let coeffs: Vec<i32> = (0..w * h)
             .map(|i| {
-                let m = (rng.next() as i32 & 0x7FFF_FFFF) >> (i % 31);
-                if rng.next() & 1 == 0 {
+                let m = rng.range(0..=i32::MAX) >> (i % 31);
+                if rng.bool() {
                     m
                 } else {
                     -m
@@ -248,27 +223,23 @@ fn packed_matches_oracle_on_deep_planes() {
 fn packed_matches_oracle_on_garbage_segments() {
     let mut pair = Pair::new();
     let styles = all_styles();
-    let mut rng = Lcg::new(0xBAD_5EED);
+    let mut rng = Rng::new(0xBAD_5EED);
     for trial in 0..600 {
-        let (w, h) = GEOMETRIES[(rng.next() % 11) as usize]; // skip the largest shapes
-        let planes = 1 + (rng.next() % 12) as u8;
+        let (w, h) = GEOMETRIES[rng.range(0..11)]; // skip the largest shapes
+        let planes = rng.range(1u8..=12);
         let max_passes = 1 + 3 * (usize::from(planes) - 1);
-        let n = (rng.next() as usize) % (max_passes + 1);
-        let segs: Vec<Vec<u8>> = (0..n)
-            .map(|_| {
-                let len = (rng.next() % 40) as usize;
-                (0..len)
-                    .map(|_| match rng.next() % 6 {
-                        0 => 0xFF,
-                        1 => 0x90 + (rng.next() % 0x70) as u8,
-                        2 => 0,
-                        _ => rng.next() as u8,
-                    })
-                    .collect()
+        let n = rng.range(0..=max_passes);
+        let segs: Vec<Vec<u8>> = rng.vec(n, |r| {
+            let len = r.range(0..40);
+            r.vec(len, |r| match r.range(0..6) {
+                0 => 0xFF,
+                1 => r.range(0x90..=0xFF),
+                2 => 0,
+                _ => r.range(..),
             })
-            .collect();
-        let opts = styles[(rng.next() % 8) as usize];
-        let band = BANDS[(rng.next() % 3) as usize];
+        });
+        let opts = styles[rng.range(0..8)];
+        let band = BANDS[rng.range(0..3)];
         let what = format!("garbage trial {trial}: {w}x{h} {band:?} {opts:?} planes {planes}");
         pair.check(w, h, band, planes, &segs, opts, &what);
     }
@@ -281,11 +252,11 @@ fn packed_matches_oracle_on_bit_flipped_segments() {
     let mut pair = Pair::new();
     let mut coder = BlockCoder::new();
     let styles = all_styles();
-    let mut rng = Lcg::new(0xF11_BEEF);
+    let mut rng = Rng::new(0xF11_BEEF);
     for trial in 0..240 {
         let (w, h) = GEOMETRIES[(trial % 12) as usize];
-        let opts = styles[(rng.next() % 8) as usize];
-        let band = BANDS[(rng.next() % 3) as usize];
+        let opts = styles[rng.range(0..8)];
+        let band = BANDS[rng.range(0..3)];
         let fill = [Fill::Dense, Fill::Sparse][(trial % 2) as usize];
         let max_mag = if w * h >= 2048 { 60 } else { 3000 };
         let coeffs = synth_block(7000 + trial, w * h, fill, max_mag);
@@ -294,21 +265,21 @@ fn packed_matches_oracle_on_bit_flipped_segments() {
         if segs.is_empty() {
             continue;
         }
-        for _ in 0..1 + rng.next() % 6 {
-            let s = (rng.next() as usize) % segs.len();
+        for _ in 0..rng.range(1..=6) {
+            let s = rng.range(0..segs.len());
             let seg = &mut segs[s];
-            match rng.next() % 4 {
+            match rng.range(0..4) {
                 0 => {
-                    let keep = (rng.next() as usize) % (seg.len() + 1);
+                    let keep = rng.range(0..=seg.len());
                     seg.truncate(keep); // mid-byte truncation of the codeword
                 }
                 1 if !seg.is_empty() => {
-                    let at = (rng.next() as usize) % seg.len();
+                    let at = rng.range(0..seg.len());
                     seg[at] = 0xFF;
                 }
                 _ if !seg.is_empty() => {
-                    let at = (rng.next() as usize) % seg.len();
-                    seg[at] ^= 1 << (rng.next() % 8);
+                    let at = rng.range(0..seg.len());
+                    seg[at] ^= 1 << rng.range(0..8);
                 }
                 _ => {}
             }

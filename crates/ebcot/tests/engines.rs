@@ -2,11 +2,9 @@
 //! reference engine's output byte for byte — same segments, same pass
 //! table, same (order-sensitive, hence exactly equal) distortion sums —
 //! across every coding-style combination, band class, and block geometry.
-//!
-//! NOTE: the `proptest! {` block must stay the tail of this file (the
-//! offline test harness strips it textually).
 
 use pj2k_ebcot::{BandCtx, BlockCoder, EncodedBlock, Tier1Engine, Tier1Options};
+use pj2k_testkit::{cases, Rng};
 
 const BANDS: [BandCtx; 3] = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
 
@@ -26,29 +24,16 @@ fn all_styles() -> Vec<Tier1Options> {
     v
 }
 
-/// Deterministic pseudo-random coefficients: LCG magnitudes with a density
-/// knob (`keep_mod`: 1 = dense, larger = sparser) and a magnitude cap.
+/// Deterministic pseudo-random coefficients with a density knob
+/// (`keep_mod`: 1 = dense, larger = sparser) and a magnitude cap.
 fn synth_block(seed: u64, n: usize, keep_mod: u64, max_mag: i32) -> Vec<i32> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    (0..n)
-        .map(|_| {
-            if keep_mod > 1 && next() % keep_mod != 0 {
-                return 0;
-            }
-            let m = (next() % (max_mag.unsigned_abs() as u64 + 1)) as i32;
-            if next() % 2 == 0 {
-                m
-            } else {
-                -m
-            }
-        })
-        .collect()
+    Rng::new(seed).vec(n, |r| {
+        if r.range(0..keep_mod) != 0 {
+            0
+        } else {
+            r.range(-max_mag..=max_mag)
+        }
+    })
 }
 
 fn assert_identical(a: &EncodedBlock, b: &EncodedBlock, what: &str) {
@@ -161,37 +146,34 @@ fn bitplane_encode_into_recycles_without_divergence() {
     }
 }
 
-use proptest::prelude::*;
+const CASES: u32 = 48;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random blocks, random geometry, every coding style, both engines:
-    /// byte-identical codestreams and pass tables.
-    #[test]
-    fn tier1_engines_bit_identical(
-        seed in any::<u64>(),
-        w in 1usize..96,
-        h in 1usize..24,
-        keep in 1u64..24,
-        max_mag in 1i32..5000,
-        band_i in 0usize..3,
-        style_i in 0usize..8,
-    ) {
+/// Random blocks, random geometry, every coding style, both engines:
+/// byte-identical codestreams and pass tables.
+#[test]
+fn tier1_engines_bit_identical() {
+    cases(CASES, |rng| {
+        let seed = rng.range(..);
+        let w = rng.range(1usize..96);
+        let h = rng.range(1usize..24);
+        let keep = rng.range(1u64..24);
+        let max_mag = rng.range(1i32..5000);
+        let band_i = rng.range(0usize..3);
+        let style_i = rng.range(0usize..8);
         let coeffs = synth_block(seed, w * h, keep, max_mag);
         let band = BANDS[band_i];
         let opts = all_styles()[style_i];
-        let a = BlockCoder::with_engine(Tier1Engine::Reference)
-            .encode_with(&coeffs, w, h, band, opts);
-        let b = BlockCoder::with_engine(Tier1Engine::Bitplane)
-            .encode_with(&coeffs, w, h, band, opts);
-        prop_assert_eq!(&a.data, &b.data, "segments differ");
-        prop_assert_eq!(a.passes.len(), b.passes.len());
+        let a =
+            BlockCoder::with_engine(Tier1Engine::Reference).encode_with(&coeffs, w, h, band, opts);
+        let b =
+            BlockCoder::with_engine(Tier1Engine::Bitplane).encode_with(&coeffs, w, h, band, opts);
+        assert_eq!(&a.data, &b.data, "segments differ");
+        assert_eq!(a.passes.len(), b.passes.len());
         for (pa, pb) in a.passes.iter().zip(&b.passes) {
-            prop_assert_eq!(pa.kind, pb.kind);
-            prop_assert_eq!(pa.plane, pb.plane);
-            prop_assert_eq!(pa.len, pb.len);
-            prop_assert!(pa.delta_distortion == pb.delta_distortion);
+            assert_eq!(pa.kind, pb.kind);
+            assert_eq!(pa.plane, pb.plane);
+            assert_eq!(pa.len, pb.len);
+            assert!(pa.delta_distortion == pb.delta_distortion);
         }
-    }
+    });
 }

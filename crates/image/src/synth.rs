@@ -17,8 +17,7 @@
 
 use crate::image::Image;
 use crate::plane::Plane;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pj2k_testkit::Rng;
 
 /// Image sizes used throughout the paper's figures, in Kpixel
 /// (256 Kpx = 512x512 ... 16384 Kpx = 4096x4096).
@@ -41,14 +40,14 @@ pub fn side_for_kpixels(kpixels: usize) -> usize {
 /// value-noise texture, and a few hard-edged objects. Deterministic in
 /// (`width`, `height`, `seed`).
 pub fn natural_gray(width: usize, height: usize, seed: u64) -> Image {
-    Image::gray8(natural_plane(width, height, seed))
+    Image::gray8(natural_plane(width, height, &mut Rng::new(seed)))
 }
 
 /// Generate an RGB image with correlated components (luma structure shared,
 /// chroma varying slowly), as natural photographs have.
 pub fn natural_rgb(width: usize, height: usize, seed: u64) -> Image {
-    let luma = natural_plane(width, height, seed);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    let mut rng = Rng::new(seed);
+    let luma = natural_plane(width, height, &mut rng);
     let chroma_u = value_noise(width, height, 6, &mut rng);
     let chroma_v = value_noise(width, height, 6, &mut rng);
     let make = |scale_u: f64, scale_v: f64| {
@@ -67,34 +66,33 @@ pub fn natural_rgb(width: usize, height: usize, seed: u64) -> Image {
     Image::rgb8(make(0.3, 0.5), make(-0.2, 0.1), make(0.6, -0.4))
 }
 
-fn natural_plane(width: usize, height: usize, seed: u64) -> Plane<i32> {
+fn natural_plane(width: usize, height: usize, rng: &mut Rng) -> Plane<i32> {
     assert!(width > 0 && height > 0, "empty image");
-    let mut rng = StdRng::seed_from_u64(seed);
     // Smooth base: a handful of low-frequency cosine sheets.
     let n_waves = 4;
     let waves: Vec<(f64, f64, f64, f64)> = (0..n_waves)
         .map(|_| {
             (
-                rng.gen_range(0.5..2.5) * std::f64::consts::TAU / width.max(1) as f64,
-                rng.gen_range(0.5..2.5) * std::f64::consts::TAU / height.max(1) as f64,
-                rng.gen_range(0.0..std::f64::consts::TAU),
-                rng.gen_range(12.0..30.0),
+                rng.range_f64(0.5..2.5) * std::f64::consts::TAU / width.max(1) as f64,
+                rng.range_f64(0.5..2.5) * std::f64::consts::TAU / height.max(1) as f64,
+                rng.range_f64(0.0..std::f64::consts::TAU),
+                rng.range_f64(12.0..30.0),
             )
         })
         .collect();
-    let texture = value_noise(width, height, 5, &mut rng);
-    let fine = value_noise(width, height, 3, &mut rng);
+    let texture = value_noise(width, height, 5, rng);
+    let fine = value_noise(width, height, 3, rng);
     // Hard-edged objects (ellipses) to provide edges for the R-D experiments.
     let n_objects = 6;
     #[allow(clippy::type_complexity)]
     let objects: Vec<(f64, f64, f64, f64, f64)> = (0..n_objects)
         .map(|_| {
             (
-                rng.gen_range(0.0..width as f64),
-                rng.gen_range(0.0..height as f64),
-                rng.gen_range(0.05..0.25) * width as f64,
-                rng.gen_range(0.05..0.25) * height as f64,
-                rng.gen_range(-60.0..60.0),
+                rng.range_f64(0.0..width as f64),
+                rng.range_f64(0.0..height as f64),
+                rng.range_f64(0.05..0.25) * width as f64,
+                rng.range_f64(0.05..0.25) * height as f64,
+                rng.range_f64(-60.0..60.0),
             )
         })
         .collect();
@@ -124,7 +122,7 @@ fn natural_plane(width: usize, height: usize, seed: u64) -> Plane<i32> {
 
 /// Multi-octave value noise in `0..=255`: random lattice values, bilinear
 /// interpolation, halving cell size per octave.
-fn value_noise(width: usize, height: usize, base_log2_cell: u32, rng: &mut StdRng) -> Plane<i32> {
+fn value_noise(width: usize, height: usize, base_log2_cell: u32, rng: &mut Rng) -> Plane<i32> {
     let mut acc = vec![0.0f64; width * height];
     let mut amp = 1.0;
     let mut total_amp = 0.0;
@@ -132,7 +130,7 @@ fn value_noise(width: usize, height: usize, base_log2_cell: u32, rng: &mut StdRn
         let cell = 1usize << base_log2_cell.saturating_sub(octave).max(1);
         let gw = width / cell + 2;
         let gh = height / cell + 2;
-        let grid: Vec<f64> = (0..gw * gh).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let grid: Vec<f64> = (0..gw * gh).map(|_| rng.f64()).collect();
         for y in 0..height {
             let gy = y / cell;
             let fy = (y % cell) as f64 / cell as f64;

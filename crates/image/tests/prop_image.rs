@@ -5,56 +5,57 @@ use pj2k_image::transform::{
     rct_inverse,
 };
 use pj2k_image::{pnm, tile, Image, Plane};
-use proptest::prelude::*;
+use pj2k_testkit::{cases, Rng};
 use std::io::Cursor;
 
-fn arb_gray() -> impl Strategy<Value = Image> {
-    (1usize..40, 1usize..40, any::<u64>()).prop_map(|(w, h, seed)| {
-        let mut state = seed | 1;
-        Image::gray8(Plane::from_fn(w, h, |_, _| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) % 256) as i32
-        }))
-    })
+fn noise_plane(rng: &mut Rng, w: usize, h: usize) -> Plane<i32> {
+    Plane::from_fn(w, h, |_, _| rng.range(0..256))
 }
 
-fn arb_rgb() -> impl Strategy<Value = Image> {
-    (1usize..24, 1usize..24, any::<u64>()).prop_map(|(w, h, seed)| {
-        let mut state = seed | 1;
-        let mut gen = move || {
-            let mut mk = |_x: usize, _y: usize| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 33) % 256) as i32
-            };
-            Plane::from_fn(w, h, &mut mk)
-        };
-        Image::rgb8(gen(), gen(), gen())
-    })
+fn arb_gray(rng: &mut Rng) -> Image {
+    let (w, h) = (rng.range(1..40), rng.range(1..40));
+    Image::gray8(noise_plane(rng, w, h))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn arb_rgb(rng: &mut Rng) -> Image {
+    let (w, h) = (rng.range(1..24), rng.range(1..24));
+    Image::rgb8(
+        noise_plane(rng, w, h),
+        noise_plane(rng, w, h),
+        noise_plane(rng, w, h),
+    )
+}
 
-    #[test]
-    fn pnm_roundtrip_gray(img in arb_gray()) {
+const CASES: u32 = 64;
+
+#[test]
+fn pnm_roundtrip_gray() {
+    cases(CASES, |rng| {
+        let img = arb_gray(rng);
         let mut buf = Vec::new();
         pnm::write(&mut buf, &img).unwrap();
         let back = pnm::read(&mut Cursor::new(buf)).unwrap();
-        prop_assert_eq!(back, img);
-    }
+        assert_eq!(back, img);
+    });
+}
 
-    #[test]
-    fn pnm_roundtrip_rgb(img in arb_rgb()) {
+#[test]
+fn pnm_roundtrip_rgb() {
+    cases(CASES, |rng| {
+        let img = arb_rgb(rng);
         let mut buf = Vec::new();
         pnm::write(&mut buf, &img).unwrap();
         let back = pnm::read(&mut Cursor::new(buf)).unwrap();
-        prop_assert_eq!(back, img);
-    }
+        assert_eq!(back, img);
+    });
+}
 
-    /// The reversible color transform is exactly invertible on the full
-    /// post-DC-shift range.
-    #[test]
-    fn rct_roundtrip(img in arb_rgb()) {
+/// The reversible color transform is exactly invertible on the full
+/// post-DC-shift range.
+#[test]
+fn rct_roundtrip() {
+    cases(CASES, |rng| {
+        let img = arb_rgb(rng);
         let mut work = img.clone();
         dc_level_shift_forward(&mut work);
         let planes = work.into_components();
@@ -62,14 +63,17 @@ proptest! {
         let (r0, g0, b0) = (r.clone(), g.clone(), b.clone());
         rct_forward(&mut r, &mut g, &mut b);
         rct_inverse(&mut r, &mut g, &mut b);
-        prop_assert_eq!(r, r0);
-        prop_assert_eq!(g, g0);
-        prop_assert_eq!(b, b0);
-    }
+        assert_eq!(r, r0);
+        assert_eq!(g, g0);
+        assert_eq!(b, b0);
+    });
+}
 
-    /// The irreversible color transform round-trips within float noise.
-    #[test]
-    fn ict_roundtrip(img in arb_rgb()) {
+/// The irreversible color transform round-trips within float noise.
+#[test]
+fn ict_roundtrip() {
+    cases(CASES, |rng| {
+        let img = arb_rgb(rng);
         let planes = img.components();
         let mut r = planes[0].map(|v| v as f32);
         let mut g = planes[1].map(|v| v as f32);
@@ -79,38 +83,50 @@ proptest! {
         ict_inverse(&mut r, &mut g, &mut b);
         for y in 0..img.height() {
             for x in 0..img.width() {
-                prop_assert!((r.get(x, y) - r0.get(x, y)).abs() < 1e-2);
-                prop_assert!((g.get(x, y) - g0.get(x, y)).abs() < 1e-2);
-                prop_assert!((b.get(x, y) - b0.get(x, y)).abs() < 1e-2);
+                assert!((r.get(x, y) - r0.get(x, y)).abs() < 1e-2);
+                assert!((g.get(x, y) - g0.get(x, y)).abs() < 1e-2);
+                assert!((b.get(x, y) - b0.get(x, y)).abs() < 1e-2);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn dc_shift_roundtrip(img in arb_gray()) {
+#[test]
+fn dc_shift_roundtrip() {
+    cases(CASES, |rng| {
+        let img = arb_gray(rng);
         let mut work = img.clone();
         dc_level_shift_forward(&mut work);
         dc_level_shift_inverse(&mut work);
-        prop_assert_eq!(work, img);
-    }
+        assert_eq!(work, img);
+    });
+}
 
-    /// Any tile grid splits and reassembles losslessly.
-    #[test]
-    fn tiling_roundtrip(img in arb_gray(), tw in 1usize..48, th in 1usize..48) {
+/// Any tile grid splits and reassembles losslessly.
+#[test]
+fn tiling_roundtrip() {
+    cases(CASES, |rng| {
+        let img = arb_gray(rng);
+        let tw = rng.range(1usize..48);
+        let th = rng.range(1usize..48);
         let grid = tile::TileGrid::new(img.width(), img.height(), tw, th);
         let tiles = tile::split(&img, &grid);
-        prop_assert_eq!(tiles.len(), grid.len());
+        assert_eq!(tiles.len(), grid.len());
         let back = tile::assemble(&tiles, &grid, 8, false);
-        prop_assert_eq!(back, img);
-    }
+        assert_eq!(back, img);
+    });
+}
 
-    /// Crop then blit restores the region; restride preserves samples.
-    #[test]
-    fn plane_geometry_ops(img in arb_gray(), pad in 0usize..9) {
+/// Crop then blit restores the region; restride preserves samples.
+#[test]
+fn plane_geometry_ops() {
+    cases(CASES, |rng| {
+        let img = arb_gray(rng);
+        let pad = rng.range(0usize..9);
         let p = img.component(0);
         let restrided = p.restride(p.width() + pad);
         for y in 0..p.height() {
-            prop_assert_eq!(restrided.row(y), p.row(y));
+            assert_eq!(restrided.row(y), p.row(y));
         }
         let (w, h) = (p.width(), p.height());
         let crop = p.crop(w / 4, h / 4, w - w / 2, h - h / 2);
@@ -118,14 +134,18 @@ proptest! {
         canvas.blit(&crop, w / 4, h / 4);
         for y in h / 4..h / 4 + crop.height() {
             for x in w / 4..w / 4 + crop.width() {
-                prop_assert_eq!(canvas.get(x, y), p.get(x, y));
+                assert_eq!(canvas.get(x, y), p.get(x, y));
             }
         }
-    }
+    });
+}
 
-    /// PNM reader is total on arbitrary bytes (errors, never panics).
-    #[test]
-    fn pnm_reader_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
+/// PNM reader is total on arbitrary bytes (errors, never panics).
+#[test]
+fn pnm_reader_is_total() {
+    cases(CASES, |rng| {
+        let mut bytes = vec![0u8; rng.range(0..300)];
+        rng.fill(&mut bytes);
         let _ = pnm::read(&mut Cursor::new(bytes));
-    }
+    });
 }

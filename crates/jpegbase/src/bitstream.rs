@@ -142,13 +142,12 @@ mod tests {
 
     #[test]
     fn long_pseudorandom_stream() {
-        let mut state = 99u64;
+        let mut rng = pj2k_testkit::Rng::new(99);
         let mut seq = Vec::new();
         let mut w = BitWriter::new();
         for _ in 0..5000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let n = (state >> 59) as u32 % 12 + 1;
-            let v = (state >> 20) as u32 & ((1 << n) - 1);
+            let n = rng.range(1u32..=12);
+            let v = rng.range(0..1u32 << n);
             seq.push((v, n));
             w.put(v, n);
         }

@@ -508,22 +508,11 @@ mod tests {
 
     #[test]
     fn pseudorandom_streams_roundtrip() {
-        // xorshift-based deterministic pseudo-random decision streams with
-        // biased distributions (the adaptive states must track).
-        let mut state = 0x1234_5678_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        // Deterministic pseudo-random decision streams with biased
+        // distributions (the adaptive states must track).
+        let mut rng = pj2k_testkit::Rng::new(0x1234_5678);
         for bias in [1u64, 3, 7, 15, 63] {
-            let decisions: Vec<(usize, u8)> = (0..3000)
-                .map(|_| {
-                    let r = next();
-                    ((r % 5) as usize, u8::from(r % (bias + 1) == 0))
-                })
-                .collect();
+            let decisions = rng.vec(3000, |r| (r.range(0..5), u8::from(r.range(0..=bias) == 0)));
             roundtrip(&decisions, 5);
         }
     }
@@ -606,15 +595,12 @@ mod tests {
 
     #[test]
     fn random_stream_does_not_compress_much() {
-        let mut state = 0x9E37_79B9_u64;
+        let mut rng = pj2k_testkit::Rng::new(0x9E37_79B9);
         let mut enc = MqEncoder::new();
         let mut ctx = CtxState::default();
         let n = 8000;
         for _ in 0..n {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            enc.encode(&mut ctx, ((state >> 33) & 1) as u8);
+            enc.encode(&mut ctx, u8::from(rng.bool()));
         }
         let bytes = enc.flush();
         assert!(
@@ -810,17 +796,12 @@ mod tests {
         }
         // Pure garbage, including runs of stuffed and marker bytes.
         for seed in 0..40u64 {
-            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let bytes: Vec<u8> = (0..(seed % 50))
-                .map(|_| {
-                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    match (s >> 40) % 5 {
-                        0 => 0xFF,
-                        1 => 0x8F,
-                        _ => (s >> 33) as u8,
-                    }
-                })
-                .collect();
+            let bytes: Vec<u8> =
+                pj2k_testkit::Rng::new(seed).vec(seed as usize % 50, |r| match r.range(0..5) {
+                    0 => 0xFF,
+                    1 => 0x8F,
+                    _ => r.range(..),
+                });
             assert_renorm_lockstep(&bytes, 800, 5, &format!("garbage {seed}"));
         }
     }

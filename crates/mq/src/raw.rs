@@ -171,13 +171,7 @@ mod tests {
     #[test]
     fn roundtrip_patterns() {
         for seed in [1u64, 7, 42, 0xFFFF_FFFF] {
-            let mut state = seed;
-            let bits: Vec<u8> = (0..500)
-                .map(|_| {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    ((state >> 40) & 1) as u8
-                })
-                .collect();
+            let bits = pj2k_testkit::Rng::new(seed).vec(500, |r| u8::from(r.bool()));
             let mut w = RawEncoder::new();
             for &b in &bits {
                 w.put(b);
@@ -221,19 +215,15 @@ mod tests {
         // groups; byte output must match exactly, including across stuffing
         // boundaries (long 1-runs force plenty of 0xFF bytes).
         for seed in [3u64, 19, 0xDEAD_BEEF, u64::MAX] {
-            let mut state = seed;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                state >> 33
-            };
+            let mut rng = pj2k_testkit::Rng::new(seed);
             let mut a = RawEncoder::new();
             let mut b = RawEncoder::new();
             for _ in 0..400 {
-                let n = (next() % 9) as u8; // 0..=8
-                let bits = if next() % 3 == 0 {
+                let n = rng.range(0u8..=8);
+                let bits = if rng.range(0..3) == 0 {
                     0xFF // bias toward 1-runs to exercise stuffing
                 } else {
-                    (next() & 0xFF) as u8
+                    rng.range(..)
                 };
                 b.put_bits(bits, n);
                 let mut i = n;

@@ -340,7 +340,7 @@ impl<T> DisjointClaim<'_, T> {
 // Gated out under loom: these tests claim from plain std threads, and
 // loom's mutex (backing the debug claim table) panics outside
 // `loom::model`. The claim/cover protocol is model-checked in
-// `tests/loom.rs`.
+// `loom/tests/loom.rs`.
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;

@@ -3,67 +3,36 @@
 //! The paper's wavelet transform parallelization assigns *contiguous* row or
 //! column ranges to processors ("the deterministic workload allows a static
 //! load allocation") with a barrier between the vertical and horizontal
-//! filtering of every decomposition level. [`Exec`] captures exactly that
-//! pattern over three backends: inline sequential execution, scoped OS
-//! threads (the JJ2000 Java-thread analogue), and rayon tasks (the Jasper
-//! OpenMP analogue — rayon inherits the ambient thread pool, so callers can
-//! bound parallelism with `ThreadPool::install`).
+//! filtering of every decomposition level — both for the JJ2000 Java
+//! threads and for Jasper's `#pragma omp parallel for` static loop split
+//! (Fig. 6). [`Exec`] is exactly that pattern on scoped OS threads; one
+//! worker runs inline.
 
 use std::ops::Range;
 
 use crate::schedule::chunk_ranges;
 
-/// Which mechanism carries the parallel work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Run everything inline on the calling thread.
-    Sequential,
-    /// Scoped `std::thread` workers — the explicit-threads scheme.
-    Threads,
-    /// `rayon::scope` tasks — the OpenMP-style scheme.
-    Rayon,
-}
-
-/// An execution policy: backend plus worker count.
+/// An execution policy: the number of contiguous ranges (= scoped threads)
+/// per parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exec {
-    /// Carrier of the parallel work.
-    pub backend: Backend,
     /// Number of workers (contiguous ranges) per parallel region.
     pub workers: usize,
 }
 
 impl Exec {
     /// Sequential policy (1 worker, inline).
-    pub const SEQ: Exec = Exec {
-        backend: Backend::Sequential,
-        workers: 1,
-    };
+    pub const SEQ: Exec = Exec { workers: 1 };
 
     /// Scoped-thread policy with `workers` threads.
     pub fn threads(workers: usize) -> Self {
         Exec {
-            backend: Backend::Threads,
             workers: workers.max(1),
         }
-    }
-
-    /// Rayon policy with `workers` ranges (parallelism additionally bounded
-    /// by the ambient rayon pool).
-    pub fn rayon(workers: usize) -> Self {
-        Exec {
-            backend: Backend::Rayon,
-            workers: workers.max(1),
-        }
-    }
-
-    /// True when this policy never runs more than one worker.
-    pub fn is_sequential(&self) -> bool {
-        matches!(self.backend, Backend::Sequential) || self.workers <= 1
     }
 
     /// Split `0..n` into `workers` contiguous ranges and run `f` on each,
-    /// in parallel per the backend. Returns after all ranges complete
+    /// one scoped thread per range. Returns after all ranges complete
     /// (barrier semantics). The worker count is clamped to the
     /// process-wide [`thread_budget`](crate::thread_budget)
     /// (`PJ2K_THREADS`) before splitting.
@@ -75,30 +44,16 @@ impl Exec {
             return;
         }
         let p = crate::budget::clamp_workers(self.workers).min(n);
-        if self.is_sequential() || p == 1 {
+        if p <= 1 {
             f(0..n);
             return;
         }
-        let ranges = chunk_ranges(n, p);
-        match self.backend {
-            Backend::Sequential => f(0..n),
-            Backend::Threads => {
-                std::thread::scope(|scope| {
-                    for range in ranges {
-                        let f = &f;
-                        scope.spawn(move || f(range));
-                    }
-                });
+        std::thread::scope(|scope| {
+            for range in chunk_ranges(n, p) {
+                let f = &f;
+                scope.spawn(move || f(range));
             }
-            Backend::Rayon => {
-                rayon::scope(|scope| {
-                    for range in ranges {
-                        let f = &f;
-                        scope.spawn(move |_| f(range));
-                    }
-                });
-            }
-        }
+        });
     }
 }
 
@@ -174,12 +129,7 @@ mod tests {
 
     #[test]
     fn run_ranges_covers_everything_on_all_backends() {
-        for exec in [
-            Exec::SEQ,
-            Exec::threads(3),
-            Exec::rayon(3),
-            Exec::threads(1),
-        ] {
+        for exec in [Exec::SEQ, Exec::threads(3), Exec::threads(1)] {
             let hits: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
             exec.run_ranges(37, |range| {
                 for i in range {

@@ -48,7 +48,7 @@ impl<T> PipelineQueue<T> {
     /// Create an open, empty queue.
     ///
     /// [`pipeline_map_with_state`] constructs its own queue; this is public
-    /// so the loom models in `tests/loom.rs` can drive the exact
+    /// so the loom models in `loom/tests/loom.rs` can drive the exact
     /// producer/consumer hand-off the pipeline executor runs.
     // AUDIT(hot): setup-time — one queue (mutex + condvar) per pipeline
     // run, constructed before any stage starts.
@@ -293,7 +293,7 @@ fn unwrap_slots<R>(slots: Vec<Option<R>>) -> Vec<R> {
 
 // Gated out under loom: these tests run the real scoped-thread executor,
 // and loom's sync primitives panic outside `loom::model`. The queue
-// hand-off itself is model-checked in `tests/loom.rs`.
+// hand-off itself is model-checked in `loom/tests/loom.rs`.
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;

@@ -2,15 +2,11 @@
 //!
 //! [`pool_map`] / [`pool_run`] are scoped: they spawn `p` OS threads, run the
 //! assigned items, and join — the pattern used for per-stage parallelism
-//! where a stage is entered and left as a unit (the DWT level loop).
-//!
-//! [`WorkerPool`] keeps `p` threads alive across submissions, mirroring the
-//! long-lived thread pool the paper uses for the Tier-1 coding stage.
+//! where a stage is entered and left as a unit (the DWT level loop, the
+//! Tier-1 coding of one tile's code-blocks).
 
 use crate::disjoint::DisjointWriter;
 use crate::schedule::{assign, DynamicCursor, Schedule};
-use crate::sync::{Arc, Condvar, Mutex};
-use crossbeam_channel::{unbounded, Sender};
 use std::thread;
 
 /// Run `f(i)` for every `i in 0..n` on `p` scoped worker threads and collect
@@ -173,172 +169,13 @@ where
     });
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of worker threads fed through per-worker channels.
-///
-/// Unlike a work-stealing executor, jobs are bound to a worker at submission
-/// time according to a [`Schedule`] — this is deliberately faithful to the
-/// paper's static assignment so that load-balance effects of the schedules
-/// can be observed and benchmarked.
-pub struct WorkerPool {
-    senders: Vec<Sender<Job>>,
-    handles: Vec<thread::JoinHandle<()>>,
-    outstanding: Arc<(Mutex<usize>, Condvar)>,
-}
-
-impl WorkerPool {
-    /// Spawn a pool with `p` worker threads.
-    ///
-    /// # Panics
-    /// Panics if `p == 0`.
-    // AUDIT(hot): setup-time — threads, channels, and the outstanding
-    // counter are built once per pool lifetime; the lock/notify in the
-    // spawned worker loop runs once per job retirement, not per sample.
-    pub fn new(p: usize) -> Self {
-        assert!(p > 0, "worker count must be positive");
-        let p = crate::budget::clamp_workers(p);
-        let outstanding = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let mut senders = Vec::with_capacity(p);
-        let mut handles = Vec::with_capacity(p);
-        for w in 0..p {
-            let (tx, rx) = unbounded::<Job>();
-            let outstanding = Arc::clone(&outstanding);
-            let handle = thread::Builder::new()
-                .name(format!("pj2k-worker-{w}"))
-                .spawn(move || {
-                    for job in rx {
-                        job();
-                        let (lock, cvar) = &*outstanding;
-                        let mut n = lock.lock().expect("pool counter poisoned");
-                        *n -= 1;
-                        if *n == 0 {
-                            cvar.notify_all();
-                        }
-                    }
-                })
-                .expect("failed to spawn worker thread");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        Self {
-            senders,
-            handles,
-            outstanding,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Submit `n` jobs created by `make(i)` distributed per `schedule`, and
-    /// block until all of them have completed.
-    ///
-    /// With a static schedule each job is bound to its worker at submission
-    /// time; with [`Schedule::Dynamic`] the jobs are materialized up front
-    /// and the workers claim consecutive chunks of the job list through a
-    /// shared atomic cursor as they go idle.
-    // AUDIT(hot): by design — the counter lock, boxed job sends, and the
-    // final condvar wait are the batch barrier itself, O(n + p) per
-    // batch; coding work happens inside the jobs.
-    pub fn run_batch<F, G>(&self, n: usize, schedule: Schedule, make: G)
-    where
-        F: FnOnce() + Send + 'static,
-        G: Fn(usize) -> F,
-    {
-        if let Schedule::Dynamic { chunk } = schedule {
-            self.run_batch_dynamic(n, chunk, make);
-            return;
-        }
-        {
-            let (lock, _) = &*self.outstanding;
-            let mut cnt = lock.lock().expect("pool counter poisoned");
-            *cnt += n;
-        }
-        let parts = assign(n, self.workers(), schedule);
-        for (w, part) in parts.into_iter().enumerate() {
-            for i in part {
-                let job = make(i);
-                self.senders[w]
-                    .send(Box::new(job))
-                    .expect("worker thread terminated early");
-            }
-        }
-        let (lock, cvar) = &*self.outstanding;
-        let mut cnt = lock.lock().expect("pool counter poisoned");
-        while *cnt != 0 {
-            cnt = cvar.wait(cnt).expect("pool counter poisoned");
-        }
-    }
-
-    /// Dynamic-schedule variant of [`WorkerPool::run_batch`]: one claiming
-    /// driver per worker, all counted by the shared outstanding counter.
-    // AUDIT(hot): by design — job slots, the claim cursor, and the
-    // barrier wait are O(n + p) per dynamic batch; the slot mutex is
-    // uncontended by construction (each chunk claimed once).
-    fn run_batch_dynamic<F, G>(&self, n: usize, chunk: usize, make: G)
-    where
-        F: FnOnce() + Send + 'static,
-        G: Fn(usize) -> F,
-    {
-        if n == 0 {
-            let _ = DynamicCursor::new(n, chunk); // still validates `chunk`
-            return;
-        }
-        let p = self.workers();
-        // `make` need not be Send, so every job is created here on the
-        // submitting thread; workers only claim and run them.
-        let jobs: Vec<Mutex<Option<F>>> = (0..n).map(|i| Mutex::new(Some(make(i)))).collect();
-        let shared = Arc::new((jobs, DynamicCursor::new(n, chunk)));
-        {
-            let (lock, _) = &*self.outstanding;
-            let mut cnt = lock.lock().expect("pool counter poisoned");
-            *cnt += p;
-        }
-        for sender in &self.senders {
-            let shared = Arc::clone(&shared);
-            let driver: Job = Box::new(move || {
-                let (jobs, cursor) = &*shared;
-                while let Some(range) = cursor.claim() {
-                    for slot in &jobs[range] {
-                        // The claim cursor hands each chunk to exactly one
-                        // driver, so the take always finds the job; the
-                        // mutex only exists to make the slot Sync.
-                        let job = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-                        if let Some(job) = job {
-                            job();
-                        }
-                    }
-                }
-            });
-            sender.send(driver).expect("worker thread terminated early");
-        }
-        let (lock, cvar) = &*self.outstanding;
-        let mut cnt = lock.lock().expect("pool counter poisoned");
-        while *cnt != 0 {
-            cnt = cvar.wait(cnt).expect("pool counter poisoned");
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.senders.clear(); // closing channels stops the workers
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 // Gated out under loom: these tests drive the std executors directly, and
 // loom's sync primitives panic outside `loom::model`. The loom models in
-// `tests/loom.rs` cover the extracted claim/hand-off cores instead.
+// `loom/tests/loom.rs` cover the extracted claim/hand-off cores instead.
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const ALL_SCHEDULES: [Schedule; 6] = [
         Schedule::StaticBlock,
@@ -441,144 +278,6 @@ mod tests {
                 assert_eq!(c.load(Ordering::Relaxed), 1, "{schedule:?} item {i}");
             }
         }
-    }
-
-    #[test]
-    fn worker_pool_runs_all_jobs_and_is_reusable() {
-        let pool = WorkerPool::new(3);
-        let sum = Arc::new(AtomicU64::new(0));
-        for round in 0..3u64 {
-            let before = sum.load(Ordering::SeqCst);
-            pool.run_batch(50, Schedule::StaggeredRoundRobin, |i| {
-                let sum = Arc::clone(&sum);
-                move || {
-                    sum.fetch_add(i as u64 + round, Ordering::SeqCst);
-                }
-            });
-            let expect: u64 = (0..50).map(|i| i + round).sum();
-            assert_eq!(sum.load(Ordering::SeqCst) - before, expect);
-        }
-    }
-
-    #[test]
-    fn worker_pool_dynamic_runs_every_job_once_and_stays_reusable() {
-        let pool = WorkerPool::new(4);
-        for chunk in [1usize, 3, 100] {
-            let counters: Vec<AtomicUsize> = (0..57).map(|_| AtomicUsize::new(0)).collect();
-            let counters = Arc::new(counters);
-            pool.run_batch(57, Schedule::Dynamic { chunk }, |i| {
-                let counters = Arc::clone(&counters);
-                move || {
-                    counters[i].fetch_add(1, Ordering::SeqCst);
-                }
-            });
-            for (i, c) in counters.iter().enumerate() {
-                assert_eq!(c.load(Ordering::SeqCst), 1, "chunk={chunk} item {i}");
-            }
-        }
-        // A static batch after dynamic ones must still work (counter clean).
-        let sum = Arc::new(AtomicU64::new(0));
-        pool.run_batch(20, Schedule::RoundRobin, |i| {
-            let sum = Arc::clone(&sum);
-            move || {
-                sum.fetch_add(i as u64, Ordering::SeqCst);
-            }
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), (0..20u64).sum());
-    }
-
-    #[test]
-    fn worker_pool_dynamic_zero_jobs_returns_immediately() {
-        let pool = WorkerPool::new(2);
-        pool.run_batch(0, Schedule::Dynamic { chunk: 4 }, |_| || ());
-        // And the pool remains usable.
-        let ran = Arc::new(AtomicUsize::new(0));
-        pool.run_batch(5, Schedule::Dynamic { chunk: 2 }, |_| {
-            let ran = Arc::clone(&ran);
-            move || {
-                ran.fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert_eq!(ran.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn worker_pool_zero_jobs_returns_immediately() {
-        let pool = WorkerPool::new(2);
-        pool.run_batch(0, Schedule::RoundRobin, |_| || ());
-    }
-
-    #[test]
-    fn worker_pool_fewer_jobs_than_workers() {
-        // n < p leaves some workers idle; every job must still run exactly
-        // once and run_batch must not wait on the idle workers.
-        let pool = WorkerPool::new(8);
-        for schedule in ALL_SCHEDULES {
-            let counters: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-            let counters = Arc::new(counters);
-            pool.run_batch(3, schedule, |i| {
-                let counters = Arc::clone(&counters);
-                move || {
-                    counters[i].fetch_add(1, Ordering::SeqCst);
-                }
-            });
-            for (i, c) in counters.iter().enumerate() {
-                assert_eq!(c.load(Ordering::SeqCst), 1, "{schedule:?} item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_pool_reusable_after_empty_batch() {
-        // An empty batch must leave the outstanding-job counter at zero so
-        // the next (non-empty) batch still blocks until completion.
-        let pool = WorkerPool::new(3);
-        pool.run_batch(0, Schedule::StaticBlock, |_| || ());
-        let sum = Arc::new(AtomicU64::new(0));
-        pool.run_batch(40, Schedule::RoundRobin, |i| {
-            let sum = Arc::clone(&sum);
-            move || {
-                sum.fetch_add(i as u64, Ordering::SeqCst);
-            }
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), (0..40u64).sum());
-    }
-
-    #[test]
-    fn worker_pool_counter_survives_interleaved_submissions() {
-        // Several threads submit batches to one pool concurrently. The
-        // shared outstanding counter must never underflow (that would
-        // panic the workers) and every job must run exactly once; each
-        // run_batch call may conservatively wait for jobs of concurrent
-        // batches, but must never return before its own jobs finished.
-        let pool = Arc::new(WorkerPool::new(4));
-        let ran = Arc::new(AtomicUsize::new(0));
-        thread::scope(|scope| {
-            for t in 0..4 {
-                let pool = Arc::clone(&pool);
-                let ran = Arc::clone(&ran);
-                scope.spawn(move || {
-                    for round in 0..5 {
-                        let before = Arc::new(AtomicUsize::new(0));
-                        let mine = Arc::clone(&before);
-                        pool.run_batch(25, Schedule::StaggeredRoundRobin, |_| {
-                            let ran = Arc::clone(&ran);
-                            let mine = Arc::clone(&mine);
-                            move || {
-                                ran.fetch_add(1, Ordering::SeqCst);
-                                mine.fetch_add(1, Ordering::SeqCst);
-                            }
-                        });
-                        assert_eq!(
-                            before.load(Ordering::SeqCst),
-                            25,
-                            "thread {t} round {round} returned early"
-                        );
-                    }
-                });
-            }
-        });
-        assert_eq!(ran.load(Ordering::SeqCst), 4 * 5 * 25);
     }
 
     /// Regression test for the checked disjoint-access adoption: a buggy

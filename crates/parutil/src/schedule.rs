@@ -9,7 +9,7 @@
 //! [`DynamicCursor`] is the runtime half of [`Schedule::Dynamic`]: the
 //! shared atomic claim counter every executor in [`crate::pool`] loops on.
 //! It lives here (instead of inline `fetch_add` loops at each call site) so
-//! the loom models in `tests/loom.rs` exercise the exact production
+//! the loom models in `loom/tests/loom.rs` exercise the exact production
 //! claiming code, and so all executors share one proven implementation.
 
 use crate::sync::{AtomicUsize, Ordering};
@@ -100,7 +100,7 @@ pub fn assign(n: usize, p: usize, schedule: Schedule) -> Vec<Vec<usize>> {
 /// Claiming is a single `fetch_add` on an atomic cursor — wait-free, no
 /// locks — and hands every chunk to **exactly one** claimant: two workers
 /// can never observe the same `fetch_add` result. The loom model
-/// `dynamic_cursor_claims_each_index_exactly_once` (tests/loom.rs) checks
+/// `dynamic_cursor_claims_each_index_exactly_once` (loom/tests/loom.rs) checks
 /// that exactly-once property across all interleavings of 2–3 threads.
 ///
 /// `Relaxed` ordering suffices for the claim itself: the cursor only

@@ -13,7 +13,7 @@
 //! They also run as plain tests in every normal `cargo test` invocation.
 
 // Not a loom test: drives the std executors (loom primitives would panic
-// outside `loom::model`); tests/loom.rs model-checks the cores instead.
+// outside `loom::model`); loom/tests/loom.rs model-checks the cores instead.
 #![cfg(not(loom))]
 
 use pj2k_parutil::{pool_map, DisjointWriter, Schedule, SendPtr};

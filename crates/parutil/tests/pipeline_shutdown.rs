@@ -7,7 +7,7 @@
 //! [`PipelineQueue`] protocol (close/recv ordering, send-after-close).
 
 // Not a loom test: drives the std executor and real blocking threads
-// (loom primitives would panic outside `loom::model`); tests/loom.rs
+// (loom primitives would panic outside `loom::model`); loom/tests/loom.rs
 // model-checks the queue hand-off instead.
 #![cfg(not(loom))]
 

@@ -9,12 +9,11 @@
 //! `.github/workflows/ci.yml`, job `tsan`).
 
 // Not a loom test: drives the std executors (loom primitives would panic
-// outside `loom::model`); tests/loom.rs model-checks the cores instead.
+// outside `loom::model`); loom/tests/loom.rs model-checks the cores instead.
 #![cfg(not(loom))]
 
-use pj2k_parutil::{pool_map, pool_run, DisjointWriter, Schedule, WorkerPool};
+use pj2k_parutil::{pool_map, pool_run, DisjointWriter, Schedule};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 
 #[cfg(tsan)]
@@ -67,30 +66,6 @@ fn disjoint_writer_stress_many_claimants() {
         drop(writer);
         assert!(buf.iter().enumerate().all(|(i, &v)| v == i + round));
     }
-}
-
-#[test]
-#[cfg_attr(miri, ignore)] // stress volume: too slow under the interpreter
-fn worker_pool_stress_interleaved_batches() {
-    let pool = Arc::new(WorkerPool::new(4));
-    let ran = Arc::new(AtomicUsize::new(0));
-    thread::scope(|scope| {
-        for _ in 0..3 {
-            let pool = Arc::clone(&pool);
-            let ran = Arc::clone(&ran);
-            scope.spawn(move || {
-                for _ in 0..ROUNDS {
-                    pool.run_batch(ITEMS / 8, Schedule::StaggeredRoundRobin, |_| {
-                        let ran = Arc::clone(&ran);
-                        move || {
-                            ran.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-        }
-    });
-    assert_eq!(ran.load(Ordering::SeqCst), 3 * ROUNDS * (ITEMS / 8));
 }
 
 #[test]

@@ -18,7 +18,6 @@
 //!                        batch: total worker budget B (default PJ2K_THREADS
 //!                        or host parallelism)
 //!     --jobs J           batch: concurrent images (default: auto j×k ≤ B split)
-//!     --backend B        pool | rayon (default pool; single image only)
 //!     --causal           stripe-causal Tier-1 contexts
 //!     --reset            reset MQ contexts every pass
 //!     --bypass           lazy mode: raw-code the deep SPP/MRP passes
@@ -66,7 +65,7 @@ struct Opts<'a> {
     flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
-const VALUE_OPTS: [&str; 10] = [
+const VALUE_OPTS: [&str; 9] = [
     "--bpp",
     "--levels",
     "--block",
@@ -74,7 +73,6 @@ const VALUE_OPTS: [&str; 10] = [
     "--filter",
     "--threads",
     "--jobs",
-    "--backend",
     "--layers",
     "--roi",
 ];
@@ -118,11 +116,7 @@ fn parallel_mode(opts: &Opts) -> Result<ParallelMode, String> {
     if threads <= 1 {
         return Ok(ParallelMode::Sequential);
     }
-    match opts.value("--backend").unwrap_or("pool") {
-        "pool" => Ok(ParallelMode::WorkerPool { workers: threads }),
-        "rayon" => Ok(ParallelMode::Rayon { workers: threads }),
-        other => Err(format!("bad --backend {other:?} (pool|rayon)")),
-    }
+    Ok(ParallelMode::WorkerPool { workers: threads })
 }
 
 /// Build the encoder configuration shared by single and batch encodes
@@ -288,9 +282,6 @@ fn cmd_encode_batch(opts: &Opts, inputs: &[PathBuf], out_arg: &PathBuf) -> ExitC
         Ok(c) => c,
         Err(e) => return fail(&e),
     };
-    if opts.value("--backend") == Some("rayon") {
-        eprintln!("pj2k: --backend rayon is single-image only; batch uses the worker pool");
-    }
     let mut bopts = BatchOptions::default();
     if let Some(j) = opts.value("--jobs") {
         match j.parse::<usize>() {

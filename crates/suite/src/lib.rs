@@ -22,3 +22,18 @@ pub mod prelude {
     pub use pj2k_image::metrics::{mse, psnr};
     pub use pj2k_image::{synth, Image, Plane};
 }
+
+/// Write `img` as a binary PNM named `name` under `target/examples-out/`
+/// (relative to the current directory, created on demand) and return the
+/// path — the examples' output images never land in the source tree.
+///
+/// # Panics
+/// Panics if the directory or file cannot be written.
+pub fn save_example_image(name: &str, img: &pj2k_image::Image) -> std::path::PathBuf {
+    let dir = std::path::Path::new("target/examples-out");
+    std::fs::create_dir_all(dir).expect("create target/examples-out");
+    let path = dir.join(name);
+    let mut f = std::fs::File::create(&path).expect("create example output");
+    pj2k_image::pnm::write(&mut f, img).expect("write example output");
+    path
+}

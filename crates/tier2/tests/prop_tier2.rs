@@ -1,18 +1,20 @@
 //! Property tests: tag trees, packet headers and PCRD under arbitrary
 //! inputs.
 
+use pj2k_testkit::cases;
 use pj2k_tier2::bitio::{HeaderBitReader, HeaderBitWriter};
 use pj2k_tier2::pcrd::BlockRd;
 use pj2k_tier2::{allocate_layers, decode_packet, encode_packet, PrecinctState, TagTree};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u32 = 64;
 
-    /// Header bit I/O round-trips arbitrary bit sequences through the
-    /// stuffing rule.
-    #[test]
-    fn bitio_roundtrip(bits in proptest::collection::vec(0u8..2, 0..500)) {
+/// Header bit I/O round-trips arbitrary bit sequences through the
+/// stuffing rule.
+#[test]
+fn bitio_roundtrip() {
+    cases(CASES, |rng| {
+        let len = rng.range(0..500);
+        let bits = rng.vec(len, |r| r.range(0u8..2));
         let mut w = HeaderBitWriter::new();
         for &b in &bits {
             w.put_bit(b);
@@ -21,30 +23,24 @@ proptest! {
         // stuffing invariant
         for pair in bytes.windows(2) {
             if pair[0] == 0xFF {
-                prop_assert!(pair[1] < 0x80);
+                assert!(pair[1] < 0x80);
             }
         }
         let mut r = HeaderBitReader::new(&bytes);
         for &b in &bits {
-            prop_assert_eq!(r.get_bit(), b);
+            assert_eq!(r.get_bit(), b);
         }
-    }
+    });
+}
 
-    /// Tag trees reveal every leaf value exactly, for arbitrary grids.
-    #[test]
-    fn tagtree_roundtrip(
-        w in 1usize..9,
-        h in 1usize..9,
-        seed in any::<u64>(),
-        max_v in 1u32..12,
-    ) {
-        let mut state = seed | 1;
-        let values: Vec<u32> = (0..w * h)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 40) as u32 % max_v
-            })
-            .collect();
+/// Tag trees reveal every leaf value exactly, for arbitrary grids.
+#[test]
+fn tagtree_roundtrip() {
+    cases(CASES, |rng| {
+        let w = rng.range(1usize..9);
+        let h = rng.range(1usize..9);
+        let max_v = rng.range(1u32..12);
+        let values = rng.vec(w * h, |r| r.range(0..max_v));
         let mut enc = TagTree::new(w, h);
         for y in 0..h {
             for x in 0..w {
@@ -68,23 +64,25 @@ proptest! {
                 let mut t = 1;
                 while !dec.decode(x, y, t, &mut reader) {
                     t += 1;
-                    prop_assert!(t <= max_v + 2);
+                    assert!(t <= max_v + 2);
                 }
-                prop_assert_eq!(dec.leaf_value(x, y), values[y * w + x]);
+                assert_eq!(dec.leaf_value(x, y), values[y * w + x]);
             }
         }
-    }
+    });
+}
 
-    /// PCRD hulls have strictly decreasing slopes and allocations respect
-    /// budgets, for arbitrary monotone trajectories.
-    #[test]
-    fn pcrd_invariants(
-        blocks_raw in proptest::collection::vec(
-            proptest::collection::vec((1usize..60, 0.0f64..100.0), 0..8),
-            1..6,
-        ),
-        budget in 0usize..600,
-    ) {
+/// PCRD hulls have strictly decreasing slopes and allocations respect
+/// budgets, for arbitrary monotone trajectories.
+#[test]
+fn pcrd_invariants() {
+    cases(CASES, |rng| {
+        let len = rng.range(1..6);
+        let blocks_raw = rng.vec(len, |r| {
+            let steps = r.range(0..8);
+            r.vec(steps, |r| (r.range(1usize..60), r.range_f64(0.0f64..100.0)))
+        });
+        let budget = rng.range(0usize..600);
         let blocks: Vec<BlockRd> = blocks_raw
             .iter()
             .map(|steps| {
@@ -109,8 +107,8 @@ proptest! {
             for &n in &hull {
                 let (r, d) = (b.rates[n - 1] as f64, b.dists[n - 1]);
                 let s = (d - pd) / (r - pr);
-                prop_assert!(s < prev_slope + 1e-12, "slope {} after {}", s, prev_slope);
-                prop_assert!(s > 0.0);
+                assert!(s < prev_slope + 1e-12, "slope {} after {}", s, prev_slope);
+                assert!(s > 0.0);
                 prev_slope = s;
                 pr = r;
                 pd = d;
@@ -121,71 +119,87 @@ proptest! {
         let mut spent = 0;
         for (b, &n) in alloc.iter().enumerate() {
             if n > 0 {
-                prop_assert!(blocks[b].hull().contains(&n), "non-hull point {}", n);
+                assert!(blocks[b].hull().contains(&n), "non-hull point {}", n);
                 spent += blocks[b].rates[n - 1];
             }
         }
-        prop_assert!(spent <= budget, "spent {} > {}", spent, budget);
-    }
+        assert!(spent <= budget, "spent {} > {}", spent, budget);
+    });
+}
 
-    /// Multi-layer packet headers round-trip arbitrary (monotone)
-    /// allocations.
-    #[test]
-    fn packet_roundtrip(
-        gw in 1usize..4,
-        gh in 1usize..4,
-        seed in any::<u64>(),
-        n_layers in 1usize..4,
-    ) {
+/// Multi-layer packet headers round-trip arbitrary (monotone)
+/// allocations.
+#[test]
+fn packet_roundtrip() {
+    cases(CASES, |rng| {
+        let gw = rng.range(1usize..4);
+        let gh = rng.range(1usize..4);
+        let n_layers = rng.range(1usize..4);
         let n = gw * gh;
-        let mut state = seed | 1;
-        let mut rng = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as usize
-        };
         // Per block: total passes and their segment lengths.
-        let pass_lens: Vec<Vec<usize>> = (0..n)
-            .map(|_| {
-                let total = rng() % 12;
-                (0..total).map(|_| 1 + rng() % 300).collect()
-            })
-            .collect();
+        let pass_lens: Vec<Vec<usize>> = rng.vec(n, |r| {
+            let total = r.range(0..12);
+            r.vec(total, |r| r.range(1..=300))
+        });
         // Monotone cumulative allocation per layer.
         let mut alloc = vec![vec![0usize; n]; n_layers];
         for b in 0..n {
             let mut cur = 0;
             for layer in alloc.iter_mut() {
-                cur = (cur + rng() % 4).min(pass_lens[b].len());
+                cur = (cur + rng.range(0..4)).min(pass_lens[b].len());
                 layer[b] = cur;
             }
         }
-        let zbp: Vec<u32> = (0..n).map(|_| (rng() % 10) as u32).collect();
-        let first_layer: Vec<u32> = (0..n)
-            .map(|b| {
-                alloc
-                    .iter()
-                    .position(|l| l[b] > 0)
-                    .map_or(n_layers as u32, |p| p as u32)
-            })
-            .collect();
-        let mut enc = PrecinctState::for_encoder(gw, gh, &first_layer, &zbp);
-        let mut dec = PrecinctState::for_decoder(gw, gh);
-        for (l, upto) in alloc.iter().enumerate() {
-            let hdr = encode_packet(&mut enc, l, upto, &pass_lens);
-            let (results, _) = decode_packet(&mut dec, l, &hdr).unwrap();
-            for (b, res) in results.iter().enumerate() {
-                let prev = if l == 0 { 0 } else { alloc[l - 1][b] };
-                prop_assert_eq!(res.prev_passes, prev, "layer {} block {}", l, b);
-                prop_assert_eq!(res.new_passes, upto[b] - prev, "layer {} block {}", l, b);
-                prop_assert_eq!(
-                    &res.seg_lens[..],
-                    &pass_lens[b][prev..upto[b]],
-                    "layer {} block {}", l, b
-                );
-                if upto[b] > 0 {
-                    prop_assert_eq!(res.zero_bitplanes, zbp[b]);
-                }
+        let zbp = rng.vec(n, |r| r.range(0u32..10));
+        check_packet_roundtrip(gw, gh, &pass_lens, &alloc, &zbp);
+    });
+}
+
+fn check_packet_roundtrip(
+    gw: usize,
+    gh: usize,
+    pass_lens: &[Vec<usize>],
+    alloc: &[Vec<usize>],
+    zbp: &[u32],
+) {
+    let n_layers = alloc.len();
+    let first_layer: Vec<u32> = (0..gw * gh)
+        .map(|b| {
+            alloc
+                .iter()
+                .position(|l| l[b] > 0)
+                .map_or(n_layers as u32, |p| p as u32)
+        })
+        .collect();
+    let mut enc = PrecinctState::for_encoder(gw, gh, &first_layer, zbp);
+    let mut dec = PrecinctState::for_decoder(gw, gh);
+    for (l, upto) in alloc.iter().enumerate() {
+        let hdr = encode_packet(&mut enc, l, upto, pass_lens);
+        let (results, _) = decode_packet(&mut dec, l, &hdr).unwrap();
+        for (b, res) in results.iter().enumerate() {
+            let prev = if l == 0 { 0 } else { alloc[l - 1][b] };
+            assert_eq!(res.prev_passes, prev, "layer {} block {}", l, b);
+            assert_eq!(res.new_passes, upto[b] - prev, "layer {} block {}", l, b);
+            assert_eq!(
+                &res.seg_lens[..],
+                &pass_lens[b][prev..upto[b]],
+                "layer {} block {}",
+                l,
+                b
+            );
+            if upto[b] > 0 {
+                assert_eq!(res.zero_bitplanes, zbp[b]);
             }
         }
     }
+}
+
+/// Input once recorded as failing the round-trip, kept as an explicit
+/// case: two blocks whose passes all land in layer 0, so layer 1's packet
+/// is empty.
+#[test]
+fn packet_roundtrip_regression_empty_second_layer() {
+    let pass_lens = [vec![227, 30], vec![74, 292, 286]];
+    let alloc = [vec![2, 3], vec![2, 3]];
+    check_packet_roundtrip(1, 2, &pass_lens, &alloc, &[0, 9]);
 }

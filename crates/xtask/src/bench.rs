@@ -173,7 +173,8 @@ pub fn run(root: &Path) -> i32 {
         println!("== bench-smoke: {} ==", spec.bin);
         let out = root.join(spec.out);
         let status = Command::new("cargo")
-            .args(["run", "--release", "-q", "-p", "pj2k-bench", "--bin"])
+            .args(["run", "--release", "--offline", "--locked", "-q"])
+            .args(["-p", "pj2k-bench", "--bin"])
             .arg(spec.bin)
             .arg("--")
             .arg("--smoke")

@@ -1,12 +1,14 @@
 //! `xtask ci` — the one-command verification gate.
 //!
 //! Runs, in order: `cargo fmt --check`, `cargo clippy -D warnings`, the
-//! project lint pass (in-process), the panic-path audit (in-process), the
-//! concurrency-contract audit (in-process), the hot-path discipline audit
-//! (in-process), and `cargo test`. All steps
-//! run even if an earlier one fails, so a single
-//! invocation reports every problem; the exit status is non-zero if any
-//! step failed.
+//! project lint pass including the std-only dependency gate (in-process),
+//! the panic-path audit (in-process), the concurrency-contract audit
+//! (in-process), the hot-path discipline audit (in-process), and `cargo
+//! test`. The cargo steps run `--offline --locked`: the workspace has no
+//! external dependency, so needing the network or a different lock file is
+//! itself a failure. All steps run even if an earlier one fails, so a
+//! single invocation reports every problem; the exit status is non-zero if
+//! any step failed.
 
 use std::path::Path;
 use std::process::Command;
@@ -49,6 +51,8 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
         Command::new("cargo")
             .args([
                 "clippy",
+                "--offline",
+                "--locked",
                 "--workspace",
                 "--all-targets",
                 "--",
@@ -65,7 +69,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
         "test",
         opts.skip_tests,
         Command::new("cargo")
-            .args(["test", "--workspace", "-q"])
+            .args(["test", "--offline", "--locked", "--workspace", "-q"])
             .current_dir(root),
     );
     let results = [fmt, clippy, lint, audit, unsafe_audit, hotpath, test];

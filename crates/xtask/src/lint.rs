@@ -18,6 +18,11 @@
 //!   pool/exec API so schedules stay observable and disjointness stays
 //!   checkable.
 //!
+//! * [`Rule::StdOnly`] — the root workspace depends on nothing outside the
+//!   repository: `Cargo.lock` has no `source =` line and no workspace
+//!   manifest names a non-`path` dependency (see [`crate::std_only`]; not
+//!   suppressible).
+//!
 //! A finding can only be suppressed explicitly, in the reviewed source:
 //! `// lint:allow(<rule>) -- <reason>` on the offending line or the line
 //! directly above. A suppression without a reason is itself a finding.
@@ -42,6 +47,8 @@ pub enum Rule {
     RawThreadSpawn,
     /// Malformed or unknown `lint:allow` annotation.
     BadSuppression,
+    /// A dependency from outside the repository (see [`crate::std_only`]).
+    StdOnly,
 }
 
 impl Rule {
@@ -52,6 +59,7 @@ impl Rule {
             Rule::HotPathPanic => "hot_path_panic",
             Rule::RawThreadSpawn => "raw_thread_spawn",
             Rule::BadSuppression => "bad_suppression",
+            Rule::StdOnly => "std_only",
         }
     }
 
@@ -193,7 +201,8 @@ impl Report {
     }
 }
 
-/// Lint every `.rs` file under `root/crates`, except generated/target dirs.
+/// Lint every `.rs` file under `root/crates`, except generated/target dirs,
+/// then the workspace's manifests and lock file (std-only gate).
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     collect_rs_files(&root.join("crates"), &mut files)?;
@@ -204,6 +213,7 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
         let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
         lint_source(&rel, &source, &mut report);
     }
+    crate::std_only::check_workspace(root, &mut report)?;
     Ok(report)
 }
 

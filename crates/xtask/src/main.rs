@@ -1,8 +1,9 @@
 //! Workspace automation for pj2k.
 //!
 //! * `cargo run -p xtask -- lint` — project-specific concurrency/safety
-//!   lint over every crate (see [`lint`] for the rules) plus a full
-//!   `unsafe` inventory report. Exits non-zero on any violation.
+//!   lint over every crate (see [`lint`] for the rules), the std-only
+//!   dependency gate (see [`std_only`]), plus a full `unsafe` inventory
+//!   report. Exits non-zero on any violation.
 //! * `cargo run -p xtask -- audit-panics` — static panic-path audit of the
 //!   decoder-reachable scope (see [`audit`]): every panic site must carry
 //!   an `// AUDIT:` justification. Exits non-zero on any unaudited site.
@@ -31,6 +32,7 @@ mod ci;
 mod hotpath;
 mod lint;
 mod scan;
+mod std_only;
 mod unsafe_audit;
 
 use std::path::{Path, PathBuf};
@@ -259,6 +261,7 @@ fn print_help() {
          LINT RULES (suppress with `// lint:allow(<rule>) -- <reason>`):\n\
          \tunsafe_needs_safety\tunsafe code must carry a SAFETY justification\n\
          \thot_path_panic\tno unwrap/expect/panic! in mq, ebcot, dwt, tier2\n\
-         \traw_thread_spawn\tno raw thread creation outside parutil"
+         \traw_thread_spawn\tno raw thread creation outside parutil\n\
+         \tstd_only\tno dependency from outside the repository (Cargo.lock, manifests)"
     );
 }

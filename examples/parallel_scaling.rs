@@ -1,10 +1,10 @@
 //! Parallel scaling demo: the paper's experiment on your machine.
 //!
 //! Encodes the same image under every combination of parallel mode
-//! (sequential / worker pool a la JJ2000 / rayon a la Jasper+OpenMP) and
-//! vertical-filtering strategy (naive / padded width / strip), printing
-//! wall-clock, the vertical-vs-horizontal DWT split, and the speedup over
-//! the sequential-naive baseline. On a multi-core host this reproduces the
+//! (sequential / scoped worker threads) and vertical-filtering strategy
+//! (naive / padded width / strip), printing wall-clock, the
+//! vertical-vs-horizontal DWT split, and the speedup over the
+//! sequential-naive baseline. On a multi-core host this reproduces the
 //! paper's Figs. 7–9 live; on one core the scheduling model in
 //! `pj2k-smpsim` (see the fig* harness binaries) takes over.
 //!
@@ -33,7 +33,6 @@ fn main() {
             "worker-pool",
             ParallelMode::WorkerPool { workers: host_cpus },
         ),
-        ("rayon", ParallelMode::Rayon { workers: host_cpus }),
     ];
     let filters = [
         ("naive", FilterStrategy::Naive),

@@ -27,7 +27,7 @@ fn main() {
     let cfg = EncoderConfig {
         rate: RateControl::TargetBpp(vec![0.25, 1.0, 3.0]),
         filter: FilterStrategy::Strip,
-        parallel: ParallelMode::Rayon { workers: 4 },
+        parallel: ParallelMode::WorkerPool { workers: 4 },
         ..EncoderConfig::default()
     };
     let (master, report) = Encoder::new(cfg).expect("valid config").encode(&img);

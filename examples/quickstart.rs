@@ -48,11 +48,9 @@ fn main() {
         .expect("own stream decodes");
     println!("PSNR: {:.2} dB", psnr(&img, &decoded));
 
-    // Bonus: write the reconstruction next to the input for inspection.
-    let out_path = "quickstart_decoded.pgm";
+    // Bonus: write the reconstruction for inspection.
     if decoded.num_components() == 1 {
-        let mut f = std::fs::File::create(out_path).expect("create output");
-        pj2k_suite::image::pnm::write(&mut f, &decoded).expect("write output");
-        println!("wrote {out_path}");
+        let out_path = pj2k_suite::save_example_image("quickstart_decoded.pgm", &decoded);
+        println!("wrote {}", out_path.display());
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! Encodes the same frame at a low bit rate with and without a MAXSHIFT
 //! ROI, reports the quality split between region and background, and writes
-//! the reconstructions as PGM for inspection.
+//! the reconstructions as PGM under `target/examples-out/` for inspection.
 //!
 //! ```sh
 //! cargo run --release -p pj2k-suite --example roi_priority
@@ -59,11 +59,10 @@ fn main() {
             psnr(&region(&img), &region(&out)),
             psnr(&background(&img), &background(&out))
         );
-        let mut f = std::fs::File::create(file).expect("create output");
-        pj2k_suite::image::pnm::write(&mut f, &out).expect("write output");
+        pj2k_suite::save_example_image(file, &out);
     }
     println!(
-        "\nwrote roi_off.pgm / roi_on.pgm — with the ROI enabled, the region\n\
+        "\nwrote target/examples-out/roi_{{off,on}}.pgm — with the ROI enabled, the region\n\
          stays sharp while the background absorbs the rate cut. No mask is\n\
          transmitted: the decoder separates ROI coefficients by magnitude\n\
          (MAXSHIFT), so any pj2k decoder renders the stream correctly."

@@ -4,8 +4,8 @@
 //! setting) without tiling and with progressively smaller tiles (the tile
 //! sizes the paper maps to 4/16/64/256 virtual CPUs in Fig. 5), plus the
 //! baseline JPEG comparator, and reports the PSNR cost of each choice.
-//! Center crops are written as PGM files so the blocking artifacts can be
-//! inspected visually, mirroring Fig. 4.
+//! Center crops are written as PGM files under `target/examples-out/` so
+//! the blocking artifacts can be inspected visually, mirroring Fig. 4.
 //!
 //! ```sh
 //! cargo run --release -p pj2k-suite --example tiling_quality
@@ -71,19 +71,16 @@ fn main() {
     }
 
     // Write Fig.4-style center crops.
-    for (path, out) in &crops {
-        let crop = out.crop(side / 4, side / 4, side / 2, side / 2);
-        let mut f = std::fs::File::create(path).expect("create crop");
-        pj2k_suite::image::pnm::write(&mut f, &crop).expect("write crop");
-    }
-    println!(
-        "\nwrote center crops: {}",
-        crops
-            .iter()
-            .map(|(p, _)| p.as_str())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
+    let written: Vec<String> = crops
+        .iter()
+        .map(|(name, out)| {
+            let crop = out.crop(side / 4, side / 4, side / 2, side / 2);
+            pj2k_suite::save_example_image(name, &crop)
+                .display()
+                .to_string()
+        })
+        .collect();
+    println!("\nwrote center crops: {}", written.join(", "));
     println!(
         "(Smaller tiles = more independent wavelet transforms = the rate-\n\
          distortion loss and blocking artifacts of the paper's Figs. 4–5.)"

@@ -1,8 +1,10 @@
 //! loom model checks of the executor cores.
 //!
-//! Build with `RUSTFLAGS="--cfg loom" cargo test -p pj2k-parutil --test
-//! loom` (CI job `loom`). Under `--cfg loom` the crate's private `sync`
-//! facade swaps `std::sync` for loom's model-checked primitives, so these
+//! Build with `RUSTFLAGS="--cfg loom" cargo test --manifest-path
+//! loom/Cargo.toml --release` (CI job `loom`; this crate is its own
+//! workspace whose library target is `crates/parutil/src/lib.rs`, because
+//! the root workspace is std-only). Under `--cfg loom` parutil's private
+//! `sync` facade swaps `std::sync` for loom's model-checked primitives, so these
 //! tests drive the *production* claim/hand-off code — [`DynamicCursor`],
 //! [`PipelineQueue`], [`DisjointWriter`] — through every reachable thread
 //! interleaving (bounded by `preemption_bound`) instead of the handful a

@@ -10,7 +10,6 @@ fn all_modes(workers: usize) -> Vec<ParallelMode> {
     vec![
         ParallelMode::Sequential,
         ParallelMode::WorkerPool { workers },
-        ParallelMode::Rayon { workers },
     ]
 }
 
@@ -111,7 +110,7 @@ fn tiled_parallel_equivalence() {
         Encoder::new(cfg).unwrap().encode(&img).0
     };
     let seq = mk(ParallelMode::Sequential);
-    assert_eq!(seq, mk(ParallelMode::Rayon { workers: 3 }));
+    assert_eq!(seq, mk(ParallelMode::WorkerPool { workers: 3 }));
     assert_eq!(seq, mk(ParallelMode::WorkerPool { workers: 2 }));
 }
 
