@@ -9,7 +9,9 @@
 //!    fused single-pass lifting, naive vs strip-mined columns — on a
 //!    power-of-two width and a padded stride, plus a thread sweep at
 //!    p ∈ {1, 2, 4, 8} for the strip variants.
-//! 2. **Stage-overlap comparison**: wall-clock end-to-end encode time,
+//! 2. **Stage-overlap comparison**: wall-clock end-to-end lossless (5/3)
+//!    encode time — the configuration in which the pipelined encoder
+//!    runs; a rate target takes the barriered path either way —
 //!    barriered vs pipelined, at p ∈ {1, 2, 4, 8}, together with *modeled*
 //!    makespans replayed from measured per-level DWT times and per-block
 //!    Tier-1 costs — so the overlap benefit is visible even when the host
@@ -32,10 +34,10 @@ use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::{filtering_profile, project_filtering, test_image, time};
 use pj2k_core::{
     Encoder, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl, Schedule,
-    StageOverlap,
+    StageOverlap, Wavelet,
 };
 use pj2k_dwt::{
-    forward_53_with, forward_97_level, forward_97_with, Decomposition, SimdMode, SimdTier,
+    forward_53_level, forward_53_with, forward_97_with, Decomposition, SimdMode, SimdTier,
     VerticalStrategy,
 };
 use pj2k_image::Plane;
@@ -313,9 +315,14 @@ fn pipeline_releases(
     releases
 }
 
+/// The stage-overlap rows code losslessly: a rate target sends the
+/// pipelined encoder down the barriered path (rate-aware Tier-1 needs a
+/// sample of every band before any block is coded, DESIGN.md §18), so the
+/// reversible configuration is the one where the two sequencings differ.
 fn enc_cfg(p: usize, overlap: StageOverlap, levels: u8) -> EncoderConfig {
     EncoderConfig {
-        rate: RateControl::TargetBpp(vec![1.0]),
+        wavelet: Wavelet::Reversible53,
+        rate: RateControl::Lossless,
         levels,
         filter: FilterStrategy::Strip,
         lifting: LiftingMode::Fused,
@@ -359,6 +366,7 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"simd_strip_speedup_53\"",
     "\"simd_bit_identity\"",
     "\"encoder\"",
+    "\"encoder_config\"",
     "\"barriered_secs\"",
     "\"pipelined_secs\"",
     "\"modeled_barriered_secs\"",
@@ -608,12 +616,12 @@ fn main() {
     // sequential barriered profile (stage split + per-block Tier-1 costs).
     let deco = Decomposition::new(iw, ih, levels);
     let mut level_secs = vec![f64::INFINITY; usize::from(levels)];
-    let mut plane = Plane::<f32>::new(iw, ih);
+    let mut plane = Plane::<i32>::new(iw, ih);
     for _ in 0..TRIALS {
-        fill_f32(&mut plane);
+        fill_i32(&mut plane);
         for l in 0..levels {
             let (_, t) = time(|| {
-                forward_97_level(
+                forward_53_level(
                     &mut plane,
                     &deco,
                     l,
@@ -784,6 +792,7 @@ fn main() {
     ));
     doc.push_str(&format!("  \"simd_bit_identity\": {simd_bit_identity},\n"));
     doc.push_str(&format!("  \"encoder_kpixels\": {kpx},\n"));
+    doc.push_str("  \"encoder_config\": \"lossless 5/3\",\n");
     doc.push_str("  \"encoder\": [\n");
     for (i, (p, t_bar, t_pipe, m_bar, m_pipe)) in enc_rows.iter().enumerate() {
         doc.push_str(&format!(

@@ -1,6 +1,6 @@
 //! Tier-1 throughput trajectory harness.
 //!
-//! Emits `BENCH_tier1.json` (schema `pj2k.bench_tier1.v3`) with six
+//! Emits `BENCH_tier1.json` (schema `pj2k.bench_tier1.v4`) with seven
 //! measurements that track this workspace's Tier-1 performance over time:
 //!
 //! 1. **Scratch-arena microbenchmark**: blocks/sec and heap allocations
@@ -26,6 +26,12 @@
 //!    count of one warm arena pass over every block, which must be zero —
 //!    the runtime proof behind the `AUDIT(hot): amortized` justifications
 //!    `cargo xtask audit-hotpath` accepts in the Tier-1 closure.
+//!
+//! 7. **Rate-aware vs full coding**: the sequential encoder at 1 bpp as
+//!    shipped (Tier-1 stops above the planes PCRD discards, DESIGN.md §18)
+//!    against `Encoder::with_full_coding` on the same image — seconds, the
+//!    share of the nominal passes actually coded, and a byte comparison of
+//!    the two codestreams, which must be equal (enforced below).
 //!
 //! ```sh
 //! cargo run --release -p pj2k-bench --bin bench_tier1 -- [--smoke] [--out PATH]
@@ -289,6 +295,12 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"dynamic_over_staggered\"",
     "\"modeled_staggered_speedup\"",
     "\"modeled_dynamic_speedup\"",
+    "\"rate_aware\"",
+    "\"rate_aware_secs\"",
+    "\"full_coding_secs\"",
+    "\"rate_aware_speedup\"",
+    "\"coded_pass_share\"",
+    "\"byte_mismatches\"",
 ];
 
 fn validate(doc: &str) -> Result<(), String> {
@@ -472,10 +484,49 @@ fn main() {
         rows.push(row);
     }
 
+    // --- rate-aware vs full coding ----------------------------------------
+    // Best of three each, alternating, on the sequential encoder. At least
+    // 512x512 also in smoke runs: the 25 blocks of the 256x256 smoke image
+    // are mostly pilot blocks, which are coded in full.
+    let img = test_image(kpx.max(256));
+    let fast_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin)).expect("config");
+    let full_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin))
+        .expect("config")
+        .with_full_coding();
+    let (mut t_fast, mut t_full) = (f64::INFINITY, f64::INFINITY);
+    let (fast_bytes, fast_report) = fast_enc.encode(&img);
+    let (full_bytes, _) = full_enc.encode(&img);
+    for _ in 0..3 {
+        t_fast = t_fast.min(time(|| fast_enc.encode(&img)).1);
+        t_full = t_full.min(time(|| full_enc.encode(&img)).1);
+    }
+    let byte_mismatches = usize::from(fast_bytes.len() != full_bytes.len())
+        + fast_bytes
+            .iter()
+            .zip(&full_bytes)
+            .filter(|(a, b)| a != b)
+            .count();
+    let coded_pass_share = fast_report.coded_passes as f64 / fast_report.total_passes.max(1) as f64;
+    println!(
+        "rate-aware: {:.1} ms vs full coding {:.1} ms (x{:.3}); {}/{}/{} passes \
+         coded/nominal/kept in {} round(s); {byte_mismatches} byte(s) differ",
+        t_fast * 1e3,
+        t_full * 1e3,
+        t_full / t_fast,
+        fast_report.coded_passes,
+        fast_report.total_passes,
+        fast_report.kept_passes,
+        fast_report.tier1_rounds
+    );
+    if byte_mismatches != 0 {
+        eprintln!("FAIL: rate-aware Tier-1 changed the codestream");
+        std::process::exit(1);
+    }
+
     // --- hand-rolled JSON -------------------------------------------------
     let mut doc = String::new();
     doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_tier1.v3\",\n");
+    doc.push_str("  \"schema\": \"pj2k.bench_tier1.v4\",\n");
     doc.push_str(&format!("  \"smoke\": {smoke},\n"));
     doc.push_str(&format!("  \"kpixels\": {kpx},\n"));
     doc.push_str("  \"microbench\": {\n");
@@ -565,7 +616,22 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    doc.push_str("  ]\n}\n");
+    doc.push_str("  ],\n");
+    doc.push_str(&format!(
+        "  \"rate_aware\": {{ \"bpp\": 1.0, \"kpixels\": {}, \"rate_aware_secs\": {}, \"full_coding_secs\": {}, \
+         \"rate_aware_speedup\": {}, \"nominal_passes\": {}, \"coded_passes\": {}, \
+         \"kept_passes\": {}, \"tier1_rounds\": {}, \"coded_pass_share\": {}, \
+         \"byte_mismatches\": {byte_mismatches} }}\n}}\n",
+        kpx.max(256),
+        jf(t_fast),
+        jf(t_full),
+        jf(t_full / t_fast),
+        fast_report.total_passes,
+        fast_report.coded_passes,
+        fast_report.kept_passes,
+        fast_report.tier1_rounds,
+        jf(coded_pass_share)
+    ));
 
     std::fs::write(&out_path, &doc).expect("write benchmark JSON");
     let written = std::fs::read_to_string(&out_path).expect("re-read benchmark JSON");

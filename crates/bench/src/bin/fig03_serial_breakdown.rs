@@ -22,7 +22,10 @@ fn main() {
     let mut tables = Vec::new();
     for kpx in &sizes {
         let img = test_image(*kpx);
-        let encoder = Encoder::new(paper_config()).expect("config");
+        // Every pass coded, as in the coders the paper profiles.
+        let encoder = Encoder::new(paper_config())
+            .expect("config")
+            .with_full_coding();
         // The paper's "image I/O" stage is reading the raw picture; time a
         // PGM store + load of the same material.
         let t0 = std::time::Instant::now();

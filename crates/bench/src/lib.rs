@@ -209,7 +209,10 @@ pub struct EncodeProfile {
     pub bytes: usize,
 }
 
-/// Measure a sequential encode of `img` under `filter`.
+/// Measure a sequential encode of `img` under `filter`, coding every pass
+/// of every block as the JJ2000/Jasper coders the paper profiles do (the
+/// production encoder stops above the planes PCRD discards, DESIGN.md
+/// §18): the stage shares of Figs. 3/6/9/12/13 are the paper's coder's.
 pub fn encode_profile(img: &Image, filter: FilterStrategy, levels: u8) -> EncodeProfile {
     let cfg = EncoderConfig {
         filter,
@@ -217,7 +220,7 @@ pub fn encode_profile(img: &Image, filter: FilterStrategy, levels: u8) -> Encode
         parallel: ParallelMode::Sequential,
         ..paper_config()
     };
-    let encoder = Encoder::new(cfg).expect("valid config");
+    let encoder = Encoder::new(cfg).expect("valid config").with_full_coding();
     let (bytes, report) = encoder.encode(img);
     let filtering = filtering_profile(img.width().min(1024), levels);
     EncodeProfile {
@@ -317,7 +320,7 @@ pub fn parallel_breakdown(filter: FilterStrategy, fig: &str, desc: &str) {
                 },
                 ..paper_config()
             };
-            let encoder = Encoder::new(cfg).expect("config");
+            let encoder = Encoder::new(cfg).expect("config").with_full_coding();
             let (_, t_real) = time(|| encoder.encode(&img));
             println!(
                 "  measured threaded total       {:>9.1} ms ({host} host cores)",

@@ -93,7 +93,11 @@ pub enum StageOverlap {
     ///
     /// Configurations the overlap cannot express fall back to the
     /// barriered path transparently: an ROI (MAXSHIFT rescales coefficients
-    /// *across* subbands after quantization).
+    /// *across* subbands after quantization), and on encode a rate target
+    /// ([`RateControl::TargetBpp`]: how deep a block is coded follows from
+    /// a sample of every band, and the overlap codes the finest bands
+    /// before the coarse ones exist) — so the pipelined encoder runs for
+    /// [`RateControl::Lossless`] only.
     ///
     /// [`Barriered`]: StageOverlap::Barriered
     Pipelined,

@@ -14,7 +14,7 @@ use pj2k_image::transform::{dc_level_shift_forward, ict_forward, rct_forward};
 use pj2k_image::{Image, Plane};
 use pj2k_parutil::{pipeline_map_with_state, pool_map_with_state, Exec, PipelineQueue, StageTimes};
 use pj2k_tier2::codestream::{self, MarkerWriter, PayloadWriter};
-use pj2k_tier2::pcrd::{allocate_layers, BlockRd};
+use pj2k_tier2::pcrd::{allocate_layers, allocate_layers_truncated, BlockRd};
 use pj2k_tier2::{encode_packet, PrecinctState};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,10 +30,24 @@ pub struct EncodeReport {
     pub bytes: usize,
     /// Number of non-empty code-blocks coded.
     pub num_blocks: usize,
-    /// Total coding passes generated by Tier-1.
+    /// Nominal coding passes: what coding every bit-plane of every block
+    /// yields, `3 * msb_planes - 2` summed over the non-empty blocks. A
+    /// rate-targeted encode codes fewer (see `coded_passes`).
     pub total_passes: usize,
+    /// Coding passes Tier-1 actually produced, counting a block coded
+    /// again to a lower floor plane each time. Equals `total_passes` for
+    /// lossless and ROI encodes, which code everything once.
+    pub coded_passes: usize,
+    /// Coding passes the final quality layer includes.
+    pub kept_passes: usize,
+    /// Tier-1 rounds of the tile that needed most: 1 when every block is
+    /// coded once in full; a rate-targeted encode takes 2 (pilot blocks,
+    /// then the rest down to their floor planes) plus one per re-coding
+    /// round the rate allocator asked for.
+    pub tier1_rounds: usize,
     /// Per-block Tier-1 coding time in seconds, in job order — the
-    /// work-item costs consumed by the SMP scheduling model.
+    /// work-item costs consumed by the SMP scheduling model. A block coded
+    /// in several rounds reports the sum.
     pub block_times: Vec<f64>,
 }
 
@@ -41,7 +55,12 @@ pub struct EncodeReport {
 #[derive(Debug, Clone)]
 pub struct Encoder {
     cfg: EncoderConfig,
+    /// Code every pass even under a rate target (`oracle` builds only).
+    full_coding: bool,
 }
+
+/// Tier-1 output: every job's block with its coding seconds, in job order.
+type Coded = Vec<(EncodedBlock, f64)>;
 
 /// One code-block coding job (extraction geometry + band identity).
 struct BlockJob {
@@ -52,6 +71,9 @@ struct BlockJob {
     /// Index of the subband in `Decomposition::subbands()` order (the
     /// Kmax-table key).
     band_idx: usize,
+    /// Member of the rate-aware encoder's pilot sample (see
+    /// [`Encoder::code_to_rate`]).
+    pilot: bool,
 }
 
 /// One finalized subband, extracted into a compact row-major buffer and
@@ -112,7 +134,21 @@ impl Encoder {
             }
         }
         let _ = gain(cfg.levels.max(1), Band::LL);
-        Ok(Self { cfg })
+        Ok(Self {
+            cfg,
+            full_coding: false,
+        })
+    }
+
+    /// Code every pass of every block even under a rate target, as the
+    /// coders the paper profiles do, instead of stopping above the planes
+    /// PCRD discards. The codestream is the same either way; this is the
+    /// reference the identity tests and the figure binaries compare with.
+    #[cfg(feature = "oracle")]
+    #[must_use]
+    pub fn with_full_coding(mut self) -> Self {
+        self.full_coding = true;
+        self
     }
 
     /// Borrow the configuration.
@@ -252,12 +288,30 @@ impl Encoder {
         // codestream) invariant.
         let (jobs, precincts) = self.build_jobs(&deco, ncomp);
         let mut roi_sd = (0u8, 0u8);
-        // MAXSHIFT rescales coefficients across subbands after quantization,
-        // so an ROI takes the barriered path regardless of `overlap`.
-        let use_pipeline = cfg.overlap == StageOverlap::Pipelined && cfg.roi.is_none();
+        let n_layers = cfg.num_layers();
+        // Cumulative byte budgets per layer. Bits per *pixel*, the
+        // conventional rate unit (an RGB pixel's budget covers all three
+        // components).
+        let budgets: Option<Vec<usize>> = match &cfg.rate {
+            RateControl::Lossless => None,
+            RateControl::TargetBpp(rates) => Some(
+                rates
+                    .iter()
+                    .map(|bpp| (bpp * (w * h) as f64 / 8.0).floor() as usize)
+                    .collect(),
+            ),
+        };
+        // Two configurations need every band final before any block is
+        // coded and so take the barriered path regardless of `overlap`:
+        // an ROI (MAXSHIFT rescales coefficients across subbands after
+        // quantization), and a rate target (the floor plane a block is
+        // coded down to comes from a pilot sample of *all* bands, while the
+        // pipelined path codes the finest bands before the coarse exist).
+        let use_pipeline =
+            cfg.overlap == StageOverlap::Pipelined && cfg.roi.is_none() && budgets.is_none();
 
-        let coded: Vec<(EncodedBlock, f64)> = if use_pipeline {
-            self.run_pipelined(
+        let (coded, alloc): (Coded, Option<Vec<Vec<usize>>>) = if use_pipeline {
+            let coded = self.run_pipelined(
                 &deco,
                 &band_list,
                 &jobs,
@@ -269,7 +323,8 @@ impl Encoder {
                 vstrat,
                 &exec,
                 report,
-            )
+            );
+            (coded, None)
         } else {
             // --- intra-component transform (DWT) --------------------------
             let t0 = Instant::now();
@@ -322,59 +377,50 @@ impl Encoder {
             }
             report.stages.add(stage::QUANTIZATION, t0.elapsed());
 
-            // --- tier-1 coding ---------------------------------------------
-            let t0 = Instant::now();
-            let coded = self.map_blocks(&jobs, &planes_i);
-            report.stages.add(stage::TIER1, t0.elapsed());
-            coded
-        };
-        report.num_blocks += coded.len();
-        report.total_passes += coded.iter().map(|(b, _)| b.passes.len()).sum::<usize>();
-        report.block_times.extend(coded.iter().map(|(_, t)| *t));
-
-        // --- R/D allocation ---------------------------------------------------
-        let t0 = Instant::now();
-        let rd: Vec<BlockRd> = jobs
-            .iter()
-            .zip(&coded)
-            .map(|(job, (blk, _))| {
-                let scale = if reversible {
-                    let g = gains::l2_gain_53(job.level.max(1), job.band);
-                    g * g
-                } else {
-                    let step = band_step(cfg.base_step, job.level.max(1), job.band);
-                    distortion_scale(step, job.level.max(1), job.band)
-                };
-                let mut rates = Vec::with_capacity(blk.passes.len());
-                let mut dists = Vec::with_capacity(blk.passes.len());
-                let mut r = 0usize;
-                let mut d = 0f64;
-                for p in &blk.passes {
-                    r += p.len;
-                    d += p.delta_distortion * scale;
-                    rates.push(r);
-                    dists.push(d);
+            // --- tier-1 coding (under a rate target: and R/D allocation) ---
+            match &budgets {
+                // Not with an ROI: MAXSHIFT has moved its coefficients to
+                // planes the envelope of `code_to_rate` says nothing about.
+                Some(budgets) if !self.full_coding && cfg.roi.is_none() => {
+                    let (coded, alloc) = self.code_to_rate(&jobs, &planes_i, budgets, report);
+                    (coded, Some(alloc))
                 }
-                BlockRd { rates, dists }
-            })
-            .collect();
-        let n_layers = cfg.num_layers();
-        // Bits per *pixel*, the conventional rate unit (an RGB pixel's
-        // budget covers all three components).
-        let tile_pixels = (w * h) as f64;
-        let alloc: Vec<Vec<usize>> = match &cfg.rate {
-            RateControl::Lossless => {
-                vec![coded.iter().map(|(b, _)| b.passes.len()).collect()]
-            }
-            RateControl::TargetBpp(rates) => {
-                let budgets: Vec<usize> = rates
-                    .iter()
-                    .map(|bpp| (bpp * tile_pixels / 8.0).floor() as usize)
-                    .collect();
-                allocate_layers(&rd, &budgets)
+                _ => {
+                    let t0 = Instant::now();
+                    let coded = self.map_blocks(&jobs, &planes_i, None);
+                    report.stages.add(stage::TIER1, t0.elapsed());
+                    (coded, None)
+                }
             }
         };
-        report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
+        // The paths that code every pass once allocate afterwards.
+        let alloc = alloc.unwrap_or_else(|| {
+            report.coded_passes += coded.iter().map(|(b, _)| b.passes.len()).sum::<usize>();
+            report.tier1_rounds = report.tier1_rounds.max(1);
+            let t0 = Instant::now();
+            let alloc = match &budgets {
+                None => vec![coded.iter().map(|(b, _)| b.passes.len()).collect()],
+                Some(budgets) => {
+                    let rd: Vec<BlockRd> = jobs
+                        .iter()
+                        .zip(&coded)
+                        .map(|(job, (blk, _))| block_rd(blk, self.distortion_scale(job)))
+                        .collect();
+                    allocate_layers(&rd, budgets)
+                }
+            };
+            report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
+            alloc
+        });
+        report.num_blocks += coded.len();
+        report.total_passes += coded
+            .iter()
+            .map(|(b, _)| (3 * usize::from(b.msb_planes)).saturating_sub(2))
+            .sum::<usize>();
+        if let Some(last) = alloc.last() {
+            report.kept_passes += last.iter().sum::<usize>();
+        }
+        report.block_times.extend(coded.iter().map(|(_, t)| *t));
 
         // --- tier-2 coding -----------------------------------------------------
         let t0 = Instant::now();
@@ -467,13 +513,21 @@ impl Encoder {
                     let grid = grid_dims(sb, self.cfg.code_block);
                     let first_job = jobs.len();
                     let blocks = blocks_of(sb, self.cfg.code_block);
-                    for geom in &blocks {
+                    for (i, geom) in blocks.iter().enumerate() {
+                        // Raster order over the band's block grid.
+                        let (bx, by) = (i % grid.0, i / grid.0);
                         jobs.push(BlockJob {
                             comp,
                             geom: *geom,
                             level: sb.level,
                             band: sb.band,
                             band_idx: *band_idx,
+                            // One block in eight, every band's first among
+                            // them. The skewed lattice spreads the sample
+                            // over rows and columns alike; `i % 8` would
+                            // pick whole columns of a power-of-two-wide
+                            // grid.
+                            pilot: (bx + 3 * by) % 8 == 0,
                         });
                     }
                     precincts.push(PrecinctGeom {
@@ -489,36 +543,178 @@ impl Encoder {
         (jobs, precincts)
     }
 
-    /// Run Tier-1 over the job list under the configured parallel mode.
+    /// Pixel-domain weight of a job's integer-domain distortion.
+    fn distortion_scale(&self, job: &BlockJob) -> f64 {
+        if self.cfg.wavelet == pj2k_dwt::Wavelet::Reversible53 {
+            let g = gains::l2_gain_53(job.level.max(1), job.band);
+            g * g
+        } else {
+            let step = band_step(self.cfg.base_step, job.level.max(1), job.band);
+            distortion_scale(step, job.level.max(1), job.band)
+        }
+    }
+
+    /// Run Tier-1 over `jobs` — all of them in full, or with `subset =
+    /// Some((indices, floors))` only `jobs[i]` for `i` in `indices`, each
+    /// down to bit-plane `floors[i]` — under the configured parallel mode,
+    /// returning blocks and their coding seconds in job (or `indices`)
+    /// order.
     ///
     /// Every execution path feeds its blocks through a per-worker
     /// [`BlockCoder`] scratch arena: the coefficient staging buffer, flag
     /// grid, and MQ byte buffers are allocated once per worker and reused
     /// for every block that worker codes.
-    fn map_blocks(&self, jobs: &[BlockJob], planes: &[Plane<i32>]) -> Vec<(EncodedBlock, f64)> {
-        let code_one = |coder: &mut BlockCoder, j: &BlockJob| -> (EncodedBlock, f64) {
+    fn map_blocks(
+        &self,
+        jobs: &[BlockJob],
+        planes: &[Plane<i32>],
+        subset: Option<(&[usize], &[u8])>,
+    ) -> Coded {
+        let code_one = |coder: &mut BlockCoder, k: usize| -> (EncodedBlock, f64) {
             let t = Instant::now();
+            let (i, floor) =
+                subset.map_or((k, 0), |(indices, floors)| (indices[k], floors[indices[k]]));
+            let j = &jobs[i];
             let p = &planes[j.comp];
             let coeffs = coder.coeff_scratch();
             for y in j.geom.y0..j.geom.y0 + j.geom.h {
                 coeffs.extend_from_slice(&p.row(y)[j.geom.x0..j.geom.x0 + j.geom.w]);
             }
-            let blk = coder.encode_scratch(j.geom.w, j.geom.h, band_ctx(j.band), self.cfg.tier1);
+            let blk = coder.encode_scratch_above(
+                j.geom.w,
+                j.geom.h,
+                band_ctx(j.band),
+                self.cfg.tier1,
+                floor,
+            );
             (blk, t.elapsed().as_secs_f64())
         };
+        let n = subset.map_or(jobs.len(), |(indices, _)| indices.len());
         let engine = self.cfg.tier1_engine;
         match self.cfg.parallel {
             ParallelMode::Sequential => {
                 let mut coder = BlockCoder::with_engine(engine);
-                jobs.iter().map(|j| code_one(&mut coder, j)).collect()
+                (0..n).map(|k| code_one(&mut coder, k)).collect()
             }
             ParallelMode::WorkerPool { workers } => pool_map_with_state(
-                jobs.len(),
+                n,
                 workers.max(1),
                 self.cfg.tier1_schedule,
                 |_| BlockCoder::with_engine(engine),
-                |coder, i| code_one(coder, &jobs[i]),
+                code_one,
             ),
+        }
+    }
+
+    /// Tier-1 and rate allocation under a rate target, coding only the
+    /// bit-planes the allocation can use (DESIGN.md §18). Returns the same
+    /// blocks-as-far-as-kept and the same allocation as coding every pass
+    /// and running [`allocate_layers`] would — the codestream is
+    /// byte-identical — in three steps:
+    ///
+    /// 1. *Pilot.* One block in eight of every band is coded in full. Its
+    ///    hull increments, each weighted by the share of its band the pilot
+    ///    stands for, predict the slope threshold λ̂ the last layer's budget
+    ///    will reach, and their largest slope per unit of `scale · 4^plane`
+    ///    is the envelope: the steepest any bit-plane codes, relative to
+    ///    its weight in the image.
+    /// 2. *Main.* Every other block is coded down to its floor plane, the
+    ///    lowest whose envelope slope still reaches [`FLOOR_MARGIN`] · λ̂.
+    /// 3. *Verify.* The real allocation runs over everything coded, told
+    ///    for each stopped block the envelope slope of its first uncoded
+    ///    plane. Blocks it cannot clear (see
+    ///    [`allocate_layers_truncated`]), and blocks whose kept prefix
+    ///    reaches into the last plane they coded — the envelope evidently
+    ///    underrated them — are coded again to a lower floor and the step
+    ///    repeats. Floors only fall, and a block at floor 0 is complete,
+    ///    so this ends at full coding at the latest.
+    ///
+    /// Pilot membership, floors and rounds depend on the tile and the
+    /// configuration only, never on workers, schedule or timing.
+    fn code_to_rate(
+        &self,
+        jobs: &[BlockJob],
+        planes: &[Plane<i32>],
+        budgets: &[usize],
+        report: &mut EncodeReport,
+    ) -> (Coded, Vec<Vec<usize>>) {
+        let n = jobs.len();
+        let scales: Vec<f64> = jobs.iter().map(|j| self.distortion_scale(j)).collect();
+        let mut floors = vec![0u8; n];
+        let mut coded = Coded::new();
+        coded.resize_with(n, Default::default);
+        let mut rd = vec![BlockRd::default(); n];
+        let mut rounds = 0;
+        // One Tier-1 round over `indices`, each block down to its floor.
+        let mut code = |indices: &[usize],
+                        floors: &mut [u8],
+                        coded: &mut [(EncodedBlock, f64)],
+                        rd: &mut [BlockRd],
+                        report: &mut EncodeReport| {
+            let t0 = Instant::now();
+            let out = self.map_blocks(jobs, planes, Some((indices, floors)));
+            for (&i, (blk, secs)) in indices.iter().zip(out) {
+                report.coded_passes += blk.passes.len();
+                // A floor at or above the top plane codes nothing; what is
+                // left uncoded then starts at the top plane.
+                floors[i] = floors[i].min(blk.msb_planes);
+                rd[i] = block_rd(&blk, scales[i]);
+                coded[i] = (blk, coded[i].1 + secs);
+            }
+            report.stages.add(stage::TIER1, t0.elapsed());
+            rounds += 1;
+        };
+
+        let (pilot, rest): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| jobs[i].pilot);
+        code(&pilot, &mut floors, &mut coded, &mut rd, report);
+        let t0 = Instant::now();
+        let budget = budgets.last().copied().unwrap_or(0);
+        let (lambda, envelope) = pilot_estimate(jobs, &pilot, &coded, &rd, &scales, budget);
+        report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
+        if !rest.is_empty() {
+            for &i in &rest {
+                floors[i] = floor_plane(FLOOR_MARGIN * lambda, envelope, scales[i]);
+            }
+            code(&rest, &mut floors, &mut coded, &mut rd, report);
+        }
+
+        let mut step = 1u8;
+        loop {
+            let t0 = Instant::now();
+            let uncoded_below: Vec<f64> = (0..n)
+                .map(|i| match floors[i] {
+                    0 => 0.0,
+                    q => envelope * plane_weight(scales[i], q - 1),
+                })
+                .collect();
+            let alloc = allocate_layers_truncated(&rd, budgets, &uncoded_below);
+            // Code again: the blocks the allocation could not clear, and
+            // the stopped blocks it kept to within one bit-plane (three
+            // passes) of where they stopped.
+            let mut again = vec![false; n];
+            for &i in &alloc.suspect {
+                again[i] = true;
+            }
+            if let Some(kept) = alloc.layers.last() {
+                for i in 0..n {
+                    again[i] |= floors[i] > 0 && kept[i] > 0 && kept[i] + 3 > rd[i].rates.len();
+                }
+            }
+            let again: Vec<usize> = (0..n).filter(|&i| again[i]).collect();
+            report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
+            if again.is_empty() {
+                report.tier1_rounds = report.tier1_rounds.max(rounds);
+                return (coded, alloc.layers);
+            }
+            // Down to where the measured threshold puts the floor, and by
+            // at least `step` planes, doubling, so that a block the
+            // envelope misjudges reaches floor 0 in a handful of rounds.
+            for &i in &again {
+                let by_threshold = floor_plane(FLOOR_MARGIN * alloc.threshold, envelope, scales[i]);
+                floors[i] = floors[i].saturating_sub(step).min(by_threshold);
+            }
+            code(&again, &mut floors, &mut coded, &mut rd, report);
+            step = step.saturating_mul(2);
         }
     }
 
@@ -548,7 +744,7 @@ impl Encoder {
         vstrat: VerticalStrategy,
         exec: &Exec,
         report: &mut EncodeReport,
-    ) -> Vec<(EncodedBlock, f64)> {
+    ) -> Coded {
         let cfg = &self.cfg;
         let nbands = band_list.len();
         // Job range per (comp, band): build_jobs emits exactly one precinct
@@ -671,6 +867,95 @@ impl Encoder {
         );
         coded
     }
+}
+
+/// Share of the predicted slope threshold a plane's envelope slope must
+/// reach for the main round to code it. Below 1 so that a threshold
+/// predicted a little high (the pilot is an eighth of the image) does not
+/// send a quarter of the blocks into a second round for one more plane;
+/// at 1/2 the main round codes half a plane more than the prediction asks.
+const FLOOR_MARGIN: f64 = 0.5;
+
+/// Weight of bit-plane `plane` of a block with distortion scale `scale`:
+/// squared magnitudes, and with them R-D slopes, grow fourfold per plane.
+fn plane_weight(scale: f64, plane: u8) -> f64 {
+    scale * 4f64.powi(i32::from(plane))
+}
+
+/// The lowest bit-plane whose envelope slope reaches `lambda`: the floor a
+/// block of distortion scale `scale` is coded down to.
+fn floor_plane(lambda: f64, envelope: f64, scale: f64) -> u8 {
+    (0..pj2k_ebcot::MAX_PLANES)
+        .find(|&q| envelope * plane_weight(scale, q) >= lambda)
+        .unwrap_or(pj2k_ebcot::MAX_PLANES)
+}
+
+/// Cumulative rate/distortion trajectory of a coded block, in the
+/// pixel-domain units `scale` converts to.
+fn block_rd(blk: &EncodedBlock, scale: f64) -> BlockRd {
+    let mut rates = Vec::with_capacity(blk.passes.len());
+    let mut dists = Vec::with_capacity(blk.passes.len());
+    let mut r = 0usize;
+    let mut d = 0f64;
+    for p in &blk.passes {
+        r += p.len;
+        d += p.delta_distortion * scale;
+        rates.push(r);
+        dists.push(d);
+    }
+    BlockRd { rates, dists }
+}
+
+/// What the fully coded `pilot` blocks predict for the whole tile: the
+/// slope threshold at which `budget` bytes run out, and the envelope (the
+/// largest hull-increment slope per unit of [`plane_weight`]). Each pilot
+/// block's bytes count for the share of its band's samples it represents,
+/// so bands the pilot covers whole (the few-block coarse levels, where a
+/// low rate spends most of its bytes) are not counted eight times over.
+fn pilot_estimate(
+    jobs: &[BlockJob],
+    pilot: &[usize],
+    coded: &[(EncodedBlock, f64)],
+    rd: &[BlockRd],
+    scales: &[f64],
+    budget: usize,
+) -> (f64, f64) {
+    let nbands = jobs.iter().map(|j| j.band_idx + 1).max().unwrap_or(0);
+    let band = |j: &BlockJob| j.comp * nbands + j.band_idx;
+    let ncomp = jobs.iter().map(|j| j.comp + 1).max().unwrap_or(0);
+    let mut samples = vec![(0usize, 0usize); ncomp * nbands]; // (all, pilot)
+    for j in jobs {
+        let area = j.geom.w * j.geom.h;
+        samples[band(j)].0 += area;
+        if j.pilot {
+            samples[band(j)].1 += area;
+        }
+    }
+    let mut envelope = 0f64;
+    let mut incs: Vec<(f64, f64)> = Vec::new(); // (slope, bytes it stands for)
+    for &i in pilot {
+        let (all, sampled) = samples[band(&jobs[i])];
+        let weight = all as f64 / sampled as f64;
+        let (mut prev_r, mut prev_d) = (0usize, 0f64);
+        for n in rd[i].hull() {
+            let (r, d) = (rd[i].rates[n - 1], rd[i].dists[n - 1]);
+            let slope = (d - prev_d) / (r - prev_r) as f64;
+            let plane = coded[i].0.passes[n - 1].plane;
+            envelope = envelope.max(slope / plane_weight(scales[i], plane));
+            incs.push((slope, weight * (r - prev_r) as f64));
+            (prev_r, prev_d) = (r, d);
+        }
+    }
+    incs.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let mut spent = 0f64;
+    let lambda = incs
+        .iter()
+        .find(|(_, bytes)| {
+            spent += bytes;
+            spent > budget as f64
+        })
+        .map_or(0.0, |&(slope, _)| slope);
+    (lambda, envelope)
 }
 
 /// Copy subband `sb` out of `p` into a compact `sb.w`-stride buffer.
@@ -1013,6 +1298,32 @@ mod tests {
             enc.encode(&img).0
         };
         assert_eq!(mk(StageOverlap::Barriered), mk(StageOverlap::Pipelined));
+    }
+
+    #[test]
+    fn pipelined_with_rate_target_falls_back_and_matches_barriered() {
+        // Rate-aware Tier-1 needs the pilot sample of every band before
+        // the first floor is known; the pipelined config must take the
+        // barriered path (same bytes, same rounds), not code everything.
+        let img = synth::natural_gray(96, 80, 9);
+        let mk = |overlap| {
+            let enc = Encoder::new(EncoderConfig {
+                levels: 3,
+                code_block: (16, 16),
+                rate: RateControl::TargetBpp(vec![0.5]),
+                overlap,
+                parallel: ParallelMode::WorkerPool { workers: 3 },
+                ..Default::default()
+            })
+            .unwrap();
+            enc.encode(&img)
+        };
+        let (barriered, want) = mk(StageOverlap::Barriered);
+        let (pipelined, got) = mk(StageOverlap::Pipelined);
+        assert_eq!(barriered, pipelined);
+        assert!(got.coded_passes < got.total_passes, "coded every pass");
+        assert_eq!(got.coded_passes, want.coded_passes);
+        assert_eq!(got.tier1_rounds, want.tier1_rounds);
     }
 
     #[test]

@@ -82,6 +82,28 @@ impl DwtStats {
     }
 }
 
+/// Fewest samples of a decomposition level worth splitting over workers.
+///
+/// A level pays two fork-joins (rows, then columns). One costs 50-60 µs on
+/// the 2-core benchmark host (`parutil.run_ranges_us` of the traced
+/// benchmark run) while one filtering pass moves ~1.1 ns per sample on one
+/// thread (`dwt.fwd_p1_s` / `dwt.samples`, halved for the two passes and
+/// scaled by 3/4 for the level pyramid), so two workers save 0.55 ns per
+/// sample and break even at ~110k samples. The split should save at least
+/// what it costs, which takes twice that: below 2^18 samples — the deep
+/// levels of every image, and every level of one smaller than 512x512 —
+/// the level runs on the calling thread.
+const PAR_MIN_SAMPLES: usize = 1 << 18;
+
+/// The executor a level of `samples` samples runs on.
+fn level_exec(exec: &Exec, samples: usize) -> &Exec {
+    if samples < PAR_MIN_SAMPLES {
+        &Exec::SEQ
+    } else {
+        exec
+    }
+}
+
 macro_rules! define_2d {
     ($fwd_name:ident, $fwd_with:ident, $fwd_level:ident,
      $inv_name:ident, $inv_with:ident, $inv_level:ident, $ty:ty,
@@ -145,6 +167,7 @@ macro_rules! define_2d {
             let mut stats = DwtStats::default();
             let tier = simd.resolve();
             let (wl, hl) = deco.ll_size(l);
+            let exec = level_exec(exec, wl * hl);
             // Horizontal pass over the rows of the current LL region.
             // Each worker claims its row range through the checked
             // disjoint-access layer; debug builds verify the ranges are
@@ -287,6 +310,7 @@ macro_rules! define_2d {
             let mut stats = DwtStats::default();
             let tier = simd.resolve();
             let (wl, hl) = deco.ll_size(l);
+            let exec = level_exec(exec, wl * hl);
             // Vertical first (reverse of the forward pass order).
             let t0 = Instant::now();
             if hl > 1 {
@@ -961,6 +985,51 @@ mod tests {
                         seq.get(x, y).to_bits(),
                         "{exec:?} ({x},{y})"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // large planes: too slow under the interpreter
+    fn levels_above_the_grain_split_and_match_sequential() {
+        // The planes of the tests above sit below `PAR_MIN_SAMPLES` and run
+        // inline whatever the executor; here level 0 splits and the
+        // deeper levels run inline, for every kernel family, both
+        // directions.
+        let (w, h) = (640, 420);
+        assert!(w * h >= PAR_MIN_SAMPLES && w * h / 4 < PAR_MIN_SAMPLES);
+        let strategies = [VerticalStrategy::Naive, VerticalStrategy::DEFAULT_STRIP];
+        let liftings = [LiftingMode::PerStep, LiftingMode::Fused];
+        let simds = [SimdMode::Scalar, SimdMode::Auto];
+        for strategy in strategies {
+            for lifting in liftings {
+                for simd in simds {
+                    let what = format!("{strategy:?} {lifting:?} {simd:?}");
+                    let orig_i = test_plane_i32(w, h, w + 8);
+                    let orig_f = test_plane_f32(w, h);
+                    let (mut seq_i, mut seq_f) = (orig_i.clone(), orig_f.clone());
+                    forward_53_with(&mut seq_i, 3, strategy, lifting, simd, &Exec::SEQ);
+                    forward_97_with(&mut seq_f, 3, strategy, lifting, simd, &Exec::SEQ);
+                    for exec in [Exec::threads(2), Exec::threads(3)] {
+                        let (mut par_i, mut par_f) = (orig_i.clone(), orig_f.clone());
+                        forward_53_with(&mut par_i, 3, strategy, lifting, simd, &exec);
+                        forward_97_with(&mut par_f, 3, strategy, lifting, simd, &exec);
+                        assert_eq!(par_i, seq_i, "5/3 forward {what} {exec:?}");
+                        let bits = |p: &Plane<f32>| -> Vec<u32> {
+                            p.samples().map(f32::to_bits).collect()
+                        };
+                        assert!(bits(&par_f) == bits(&seq_f), "9/7 forward {what} {exec:?}");
+                        inverse_53_with(&mut par_i, 3, strategy, lifting, simd, &exec);
+                        assert_eq!(par_i, orig_i, "5/3 inverse {what} {exec:?}");
+                        let mut inv_seq = seq_f.clone();
+                        inverse_97_with(&mut inv_seq, 3, strategy, lifting, simd, &Exec::SEQ);
+                        inverse_97_with(&mut par_f, 3, strategy, lifting, simd, &exec);
+                        assert!(
+                            bits(&par_f) == bits(&inv_seq),
+                            "9/7 inverse {what} {exec:?}"
+                        );
+                    }
                 }
             }
         }

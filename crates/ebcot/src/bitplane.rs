@@ -199,9 +199,10 @@ impl Coder<'_> {
 /// segment bytes to `out` (whose `passes`/`data` the caller cleared).
 ///
 /// `mag` is the magnitude plane, `coeffs` the signed input (for sign
-/// setup), `msb_planes >= 1` the coded plane count — all validated by
-/// [`crate::BlockCoder`], which also owns `seg_buf`, the recycled segment
-/// allocation.
+/// setup), `msb_planes >= 1` the block's plane count and `floor <
+/// msb_planes` the lowest plane to code (0 = all of them) — all validated
+/// by [`crate::BlockCoder`], which also owns `seg_buf`, the recycled
+/// segment allocation.
 // The wide signature is deliberate: every argument is a distinct borrow
 // of caller-owned scratch, so bundling them would just add a struct
 // whose only job is to be destructured here.
@@ -223,6 +224,7 @@ pub(crate) fn encode_block_into(
     band: BandCtx,
     opts: Tier1Options,
     msb_planes: u8,
+    floor: u8,
     seg_buf: &mut Vec<u8>,
     mut profile: Option<&mut Tier1Profile>,
     out: &mut EncodedBlock,
@@ -233,7 +235,10 @@ pub(crate) fn encode_block_into(
     // Plane words accumulate in registers across each 64-column chunk and
     // store once per plane, instead of a bounds-checked read-modify-write
     // per set magnitude bit.
+    // Bits below the floor plane are never read by a pass (the distortion
+    // gains take whole magnitudes from `smag`), so they are not scattered.
     let planes = msb_planes as usize;
+    let coded_bits = u32::MAX << floor;
     for y in 0..h {
         let nbase = bp.row(y);
         let sbase = ((y >> 2) * w) << 2 | (y & 3);
@@ -246,6 +251,7 @@ pub(crate) fn encode_block_into(
                 let k = y * w + x;
                 let mut m = mag[k];
                 bp.smag[sbase + (x << 2)] = m;
+                m &= coded_bits;
                 let col = 1u64 << (x & 63);
                 while m != 0 {
                     acc[m.trailing_zeros() as usize] |= col;
@@ -298,7 +304,9 @@ pub(crate) fn encode_block_into(
         };
     };
 
-    for plane in (0..msb_planes).rev() {
+    // Planes below `floor` are left uncoded (the caller knows PCRD discards
+    // them); the passes above are unaffected by the stop.
+    for plane in (floor..msb_planes).rev() {
         // New plane: drop visited marks, snapshot significance.
         enc.bp.visited.iter_mut().for_each(|w| *w = 0);
         std::mem::swap(&mut enc.bp.sigstart, &mut enc.bp.sigprev);

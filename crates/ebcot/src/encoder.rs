@@ -405,9 +405,7 @@ impl BlockCoder {
         band: BandCtx,
         opts: Tier1Options,
     ) -> EncodedBlock {
-        let mut out = EncodedBlock::default();
-        self.encode_scratch_into(w, h, band, opts, &mut out);
-        out
+        self.encode_scratch_above(w, h, band, opts, 0)
     }
 
     /// Allocation-free variant of [`BlockCoder::encode_scratch`]: refills
@@ -421,8 +419,34 @@ impl BlockCoder {
         out: &mut EncodedBlock,
     ) {
         let coeffs = std::mem::take(&mut self.coeffs);
-        self.encode_inner(&coeffs, w, h, band, opts, None, out);
+        self.encode_inner(&coeffs, w, h, band, opts, 0, None, out);
         self.coeffs = coeffs;
+    }
+
+    /// As [`BlockCoder::encode_scratch`], but stop above bit-plane `floor`:
+    /// only planes `floor..msb_planes` are coded (none when `floor >=
+    /// msb_planes`; `floor == 0` is `encode_scratch`). Every pass is its
+    /// own terminated segment, so the result is byte for byte the prefix of
+    /// the full encode that ends with the cleanup pass of plane `floor` —
+    /// same `msb_planes`, `initial_distortion`, pass lengths and distortion
+    /// gains. A rate-targeted encoder uses it to skip the planes PCRD is
+    /// certain to discard.
+    ///
+    /// # Panics
+    /// As [`BlockCoder::encode_with`], with the staged buffer as `coeffs`.
+    pub fn encode_scratch_above(
+        &mut self,
+        w: usize,
+        h: usize,
+        band: BandCtx,
+        opts: Tier1Options,
+        floor: u8,
+    ) -> EncodedBlock {
+        let mut out = EncodedBlock::default();
+        let coeffs = std::mem::take(&mut self.coeffs);
+        self.encode_inner(&coeffs, w, h, band, opts, floor, None, &mut out);
+        self.coeffs = coeffs;
+        out
     }
 
     /// As [`BlockCoder::encode_scratch_into`], additionally accumulating a
@@ -437,7 +461,7 @@ impl BlockCoder {
         out: &mut EncodedBlock,
     ) {
         let coeffs = std::mem::take(&mut self.coeffs);
-        self.encode_inner(&coeffs, w, h, band, opts, Some(profile), out);
+        self.encode_inner(&coeffs, w, h, band, opts, 0, Some(profile), out);
         self.coeffs = coeffs;
     }
 
@@ -457,7 +481,7 @@ impl BlockCoder {
         opts: Tier1Options,
     ) -> EncodedBlock {
         let mut out = EncodedBlock::default();
-        self.encode_inner(coeffs, w, h, band, opts, None, &mut out);
+        self.encode_inner(coeffs, w, h, band, opts, 0, None, &mut out);
         out
     }
 
@@ -475,12 +499,13 @@ impl BlockCoder {
         opts: Tier1Options,
         out: &mut EncodedBlock,
     ) {
-        self.encode_inner(coeffs, w, h, band, opts, None, out);
+        self.encode_inner(coeffs, w, h, band, opts, 0, None, out);
     }
 
     /// Shared setup (magnitudes, plane count, distortion baseline) and
     /// engine dispatch. The wide signature mirrors the public
-    /// `encode_with`/`encode_into` entry points plus the optional profile.
+    /// `encode_with`/`encode_into` entry points plus the floor plane (0 =
+    /// code everything) and the optional profile.
     #[allow(clippy::too_many_arguments)]
     fn encode_inner(
         &mut self,
@@ -489,6 +514,7 @@ impl BlockCoder {
         h: usize,
         band: BandCtx,
         opts: Tier1Options,
+        floor: u8,
         profile: Option<&mut Tier1Profile>,
         out: &mut EncodedBlock,
     ) {
@@ -512,8 +538,8 @@ impl BlockCoder {
         out.initial_distortion = initial_distortion;
         out.passes.clear();
         out.data.clear();
-        if msb_planes == 0 {
-            return;
+        if floor >= msb_planes {
+            return; // all-zero block, or every plane is below the floor
         }
         match self.engine.resolve() {
             Tier1Engine::Bitplane => crate::bitplane::encode_block_into(
@@ -525,11 +551,13 @@ impl BlockCoder {
                 band,
                 opts,
                 msb_planes,
+                floor,
                 &mut self.seg_buf,
                 profile,
                 out,
             ),
-            _ => self.encode_reference_into(coeffs, w, h, band, opts, msb_planes, profile, out),
+            _ => self
+                .encode_reference_into(coeffs, w, h, band, opts, msb_planes, floor, profile, out),
         }
     }
 
@@ -547,6 +575,7 @@ impl BlockCoder {
         band: BandCtx,
         opts: Tier1Options,
         msb_planes: u8,
+        floor: u8,
         mut profile: Option<&mut Tier1Profile>,
         out: &mut EncodedBlock,
     ) {
@@ -596,7 +625,9 @@ impl BlockCoder {
             };
         };
 
-        for plane in (0..msb_planes).rev() {
+        // Planes below `floor` are left uncoded (the caller knows PCRD
+        // discards them); the passes above are unaffected by the stop.
+        for plane in (floor..msb_planes).rev() {
             enc.grid.clear_plane_flags();
             let first_plane = plane + 1 == msb_planes;
             let bypassed = opts.bypass && in_bypass_region(plane, msb_planes);

@@ -177,3 +177,50 @@ fn tier1_engines_bit_identical() {
         }
     });
 }
+
+/// A floor-`q` encode must be, byte for byte, the prefix of the floor-0
+/// encode that ends with plane `q`'s cleanup pass — passes, lengths,
+/// distortion gains, data — and keep the block-level fields, for both
+/// engines, every style and every floor from 0 past `msb_planes`.
+fn check_floor_prefixes(coeffs: &[i32], w: usize, h: usize, what: &str) {
+    for engine in [Tier1Engine::Reference, Tier1Engine::Bitplane] {
+        let mut coder = BlockCoder::with_engine(engine);
+        for band in BANDS {
+            for opts in all_styles() {
+                let full = coder.encode_with(coeffs, w, h, band, opts);
+                for floor in 0..=full.msb_planes + 1 {
+                    coder.coeff_scratch().extend_from_slice(coeffs);
+                    let cut = coder.encode_scratch_above(w, h, band, opts, floor);
+                    let planes = usize::from(full.msb_planes.saturating_sub(floor));
+                    let n = (3 * planes).saturating_sub(2);
+                    let mut want = full.clone();
+                    want.passes.truncate(n);
+                    want.data.truncate(full.rate_after(n));
+                    let ctx = format!("{what} {engine:?} {band:?} {opts:?} floor {floor}");
+                    assert_eq!(cut.passes.len(), n, "{ctx}: pass count");
+                    assert_eq!((cut.width, cut.height), (w, h), "{ctx}: geometry");
+                    assert_identical(&want, &cut, &ctx);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn floor_encode_is_a_prefix_of_the_full_encode() {
+    check_floor_prefixes(&synth_block(0xF100, 64 * 12, 3, 700), 64, 12, "dense");
+    check_floor_prefixes(
+        &synth_block(0xF101, 65 * 10, 17, 1 << 14),
+        65,
+        10,
+        "sparse deep",
+    );
+    check_floor_prefixes(&synth_block(0xF102, 5 * 7, 2, 40), 5, 7, "small");
+    check_floor_prefixes(&[-9], 1, 1, "single");
+    check_floor_prefixes(&[0; 16], 4, 4, "all zero");
+    // One outlier above an otherwise busy low range: the sparse top planes
+    // the rate-aware encoder must not mistake for the end of the block.
+    let mut outlier = synth_block(0xF103, 32 * 16, 1, 12);
+    outlier[200] = 3000;
+    check_floor_prefixes(&outlier, 32, 16, "outlier");
+}

@@ -31,9 +31,10 @@ impl Exec {
         }
     }
 
-    /// Split `0..n` into `workers` contiguous ranges and run `f` on each,
-    /// one scoped thread per range. Returns after all ranges complete
-    /// (barrier semantics). The worker count is clamped to the
+    /// Split `0..n` into `workers` contiguous ranges and run `f` on each:
+    /// the first on the calling thread, which would otherwise only wait,
+    /// the rest on one scoped thread each. Returns after all ranges
+    /// complete (barrier semantics). The worker count is clamped to the
     /// process-wide [`thread_budget`](crate::thread_budget)
     /// (`PJ2K_THREADS`) before splitting.
     pub fn run_ranges<F>(&self, n: usize, f: F)
@@ -49,9 +50,14 @@ impl Exec {
             return;
         }
         std::thread::scope(|scope| {
-            for range in chunk_ranges(n, p) {
+            let mut ranges = chunk_ranges(n, p).into_iter();
+            let mine = ranges.next();
+            for range in ranges {
                 let f = &f;
                 scope.spawn(move || f(range));
+            }
+            if let Some(range) = mine {
+                f(range);
             }
         });
     }

@@ -12,7 +12,7 @@
 //!     --lossless         reversible 5/3, exact reconstruction
 //!     --levels N         decomposition levels (default 5)
 //!     --block WxH        code-block size (default 64x64)
-//!     --tiles N          NxN tiling (default: none)
+//!     --tiles N|WxH      NxN or WxH tiling (default: none)
 //!     --filter F         naive | padded | strip (default strip)
 //!     --threads N        single image: worker threads (default 1);
 //!                        batch: total worker budget B (default PJ2K_THREADS
@@ -141,18 +141,16 @@ fn encoder_config(opts: &Opts) -> Result<EncoderConfig, String> {
         cfg.levels = l.parse().map_err(|_| format!("bad --levels {l:?}"))?;
     }
     if let Some(b) = opts.value("--block") {
-        let parts: Vec<&str> = b.split('x').collect();
-        match parts[..] {
-            [w, h] => match (w.parse(), h.parse()) {
-                (Ok(w), Ok(h)) => cfg.code_block = (w, h),
-                _ => return Err(format!("bad --block {b:?}")),
-            },
-            _ => return Err(format!("bad --block {b:?} (expected WxH)")),
-        }
+        cfg.code_block = b
+            .split_once('x')
+            .and_then(parse_pair)
+            .ok_or_else(|| format!("bad --block {b:?} (expected WxH)"))?;
     }
     if let Some(t) = opts.value("--tiles") {
-        let v: usize = t.parse().map_err(|_| format!("bad --tiles {t:?}"))?;
-        cfg.tiles = Some((v, v));
+        cfg.tiles = Some(
+            parse_pair(t.split_once('x').unwrap_or((t, t)))
+                .ok_or_else(|| format!("bad --tiles {t:?} (expected N or WxH)"))?,
+        );
     }
     if let Some(f) = opts.value("--filter") {
         cfg.filter = match f {
@@ -182,6 +180,11 @@ fn encoder_config(opts: &Opts) -> Result<EncoderConfig, String> {
         }
     }
     Ok(cfg)
+}
+
+/// Both halves of a `WxH` option as numbers.
+fn parse_pair((w, h): (&str, &str)) -> Option<(usize, usize)> {
+    Some((w.parse().ok()?, h.parse().ok()?))
 }
 
 fn cmd_encode(args: &[String]) -> ExitCode {
@@ -230,12 +233,15 @@ fn cmd_encode_single(opts: &Opts, input: &PathBuf, output: &PathBuf) -> ExitCode
     }
     let bpp = bytes.len() as f64 * 8.0 / img.pixels() as f64;
     println!(
-        "{} -> {}: {} bytes ({bpp:.3} bpp, {} blocks, {} passes)",
+        "{} -> {}: {} bytes ({bpp:.3} bpp, {} blocks, {}/{}/{} passes coded/nominal/kept, {} tier-1 round(s))",
         input.display(),
         output.display(),
         bytes.len(),
         report.num_blocks,
-        report.total_passes
+        report.coded_passes,
+        report.total_passes,
+        report.kept_passes,
+        report.tier1_rounds
     );
     if opts.has("--stats") {
         for (stage, t) in report.stages.iter() {
@@ -466,4 +472,36 @@ fn describe(bytes: &[u8]) -> Result<String, codestream::ParseError> {
     }
     let _ = writeln!(out, "  tier-1:     {}", style.trim_end());
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(args: &[&str]) -> Result<EncoderConfig, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        encoder_config(&parse_opts(&args))
+    }
+
+    #[test]
+    fn tiles_accepts_a_side_or_a_pair() {
+        assert_eq!(config(&[]).unwrap().tiles, None);
+        assert_eq!(config(&["--tiles", "512"]).unwrap().tiles, Some((512, 512)));
+        assert_eq!(
+            config(&["--tiles", "512x256"]).unwrap().tiles,
+            Some((512, 256))
+        );
+        for bad in ["", "x", "512x", "x256", "12x34x56", "wide"] {
+            let err = config(&["--tiles", bad]).unwrap_err();
+            assert!(err.starts_with("bad --tiles"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn block_still_needs_a_pair() {
+        assert_eq!(config(&["--block", "32x16"]).unwrap().code_block, (32, 16));
+        for bad in ["32", "32x", "axb"] {
+            assert!(config(&["--block", bad]).is_err(), "{bad:?}");
+        }
+    }
 }

@@ -117,14 +117,69 @@ struct Increment {
 ///
 /// # Panics
 /// Panics if budgets decrease or any block's rates are malformed.
+pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<usize>> {
+    allocate_layers_truncated(blocks, layer_budgets, &[]).layers
+}
+
+/// What [`allocate_layers_truncated`] decided, and how sure it is.
+#[derive(Debug, Clone, Default)]
+pub struct Allocation {
+    /// `layers[layer][block]`, exactly as [`allocate_layers`] returns it.
+    pub layers: Vec<Vec<usize>>,
+    /// Slope of the first hull increment the final layer's budget refused
+    /// — the λ of the threshold rule. `0.0` when nothing was refused
+    /// (every pass offered fit the budget).
+    pub threshold: f64,
+    /// Blocks (ascending) whose missing passes might have changed the
+    /// result: had they been coded, the scan cannot rule out that one of
+    /// them would have been selected. Empty means `layers` is what full
+    /// trajectories would have given, provided each `uncoded_below` bound
+    /// holds.
+    pub suspect: Vec<usize>,
+}
+
+/// [`allocate_layers`] over trajectories that may stop early.
+///
+/// `uncoded_below[b]` describes what block `b` left out: `0.0` when its
+/// trajectory is complete, otherwise a slope strictly above that of every
+/// hull increment the block would gain if its remaining passes were coded.
+/// (An empty slice means every block is complete.) The selection itself is
+/// the greedy scan of [`allocate_layers`] on the passes given; on top of it
+/// the scan checks, per layer, the two ways a missing pass could matter:
+///
+/// - a truncated block had an increment flatter than its bound selected
+///   (the missing passes might have reshaped that part of its hull);
+/// - when the scan passed below a block's bound, the budget still had more
+///   bytes free than the block had coded beyond its selected prefix — an
+///   uncoded increment, which costs at least those bytes plus one, might
+///   have fit. Free bytes only shrink as the scan descends, so the check
+///   at the bound covers every flatter position.
+///
+/// Everything steeper than a block's bound is common to the truncated and
+/// the complete increment lists, so a block that passes both checks in
+/// every layer cannot have changed the scan; the rest are reported in
+/// [`Allocation::suspect`] for the caller to code deeper.
+///
+/// # Panics
+/// Panics if budgets decrease, any block's rates are malformed, or
+/// `uncoded_below` is neither empty nor one entry per block.
 // AUDIT(fn): encoder-only; hull pass counts index `rates`/`dists` of the
 // same block (hull entries are `<= rates.len()` by construction), block
-// indices come from `enumerate`, and rate deltas are hull-monotone.
+// indices come from `enumerate`, `uncoded_below` is length-checked on
+// entry, and rate deltas are hull-monotone.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<usize>> {
+pub fn allocate_layers_truncated(
+    blocks: &[BlockRd],
+    layer_budgets: &[usize],
+    uncoded_below: &[f64],
+) -> Allocation {
     for w in layer_budgets.windows(2) {
         assert!(w[0] <= w[1], "layer budgets must be non-decreasing");
     }
+    assert!(
+        uncoded_below.is_empty() || uncoded_below.len() == blocks.len(),
+        "one uncoded-slope bound per block"
+    );
     let mut incs: Vec<Increment> = Vec::new();
     for (b, blk) in blocks.iter().enumerate() {
         let mut prev_n = 0usize;
@@ -156,16 +211,37 @@ pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<u
             .then(a.block.cmp(&b.block))
             .then(a.upto.cmp(&b.upto))
     });
+    // Truncated blocks in the order the scan passes below their bounds.
+    let bound = |b: usize| uncoded_below.get(b).copied().unwrap_or(0.0);
+    let mut cut: Vec<usize> = (0..uncoded_below.len())
+        .filter(|&b| bound(b) > 0.0)
+        .collect();
+    cut.sort_by(|&a, &b| bound(b).total_cmp(&bound(a)).then(a.cmp(&b)));
+    let mut suspect = vec![false; blocks.len()];
 
     let mut upto = vec![0usize; blocks.len()];
     // Prefix rule: once a block's increment is skipped, its later (flatter)
     // increments may not be taken within the same layer; a later layer with
     // more budget reconsiders from where the block stopped.
     let mut spent = 0usize;
-    let mut out = Vec::with_capacity(layer_budgets.len());
+    let mut threshold = 0.0;
+    let mut layers = Vec::with_capacity(layer_budgets.len());
     for &budget in layer_budgets {
         let mut closed = vec![false; blocks.len()];
+        // Bytes block `b` coded beyond its selected prefix, against the
+        // bytes this layer still has free.
+        let could_fit_more = |b: usize, upto: &[usize], spent: usize| {
+            let coded = blocks[b].rates.last().copied().unwrap_or(0);
+            let kept = upto[b].checked_sub(1).map_or(0, |n| blocks[b].rates[n]);
+            coded - kept < budget.saturating_sub(spent)
+        };
+        let mut passed = 0usize; // cut[..passed]: bounds the scan is below
+        let mut first_refused = None;
         for inc in &incs {
+            while let Some(&b) = cut.get(passed).filter(|&&b| bound(b) > inc.slope) {
+                suspect[b] |= could_fit_more(b, &upto, spent);
+                passed += 1;
+            }
             if closed[inc.block] || inc.upto <= upto[inc.block] {
                 continue;
             }
@@ -178,13 +254,23 @@ pub fn allocate_layers(blocks: &[BlockRd], layer_budgets: &[usize]) -> Vec<Vec<u
             if spent.saturating_add(inc.dr) <= budget {
                 upto[inc.block] = inc.upto;
                 spent += inc.dr;
+                suspect[inc.block] |= inc.slope < bound(inc.block);
             } else {
                 closed[inc.block] = true;
+                first_refused.get_or_insert(inc.slope);
             }
         }
-        out.push(upto.clone());
+        for &b in cut.get(passed..).unwrap_or(&[]) {
+            suspect[b] |= could_fit_more(b, &upto, spent);
+        }
+        threshold = first_refused.unwrap_or(0.0);
+        layers.push(upto.clone());
     }
-    out
+    Allocation {
+        layers,
+        threshold,
+        suspect: (0..blocks.len()).filter(|&b| suspect[b]).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use pj2k_testkit::cases;
 use pj2k_tier2::bitio::{HeaderBitReader, HeaderBitWriter};
-use pj2k_tier2::pcrd::BlockRd;
+use pj2k_tier2::pcrd::{allocate_layers_truncated, BlockRd};
 use pj2k_tier2::{allocate_layers, decode_packet, encode_packet, PrecinctState, TagTree};
 
 const CASES: u32 = 64;
@@ -125,6 +125,135 @@ fn pcrd_invariants() {
         }
         assert!(spent <= budget, "spent {} > {}", spent, budget);
     });
+}
+
+/// Slopes of a trajectory's hull increments, paired with the pass count
+/// each reaches.
+fn hull_slopes(b: &BlockRd) -> Vec<(usize, f64)> {
+    let (mut pr, mut pd) = (0.0, 0.0);
+    b.hull()
+        .into_iter()
+        .map(|n| {
+            let (r, d) = (b.rates[n - 1] as f64, b.dists[n - 1]);
+            let s = (d - pd) / (r - pr);
+            (pr, pd) = (r, d);
+            (n, s)
+        })
+        .collect()
+}
+
+/// The certificate of `allocate_layers_truncated`: cut arbitrary
+/// trajectories short, give each cut block an honest bound (just above the
+/// slope of every hull increment it lost), and whenever no block is
+/// suspect the allocation must be the one the full trajectories get.
+/// Trajectories range from a few bytes a pass (where a lost pass can slip
+/// into the budget's last free bytes) to hundreds.
+#[test]
+fn truncated_allocation_is_certified_or_suspect() {
+    let (certified, suspect) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
+    cases(400, |rng| {
+        let n_blocks = rng.range(1usize..9);
+        let big = rng.bool();
+        let full: Vec<BlockRd> = (0..n_blocks)
+            .map(|_| {
+                let (mut r, mut d, mut gain) = (0usize, 0f64, rng.range_f64(10.0..5000.0));
+                let mut blk = BlockRd::default();
+                for _ in 0..rng.range(0usize..14) {
+                    r += rng.range(1usize..if big { 300 } else { 6 });
+                    d += gain * rng.range_f64(0.0..1.0);
+                    gain *= rng.range_f64(0.2..1.1);
+                    blk.rates.push(r);
+                    blk.dists.push(d);
+                }
+                blk
+            })
+            .collect();
+        let mut cut = full.clone();
+        let mut bounds = vec![0.0; n_blocks];
+        for b in 0..n_blocks {
+            if rng.range(0u32..3) == 0 {
+                continue; // left complete
+            }
+            // Mostly shallow cuts (the useful case); sometimes anything.
+            let len = full[b].rates.len();
+            let keep = if rng.bool() {
+                len.saturating_sub(rng.range(0usize..4))
+            } else {
+                rng.range(0..=len)
+            };
+            cut[b].rates.truncate(keep);
+            cut[b].dists.truncate(keep);
+            let lost = hull_slopes(&full[b])
+                .into_iter()
+                .filter(|&(n, _)| n > keep)
+                .map(|(_, s)| s)
+                .fold(0.0, f64::max);
+            // Honest, and sometimes far looser than needed.
+            bounds[b] = lost * rng.range_f64(1.0001..3.0) + f64::MIN_POSITIVE;
+        }
+        let total: usize = full.iter().filter_map(|b| b.rates.last()).sum();
+        let most = if rng.bool() { total / 2 } else { total + 10 };
+        let top = rng.range(0..=most);
+        let budgets = match rng.range(1u32..4) {
+            1 => vec![top],
+            2 => vec![top / 3, top],
+            _ => vec![top / 7, top / 2, top],
+        };
+        let want = allocate_layers(&full, &budgets);
+        let got = allocate_layers_truncated(&cut, &budgets, &bounds);
+        assert!(
+            got.suspect.iter().all(|&b| bounds[b] > 0.0),
+            "complete block suspected"
+        );
+        if got.suspect.is_empty() {
+            assert_eq!(got.layers, want, "certified but different");
+            certified.set(certified.get() + u32::from(bounds.iter().any(|&b| b > 0.0)));
+        } else {
+            suspect.set(suspect.get() + 1);
+        }
+    });
+    // Both outcomes must occur often, or the property above is vacuous.
+    assert!(certified.get() > 50, "certified {}", certified.get());
+    assert!(suspect.get() > 50, "suspect {}", suspect.get());
+}
+
+/// What the scan reports about itself: the threshold is the slope of the
+/// first refused increment of the last layer, and each of the two ways a
+/// missing pass can matter marks its block.
+#[test]
+fn truncated_allocation_reports_threshold_and_suspects() {
+    let blk = |points: &[(usize, f64)]| BlockRd {
+        rates: points.iter().map(|p| p.0).collect(),
+        dists: points.iter().map(|p| p.1).collect(),
+    };
+    // Slopes: a = 10, 5, 2; b = 8, 1.
+    let a = blk(&[(10, 100.0), (20, 150.0), (30, 170.0)]);
+    let b = blk(&[(10, 80.0), (20, 90.0)]);
+    let both = [a.clone(), b.clone()];
+    // Budget 35: takes 10, 8, 5 (30 bytes), refuses 2, then 1.
+    let out = allocate_layers_truncated(&both, &[35], &[]);
+    assert_eq!(out.layers, vec![vec![2, 1]]);
+    assert_eq!(out.threshold, 2.0);
+    assert!(out.suspect.is_empty());
+    // Everything fits: no threshold.
+    assert_eq!(
+        allocate_layers_truncated(&both, &[1000], &[]).threshold,
+        0.0
+    );
+    // Block b stops after its first pass, all of which is kept. When the
+    // scan passes below its bound 5 budget bytes are still free, so a lost
+    // pass might have fit.
+    let cut = [a.clone(), blk(&[(10, 80.0)])];
+    let out = allocate_layers_truncated(&cut, &[35], &[0.0, 1.5]);
+    assert_eq!(out.layers, vec![vec![2, 1]]);
+    assert_eq!(out.suspect, vec![1]);
+    // With the budget used to the last byte nothing more can fit.
+    let out = allocate_layers_truncated(&cut, &[30], &[0.0, 1.5]);
+    assert!(out.suspect.is_empty(), "{:?}", out.suspect);
+    // A bound above an increment that was selected: the lost passes might
+    // have reshaped that part of the hull.
+    let out = allocate_layers_truncated(&cut, &[30], &[0.0, 9.0]);
+    assert_eq!(out.suspect, vec![1]);
 }
 
 /// Multi-layer packet headers round-trip arbitrary (monotone)

@@ -33,7 +33,7 @@ const BENCHES: &[BenchSpec] = &[
     BenchSpec {
         bin: "bench_tier1",
         out: "target/BENCH_tier1_smoke.json",
-        schema: "pj2k.bench_tier1.v3",
+        schema: "pj2k.bench_tier1.v4",
         keys: &[
             "\"microbench\"",
             "\"steady_state\"",
@@ -50,6 +50,10 @@ const BENCHES: &[BenchSpec] = &[
             "\"components\"",
             "\"entropy_secs_est\"",
             "\"context_formation_secs_est\"",
+            "\"rate_aware\"",
+            "\"rate_aware_speedup\"",
+            "\"coded_pass_share\"",
+            "\"byte_mismatches\"",
         ],
         // The default bitplane engine must beat the reference engine in
         // the same run; the binary exits non-zero on <= 1.0, and this
@@ -59,8 +63,18 @@ const BENCHES: &[BenchSpec] = &[
         // not that the runner was noisy.
         floors: &[("\"bitplane_speedup\"", 1.2)],
         // The warm Tier-1 arena must allocate exactly zero times per
-        // block — the runtime half of the audit-hotpath contract.
-        ceilings: &[("\"steady_allocs_per_block\"", 0.0)],
+        // block — the runtime half of the audit-hotpath contract. The
+        // rate-aware encoder must write the bytes full coding writes
+        // (exact zero; the binary also exits non-zero otherwise) and must
+        // actually skip work at 1 bpp: it codes 0.82 of the nominal passes
+        // of the 512x512 smoke image and 0.85 of the full run's 1024x1024
+        // one (these synthetic images give it less to skip than the
+        // benchmark's, ~0.6), so 0.95 means the floors have stopped biting.
+        ceilings: &[
+            ("\"steady_allocs_per_block\"", 0.0),
+            ("\"byte_mismatches\"", 0.0),
+            ("\"coded_pass_share\"", 0.95),
+        ],
     },
     BenchSpec {
         bin: "bench_dwt",
@@ -79,6 +93,7 @@ const BENCHES: &[BenchSpec] = &[
             "\"simd_strip_speedup_53\"",
             "\"simd_bit_identity\"",
             "\"encoder\"",
+            "\"encoder_config\"",
             "\"barriered_secs\"",
             "\"pipelined_secs\"",
             "\"modeled_pipelined_speedup\"",
@@ -300,7 +315,14 @@ mod tests {
     #[test]
     fn ceilings_enforce_exact_zero_contracts() {
         let spec = &BENCHES[0];
-        assert_eq!(spec.ceilings, &[("\"steady_allocs_per_block\"", 0.0)]);
+        assert_eq!(
+            spec.ceilings,
+            &[
+                ("\"steady_allocs_per_block\"", 0.0),
+                ("\"byte_mismatches\"", 0.0),
+                ("\"coded_pass_share\"", 0.95)
+            ]
+        );
         let good =
             doc_with_all_keys(spec).replace("\"bitplane_speedup\": 1", "\"bitplane_speedup\": 2.0");
         assert!(check_doc(&good, spec).is_ok());
@@ -311,6 +333,12 @@ mod tests {
             "\"steady_allocs_per_block\": 0.5",
         );
         assert!(check_doc(&leaky, spec).is_err());
+        // So do a rate-aware encode that changed a byte, and one that
+        // codes (nearly) every pass anyway.
+        let changed = good.replace("\"byte_mismatches\": 0", "\"byte_mismatches\": 3");
+        assert!(check_doc(&changed, spec).is_err());
+        let idle = good.replace("\"coded_pass_share\": 0", "\"coded_pass_share\": 0.99");
+        assert!(check_doc(&idle, spec).is_err());
         let dwt = &BENCHES[1];
         assert_eq!(dwt.ceilings, &[("\"allocs_marginal_per_strip\"", 0.0)]);
     }
