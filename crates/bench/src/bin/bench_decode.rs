@@ -1,31 +1,26 @@
-//! Decode pipeline throughput harness.
+//! Decode throughput harness.
 //!
-//! Emits `BENCH_decode.json` (schema `pj2k.bench_decode.v2`) tracking the
-//! staged decode pipeline (DESIGN.md §15) against the barriered decoder,
-//! and the packed Tier-1 block decoder (DESIGN.md §13) against the
-//! per-coefficient oracle it replaced:
+//! Emits `BENCH_decode.json` (schema `pj2k.bench_decode.v3`) tracking the
+//! decoder (DESIGN.md §15) on real threads, and the packed Tier-1 block
+//! decoder (DESIGN.md §13) against the per-coefficient oracle it replaced.
+//! Everything reported is measured.
 //!
-//! 1. **Bit-identity cross-check**: every decoder variant this harness
-//!    times (barriered/pipelined × static/cost-weighted × worker counts)
-//!    must reproduce the sequential reference exactly — enforced in-run
-//!    before any number is reported.
+//! 1. **Bit-identity cross-check**: the decoder at every worker count this
+//!    harness times must reproduce the one-worker image exactly — enforced
+//!    in-run before any number is reported.
 //! 2. **Real-thread sweep** at p ∈ {1, 2, 4, 8} over two workloads: a
 //!    *pyramid* stream (paper-default encode, dyadic cost mix) and a
 //!    *skewed* stream (heavy code-blocks recurring at a fixed stride —
-//!    the aliasing case for stride schedules). Wall seconds and Mpix/s
-//!    for the barriered decoder (static policy, staggered round-robin)
-//!    vs the pipelined decoder (cost-weighted repartitioning).
-//! 3. **Modeled sweep**: the same contrast through
-//!    [`pj2k_smpsim::decode`] driven by this run's measured stage totals,
-//!    so the shape claim survives single-core CI hosts where real-thread
-//!    speedups are meaningless. `pipelined_speedup` at p=4 on the skewed
-//!    workload is the headline key CI asserts.
-//! 4. **Steady-state allocation oracle**: a warm
+//!    the aliasing case for stride schedules, which the decoder's
+//!    arrival-order queue drain does not have). Wall seconds, Mpix/s and
+//!    speedup over p = 1, with the one-worker stage split (parse, Tier-1,
+//!    inverse DWT) beside them.
+//! 3. **Steady-state allocation oracle**: a warm
 //!    [`pj2k_ebcot::BlockDecoderScratch`] pass over pre-parsed segments
 //!    must allocate exactly zero times per block — the runtime proof
-//!    behind the `AUDIT(hot): amortized` justifications in the pipelined
-//!    Tier-1 drain closure.
-//! 5. **Tier-1 decode engines** (`tier1_decode`): the packed decoder vs
+//!    behind the `AUDIT(hot): amortized` justifications in the decoder's
+//!    per-block closure.
+//! 4. **Tier-1 decode engines** (`tier1_decode`): the packed decoder vs
 //!    the `pj2k_ebcot::oracle` decoder over the same warm block set —
 //!    blocks/s, ns per block and allocations per warm block (0 enforced
 //!    for both), reported only after both reproduced every block's
@@ -41,23 +36,19 @@
 use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::{paper_config, test_image, time};
 use pj2k_core::report::stage;
-use pj2k_core::{DecodeStagePolicy, Decoder, Encoder, EncoderConfig, ParallelMode, StageOverlap};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode};
 use pj2k_ebcot::oracle::OracleDecoderScratch;
 use pj2k_ebcot::{
     BandCtx, BlockCoder, BlockDecoderScratch, DecodeError, EncodedBlock, Tier1Options,
 };
 use pj2k_image::{synth, Image, Plane};
-use pj2k_smpsim::{
-    barriered_decode_makespan, pipelined_decode_makespan, DecodeStageCosts, Schedule,
-};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Smooth background with a dense noise band in every fourth 64-pixel
 /// code-block row: heavy blocks recur at a fixed stride, which a stride
-/// schedule aliases onto one worker while the pipeline's queue drain
-/// rebalances at runtime.
+/// schedule would alias onto one worker.
 fn skewed_image(side: usize) -> Image {
     let mut state = 0x5EED_BEEFu64;
     Image::gray8(Plane::from_fn(side, side, |x, y| {
@@ -72,23 +63,14 @@ fn skewed_image(side: usize) -> Image {
     }))
 }
 
-fn barriered(p: usize) -> Decoder {
+fn decoder(p: usize) -> Decoder {
     Decoder {
         parallel: if p == 1 {
             ParallelMode::Sequential
         } else {
             ParallelMode::WorkerPool { workers: p }
         },
-        stage_policy: DecodeStagePolicy::Static,
         ..Decoder::default()
-    }
-}
-
-fn pipelined(p: usize) -> Decoder {
-    Decoder {
-        overlap: StageOverlap::Pipelined,
-        stage_policy: DecodeStagePolicy::CostWeighted,
-        ..barriered(p)
     }
 }
 
@@ -96,36 +78,6 @@ struct Workload {
     name: &'static str,
     bytes: Vec<u8>,
     pixels: f64,
-    /// Relative Tier-1 cost of block `i` in arrival order, for the model.
-    weight: fn(usize) -> f64,
-}
-
-fn pyramid_weight(i: usize) -> f64 {
-    // Dyadic mix: per 8 blocks, six sparse finest-level, one mid-level,
-    // one dense coarse/LL (see bench_tier1's synth_blocks).
-    [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0, 9.0][i % 8]
-}
-
-fn skewed_weight(i: usize) -> f64 {
-    // Period-16 heavy blocks: with p=4 the staggered round-robin stride
-    // (worker = (i%p + i/p) % p) sends every one of them to worker 0.
-    if i.is_multiple_of(16) {
-        24.0
-    } else {
-        1.0
-    }
-}
-
-struct MeasuredRow {
-    p: usize,
-    barriered_secs: f64,
-    pipelined_secs: f64,
-}
-
-struct ModeledRow {
-    p: usize,
-    barriered_speedup: f64,
-    pipelined_speedup: f64,
 }
 
 fn jf(v: f64) -> String {
@@ -160,16 +112,10 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"tier1_secs\"",
     "\"dwt_secs\"",
     "\"measured\"",
-    "\"barriered_secs\"",
-    "\"pipelined_secs\"",
-    "\"barriered_mpix_per_sec\"",
-    "\"pipelined_mpix_per_sec\"",
-    "\"pipelined_over_barriered\"",
+    "\"secs\"",
+    "\"mpix_per_sec\"",
+    "\"speedup\"",
     "\"oversubscribed\"",
-    "\"modeled\"",
-    "\"barriered_speedup\"",
-    "\"pipelined_speedup\"",
-    "\"skewed_p4_pipelined_speedup\"",
 ];
 
 fn validate(doc: &str) -> Result<(), String> {
@@ -232,7 +178,7 @@ struct EngineRow {
 /// scratch and checks every block against its source coefficients (exit 1
 /// on any difference — no number is reported for a wrong decoder), then
 /// `reps` timed passes under the allocation counter. Segments are sliced
-/// up front, exactly what the Tier-2 parser hands the pipelined drain.
+/// up front, exactly what the Tier-2 parser hands the decoder's workers.
 fn run_engine(
     name: &str,
     blocks: &[(EncodedBlock, Vec<i32>)],
@@ -299,30 +245,27 @@ fn main() {
             name: "pyramid",
             bytes: enc.encode(&pyramid_img).0,
             pixels: (pyramid_img.width() * pyramid_img.height()) as f64,
-            weight: pyramid_weight,
         },
         Workload {
             name: "skewed",
             bytes: enc.encode(&skewed_img).0,
             pixels: (side * side) as f64,
-            weight: skewed_weight,
         },
     ];
 
     // --- in-run bit-identity cross-check ---------------------------------
+    let cpus = [1usize, 2, 4, 8];
     for w in &workloads {
-        let (reference, _) = Decoder::default().decode(&w.bytes).expect("valid stream");
-        for p in [2usize, 4] {
-            for (what, dec) in [("barriered", barriered(p)), ("pipelined", pipelined(p))] {
-                let (img, _) = dec.decode(&w.bytes).expect("valid stream");
-                if img != reference {
-                    eprintln!("FAIL: {what} p={p} diverged from sequential on {}", w.name);
-                    std::process::exit(1);
-                }
+        let (reference, _) = decoder(1).decode(&w.bytes).expect("valid stream");
+        for &p in &cpus[1..] {
+            let (img, _) = decoder(p).decode(&w.bytes).expect("valid stream");
+            if img != reference {
+                eprintln!("FAIL: p={p} diverged from p=1 on {}", w.name);
+                std::process::exit(1);
             }
         }
     }
-    println!("bit-identity: all decoder variants match the sequential reference");
+    println!("bit-identity: every worker count decodes the one-worker image");
 
     // --- Tier-1 engines: equality, steady-state allocations, throughput --
     let opts = Tier1Options::default();
@@ -361,27 +304,14 @@ fn main() {
     let (steady_allocs, oracle_n) = (packed.allocs, packed.decoded);
     let steady_per_block = steady_allocs as f64 / oracle_n as f64;
 
-    // --- measured + modeled sweeps ---------------------------------------
-    let cpus = [1usize, 2, 4, 8];
+    // --- measured sweep ---------------------------------------------------
     let mut sections = Vec::new();
-    let mut skewed_p4 = 0.0f64;
     for w in &workloads {
-        // Sequential stage breakdown drives the model.
-        let (_, report) = Decoder::default().decode(&w.bytes).expect("valid stream");
+        let (_, report) = decoder(1).decode(&w.bytes).expect("valid stream");
         let parse_total = report.stages.get(stage::TIER2).as_secs_f64();
         let tier1_total = report.stages.get(stage::TIER1).as_secs_f64();
         let dwt_total = report.stages.get(stage::INTRA_COMPONENT).as_secs_f64();
-        let n = report.num_blocks.max(1);
-        let weights: Vec<f64> = (0..n).map(w.weight).collect();
-        let wsum: f64 = weights.iter().sum();
-        let costs = DecodeStageCosts {
-            parse: vec![parse_total / n as f64; n],
-            tier1: weights.iter().map(|x| tier1_total * x / wsum).collect(),
-            // The finest reconstruction level (~3/4 of the samples)
-            // completes last; coarser levels overlap the drain.
-            dwt_overlapped: dwt_total * 0.25,
-            dwt_exposed: dwt_total * 0.75,
-        };
+        let n = report.num_blocks;
         println!(
             "{}: {} blocks — parse {:.1} ms, tier-1 {:.1} ms, dwt {:.1} ms",
             w.name,
@@ -390,62 +320,36 @@ fn main() {
             tier1_total * 1e3,
             dwt_total * 1e3
         );
-
         let mut measured = Vec::new();
-        let mut modeled = Vec::new();
         for &p in &cpus {
-            let mut t_bar = f64::INFINITY;
-            let mut t_pipe = f64::INFINITY;
+            let mut best = f64::INFINITY;
             for _ in 0..trials {
-                let (_, t) = time(|| barriered(p).decode(&w.bytes).expect("valid stream"));
-                t_bar = t_bar.min(t);
-                let (_, t) = time(|| pipelined(p).decode(&w.bytes).expect("valid stream"));
-                t_pipe = t_pipe.min(t);
+                let (_, t) = time(|| decoder(p).decode(&w.bytes).expect("valid stream"));
+                best = best.min(t);
             }
-            measured.push(MeasuredRow {
-                p,
-                barriered_secs: t_bar,
-                pipelined_secs: t_pipe,
-            });
-            let seq = costs.sequential();
-            let m_bar = barriered_decode_makespan(&costs, p, Schedule::StaggeredRoundRobin);
-            let m_pipe = pipelined_decode_makespan(&costs, p);
-            let row = ModeledRow {
-                p,
-                barriered_speedup: if m_bar > 0.0 { seq / m_bar } else { 1.0 },
-                pipelined_speedup: if m_pipe > 0.0 { m_bar / m_pipe } else { 1.0 },
-            };
-            println!(
-                "  p={p}: measured barriered {:.1} ms, pipelined {:.1} ms (x{:.3}); \
-                 modeled pipelined/barriered x{:.3}",
-                t_bar * 1e3,
-                t_pipe * 1e3,
-                t_bar / t_pipe,
-                row.pipelined_speedup
-            );
-            if w.name == "skewed" && p == 4 {
-                skewed_p4 = row.pipelined_speedup;
-            }
-            modeled.push(row);
+            measured.push((p, best));
         }
-        sections.push((w, parse_total, tier1_total, dwt_total, n, measured, modeled));
-    }
-
-    // Self-validation: on the skewed workload at p=4 the cost-weighted
-    // pipeline must beat the static barriered decoder by the contract
-    // margin (modeled from this run's measured stage totals, so the claim
-    // is host-independent; smoke keeps a weaker floor since its tiny
-    // stream carries few heavy blocks).
-    let floor = if smoke { 1.0 } else { 1.25 };
-    if skewed_p4 < floor {
-        eprintln!("FAIL: skewed p=4 pipelined speedup {skewed_p4:.3} under floor {floor}");
-        std::process::exit(1);
+        let p1 = measured[0].1;
+        for &(p, secs) in &measured {
+            println!(
+                "  p={p}: {:.1} ms, {:.1} Mpix/s (x{:.3}){}",
+                secs * 1e3,
+                w.pixels / 1e6 / secs,
+                p1 / secs,
+                if p > host_cores {
+                    " oversubscribed"
+                } else {
+                    ""
+                }
+            );
+        }
+        sections.push((w, parse_total, tier1_total, dwt_total, n, measured));
     }
 
     // --- hand-rolled JSON -------------------------------------------------
     let mut doc = String::new();
     doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_decode.v2\",\n");
+    doc.push_str("  \"schema\": \"pj2k.bench_decode.v3\",\n");
     doc.push_str(&format!("  \"smoke\": {smoke},\n"));
     doc.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     doc.push_str(&format!("  \"kpixels\": {kpx},\n"));
@@ -474,38 +378,23 @@ fn main() {
         jf(packed_speedup)
     ));
     doc.push_str("  \"workloads\": {\n");
-    for (wi, (w, parse, tier1, dwt, n, measured, modeled)) in sections.iter().enumerate() {
+    for (wi, (w, parse, tier1, dwt, n, measured)) in sections.iter().enumerate() {
         doc.push_str(&format!("    \"{}\": {{\n", w.name));
         doc.push_str(&format!("      \"blocks\": {n},\n"));
         doc.push_str(&format!("      \"parse_secs\": {},\n", jf(*parse)));
         doc.push_str(&format!("      \"tier1_secs\": {},\n", jf(*tier1)));
         doc.push_str(&format!("      \"dwt_secs\": {},\n", jf(*dwt)));
         doc.push_str("      \"measured\": [\n");
-        for (i, r) in measured.iter().enumerate() {
-            let mp = w.pixels / 1e6;
+        let p1 = measured[0].1;
+        for (i, &(p, secs)) in measured.iter().enumerate() {
             doc.push_str(&format!(
-                "        {{ \"p\": {}, \"barriered_secs\": {}, \"pipelined_secs\": {}, \
-                 \"barriered_mpix_per_sec\": {}, \"pipelined_mpix_per_sec\": {}, \
-                 \"pipelined_over_barriered\": {}, \"oversubscribed\": {} }}{}\n",
-                r.p,
-                jf(r.barriered_secs),
-                jf(r.pipelined_secs),
-                jf(mp / r.barriered_secs),
-                jf(mp / r.pipelined_secs),
-                jf(r.barriered_secs / r.pipelined_secs),
-                r.p > host_cores,
+                "        {{ \"p\": {p}, \"secs\": {}, \"mpix_per_sec\": {}, \"speedup\": {}, \
+                 \"oversubscribed\": {} }}{}\n",
+                jf(secs),
+                jf(w.pixels / 1e6 / secs),
+                jf(p1 / secs),
+                p > host_cores,
                 if i + 1 < measured.len() { "," } else { "" }
-            ));
-        }
-        doc.push_str("      ],\n");
-        doc.push_str("      \"modeled\": [\n");
-        for (i, r) in modeled.iter().enumerate() {
-            doc.push_str(&format!(
-                "        {{ \"p\": {}, \"barriered_speedup\": {}, \"pipelined_speedup\": {} }}{}\n",
-                r.p,
-                jf(r.barriered_speedup),
-                jf(r.pipelined_speedup),
-                if i + 1 < modeled.len() { "," } else { "" }
             ));
         }
         doc.push_str("      ]\n");
@@ -514,11 +403,7 @@ fn main() {
             if wi + 1 < sections.len() { "," } else { "" }
         ));
     }
-    doc.push_str("  },\n");
-    doc.push_str(&format!(
-        "  \"skewed_p4_pipelined_speedup\": {}\n}}\n",
-        jf(skewed_p4)
-    ));
+    doc.push_str("  }\n}\n");
 
     std::fs::write(&out_path, &doc).expect("write benchmark JSON");
     let written = std::fs::read_to_string(&out_path).expect("re-read benchmark JSON");

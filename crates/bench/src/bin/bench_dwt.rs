@@ -1,6 +1,6 @@
-//! DWT kernel & stage-pipelining trajectory harness.
+//! DWT kernel trajectory harness.
 //!
-//! Emits `BENCH_dwt.json` (schema `pj2k.bench_dwt.v2`) with three
+//! Emits `BENCH_dwt.json` (schema `pj2k.bench_dwt.v3`) with two
 //! measurements that track this workspace's wavelet-transform performance
 //! over time:
 //!
@@ -9,15 +9,7 @@
 //!    fused single-pass lifting, naive vs strip-mined columns — on a
 //!    power-of-two width and a padded stride, plus a thread sweep at
 //!    p ∈ {1, 2, 4, 8} for the strip variants.
-//! 2. **Stage-overlap comparison**: wall-clock end-to-end lossless (5/3)
-//!    encode time — the configuration in which the pipelined encoder
-//!    runs; a rate target takes the barriered path either way —
-//!    barriered vs pipelined, at p ∈ {1, 2, 4, 8}, together with *modeled*
-//!    makespans replayed from measured per-level DWT times and per-block
-//!    Tier-1 costs — so the overlap benefit is visible even when the host
-//!    has fewer cores than `p`. Heap-allocation counts per mode come from
-//!    a counting global allocator.
-//! 3. **Steady-state allocation oracle**: transforms of two plane heights
+//! 2. **Steady-state allocation oracle**: transforms of two plane heights
 //!    must show identical allocation-call counts — scratch is sized per
 //!    worker range per level, never per strip — the runtime proof behind
 //!    the `AUDIT(hot)` justifications `cargo xtask audit-hotpath` accepts
@@ -31,25 +23,14 @@
 //! JSON schema, not the performance numbers.
 
 use pj2k_bench::alloc_count::{self, CountingAlloc};
-use pj2k_bench::{filtering_profile, project_filtering, test_image, time};
-use pj2k_core::{
-    Encoder, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl, Schedule,
-    StageOverlap, Wavelet,
-};
-use pj2k_dwt::{
-    forward_53_level, forward_53_with, forward_97_with, Decomposition, SimdMode, SimdTier,
-    VerticalStrategy,
-};
+use pj2k_bench::time;
+use pj2k_core::LiftingMode;
+use pj2k_dwt::{forward_53_with, forward_97_with, SimdMode, SimdTier, VerticalStrategy};
 use pj2k_image::Plane;
 use pj2k_parutil::Exec;
-use pj2k_smpsim::BusParams;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    alloc_count::global_allocs()
-}
 
 const TRIALS: usize = 3;
 const STRIP: VerticalStrategy = VerticalStrategy::DEFAULT_STRIP;
@@ -244,99 +225,6 @@ fn vert_name(v: VerticalStrategy) -> &'static str {
     }
 }
 
-/// Greedy earliest-available-worker replay of the measured block costs under
-/// per-job release times — the runtime behaviour of dynamic self-scheduling
-/// consumers draining the pipeline queue in arrival order.
-fn simulate(releases: &[f64], costs: &[f64], p: usize) -> f64 {
-    assert_eq!(releases.len(), costs.len());
-    // Workers claim in arrival order, so replay chronologically (stable:
-    // ties keep publish order).
-    let mut order: Vec<usize> = (0..releases.len()).collect();
-    order.sort_by(|&a, &b| releases[a].total_cmp(&releases[b]));
-    let mut free = vec![0.0f64; p.max(1)];
-    let mut end = 0.0f64;
-    for i in order {
-        let (r, d) = (releases[i], costs[i]);
-        let w = (0..free.len())
-            .min_by(|&a, &b| free[a].total_cmp(&free[b]))
-            .unwrap_or(0);
-        let start = free[w].max(r);
-        free[w] = start + d;
-        end = end.max(free[w]);
-    }
-    end
-}
-
-/// Per-job release times for the pipelined producer on a grayscale image:
-/// jobs of the subbands finalized by DWT step `l` become available at the
-/// cumulative transform time through step `l` (`dwt_secs`, the projected
-/// whole-transform time at the modeled worker count, split across steps by
-/// the measured serial per-level shares) plus the serial band-extraction
-/// share. Job order is the encoder's: `subbands()` order, one precinct
-/// (contiguous job range) per band.
-fn pipeline_releases(
-    deco: &Decomposition,
-    level_shares: &[f64],
-    dwt_secs: f64,
-    extract_secs: f64,
-    code_block: (usize, usize),
-) -> Vec<f64> {
-    let bands = deco.subbands();
-    let n_blocks = |w: usize, h: usize| {
-        if w == 0 || h == 0 {
-            0
-        } else {
-            w.div_ceil(code_block.0) * h.div_ceil(code_block.1)
-        }
-    };
-    // Cumulative producer time after each step (extraction cost spread
-    // uniformly across the steps — a modelling simplification).
-    let steps = level_shares.len();
-    let mut cum = Vec::with_capacity(steps);
-    let mut acc = 0.0;
-    for &share in level_shares {
-        acc += dwt_secs * share + extract_secs / steps.max(1) as f64;
-        cum.push(acc);
-    }
-    let release_of = |level: u8| {
-        if steps == 0 {
-            0.0
-        } else {
-            cum[usize::from(level.max(1)) - 1]
-        }
-    };
-    let mut releases = Vec::new();
-    for sb in &bands {
-        let r = release_of(sb.level);
-        for _ in 0..n_blocks(sb.w, sb.h) {
-            releases.push(r);
-        }
-    }
-    releases
-}
-
-/// The stage-overlap rows code losslessly: a rate target sends the
-/// pipelined encoder down the barriered path (rate-aware Tier-1 needs a
-/// sample of every band before any block is coded, DESIGN.md §18), so the
-/// reversible configuration is the one where the two sequencings differ.
-fn enc_cfg(p: usize, overlap: StageOverlap, levels: u8) -> EncoderConfig {
-    EncoderConfig {
-        wavelet: Wavelet::Reversible53,
-        rate: RateControl::Lossless,
-        levels,
-        filter: FilterStrategy::Strip,
-        lifting: LiftingMode::Fused,
-        overlap,
-        parallel: if p == 1 {
-            ParallelMode::Sequential
-        } else {
-            ParallelMode::WorkerPool { workers: p }
-        },
-        tier1_schedule: Schedule::Dynamic { chunk: 1 },
-        ..EncoderConfig::default()
-    }
-}
-
 fn jf(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -365,14 +253,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"simd_strip_speedup_97\"",
     "\"simd_strip_speedup_53\"",
     "\"simd_bit_identity\"",
-    "\"encoder\"",
-    "\"encoder_config\"",
-    "\"barriered_secs\"",
-    "\"pipelined_secs\"",
-    "\"modeled_barriered_secs\"",
-    "\"modeled_pipelined_secs\"",
-    "\"modeled_pipelined_speedup\"",
-    "\"allocs\"",
     "\"steady_state\"",
     "\"allocs_marginal_per_strip\"",
 ];
@@ -405,7 +285,7 @@ fn main() {
         .unwrap_or_else(|| "BENCH_dwt.json".to_string());
 
     let levels: u8 = 5;
-    let (side, kpx) = if smoke { (256usize, 64) } else { (2048, 1024) };
+    let side = if smoke { 256usize } else { 2048 };
     let mpix = (side * side) as f64 / 1e6;
 
     // --- kernel sweep ----------------------------------------------------
@@ -606,142 +486,10 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- stage overlap: barriered vs pipelined end-to-end ----------------
-    let img = test_image(kpx);
-    let (iw, ih) = (img.width(), img.height());
-
-    // Model inputs: per-level serial DWT shares (fused strip), the
-    // bus-contention filtering profile (how far the memory-bound DWT can
-    // scale, same machinery as the Fig. 6/9 projections), and the
-    // sequential barriered profile (stage split + per-block Tier-1 costs).
-    let deco = Decomposition::new(iw, ih, levels);
-    let mut level_secs = vec![f64::INFINITY; usize::from(levels)];
-    let mut plane = Plane::<i32>::new(iw, ih);
-    for _ in 0..TRIALS {
-        fill_i32(&mut plane);
-        for l in 0..levels {
-            let (_, t) = time(|| {
-                forward_53_level(
-                    &mut plane,
-                    &deco,
-                    l,
-                    STRIP,
-                    LiftingMode::Fused,
-                    SimdMode::Auto,
-                    &Exec::SEQ,
-                )
-            });
-            let slot = &mut level_secs[usize::from(l)];
-            *slot = slot.min(t);
-        }
-    }
-    let level_total: f64 = level_secs.iter().sum();
-    let level_shares: Vec<f64> = level_secs
-        .iter()
-        .map(|&t| {
-            if level_total > 0.0 {
-                t / level_total
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let fp = filtering_profile(iw.min(1024), levels);
-    let fp_anchor = fp.strip.total().as_secs_f64();
-
-    let profile_enc = Encoder::new(enc_cfg(1, StageOverlap::Barriered, levels)).expect("config");
-    let a0 = allocs();
-    let (out_barriered, profile) = profile_enc.encode(&img);
-    let barriered_allocs = allocs() - a0;
-    let costs = &profile.block_times;
-    let stage_secs = |name: &str| {
-        profile
-            .stages
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0.0, |(_, d)| d.as_secs_f64())
-    };
-    let t_dwt = stage_secs(pj2k_core::report::stage::INTRA_COMPONENT);
-    let t_quant = stage_secs(pj2k_core::report::stage::QUANTIZATION);
-
-    let pipe_enc = Encoder::new(enc_cfg(1, StageOverlap::Pipelined, levels)).expect("config");
-    let a0 = allocs();
-    let (out_pipelined, pipe_profile) = pipe_enc.encode(&img);
-    let pipelined_allocs = allocs() - a0;
-    assert_eq!(
-        out_barriered, out_pipelined,
-        "pipelined encode changed the codestream"
-    );
-    // The pipelined producer's serial band-extraction cost, as measured
-    // (its quantization-stage share) — much cheaper than the barriered
-    // full-plane quantization pass it replaces.
-    let t_extract = pipe_profile
-        .stages
-        .iter()
-        .find(|(n, _)| *n == pj2k_core::report::stage::QUANTIZATION)
-        .map_or(0.0, |(_, d)| d.as_secs_f64());
-
-    let zeros = vec![0.0f64; costs.len()];
-
-    let mut enc_rows = Vec::new();
-    for p in [1usize, 2, 4, 8] {
-        let mut t_bar = f64::INFINITY;
-        let mut t_pipe = f64::INFINITY;
-        for _ in 0..TRIALS {
-            let e = Encoder::new(enc_cfg(p, StageOverlap::Barriered, levels)).expect("config");
-            let (_, t) = time(|| e.encode(&img));
-            t_bar = t_bar.min(t);
-            let e = Encoder::new(enc_cfg(p, StageOverlap::Pipelined, levels)).expect("config");
-            let (_, t) = time(|| e.encode(&img));
-            t_pipe = t_pipe.min(t);
-        }
-        // Projected DWT stage time at p workers under FSB contention
-        // (memory-bound filtering does not scale linearly), anchored to the
-        // measured serial DWT magnitude — the same model as the Fig. 6/9
-        // stage projections.
-        let dwt_p = if fp_anchor > 0.0 {
-            (project_filtering(&fp.strip_items, p, BusParams::PENTIUM2_FSB)
-                + project_filtering(&fp.horiz_items, p, BusParams::PENTIUM2_FSB))
-                * (t_dwt / fp_anchor)
-        } else {
-            t_dwt / p as f64
-        };
-        // Modeled: barriered runs the whole projected DWT, the quantization
-        // pass split p ways, then the Tier-1 drain from a common start.
-        // Pipelined releases each band's jobs as its level of the projected
-        // transform finalizes (extraction serial on the producer), and the
-        // compute-bound block coding fills the bus-stall slack the
-        // memory-bound filtering leaves on the remaining workers —
-        // quantization itself is folded into the consumers' staging.
-        let m_bar = dwt_p + t_quant / p as f64 + simulate(&zeros, costs, p);
-        let releases = pipeline_releases(&deco, &level_shares, dwt_p, t_extract, (64, 64));
-        assert_eq!(
-            releases.len(),
-            costs.len(),
-            "release model disagrees with the encoder's job count"
-        );
-        let m_pipe = simulate(&releases, costs, p);
-        println!(
-            "encoder p={p}: barriered {:.1} ms, pipelined {:.1} ms (measured x{:.3}); \
-             modeled {:.1} ms vs {:.1} ms (x{:.3})",
-            t_bar * 1e3,
-            t_pipe * 1e3,
-            t_bar / t_pipe,
-            m_bar * 1e3,
-            m_pipe * 1e3,
-            m_bar / m_pipe
-        );
-        enc_rows.push((p, t_bar, t_pipe, m_bar, m_pipe));
-    }
-    println!(
-        "allocations, sequential encode: barriered {barriered_allocs}, \
-         pipelined {pipelined_allocs}"
-    );
-
     // --- hand-rolled JSON -------------------------------------------------
     let mut doc = String::new();
     doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_dwt.v2\",\n");
+    doc.push_str("  \"schema\": \"pj2k.bench_dwt.v3\",\n");
     doc.push_str(&format!("  \"smoke\": {smoke},\n"));
     doc.push_str(&format!("  \"image_side\": {side},\n"));
     doc.push_str(&format!("  \"levels\": {levels},\n"));
@@ -791,27 +539,6 @@ fn main() {
         jf(simd_strip_speedup_53)
     ));
     doc.push_str(&format!("  \"simd_bit_identity\": {simd_bit_identity},\n"));
-    doc.push_str(&format!("  \"encoder_kpixels\": {kpx},\n"));
-    doc.push_str("  \"encoder_config\": \"lossless 5/3\",\n");
-    doc.push_str("  \"encoder\": [\n");
-    for (i, (p, t_bar, t_pipe, m_bar, m_pipe)) in enc_rows.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{ \"p\": {p}, \"barriered_secs\": {}, \"pipelined_secs\": {}, \
-             \"measured_speedup\": {}, \"modeled_barriered_secs\": {}, \
-             \"modeled_pipelined_secs\": {}, \"modeled_pipelined_speedup\": {} }}{}\n",
-            jf(*t_bar),
-            jf(*t_pipe),
-            jf(t_bar / t_pipe),
-            jf(*m_bar),
-            jf(*m_pipe),
-            jf(m_bar / m_pipe),
-            if i + 1 < enc_rows.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!(
-        "  \"allocs\": {{ \"barriered\": {barriered_allocs}, \"pipelined\": {pipelined_allocs} }},\n"
-    ));
     doc.push_str(&format!(
         "  \"steady_state\": {{ \"allocs_short\": {a_short}, \"allocs_tall\": {a_tall}, \
          \"extra_strips\": {extra_strips}, \"allocs_marginal_per_strip\": {} }}\n",

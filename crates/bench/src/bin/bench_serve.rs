@@ -57,7 +57,8 @@ struct SizeClass {
 /// staggered-round-robin stride (the same projection `project_encode`
 /// uses) plus the DWT/quantization split. For `k > 4` the floor is
 /// conservative (the stride can only balance better with more workers).
-fn median(samples: &mut Vec<f64>) -> f64 {
+fn median(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut samples: Vec<f64> = samples.collect();
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
 }
@@ -73,26 +74,18 @@ fn profile_size(cfg: &EncoderConfig, side: usize, seed: u64, reps: usize) -> Siz
     // Element-wise medians across reps: each stage and each code block is
     // the same work every rep, so the median strips scheduler noise
     // without mixing components from different reps' noise profiles.
-    let med_stage = |name: &str| {
-        median(
-            &mut reports
-                .iter()
-                .map(|r| r.stages.get(name).as_secs_f64())
-                .collect(),
-        )
-    };
+    let med_stage = |name: &str| median(reports.iter().map(|r| r.stages.get(name).as_secs_f64()));
     let total = median(
-        &mut reports
+        reports
             .iter()
-            .map(|r| r.stages.iter().map(|(_, d)| d.as_secs_f64()).sum())
-            .collect(),
+            .map(|r| r.stages.iter().map(|(_, d)| d.as_secs_f64()).sum()),
     );
     let dwt = med_stage(stage::INTRA_COMPONENT);
     let quant = med_stage(stage::QUANTIZATION);
     let tier1 = med_stage(stage::TIER1);
     let n_blocks = reports[0].block_times.len();
     let block_times: Vec<f64> = (0..n_blocks)
-        .map(|b| median(&mut reports.iter().map(|r| r.block_times[b]).collect()))
+        .map(|b| median(reports.iter().map(|r| r.block_times[b])))
         .collect();
     let parallel = (dwt + quant + tier1).min(total);
     let granule = (dwt + quant) / 4.0 + makespan(&block_times, 4, Schedule::StaggeredRoundRobin);

@@ -78,107 +78,19 @@ impl FilterStrategy {
     }
 }
 
-/// How the encoder sequences the DWT → quantization → Tier-1 stages.
+/// Formerly selected between barrier-separated and per-level overlapped
+/// stage sequencing. **Inert**: the encoder and the decoder each run one
+/// sequence (DESIGN.md §10, §15) and ignore the value — both variants give
+/// the same bytes and pixels, pinned by a test. The enum and the two
+/// `overlap` fields survive only because `benchmark/README.md` pins them;
+/// the follow-up `[benchmark]` issue that unpins `overlap`/`StageOverlap`
+/// (ROADMAP item 2) removes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageOverlap {
-    /// Whole-image barriers between stages: every component is fully
-    /// transformed, then fully quantized, then fully block-coded — the
-    /// paper's Fig. 1 pipeline run stage by stage.
+    /// Accepted and ignored.
     Barriered,
-    /// As soon as a decomposition level finalizes its `HL`/`LH`/`HH`
-    /// subbands they are handed to quantization and Tier-1 block coding on
-    /// the worker pool, while the next DWT level proceeds on the shrinking
-    /// `LL` region. The codestream is bit-identical to [`Barriered`]
-    /// (asserted in tests); only the schedule changes.
-    ///
-    /// Configurations the overlap cannot express fall back to the
-    /// barriered path transparently: an ROI (MAXSHIFT rescales coefficients
-    /// *across* subbands after quantization), and on encode a rate target
-    /// ([`RateControl::TargetBpp`]: how deep a block is coded follows from
-    /// a sample of every band, and the overlap codes the finest bands
-    /// before the coarse ones exist) — so the pipelined encoder runs for
-    /// [`RateControl::Lossless`] only.
-    ///
-    /// [`Barriered`]: StageOverlap::Barriered
+    /// Accepted and ignored.
     Pipelined,
-}
-
-/// How the pipelined decoder splits workers between the Tier-1 block
-/// stage and the inverse-DWT stage (the "dynamic repartitioning" of
-/// arXiv 1311.5304 applied to this decoder's two compute stages).
-///
-/// Only consulted when decoding with [`StageOverlap::Pipelined`]; the
-/// decoded planes are bit-identical under every policy (asserted in
-/// tests) — the policy moves work between stages, never changes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DecodeStagePolicy {
-    /// Honour the `PJ2K_DECODE_STAGES` environment variable
-    /// (`static` or `cost`/`cost-weighted`), defaulting to
-    /// [`DecodeStagePolicy::CostWeighted`].
-    #[default]
-    Auto,
-    /// Fixed stage split: the inverse DWT runs single-lane while Tier-1
-    /// blocks remain, and takes the full pool only after the last block.
-    Static,
-    /// Re-balance at each resolution-level boundary: the per-block cost
-    /// estimate from the Tier-2 headers (coded bytes × coding passes —
-    /// known *before* any entropy decode) yields the remaining Tier-1
-    /// work, and the inverse-DWT lane count grows as that estimate
-    /// drains. Also feeds [`Schedule::Dynamic`]'s chunk choice so skewed
-    /// block costs get finer-grained claiming.
-    CostWeighted,
-}
-
-/// Parsed value of a `PJ2K_DECODE_STAGES` token, `None` meaning "no
-/// override".
-fn parse_stage_policy_token(tok: &str) -> Option<DecodeStagePolicy> {
-    match tok.trim().to_ascii_lowercase().as_str() {
-        "static" | "fixed" => Some(DecodeStagePolicy::Static),
-        "cost" | "cost-weighted" | "costweighted" | "dynamic" => {
-            Some(DecodeStagePolicy::CostWeighted)
-        }
-        _ => None,
-    }
-}
-
-/// The cached `PJ2K_DECODE_STAGES` override, read once per process. A set
-/// but unrecognized value warns on stderr instead of silently falling
-/// back, so a typo can't masquerade as an ablation run. Empty and `auto`
-/// are accepted silently as explicit "no override".
-fn stage_policy_env_override() -> Option<DecodeStagePolicy> {
-    static OVERRIDE: std::sync::OnceLock<Option<DecodeStagePolicy>> = std::sync::OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let v = std::env::var("PJ2K_DECODE_STAGES").ok()?;
-        let tok = v.trim();
-        if tok.is_empty() || tok.eq_ignore_ascii_case("auto") {
-            return None;
-        }
-        let parsed = parse_stage_policy_token(tok);
-        if parsed.is_none() {
-            // AUDIT(hot): the OnceLock body runs at most once per process,
-            // and this eprintln! only on an unrecognized override — cold.
-            eprintln!(
-                "pj2k: ignoring unrecognized PJ2K_DECODE_STAGES={v:?} \
-                 (expected static|fixed, cost|cost-weighted|dynamic, or auto)"
-            );
-        }
-        parsed
-    })
-}
-
-impl DecodeStagePolicy {
-    /// Resolve to a concrete policy (never [`DecodeStagePolicy::Auto`]):
-    /// `Auto` honours `PJ2K_DECODE_STAGES` and otherwise picks
-    /// [`DecodeStagePolicy::CostWeighted`].
-    #[must_use]
-    pub fn resolve(self) -> DecodeStagePolicy {
-        match self {
-            DecodeStagePolicy::Auto => {
-                stage_policy_env_override().unwrap_or(DecodeStagePolicy::CostWeighted)
-            }
-            forced => forced,
-        }
-    }
 }
 
 /// A rectangular region of interest in image pixel coordinates.
@@ -245,8 +157,9 @@ pub struct EncoderConfig {
     /// produces bit-identical coefficients (asserted in tests), so this
     /// knob never changes the codestream.
     pub simd: SimdMode,
-    /// Whether DWT, quantization and Tier-1 run barrier-separated or
-    /// overlapped per decomposition level.
+    /// Inert, kept for `benchmark/`: see [`StageOverlap`]. The encoder
+    /// runs DWT, quantization and Tier-1 one after the other whatever this
+    /// says.
     pub overlap: StageOverlap,
     /// Tier-1 coding-style options (stripe-causal contexts, per-pass
     /// context reset). Signalled in the codestream header.
@@ -461,36 +374,6 @@ mod tests {
             ..Default::default()
         };
         ok.validate().unwrap();
-    }
-
-    #[test]
-    fn stage_policy_tokens_parse() {
-        assert_eq!(
-            parse_stage_policy_token(" Static "),
-            Some(DecodeStagePolicy::Static)
-        );
-        assert_eq!(
-            parse_stage_policy_token("fixed"),
-            Some(DecodeStagePolicy::Static)
-        );
-        for tok in ["cost", "Cost-Weighted", "costweighted", "dynamic"] {
-            assert_eq!(
-                parse_stage_policy_token(tok),
-                Some(DecodeStagePolicy::CostWeighted),
-                "{tok}"
-            );
-        }
-        assert_eq!(parse_stage_policy_token("garbage"), None);
-        assert_eq!(parse_stage_policy_token(""), None);
-        // Forced policies resolve to themselves regardless of environment.
-        assert_eq!(
-            DecodeStagePolicy::Static.resolve(),
-            DecodeStagePolicy::Static
-        );
-        assert_eq!(
-            DecodeStagePolicy::CostWeighted.resolve(),
-            DecodeStagePolicy::CostWeighted
-        );
     }
 
     #[test]

@@ -1,23 +1,19 @@
 //! The encoding pipeline.
 
 use crate::blocks::{band_ctx, blocks_of, grid_dims, indexed_resolutions, BlockGeom};
-use crate::config::{EncoderConfig, ParallelMode, RateControl, Roi, StageOverlap};
-use crate::quant::{band_step, distortion_scale, quantize_plane, quantize_value};
+use crate::config::{EncoderConfig, ParallelMode, RateControl, Roi};
+use crate::quant::{band_step, distortion_scale, quantize_plane};
 use crate::report::stage;
-use pj2k_dwt::{
-    forward_53_level, forward_53_with, forward_97_level, forward_97_with, gains, Band,
-    Decomposition, DwtStats, Subband, VerticalStrategy,
-};
+use pj2k_dwt::{forward_53_with, forward_97_with, gains, Band, Decomposition, DwtStats};
 use pj2k_ebcot::{BlockCoder, EncodedBlock};
 use pj2k_image::tile::TileGrid;
 use pj2k_image::transform::{dc_level_shift_forward, ict_forward, rct_forward};
 use pj2k_image::{Image, Plane};
-use pj2k_parutil::{pipeline_map_with_state, pool_map_with_state, Exec, PipelineQueue, StageTimes};
+use pj2k_parutil::{pool_map_with_state, StageTimes};
 use pj2k_tier2::codestream::{self, MarkerWriter, PayloadWriter};
 use pj2k_tier2::pcrd::{allocate_layers, allocate_layers_truncated, BlockRd};
 use pj2k_tier2::{encode_packet, PrecinctState};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Everything the harness wants to know about one encode run.
 #[derive(Debug, Clone, Default)]
@@ -74,32 +70,6 @@ struct BlockJob {
     /// Member of the rate-aware encoder's pilot sample (see
     /// [`Encoder::code_to_rate`]).
     pilot: bool,
-}
-
-/// One finalized subband, extracted into a compact row-major buffer and
-/// shared (via `Arc`) by every code-block job inside it.
-///
-/// Extraction decouples the Tier-1 workers from the DWT plane: the next
-/// decomposition level re-borrows the plane mutably while workers read
-/// these owned buffers, so there is no aliasing between the stages.
-struct BandBuf {
-    /// Plane coordinates of the band origin (job geometry is absolute).
-    x0: usize,
-    y0: usize,
-    /// Compact row stride of `data` (the band width).
-    w: usize,
-    data: BandSamples,
-}
-
-/// Subband samples as handed to the Tier-1 workers.
-enum BandSamples {
-    /// Reversible path: 5/3 integer coefficients, coded directly.
-    Int(Vec<i32>),
-    /// Irreversible path: raw 9/7 coefficients plus the reciprocal
-    /// quantization step. Workers quantize while staging into the coder
-    /// scratch — the barrier-free analogue of [`quantize_plane`],
-    /// bit-identical because both call [`quantize_value`] per sample.
-    Raw { vals: Vec<f32>, inv: f64 },
 }
 
 /// Per-(comp, resolution, band) precinct bookkeeping.
@@ -283,9 +253,6 @@ impl Encoder {
         let deco = Decomposition::new(w, h, cfg.levels);
         let vstrat = cfg.filter.vertical();
         let band_list = deco.subbands();
-        // Geometry only; job order is identical in both stage sequencings,
-        // which is what keeps the Tier-2 `first_job` indices (and hence the
-        // codestream) invariant.
         let (jobs, precincts) = self.build_jobs(&deco, ncomp);
         let mut roi_sd = (0u8, 0u8);
         let n_layers = cfg.num_layers();
@@ -301,96 +268,71 @@ impl Encoder {
                     .collect(),
             ),
         };
-        // Two configurations need every band final before any block is
-        // coded and so take the barriered path regardless of `overlap`:
-        // an ROI (MAXSHIFT rescales coefficients across subbands after
-        // quantization), and a rate target (the floor plane a block is
-        // coded down to comes from a pilot sample of *all* bands, while the
-        // pipelined path codes the finest bands before the coarse exist).
-        let use_pipeline =
-            cfg.overlap == StageOverlap::Pipelined && cfg.roi.is_none() && budgets.is_none();
 
-        let (coded, alloc): (Coded, Option<Vec<Vec<usize>>>) = if use_pipeline {
-            let coded = self.run_pipelined(
-                &deco,
-                &band_list,
-                &jobs,
-                &precincts,
-                &mut planes_i,
-                &mut planes_f,
-                ncomp,
-                reversible,
-                vstrat,
-                &exec,
-                report,
-            );
-            (coded, None)
-        } else {
-            // --- intra-component transform (DWT) --------------------------
-            let t0 = Instant::now();
-            for c in 0..ncomp {
-                let stats = if reversible {
-                    forward_53_with(
-                        &mut planes_i[c],
-                        cfg.levels,
-                        vstrat,
-                        cfg.lifting,
-                        cfg.simd,
-                        &exec,
-                    )
-                    .1
-                } else {
-                    forward_97_with(
-                        &mut planes_f[c],
-                        cfg.levels,
-                        vstrat,
-                        cfg.lifting,
-                        cfg.simd,
-                        &exec,
-                    )
-                    .1
-                };
-                report.dwt.merge(&stats);
-            }
-            report.stages.add(stage::INTRA_COMPONENT, t0.elapsed());
+        // --- intra-component transform (DWT) --------------------------
+        let t0 = Instant::now();
+        for c in 0..ncomp {
+            let stats = if reversible {
+                forward_53_with(
+                    &mut planes_i[c],
+                    cfg.levels,
+                    vstrat,
+                    cfg.lifting,
+                    cfg.simd,
+                    &exec,
+                )
+                .1
+            } else {
+                forward_97_with(
+                    &mut planes_f[c],
+                    cfg.levels,
+                    vstrat,
+                    cfg.lifting,
+                    cfg.simd,
+                    &exec,
+                )
+                .1
+            };
+            report.dwt.merge(&stats);
+        }
+        report.stages.add(stage::INTRA_COMPONENT, t0.elapsed());
 
-            // --- quantization (lossy path) ---------------------------------
-            let t0 = Instant::now();
-            if !reversible {
-                for pf in planes_f.iter().take(ncomp) {
-                    let mut q = Plane::<i32>::with_stride(w, h, pf.stride());
-                    for sb in &band_list {
-                        if sb.is_empty() {
-                            continue;
-                        }
-                        let step = band_step(cfg.base_step, sb.level.max(1), sb.band);
-                        quantize_plane(pf, &mut q, (sb.x0, sb.y0, sb.w, sb.h), step, &exec);
+        // --- quantization (lossy path) ---------------------------------
+        let t0 = Instant::now();
+        if !reversible {
+            for pf in planes_f.iter().take(ncomp) {
+                let mut q = Plane::<i32>::with_stride(w, h, pf.stride());
+                for sb in &band_list {
+                    if sb.is_empty() {
+                        continue;
                     }
-                    planes_i.push(q);
+                    let step = band_step(cfg.base_step, sb.level.max(1), sb.band);
+                    quantize_plane(pf, &mut q, (sb.x0, sb.y0, sb.w, sb.h), step, &exec);
                 }
+                planes_i.push(q);
             }
-            // --- ROI scaling (MAXSHIFT, paper Fig. 1 pipeline stage) -------
-            if let Some(roi) = self.cfg.roi {
-                if let Some(local) = intersect_roi(roi, origin, w, h) {
-                    roi_sd = crate::roi::apply_roi_shift(&mut planes_i, &deco, local);
-                }
+        }
+        // --- ROI scaling (MAXSHIFT, paper Fig. 1 pipeline stage) -------
+        if let Some(roi) = self.cfg.roi {
+            if let Some(local) = intersect_roi(roi, origin, w, h) {
+                roi_sd = crate::roi::apply_roi_shift(&mut planes_i, &deco, local);
             }
-            report.stages.add(stage::QUANTIZATION, t0.elapsed());
+        }
+        report.stages.add(stage::QUANTIZATION, t0.elapsed());
 
-            // --- tier-1 coding (under a rate target: and R/D allocation) ---
-            match &budgets {
-                // Not with an ROI: MAXSHIFT has moved its coefficients to
-                // planes the envelope of `code_to_rate` says nothing about.
-                Some(budgets) if !self.full_coding && cfg.roi.is_none() => {
-                    let (coded, alloc) = self.code_to_rate(&jobs, &planes_i, budgets, report);
-                    (coded, Some(alloc))
-                }
-                _ => {
-                    let t0 = Instant::now();
-                    let coded = self.map_blocks(&jobs, &planes_i, None);
-                    report.stages.add(stage::TIER1, t0.elapsed());
-                    (coded, None)
-                }
+        // --- tier-1 coding (under a rate target: and R/D allocation) ---
+        let (coded, alloc): (Coded, Option<Vec<Vec<usize>>>) = match &budgets {
+            // Not with an ROI: MAXSHIFT has moved its coefficients to
+            // planes the envelope of `code_to_rate` says nothing about.
+            Some(budgets) if !self.full_coding && cfg.roi.is_none() => {
+                let (coded, alloc) = self.code_to_rate(&jobs, &planes_i, budgets, report);
+                (coded, Some(alloc))
+            }
+            _ => {
+                let t0 = Instant::now();
+                let coded = self.map_blocks(&jobs, &planes_i, None);
+                report.stages.add(stage::TIER1, t0.elapsed());
+                (coded, None)
             }
         };
         // The paths that code every pass once allocate afterwards.
@@ -717,156 +659,6 @@ impl Encoder {
             step = step.saturating_mul(2);
         }
     }
-
-    /// Overlapped DWT → quantization → Tier-1: the per-level transform runs
-    /// on the calling thread and, as soon as a decomposition level finalizes
-    /// its subbands, their code-block jobs are published to the worker pool,
-    /// which quantizes (9/7) and block-codes them while the next level
-    /// proceeds on the shrinking `LL` region.
-    ///
-    /// The arithmetic per sample and the job order are exactly those of the
-    /// barriered path, so the codestream is bit-identical (asserted in
-    /// tests); only the schedule changes. Compared to the barriered lossy
-    /// path this also skips the full-plane i32 quantization target per
-    /// component: coefficients are quantized straight into each worker's
-    /// staging scratch from compact per-band buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipelined(
-        &self,
-        deco: &Decomposition,
-        band_list: &[Subband],
-        jobs: &[BlockJob],
-        precincts: &[PrecinctGeom],
-        planes_i: &mut [Plane<i32>],
-        planes_f: &mut [Plane<f32>],
-        ncomp: usize,
-        reversible: bool,
-        vstrat: VerticalStrategy,
-        exec: &Exec,
-        report: &mut EncodeReport,
-    ) -> Coded {
-        let cfg = &self.cfg;
-        let nbands = band_list.len();
-        // Job range per (comp, band): build_jobs emits exactly one precinct
-        // per pair, so this is a total map.
-        let mut band_jobs = vec![(0usize, 0usize); ncomp * nbands];
-        for pg in precincts {
-            band_jobs[pg.comp * nbands + pg.band_idx] = (pg.first_job, pg.n_blocks);
-        }
-
-        let workers = cfg.parallel.workers();
-
-        let code_one = |coder: &mut BlockCoder, i: usize, band: Arc<BandBuf>| {
-            let t = Instant::now();
-            let j = &jobs[i];
-            let coeffs = coder.coeff_scratch();
-            let bx = j.geom.x0 - band.x0;
-            let by = j.geom.y0 - band.y0;
-            match &band.data {
-                BandSamples::Int(vals) => {
-                    for dy in 0..j.geom.h {
-                        let off = (by + dy) * band.w + bx;
-                        coeffs.extend_from_slice(&vals[off..off + j.geom.w]);
-                    }
-                }
-                BandSamples::Raw { vals, inv } => {
-                    for dy in 0..j.geom.h {
-                        let off = (by + dy) * band.w + bx;
-                        coeffs.extend(
-                            vals[off..off + j.geom.w]
-                                .iter()
-                                .map(|&v| quantize_value(v, *inv)),
-                        );
-                    }
-                }
-            }
-            let blk = coder.encode_scratch(j.geom.w, j.geom.h, band_ctx(j.band), cfg.tier1);
-            (blk, t.elapsed().as_secs_f64())
-        };
-
-        let mut dwt_stats = DwtStats::default();
-        let mut quant_time = Duration::ZERO;
-        let t_total = Instant::now();
-        let coded = pipeline_map_with_state(
-            jobs.len(),
-            workers,
-            |_| BlockCoder::with_engine(cfg.tier1_engine),
-            code_one,
-            |queue| {
-                for c in 0..ncomp {
-                    if cfg.levels == 0 {
-                        // No transform: the single LL band is the plane.
-                        let tq = Instant::now();
-                        publish_finalized(
-                            queue,
-                            band_list,
-                            &band_jobs,
-                            nbands,
-                            c,
-                            0,
-                            cfg.base_step,
-                            planes_i.get(c),
-                            planes_f.get(c),
-                        );
-                        quant_time += tq.elapsed();
-                        continue;
-                    }
-                    for l in 0..cfg.levels {
-                        let stats = if reversible {
-                            forward_53_level(
-                                &mut planes_i[c],
-                                deco,
-                                l,
-                                vstrat,
-                                cfg.lifting,
-                                cfg.simd,
-                                exec,
-                            )
-                        } else {
-                            forward_97_level(
-                                &mut planes_f[c],
-                                deco,
-                                l,
-                                vstrat,
-                                cfg.lifting,
-                                cfg.simd,
-                                exec,
-                            )
-                        };
-                        dwt_stats.merge(&stats);
-                        // Subbands with `level == l + 1` are final after this
-                        // step: the detail bands of the level just filtered,
-                        // plus — on the last step — the coarsest `LL`.
-                        let tq = Instant::now();
-                        publish_finalized(
-                            queue,
-                            band_list,
-                            &band_jobs,
-                            nbands,
-                            c,
-                            l + 1,
-                            cfg.base_step,
-                            planes_i.get(c),
-                            planes_f.get(c),
-                        );
-                        quant_time += tq.elapsed();
-                    }
-                }
-            },
-        );
-        let total = t_total.elapsed();
-        report.dwt.merge(&dwt_stats);
-        report.stages.add(stage::INTRA_COMPONENT, dwt_stats.total());
-        // Band extraction (and, conceptually, the in-worker quantization) is
-        // booked as the quantization stage; the remaining overlapped wall
-        // time is Tier-1.
-        report.stages.add(stage::QUANTIZATION, quant_time);
-        report.stages.add(
-            stage::TIER1,
-            total.saturating_sub(dwt_stats.total() + quant_time),
-        );
-        coded
-    }
 }
 
 /// Share of the predicted slope threshold a plane's envelope slope must
@@ -958,62 +750,6 @@ fn pilot_estimate(
     (lambda, envelope)
 }
 
-/// Copy subband `sb` out of `p` into a compact `sb.w`-stride buffer.
-fn extract_band<T: Copy>(p: &Plane<T>, sb: &Subband) -> Vec<T> {
-    let mut v = Vec::with_capacity(sb.w * sb.h);
-    for y in sb.y0..sb.y0 + sb.h {
-        v.extend_from_slice(&p.row(y)[sb.x0..sb.x0 + sb.w]);
-    }
-    v
-}
-
-/// Publish every code-block job of component `c`'s subbands at decomposition
-/// `level` (the bands finalized by that DWT step), extracting each band once
-/// and sharing it across its jobs. Exactly one of `plane_i` / `plane_f` is
-/// populated, matching the wavelet's sample type.
-#[allow(clippy::too_many_arguments)]
-fn publish_finalized(
-    queue: &PipelineQueue<Arc<BandBuf>>,
-    band_list: &[Subband],
-    band_jobs: &[(usize, usize)],
-    nbands: usize,
-    c: usize,
-    level: u8,
-    base_step: f64,
-    plane_i: Option<&Plane<i32>>,
-    plane_f: Option<&Plane<f32>>,
-) {
-    for (bi, sb) in band_list.iter().enumerate() {
-        if sb.level != level {
-            continue;
-        }
-        let (first, n) = band_jobs[c * nbands + bi];
-        if n == 0 {
-            continue;
-        }
-        let data = match (plane_i, plane_f) {
-            (Some(p), _) => BandSamples::Int(extract_band(p, sb)),
-            (None, Some(p)) => {
-                let step = band_step(base_step, sb.level.max(1), sb.band);
-                BandSamples::Raw {
-                    vals: extract_band(p, sb),
-                    inv: 1.0 / step,
-                }
-            }
-            (None, None) => unreachable!("one sample plane per component"),
-        };
-        let buf = Arc::new(BandBuf {
-            x0: sb.x0,
-            y0: sb.y0,
-            w: sb.w,
-            data,
-        });
-        for k in first..first + n {
-            queue.send(k, Arc::clone(&buf));
-        }
-    }
-}
-
 /// Intersect an image-coordinate ROI with a tile at `origin` of size
 /// `w x h`, returning the tile-local rectangle (or `None` when disjoint).
 fn intersect_roi(roi: Roi, origin: (usize, usize), w: usize, h: usize) -> Option<Roi> {
@@ -1083,31 +819,28 @@ mod tests {
     #[test]
     fn stage_times_cover_paper_stages() {
         let img = synth::natural_gray(64, 64, 9);
-        for overlap in [StageOverlap::Barriered, StageOverlap::Pipelined] {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 2,
-                overlap,
-                ..Default::default()
-            })
-            .unwrap();
-            let (_, report) = enc.encode(&img);
-            for s in [
-                stage::SETUP,
-                stage::INTER_COMPONENT,
-                stage::INTRA_COMPONENT,
-                stage::QUANTIZATION,
-                stage::TIER1,
-                stage::RD_ALLOCATION,
-                stage::TIER2,
-                stage::BITSTREAM_IO,
-            ] {
-                assert!(
-                    report.stages.iter().any(|(n, _)| n == s),
-                    "stage {s} missing ({overlap:?})"
-                );
-            }
-            assert!(report.dwt.total().as_nanos() > 0);
+        let enc = Encoder::new(EncoderConfig {
+            levels: 2,
+            ..Default::default()
+        })
+        .unwrap();
+        let (_, report) = enc.encode(&img);
+        for s in [
+            stage::SETUP,
+            stage::INTER_COMPONENT,
+            stage::INTRA_COMPONENT,
+            stage::QUANTIZATION,
+            stage::TIER1,
+            stage::RD_ALLOCATION,
+            stage::TIER2,
+            stage::BITSTREAM_IO,
+        ] {
+            assert!(
+                report.stages.iter().any(|(n, _)| n == s),
+                "stage {s} missing"
+            );
         }
+        assert!(report.dwt.total().as_nanos() > 0);
     }
 
     #[test]
@@ -1184,67 +917,75 @@ mod tests {
 
     #[test]
     fn pipelined_matches_barriered_bit_identical() {
-        // The pipelined encoder reorders *when* blocks are coded, never
-        // what is coded: identical per-sample arithmetic and job order must
-        // give the byte-identical codestream for both wavelets, any worker
-        // count, and any schedule knob.
-        for (wavelet, rate) in [
+        // `overlap` is inert on both sides (kept for `benchmark/` only):
+        // either value must give the same codestream from the encoder and
+        // the same pixels from the decoder, sequential and pooled, lossy
+        // (rate-aware Tier-1), lossless, ROI and tiled RGB alike.
+        use crate::config::StageOverlap::{Barriered, Pipelined};
+        use crate::Decoder;
+        let roi = Roi {
+            x0: 8,
+            y0: 8,
+            w: 16,
+            h: 16,
+        };
+        let lossless = EncoderConfig {
+            wavelet: pj2k_dwt::Wavelet::Reversible53,
+            rate: RateControl::Lossless,
+            levels: 3,
+            ..Default::default()
+        };
+        let lossy = EncoderConfig {
+            rate: RateControl::TargetBpp(vec![0.5]),
+            code_block: (16, 16),
+            levels: 3,
+            ..Default::default()
+        };
+        let cases = [
+            (synth::natural_gray(96, 80, 9), lossy.clone()),
+            (synth::natural_gray(96, 80, 9), lossless.clone()),
             (
-                pj2k_dwt::Wavelet::Irreversible97,
-                RateControl::TargetBpp(vec![1.0]),
+                synth::natural_gray(64, 64, 3),
+                EncoderConfig {
+                    roi: Some(roi),
+                    ..lossy
+                },
             ),
-            (pj2k_dwt::Wavelet::Reversible53, RateControl::Lossless),
-        ] {
-            let img = synth::natural_gray(96, 80, 9);
-            let mk = |overlap, parallel| {
-                let enc = Encoder::new(EncoderConfig {
-                    levels: 3,
-                    wavelet,
-                    rate: rate.clone(),
-                    overlap,
-                    parallel,
-                    ..Default::default()
-                })
-                .unwrap();
-                enc.encode(&img).0
-            };
-            let barriered = mk(StageOverlap::Barriered, ParallelMode::Sequential);
-            // Sequential pipelined drains the queue inline: same stream.
-            assert_eq!(
-                barriered,
-                mk(StageOverlap::Pipelined, ParallelMode::Sequential),
-                "{wavelet:?} sequential"
-            );
-            for workers in [2usize, 3, 5] {
-                assert_eq!(
-                    barriered,
-                    mk(
-                        StageOverlap::Pipelined,
-                        ParallelMode::WorkerPool { workers }
-                    ),
-                    "{wavelet:?} workers={workers}"
-                );
+            (
+                synth::natural_rgb(80, 64, 11),
+                EncoderConfig {
+                    tiles: Some((48, 48)),
+                    ..lossless
+                },
+            ),
+        ];
+        for (img, cfg) in cases {
+            for parallel in [
+                ParallelMode::Sequential,
+                ParallelMode::WorkerPool { workers: 3 },
+            ] {
+                let mk = |overlap| {
+                    let enc = Encoder::new(EncoderConfig {
+                        overlap,
+                        parallel,
+                        ..cfg.clone()
+                    })
+                    .unwrap();
+                    enc.encode(&img).0
+                };
+                let bytes = mk(Barriered);
+                assert_eq!(bytes, mk(Pipelined), "{cfg:?} {parallel:?}");
+                let decode = |overlap| {
+                    let dec = Decoder {
+                        overlap,
+                        parallel,
+                        ..Decoder::default()
+                    };
+                    dec.decode(&bytes).unwrap().0
+                };
+                assert_eq!(decode(Barriered), decode(Pipelined), "{cfg:?} {parallel:?}");
             }
         }
-    }
-
-    #[test]
-    fn pipelined_rgb_and_tiled_match_barriered() {
-        // Three components and partial tiles exercise per-component band
-        // publication and degenerate subband geometry.
-        let img = synth::natural_rgb(80, 64, 11);
-        let mk = |overlap| {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 3,
-                tiles: Some((48, 48)),
-                parallel: ParallelMode::WorkerPool { workers: 3 },
-                overlap,
-                ..Default::default()
-            })
-            .unwrap();
-            enc.encode(&img).0
-        };
-        assert_eq!(mk(StageOverlap::Barriered), mk(StageOverlap::Pipelined));
     }
 
     #[test]
@@ -1274,56 +1015,6 @@ mod tests {
             assert_eq!(base, mk(LiftingMode::Fused, FilterStrategy::Strip));
             assert_eq!(base, mk(LiftingMode::Fused, FilterStrategy::PaddedWidth));
         }
-    }
-
-    #[test]
-    fn pipelined_with_roi_falls_back_and_matches_barriered() {
-        // MAXSHIFT needs the cross-band barrier; the pipelined config must
-        // transparently take the barriered path, not diverge.
-        let img = synth::natural_gray(64, 64, 3);
-        let mk = |overlap| {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 2,
-                roi: Some(Roi {
-                    x0: 8,
-                    y0: 8,
-                    w: 16,
-                    h: 16,
-                }),
-                overlap,
-                parallel: ParallelMode::WorkerPool { workers: 3 },
-                ..Default::default()
-            })
-            .unwrap();
-            enc.encode(&img).0
-        };
-        assert_eq!(mk(StageOverlap::Barriered), mk(StageOverlap::Pipelined));
-    }
-
-    #[test]
-    fn pipelined_with_rate_target_falls_back_and_matches_barriered() {
-        // Rate-aware Tier-1 needs the pilot sample of every band before
-        // the first floor is known; the pipelined config must take the
-        // barriered path (same bytes, same rounds), not code everything.
-        let img = synth::natural_gray(96, 80, 9);
-        let mk = |overlap| {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 3,
-                code_block: (16, 16),
-                rate: RateControl::TargetBpp(vec![0.5]),
-                overlap,
-                parallel: ParallelMode::WorkerPool { workers: 3 },
-                ..Default::default()
-            })
-            .unwrap();
-            enc.encode(&img)
-        };
-        let (barriered, want) = mk(StageOverlap::Barriered);
-        let (pipelined, got) = mk(StageOverlap::Pipelined);
-        assert_eq!(barriered, pipelined);
-        assert!(got.coded_passes < got.total_passes, "coded every pass");
-        assert_eq!(got.coded_passes, want.coded_passes);
-        assert_eq!(got.tier1_rounds, want.tier1_rounds);
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub mod report;
 pub mod roi;
 
 pub use config::{
-    ConfigError, DecodeStagePolicy, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode,
-    RateControl, Roi, Schedule, StageOverlap,
+    ConfigError, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl, Roi,
+    Schedule, StageOverlap,
 };
 pub use decode::{CodecError, DecodeReport, Decoder};
 pub use encode::{EncodeReport, Encoder};

@@ -37,10 +37,7 @@ pub fn distortion_scale(step: f64, level: u8, band: Band) -> f64 {
 /// Quantize one coefficient with a precomputed reciprocal step
 /// `inv = 1/Δ_b`: `q = sign(v) * floor(|v| * inv)`.
 ///
-/// This is the exact expression [`quantize_plane`] applies per sample; the
-/// pipelined encoder calls it directly while staging subband coefficients
-/// into the Tier-1 scratch buffer, so both paths stay bit-identical by
-/// construction.
+/// This is the expression [`quantize_plane`] applies per sample.
 #[inline]
 pub fn quantize_value(v: f32, inv: f64) -> i32 {
     let q = (f64::from(v).abs() * inv).floor() as i32;
@@ -54,10 +51,9 @@ pub fn quantize_value(v: f32, inv: f64) -> i32 {
 /// Dequantize one index mid-bin: `v = sign(q) * (|q| + 0.5) * Δ_b`, with
 /// `q == 0` mapping to exactly `0.0`.
 ///
-/// This is the exact expression [`dequantize_plane`] applies per sample; the
-/// pipelined decoder calls it directly while scattering freshly decoded
-/// code-blocks into subband buffers, so both paths stay bit-identical by
-/// construction.
+/// The decoder calls this while writing each freshly decoded code-block
+/// into the inverse-DWT plane; [`dequantize_plane`] (which the decoder does
+/// not use) applies the same expression to a whole region.
 #[inline]
 pub fn dequantize_value(q: i32, step: f64) -> f32 {
     if q == 0 {

@@ -137,19 +137,20 @@ pub(crate) fn apply_roi_shift(
     (s, d)
 }
 
-/// Undo MAXSHIFT scaling on decoded planes: coefficients at or above `2^s`
-/// are ROI (shift down by `s`), the rest are background (shift up by `d`).
-pub(crate) fn undo_roi_shift(planes: &mut [Plane<i32>], s: u8, d: u8) {
-    if s == 0 && d == 0 {
-        return;
-    }
-    let threshold = 1u32 << s;
-    for plane in planes.iter_mut() {
-        for q in plane.raw_mut() {
-            let m = q.unsigned_abs();
-            let m2 = if m >= threshold { m >> s } else { m << d };
-            *q = if *q < 0 { -(m2 as i32) } else { m2 as i32 };
-        }
+/// Undo MAXSHIFT scaling on one decoded coefficient: a magnitude at or
+/// above `2^s` is ROI (shift down by `s`), anything else is background
+/// (shift up by `d`). Stateless, so the decoder applies it to each block as
+/// it lands; `(0, 0)` is the identity. The decoder bounds both shifts to
+/// `0..=30` when it parses the tile header; a hostile `d` can still push
+/// bits out of the top, which wraps instead of panicking.
+#[inline]
+pub(crate) fn undo_roi_shift(q: i32, s: u8, d: u8) -> i32 {
+    let m = q.unsigned_abs();
+    let m2 = (if m >= 1u32 << s { m >> s } else { m << d }) as i32;
+    if q < 0 {
+        m2.wrapping_neg()
+    } else {
+        m2
     }
 }
 
@@ -195,9 +196,12 @@ mod tests {
             }
         }
         assert!(saw_roi);
-        undo_roi_shift(&mut planes, s, d);
         p = planes.pop().unwrap();
+        p.raw_mut()
+            .iter_mut()
+            .for_each(|q| *q = undo_roi_shift(*q, s, d));
         assert_eq!(p, orig, "lossless inverse");
+        assert_eq!(undo_roi_shift(-37, 0, 0), -37, "(0, 0) is the identity");
     }
 
     #[test]
@@ -229,8 +233,7 @@ mod tests {
             );
         }
         // Inverse: ROI exact, background loses its low d bits.
-        undo_roi_shift(&mut planes, s, d);
-        let back = &planes[0];
+        let back = planes[0].map(|q| undo_roi_shift(q, s, d));
         let mask_l1 = BandRoi::for_level(small, 1);
         for y in 0..64usize {
             for x in 0..64usize {

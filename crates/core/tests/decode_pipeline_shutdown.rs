@@ -1,39 +1,39 @@
-//! Shutdown- and error-path tests for the *pipelined decoder* (DESIGN.md
-//! §15): the decode-side mirror of `crates/parutil/tests/pipeline_shutdown.rs`.
+//! Shutdown- and error-path tests for the decoder's parse → queue →
+//! Tier-1 workers stage (DESIGN.md §15): the decode-side mirror of
+//! `crates/parutil/tests/pipeline_shutdown.rs`.
 //!
-//! The happy path (bit-identity against the barriered decoder) is covered
-//! by unit and property tests; these tests pin down what happens when a
-//! pipelined run ends *abnormally* — the Tier-2 parser errors with Tier-1
-//! workers already parked on the block queue, a worker hits a corrupt
-//! segment mid-drain, the driver is waiting on a resolution level that
-//! will never complete. The contract in every case: `decode` returns
-//! `Err(CodecError)` in bounded time — it never hangs, never panics, and
-//! never leaks a parked worker (the scoped executor cannot return while
-//! one is still blocked, so "returns at all" doubles as the leak check).
+//! The happy path (golden pixels, worker-count invariance) is covered by
+//! `golden_streams.rs` and `prop_codec.rs`; these tests pin down what
+//! happens when a decode with spawned workers ends *abnormally* — the
+//! Tier-2 parser errors with Tier-1 workers already parked on the block
+//! queue, or with jobs still queued behind them. The contract in every
+//! case: `decode` returns `Err(CodecError)` in bounded time — it never
+//! hangs, never panics, and never leaks a parked worker (the scoped
+//! executor cannot return while one is still blocked, so "returns at all"
+//! doubles as the leak check). A block that fails *inside* a worker cannot
+//! be built from bytes (the parser validates every block's plane and pass
+//! counts before queueing it); `decode::tests::
+//! failing_block_reports_the_first_error_at_any_worker_count` injects one.
 
-use pj2k_core::{
-    Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, StageOverlap, Wavelet,
-};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet};
 use pj2k_image::synth;
 use pj2k_testkit::Rng;
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 
-/// A decoder routed through the staged pipeline: Tier-2 parse feeding a
-/// block queue drained by `workers` Tier-1 threads, with the inverse DWT
-/// overlapping on the driver.
+/// A decoder with `workers` spawned Tier-1 threads draining the block
+/// queue the Tier-2 parser feeds.
 fn pipelined(workers: usize) -> Decoder {
     Decoder {
         parallel: ParallelMode::WorkerPool { workers },
-        overlap: StageOverlap::Pipelined,
         ..Decoder::default()
     }
 }
 
 /// Run `f` on a helper thread and fail if it has not finished within
-/// `secs`. A parked Tier-1 worker or a driver stuck on the reassembly
-/// gate shows up as a deadline miss here instead of a CI-wide timeout.
+/// `secs`. A parked Tier-1 worker shows up as a deadline miss here
+/// instead of a CI-wide timeout.
 fn with_deadline<F>(secs: u64, what: &str, f: F)
 where
     F: FnOnce() + Send + 'static,
@@ -47,13 +47,12 @@ where
     });
     match rx.recv_timeout(Duration::from_secs(secs)) {
         Ok(()) => runner.join().expect("deadline body must not panic"),
-        Err(_) => panic!("{what}: exceeded {secs}s — a pipelined decode worker is likely parked"),
+        Err(_) => panic!("{what}: exceeded {secs}s — a Tier-1 decode worker is likely parked"),
     }
 }
 
 /// Small but structurally rich corpus: multiple levels, both wavelets,
-/// layers, and tiles all reach different pipelined stages (parse, drain,
-/// per-level DWT hand-off).
+/// layers, and tiles (one queue and one worker scope per tile).
 fn corpus() -> Vec<Vec<u8>> {
     let gray = synth::natural_gray(48, 40, 3);
     let rgb = synth::natural_rgb(32, 32, 5);
@@ -82,9 +81,9 @@ fn corpus() -> Vec<Vec<u8>> {
 #[test]
 fn truncation_sweep_terminates_at_every_cut() {
     // Every prefix of every corpus stream: early cuts die in the header
-    // parser before the pipeline spins up; late cuts error *inside* the
-    // producer with workers already parked on the queue — the case the
-    // parse-failure gate exists for.
+    // parser before any worker is spawned; late cuts error *inside* the
+    // producer with workers already parked on the queue — closing the
+    // queue on the way out is what lets them leave.
     with_deadline(120, "truncation sweep", || {
         for (ci, stream) in corpus().iter().enumerate() {
             for cut in 0..stream.len() {
@@ -100,11 +99,9 @@ fn truncation_sweep_terminates_at_every_cut() {
 
 #[test]
 fn bit_flip_mutants_never_hang_the_pipeline() {
-    // Corrupt segment bytes typically surface in a Tier-1 *worker* (MQ
-    // decoder error mid-drain), not the producer: the worker must flip
-    // the shared failure flag, the remaining workers must drain-and-drop,
-    // and the driver must observe the gate error — all without a join
-    // that never comes.
+    // Flipped header bits end in a parse error at an arbitrary point of
+    // the drain; flipped segment bytes decode to other coefficients (the
+    // MQ decoder is total). Either way the call must come back.
     with_deadline(120, "bit-flip sweep", || {
         let corpus = corpus();
         let mut rng = Rng::new(0xDECD_0001);
@@ -123,9 +120,8 @@ fn bit_flip_mutants_never_hang_the_pipeline() {
 #[test]
 fn length_field_corruption_drains_cleanly() {
     // Clobbered marker-segment lengths make the Tier-2 cursor run out
-    // mid-packet — the parse error must release both the queue (so
-    // workers see `None`) and the gate (so the driver's per-level wait
-    // bails) on every mutant.
+    // mid-packet — the parse error must close the queue (so workers see
+    // `None`) and stop queued blocks from being decoded, on every mutant.
     with_deadline(120, "length-field sweep", || {
         for stream in &corpus() {
             for i in 0..stream.len().saturating_sub(3) {
@@ -146,9 +142,8 @@ fn length_field_corruption_drains_cleanly() {
 #[test]
 fn late_parse_error_unparks_waiting_workers() {
     // Cut each stream at 85% of its length: headers and early packets
-    // parse fine, jobs are already flowing, then the producer errors with
-    // the drive closure blocked on a reassembly slot that will never
-    // fill. Repeated runs shake out interleavings where the error lands
+    // parse fine, jobs are already flowing, then the producer errors.
+    // Repeated runs shake out interleavings where the error lands
     // before/after workers park.
     with_deadline(120, "late-parse-error runs", || {
         let corpus = corpus();
@@ -184,19 +179,18 @@ fn garbage_and_empty_inputs_error_before_spawning() {
 
 #[test]
 fn repeated_pipelined_decodes_stay_bit_identical() {
-    // Drop/reuse path: back-to-back pipelined runs on the same process
-    // must neither accumulate state nor drift from the sequential
-    // barriered reference (each run builds and tears down its own queue,
-    // gate, and band buffers).
+    // Drop/reuse path: back-to-back runs in the same process must neither
+    // accumulate state nor drift from the one-worker reference (each tile
+    // builds and tears down its own queue and planes).
     with_deadline(120, "repeated valid decodes", || {
         for stream in corpus() {
             let (reference, _) = Decoder::default().decode(&stream).expect("valid stream");
             for run in 0..12 {
                 let (img, report) = pipelined(1 + run % 4)
                     .decode(&stream)
-                    .expect("valid stream via pipeline");
-                assert_eq!(img, reference, "pipelined run {run} diverged");
-                assert!(report.num_blocks > 0, "pipeline decoded no blocks");
+                    .expect("valid stream");
+                assert_eq!(img, reference, "run {run} diverged");
+                assert!(report.num_blocks > 0, "decoded no blocks");
             }
         }
     });

@@ -1,0 +1,334 @@
+//! Golden manifest of whole-codec outputs (ROADMAP item 1a), on the
+//! pattern of `crates/image/tests/golden_synth.rs`.
+//!
+//! Each row is (`pj2k_testkit` image seed, size, components, configuration)
+//! and pins three numbers: the codestream length, the FNV-1a-64 of the
+//! codestream, and the FNV-1a-64 of the decoded samples. Every row is
+//! decoded at 1, 2 and 3 workers. The constants were printed by
+//! `print_golden_table` at commit 0e95273 — before the barriered and the
+//! pipelined tile decoders were merged into one — where both of those
+//! decoders and both encoder stage sequencings produced them, so the one
+//! path that is left is checked against the old bytes and pixels, not
+//! against itself. A change that moves a number here changes what `pj2k`
+//! writes or reads back: re-bless deliberately (`cargo test -p pj2k-core
+//! --test golden_streams -- --ignored --nocapture` prints the table) and
+//! say so in the PR.
+
+use pj2k_core::config::{Roi, Tier1Options};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet};
+use pj2k_image::{metrics, synth, Image};
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.eat(bytes);
+    h.0
+}
+
+/// Width, height and component count (u32 LE), then every sample as i32
+/// LE, component by component in row-major order.
+fn hash_image(img: &Image) -> u64 {
+    let mut h = Fnv::new();
+    for dim in [img.width(), img.height(), img.num_components()] {
+        h.eat(&(dim as u32).to_le_bytes());
+    }
+    for plane in img.components() {
+        for v in plane.samples() {
+            h.eat(&v.to_le_bytes());
+        }
+    }
+    h.0
+}
+
+struct Row {
+    name: &'static str,
+    seed: u64,
+    size: (usize, usize),
+    rgb: bool,
+    cfg: EncoderConfig,
+    max_layers: Option<usize>,
+}
+
+fn lossy(bpp: &[f64]) -> EncoderConfig {
+    EncoderConfig {
+        rate: RateControl::TargetBpp(bpp.to_vec()),
+        levels: 3,
+        ..EncoderConfig::default()
+    }
+}
+
+fn lossless() -> EncoderConfig {
+    EncoderConfig {
+        wavelet: Wavelet::Reversible53,
+        rate: RateControl::Lossless,
+        levels: 3,
+        ..EncoderConfig::default()
+    }
+}
+
+const ALL_STYLES: Tier1Options = Tier1Options {
+    stripe_causal: true,
+    reset_contexts: true,
+    bypass: true,
+};
+
+const ROI: Roi = Roi {
+    x0: 16,
+    y0: 24,
+    w: 32,
+    h: 20,
+};
+
+fn rows() -> Vec<Row> {
+    let row = |name, seed, size, rgb, cfg| Row {
+        name,
+        seed,
+        size,
+        rgb,
+        cfg,
+        max_layers: None,
+    };
+    vec![
+        row("97-gray", 1, (96, 80), false, lossy(&[1.0])),
+        row("53-gray", 2, (96, 80), false, lossless()),
+        row("97-rgb", 3, (64, 48), true, lossy(&[2.0])),
+        row("53-rgb", 4, (64, 48), true, lossless()),
+        row("97-3layers", 5, (96, 96), false, lossy(&[0.25, 1.0, 3.0])),
+        Row {
+            max_layers: Some(1),
+            ..row(
+                "97-3layers-first",
+                5,
+                (96, 96),
+                false,
+                lossy(&[0.25, 1.0, 3.0]),
+            )
+        },
+        Row {
+            max_layers: Some(2),
+            ..row(
+                "97-rgb-3layers-two",
+                6,
+                (64, 64),
+                true,
+                lossy(&[0.5, 1.5, 4.0]),
+            )
+        },
+        row(
+            "97-tiles",
+            7,
+            (100, 80),
+            false,
+            EncoderConfig {
+                tiles: Some((64, 64)),
+                ..lossy(&[2.0])
+            },
+        ),
+        row(
+            "53-rgb-tiles",
+            8,
+            (80, 64),
+            true,
+            EncoderConfig {
+                tiles: Some((48, 48)),
+                ..lossless()
+            },
+        ),
+        row(
+            "97-roi",
+            9,
+            (96, 96),
+            false,
+            EncoderConfig {
+                roi: Some(ROI),
+                ..lossy(&[1.0])
+            },
+        ),
+        row(
+            "53-roi",
+            10,
+            (96, 96),
+            false,
+            EncoderConfig {
+                roi: Some(ROI),
+                ..lossless()
+            },
+        ),
+        row(
+            "53-levels0",
+            11,
+            (72, 56),
+            false,
+            EncoderConfig {
+                levels: 0,
+                ..lossless()
+            },
+        ),
+        row(
+            "97-levels0",
+            12,
+            (72, 56),
+            false,
+            EncoderConfig {
+                levels: 0,
+                ..lossy(&[2.0])
+            },
+        ),
+        row(
+            "97-styles",
+            13,
+            (96, 80),
+            false,
+            EncoderConfig {
+                tier1: ALL_STYLES,
+                ..lossy(&[1.5])
+            },
+        ),
+        row(
+            "53-styles-cb16",
+            14,
+            (96, 80),
+            false,
+            EncoderConfig {
+                tier1: ALL_STYLES,
+                code_block: (16, 16),
+                ..lossless()
+            },
+        ),
+        row(
+            "97-cb16",
+            15,
+            (128, 96),
+            false,
+            EncoderConfig {
+                code_block: (16, 16),
+                levels: 5,
+                ..lossy(&[0.5])
+            },
+        ),
+        row("53-odd", 16, (65, 127), false, lossless()),
+        row(
+            "97-partial-blocks",
+            17,
+            (100, 70),
+            false,
+            EncoderConfig {
+                code_block: (32, 32),
+                levels: 2,
+                ..lossy(&[1.0])
+            },
+        ),
+    ]
+}
+
+fn source(row: &Row) -> Image {
+    let (w, h) = row.size;
+    if row.rgb {
+        synth::natural_rgb(w, h, row.seed)
+    } else {
+        synth::natural_gray(w, h, row.seed)
+    }
+}
+
+/// Encode the row and decode it at 1, 2 and 3 workers; all three decodes
+/// must agree. Returns (codestream length, codestream hash, pixel hash).
+fn measure(row: &Row) -> (usize, u64, u64) {
+    let img = source(row);
+    let bytes = Encoder::new(row.cfg.clone()).unwrap().encode(&img).0;
+    let mut pixels = None;
+    for workers in 1..=3 {
+        let dec = Decoder {
+            parallel: if workers == 1 {
+                ParallelMode::Sequential
+            } else {
+                ParallelMode::WorkerPool { workers }
+            },
+            max_layers: row.max_layers,
+            ..Decoder::default()
+        };
+        let (out, _) = dec
+            .decode(&bytes)
+            .unwrap_or_else(|e| panic!("{}: decode at {workers} workers: {e}", row.name));
+        // An oracle that shares no code with the codec: a lossless row
+        // gives back the input exactly.
+        if row.cfg.rate == RateControl::Lossless {
+            assert_eq!(
+                metrics::max_abs_error(&img, &out),
+                0,
+                "{}: lossless roundtrip at {workers} workers",
+                row.name
+            );
+        }
+        let got = hash_image(&out);
+        assert_eq!(
+            *pixels.get_or_insert(got),
+            got,
+            "{}: {workers} workers decoded other pixels than 1 worker",
+            row.name
+        );
+    }
+    (bytes.len(), hash_bytes(&bytes), pixels.unwrap_or(0))
+}
+
+/// (codestream bytes, codestream FNV-1a-64, decoded-sample FNV-1a-64), in
+/// `rows()` order.
+const GOLDEN: [(usize, u64, u64); 18] = [
+    (1153, 0xbb6a_c1f6_27be_5c99, 0x63ef_6a1f_7433_bf3b), // 97-gray
+    (3047, 0xa3cf_0211_b9ec_c3fa, 0x3510_3b8f_8a41_edb6), // 53-gray
+    (1056, 0x6c3b_be0d_8be2_c8fe, 0xd5e5_c554_b430_d7a9), // 97-rgb
+    (3301, 0x7351_0475_7634_77c1, 0x99ab_b4d7_a025_9acb), // 53-rgb
+    (3788, 0x100c_e8e3_742f_cdf2, 0x5518_492b_511a_710a), // 97-3layers
+    (3788, 0x100c_e8e3_742f_cdf2, 0x06f5_4b26_97a5_c64d), // 97-3layers-first
+    (2626, 0x14d4_b19e_71a3_9c10, 0x1705_0579_ed26_bfd7), // 97-rgb-3layers-two
+    (2582, 0xe2a6_465e_457e_61ab, 0xd813_2b00_92b8_3041), // 97-tiles
+    (6523, 0x1692_64d5_c32b_fad6, 0x7147_d4da_11bc_8ed1), // 53-rgb-tiles
+    (1382, 0x741c_273f_1150_bed2, 0xed97_98ed_d2c2_7cca), // 97-roi
+    (4196, 0x8540_556f_5074_7a0d, 0xe9a4_637e_3d7d_8417), // 53-roi
+    (2669, 0x5f39_8de9_23f4_76b2, 0x6818_9bf7_0da6_fc18), // 53-levels0
+    (1051, 0x244c_c3e3_889a_2042, 0x0f20_db40_45e1_d4a9), // 97-levels0
+    (1649, 0xec02_dd27_4ecb_0f4e, 0xc19a_2a90_6e34_432f), // 97-styles
+    (3537, 0xd194_1628_47b7_e40e, 0x07ff_685f_fbff_0bbd), // 53-styles-cb16
+    (1048, 0x9fab_2881_a045_6907, 0x4a89_8f07_a30d_1a22), // 97-cb16
+    (2970, 0x635e_db72_e6f6_cb6a, 0x56f5_c658_a74f_1422), // 53-odd
+    (1048, 0x3d58_c0cf_f602_d60f, 0x1e06_319c_b561_39fc), // 97-partial-blocks
+];
+
+#[test]
+fn codestreams_and_pixels_are_pinned() {
+    let rows = rows();
+    assert_eq!(rows.len(), GOLDEN.len());
+    for (row, want) in rows.iter().zip(GOLDEN) {
+        let got = measure(row);
+        assert_eq!(
+            got, want,
+            "{}: (len, stream hash, pixel hash) = ({}, {:#018x}, {:#018x})",
+            row.name, got.0, got.1, got.2
+        );
+    }
+}
+
+#[test]
+#[ignore = "prints the GOLDEN table; run by hand when blessing a deliberate change"]
+fn print_golden_table() {
+    for row in rows() {
+        let (len, stream, pixels) = measure(&row);
+        println!(
+            "    ({len}, {stream:#018x}, {pixels:#018x}), // {}",
+            row.name
+        );
+    }
+}

@@ -7,7 +7,7 @@
 //! deterministic (fixed `testkit::Rng` seeds); `prop_hardening.rs` samples
 //! the same properties over many seeded cases.
 
-use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, StageOverlap};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
 use pj2k_dwt::Wavelet;
 use pj2k_image::synth;
 use pj2k_testkit::Rng;
@@ -43,27 +43,19 @@ fn decode_must_not_panic(bytes: &[u8], what: &str) {
     // The contract is the *absence of a panic* (and of an OOM abort): both
     // Ok and Err are acceptable outcomes for corrupted input.
     let _ = Decoder::default().decode(bytes);
-    // Exercised a second time through the worker-pool path, which touches
-    // the parallel Tier-1 branches.
+    // And once with spawned Tier-1 workers, whose error paths (a parse
+    // failure with workers parked on the block queue, a worker failing
+    // mid-drain) the inline decode above does not have;
+    // `decode_pipeline_shutdown.rs` adds deadline guards on top of the
+    // same corpus.
     let dec = Decoder {
-        parallel: ParallelMode::WorkerPool { workers: 2 },
+        parallel: ParallelMode::WorkerPool { workers: 3 },
         ..Default::default()
     };
     if let Err(e) = dec.decode(bytes) {
         // Errors must render without panicking too.
         let _ = format!("{what}: {e}");
     }
-    // And a third time through the staged decode pipeline, whose error
-    // paths (parse failure with parked Tier-1 workers, worker failure
-    // with the DWT driver waiting on a gate) are disjoint from the
-    // barriered ones; `decode_pipeline_shutdown.rs` adds deadline guards
-    // on top of the same corpus.
-    let dec = Decoder {
-        parallel: ParallelMode::WorkerPool { workers: 3 },
-        overlap: StageOverlap::Pipelined,
-        ..Default::default()
-    };
-    let _ = dec.decode(bytes);
 }
 
 #[test]
@@ -170,13 +162,6 @@ fn untouched_streams_decode_bit_identically() {
         };
         let (c, _) = dec.decode(&stream).expect("valid stream");
         assert_eq!(a, c, "parallel decode must agree bit-for-bit");
-        let dec = Decoder {
-            parallel: ParallelMode::WorkerPool { workers: 4 },
-            overlap: StageOverlap::Pipelined,
-            ..Default::default()
-        };
-        let (d, _) = dec.decode(&stream).expect("valid stream");
-        assert_eq!(a, d, "pipelined decode must agree bit-for-bit");
     }
 }
 

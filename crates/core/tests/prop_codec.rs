@@ -1,12 +1,9 @@
 //! Property tests for the full codec: lossless exactness on arbitrary
 //! inputs, lossy totality, and decoder robustness against corruption.
 
-use pj2k_core::config::Tier1Engine;
-use pj2k_core::{
-    DecodeStagePolicy, Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Schedule,
-    StageOverlap, Wavelet,
-};
-use pj2k_image::{metrics, Image, Plane};
+use pj2k_core::config::{Roi, Tier1Engine};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet};
+use pj2k_image::{metrics, synth, Image, Plane};
 use pj2k_testkit::{cases, Rng};
 
 fn arb_image(rng: &mut Rng) -> Image {
@@ -116,19 +113,73 @@ fn decoder_survives_corruption_regression_4x10() {
     check_corruption(&img, 3487118254581580605, 208);
 }
 
-/// The staged decode pipeline (DESIGN.md §15) is bit-identical to the
-/// sequential barriered decoder for arbitrary image content, worker
-/// counts, schedules, stage policies, and Tier-1 engines — overlap
-/// and dynamic repartitioning must never change a pixel.
+fn pooled(workers: usize, max_layers: Option<usize>) -> Decoder {
+    Decoder {
+        parallel: ParallelMode::WorkerPool { workers },
+        max_layers,
+        ..Decoder::default()
+    }
+}
+
+/// The decoder (DESIGN.md §15) gives the same pixels and counts the same
+/// blocks at every worker count: over wavelet x layers x tiles x ROI x
+/// `max_layers` on a fixed image, then over arbitrary image content, level
+/// counts and both Tier-1 encoder engines.
 #[test]
-fn pipelined_decode_matches_sequential() {
+fn decode_is_worker_count_invariant() {
+    let img = synth::natural_gray(100, 80, 17);
+    let roi = Roi {
+        x0: 16,
+        y0: 16,
+        w: 32,
+        h: 32,
+    };
+    for lossless in [true, false] {
+        for rates in [vec![2.0], vec![0.25, 1.0, 3.0]] {
+            // Lossless streams carry one layer; skip the duplicate.
+            if lossless && rates.len() > 1 {
+                continue;
+            }
+            for tiles in [None, Some((64, 64))] {
+                for roi in [None, Some(roi)] {
+                    let cfg = EncoderConfig {
+                        wavelet: if lossless {
+                            Wavelet::Reversible53
+                        } else {
+                            Wavelet::Irreversible97
+                        },
+                        rate: if lossless {
+                            RateControl::Lossless
+                        } else {
+                            RateControl::TargetBpp(rates.clone())
+                        },
+                        levels: 3,
+                        tiles,
+                        roi,
+                        ..EncoderConfig::default()
+                    };
+                    let (bytes, _) = Encoder::new(cfg.clone()).unwrap().encode(&img);
+                    for max_layers in [None, Some(1)] {
+                        let sequential = Decoder {
+                            max_layers,
+                            ..Decoder::default()
+                        };
+                        let (want, want_report) = sequential.decode(&bytes).unwrap();
+                        for workers in [1usize, 2, 3, 5] {
+                            let (got, report) = pooled(workers, max_layers).decode(&bytes).unwrap();
+                            let what = format!("{cfg:?} max_layers={max_layers:?} p={workers}");
+                            assert_eq!(want, got, "{what}");
+                            assert_eq!(want_report.num_blocks, report.num_blocks, "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
     cases(CASES, |rng| {
         let img = arb_image(rng);
         let levels = rng.range(0u8..5);
-        let workers = rng.range(1usize..5);
-        let chunk = rng.range(1usize..9);
-        let dynamic = rng.bool();
-        let cost_weighted = rng.bool();
+        let workers = rng.range(1usize..6);
         let reference_engine = rng.bool();
         let lossless = rng.bool();
         let cfg = EncoderConfig {
@@ -152,25 +203,10 @@ fn pipelined_decode_matches_sequential() {
         };
         let (bytes, _) = Encoder::new(cfg).unwrap().encode(&img);
         let (sequential, sequential_report) = Decoder::default().decode(&bytes).unwrap();
-        let dec = Decoder {
-            parallel: ParallelMode::WorkerPool { workers },
-            overlap: StageOverlap::Pipelined,
-            tier1_schedule: if dynamic {
-                Schedule::Dynamic { chunk }
-            } else {
-                Schedule::StaggeredRoundRobin
-            },
-            stage_policy: if cost_weighted {
-                DecodeStagePolicy::CostWeighted
-            } else {
-                DecodeStagePolicy::Static
-            },
-            ..Decoder::default()
-        };
-        let (pipelined, report) = dec.decode(&bytes).unwrap();
-        assert_eq!(&sequential, &pipelined);
+        let (parallel, report) = pooled(workers, None).decode(&bytes).unwrap();
+        assert_eq!(&sequential, &parallel);
         // `num_blocks` counts Tier-1 jobs; an image whose blocks all code
-        // zero passes has none, on either path.
+        // zero passes has none, at any worker count.
         assert_eq!(report.num_blocks, sequential_report.num_blocks);
     });
 }

@@ -152,9 +152,8 @@ macro_rules! define_2d {
         }
 
         /// Analyze a single decomposition level `l` (filtering the LL region
-        /// left by level `l-1`), so callers can interleave per-level DWT with
-        /// downstream stages. `$fwd_with` is exactly this in a loop.
-        pub fn $fwd_level(
+        /// left by level `l-1`).
+        fn $fwd_level(
             plane: &mut Plane<$ty>,
             deco: &Decomposition,
             l: u8,
@@ -297,7 +296,7 @@ macro_rules! define_2d {
 
         /// Synthesize a single decomposition level `l` (rebuilding the LL
         /// region consumed by level `l`).
-        pub fn $inv_level(
+        fn $inv_level(
             plane: &mut Plane<$ty>,
             deco: &Decomposition,
             l: u8,
@@ -730,9 +729,8 @@ mod tests {
 
     #[test]
     fn level_driver_matches_whole_transform() {
-        // Running levels one at a time through the `_level` entry points
-        // must equal the all-levels driver — this is what the pipelined
-        // encoder relies on.
+        // Running levels one at a time through the `_level` steps must
+        // equal the all-levels driver that loops over them.
         let orig = test_plane_f32(40, 33);
         let mut whole = orig.clone();
         let (deco, _) = forward_97_with(

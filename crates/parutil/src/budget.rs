@@ -26,18 +26,19 @@
 
 use std::sync::OnceLock;
 
-/// Parsed value of a `PJ2K_THREADS` token, `None` meaning "no cap".
+/// Parsed value of a `PJ2K_THREADS` token: `Some(cap)`, with `Some(None)`
+/// meaning "no cap", or `None` for a token that is not recognized.
 ///
 /// Accepted: a positive integer (the cap), or `auto` / empty (explicitly
 /// uncapped). Zero and garbage are rejected (the caller warns).
-pub fn parse_thread_budget_token(tok: &str) -> Result<Option<usize>, ()> {
+pub fn parse_thread_budget_token(tok: &str) -> Option<Option<usize>> {
     let tok = tok.trim();
     if tok.is_empty() || tok.eq_ignore_ascii_case("auto") {
-        return Ok(None);
+        return Some(None);
     }
     match tok.parse::<usize>() {
-        Ok(n) if n > 0 => Ok(Some(n)),
-        _ => Err(()),
+        Ok(n) if n > 0 => Some(Some(n)),
+        _ => None,
     }
 }
 
@@ -49,8 +50,8 @@ pub fn thread_budget() -> Option<usize> {
     *BUDGET.get_or_init(|| {
         let v = std::env::var("PJ2K_THREADS").ok()?;
         match parse_thread_budget_token(&v) {
-            Ok(cap) => cap,
-            Err(()) => {
+            Some(cap) => cap,
+            None => {
                 // AUDIT(hot): the OnceLock body runs at most once per
                 // process, and this eprintln! only on an unrecognized
                 // override — cold.
@@ -99,20 +100,20 @@ mod tests {
 
     #[test]
     fn tokens_parse() {
-        assert_eq!(parse_thread_budget_token("4"), Ok(Some(4)));
-        assert_eq!(parse_thread_budget_token(" 16 "), Ok(Some(16)));
-        assert_eq!(parse_thread_budget_token("1"), Ok(Some(1)));
-        assert_eq!(parse_thread_budget_token(""), Ok(None));
-        assert_eq!(parse_thread_budget_token("auto"), Ok(None));
-        assert_eq!(parse_thread_budget_token("AUTO"), Ok(None));
+        assert_eq!(parse_thread_budget_token("4"), Some(Some(4)));
+        assert_eq!(parse_thread_budget_token(" 16 "), Some(Some(16)));
+        assert_eq!(parse_thread_budget_token("1"), Some(Some(1)));
+        assert_eq!(parse_thread_budget_token(""), Some(None));
+        assert_eq!(parse_thread_budget_token("auto"), Some(None));
+        assert_eq!(parse_thread_budget_token("AUTO"), Some(None));
         assert_eq!(
             parse_thread_budget_token("0"),
-            Err(()),
+            None,
             "zero workers is nonsense"
         );
-        assert_eq!(parse_thread_budget_token("-2"), Err(()));
-        assert_eq!(parse_thread_budget_token("four"), Err(()));
-        assert_eq!(parse_thread_budget_token("4.0"), Err(()));
+        assert_eq!(parse_thread_budget_token("-2"), None);
+        assert_eq!(parse_thread_budget_token("four"), None);
+        assert_eq!(parse_thread_budget_token("4.0"), None);
     }
 
     #[test]

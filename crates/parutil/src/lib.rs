@@ -43,7 +43,7 @@ pub use bounded::{bounded_ordered_serve, BoundedQueue, SendError};
 pub use budget::{clamp_workers, parse_thread_budget_token, resolve_thread_budget, thread_budget};
 pub use disjoint::{DisjointClaim, DisjointWriter};
 pub use exec::{Exec, SendPtr};
-pub use pipeline::{pipeline_map_with_state, pipeline_overlap_with_state, PipelineQueue};
+pub use pipeline::{pipeline_overlap_with_state, PipelineQueue};
 pub use pool::{pool_map, pool_map_with_state, pool_run};
 pub use schedule::{assign, chunk_ranges, DynamicCursor, Schedule};
 pub use timing::{StageClock, StageTimes};

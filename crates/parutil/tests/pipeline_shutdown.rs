@@ -1,7 +1,7 @@
 //! Shutdown- and drop-path tests for the pipeline executor.
 //!
-//! The happy path of [`pipeline_map_with_state`] is covered by its unit
-//! and property tests; these tests pin down what happens when a run ends
+//! The happy path of [`pipeline_overlap_with_state`] is covered by its unit
+//! tests; these tests pin down what happens when a run ends
 //! *abnormally* — a consumer panics mid-stream, a queue is dropped with
 //! items still buffered — and the less-traveled edges of the
 //! [`PipelineQueue`] protocol (close/recv ordering, send-after-close).
@@ -11,7 +11,7 @@
 // model-checks the queue hand-off instead.
 #![cfg(not(loom))]
 
-use pj2k_parutil::{pipeline_map_with_state, PipelineQueue};
+use pj2k_parutil::{pipeline_overlap_with_state, PipelineQueue};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,9 +35,10 @@ fn worker_panic_mid_stream_propagates_and_does_not_hang() {
     let consumed = Arc::new(AtomicUsize::new(0));
     let consumed_in = Arc::clone(&consumed);
     let result = catch_unwind(AssertUnwindSafe(move || {
-        pipeline_map_with_state(
-            16,
+        let queue = PipelineQueue::new();
+        pipeline_overlap_with_state(
             3,
+            &queue,
             |_| (),
             move |_s, i, _p: ()| {
                 if i == 3 {
@@ -45,9 +46,9 @@ fn worker_panic_mid_stream_propagates_and_does_not_hang() {
                 }
                 consumed_in.fetch_add(1, Ordering::SeqCst);
             },
-            |q| {
+            || {
                 for i in 0..16 {
-                    q.send(i, ());
+                    queue.send(i, ());
                 }
             },
         )
@@ -65,14 +66,15 @@ fn producer_panic_propagates_and_workers_drain_out() {
     // (the queue guard's close on unwind or the scope's join must not
     // deadlock) and the panic must reach the caller.
     let result = catch_unwind(AssertUnwindSafe(|| {
-        pipeline_map_with_state(
-            8,
+        let queue = PipelineQueue::new();
+        pipeline_overlap_with_state(
             2,
+            &queue,
             |_| (),
             |_s, _i, _p: ()| (),
-            |q| {
+            || {
                 for i in 0..4 {
-                    q.send(i, ());
+                    queue.send(i, ());
                 }
                 panic!("producer died mid-stream");
             },

@@ -24,14 +24,12 @@
 //!     --roi X,Y,W,H      prioritize a region of interest (MAXSHIFT)
 //!     --stats            print the per-stage timing breakdown (single image)
 //!
-//! pj2k decode <in.pj2k> <out.pgm> [--layers N] [--threads N] [--pipeline]
+//! pj2k decode <in.pj2k> <out.pgm> [--layers N] [--threads N]
 //! pj2k info   <in.pj2k>
 //! ```
 
 use pj2k_core::config::Tier1Options;
-use pj2k_core::{
-    Decoder, Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl, StageOverlap,
-};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl};
 use pj2k_image::pnm;
 use pj2k_serve::{discover, encode_files, BatchOptions};
 use pj2k_tier2::codestream::{self, MarkerReader, PayloadReader};
@@ -362,12 +360,6 @@ fn cmd_decode(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    if opts.has("--pipeline") {
-        // Staged decode pipeline (DESIGN.md §15): Tier-1 workers drain
-        // blocks as the serial parse publishes them, inverse-DWT levels
-        // run as their bands reassemble. Bit-identical to the default.
-        dec.overlap = StageOverlap::Pipelined;
-    }
     let (img, _) = match dec.decode(&bytes) {
         Ok(r) => r,
         Err(e) => return fail(&format!("decode failed: {e}")),

@@ -16,9 +16,6 @@
 //!   for the poor scalability of naive vertical filtering ("the congestion
 //!   of the bus caused by the high number of cache misses"),
 //! * [`amdahl`] provides the §3.4 theoretical-speedup bounds,
-//! * [`decode`] projects the decode side: barriered stage serialization
-//!   versus the staged pipeline (DESIGN.md §15) whose Tier-1 jobs are
-//!   *released over time* by the serial Tier-2 parse,
 //! * [`batch`] projects the batch service (DESIGN.md §16): `j` concurrent
 //!   images × `k` intra-image threads under one budget, and the
 //!   throughput-first/latency-tie-break split tuner.
@@ -29,7 +26,6 @@
 pub mod amdahl;
 pub mod batch;
 pub mod bus;
-pub mod decode;
 pub mod makespan;
 
 pub use amdahl::{amdahl_speedup, serial_fraction};
@@ -37,8 +33,5 @@ pub use batch::{
     batch_makespan, batch_speedup, choose_split, serial_whole_pool_makespan, ImageCost,
 };
 pub use bus::{bus_makespan, BusParams, WorkItem};
-pub use decode::{
-    barriered_decode_makespan, decode_speedup_curve, pipelined_decode_makespan, DecodeStageCosts,
-};
 pub use makespan::{makespan, speedup_curve};
 pub use pj2k_parutil::Schedule;

@@ -26,7 +26,7 @@
 //! * **sendptr_allowlist** — the `SendPtr` type must not appear outside an
 //!   allowlisted module set (`parutil::exec` where it lives, the `parutil`
 //!   crate root that re-exports it, `core::quant`'s audited hot loops,
-//!   `core::decode`'s gate-synchronized pipeline scatter, and
+//!   `core::decode`'s join-synchronized block scatter, and
 //!   `parutil/tests/`). New code must use `DisjointWriter` claims; growing
 //!   the allowlist is a reviewed change to this file.
 //!
@@ -845,9 +845,10 @@ mod tests {
 
     #[test]
     fn real_decode_pipeline_scatter_stays_audited() {
-        // Regression guard: the staged decode pipeline's SendPtr scatter
-        // (DESIGN.md §15) must keep its AUDIT(alias) coverage now that
-        // core::decode is in the raw-write scope and SendPtr allowlist.
+        // Regression guard: the decoder's SendPtr scatter of code-blocks
+        // into the inverse-DWT planes (DESIGN.md §15) must keep its
+        // AUDIT(alias) coverage: core::decode is in the raw-write scope
+        // and on the SendPtr allowlist.
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../core/src/decode.rs")
             .canonicalize()
