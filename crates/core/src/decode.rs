@@ -15,14 +15,14 @@ use crate::quant::{band_step, dequantize_value};
 use crate::report::stage;
 use crate::roi::undo_roi_shift;
 use pj2k_dwt::{
-    inverse_53_with, inverse_97_with, Decomposition, DwtStats, LiftingMode, SimdMode, Subband,
-    VerticalStrategy, Wavelet,
+    grain_exec, inverse_53_with, inverse_97_with, Decomposition, DwtStats, LiftingMode, SimdMode,
+    Subband, VerticalStrategy, Wavelet,
 };
 use pj2k_ebcot::{BlockDecoderScratch, Tier1Options};
-use pj2k_image::tile::TileGrid;
-use pj2k_image::transform::{dc_level_shift_inverse, ict_inverse, rct_inverse};
+use pj2k_image::tile::{TileGrid, TileRect};
+use pj2k_image::transform::{ict_inverse, rct_inverse};
 use pj2k_image::{Image, Plane};
-use pj2k_parutil::{pipeline_overlap_with_state, PipelineQueue, SendPtr, StageTimes};
+use pj2k_parutil::{pipeline_overlap_with_state, Exec, PipelineQueue, SendPtr, StageTimes};
 use pj2k_tier2::codestream::{self, MarkerReader, ParseError, PayloadReader};
 use pj2k_tier2::{decode_packet, PacketError, PrecinctState};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -130,6 +130,8 @@ impl Default for Decoder {
 
 /// Stream-level parameters parsed from the main header.
 struct MainHeader {
+    width: usize,
+    height: usize,
     ncomp: usize,
     bit_depth: u8,
     signed: bool,
@@ -554,6 +556,8 @@ impl Decoder {
         let qcd = r.expect_segment(codestream::QCD)?;
         let base_step = PayloadReader::new(qcd).f64()?;
         let hdr = MainHeader {
+            width,
+            height,
             ncomp,
             bit_depth,
             signed,
@@ -610,11 +614,13 @@ impl Decoder {
             Some((tw, th)) => TileGrid::new(width, height, tw, th),
             None => TileGrid::single(width, height),
         };
-        // No pre-reservation: a corrupt header claiming 1x1 tiles over a
-        // maximal image would otherwise reserve hundreds of millions of
-        // slots before the first missing SOT segment is even noticed. Grown
-        // incrementally, a truncated stream fails after one tile's work.
-        let mut tiles = Vec::new();
+        // The output planes. The first tile allocates them once its header
+        // and block budget have passed (DESIGN.md §9), and every tile writes
+        // its samples straight into its own rectangle of them. Tiles are
+        // counted as they arrive, not reserved: a corrupt header claiming
+        // 1x1 tiles over a maximal image fails on its first missing SOT
+        // segment, after one tile's work.
+        let mut out: Vec<Plane<i32>> = Vec::new();
         for i in 0..grid.len() {
             let t0 = Instant::now();
             let sot = r.expect_segment(codestream::SOT)?;
@@ -627,22 +633,21 @@ impl Decoder {
             r.expect_marker(codestream::SOD)?;
             let body = r.raw(body_len)?;
             report.stages.add(stage::BITSTREAM_IO, t0.elapsed());
-            let rect = grid.rect(i);
-            tiles.push(self.decode_tile(&hdr, body, rect.w, rect.h, &mut report)?);
+            self.decode_tile(&hdr, body, grid.rect(i), &mut out, &mut report)?;
         }
-        let t0 = Instant::now();
         r.expect_marker(codestream::EOC)?;
-        let mut out = pj2k_image::tile::assemble(&tiles, &grid, hdr.bit_depth, hdr.signed);
-        out.clamp_to_depth();
-        report.stages.add(stage::SETUP, t0.elapsed());
-        Ok((out, report))
+        // Every tile has run, so the first one allocated `out`.
+        Ok((Image::new(out, hdr.bit_depth, hdr.signed), report))
     }
 
-    /// Decode one tile body (DESIGN.md §15). The Tier-2 parser streams
-    /// owned block jobs to the [`BlockSink`] as each precinct's segments
-    /// become final; its workers write every decoded block straight into
-    /// the component's Mallat-layout plane — the one the inverse DWT then
-    /// runs on, with the full pool, once they have joined.
+    /// Decode one tile body (DESIGN.md §15) into its rectangle `rect` of the
+    /// output planes `out`, allocating those first when `out` is empty. The
+    /// Tier-2 parser streams owned block jobs to the [`BlockSink`] as each
+    /// precinct's segments become final; its workers write every decoded
+    /// block straight into the component's Mallat-layout plane — the one
+    /// the inverse DWT then runs on, with the full pool, once they have
+    /// joined. After the inverse component transform, one row-range pass
+    /// writes each output sample once.
     // AUDIT(hot): planes and band steps are built once per tile
     // (setup-time); steady-state block decodes run on warm per-worker
     // scratch — bench_decode's counting-allocator probe pins the warm path
@@ -651,10 +656,11 @@ impl Decoder {
         &self,
         hdr: &MainHeader,
         body: &[u8],
-        w: usize,
-        h: usize,
+        rect: TileRect,
+        out: &mut Vec<Plane<i32>>,
         report: &mut DecodeReport,
-    ) -> Result<Image, CodecError> {
+    ) -> Result<(), CodecError> {
+        let (w, h) = (rect.w, rect.h);
         let deco = Decomposition::new(w, h, hdr.levels);
         let res = indexed_resolutions(&deco);
         let nbands = deco.subbands().len();
@@ -715,6 +721,13 @@ impl Decoder {
 
         // --- sample planes: Tier-1 output and inverse-DWT input at once ------
         let t0 = Instant::now();
+        if out.is_empty() {
+            // Lazily zeroed: each page is first touched by the output-pass
+            // worker whose row band it holds.
+            *out = (0..hdr.ncomp)
+                .map(|_| Plane::new(hdr.width, hdr.height))
+                .collect();
+        }
         let reversible = hdr.wavelet == Wavelet::Reversible53;
         let mut planes_q: Vec<Plane<i32>> = Vec::new();
         let mut planes_f: Vec<Plane<f32>> = Vec::new();
@@ -773,56 +786,120 @@ impl Decoder {
         }
         report.stages.add(stage::INTRA_COMPONENT, t0.elapsed());
 
-        Ok(Self::finish_components(
-            hdr, reversible, planes_q, planes_f, report,
-        ))
-    }
-
-    /// Tile-decode epilogue: inverse component transform, lossy rounding,
-    /// and the DC level shift.
-    // AUDIT(hot): once-per-tile epilogue — O(components) plane moves and
-    // pushes, not per-sample work.
-    fn finish_components(
-        hdr: &MainHeader,
-        reversible: bool,
-        mut planes_q: Vec<Plane<i32>>,
-        mut planes_f: Vec<Plane<f32>>,
-        report: &mut DecodeReport,
-    ) -> Image {
+        // --- inverse component transform ---------------------------------------
         let t0 = Instant::now();
-        let mut planes_out: Vec<Plane<i32>>;
-        if reversible {
-            if hdr.ncomp == 3 {
-                // AUDIT(block): split_at_mut(1) on a 3-element vec.
-                #[allow(clippy::indexing_slicing)]
-                {
-                    let (a, rest) = planes_q.split_at_mut(1);
-                    let (b, c) = rest.split_at_mut(1);
-                    rct_inverse(&mut a[0], &mut b[0], &mut c[0]);
-                }
-            }
-            planes_out = planes_q;
-        } else {
-            if hdr.ncomp == 3 {
-                // AUDIT(block): split_at_mut(1) on a 3-element vec.
-                #[allow(clippy::indexing_slicing)]
-                {
-                    let (a, rest) = planes_f.split_at_mut(1);
-                    let (b, c) = rest.split_at_mut(1);
-                    ict_inverse(&mut a[0], &mut b[0], &mut c[0]);
-                }
-            }
-            planes_out = Vec::with_capacity(hdr.ncomp);
-            for f in &planes_f {
-                planes_out.push(f.map(|v| v.round() as i32));
-            }
+        if let [a, b, c] = planes_q.as_mut_slice() {
+            rct_inverse(a, b, c);
+        }
+        if let [a, b, c] = planes_f.as_mut_slice() {
+            ict_inverse(a, b, c);
         }
         report.stages.add(stage::INTER_COMPONENT, t0.elapsed());
 
-        let mut img = Image::new(planes_out, hdr.bit_depth, hdr.signed);
-        dc_level_shift_inverse(&mut img);
-        img
+        // --- output: round, level shift and clamp, once per sample ---------------
+        let t0 = Instant::now();
+        let exec = grain_exec(&exec, w.saturating_mul(h));
+        let range = SampleRange::new(hdr.bit_depth, hdr.signed);
+        if reversible {
+            write_output(&planes_q, out, rect, range, exec, |v| v);
+        } else {
+            write_output(&planes_f, out, rect, range, exec, round_half_away);
+        }
+        report.stages.add(stage::SETUP, t0.elapsed());
+        Ok(())
     }
+}
+
+/// Round half away from zero, saturating: exactly `v.round() as i32` for
+/// every `f32`, NaN and ±∞ included, without the libm `roundf` call that
+/// `f32::round` costs per sample on the x86-64 SSE2 baseline.
+///
+/// `v as i32` truncates toward zero (saturating; NaN gives 0), and below
+/// 2^23 — the only range where `v` has a fraction — `v - t` is exact, so
+/// the fraction decides the step away from zero. At and above 2^23 the
+/// fraction is 0, or (past the saturation point) the step saturates too.
+#[inline]
+fn round_half_away(v: f32) -> i32 {
+    let t = v as i32;
+    let f = v - t as f32;
+    t.saturating_add(i32::from(f >= 0.5))
+        .saturating_sub(i32::from(f <= -0.5))
+}
+
+/// The DC level shift and representable range of the output samples.
+#[derive(Clone, Copy)]
+struct SampleRange {
+    shift: i32,
+    lo: i32,
+    hi: i32,
+}
+
+impl SampleRange {
+    /// For the header's precision, which the decoder has checked is in
+    /// `1..=16`: unsigned samples come back shifted up by `2^(bits-1)` into
+    /// `0..2^bits`, signed ones are symmetric and unshifted.
+    fn new(bit_depth: u8, signed: bool) -> Self {
+        let half = 1i32
+            .checked_shl(u32::from(bit_depth.saturating_sub(1)))
+            .unwrap_or(0);
+        let full = half.saturating_mul(2);
+        if signed {
+            Self {
+                shift: 0,
+                lo: half.saturating_neg(),
+                hi: half.saturating_sub(1),
+            }
+        } else {
+            Self {
+                shift: half,
+                lo: 0,
+                hi: full.saturating_sub(1),
+            }
+        }
+    }
+}
+
+/// The output stage of one tile: write `clamp(to_int(v) + shift, lo, hi)`
+/// for every sample of the tile's component planes `src` into the tile's
+/// rectangle `rect` of the image planes `out`, with the rows split over
+/// `exec`. Each worker writes, and so first-touches, only its own row band
+/// of the (lazily zeroed) output.
+// AUDIT(hot): one pointer Vec per tile (setup-time); the per-sample loop
+// allocates nothing and calls no libm function.
+// AUDIT(fn): `rect` comes from the image's own tile grid, so the tile lies
+// inside the `hdr.width x hdr.height` output planes and `src` holds
+// `rect.w x rect.h` samples per component; no offset below can overflow.
+#[allow(clippy::arithmetic_side_effects)]
+fn write_output<T: Copy + Sync>(
+    src: &[Plane<T>],
+    out: &mut [Plane<i32>],
+    rect: TileRect,
+    range: SampleRange,
+    exec: &Exec,
+    to_int: impl Fn(T) -> i32 + Sync,
+) {
+    debug_assert!(src.len() == out.len());
+    let stride = out.first().map_or(0, Plane::stride);
+    let dst: Vec<SendPtr<i32>> = out.iter_mut().map(|p| SendPtr::new(p.raw_mut())).collect();
+    exec.run_ranges(rect.h, |rows| {
+        // Copied out once: read through the captured reference, they would
+        // be reloaded after every store, which keeps the loop scalar.
+        let SampleRange { shift, lo, hi } = range;
+        for y in rows {
+            for (plane, dst) in src.iter().zip(&dst) {
+                // SAFETY: row `rect.y0 + y`, columns `rect.x0..rect.x0 +
+                // rect.w`, is inside the output plane (see AUDIT(fn) above).
+                // AUDIT(alias): run_ranges hands each worker a distinct range
+                // of rows, components are distinct planes, and the caller
+                // holds `out` mutably borrowed and does not touch it until
+                // run_ranges has joined, so no two writers share a sample.
+                let row = unsafe { dst.slice_mut((rect.y0 + y) * stride + rect.x0, rect.w) };
+                for (d, &v) in row.iter_mut().zip(plane.row(y)) {
+                    *d = to_int(v).saturating_add(shift).clamp(lo, hi);
+                }
+            }
+        }
+    });
 }
 
 #[cfg(test)]
@@ -836,6 +913,110 @@ mod tests {
 
     fn encode(img: &Image, cfg: EncoderConfig) -> Vec<u8> {
         Encoder::new(cfg).unwrap().encode(img).0
+    }
+
+    #[test]
+    fn round_half_away_matches_f32_round() {
+        let edges = [
+            0.0f32,
+            -0.0,
+            0.5,
+            -0.5,
+            0.499_999_97,
+            -0.499_999_97,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            8_388_607.5,
+            -8_388_607.5,
+            8_388_608.0,
+            -8_388_608.0,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            2_147_483_520.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        for v in edges {
+            assert_eq!(round_half_away(v), v.round() as i32, "{v}");
+        }
+        let mut rng = pj2k_testkit::Rng::new(0x5eed);
+        for _ in 0..1_000_000 {
+            let v = f32::from_bits(rng.u64() as u32);
+            assert_eq!(round_half_away(v), v.round() as i32, "{:#x}", v.to_bits());
+        }
+    }
+
+    /// Every `f32` bit pattern, about half a minute in a release build.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep; run with --release -- --ignored"]
+    fn round_half_away_matches_f32_round_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            let v = f32::from_bits(bits);
+            assert_eq!(round_half_away(v), v.round() as i32, "{bits:#x}");
+        }
+    }
+
+    #[test]
+    fn output_pass_saturates_and_clamps() {
+        // One 4x2 tile at (1, 1) of a 6x4 output, 8-bit unsigned: the
+        // level shift would overflow on the extremes; they clamp instead.
+        let rect = TileRect {
+            index: 0,
+            x0: 1,
+            y0: 1,
+            w: 4,
+            h: 2,
+        };
+        let range = SampleRange::new(8, false);
+        let f = Plane::from_vec(
+            4,
+            2,
+            vec![
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                3e9,
+                -3e9,
+                127.5,
+                -128.5,
+                -0.5,
+            ],
+        );
+        let q = Plane::from_vec(4, 2, vec![i32::MAX, i32::MIN, 0, 127, 128, -128, -129, -1]);
+        for workers in [1, 2] {
+            let mut out = vec![Plane::<i32>::new(6, 4)];
+            write_output(
+                std::slice::from_ref(&f),
+                &mut out,
+                rect,
+                range,
+                &Exec::threads(workers),
+                round_half_away,
+            );
+            assert_eq!(out[0].row(0), &[0; 6]);
+            assert_eq!(out[0].row(1), &[0, 255, 0, 128, 255, 0]);
+            assert_eq!(out[0].row(2), &[0, 0, 255, 0, 127, 0]);
+            assert_eq!(out[0].row(3), &[0; 6]);
+            write_output(
+                std::slice::from_ref(&q),
+                &mut out,
+                rect,
+                range,
+                &Exec::threads(workers),
+                |v| v,
+            );
+            assert_eq!(out[0].row(1), &[0, 255, 0, 128, 255, 0]);
+            assert_eq!(out[0].row(2), &[0, 255, 0, 0, 127, 0]);
+        }
+        let signed = SampleRange::new(12, true);
+        assert_eq!((signed.shift, signed.lo, signed.hi), (0, -2048, 2047));
+        let deep = SampleRange::new(16, false);
+        assert_eq!((deep.shift, deep.lo, deep.hi), (32768, 0, 65535));
     }
 
     #[test]

@@ -53,4 +53,4 @@ pub use config::{
 };
 pub use decode::{CodecError, DecodeReport, Decoder};
 pub use encode::{EncodeReport, Encoder};
-pub use pj2k_dwt::Wavelet;
+pub use pj2k_dwt::{DwtStats, Wavelet};

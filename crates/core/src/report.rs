@@ -4,7 +4,8 @@
 pub mod stage {
     /// Reading/writing raw image pixels.
     pub const IMAGE_IO: &str = "image I/O";
-    /// Buffer allocation, tiling, sample-type conversion.
+    /// Buffer allocation, tiling, DC level shift and sample-type conversion
+    /// (on decode: the output pass, which also rounds and clamps).
     pub const SETUP: &str = "pipeline setup";
     /// RCT/ICT color transform.
     pub const INTER_COMPONENT: &str = "inter-component transform";

@@ -9,7 +9,10 @@
 //! pipelined tile decoders were merged into one — where both of those
 //! decoders and both encoder stage sequencings produced them, so the one
 //! path that is left is checked against the old bytes and pixels, not
-//! against itself. A change that moves a number here changes what `pj2k`
+//! against itself. The last two rows (odd-sized RGB over non-dividing
+//! tiles, and a decode that clamps at 0 and 255) were printed at commit
+//! 333f59e, before the decoder's round, level shift and clamp became one
+//! pass writing into the output image. A change that moves a number here changes what `pj2k`
 //! writes or reads back: re-bless deliberately (`cargo test -p pj2k-core
 //! --test golden_streams -- --ignored --nocapture` prints the table) and
 //! say so in the PR.
@@ -59,6 +62,9 @@ struct Row {
     seed: u64,
     size: (usize, usize),
     rgb: bool,
+    /// Stretch the gray source's contrast until large regions sit at 0 and
+    /// 255, so a lossy decode overshoots both ends and must be clamped.
+    saturated: bool,
     cfg: EncoderConfig,
     max_layers: Option<usize>,
 }
@@ -99,6 +105,7 @@ fn rows() -> Vec<Row> {
         seed,
         size,
         rgb,
+        saturated: false,
         cfg,
         max_layers: None,
     };
@@ -232,13 +239,36 @@ fn rows() -> Vec<Row> {
                 ..lossy(&[1.0])
             },
         ),
+        row(
+            "97-rgb-odd-tiles",
+            18,
+            (97, 61),
+            true,
+            EncoderConfig {
+                tiles: Some((40, 24)),
+                ..lossy(&[2.0])
+            },
+        ),
+        Row {
+            saturated: true,
+            ..row(CLAMP_ROW, 19, (96, 80), false, lossy(&[4.0]))
+        },
     ]
 }
+
+/// The row whose decode must clamp at both ends of the 8-bit range.
+const CLAMP_ROW: &str = "97-clamp";
 
 fn source(row: &Row) -> Image {
     let (w, h) = row.size;
     if row.rgb {
         synth::natural_rgb(w, h, row.seed)
+    } else if row.saturated {
+        let plane = synth::natural_gray(w, h, row.seed)
+            .into_components()
+            .remove(0)
+            .map(|v| ((v - 128) * 3 + 128).clamp(0, 255));
+        Image::gray8(plane)
     } else {
         synth::natural_gray(w, h, row.seed)
     }
@@ -286,7 +316,7 @@ fn measure(row: &Row) -> (usize, u64, u64) {
 
 /// (codestream bytes, codestream FNV-1a-64, decoded-sample FNV-1a-64), in
 /// `rows()` order.
-const GOLDEN: [(usize, u64, u64); 18] = [
+const GOLDEN: [(usize, u64, u64); 20] = [
     (1153, 0xbb6a_c1f6_27be_5c99, 0x63ef_6a1f_7433_bf3b), // 97-gray
     (3047, 0xa3cf_0211_b9ec_c3fa, 0x3510_3b8f_8a41_edb6), // 53-gray
     (1056, 0x6c3b_be0d_8be2_c8fe, 0xd5e5_c554_b430_d7a9), // 97-rgb
@@ -305,6 +335,8 @@ const GOLDEN: [(usize, u64, u64); 18] = [
     (1048, 0x9fab_2881_a045_6907, 0x4a89_8f07_a30d_1a22), // 97-cb16
     (2970, 0x635e_db72_e6f6_cb6a, 0x56f5_c658_a74f_1422), // 53-odd
     (1048, 0x3d58_c0cf_f602_d60f, 0x1e06_319c_b561_39fc), // 97-partial-blocks
+    (3189, 0x22e4_1cf1_dae7_d066, 0x7000_ab32_3af6_16eb), // 97-rgb-odd-tiles
+    (4122, 0x0296_9008_77ee_bab8, 0x8173_209d_c284_fa85), // 97-clamp
 ];
 
 #[test]
@@ -319,6 +351,44 @@ fn codestreams_and_pixels_are_pinned() {
             row.name, got.0, got.1, got.2
         );
     }
+}
+
+/// The clamp row's decode overshoots both ends of the 8-bit range, and what
+/// the decoder returns is exactly the clamped reconstruction. The unclamped
+/// one comes from the same decoder with the stream's SIZ declaring 9 bits:
+/// the level shift becomes 256 and the range `0..=511`, so `sample - 128`
+/// is the 8-bit reconstruction before its clamp.
+#[test]
+fn clamp_row_clamps_at_both_ends() {
+    // SOC, SIZ and its length (6 bytes), width and height (4 each) and the
+    // component count (1) precede the bit depth.
+    const DEPTH_AT: usize = 15;
+    let row = rows().into_iter().find(|r| r.name == CLAMP_ROW).unwrap();
+    let bytes = Encoder::new(row.cfg.clone())
+        .unwrap()
+        .encode(&source(&row))
+        .0;
+    assert_eq!(bytes[DEPTH_AT], 8);
+    let mut wide = bytes.clone();
+    wide[DEPTH_AT] = 9;
+    let (out, _) = Decoder::default().decode(&bytes).unwrap();
+    let (unclamped, _) = Decoder::default().decode(&wide).unwrap();
+    let (mut below, mut above) = (0usize, 0usize);
+    for (o, u) in out
+        .component(0)
+        .samples()
+        .zip(unclamped.component(0).samples())
+    {
+        assert!(0 < u && u < 511, "the 9-bit decode clamped too: {u}");
+        let u = u - 128;
+        below += usize::from(u < 0);
+        above += usize::from(u > 255);
+        assert_eq!(o, u.clamp(0, 255));
+    }
+    assert!(
+        below > 0 && above > 0,
+        "clamped {below} samples up to 0 and {above} down to 255"
+    );
 }
 
 #[test]

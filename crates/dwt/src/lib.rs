@@ -36,8 +36,8 @@ pub mod vertical;
 pub use simd::{SimdMode, SimdTier};
 pub use subband::{Band, Decomposition, Subband};
 pub use transform2d::{
-    forward_53, forward_53_with, forward_97, forward_97_with, inverse_53, inverse_53_with,
-    inverse_97, inverse_97_with, DwtStats, LiftingMode, VerticalStrategy,
+    forward_53, forward_53_with, forward_97, forward_97_with, grain_exec, inverse_53,
+    inverse_53_with, inverse_97, inverse_97_with, DwtStats, LiftingMode, VerticalStrategy,
 };
 
 /// 9/7 lifting constant α (first predict step).

@@ -95,8 +95,10 @@ impl DwtStats {
 /// the level runs on the calling thread.
 const PAR_MIN_SAMPLES: usize = 1 << 18;
 
-/// The executor a level of `samples` samples runs on.
-fn level_exec(exec: &Exec, samples: usize) -> &Exec {
+/// The executor a pass over `samples` samples runs on: `exec`, or the
+/// calling thread alone below `PAR_MIN_SAMPLES` (2^18). Every decomposition
+/// level goes through it, and so does the decoder's output pass.
+pub fn grain_exec(exec: &Exec, samples: usize) -> &Exec {
     if samples < PAR_MIN_SAMPLES {
         &Exec::SEQ
     } else {
@@ -166,7 +168,7 @@ macro_rules! define_2d {
             let mut stats = DwtStats::default();
             let tier = simd.resolve();
             let (wl, hl) = deco.ll_size(l);
-            let exec = level_exec(exec, wl * hl);
+            let exec = grain_exec(exec, wl * hl);
             // Horizontal pass over the rows of the current LL region.
             // Each worker claims its row range through the checked
             // disjoint-access layer; debug builds verify the ranges are
@@ -309,7 +311,7 @@ macro_rules! define_2d {
             let mut stats = DwtStats::default();
             let tier = simd.resolve();
             let (wl, hl) = deco.ll_size(l);
-            let exec = level_exec(exec, wl * hl);
+            let exec = grain_exec(exec, wl * hl);
             // Vertical first (reverse of the forward pass order).
             let t0 = Instant::now();
             if hl > 1 {

@@ -50,16 +50,29 @@ pub fn read(r: &mut impl BufRead) -> io::Result<Image> {
         // components <= 3 and n <= MAX_PIXELS, so this cannot overflow.
         let mut buf = vec![0u8; n.saturating_mul(components)];
         r.read_exact(&mut buf)?;
-        let mut samples = buf.iter();
-        for y in 0..height {
-            for x in 0..width {
-                for plane in planes.iter_mut() {
-                    // The buffer holds exactly n * components samples in
-                    // interleaved order; the iterator never runs dry.
-                    let v = samples.next().copied().unwrap_or(0);
-                    plane.set(x, y, i32::from(v));
+        // The buffer holds exactly `height` rows of `width * components`
+        // interleaved samples; `components` is 1 or 3 by the magic above.
+        let rows = buf.chunks_exact(width.saturating_mul(components));
+        match planes.as_mut_slice() {
+            [gray] => {
+                for (y, src) in rows.enumerate() {
+                    for (d, &s) in gray.row_mut(y).iter_mut().zip(src) {
+                        *d = i32::from(s);
+                    }
                 }
             }
+            [r, g, b] => {
+                for (y, src) in rows.enumerate() {
+                    let dst = r.row_mut(y).iter_mut();
+                    let dst = dst.zip(g.row_mut(y).iter_mut().zip(b.row_mut(y)));
+                    for ((r, (g, b)), s) in dst.zip(src.chunks_exact(3)) {
+                        if let &[sr, sg, sb] = s {
+                            (*r, *g, *b) = (i32::from(sr), i32::from(sg), i32::from(sb));
+                        }
+                    }
+                }
+            }
+            _ => {}
         }
     } else {
         for y in 0..height {
@@ -101,13 +114,27 @@ pub fn write(w: &mut impl Write, img: &Image) -> io::Result<()> {
     writeln!(w, "{magic}")?;
     writeln!(w, "{} {}", img.width(), img.height())?;
     writeln!(w, "255")?;
-    let mut buf = Vec::with_capacity(img.pixels() * img.num_components());
-    for y in 0..img.height() {
-        for x in 0..img.width() {
-            for c in 0..img.num_components() {
-                buf.push(img.component(c).get(x, y).clamp(0, 255) as u8);
+    let byte = |v: &i32| (*v).clamp(0, 255) as u8;
+    let row_len = img.width() * img.num_components();
+    let mut buf = vec![0u8; row_len * img.height()];
+    let rows = buf.chunks_exact_mut(row_len).enumerate();
+    match img.components() {
+        [gray] => {
+            for (y, dst) in rows {
+                for (d, s) in dst.iter_mut().zip(gray.row(y)) {
+                    *d = byte(s);
+                }
             }
         }
+        [r, g, b] => {
+            for (y, dst) in rows {
+                let src = r.row(y).iter().zip(g.row(y).iter().zip(b.row(y)));
+                for (d, (r, (g, b))) in dst.chunks_exact_mut(3).zip(src) {
+                    d.copy_from_slice(&[byte(r), byte(g), byte(b)]);
+                }
+            }
+        }
+        _ => {}
     }
     w.write_all(&buf)
 }
@@ -202,6 +229,21 @@ mod tests {
         assert_eq!(img.num_components(), 3);
         assert_eq!(img.component(0).row(0), &[1, 4]);
         assert_eq!(img.component(2).row(0), &[3, 6]);
+    }
+
+    #[test]
+    fn binary_ppm_deinterleaves_rows() {
+        let bytes = b"P6 2 2 255\n\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c";
+        let img = read(&mut Cursor::new(bytes.as_slice())).unwrap();
+        assert_eq!(img.component(0).row(0), &[1, 4]);
+        assert_eq!(img.component(1).row(1), &[8, 11]);
+        assert_eq!(img.component(2).row(1), &[9, 12]);
+        let mut out = Vec::new();
+        write(&mut out, &img).unwrap();
+        assert_eq!(
+            out,
+            b"P6\n2 2\n255\n\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c"
+        );
     }
 
     #[test]

@@ -24,13 +24,18 @@
 //!     --roi X,Y,W,H      prioritize a region of interest (MAXSHIFT)
 //!     --stats            print the per-stage timing breakdown (single image)
 //!
-//! pj2k decode <in.pj2k> <out.pgm> [--layers N] [--threads N]
+//! pj2k decode <in.pj2k> <out.pgm> [--layers N] [--threads N] [--stats]
+//!     --stats            print the per-stage timing breakdown; the output
+//!                        pass (round, level shift, clamp) counts as
+//!                        pipeline setup, as the encoder's level shift does
 //! pj2k info   <in.pj2k>
 //! ```
 
 use pj2k_core::config::Tier1Options;
+use pj2k_core::DwtStats;
 use pj2k_core::{Decoder, Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl};
 use pj2k_image::pnm;
+use pj2k_parutil::StageTimes;
 use pj2k_serve::{discover, encode_files, BatchOptions};
 use pj2k_tier2::codestream::{self, MarkerReader, PayloadReader};
 use std::io::BufReader;
@@ -242,16 +247,22 @@ fn cmd_encode_single(opts: &Opts, input: &PathBuf, output: &PathBuf) -> ExitCode
         report.tier1_rounds
     );
     if opts.has("--stats") {
-        for (stage, t) in report.stages.iter() {
-            println!("  {stage:<28} {:>9.2} ms", t.as_secs_f64() * 1e3);
-        }
-        println!(
-            "  DWT split: vertical {:.2} ms / horizontal {:.2} ms",
-            report.dwt.vertical.as_secs_f64() * 1e3,
-            report.dwt.horizontal.as_secs_f64() * 1e3
-        );
+        print_stats(&report.stages, &report.dwt);
     }
     ExitCode::SUCCESS
+}
+
+/// The `--stats` breakdown: wall-clock per stage, then the DWT's split
+/// between its two filtering directions.
+fn print_stats(stages: &StageTimes, dwt: &DwtStats) {
+    for (stage, t) in stages.iter() {
+        println!("  {stage:<28} {:>9.2} ms", t.as_secs_f64() * 1e3);
+    }
+    println!(
+        "  DWT split: vertical {:.2} ms / horizontal {:.2} ms",
+        dwt.vertical.as_secs_f64() * 1e3,
+        dwt.horizontal.as_secs_f64() * 1e3
+    );
 }
 
 /// Encode many inputs through the batch layer: bounded-admission
@@ -360,7 +371,7 @@ fn cmd_decode(args: &[String]) -> ExitCode {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
-    let (img, _) = match dec.decode(&bytes) {
+    let (img, report) = match dec.decode(&bytes) {
         Ok(r) => r,
         Err(e) => return fail(&format!("decode failed: {e}")),
     };
@@ -379,6 +390,9 @@ fn cmd_decode(args: &[String]) -> ExitCode {
         img.height(),
         img.num_components()
     );
+    if opts.has("--stats") {
+        print_stats(&report.stages, &report.dwt);
+    }
     ExitCode::SUCCESS
 }
 

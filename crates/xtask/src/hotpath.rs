@@ -36,7 +36,9 @@
 //!    **discipline sites**: heap allocation (`Vec::new`/`with_capacity`/
 //!    `push`/`collect`, `Box::new`, `to_vec`, `clone`, `format!`/`String`),
 //!    locking (`Mutex`/`RwLock`/`Condvar`/`lock`/`wait`/`notify`),
-//!    blocking I/O (`File::*`, `read_to_*`, `println!` and friends), and
+//!    blocking I/O (`File::*`, `read_to_*`, `println!` and friends),
+//!    per-call libm rounding (`.round()`, `.floor()`, `.ceil()`, `.trunc()`
+//!    on floats, each a function call on the x86-64 SSE2 baseline), and
 //!    panicking constructs (the [`crate::audit`] needle set).
 //! 4. Each non-test site must carry an `// AUDIT(hot): …` justification
 //!    naming why it is setup-time, amortized (e.g. a push into a recycled
@@ -140,6 +142,8 @@ pub enum HotKind {
     Lock,
     /// Blocking or console I/O.
     Io,
+    /// A libm rounding call (`roundf`, `floor`, ...) per evaluation.
+    Libm,
     /// Panicking construct (shared needle set with `audit-panics`).
     Panic,
 }
@@ -150,6 +154,7 @@ impl fmt::Display for HotKind {
             HotKind::Alloc => "alloc",
             HotKind::Lock => "lock",
             HotKind::Io => "io",
+            HotKind::Libm => "libm",
             HotKind::Panic => "panic",
         })
     }
@@ -204,6 +209,11 @@ const IO_NEEDLES: &[&str] = &[
     "stderr()",
     "stdin()",
 ];
+
+/// Float rounding methods that compile to a libm call, not an instruction,
+/// on the x86-64 baseline: in a per-sample loop that call is most of the
+/// cost. An integer cast (`as i32` truncates) usually does the same job.
+const LIBM_NEEDLES: &[&str] = &[".round()", ".floor()", ".ceil()", ".trunc()"];
 
 /// Same set as `audit-panics` (minus `debug_assert*`, which the word
 /// boundary already excludes).
@@ -337,12 +347,13 @@ impl HotpathReport {
                 ));
             }
         }
-        let (mut alloc, mut lock, mut io, mut panic) = (0usize, 0usize, 0usize, 0usize);
+        let (mut alloc, mut lock, mut io, mut libm, mut panic) = (0usize, 0, 0, 0, 0);
         for s in &self.sites {
             match s.kind {
                 HotKind::Alloc => alloc += 1,
                 HotKind::Lock => lock += 1,
                 HotKind::Io => io += 1,
+                HotKind::Libm => libm += 1,
                 HotKind::Panic => panic += 1,
             }
         }
@@ -352,7 +363,8 @@ impl HotpathReport {
             .filter(|s| !s.in_test && !s.justified)
             .count();
         out.push_str(&format!(
-            "total: {} sites (alloc {alloc}, lock {lock}, io {io}, panic {panic}) across {} files; \
+            "total: {} sites (alloc {alloc}, lock {lock}, io {io}, libm {libm}, panic {panic}) \
+             across {} files; \
              {unjustified} lack an AUDIT(hot) justification\n",
             self.sites.len(),
             self.files_scanned,
@@ -1151,6 +1163,7 @@ fn scan_fn_sites(lines: &[Line], def: &FnDef, report: &mut HotpathReport) {
             (HotKind::Alloc, ALLOC_NEEDLES),
             (HotKind::Lock, LOCK_NEEDLES),
             (HotKind::Io, IO_NEEDLES),
+            (HotKind::Libm, LIBM_NEEDLES),
             (HotKind::Panic, PANIC_NEEDLES),
         ] {
             for needle in needles {
@@ -1164,7 +1177,9 @@ fn scan_fn_sites(lines: &[Line], def: &FnDef, report: &mut HotpathReport) {
         }
         let in_test = def.in_test || line.in_test_item;
         for (kind, what) in found {
-            let justified = fn_covered
+            // A function-wide reason speaks for its setup work; a libm call
+            // needs its own, on the line or in the block above it.
+            let justified = (fn_covered && kind != HotKind::Libm)
                 || hot_justified(lines, idx)
                 || (kind == HotKind::Panic
                     && (any_audit_justified(lines, idx)
@@ -1435,6 +1450,43 @@ mod tests {
         assert!(kinds.contains(&HotKind::Lock), "{kinds:?}");
         assert!(kinds.contains(&HotKind::Io), "{kinds:?}");
         assert_eq!(r.violations.len(), 3, "{:?}", r.violations);
+    }
+
+    #[test]
+    fn libm_rounding_in_a_hot_loop_fails() {
+        // The seeded violation fixture for the libm needles: a per-sample
+        // `.round()` with no justification fails; every needle is caught;
+        // an AUDIT(hot) reason clears it; an integer cast is not a site.
+        for call in [".round()", ".floor()", ".ceil()", ".trunc()"] {
+            let body = format!(
+                "pub fn hot_entry(s: &[f32], d: &mut [i32]) {{\n    \
+                 for (d, v) in d.iter_mut().zip(s) {{\n        *d = v{call} as i32;\n    }}\n}}\n"
+            );
+            let files = src(&[("crates/mq/src/lib.rs", body.as_str())]);
+            let r = run(&files, &[root("pj2k-mq", "lib")]);
+            assert_eq!(r.violations.len(), 1, "{call}: {:?}", r.violations);
+            assert_eq!(r.sites[0].kind, HotKind::Libm);
+            assert!(r.violations[0].message.contains(call), "{call}");
+        }
+        let files = src(&[(
+            "crates/mq/src/lib.rs",
+            "pub fn hot_entry(v: f32) -> i32 {\n    \
+             // AUDIT(hot): once per image, not per sample.\n    v.round() as i32\n}\n\
+             pub fn cast(v: f32) -> i32 {\n    v as i32\n}\n",
+        )]);
+        let r = run(&files, &[root("pj2k-mq", "lib")]);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        assert_eq!(r.sites.len(), 1);
+        assert!(r.render().contains("libm 1"), "{}", r.render());
+        // A function-wide AUDIT(hot) covers allocations, not a libm call.
+        let files = src(&[(
+            "crates/mq/src/lib.rs",
+            "// AUDIT(hot): buffers are set up once per tile.\n\
+             pub fn hot_entry(v: f32) -> Vec<i32> {\n    vec![v.floor() as i32]\n}\n",
+        )]);
+        let r = run(&files, &[root("pj2k-mq", "lib")]);
+        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
+        assert!(r.violations[0].message.contains(".floor()"));
     }
 
     #[test]
