@@ -1,15 +1,19 @@
 //! DWT kernel trajectory harness.
 //!
-//! Emits `BENCH_dwt.json` (schema `pj2k.bench_dwt.v3`) with two
+//! Emits `BENCH_dwt.json` (schema `pj2k.bench_dwt.v4`) with three
 //! measurements that track this workspace's wavelet-transform performance
 //! over time:
 //!
 //! 1. **Kernel sweep**: seconds and Mpixel/s for the 5-level forward
-//!    transform under every lifting/vertical combination — per-step vs
-//!    fused single-pass lifting, naive vs strip-mined columns — on a
-//!    power-of-two width and a padded stride, plus a thread sweep at
-//!    p ∈ {1, 2, 4, 8} for the strip variants.
-//! 2. **Steady-state allocation oracle**: transforms of two plane heights
+//!    transform. The scalar matrix covers the paper's walkers (per-step
+//!    naive and strip columns) and the fused strip columns, on a
+//!    power-of-two width and a padded stride; the production fused strip
+//!    transform is then timed under every SIMD tier, and at p ∈ {2, 4, 8}.
+//! 2. **Pass split**: the production transform (fused strip, one thread)
+//!    forward and inverse, with row and column time reported separately,
+//!    at two sizes, under the SIMD tier `Auto` picks and under scalar
+//!    reference kernels.
+//! 3. **Steady-state allocation oracle**: transforms of two plane heights
 //!    must show identical allocation-call counts — scratch is sized per
 //!    worker range per level, never per strip — the runtime proof behind
 //!    the `AUDIT(hot)` justifications `cargo xtask audit-hotpath` accepts
@@ -25,7 +29,10 @@
 use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::time;
 use pj2k_core::LiftingMode;
-use pj2k_dwt::{forward_53_with, forward_97_with, SimdMode, SimdTier, VerticalStrategy};
+use pj2k_dwt::{
+    forward_53_with, forward_97_with, inverse_53_with, inverse_97_with, DwtStats, SimdMode,
+    SimdTier, VerticalStrategy,
+};
 use pj2k_image::Plane;
 use pj2k_parutil::Exec;
 
@@ -122,6 +129,81 @@ fn bench_53(
     best
 }
 
+/// One pass-split measurement: a whole transform of one direction, with
+/// its row and column seconds.
+struct PassRow {
+    wavelet: &'static str,
+    direction: &'static str,
+    side: usize,
+    simd: &'static str,
+    horiz_secs: f64,
+    vert_secs: f64,
+}
+
+/// Best-of-trials (row seconds, column seconds) of the production 9/7
+/// transform of a `side x side` plane: the forward, or the inverse of a
+/// forward-transformed plane.
+fn passes_97(side: usize, levels: u8, simd: SimdMode, inverse: bool) -> (f64, f64) {
+    let mut plane = Plane::<f32>::new(side, side);
+    let mut best = DwtStats::default();
+    for t in 0..TRIALS {
+        fill_f32(&mut plane);
+        let (_, mut stats) = forward_97_with(
+            &mut plane,
+            levels,
+            STRIP,
+            LiftingMode::Fused,
+            simd,
+            &Exec::SEQ,
+        );
+        if inverse {
+            stats = inverse_97_with(
+                &mut plane,
+                levels,
+                STRIP,
+                LiftingMode::Fused,
+                simd,
+                &Exec::SEQ,
+            );
+        }
+        if t == 0 || stats.total() < best.total() {
+            best = stats;
+        }
+    }
+    (best.horizontal.as_secs_f64(), best.vertical.as_secs_f64())
+}
+
+/// The 5/3 counterpart of [`passes_97`].
+fn passes_53(side: usize, levels: u8, simd: SimdMode, inverse: bool) -> (f64, f64) {
+    let mut plane = Plane::<i32>::new(side, side);
+    let mut best = DwtStats::default();
+    for t in 0..TRIALS {
+        fill_i32(&mut plane);
+        let (_, mut stats) = forward_53_with(
+            &mut plane,
+            levels,
+            STRIP,
+            LiftingMode::Fused,
+            simd,
+            &Exec::SEQ,
+        );
+        if inverse {
+            stats = inverse_53_with(
+                &mut plane,
+                levels,
+                STRIP,
+                LiftingMode::Fused,
+                simd,
+                &Exec::SEQ,
+            );
+        }
+        if t == 0 || stats.total() < best.total() {
+            best = stats;
+        }
+    }
+    (best.horizontal.as_secs_f64(), best.vertical.as_secs_f64())
+}
+
 /// Thread-exact allocation count of one sequential fused-strip forward
 /// 9/7 transform of a freshly filled `w x h` plane (plane construction
 /// and fill excluded from the count).
@@ -145,11 +227,7 @@ fn strip_transform_allocs(w: usize, h: usize, levels: u8) -> u64 {
 /// The SIMD tiers this host can ablate, plus auto dispatch.
 fn simd_modes() -> Vec<(&'static str, SimdMode)> {
     let mut modes: Vec<(&'static str, SimdMode)> = Vec::new();
-    for (name, tier) in [
-        ("portable", SimdTier::Portable),
-        ("sse2", SimdTier::Sse2),
-        ("avx2", SimdTier::Avx2),
-    ] {
+    for (name, tier) in [("portable", SimdTier::Portable), ("avx2", SimdTier::Avx2)] {
         if tier.is_supported() {
             modes.push((name, SimdMode::Forced(tier)));
         }
@@ -244,7 +322,6 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"vertical\"",
     "\"mpix_per_sec\"",
     "\"fused_strip_speedup_97\"",
-    "\"fused_naive_speedup_97\"",
     "\"fused_strip_speedup_53\"",
     "\"simd\"",
     "\"vert_secs\"",
@@ -253,6 +330,9 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"simd_strip_speedup_97\"",
     "\"simd_strip_speedup_53\"",
     "\"simd_bit_identity\"",
+    "\"passes\"",
+    "\"direction\"",
+    "\"horiz_secs\"",
     "\"steady_state\"",
     "\"allocs_marginal_per_strip\"",
 ];
@@ -293,14 +373,14 @@ fn main() {
     let _ = bench_97(64, 64, 0, 2, LiftingMode::Fused, STRIP, SimdMode::Auto, 1);
     let _ = bench_53(64, 64, 0, 2, LiftingMode::Fused, STRIP, SimdMode::Auto, 1);
 
-    // The scalar matrix (simd = "scalar") keeps the PR 4 trajectory rows
-    // comparable release over release; the tier sweep below ablates the
-    // SIMD dispatch on top of the strip kernels.
+    // The scalar matrix (simd = "scalar") keeps the trajectory rows of the
+    // paper's walkers comparable release over release; the tier sweep below
+    // ablates the SIMD dispatch on top of the fused strip kernels. There is
+    // no fused naive row: the naive walker is the same under both modes.
     let mut rows: Vec<KRow> = Vec::new();
     for (lifting, vstrat) in [
         (LiftingMode::PerStep, VerticalStrategy::Naive),
         (LiftingMode::PerStep, STRIP),
-        (LiftingMode::Fused, VerticalStrategy::Naive),
         (LiftingMode::Fused, STRIP),
     ] {
         for pad in [0usize, 8] {
@@ -348,52 +428,48 @@ fn main() {
             });
         }
     }
-    // Per-tier ablation: strip vertical under every runtime-dispatch tier
-    // this host supports, both lifting modes, both wavelets.
+    // Per-tier ablation: the production fused strip transform under every
+    // runtime-dispatch tier this host supports, both wavelets.
+    let fused = LiftingMode::Fused;
     for (simd_name, mode) in simd_modes() {
-        for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-            let (secs, vert_secs) = bench_97(side, side, 0, levels, lifting, STRIP, mode, 1);
-            rows.push(KRow {
-                wavelet: "9/7",
-                lifting: lift_name(lifting),
-                vertical: "strip",
-                simd: simd_name,
-                pad: 0,
-                p: 1,
-                secs,
-                vert_secs,
-                mpix_per_sec: mpix / secs,
-            });
-            let (secs, vert_secs) = bench_53(side, side, 0, levels, lifting, STRIP, mode, 1);
-            rows.push(KRow {
-                wavelet: "5/3",
-                lifting: lift_name(lifting),
-                vertical: "strip",
-                simd: simd_name,
-                pad: 0,
-                p: 1,
-                secs,
-                vert_secs,
-                mpix_per_sec: mpix / secs,
-            });
-        }
+        let (secs, vert_secs) = bench_97(side, side, 0, levels, fused, STRIP, mode, 1);
+        rows.push(KRow {
+            wavelet: "9/7",
+            lifting: "fused",
+            vertical: "strip",
+            simd: simd_name,
+            pad: 0,
+            p: 1,
+            secs,
+            vert_secs,
+            mpix_per_sec: mpix / secs,
+        });
+        let (secs, vert_secs) = bench_53(side, side, 0, levels, fused, STRIP, mode, 1);
+        rows.push(KRow {
+            wavelet: "5/3",
+            lifting: "fused",
+            vertical: "strip",
+            simd: simd_name,
+            pad: 0,
+            p: 1,
+            secs,
+            vert_secs,
+            mpix_per_sec: mpix / secs,
+        });
     }
     for p in [2usize, 4, 8] {
-        for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-            let (secs, vert_secs) =
-                bench_97(side, side, 0, levels, lifting, STRIP, SimdMode::Auto, p);
-            rows.push(KRow {
-                wavelet: "9/7",
-                lifting: lift_name(lifting),
-                vertical: "strip",
-                simd: "auto",
-                pad: 0,
-                p,
-                secs,
-                vert_secs,
-                mpix_per_sec: mpix / secs,
-            });
-        }
+        let (secs, vert_secs) = bench_97(side, side, 0, levels, fused, STRIP, SimdMode::Auto, p);
+        rows.push(KRow {
+            wavelet: "9/7",
+            lifting: "fused",
+            vertical: "strip",
+            simd: "auto",
+            pad: 0,
+            p,
+            secs,
+            vert_secs,
+            mpix_per_sec: mpix / secs,
+        });
     }
     for r in &rows {
         println!(
@@ -423,13 +499,11 @@ fn main() {
     };
     let fused_strip_97 =
         pick("9/7", "per_step", "strip", "scalar").0 / pick("9/7", "fused", "strip", "scalar").0;
-    let fused_naive_97 =
-        pick("9/7", "per_step", "naive", "scalar").0 / pick("9/7", "fused", "naive", "scalar").0;
     let fused_strip_53 =
         pick("5/3", "per_step", "strip", "scalar").0 / pick("5/3", "fused", "strip", "scalar").0;
     println!(
         "fused speedup (single thread, pow2 width): 9/7 strip {fused_strip_97:.3}x, \
-         9/7 naive {fused_naive_97:.3}x, 5/3 strip {fused_strip_53:.3}x"
+         5/3 strip {fused_strip_53:.3}x"
     );
     // SIMD strip-vertical speedup: scalar fused strip vertical pass over
     // the best forced tier's fused strip vertical pass (ISSUE 5 gate).
@@ -451,6 +525,45 @@ fn main() {
         "simd strip-vertical speedup over scalar fused (best tier {simd_best_tier}): \
          9/7 {simd_strip_speedup_97:.3}x, 5/3 {simd_strip_speedup_53:.3}x"
     );
+
+    // --- pass split: rows and columns, both directions ---------------------
+    let pass_sides = if smoke { [256usize, 128] } else { [2048, 512] };
+    let mut passes: Vec<PassRow> = Vec::new();
+    for side in pass_sides {
+        for (simd_name, mode) in [("auto", SimdMode::Auto), ("scalar", SimdMode::Scalar)] {
+            for (direction, inverse) in [("forward", false), ("inverse", true)] {
+                let (horiz_secs, vert_secs) = passes_97(side, levels, mode, inverse);
+                passes.push(PassRow {
+                    wavelet: "9/7",
+                    direction,
+                    side,
+                    simd: simd_name,
+                    horiz_secs,
+                    vert_secs,
+                });
+                let (horiz_secs, vert_secs) = passes_53(side, levels, mode, inverse);
+                passes.push(PassRow {
+                    wavelet: "5/3",
+                    direction,
+                    side,
+                    simd: simd_name,
+                    horiz_secs,
+                    vert_secs,
+                });
+            }
+        }
+    }
+    for r in &passes {
+        println!(
+            "passes {} {} {side}x{side} simd={}: rows {:.2} ms, columns {:.2} ms",
+            r.wavelet,
+            r.direction,
+            r.simd,
+            r.horiz_secs * 1e3,
+            r.vert_secs * 1e3,
+            side = r.side
+        );
+    }
 
     // --- per-tier bit-identity on the bench workload ----------------------
     let simd_bit_identity = check_bit_identity(side.min(512), levels);
@@ -489,7 +602,7 @@ fn main() {
     // --- hand-rolled JSON -------------------------------------------------
     let mut doc = String::new();
     doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_dwt.v3\",\n");
+    doc.push_str("  \"schema\": \"pj2k.bench_dwt.v4\",\n");
     doc.push_str(&format!("  \"smoke\": {smoke},\n"));
     doc.push_str(&format!("  \"image_side\": {side},\n"));
     doc.push_str(&format!("  \"levels\": {levels},\n"));
@@ -517,10 +630,6 @@ fn main() {
         jf(fused_strip_97)
     ));
     doc.push_str(&format!(
-        "  \"fused_naive_speedup_97\": {},\n",
-        jf(fused_naive_97)
-    ));
-    doc.push_str(&format!(
         "  \"fused_strip_speedup_53\": {},\n",
         jf(fused_strip_53)
     ));
@@ -539,6 +648,21 @@ fn main() {
         jf(simd_strip_speedup_53)
     ));
     doc.push_str(&format!("  \"simd_bit_identity\": {simd_bit_identity},\n"));
+    doc.push_str("  \"passes\": [\n");
+    for (i, r) in passes.iter().enumerate() {
+        doc.push_str(&format!(
+            "    {{ \"wavelet\": \"{}\", \"direction\": \"{}\", \"side\": {}, \
+             \"simd\": \"{}\", \"horiz_secs\": {}, \"vert_secs\": {} }}{}\n",
+            r.wavelet,
+            r.direction,
+            r.side,
+            r.simd,
+            jf(r.horiz_secs),
+            jf(r.vert_secs),
+            if i + 1 < passes.len() { "," } else { "" }
+        ));
+    }
+    doc.push_str("  ],\n");
     doc.push_str(&format!(
         "  \"steady_state\": {{ \"allocs_short\": {a_short}, \"allocs_tall\": {a_tall}, \
          \"extra_strips\": {extra_strips}, \"allocs_marginal_per_strip\": {} }}\n",

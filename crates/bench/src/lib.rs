@@ -12,8 +12,8 @@ use pj2k_cachesim::{
     horizontal_filter_trace, vertical_naive_trace, vertical_strip_trace, CacheConfig,
     FilterTraceParams,
 };
-use pj2k_core::{Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl};
-use pj2k_dwt::{forward_97, DwtStats, VerticalStrategy};
+use pj2k_core::{Encoder, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl};
+use pj2k_dwt::{forward_97_with, DwtStats, SimdMode, VerticalStrategy};
 use pj2k_image::{synth, Image, Plane};
 use pj2k_parutil::Exec;
 use pj2k_smpsim::{bus_makespan, BusParams, Schedule, WorkItem};
@@ -43,10 +43,14 @@ pub fn test_image(kpx: usize) -> Image {
     synth::natural_gray(s, s, 0xA5A5 + kpx as u64)
 }
 
-/// Paper-default encoder configuration at 1 bpp.
+/// The paper's baseline encoder configuration at 1 bpp: its naive column
+/// filtering with one sweep per lifting step (the production default is
+/// strip filtering with fused lifting).
 pub fn paper_config() -> EncoderConfig {
     EncoderConfig {
         rate: RateControl::TargetBpp(vec![1.0]),
+        filter: FilterStrategy::Naive,
+        lifting: LiftingMode::PerStep,
         ..EncoderConfig::default()
     }
 }
@@ -99,6 +103,9 @@ pub struct FilteringProfile {
 /// Build a [`FilteringProfile`] for a `side x side` 9/7 transform with
 /// `levels` levels.
 ///
+/// Both strategies run the paper's scalar per-step walkers (reference rows,
+/// per-step naive or strip columns), whatever the production default is.
+///
 /// Calibration: both strategies are *measured* serially on the host; the
 /// cache simulator supplies the miss-traffic ratio between them, from
 /// which a per-byte stall cost is derived
@@ -117,10 +124,20 @@ pub fn filtering_profile(side: usize, levels: u8) -> FilteringProfile {
         }
         p
     };
-    let mut p1 = mk();
-    let (_, naive) = forward_97(&mut p1, levels, VerticalStrategy::Naive, &Exec::SEQ);
-    let mut p2 = mk();
-    let (_, strip) = forward_97(&mut p2, levels, VerticalStrategy::DEFAULT_STRIP, &Exec::SEQ);
+    let paper = |strategy| {
+        let mut p = mk();
+        let (_, stats) = forward_97_with(
+            &mut p,
+            levels,
+            strategy,
+            LiftingMode::PerStep,
+            SimdMode::Scalar,
+            &Exec::SEQ,
+        );
+        stats
+    };
+    let naive = paper(VerticalStrategy::Naive);
+    let strip = paper(VerticalStrategy::DEFAULT_STRIP);
 
     // Cache-simulated traffic, summed over levels (region halves each
     // level). Simulating every column of a 4096^2 image is slow, so the

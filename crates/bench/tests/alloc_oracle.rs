@@ -170,6 +170,8 @@ fn dwt_97_fused_strip_allocs_are_strip_count_invariant() {
     );
 }
 
+/// Per-step strip columns run the paper's scalar walker whatever the SIMD
+/// mode; it keeps the same contract.
 #[test]
 fn dwt_97_per_step_strip_allocs_are_strip_count_invariant() {
     let short = dwt_97_allocs(128, 128, 3, LiftingMode::PerStep);

@@ -146,11 +146,14 @@ pub struct EncoderConfig {
     pub tiles: Option<(usize, usize)>,
     /// Parallel execution mode.
     pub parallel: ParallelMode,
-    /// Vertical filtering strategy.
+    /// Vertical filtering strategy. The default, [`FilterStrategy::Strip`]
+    /// with [`LiftingMode::Fused`], runs the decoder's kernels; `Naive` and
+    /// `PaddedWidth` run the paper's scalar column walker.
     pub filter: FilterStrategy,
-    /// Lifting traversal of both filtering directions: the reference
-    /// one-sweep-per-step kernels, or the fused single-pass kernels
-    /// (bit-identical outputs, a fraction of the memory traffic).
+    /// Lifting traversal of the strip column pass: the fused single-pass
+    /// kernels (the default), or the reference one-sweep-per-step walker.
+    /// Bit-identical outputs; only the memory traffic differs. Rows and the
+    /// naive walker ignore it.
     pub lifting: LiftingMode,
     /// SIMD tier for the lifting kernels: runtime-detected best tier by
     /// default, a forced tier for ablation, or pure scalar. Every tier
@@ -181,8 +184,11 @@ pub struct EncoderConfig {
 }
 
 impl Default for EncoderConfig {
-    /// The paper's defaults: 5-level 9/7, 64x64 code-blocks, no tiling,
-    /// sequential execution, naive filtering, lossy at 1 bpp.
+    /// The paper's coding defaults — 5-level 9/7, 64x64 code-blocks, no
+    /// tiling, sequential execution, lossy at 1 bpp — on the production
+    /// wavelet kernels: strip filtering with fused lifting, the transform
+    /// the decoder runs. The paper's naive per-step baseline is
+    /// `filter: Naive, lifting: PerStep`.
     // AUDIT(hot): config construction — once per encoder, setup-time
     // (pulled into the decode closure only via approximate call matching).
     fn default() -> Self {
@@ -194,8 +200,8 @@ impl Default for EncoderConfig {
             base_step: 1.0 / 8.0,
             tiles: None,
             parallel: ParallelMode::Sequential,
-            filter: FilterStrategy::Naive,
-            lifting: LiftingMode::PerStep,
+            filter: FilterStrategy::Strip,
+            lifting: LiftingMode::Fused,
             simd: SimdMode::Auto,
             overlap: StageOverlap::Barriered,
             tier1: Tier1Options::default(),

@@ -897,22 +897,76 @@ mod tests {
 
     #[test]
     fn filter_strategies_produce_identical_streams() {
-        // Strip and naive filtering compute the same transform, so the
-        // codestream must be bit-identical; padded width changes only the
-        // layout, not the samples.
-        let img = synth::natural_gray(128, 64, 7);
-        let mk = |filter| {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 3,
-                filter,
-                ..Default::default()
-            })
-            .unwrap();
-            enc.encode(&img).0
-        };
-        let naive = mk(FilterStrategy::Naive);
-        assert_eq!(naive, mk(FilterStrategy::Strip));
-        assert_eq!(naive, mk(FilterStrategy::PaddedWidth));
+        // Strip and naive filtering compute the same transform, to the last
+        // 9/7 float bit, so the codestream must be identical; padded width
+        // changes only the layout, not the samples. A power-of-two and an
+        // odd-sized image, both wavelets.
+        for img in [
+            synth::natural_gray(128, 64, 7),
+            synth::natural_gray(65, 127, 4),
+        ] {
+            for wavelet in [
+                pj2k_dwt::Wavelet::Reversible53,
+                pj2k_dwt::Wavelet::Irreversible97,
+            ] {
+                let mk = |filter| {
+                    let enc = Encoder::new(EncoderConfig {
+                        levels: 3,
+                        wavelet,
+                        filter,
+                        ..Default::default()
+                    })
+                    .unwrap();
+                    enc.encode(&img).0
+                };
+                let naive = mk(FilterStrategy::Naive);
+                for filter in [FilterStrategy::PaddedWidth, FilterStrategy::Strip] {
+                    assert!(naive == mk(filter), "{wavelet:?} {filter:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_lifting_produces_identical_streams() {
+        use crate::config::LiftingMode;
+        // Fused kernels evaluate the same lifting expressions on the same
+        // operands, so even the 9/7 float outputs are bit-identical and the
+        // codestream cannot change — under any vertical strategy.
+        for img in [
+            synth::natural_gray(128, 64, 7),
+            synth::natural_gray(65, 127, 4),
+        ] {
+            for wavelet in [
+                pj2k_dwt::Wavelet::Reversible53,
+                pj2k_dwt::Wavelet::Irreversible97,
+            ] {
+                let mk = |filter, lifting| {
+                    let enc = Encoder::new(EncoderConfig {
+                        levels: 3,
+                        wavelet,
+                        filter,
+                        lifting,
+                        ..Default::default()
+                    })
+                    .unwrap();
+                    enc.encode(&img).0
+                };
+                let base = mk(FilterStrategy::Naive, LiftingMode::PerStep);
+                for filter in [
+                    FilterStrategy::Naive,
+                    FilterStrategy::PaddedWidth,
+                    FilterStrategy::Strip,
+                ] {
+                    for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
+                        assert!(
+                            base == mk(filter, lifting),
+                            "{wavelet:?} {filter:?} {lifting:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -985,35 +1039,6 @@ mod tests {
                 };
                 assert_eq!(decode(Barriered), decode(Pipelined), "{cfg:?} {parallel:?}");
             }
-        }
-    }
-
-    #[test]
-    fn fused_lifting_produces_identical_streams() {
-        use crate::config::LiftingMode;
-        // Fused kernels evaluate the same lifting expressions on the same
-        // operands, so even the 9/7 float outputs are bit-identical and the
-        // codestream cannot change — under any vertical strategy.
-        for wavelet in [
-            pj2k_dwt::Wavelet::Reversible53,
-            pj2k_dwt::Wavelet::Irreversible97,
-        ] {
-            let img = synth::natural_gray(65, 127, 4);
-            let mk = |lifting, filter| {
-                let enc = Encoder::new(EncoderConfig {
-                    levels: 3,
-                    wavelet,
-                    lifting,
-                    filter,
-                    ..Default::default()
-                })
-                .unwrap();
-                enc.encode(&img).0
-            };
-            let base = mk(LiftingMode::PerStep, FilterStrategy::Naive);
-            assert_eq!(base, mk(LiftingMode::Fused, FilterStrategy::Naive));
-            assert_eq!(base, mk(LiftingMode::Fused, FilterStrategy::Strip));
-            assert_eq!(base, mk(LiftingMode::Fused, FilterStrategy::PaddedWidth));
         }
     }
 

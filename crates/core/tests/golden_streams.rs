@@ -12,7 +12,11 @@
 //! against itself. The last two rows (odd-sized RGB over non-dividing
 //! tiles, and a decode that clamps at 0 and 255) were printed at commit
 //! 333f59e, before the decoder's round, level shift and clamp became one
-//! pass writing into the output image. A change that moves a number here changes what `pj2k`
+//! pass writing into the output image. The three rows after them, wide
+//! enough for the SIMD column batches and the pooled level split, were
+//! printed at commit 219c5c0, when every row still encoded through the
+//! scalar naive column walker and the encoder and decoder ran different
+//! wavelet kernels. A change that moves a number here changes what `pj2k`
 //! writes or reads back: re-bless deliberately (`cargo test -p pj2k-core
 //! --test golden_streams -- --ignored --nocapture` prints the table) and
 //! say so in the PR.
@@ -253,6 +257,31 @@ fn rows() -> Vec<Row> {
             saturated: true,
             ..row(CLAMP_ROW, 19, (96, 80), false, lossy(&[4.0]))
         },
+        // Power-of-two width: whole 16-column SIMD batches down to level 4
+        // (16 columns), then an 8-column scalar tail at level 5.
+        row(
+            "97-gray-256",
+            20,
+            (256, 200),
+            false,
+            EncoderConfig {
+                levels: 6,
+                ..lossy(&[1.0])
+            },
+        ),
+        // Odd width: a ragged tail at every level (131, 66, 33 columns).
+        row("53-rgb-131", 21, (131, 67), true, lossless()),
+        // At least 2^18 samples, so level 0 splits across the workers.
+        row(
+            "97-pool-640",
+            22,
+            (640, 420),
+            false,
+            EncoderConfig {
+                parallel: ParallelMode::WorkerPool { workers: 2 },
+                ..lossy(&[1.0])
+            },
+        ),
     ]
 }
 
@@ -316,7 +345,7 @@ fn measure(row: &Row) -> (usize, u64, u64) {
 
 /// (codestream bytes, codestream FNV-1a-64, decoded-sample FNV-1a-64), in
 /// `rows()` order.
-const GOLDEN: [(usize, u64, u64); 20] = [
+const GOLDEN: [(usize, u64, u64); 23] = [
     (1153, 0xbb6a_c1f6_27be_5c99, 0x63ef_6a1f_7433_bf3b), // 97-gray
     (3047, 0xa3cf_0211_b9ec_c3fa, 0x3510_3b8f_8a41_edb6), // 53-gray
     (1056, 0x6c3b_be0d_8be2_c8fe, 0xd5e5_c554_b430_d7a9), // 97-rgb
@@ -337,6 +366,9 @@ const GOLDEN: [(usize, u64, u64); 20] = [
     (1048, 0x3d58_c0cf_f602_d60f, 0x1e06_319c_b561_39fc), // 97-partial-blocks
     (3189, 0x22e4_1cf1_dae7_d066, 0x7000_ab32_3af6_16eb), // 97-rgb-odd-tiles
     (4122, 0x0296_9008_77ee_bab8, 0x8173_209d_c284_fa85), // 97-clamp
+    (6864, 0x7857_4430_85eb_d89e, 0x8481_f652_3738_cd18), // 97-gray-256
+    (7398, 0x88b0_e5b8_6655_fa77, 0x02f0_8810_b2ea_83db), // 53-rgb-131
+    (34503, 0xa036_6116_3f33_24f4, 0x8318_fecc_1256_deea), // 97-pool-640
 ];
 
 #[test]

@@ -1,13 +1,19 @@
-//! Fused single-pass lifting kernels ("single-loop" schemes).
+//! Fused single-pass column lifting kernels ("single-loop" schemes).
 //!
-//! The per-step kernels in [`crate::lift`] and [`crate::vertical`] make one
-//! full sweep over the signal *per lifting step* — two sweeps for 5/3, five
-//! (four lifting + scaling) for 9/7, plus a deinterleave pass. For a
-//! memory-bound transform that traffic dominates. The kernels here apply
-//! every predict/update/scale step in a single rolling sweep: a small
-//! coefficient-history window (one value for 5/3, three for 9/7) carries
-//! the partially-lifted boundary of the sweep, and each input sample is
-//! read exactly once.
+//! The per-step kernels in [`crate::vertical`] make one full sweep down the
+//! columns *per lifting step* — two sweeps for 5/3, five (four lifting +
+//! scaling) for 9/7, plus a deinterleave pass. For a memory-bound transform
+//! that traffic dominates. The kernels here apply every predict/update/scale
+//! step in a single rolling sweep: a small coefficient-history window (one
+//! value for 5/3, three for 9/7) carries the partially-lifted boundary of
+//! the sweep, and each input sample is read exactly once. They are the
+//! scalar form of [`crate::simd`]'s column batches and run the tail
+//! narrower than one batch (and every column under `SimdMode::Scalar`).
+//!
+//! Rows have no fused kernel: a row is contiguous, so the split-halves row
+//! kernels of [`crate::simd`] (or the reference [`crate::lift`] kernels)
+//! already stream it, and the rolling window's sequential recurrence would
+//! not vectorize along it.
 //!
 //! Every kernel computes *bit-identical* outputs to its per-step
 //! counterpart: each output coefficient is produced by the same arithmetic
@@ -24,7 +30,7 @@
 //! deinterleaved `[low | high]` Mallat halves with `ceil(n/2)` low
 //! coefficients; synthesis consumes that layout.
 //!
-//! The vertical (column) kernels keep the strip discipline of
+//! The kernels keep the strip discipline of
 //! [`crate::vertical`]: the inner loop iterates across `strip` adjacent
 //! columns of one row so every fetched cache line is fully used and the
 //! compiler can vectorize the lane loop. Per-lane history lives in small
@@ -51,199 +57,6 @@ use std::ops::Range;
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn mirror_y(y: isize, h: usize) -> usize {
     mirror(y, h)
-}
-
-// --------------------------------------------------------------------------
-// Fused 5/3 rows
-// --------------------------------------------------------------------------
-
-/// Fused forward 5/3 analysis of one row; output is `[low | high]`.
-///
-/// Single rolling sweep: for each even/odd input pair the highpass `d(i)`
-/// is predicted and the lowpass `s(i)` updated immediately from
-/// `d(i-1), d(i)`, so the row is read once instead of once per lifting
-/// step. Bit-identical to [`crate::lift::fwd_row_53`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
-// region's geometry (debug-checked disjoint claims) and rolling-window
-// offsets are mirror-clamped.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub fn fwd_row_53_fused(row: &mut [i32], scratch: &mut Vec<i32>) {
-    let n = row.len();
-    if n <= 1 {
-        return;
-    }
-    let ce = n.div_ceil(2);
-    let fh = n / 2;
-    scratch.clear();
-    scratch.resize(n, 0); // AUDIT(hot): amortized — recycled scratch, no-op once capacity is warm.
-    let (lo, hi) = scratch.split_at_mut(ce);
-    let mut d_prev = 0i32;
-    for i in 0..fh {
-        let xe = row[2 * i];
-        let xr = row[mirror(2 * i as isize + 2, n)];
-        let d = row[2 * i + 1] - ((xe + xr) >> 1);
-        let dl = if i == 0 { d } else { d_prev };
-        hi[i] = d;
-        lo[i] = xe + ((dl + d + 2) >> 2);
-        d_prev = d;
-    }
-    if n % 2 == 1 {
-        lo[ce - 1] = row[n - 1] + ((2 * d_prev + 2) >> 2);
-    }
-    row.copy_from_slice(scratch);
-}
-
-/// Fused inverse 5/3 synthesis of one row holding `[low | high]`.
-///
-/// Bit-identical to [`crate::lift::inv_row_53`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
-// region's geometry (debug-checked disjoint claims) and rolling-window
-// offsets are mirror-clamped.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub fn inv_row_53_fused(row: &mut [i32], scratch: &mut Vec<i32>) {
-    let n = row.len();
-    if n <= 1 {
-        return;
-    }
-    let ce = n.div_ceil(2);
-    let fh = n / 2;
-    scratch.clear();
-    scratch.resize(n, 0); // AUDIT(hot): amortized — recycled scratch, no-op once capacity is warm.
-    let mut prev_even = row[0] - ((2 * row[ce] + 2) >> 2);
-    scratch[0] = prev_even;
-    for i in 1..ce {
-        let dl = row[ce + i - 1];
-        let dr = if i < fh { row[ce + i] } else { dl };
-        let e = row[i] - ((dl + dr + 2) >> 2);
-        scratch[2 * i] = e;
-        scratch[2 * i - 1] = dl + ((prev_even + e) >> 1);
-        prev_even = e;
-    }
-    if n.is_multiple_of(2) {
-        scratch[n - 1] = row[n - 1] + ((2 * prev_even) >> 1);
-    }
-    row.copy_from_slice(scratch);
-}
-
-// --------------------------------------------------------------------------
-// Fused 9/7 rows
-// --------------------------------------------------------------------------
-
-/// Fused forward 9/7 analysis of one row; output is `[low | high]`.
-///
-/// The four lifting stages form a rolling pipeline: at pair `i` the sweep
-/// computes `a(2i+1)` (α-stage), `b(2i)` (β-stage), `c(2i-1)` (γ-stage)
-/// and `e(2i-2)` (δ-stage) from a three-value history window, then emits
-/// `low[i-1] = e·(1/K)` and `high[i-1] = c·(K/2)`. Bit-identical to
-/// [`crate::lift::fwd_row_97`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
-// region's geometry (debug-checked disjoint claims) and rolling-window
-// offsets are mirror-clamped.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub fn fwd_row_97_fused(row: &mut [f32], scratch: &mut Vec<f32>) {
-    let n = row.len();
-    if n <= 1 {
-        return;
-    }
-    let ce = n.div_ceil(2);
-    let fh = n / 2;
-    let (kl, kh) = (1.0 / KAPPA, KAPPA / 2.0);
-    scratch.clear();
-    scratch.resize(n, 0.0); // AUDIT(hot): amortized — recycled scratch, no-op once capacity is warm.
-    let (lo, hi) = scratch.split_at_mut(ce);
-    let (mut a_prev, mut b_prev, mut c_prev) = (0f32, 0f32, 0f32);
-    for i in 0..fh {
-        let xe = row[2 * i];
-        let xr = row[mirror(2 * i as isize + 2, n)];
-        let a = row[2 * i + 1] + ALPHA * (xe + xr);
-        let al = if i == 0 { a } else { a_prev };
-        let b = xe + BETA * (al + a);
-        if i >= 1 {
-            let c = a_prev + GAMMA * (b_prev + b);
-            let cl = if i == 1 { c } else { c_prev };
-            let e = b_prev + DELTA * (cl + c);
-            lo[i - 1] = e * kl;
-            hi[i - 1] = c * kh;
-            c_prev = c;
-        }
-        a_prev = a;
-        b_prev = b;
-    }
-    if n.is_multiple_of(2) {
-        // Pending tail: c(n-1) mirrors b(n) = b(n-2), then e(n-2).
-        let c = a_prev + GAMMA * (b_prev + b_prev);
-        let cl = if fh == 1 { c } else { c_prev };
-        let e = b_prev + DELTA * (cl + c);
-        lo[fh - 1] = e * kl;
-        hi[fh - 1] = c * kh;
-    } else {
-        // Pending tail: b(n-1) mirrors a(n) = a(n-2); then c(n-2), e(n-3)
-        // and the final even e(n-1) which mirrors c(n) = c(n-2).
-        let b_last = row[n - 1] + BETA * (a_prev + a_prev);
-        let c = a_prev + GAMMA * (b_prev + b_last);
-        let cl = if fh == 1 { c } else { c_prev };
-        let e = b_prev + DELTA * (cl + c);
-        lo[fh - 1] = e * kl;
-        hi[fh - 1] = c * kh;
-        lo[fh] = (b_last + DELTA * (c + c)) * kl;
-    }
-    row.copy_from_slice(scratch);
-}
-
-/// Fused inverse 9/7 synthesis of one row holding `[low | high]`.
-///
-/// Bit-identical to [`crate::lift::inv_row_97`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
-// region's geometry (debug-checked disjoint claims) and rolling-window
-// offsets are mirror-clamped.
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub fn inv_row_97_fused(row: &mut [f32], scratch: &mut Vec<f32>) {
-    let n = row.len();
-    if n <= 1 {
-        return;
-    }
-    let ce = n.div_ceil(2);
-    let fh = n / 2;
-    let (kl, kh) = (KAPPA, 2.0 / KAPPA);
-    scratch.clear();
-    scratch.resize(n, 0.0); // AUDIT(hot): amortized — recycled scratch, no-op once capacity is warm.
-    let (mut c_prev, mut b_prev, mut a_prev, mut x_prev) = (0f32, 0f32, 0f32, 0f32);
-    for i in 0..ce {
-        let e_cur = row[i] * kl;
-        let c_cur = if i < fh { row[ce + i] * kh } else { c_prev };
-        let b = e_cur - DELTA * (if i == 0 { c_cur } else { c_prev } + c_cur);
-        if i >= 1 {
-            let a = c_prev - GAMMA * (b_prev + b);
-            let al = if i == 1 { a } else { a_prev };
-            let xe = b_prev - BETA * (al + a);
-            scratch[2 * i - 2] = xe;
-            if i >= 2 {
-                scratch[2 * i - 3] = a_prev - ALPHA * (x_prev + xe);
-            }
-            a_prev = a;
-            x_prev = xe;
-        }
-        b_prev = b;
-        c_prev = c_cur;
-    }
-    if n.is_multiple_of(2) {
-        // Pending tail: a(n-1) mirrors b(n) = b(n-2); x(n-2); x(n-3);
-        // and x(n-1) which mirrors x(n) = x(n-2).
-        let a_last = c_prev - GAMMA * (b_prev + b_prev);
-        let al = if ce == 1 { a_last } else { a_prev };
-        let xe = b_prev - BETA * (al + a_last);
-        scratch[n - 2] = xe;
-        if n >= 4 {
-            scratch[n - 3] = a_prev - ALPHA * (x_prev + xe);
-        }
-        scratch[n - 1] = a_last - ALPHA * (xe + xe);
-    } else {
-        // Pending tail: even x(n-1) mirrors a(n) = a(n-2), then odd x(n-2).
-        let x_last = b_prev - BETA * (a_prev + a_prev);
-        scratch[n - 1] = x_last;
-        scratch[n - 2] = a_prev - ALPHA * (x_prev + x_last);
-    }
-    row.copy_from_slice(scratch);
 }
 
 // --------------------------------------------------------------------------
@@ -623,108 +436,8 @@ pub unsafe fn inv_fused_strip_97_cols(
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use crate::lift::{fwd_row_53, fwd_row_97, inv_row_53, inv_row_97};
     use crate::vertical::{fwd_strip_53_cols, fwd_strip_97_cols};
     use pj2k_parutil::DisjointWriter;
-
-    fn sig_i32(n: usize, seed: usize) -> Vec<i32> {
-        (0..n)
-            .map(|i| ((i * 37 + seed * 11 + i * i) % 509) as i32 - 254)
-            .collect()
-    }
-
-    fn sig_f32(n: usize, seed: usize) -> Vec<f32> {
-        (0..n)
-            .map(|i| ((i * 29 + seed * 7 + i * i) % 255) as f32 - 127.0)
-            .collect()
-    }
-
-    #[test]
-    fn fwd_row_53_fused_bit_identical_all_lengths() {
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for n in 1..=64usize {
-            let orig = sig_i32(n, n);
-            let mut a = orig.clone();
-            let mut b = orig;
-            fwd_row_53(&mut a, &mut s1);
-            fwd_row_53_fused(&mut b, &mut s2);
-            assert_eq!(a, b, "n={n}");
-        }
-    }
-
-    #[test]
-    fn inv_row_53_fused_bit_identical_all_lengths() {
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for n in 1..=64usize {
-            let mut a = sig_i32(n, n + 1);
-            fwd_row_53(&mut a, &mut s1);
-            let mut b = a.clone();
-            inv_row_53(&mut a, &mut s1);
-            inv_row_53_fused(&mut b, &mut s2);
-            assert_eq!(a, b, "n={n}");
-        }
-    }
-
-    #[test]
-    fn fwd_row_97_fused_bit_identical_all_lengths() {
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for n in 1..=64usize {
-            let orig = sig_f32(n, n);
-            let mut a = orig.clone();
-            let mut b = orig;
-            fwd_row_97(&mut a, &mut s1);
-            fwd_row_97_fused(&mut b, &mut s2);
-            for i in 0..n {
-                assert_eq!(
-                    a[i].to_bits(),
-                    b[i].to_bits(),
-                    "n={n} i={i}: {} vs {}",
-                    a[i],
-                    b[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn inv_row_97_fused_bit_identical_all_lengths() {
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for n in 1..=64usize {
-            let mut a = sig_f32(n, n + 3);
-            fwd_row_97(&mut a, &mut s1);
-            let mut b = a.clone();
-            inv_row_97(&mut a, &mut s1);
-            inv_row_97_fused(&mut b, &mut s2);
-            for i in 0..n {
-                assert_eq!(
-                    a[i].to_bits(),
-                    b[i].to_bits(),
-                    "n={n} i={i}: {} vs {}",
-                    a[i],
-                    b[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fused_row_roundtrips() {
-        let (mut s, mut sf) = (Vec::new(), Vec::new());
-        for n in 1..=33usize {
-            let orig = sig_i32(n, 5);
-            let mut b = orig.clone();
-            fwd_row_53_fused(&mut b, &mut s);
-            inv_row_53_fused(&mut b, &mut s);
-            assert_eq!(b, orig, "5/3 n={n}");
-            let origf = sig_f32(n, 5);
-            let mut bf = origf.clone();
-            fwd_row_97_fused(&mut bf, &mut sf);
-            inv_row_97_fused(&mut bf, &mut sf);
-            for i in 0..n {
-                assert!((bf[i] - origf[i]).abs() < 1e-3, "9/7 n={n} i={i}");
-            }
-        }
-    }
 
     /// Run `f` with a claim over columns `cols` (all `h` rows) of `buf`.
     fn with_claim<T: Send, R>(

@@ -3,17 +3,18 @@
 //! The paper's strip-vertical filtering already walks rows applying the
 //! same lifting step to several adjacent columns — the textbook SIMD shape:
 //! one column per vector lane. This module provides vectorized 5/3 and 9/7
-//! kernels (per-step and fused) that process a [`BATCH`]-column batch per
-//! instruction sequence, plus an interleaved-pair scheme for horizontal
-//! rows (the row is split into its even/odd halves, after which every
-//! lifting step is a unit-offset streaming pass over two contiguous
-//! arrays).
+//! kernels: the fused single-sweep column kernels, which process a
+//! [`BATCH`]-column batch per instruction sequence, and a split-halves
+//! scheme for horizontal rows (the row is split into its even/odd halves,
+//! after which every lifting step is a unit-offset streaming pass over two
+//! contiguous arrays). Both the encoder and the decoder run exactly these
+//! kernels (see [`crate::transform2d`] for the rule that picks them).
 //!
-//! Three tiers are selected by runtime dispatch:
+//! Two tiers are selected by runtime dispatch:
 //!
 //! * **Portable** — plain `[T; 16]` lane arrays whose elementwise loops the
-//!   compiler autovectorizes; the fallback on every architecture.
-//! * **SSE2** — the x86-64 baseline, four 128-bit registers per batch.
+//!   compiler autovectorizes; the fallback on every architecture,
+//!   including x86-64 hosts without AVX2.
 //! * **AVX2** — two 256-bit registers per batch, selected via
 //!   `is_x86_feature_detected!` and entered through
 //!   `#[target_feature(enable = "avx2")]` wrappers.
@@ -34,7 +35,7 @@
 //! `2*d + 2` becomes `d + d + 2`.
 //!
 //! Tails (fewer than [`BATCH`] remaining columns, or row remainders) fall
-//! back to the scalar kernels, which compute the same expressions.
+//! back to the scalar fused kernels, which compute the same expressions.
 //!
 //! The knob is [`SimdMode`]: `Auto` picks the best detected tier (with a
 //! `PJ2K_SIMD` environment override for ablation), `Forced(tier)` clamps
@@ -45,8 +46,6 @@
 
 use crate::fused;
 use crate::lift::mirror;
-use crate::transform2d::LiftingMode;
-use crate::vertical;
 use crate::{ALPHA, BETA, DELTA, GAMMA, KAPPA};
 use pj2k_parutil::DisjointClaim;
 use std::ops::Range;
@@ -75,8 +74,6 @@ fn mirror_y(y: isize, h: usize) -> usize {
 pub enum SimdTier {
     /// Generic lane arrays relying on autovectorization; always supported.
     Portable,
-    /// 128-bit SSE2 intrinsics — part of the x86-64 baseline.
-    Sse2,
     /// 256-bit AVX2 intrinsics, runtime-detected.
     Avx2,
 }
@@ -92,31 +89,24 @@ impl SimdTier {
         match self {
             SimdTier::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
     }
 
-    /// The best supported tier at or below this one (`Avx2 → Sse2 →
-    /// Portable`), so a forced tier degrades gracefully on lesser hosts.
+    /// The best supported tier at or below this one (`Avx2 → Portable`),
+    /// so a forced tier degrades gracefully on lesser hosts.
     // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
     // LANES, base indices derive from the claimed region, and ragged tails
     // fall back to the scalar path (unsafe loads carry their own SAFETY
     // bounds arguments).
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
     pub fn clamp_supported(self) -> SimdTier {
-        let mut t = self;
-        loop {
-            if t.is_supported() {
-                return t;
-            }
-            t = match t {
-                SimdTier::Avx2 => SimdTier::Sse2,
-                _ => SimdTier::Portable,
-            };
+        if self.is_supported() {
+            self
+        } else {
+            SimdTier::Portable
         }
     }
 
@@ -135,7 +125,7 @@ impl SimdTier {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimdMode {
     /// Use the best detected tier; honours the `PJ2K_SIMD` environment
-    /// override (`scalar`/`off`, `portable`, `sse2`, `avx2`).
+    /// override (`scalar`/`off`, `portable`, `avx2`).
     #[default]
     Auto,
     /// Use the given tier, clamped to the best supported one at or below
@@ -151,7 +141,6 @@ fn parse_tier_token(tok: &str) -> Option<Option<SimdTier>> {
     match tok.trim().to_ascii_lowercase().as_str() {
         "scalar" | "off" => Some(None),
         "portable" => Some(Some(SimdTier::Portable)),
-        "sse2" => Some(Some(SimdTier::Sse2)),
         "avx2" => Some(Some(SimdTier::Avx2)),
         _ => None,
     }
@@ -159,7 +148,7 @@ fn parse_tier_token(tok: &str) -> Option<Option<SimdTier>> {
 
 /// The cached `PJ2K_SIMD` override, read once per process. A set but
 /// unrecognized value warns on stderr instead of silently falling back to
-/// runtime detection, so a typo (`PJ2K_SIMD=ssse2`) can't masquerade as a
+/// runtime detection, so a typo (`PJ2K_SIMD=avx`) can't masquerade as a
 /// forced-tier run. Empty and `auto` are accepted silently as explicit
 /// "no override"; mirrors `PJ2K_TIER1` in `pj2k_ebcot::bitplane`.
 fn env_override() -> Option<Option<SimdTier>> {
@@ -176,7 +165,7 @@ fn env_override() -> Option<Option<SimdTier>> {
             // (OnceLock) and only when the env var is set to garbage.
             eprintln!(
                 "pj2k: ignoring unrecognized PJ2K_SIMD={v:?} \
-                 (expected scalar|off, portable, sse2, avx2, or auto)"
+                 (expected scalar|off, portable, avx2, or auto)"
             );
         }
         parsed
@@ -527,341 +516,297 @@ pub(crate) mod portable {
 }
 
 // --------------------------------------------------------------------------
-// x86-64 intrinsic tiers
+// AVX2 tier (x86-64)
 // --------------------------------------------------------------------------
 
-/// Generates one x86-64 tier module: a [`BATCH`]-lane composite vector
-/// built from `$n` registers of `$w` lanes each.
+/// The AVX2 tier: a [`BATCH`]-lane composite vector built from two 256-bit
+/// registers of eight lanes each.
 ///
 /// Module invariant: values of these types are only constructed and
-/// operated on inside the dispatch entry for their tier (for AVX2, a
-/// `#[target_feature(enable = "avx2")]` wrapper guarded by runtime
-/// detection), so the required CPU features are present whenever the
-/// intrinsics execute. SSE2 is unconditionally part of the x86-64
-/// baseline.
+/// operated on inside a `#[target_feature(enable = "avx2")]` dispatch
+/// wrapper guarded by runtime detection, so the required CPU features are
+/// present whenever the intrinsics execute.
 #[cfg(target_arch = "x86_64")]
-macro_rules! x86_tier {
-    ($mod:ident, $freg:ty, $ireg:ty, $n:expr, $w:expr,
-     $loadu_ps:ident, $storeu_ps:ident, $set1_ps:ident,
-     $add_ps:ident, $sub_ps:ident, $mul_ps:ident,
-     $loadu_si:ident, $storeu_si:ident, $set1_epi32:ident,
-     $add_epi32:ident, $sub_epi32:ident, $srai_epi32:ident) => {
-        pub(crate) mod $mod {
-            use super::{DisjointClaim, VecF, VecI, BATCH};
-            use std::arch::x86_64::*;
+pub(crate) mod avx2 {
+    use super::{DisjointClaim, VecF, VecI, BATCH};
+    use std::arch::x86_64::*;
 
-            /// f32 batch: `$n` registers of `$w` lanes.
-            #[derive(Clone, Copy)]
-            pub(crate) struct F16([$freg; $n]);
+    /// f32 batch: two registers of eight lanes.
+    #[derive(Clone, Copy)]
+    pub(crate) struct F16([__m256; 2]);
 
-            /// i32 batch: `$n` registers of `$w` lanes.
-            #[derive(Clone, Copy)]
-            pub(crate) struct I16([$ireg; $n]);
+    /// i32 batch: two registers of eight lanes.
+    #[derive(Clone, Copy)]
+    pub(crate) struct I16([__m256i; 2]);
 
-            impl VecF for F16 {
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::ld` / `VecI::ld`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn ld(c: &DisjointClaim<f32>, idx: usize) -> Self {
-                    // SAFETY: caller guarantees idx..idx+BATCH is owned by
-                    // the claim (slice_mut checks in debug builds); loads
-                    // are unaligned; CPU support per the module invariant.
-                    unsafe {
-                        let p = c.slice_mut(idx, BATCH).as_ptr();
-                        F16(core::array::from_fn(|k| $loadu_ps(p.add(k * $w))))
-                    }
-                }
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::st` / `VecI::st`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn st(self, c: &DisjointClaim<f32>, idx: usize) {
-                    // SAFETY: caller guarantees idx..idx+BATCH is owned by
-                    // the claim; stores are unaligned; CPU support per the
-                    // module invariant.
-                    unsafe {
-                        let p = c.slice_mut(idx, BATCH).as_mut_ptr();
-                        for (k, r) in self.0.iter().enumerate() {
-                            $storeu_ps(p.add(k * $w), *r);
-                        }
-                    }
-                }
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::lds` / `VecI::lds`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn lds(s: &[f32], idx: usize) -> Self {
-                    debug_assert!(idx + BATCH <= s.len());
-                    // SAFETY: caller guarantees idx + BATCH <= s.len();
-                    // CPU support per the module invariant.
-                    unsafe {
-                        let p = s.as_ptr().add(idx);
-                        F16(core::array::from_fn(|k| $loadu_ps(p.add(k * $w))))
-                    }
-                }
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::sts` / `VecI::sts`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn sts(self, s: &mut [f32], idx: usize) {
-                    debug_assert!(idx + BATCH <= s.len());
-                    // SAFETY: caller guarantees idx + BATCH <= s.len();
-                    // CPU support per the module invariant.
-                    unsafe {
-                        let p = s.as_mut_ptr().add(idx);
-                        for (k, r) in self.0.iter().enumerate() {
-                            $storeu_ps(p.add(k * $w), *r);
-                        }
-                    }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn splat(v: f32) -> Self {
-                    // SAFETY: register-only broadcast; CPU support per the
-                    // module invariant.
-                    unsafe { F16([$set1_ps(v); $n]) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn add(self, o: Self) -> Self {
-                    // SAFETY: register-only lanewise op; CPU support per
-                    // the module invariant.
-                    unsafe { F16(core::array::from_fn(|k| $add_ps(self.0[k], o.0[k]))) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn sub(self, o: Self) -> Self {
-                    // SAFETY: register-only lanewise op; CPU support per
-                    // the module invariant.
-                    unsafe { F16(core::array::from_fn(|k| $sub_ps(self.0[k], o.0[k]))) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn mul(self, o: Self) -> Self {
-                    // SAFETY: register-only lanewise op; CPU support per
-                    // the module invariant.
-                    unsafe { F16(core::array::from_fn(|k| $mul_ps(self.0[k], o.0[k]))) }
-                }
+    impl VecF for F16 {
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::ld` / `VecI::ld`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn ld(c: &DisjointClaim<f32>, idx: usize) -> Self {
+            // SAFETY: caller guarantees idx..idx+BATCH is owned by
+            // the claim (slice_mut checks in debug builds); loads
+            // are unaligned; CPU support per the module invariant.
+            unsafe {
+                let p = c.slice_mut(idx, BATCH).as_ptr();
+                F16(core::array::from_fn(|k| _mm256_loadu_ps(p.add(k * 8))))
             }
-
-            impl VecI for I16 {
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::ld` / `VecI::ld`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn ld(c: &DisjointClaim<i32>, idx: usize) -> Self {
-                    // SAFETY: caller guarantees idx..idx+BATCH is owned by
-                    // the claim; loads are unaligned; CPU support per the
-                    // module invariant.
-                    unsafe {
-                        let p = c.slice_mut(idx, BATCH).as_ptr();
-                        I16(core::array::from_fn(|k| {
-                            $loadu_si(p.add(k * $w) as *const $ireg)
-                        }))
-                    }
-                }
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::st` / `VecI::st`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn st(self, c: &DisjointClaim<i32>, idx: usize) {
-                    // SAFETY: caller guarantees idx..idx+BATCH is owned by
-                    // the claim; stores are unaligned; CPU support per the
-                    // module invariant.
-                    unsafe {
-                        let p = c.slice_mut(idx, BATCH).as_mut_ptr();
-                        for (k, r) in self.0.iter().enumerate() {
-                            $storeu_si(p.add(k * $w) as *mut $ireg, *r);
-                        }
-                    }
-                }
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::lds` / `VecI::lds`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn lds(s: &[i32], idx: usize) -> Self {
-                    debug_assert!(idx + BATCH <= s.len());
-                    // SAFETY: caller guarantees idx + BATCH <= s.len();
-                    // CPU support per the module invariant.
-                    unsafe {
-                        let p = s.as_ptr().add(idx);
-                        I16(core::array::from_fn(|k| {
-                            $loadu_si(p.add(k * $w) as *const $ireg)
-                        }))
-                    }
-                }
-                // SAFETY: caller upholds the `# Safety` contract documented on
-                // the trait method (`VecF::sts` / `VecI::sts`).
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                unsafe fn sts(self, s: &mut [i32], idx: usize) {
-                    debug_assert!(idx + BATCH <= s.len());
-                    // SAFETY: caller guarantees idx + BATCH <= s.len();
-                    // CPU support per the module invariant.
-                    unsafe {
-                        let p = s.as_mut_ptr().add(idx);
-                        for (k, r) in self.0.iter().enumerate() {
-                            $storeu_si(p.add(k * $w) as *mut $ireg, *r);
-                        }
-                    }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn splat(v: i32) -> Self {
-                    // SAFETY: register-only broadcast; CPU support per the
-                    // module invariant.
-                    unsafe { I16([$set1_epi32(v); $n]) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn add(self, o: Self) -> Self {
-                    // SAFETY: register-only lanewise op; CPU support per
-                    // the module invariant.
-                    unsafe { I16(core::array::from_fn(|k| $add_epi32(self.0[k], o.0[k]))) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn sub(self, o: Self) -> Self {
-                    // SAFETY: register-only lanewise op; CPU support per
-                    // the module invariant.
-                    unsafe { I16(core::array::from_fn(|k| $sub_epi32(self.0[k], o.0[k]))) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn shr1(self) -> Self {
-                    // SAFETY: register-only lanewise arithmetic shift; CPU
-                    // support per the module invariant.
-                    unsafe { I16(core::array::from_fn(|k| $srai_epi32::<1>(self.0[k]))) }
-                }
-                #[inline(always)]
-                // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-                // LANES, base indices derive from the claimed region, and ragged tails
-                // fall back to the scalar path (unsafe loads carry their own SAFETY
-                // bounds arguments).
-                #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-                fn shr2(self) -> Self {
-                    // SAFETY: register-only lanewise arithmetic shift; CPU
-                    // support per the module invariant.
-                    unsafe { I16(core::array::from_fn(|k| $srai_epi32::<2>(self.0[k]))) }
+        }
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::st` / `VecI::st`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn st(self, c: &DisjointClaim<f32>, idx: usize) {
+            // SAFETY: caller guarantees idx..idx+BATCH is owned by
+            // the claim; stores are unaligned; CPU support per the
+            // module invariant.
+            unsafe {
+                let p = c.slice_mut(idx, BATCH).as_mut_ptr();
+                for (k, r) in self.0.iter().enumerate() {
+                    _mm256_storeu_ps(p.add(k * 8), *r);
                 }
             }
         }
-    };
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::lds` / `VecI::lds`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn lds(s: &[f32], idx: usize) -> Self {
+            debug_assert!(idx + BATCH <= s.len());
+            // SAFETY: caller guarantees idx + BATCH <= s.len();
+            // CPU support per the module invariant.
+            unsafe {
+                let p = s.as_ptr().add(idx);
+                F16(core::array::from_fn(|k| _mm256_loadu_ps(p.add(k * 8))))
+            }
+        }
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::sts` / `VecI::sts`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn sts(self, s: &mut [f32], idx: usize) {
+            debug_assert!(idx + BATCH <= s.len());
+            // SAFETY: caller guarantees idx + BATCH <= s.len();
+            // CPU support per the module invariant.
+            unsafe {
+                let p = s.as_mut_ptr().add(idx);
+                for (k, r) in self.0.iter().enumerate() {
+                    _mm256_storeu_ps(p.add(k * 8), *r);
+                }
+            }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn splat(v: f32) -> Self {
+            // SAFETY: register-only broadcast; CPU support per the
+            // module invariant.
+            unsafe { F16([_mm256_set1_ps(v); 2]) }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: register-only lanewise op; CPU support per
+            // the module invariant.
+            unsafe { F16(core::array::from_fn(|k| _mm256_add_ps(self.0[k], o.0[k]))) }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: register-only lanewise op; CPU support per
+            // the module invariant.
+            unsafe { F16(core::array::from_fn(|k| _mm256_sub_ps(self.0[k], o.0[k]))) }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn mul(self, o: Self) -> Self {
+            // SAFETY: register-only lanewise op; CPU support per
+            // the module invariant.
+            unsafe { F16(core::array::from_fn(|k| _mm256_mul_ps(self.0[k], o.0[k]))) }
+        }
+    }
+
+    impl VecI for I16 {
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::ld` / `VecI::ld`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn ld(c: &DisjointClaim<i32>, idx: usize) -> Self {
+            // SAFETY: caller guarantees idx..idx+BATCH is owned by
+            // the claim; loads are unaligned; CPU support per the
+            // module invariant.
+            unsafe {
+                let p = c.slice_mut(idx, BATCH).as_ptr();
+                I16(core::array::from_fn(|k| {
+                    _mm256_loadu_si256(p.add(k * 8) as *const __m256i)
+                }))
+            }
+        }
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::st` / `VecI::st`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn st(self, c: &DisjointClaim<i32>, idx: usize) {
+            // SAFETY: caller guarantees idx..idx+BATCH is owned by
+            // the claim; stores are unaligned; CPU support per the
+            // module invariant.
+            unsafe {
+                let p = c.slice_mut(idx, BATCH).as_mut_ptr();
+                for (k, r) in self.0.iter().enumerate() {
+                    _mm256_storeu_si256(p.add(k * 8) as *mut __m256i, *r);
+                }
+            }
+        }
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::lds` / `VecI::lds`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn lds(s: &[i32], idx: usize) -> Self {
+            debug_assert!(idx + BATCH <= s.len());
+            // SAFETY: caller guarantees idx + BATCH <= s.len();
+            // CPU support per the module invariant.
+            unsafe {
+                let p = s.as_ptr().add(idx);
+                I16(core::array::from_fn(|k| {
+                    _mm256_loadu_si256(p.add(k * 8) as *const __m256i)
+                }))
+            }
+        }
+        // SAFETY: caller upholds the `# Safety` contract documented on
+        // the trait method (`VecF::sts` / `VecI::sts`).
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        unsafe fn sts(self, s: &mut [i32], idx: usize) {
+            debug_assert!(idx + BATCH <= s.len());
+            // SAFETY: caller guarantees idx + BATCH <= s.len();
+            // CPU support per the module invariant.
+            unsafe {
+                let p = s.as_mut_ptr().add(idx);
+                for (k, r) in self.0.iter().enumerate() {
+                    _mm256_storeu_si256(p.add(k * 8) as *mut __m256i, *r);
+                }
+            }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn splat(v: i32) -> Self {
+            // SAFETY: register-only broadcast; CPU support per the
+            // module invariant.
+            unsafe { I16([_mm256_set1_epi32(v); 2]) }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn add(self, o: Self) -> Self {
+            // SAFETY: register-only lanewise op; CPU support per
+            // the module invariant.
+            unsafe {
+                I16(core::array::from_fn(|k| {
+                    _mm256_add_epi32(self.0[k], o.0[k])
+                }))
+            }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn sub(self, o: Self) -> Self {
+            // SAFETY: register-only lanewise op; CPU support per
+            // the module invariant.
+            unsafe {
+                I16(core::array::from_fn(|k| {
+                    _mm256_sub_epi32(self.0[k], o.0[k])
+                }))
+            }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn shr1(self) -> Self {
+            // SAFETY: register-only lanewise arithmetic shift; CPU
+            // support per the module invariant.
+            unsafe { I16(core::array::from_fn(|k| _mm256_srai_epi32::<1>(self.0[k]))) }
+        }
+        #[inline(always)]
+        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // LANES, base indices derive from the claimed region, and ragged tails
+        // fall back to the scalar path (unsafe loads carry their own SAFETY
+        // bounds arguments).
+        #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
+        fn shr2(self) -> Self {
+            // SAFETY: register-only lanewise arithmetic shift; CPU
+            // support per the module invariant.
+            unsafe { I16(core::array::from_fn(|k| _mm256_srai_epi32::<2>(self.0[k]))) }
+        }
+    }
 }
-
-#[cfg(target_arch = "x86_64")]
-x86_tier!(
-    sse2,
-    std::arch::x86_64::__m128,
-    std::arch::x86_64::__m128i,
-    4,
-    4,
-    _mm_loadu_ps,
-    _mm_storeu_ps,
-    _mm_set1_ps,
-    _mm_add_ps,
-    _mm_sub_ps,
-    _mm_mul_ps,
-    _mm_loadu_si128,
-    _mm_storeu_si128,
-    _mm_set1_epi32,
-    _mm_add_epi32,
-    _mm_sub_epi32,
-    _mm_srai_epi32
-);
-
-#[cfg(target_arch = "x86_64")]
-x86_tier!(
-    avx2,
-    std::arch::x86_64::__m256,
-    std::arch::x86_64::__m256i,
-    2,
-    8,
-    _mm256_loadu_ps,
-    _mm256_storeu_ps,
-    _mm256_set1_ps,
-    _mm256_add_ps,
-    _mm256_sub_ps,
-    _mm256_mul_ps,
-    _mm256_loadu_si256,
-    _mm256_storeu_si256,
-    _mm256_set1_epi32,
-    _mm256_add_epi32,
-    _mm256_sub_epi32,
-    _mm256_srai_epi32
-);
 
 // --------------------------------------------------------------------------
 // Vertical batch kernels (one BATCH of adjacent columns per call)
 // --------------------------------------------------------------------------
 //
 // Each kernel is the vector transcription of its scalar counterpart in
-// `fused`/`vertical` with `strip = BATCH` and the per-lane history arrays
+// `fused` with `strip = BATCH` and the per-lane history arrays
 // promoted to vector registers. Row indices, mirror handling and the order
 // of arithmetic per coefficient are copied verbatim, so each lane computes
 // exactly the scalar expression tree (see the module docs).
@@ -1131,205 +1076,13 @@ unsafe fn inv_fused_97_batch<F: VecF>(
     }
 }
 
-/// Per-step forward 5/3 lifting (predict + update walks) on columns
-/// `x0..x0+BATCH`; the deinterleave is left to the caller, exactly as
-/// [`vertical::fwd_strip_53_cols`] sequences it.
-///
-/// # Safety
-/// Same contract as [`fwd_fused_53_batch`].
-#[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-// LANES, base indices derive from the claimed region, and ragged tails
-// fall back to the scalar path (unsafe loads carry their own SAFETY
-// bounds arguments).
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn fwd_perstep_53_batch<I: VecI>(
-    ptr: &DisjointClaim<i32>,
-    stride: usize,
-    x0: usize,
-    h: usize,
-) {
-    // SAFETY: upheld by this function's documented safety contract,
-    // which the caller must satisfy.
-    unsafe {
-        let two = I::splat(2);
-        let mut y = 1;
-        while y < h {
-            let ly = (y - 1) * stride;
-            let ry = mirror_y(y as isize + 1, h) * stride;
-            let cy = y * stride;
-            I::ld(ptr, cy + x0)
-                .sub(I::ld(ptr, ly + x0).add(I::ld(ptr, ry + x0)).shr1())
-                .st(ptr, cy + x0);
-            y += 2;
-        }
-        let mut y = 0;
-        while y < h {
-            let ly = mirror_y(y as isize - 1, h) * stride;
-            let ry = mirror_y(y as isize + 1, h) * stride;
-            let cy = y * stride;
-            I::ld(ptr, cy + x0)
-                .add(I::ld(ptr, ly + x0).add(I::ld(ptr, ry + x0)).add(two).shr2())
-                .st(ptr, cy + x0);
-            y += 2;
-        }
-    }
-}
-
-/// Per-step inverse 5/3 lifting on columns `x0..x0+BATCH`; the caller has
-/// already interleaved, as in [`vertical::inv_strip_53_cols`].
-///
-/// # Safety
-/// Same contract as [`fwd_fused_53_batch`].
-#[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-// LANES, base indices derive from the claimed region, and ragged tails
-// fall back to the scalar path (unsafe loads carry their own SAFETY
-// bounds arguments).
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn inv_perstep_53_batch<I: VecI>(
-    ptr: &DisjointClaim<i32>,
-    stride: usize,
-    x0: usize,
-    h: usize,
-) {
-    // SAFETY: upheld by this function's documented safety contract,
-    // which the caller must satisfy.
-    unsafe {
-        let two = I::splat(2);
-        let mut y = 0;
-        while y < h {
-            let ly = mirror_y(y as isize - 1, h) * stride;
-            let ry = mirror_y(y as isize + 1, h) * stride;
-            let cy = y * stride;
-            I::ld(ptr, cy + x0)
-                .sub(I::ld(ptr, ly + x0).add(I::ld(ptr, ry + x0)).add(two).shr2())
-                .st(ptr, cy + x0);
-            y += 2;
-        }
-        let mut y = 1;
-        while y < h {
-            let ly = (y - 1) * stride;
-            let ry = mirror_y(y as isize + 1, h) * stride;
-            let cy = y * stride;
-            I::ld(ptr, cy + x0)
-                .add(I::ld(ptr, ly + x0).add(I::ld(ptr, ry + x0)).shr1())
-                .st(ptr, cy + x0);
-            y += 2;
-        }
-    }
-}
-
-/// One 9/7 lifting step over a column batch — the vector form of
-/// [`vertical`]'s `lift_strip_97`.
-///
-/// # Safety
-/// Same contract as [`fwd_fused_53_batch`].
-#[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-// LANES, base indices derive from the claimed region, and ragged tails
-// fall back to the scalar path (unsafe loads carry their own SAFETY
-// bounds arguments).
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn lift_batch_97<F: VecF>(
-    ptr: &DisjointClaim<f32>,
-    stride: usize,
-    x0: usize,
-    h: usize,
-    parity: usize,
-    c: f32,
-) {
-    // SAFETY: upheld by this function's documented safety contract,
-    // which the caller must satisfy.
-    unsafe {
-        let vc = F::splat(c);
-        let mut y = parity;
-        while y < h {
-            let ly = mirror_y(y as isize - 1, h) * stride;
-            let ry = mirror_y(y as isize + 1, h) * stride;
-            let cy = y * stride;
-            F::ld(ptr, cy + x0)
-                .add(vc.mul(F::ld(ptr, ly + x0).add(F::ld(ptr, ry + x0))))
-                .st(ptr, cy + x0);
-            y += 2;
-        }
-    }
-}
-
-/// Per-step forward 9/7 (four lifting walks + scaling) on columns
-/// `x0..x0+BATCH`; deinterleave left to the caller, as in
-/// [`vertical::fwd_strip_97_cols`].
-///
-/// # Safety
-/// Same contract as [`fwd_fused_53_batch`].
-#[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-// LANES, base indices derive from the claimed region, and ragged tails
-// fall back to the scalar path (unsafe loads carry their own SAFETY
-// bounds arguments).
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn fwd_perstep_97_batch<F: VecF>(
-    ptr: &DisjointClaim<f32>,
-    stride: usize,
-    x0: usize,
-    h: usize,
-) {
-    // SAFETY: upheld by this function's documented safety contract,
-    // which the caller must satisfy.
-    unsafe {
-        lift_batch_97::<F>(ptr, stride, x0, h, 1, ALPHA);
-        lift_batch_97::<F>(ptr, stride, x0, h, 0, BETA);
-        lift_batch_97::<F>(ptr, stride, x0, h, 1, GAMMA);
-        lift_batch_97::<F>(ptr, stride, x0, h, 0, DELTA);
-        let (vkl, vkh) = (F::splat(1.0 / KAPPA), F::splat(KAPPA / 2.0));
-        for y in 0..h {
-            let k = if y % 2 == 0 { vkl } else { vkh };
-            let i = y * stride + x0;
-            F::ld(ptr, i).mul(k).st(ptr, i);
-        }
-    }
-}
-
-/// Per-step inverse 9/7 on columns `x0..x0+BATCH`; the caller has already
-/// interleaved, as in [`vertical::inv_strip_97_cols`].
-///
-/// # Safety
-/// Same contract as [`fwd_fused_53_batch`].
-#[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
-// LANES, base indices derive from the claimed region, and ragged tails
-// fall back to the scalar path (unsafe loads carry their own SAFETY
-// bounds arguments).
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn inv_perstep_97_batch<F: VecF>(
-    ptr: &DisjointClaim<f32>,
-    stride: usize,
-    x0: usize,
-    h: usize,
-) {
-    // SAFETY: upheld by this function's documented safety contract,
-    // which the caller must satisfy.
-    unsafe {
-        let (vkl, vkh) = (F::splat(KAPPA), F::splat(2.0 / KAPPA));
-        for y in 0..h {
-            let k = if y % 2 == 0 { vkl } else { vkh };
-            let i = y * stride + x0;
-            F::ld(ptr, i).mul(k).st(ptr, i);
-        }
-        lift_batch_97::<F>(ptr, stride, x0, h, 0, -DELTA);
-        lift_batch_97::<F>(ptr, stride, x0, h, 1, -GAMMA);
-        lift_batch_97::<F>(ptr, stride, x0, h, 0, -BETA);
-        lift_batch_97::<F>(ptr, stride, x0, h, 1, -ALPHA);
-    }
-}
-
 // --------------------------------------------------------------------------
 // Vertical region drivers: batches of BATCH columns + scalar tail
 // --------------------------------------------------------------------------
 
 /// Forward 5/3 vertical analysis of `cols`: full [`BATCH`]-column batches
-/// through the vector kernels, remaining tail columns through the scalar
-/// strip kernels (same expressions, hence still bit-identical).
+/// through the vector kernel, remaining tail columns through the scalar
+/// fused strip kernel (same expressions, hence still bit-identical).
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`] for the whole `cols` range.
@@ -1339,12 +1092,11 @@ unsafe fn inv_perstep_97_batch<F: VecF>(
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn fwd_vert_53_t<I: VecI>(
+unsafe fn fwd_vert_53_t<V: VecI>(
     ptr: &DisjointClaim<i32>,
     stride: usize,
     cols: Range<usize>,
     h: usize,
-    lifting: LiftingMode,
     scratch: &mut Vec<i32>,
 ) {
     // SAFETY: upheld by this function's documented safety contract,
@@ -1355,25 +1107,12 @@ unsafe fn fwd_vert_53_t<I: VecI>(
         }
         let mut x0 = cols.start;
         while x0 + BATCH <= cols.end {
-            match lifting {
-                LiftingMode::Fused => fwd_fused_53_batch::<I>(ptr, stride, x0, h, scratch),
-                LiftingMode::PerStep => fwd_perstep_53_batch::<I>(ptr, stride, x0, h),
-            }
+            fwd_fused_53_batch::<V>(ptr, stride, x0, h, scratch);
             x0 += BATCH;
-        }
-        if matches!(lifting, LiftingMode::PerStep) && x0 > cols.start {
-            vertical::deinterleave_cols(ptr, stride, cols.start..x0, h, BATCH, scratch);
         }
         if x0 < cols.end {
             let w = cols.end - x0;
-            match lifting {
-                LiftingMode::Fused => {
-                    fused::fwd_fused_strip_53_cols(ptr, stride, x0..cols.end, h, w, scratch)
-                }
-                LiftingMode::PerStep => {
-                    vertical::fwd_strip_53_cols(ptr, stride, x0..cols.end, h, w, scratch)
-                }
-            }
+            fused::fwd_fused_strip_53_cols(ptr, stride, x0..cols.end, h, w, scratch);
         }
     }
 }
@@ -1388,12 +1127,11 @@ unsafe fn fwd_vert_53_t<I: VecI>(
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn inv_vert_53_t<I: VecI>(
+unsafe fn inv_vert_53_t<V: VecI>(
     ptr: &DisjointClaim<i32>,
     stride: usize,
     cols: Range<usize>,
     h: usize,
-    lifting: LiftingMode,
     scratch: &mut Vec<i32>,
 ) {
     // SAFETY: upheld by this function's documented safety contract,
@@ -1402,28 +1140,14 @@ unsafe fn inv_vert_53_t<I: VecI>(
         if h <= 1 {
             return;
         }
-        let bend = cols.start + ((cols.end - cols.start) / BATCH) * BATCH;
-        if matches!(lifting, LiftingMode::PerStep) && bend > cols.start {
-            vertical::interleave_cols(ptr, stride, cols.start..bend, h, BATCH, scratch);
-        }
         let mut x0 = cols.start;
-        while x0 < bend {
-            match lifting {
-                LiftingMode::Fused => inv_fused_53_batch::<I>(ptr, stride, x0, h, scratch),
-                LiftingMode::PerStep => inv_perstep_53_batch::<I>(ptr, stride, x0, h),
-            }
+        while x0 + BATCH <= cols.end {
+            inv_fused_53_batch::<V>(ptr, stride, x0, h, scratch);
             x0 += BATCH;
         }
-        if bend < cols.end {
-            let w = cols.end - bend;
-            match lifting {
-                LiftingMode::Fused => {
-                    fused::inv_fused_strip_53_cols(ptr, stride, bend..cols.end, h, w, scratch)
-                }
-                LiftingMode::PerStep => {
-                    vertical::inv_strip_53_cols(ptr, stride, bend..cols.end, h, w, scratch)
-                }
-            }
+        if x0 < cols.end {
+            let w = cols.end - x0;
+            fused::inv_fused_strip_53_cols(ptr, stride, x0..cols.end, h, w, scratch);
         }
     }
 }
@@ -1438,12 +1162,11 @@ unsafe fn inv_vert_53_t<I: VecI>(
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn fwd_vert_97_t<F: VecF>(
+unsafe fn fwd_vert_97_t<V: VecF>(
     ptr: &DisjointClaim<f32>,
     stride: usize,
     cols: Range<usize>,
     h: usize,
-    lifting: LiftingMode,
     scratch: &mut Vec<f32>,
 ) {
     // SAFETY: upheld by this function's documented safety contract,
@@ -1454,25 +1177,12 @@ unsafe fn fwd_vert_97_t<F: VecF>(
         }
         let mut x0 = cols.start;
         while x0 + BATCH <= cols.end {
-            match lifting {
-                LiftingMode::Fused => fwd_fused_97_batch::<F>(ptr, stride, x0, h, scratch),
-                LiftingMode::PerStep => fwd_perstep_97_batch::<F>(ptr, stride, x0, h),
-            }
+            fwd_fused_97_batch::<V>(ptr, stride, x0, h, scratch);
             x0 += BATCH;
-        }
-        if matches!(lifting, LiftingMode::PerStep) && x0 > cols.start {
-            vertical::deinterleave_cols(ptr, stride, cols.start..x0, h, BATCH, scratch);
         }
         if x0 < cols.end {
             let w = cols.end - x0;
-            match lifting {
-                LiftingMode::Fused => {
-                    fused::fwd_fused_strip_97_cols(ptr, stride, x0..cols.end, h, w, scratch)
-                }
-                LiftingMode::PerStep => {
-                    vertical::fwd_strip_97_cols(ptr, stride, x0..cols.end, h, w, scratch)
-                }
-            }
+            fused::fwd_fused_strip_97_cols(ptr, stride, x0..cols.end, h, w, scratch);
         }
     }
 }
@@ -1487,12 +1197,11 @@ unsafe fn fwd_vert_97_t<F: VecF>(
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-unsafe fn inv_vert_97_t<F: VecF>(
+unsafe fn inv_vert_97_t<V: VecF>(
     ptr: &DisjointClaim<f32>,
     stride: usize,
     cols: Range<usize>,
     h: usize,
-    lifting: LiftingMode,
     scratch: &mut Vec<f32>,
 ) {
     // SAFETY: upheld by this function's documented safety contract,
@@ -1501,28 +1210,14 @@ unsafe fn inv_vert_97_t<F: VecF>(
         if h <= 1 {
             return;
         }
-        let bend = cols.start + ((cols.end - cols.start) / BATCH) * BATCH;
-        if matches!(lifting, LiftingMode::PerStep) && bend > cols.start {
-            vertical::interleave_cols(ptr, stride, cols.start..bend, h, BATCH, scratch);
-        }
         let mut x0 = cols.start;
-        while x0 < bend {
-            match lifting {
-                LiftingMode::Fused => inv_fused_97_batch::<F>(ptr, stride, x0, h, scratch),
-                LiftingMode::PerStep => inv_perstep_97_batch::<F>(ptr, stride, x0, h),
-            }
+        while x0 + BATCH <= cols.end {
+            inv_fused_97_batch::<V>(ptr, stride, x0, h, scratch);
             x0 += BATCH;
         }
-        if bend < cols.end {
-            let w = cols.end - bend;
-            match lifting {
-                LiftingMode::Fused => {
-                    fused::inv_fused_strip_97_cols(ptr, stride, bend..cols.end, h, w, scratch)
-                }
-                LiftingMode::PerStep => {
-                    vertical::inv_strip_97_cols(ptr, stride, bend..cols.end, h, w, scratch)
-                }
-            }
+        if x0 < cols.end {
+            let w = cols.end - x0;
+            fused::inv_fused_strip_97_cols(ptr, stride, x0..cols.end, h, w, scratch);
         }
     }
 }
@@ -1892,8 +1587,6 @@ macro_rules! tiered_entry {
                 match tier {
                     SimdTier::Portable => $driver::<portable::$vec>($($arg),*),
                     #[cfg(target_arch = "x86_64")]
-                    SimdTier::Sse2 => $driver::<sse2::$vec>($($arg),*),
-                    #[cfg(target_arch = "x86_64")]
                     SimdTier::Avx2 => $wrap($($arg),*),
                     #[cfg(not(target_arch = "x86_64"))]
                     _ => $driver::<portable::$vec>($($arg),*),
@@ -1904,44 +1597,44 @@ macro_rules! tiered_entry {
 }
 
 tiered_entry!(
-    /// Forward 5/3 vertical analysis over `cols` with the `tier` kernels.
+    /// Fused forward 5/3 vertical analysis over `cols` with the `tier` kernels.
     ///
     /// # Safety
     /// `cols` (all `h` rows) owned by the claim, `h * stride` elements
     /// allocated, and `tier.is_supported()`.
     fwd_vertical_53, fwd_vertical_53_avx2, fwd_vert_53_t, I16,
     (ptr: &DisjointClaim<i32>, stride: usize, cols: Range<usize>, h: usize,
-     lifting: LiftingMode, scratch: &mut Vec<i32>)
+     scratch: &mut Vec<i32>)
 );
 
 tiered_entry!(
-    /// Inverse 5/3 vertical synthesis over `cols` with the `tier` kernels.
+    /// Fused inverse 5/3 vertical synthesis over `cols` with the `tier` kernels.
     ///
     /// # Safety
     /// Same contract as [`fwd_vertical_53`].
     inv_vertical_53, inv_vertical_53_avx2, inv_vert_53_t, I16,
     (ptr: &DisjointClaim<i32>, stride: usize, cols: Range<usize>, h: usize,
-     lifting: LiftingMode, scratch: &mut Vec<i32>)
+     scratch: &mut Vec<i32>)
 );
 
 tiered_entry!(
-    /// Forward 9/7 vertical analysis over `cols` with the `tier` kernels.
+    /// Fused forward 9/7 vertical analysis over `cols` with the `tier` kernels.
     ///
     /// # Safety
     /// Same contract as [`fwd_vertical_53`].
     fwd_vertical_97, fwd_vertical_97_avx2, fwd_vert_97_t, F16,
     (ptr: &DisjointClaim<f32>, stride: usize, cols: Range<usize>, h: usize,
-     lifting: LiftingMode, scratch: &mut Vec<f32>)
+     scratch: &mut Vec<f32>)
 );
 
 tiered_entry!(
-    /// Inverse 9/7 vertical synthesis over `cols` with the `tier` kernels.
+    /// Fused inverse 9/7 vertical synthesis over `cols` with the `tier` kernels.
     ///
     /// # Safety
     /// Same contract as [`fwd_vertical_53`].
     inv_vertical_97, inv_vertical_97_avx2, inv_vert_97_t, F16,
     (ptr: &DisjointClaim<f32>, stride: usize, cols: Range<usize>, h: usize,
-     lifting: LiftingMode, scratch: &mut Vec<f32>)
+     scratch: &mut Vec<f32>)
 );
 
 tiered_entry!(
@@ -1992,7 +1685,7 @@ mod tests {
     use pj2k_parutil::DisjointWriter;
 
     fn supported_tiers() -> Vec<SimdTier> {
-        [SimdTier::Portable, SimdTier::Sse2, SimdTier::Avx2]
+        [SimdTier::Portable, SimdTier::Avx2]
             .into_iter()
             .filter(|t| t.is_supported())
             .collect()
@@ -2003,13 +1696,13 @@ mod tests {
         assert_eq!(parse_tier_token("scalar"), Some(None));
         assert_eq!(parse_tier_token("off"), Some(None));
         assert_eq!(parse_tier_token("portable"), Some(Some(SimdTier::Portable)));
-        assert_eq!(parse_tier_token("sse2"), Some(Some(SimdTier::Sse2)));
         assert_eq!(parse_tier_token("avx2"), Some(Some(SimdTier::Avx2)));
         assert_eq!(parse_tier_token("AVX2"), Some(Some(SimdTier::Avx2)));
         assert_eq!(
             parse_tier_token(" portable "),
             Some(Some(SimdTier::Portable))
         );
+        assert_eq!(parse_tier_token("sse2"), None, "the SSE2 tier is gone");
         assert_eq!(parse_tier_token("neon"), None);
         assert_eq!(parse_tier_token(""), None);
     }
@@ -2023,21 +1716,20 @@ mod tests {
             Some(SimdTier::Portable)
         );
         // A forced tier never resolves to something unsupported.
-        for mode in [
-            SimdMode::Forced(SimdTier::Avx2),
-            SimdMode::Forced(SimdTier::Sse2),
-        ] {
-            let t = mode.resolve().expect("clamps to a supported tier");
-            assert!(t.is_supported());
-        }
+        let t = SimdMode::Forced(SimdTier::Avx2)
+            .resolve()
+            .expect("clamps to a supported tier");
+        assert!(t.is_supported());
     }
 
     #[test]
     fn clamp_supported_degrades_in_order() {
         // Whatever the host, the clamp chain ends at Portable.
         assert!(SimdTier::Portable.clamp_supported().is_supported());
-        assert!(SimdTier::Sse2.clamp_supported().is_supported());
         assert!(SimdTier::Avx2.clamp_supported().is_supported());
+        if !SimdTier::Avx2.is_supported() {
+            assert_eq!(SimdTier::Avx2.clamp_supported(), SimdTier::Portable);
+        }
     }
 
     /// Deterministic i32 test pattern.
@@ -2070,68 +1762,44 @@ mod tests {
         (48, 5),
     ];
 
+    /// Run `f` with a claim over columns `0..w` (all `h` rows) of `buf`.
+    fn with_claim<T: Send>(
+        buf: &mut [T],
+        w: usize,
+        h: usize,
+        stride: usize,
+        f: impl FnOnce(&DisjointClaim<T>),
+    ) {
+        let writer = DisjointWriter::new(buf);
+        f(&writer.claim_rect(0..w, 0..h, stride));
+    }
+
     #[test]
     fn vertical_53_bit_identical_to_scalar_every_tier() {
         for &(w, h) in SHAPES {
             let stride = w + 2; // off the batch grid on purpose
-            let mut reference = vec![0i32; stride * h];
-            fill_i32(&mut reference, stride);
-            let orig = reference.clone();
-            for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-                // Scalar reference for this lifting mode.
-                let mut scalar = orig.clone();
-                {
-                    let writer = DisjointWriter::new(&mut scalar);
-                    let claim = writer.claim_rect(0..w, 0..h, stride);
-                    let mut scratch = Vec::new();
-                    // SAFETY: claim covers all of `0..w`; buffer holds
-                    // `stride * h` elements.
-                    unsafe {
-                        match lifting {
-                            LiftingMode::PerStep => vertical::fwd_strip_53_cols(
-                                &claim,
-                                stride,
-                                0..w,
-                                h,
-                                16,
-                                &mut scratch,
-                            ),
-                            LiftingMode::Fused => fused::fwd_fused_strip_53_cols(
-                                &claim,
-                                stride,
-                                0..w,
-                                h,
-                                16,
-                                &mut scratch,
-                            ),
-                        }
-                    }
-                }
-                for tier in supported_tiers() {
-                    let mut buf = orig.clone();
-                    {
-                        let writer = DisjointWriter::new(&mut buf);
-                        let claim = writer.claim_rect(0..w, 0..h, stride);
-                        let mut scratch = Vec::new();
-                        // SAFETY: claim covers all of `0..w`; tier is
-                        // supported by construction.
-                        unsafe {
-                            fwd_vertical_53(tier, &claim, stride, 0..w, h, lifting, &mut scratch);
-                        }
-                    }
-                    assert_eq!(buf, scalar, "fwd {w}x{h} {lifting:?} {tier:?}");
-                    // And the inverse restores the original exactly.
-                    {
-                        let writer = DisjointWriter::new(&mut buf);
-                        let claim = writer.claim_rect(0..w, 0..h, stride);
-                        let mut scratch = Vec::new();
-                        // SAFETY: as above.
-                        unsafe {
-                            inv_vertical_53(tier, &claim, stride, 0..w, h, lifting, &mut scratch);
-                        }
-                    }
-                    assert_eq!(buf, orig, "roundtrip {w}x{h} {lifting:?} {tier:?}");
-                }
+            let mut orig = vec![0i32; stride * h];
+            fill_i32(&mut orig, stride);
+            let mut scratch = Vec::new();
+            let mut scalar = orig.clone();
+            // SAFETY: the claim covers all of `0..w`; the buffer holds
+            // `stride * h` elements.
+            with_claim(&mut scalar, w, h, stride, |c| unsafe {
+                fused::fwd_fused_strip_53_cols(c, stride, 0..w, h, 16, &mut scratch)
+            });
+            for tier in supported_tiers() {
+                let mut buf = orig.clone();
+                // SAFETY: as above; the tier is supported by construction.
+                with_claim(&mut buf, w, h, stride, |c| unsafe {
+                    fwd_vertical_53(tier, c, stride, 0..w, h, &mut scratch)
+                });
+                assert_eq!(buf, scalar, "fwd {w}x{h} {tier:?}");
+                // And the inverse restores the original exactly.
+                // SAFETY: as above.
+                with_claim(&mut buf, w, h, stride, |c| unsafe {
+                    inv_vertical_53(tier, c, stride, 0..w, h, &mut scratch)
+                });
+                assert_eq!(buf, orig, "roundtrip {w}x{h} {tier:?}");
             }
         }
     }
@@ -2140,73 +1808,38 @@ mod tests {
     fn vertical_97_bit_identical_to_scalar_every_tier() {
         for &(w, h) in SHAPES {
             let stride = w + 1;
-            let mut reference = vec![0f32; stride * h];
-            fill_f32(&mut reference, stride);
-            let orig = reference.clone();
-            for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-                let mut scalar = orig.clone();
-                {
-                    let writer = DisjointWriter::new(&mut scalar);
-                    let claim = writer.claim_rect(0..w, 0..h, stride);
-                    let mut scratch = Vec::new();
-                    // SAFETY: claim covers all of `0..w`; buffer holds
-                    // `stride * h` elements.
-                    unsafe {
-                        match lifting {
-                            LiftingMode::PerStep => vertical::fwd_strip_97_cols(
-                                &claim,
-                                stride,
-                                0..w,
-                                h,
-                                16,
-                                &mut scratch,
-                            ),
-                            LiftingMode::Fused => fused::fwd_fused_strip_97_cols(
-                                &claim,
-                                stride,
-                                0..w,
-                                h,
-                                16,
-                                &mut scratch,
-                            ),
-                        }
-                    }
-                }
-                for tier in supported_tiers() {
-                    let mut buf = orig.clone();
-                    {
-                        let writer = DisjointWriter::new(&mut buf);
-                        let claim = writer.claim_rect(0..w, 0..h, stride);
-                        let mut scratch = Vec::new();
-                        // SAFETY: claim covers all of `0..w`; tier is
-                        // supported by construction.
-                        unsafe {
-                            fwd_vertical_97(tier, &claim, stride, 0..w, h, lifting, &mut scratch);
-                        }
-                    }
-                    for (i, (a, b)) in buf.iter().zip(scalar.iter()).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "fwd {w}x{h} {lifting:?} {tier:?} elem {i}"
-                        );
-                    }
-                    let mut rt = buf.clone();
-                    {
-                        let writer = DisjointWriter::new(&mut rt);
-                        let claim = writer.claim_rect(0..w, 0..h, stride);
-                        let mut scratch = Vec::new();
-                        // SAFETY: as above.
-                        unsafe {
-                            inv_vertical_97(tier, &claim, stride, 0..w, h, lifting, &mut scratch);
-                        }
-                    }
-                    for (i, (a, b)) in rt.iter().zip(orig.iter()).enumerate() {
-                        assert!(
-                            (a - b).abs() < 1e-3,
-                            "roundtrip {w}x{h} {lifting:?} {tier:?} elem {i}: {a} vs {b}"
-                        );
-                    }
+            let mut orig = vec![0f32; stride * h];
+            fill_f32(&mut orig, stride);
+            let mut scratch = Vec::new();
+            let mut scalar = orig.clone();
+            // SAFETY: the claim covers all of `0..w`; the buffer holds
+            // `stride * h` elements.
+            with_claim(&mut scalar, w, h, stride, |c| unsafe {
+                fused::fwd_fused_strip_97_cols(c, stride, 0..w, h, 16, &mut scratch)
+            });
+            let mut scalar_inv = scalar.clone();
+            // SAFETY: as above.
+            with_claim(&mut scalar_inv, w, h, stride, |c| unsafe {
+                fused::inv_fused_strip_97_cols(c, stride, 0..w, h, 16, &mut scratch)
+            });
+            let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+            for tier in supported_tiers() {
+                let mut buf = orig.clone();
+                // SAFETY: as above; the tier is supported by construction.
+                with_claim(&mut buf, w, h, stride, |c| unsafe {
+                    fwd_vertical_97(tier, c, stride, 0..w, h, &mut scratch)
+                });
+                assert!(bits(&buf) == bits(&scalar), "fwd {w}x{h} {tier:?}");
+                // SAFETY: as above.
+                with_claim(&mut buf, w, h, stride, |c| unsafe {
+                    inv_vertical_97(tier, c, stride, 0..w, h, &mut scratch)
+                });
+                assert!(bits(&buf) == bits(&scalar_inv), "inv {w}x{h} {tier:?}");
+                for (i, (a, b)) in buf.iter().zip(orig.iter()).enumerate() {
+                    assert!(
+                        (a - b).abs() < 1e-3,
+                        "roundtrip {w}x{h} {tier:?} elem {i}: {a} vs {b}"
+                    );
                 }
             }
         }

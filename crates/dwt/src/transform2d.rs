@@ -10,6 +10,19 @@
 //!
 //! Per-pass wall-clock is accumulated in [`DwtStats`] so the harness can
 //! report vertical vs. horizontal filtering time (Figs. 7, 8, 10, 11).
+//!
+//! One rule picks the kernel of each pass, in both directions:
+//!
+//! * **rows** run the split-halves row kernel, `simd::*_row_*` for the
+//!   resolved tier or the reference `lift::*_row_*` under
+//!   [`SimdMode::Scalar`], whatever the lifting mode;
+//! * **columns** under `Strip` + [`LiftingMode::Fused`] run the fused SIMD
+//!   batches with the scalar fused kernel for the tail (all scalar under
+//!   `SimdMode::Scalar`). This is the production transform: the encoder
+//!   and the decoder both run it.
+//! * **columns** under `Strip` + `PerStep`, and under `Naive` with either
+//!   mode, run the scalar paper walkers in [`crate::vertical`], which the
+//!   figure binaries and the bit-identity tests measure.
 
 use crate::fused;
 use crate::lift::{fwd_row_53, fwd_row_97, inv_row_53, inv_row_97};
@@ -30,10 +43,10 @@ pub enum VerticalStrategy {
     /// Filter `width` adjacent columns concurrently within one worker — the
     /// paper's improved vertical filtering.
     ///
-    /// When a SIMD tier is active (see [`SimdMode`]) the strip walk is
-    /// vectorized in batches of [`crate::simd::BATCH`] columns and the
-    /// configured `width` only governs the scalar tail narrower than one
-    /// batch; the coefficients are bit-identical either way.
+    /// With [`LiftingMode::Fused`] and a SIMD tier active (see
+    /// [`SimdMode`]) the strip walk is vectorized in batches of
+    /// [`crate::simd::BATCH`] columns and `width` is not used; the
+    /// coefficients are bit-identical either way.
     Strip {
         /// Number of adjacent columns processed together. 16 matches a
         /// 64-byte cache line of `f32` coefficients.
@@ -54,9 +67,9 @@ pub enum LiftingMode {
     PerStep,
     /// All predict/update/scale steps applied in a single rolling sweep
     /// with a small coefficient-history window (the "single-loop" scheme).
-    /// Bit-identical outputs; a fraction of the memory traffic. Combined
-    /// with [`VerticalStrategy::Naive`] the fused vertical kernel degrades
-    /// to a one-column strip.
+    /// Bit-identical outputs; a fraction of the memory traffic. Only the
+    /// column pass of [`VerticalStrategy::Strip`] has a fused kernel: rows
+    /// and the naive walker are the same under both modes.
     Fused,
 }
 
@@ -110,13 +123,13 @@ macro_rules! define_2d {
     ($fwd_name:ident, $fwd_with:ident, $fwd_level:ident,
      $inv_name:ident, $inv_with:ident, $inv_level:ident, $ty:ty,
      $fwd_row:ident, $inv_row:ident,
-     $fwd_row_fused:ident, $inv_row_fused:ident,
      $fwd_naive:ident, $inv_naive:ident, $fwd_strip:ident, $inv_strip:ident,
      $fwd_fused_strip:ident, $inv_fused_strip:ident,
      $fwd_row_simd:ident, $inv_row_simd:ident,
      $fwd_vert_simd:ident, $inv_vert_simd:ident) => {
         /// Forward multi-level analysis of `plane`, in place (Mallat layout),
-        /// with the per-step reference kernels and automatic SIMD dispatch.
+        /// with the production kernels: fused lifting and automatic SIMD
+        /// dispatch (the paper's walkers under `VerticalStrategy::Naive`).
         ///
         /// Returns the decomposition geometry and per-direction timings.
         pub fn $fwd_name(
@@ -129,7 +142,7 @@ macro_rules! define_2d {
                 plane,
                 levels,
                 strategy,
-                LiftingMode::PerStep,
+                LiftingMode::Fused,
                 SimdMode::Auto,
                 exec,
             )
@@ -183,18 +196,11 @@ macro_rules! define_2d {
                         // SAFETY: the claim covers rows `rows` of the LL
                         // region and `y * stride + wl <= stride * height`.
                         let row = unsafe { claim.slice_mut(y * stride, wl) };
-                        match (lifting, tier) {
+                        match tier {
                             // SAFETY: `tier` came from `SimdMode::resolve`,
                             // which only yields supported tiers.
-                            (LiftingMode::PerStep, Some(t)) => unsafe {
-                                simd::$fwd_row_simd(t, row, &mut scratch)
-                            },
-                            (LiftingMode::PerStep, None) => $fwd_row(row, &mut scratch),
-                            // The fused row kernel's rolling window is a
-                            // sequential recurrence along the row; it stays
-                            // scalar (the SIMD row scheme vectorizes the
-                            // per-step formulation, which is bit-identical).
-                            (LiftingMode::Fused, _) => fused::$fwd_row_fused(row, &mut scratch),
+                            Some(t) => unsafe { simd::$fwd_row_simd(t, row, &mut scratch) },
+                            None => $fwd_row(row, &mut scratch),
                         }
                     }
                 });
@@ -210,47 +216,29 @@ macro_rules! define_2d {
                     let mut scratch = Vec::new();
                     // SAFETY: the claim covers exactly the columns this
                     // worker filters; overlap panics in debug builds. The
-                    // SIMD arms additionally require a supported tier,
-                    // guaranteed by `SimdMode::resolve`. `Naive` always
-                    // stays scalar so the paper's naive-vs-strip ablation
-                    // keeps measuring the cache-hostile walk.
+                    // SIMD arm additionally requires a supported tier,
+                    // guaranteed by `SimdMode::resolve`.
                     unsafe {
-                        match (lifting, strategy) {
-                            (LiftingMode::PerStep, VerticalStrategy::Naive) => {
-                                vertical::$fwd_naive(&claim, stride, cols, hl, &mut scratch)
+                        match (strategy, lifting, tier) {
+                            (VerticalStrategy::Strip { .. }, LiftingMode::Fused, Some(t)) => {
+                                simd::$fwd_vert_simd(t, &claim, stride, cols, hl, &mut scratch)
                             }
-                            (LiftingMode::Fused, VerticalStrategy::Naive) => {
-                                fused::$fwd_fused_strip(&claim, stride, cols, hl, 1, &mut scratch)
-                            }
-                            (_, VerticalStrategy::Strip { width }) => match tier {
-                                Some(t) => simd::$fwd_vert_simd(
-                                    t,
+                            (VerticalStrategy::Strip { width }, LiftingMode::Fused, None) => {
+                                fused::$fwd_fused_strip(
                                     &claim,
                                     stride,
                                     cols,
                                     hl,
-                                    lifting,
+                                    width,
                                     &mut scratch,
-                                ),
-                                None => match lifting {
-                                    LiftingMode::PerStep => vertical::$fwd_strip(
-                                        &claim,
-                                        stride,
-                                        cols,
-                                        hl,
-                                        width,
-                                        &mut scratch,
-                                    ),
-                                    LiftingMode::Fused => fused::$fwd_fused_strip(
-                                        &claim,
-                                        stride,
-                                        cols,
-                                        hl,
-                                        width,
-                                        &mut scratch,
-                                    ),
-                                },
-                            },
+                                )
+                            }
+                            (VerticalStrategy::Strip { width }, LiftingMode::PerStep, _) => {
+                                vertical::$fwd_strip(&claim, stride, cols, hl, width, &mut scratch)
+                            }
+                            (VerticalStrategy::Naive, _, _) => {
+                                vertical::$fwd_naive(&claim, stride, cols, hl, &mut scratch)
+                            }
                         }
                     }
                 });
@@ -261,7 +249,8 @@ macro_rules! define_2d {
         }
 
         /// Inverse multi-level synthesis of a Mallat-layout `plane`, in
-        /// place, undoing the matching forward transform (per-step kernels).
+        /// place, undoing the matching forward transform with the
+        /// production kernels (see the forward entry point).
         pub fn $inv_name(
             plane: &mut Plane<$ty>,
             levels: u8,
@@ -272,7 +261,7 @@ macro_rules! define_2d {
                 plane,
                 levels,
                 strategy,
-                LiftingMode::PerStep,
+                LiftingMode::Fused,
                 SimdMode::Auto,
                 exec,
             )
@@ -321,45 +310,29 @@ macro_rules! define_2d {
                     let mut scratch = Vec::new();
                     // SAFETY: the claim covers exactly the columns this
                     // worker filters; overlap panics in debug builds. The
-                    // SIMD arms additionally require a supported tier,
+                    // SIMD arm additionally requires a supported tier,
                     // guaranteed by `SimdMode::resolve`.
                     unsafe {
-                        match (lifting, strategy) {
-                            (LiftingMode::PerStep, VerticalStrategy::Naive) => {
-                                vertical::$inv_naive(&claim, stride, cols, hl, &mut scratch)
+                        match (strategy, lifting, tier) {
+                            (VerticalStrategy::Strip { .. }, LiftingMode::Fused, Some(t)) => {
+                                simd::$inv_vert_simd(t, &claim, stride, cols, hl, &mut scratch)
                             }
-                            (LiftingMode::Fused, VerticalStrategy::Naive) => {
-                                fused::$inv_fused_strip(&claim, stride, cols, hl, 1, &mut scratch)
-                            }
-                            (_, VerticalStrategy::Strip { width }) => match tier {
-                                Some(t) => simd::$inv_vert_simd(
-                                    t,
+                            (VerticalStrategy::Strip { width }, LiftingMode::Fused, None) => {
+                                fused::$inv_fused_strip(
                                     &claim,
                                     stride,
                                     cols,
                                     hl,
-                                    lifting,
+                                    width,
                                     &mut scratch,
-                                ),
-                                None => match lifting {
-                                    LiftingMode::PerStep => vertical::$inv_strip(
-                                        &claim,
-                                        stride,
-                                        cols,
-                                        hl,
-                                        width,
-                                        &mut scratch,
-                                    ),
-                                    LiftingMode::Fused => fused::$inv_fused_strip(
-                                        &claim,
-                                        stride,
-                                        cols,
-                                        hl,
-                                        width,
-                                        &mut scratch,
-                                    ),
-                                },
-                            },
+                                )
+                            }
+                            (VerticalStrategy::Strip { width }, LiftingMode::PerStep, _) => {
+                                vertical::$inv_strip(&claim, stride, cols, hl, width, &mut scratch)
+                            }
+                            (VerticalStrategy::Naive, _, _) => {
+                                vertical::$inv_naive(&claim, stride, cols, hl, &mut scratch)
+                            }
                         }
                     }
                 });
@@ -376,14 +349,11 @@ macro_rules! define_2d {
                         // SAFETY: the claim covers rows `rows` of the LL
                         // region.
                         let row = unsafe { claim.slice_mut(y * stride, wl) };
-                        match (lifting, tier) {
+                        match tier {
                             // SAFETY: `tier` came from `SimdMode::resolve`,
                             // which only yields supported tiers.
-                            (LiftingMode::PerStep, Some(t)) => unsafe {
-                                simd::$inv_row_simd(t, row, &mut scratch)
-                            },
-                            (LiftingMode::PerStep, None) => $inv_row(row, &mut scratch),
-                            (LiftingMode::Fused, _) => fused::$inv_row_fused(row, &mut scratch),
+                            Some(t) => unsafe { simd::$inv_row_simd(t, row, &mut scratch) },
+                            None => $inv_row(row, &mut scratch),
                         }
                     }
                 });
@@ -405,8 +375,6 @@ define_2d!(
     i32,
     fwd_row_53,
     inv_row_53,
-    fwd_row_53_fused,
-    inv_row_53_fused,
     fwd_naive_53_cols,
     inv_naive_53_cols,
     fwd_strip_53_cols,
@@ -429,8 +397,6 @@ define_2d!(
     f32,
     fwd_row_97,
     inv_row_97,
-    fwd_row_97_fused,
-    inv_row_97_fused,
     fwd_naive_97_cols,
     inv_naive_97_cols,
     fwd_strip_97_cols,
@@ -805,7 +771,7 @@ mod tests {
 
     fn supported_tiers() -> Vec<crate::SimdTier> {
         use crate::SimdTier;
-        [SimdTier::Portable, SimdTier::Sse2, SimdTier::Avx2]
+        [SimdTier::Portable, SimdTier::Avx2]
             .into_iter()
             .filter(|t| t.is_supported())
             .collect()
@@ -816,37 +782,35 @@ mod tests {
         for (w, h) in [(5, 9), (16, 16), (33, 31), (40, 24)] {
             let orig = test_plane_i32(w, h, w + 1);
             for levels in [1u8, 3] {
-                for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-                    let mut scalar = orig.clone();
+                let mut scalar = orig.clone();
+                forward_53_with(
+                    &mut scalar,
+                    levels,
+                    VerticalStrategy::DEFAULT_STRIP,
+                    LiftingMode::Fused,
+                    SimdMode::Scalar,
+                    &Exec::SEQ,
+                );
+                for tier in supported_tiers() {
+                    let mut p = orig.clone();
                     forward_53_with(
-                        &mut scalar,
+                        &mut p,
                         levels,
                         VerticalStrategy::DEFAULT_STRIP,
-                        lifting,
-                        SimdMode::Scalar,
+                        LiftingMode::Fused,
+                        SimdMode::Forced(tier),
                         &Exec::SEQ,
                     );
-                    for tier in supported_tiers() {
-                        let mut p = orig.clone();
-                        forward_53_with(
-                            &mut p,
-                            levels,
-                            VerticalStrategy::DEFAULT_STRIP,
-                            lifting,
-                            SimdMode::Forced(tier),
-                            &Exec::SEQ,
-                        );
-                        assert_eq!(p, scalar, "fwd {w}x{h} L={levels} {lifting:?} {tier:?}");
-                        inverse_53_with(
-                            &mut p,
-                            levels,
-                            VerticalStrategy::DEFAULT_STRIP,
-                            lifting,
-                            SimdMode::Forced(tier),
-                            &Exec::SEQ,
-                        );
-                        assert_eq!(p, orig, "roundtrip {w}x{h} L={levels} {lifting:?} {tier:?}");
-                    }
+                    assert_eq!(p, scalar, "fwd {w}x{h} L={levels} {tier:?}");
+                    inverse_53_with(
+                        &mut p,
+                        levels,
+                        VerticalStrategy::DEFAULT_STRIP,
+                        LiftingMode::Fused,
+                        SimdMode::Forced(tier),
+                        &Exec::SEQ,
+                    );
+                    assert_eq!(p, orig, "roundtrip {w}x{h} L={levels} {tier:?}");
                 }
             }
         }
@@ -854,65 +818,54 @@ mod tests {
 
     #[test]
     fn simd_tiers_bit_identical_to_scalar_97() {
+        let bits = |p: &Plane<f32>| -> Vec<u32> { p.samples().map(f32::to_bits).collect() };
         for (w, h) in [(5, 9), (16, 16), (33, 31), (40, 24)] {
             let orig = test_plane_f32(w, h);
             for levels in [1u8, 3] {
-                for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-                    let mut fwd_ref = orig.clone();
+                let mut fwd_ref = orig.clone();
+                forward_97_with(
+                    &mut fwd_ref,
+                    levels,
+                    VerticalStrategy::DEFAULT_STRIP,
+                    LiftingMode::Fused,
+                    SimdMode::Scalar,
+                    &Exec::SEQ,
+                );
+                let mut inv_ref = fwd_ref.clone();
+                inverse_97_with(
+                    &mut inv_ref,
+                    levels,
+                    VerticalStrategy::DEFAULT_STRIP,
+                    LiftingMode::Fused,
+                    SimdMode::Scalar,
+                    &Exec::SEQ,
+                );
+                for tier in supported_tiers() {
+                    let mut p = orig.clone();
                     forward_97_with(
-                        &mut fwd_ref,
+                        &mut p,
                         levels,
                         VerticalStrategy::DEFAULT_STRIP,
-                        lifting,
-                        SimdMode::Scalar,
+                        LiftingMode::Fused,
+                        SimdMode::Forced(tier),
                         &Exec::SEQ,
                     );
-                    let mut inv_ref = fwd_ref.clone();
+                    assert!(
+                        bits(&p) == bits(&fwd_ref),
+                        "fwd {w}x{h} L={levels} {tier:?}"
+                    );
                     inverse_97_with(
-                        &mut inv_ref,
+                        &mut p,
                         levels,
                         VerticalStrategy::DEFAULT_STRIP,
-                        lifting,
-                        SimdMode::Scalar,
+                        LiftingMode::Fused,
+                        SimdMode::Forced(tier),
                         &Exec::SEQ,
                     );
-                    for tier in supported_tiers() {
-                        let mut p = orig.clone();
-                        forward_97_with(
-                            &mut p,
-                            levels,
-                            VerticalStrategy::DEFAULT_STRIP,
-                            lifting,
-                            SimdMode::Forced(tier),
-                            &Exec::SEQ,
-                        );
-                        for y in 0..h {
-                            for x in 0..w {
-                                assert_eq!(
-                                    p.get(x, y).to_bits(),
-                                    fwd_ref.get(x, y).to_bits(),
-                                    "fwd {w}x{h} L={levels} {lifting:?} {tier:?} ({x},{y})"
-                                );
-                            }
-                        }
-                        inverse_97_with(
-                            &mut p,
-                            levels,
-                            VerticalStrategy::DEFAULT_STRIP,
-                            lifting,
-                            SimdMode::Forced(tier),
-                            &Exec::SEQ,
-                        );
-                        for y in 0..h {
-                            for x in 0..w {
-                                assert_eq!(
-                                    p.get(x, y).to_bits(),
-                                    inv_ref.get(x, y).to_bits(),
-                                    "inv {w}x{h} L={levels} {lifting:?} {tier:?} ({x},{y})"
-                                );
-                            }
-                        }
-                    }
+                    assert!(
+                        bits(&p) == bits(&inv_ref),
+                        "inv {w}x{h} L={levels} {tier:?}"
+                    );
                 }
             }
         }
@@ -930,7 +883,7 @@ mod tests {
             &mut scalar,
             3,
             VerticalStrategy::DEFAULT_STRIP,
-            LiftingMode::PerStep,
+            LiftingMode::Fused,
             SimdMode::Scalar,
             &Exec::SEQ,
         );
@@ -938,7 +891,7 @@ mod tests {
             &mut auto,
             3,
             VerticalStrategy::DEFAULT_STRIP,
-            LiftingMode::PerStep,
+            LiftingMode::Fused,
             SimdMode::Auto,
             &Exec::SEQ,
         );

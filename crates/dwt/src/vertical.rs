@@ -48,7 +48,7 @@ fn mirror_y(y: isize, h: usize) -> usize {
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub(crate) unsafe fn deinterleave_cols<T: Copy + Default>(
+unsafe fn deinterleave_cols<T: Copy + Default>(
     ptr: &DisjointClaim<T>,
     stride: usize,
     cols: Range<usize>,
@@ -105,7 +105,7 @@ pub(crate) unsafe fn deinterleave_cols<T: Copy + Default>(
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-pub(crate) unsafe fn interleave_cols<T: Copy + Default>(
+unsafe fn interleave_cols<T: Copy + Default>(
     ptr: &DisjointClaim<T>,
     stride: usize,
     cols: Range<usize>,

@@ -323,7 +323,7 @@ fn dwt97_energy_sane() {
 
 fn forced_tiers() -> Vec<SimdMode> {
     let mut modes = vec![SimdMode::Auto];
-    for tier in [SimdTier::Portable, SimdTier::Sse2, SimdTier::Avx2] {
+    for tier in [SimdTier::Portable, SimdTier::Avx2] {
         if tier.is_supported() {
             modes.push(SimdMode::Forced(tier));
         }

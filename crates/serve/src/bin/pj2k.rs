@@ -13,7 +13,6 @@
 //!     --levels N         decomposition levels (default 5)
 //!     --block WxH        code-block size (default 64x64)
 //!     --tiles N|WxH      NxN or WxH tiling (default: none)
-//!     --filter F         naive | padded | strip (default strip)
 //!     --threads N        single image: worker threads (default 1);
 //!                        batch: total worker budget B (default PJ2K_THREADS
 //!                        or host parallelism)
@@ -30,10 +29,12 @@
 //!                        pipeline setup, as the encoder's level shift does
 //! pj2k info   <in.pj2k>
 //! ```
+//!
+//! An option not listed here is an error (exit 1), not a flag to ignore.
 
 use pj2k_core::config::Tier1Options;
 use pj2k_core::DwtStats;
-use pj2k_core::{Decoder, Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
 use pj2k_image::pnm;
 use pj2k_parutil::StageTimes;
 use pj2k_serve::{discover, encode_files, BatchOptions};
@@ -51,9 +52,18 @@ fn fail(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("encode") => cmd_encode(&args[1..]),
-        Some("decode") => cmd_decode(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
+        Some("encode") => match parse_opts(&args[1..], ENCODE_OPTS) {
+            Ok(opts) => cmd_encode(&opts),
+            Err(e) => fail(&e),
+        },
+        Some("decode") => match parse_opts(&args[1..], DECODE_OPTS) {
+            Ok(opts) => cmd_decode(&opts),
+            Err(e) => fail(&e),
+        },
+        Some("info") => match parse_opts(&args[1..], &[]) {
+            Ok(opts) => cmd_info(&opts),
+            Err(e) => fail(&e),
+        },
         Some("help") | None => {
             println!("usage: pj2k <encode|decode|info> ... (see crate docs)");
             ExitCode::SUCCESS
@@ -68,34 +78,46 @@ struct Opts<'a> {
     flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
-const VALUE_OPTS: [&str; 9] = [
-    "--bpp",
-    "--levels",
-    "--block",
-    "--tiles",
-    "--filter",
-    "--threads",
-    "--jobs",
-    "--layers",
-    "--roi",
+/// The options `pj2k encode` accepts, each with whether it takes a value.
+const ENCODE_OPTS: &[(&str, bool)] = &[
+    ("--bpp", true),
+    ("--lossless", false),
+    ("--levels", true),
+    ("--block", true),
+    ("--tiles", true),
+    ("--threads", true),
+    ("--jobs", true),
+    ("--causal", false),
+    ("--reset", false),
+    ("--bypass", false),
+    ("--roi", true),
+    ("--stats", false),
 ];
 
-fn parse_opts(args: &[String]) -> Opts<'_> {
+/// The options `pj2k decode` accepts.
+const DECODE_OPTS: &[(&str, bool)] = &[("--layers", true), ("--threads", true), ("--stats", false)];
+
+/// Split `args` into positional arguments and the `known` options; any
+/// other `--option`, or a value option without its value, is an error.
+fn parse_opts<'a>(args: &'a [String], known: &[(&str, bool)]) -> Result<Opts<'a>, String> {
     let mut rest = Vec::new();
     let mut flags = Vec::new();
-    let mut it = args.iter().map(String::as_str).peekable();
+    let mut it = args.iter().map(String::as_str);
     while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--").map(|_| a) {
-            if VALUE_OPTS.contains(&name) {
-                flags.push((name, it.next()));
-            } else {
-                flags.push((name, None));
-            }
-        } else {
+        if !a.starts_with("--") {
             rest.push(a);
+            continue;
+        }
+        match known.iter().find(|(name, _)| *name == a) {
+            Some((_, true)) => match it.next() {
+                Some(v) => flags.push((a, Some(v))),
+                None => return Err(format!("option {a:?} needs a value")),
+            },
+            Some((_, false)) => flags.push((a, None)),
+            None => return Err(format!("unknown option {a:?}")),
         }
     }
-    Opts { rest, flags }
+    Ok(Opts { rest, flags })
 }
 
 impl Opts<'_> {
@@ -126,10 +148,7 @@ fn parallel_mode(opts: &Opts) -> Result<ParallelMode, String> {
 /// (everything but `parallel`, which single mode takes from `--threads`
 /// and batch mode from the `j × k` plan).
 fn encoder_config(opts: &Opts) -> Result<EncoderConfig, String> {
-    let mut cfg = EncoderConfig {
-        filter: FilterStrategy::Strip,
-        ..EncoderConfig::default()
-    };
+    let mut cfg = EncoderConfig::default();
     if opts.has("--lossless") {
         cfg.wavelet = pj2k_core::Wavelet::Reversible53;
         cfg.rate = RateControl::Lossless;
@@ -154,14 +173,6 @@ fn encoder_config(opts: &Opts) -> Result<EncoderConfig, String> {
             parse_pair(t.split_once('x').unwrap_or((t, t)))
                 .ok_or_else(|| format!("bad --tiles {t:?} (expected N or WxH)"))?,
         );
-    }
-    if let Some(f) = opts.value("--filter") {
-        cfg.filter = match f {
-            "naive" => FilterStrategy::Naive,
-            "padded" => FilterStrategy::PaddedWidth,
-            "strip" => FilterStrategy::Strip,
-            other => return Err(format!("bad --filter {other:?}")),
-        };
     }
     cfg.tier1 = Tier1Options {
         stripe_causal: opts.has("--causal"),
@@ -190,8 +201,7 @@ fn parse_pair((w, h): (&str, &str)) -> Option<(usize, usize)> {
     Some((w.parse().ok()?, h.parse().ok()?))
 }
 
-fn cmd_encode(args: &[String]) -> ExitCode {
-    let opts = parse_opts(args);
+fn cmd_encode(opts: &Opts) -> ExitCode {
     if opts.rest.len() < 2 {
         return fail("encode needs <inputs...> <output.pj2k|outdir>");
     }
@@ -203,9 +213,9 @@ fn cmd_encode(args: &[String]) -> ExitCode {
     let batch_mode =
         inputs.len() > 1 || opts.has("--jobs") || inputs[0].is_dir() || out_arg.is_dir();
     if batch_mode {
-        cmd_encode_batch(&opts, &inputs, &out_arg)
+        cmd_encode_batch(opts, &inputs, &out_arg)
     } else {
-        cmd_encode_single(&opts, &inputs[0], &out_arg)
+        cmd_encode_single(opts, &inputs[0], &out_arg)
     }
 }
 
@@ -351,8 +361,7 @@ fn cmd_encode_batch(opts: &Opts, inputs: &[PathBuf], out_arg: &PathBuf) -> ExitC
     ExitCode::SUCCESS
 }
 
-fn cmd_decode(args: &[String]) -> ExitCode {
-    let opts = parse_opts(args);
+fn cmd_decode(opts: &Opts) -> ExitCode {
     let [input, output] = opts.rest[..] else {
         return fail("decode needs <input.pj2k> <output.pnm>");
     };
@@ -367,7 +376,7 @@ fn cmd_decode(args: &[String]) -> ExitCode {
             Err(_) => return fail(&format!("bad --layers {l:?}")),
         }
     }
-    dec.parallel = match parallel_mode(&opts) {
+    dec.parallel = match parallel_mode(opts) {
         Ok(p) => p,
         Err(e) => return fail(&e),
     };
@@ -396,8 +405,7 @@ fn cmd_decode(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_info(args: &[String]) -> ExitCode {
-    let opts = parse_opts(args);
+fn cmd_info(opts: &Opts) -> ExitCode {
     let [input] = opts.rest[..] else {
         return fail("info needs <input.pj2k>");
     };
@@ -484,9 +492,101 @@ fn describe(bytes: &[u8]) -> Result<String, codestream::ParseError> {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
     fn config(args: &[&str]) -> Result<EncoderConfig, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        encoder_config(&parse_opts(&args))
+        encoder_config(&parse_opts(&strings(args), ENCODE_OPTS)?)
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        let parse = |args: &[&str]| parse_opts(&strings(args), ENCODE_OPTS).map(|_| ());
+        // A typo must not silently write a lossy stream.
+        assert_eq!(
+            parse(&["in.pgm", "out.pj2k", "--losless"]),
+            Err("unknown option \"--losless\"".to_string())
+        );
+        // The removed `--filter` must not turn its value into an input
+        // (which would switch the CLI into batch mode).
+        assert_eq!(
+            parse(&["in.pgm", "out.pj2k", "--filter", "strip"]),
+            Err("unknown option \"--filter\"".to_string())
+        );
+        // Options belong to their subcommand.
+        assert!(parse_opts(&strings(&["a", "b", "--bpp", "1"]), DECODE_OPTS).is_err());
+        assert!(parse_opts(&strings(&["a", "--stats"]), &[]).is_err());
+        assert_eq!(
+            parse(&["in.pgm", "out.pj2k", "--bpp"]),
+            Err("option \"--bpp\" needs a value".to_string())
+        );
+    }
+
+    #[test]
+    fn every_documented_option_parses() {
+        // The usage text at the top of this file and the option tables
+        // name the same options.
+        let mut documented: Vec<&str> = include_str!("pj2k.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_lowercase() || c == '-')))
+            .filter(|w| w.len() > 2 && w.starts_with("--"))
+            .collect();
+        documented.sort_unstable();
+        documented.dedup();
+        let mut listed: Vec<&str> = ENCODE_OPTS.iter().chain(DECODE_OPTS).map(|o| o.0).collect();
+        listed.sort_unstable();
+        listed.dedup();
+        assert_eq!(documented, listed);
+        // And every encode option is accepted, with a valid value.
+        let cfg = config(&[
+            "in.pgm",
+            "out.pj2k",
+            "--bpp",
+            "0.5,1",
+            "--levels",
+            "3",
+            "--block",
+            "32x32",
+            "--tiles",
+            "64",
+            "--threads",
+            "2",
+            "--jobs",
+            "2",
+            "--causal",
+            "--reset",
+            "--bypass",
+            "--roi",
+            "0,0,8,8",
+            "--stats",
+        ])
+        .unwrap();
+        assert_eq!(cfg.rate, RateControl::TargetBpp(vec![0.5, 1.0]));
+        assert_eq!(
+            (cfg.levels, cfg.code_block, cfg.tiles),
+            (3, (32, 32), Some((64, 64)))
+        );
+        assert!(cfg.tier1.stripe_causal && cfg.tier1.reset_contexts && cfg.tier1.bypass);
+        assert!(cfg.roi.is_some());
+        let lossless = config(&["in.pgm", "out.pj2k", "--lossless"]).unwrap();
+        assert_eq!(lossless.rate, RateControl::Lossless);
+        let dec = strings(&[
+            "in.pj2k",
+            "out.pgm",
+            "--layers",
+            "1",
+            "--threads",
+            "2",
+            "--stats",
+        ]);
+        let opts = parse_opts(&dec, DECODE_OPTS).unwrap();
+        assert_eq!(opts.rest, ["in.pj2k", "out.pgm"]);
+        assert_eq!(
+            (opts.value("--layers"), opts.has("--stats")),
+            (Some("1"), true)
+        );
     }
 
     #[test]

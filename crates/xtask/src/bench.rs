@@ -79,13 +79,15 @@ const BENCHES: &[BenchSpec] = &[
     BenchSpec {
         bin: "bench_dwt",
         out: "target/BENCH_dwt_smoke.json",
-        schema: "pj2k.bench_dwt.v3",
+        schema: "pj2k.bench_dwt.v4",
         keys: &[
             "\"kernels\"",
+            "\"passes\"",
+            "\"direction\"",
+            "\"horiz_secs\"",
             "\"steady_state\"",
             "\"allocs_marginal_per_strip\"",
             "\"fused_strip_speedup_97\"",
-            "\"fused_naive_speedup_97\"",
             "\"fused_strip_speedup_53\"",
             "\"simd_tiers\"",
             "\"simd_best_tier\"",
@@ -380,8 +382,8 @@ mod tests {
     #[test]
     fn check_doc_rejects_missing_key_and_imbalance() {
         let spec = &BENCHES[1];
-        assert!(check_doc("{\"schema\": \"pj2k.bench_dwt.v3\"}", spec).is_err());
-        let mut doc = String::from("{\"schema\": \"pj2k.bench_dwt.v3\"");
+        assert!(check_doc("{\"schema\": \"pj2k.bench_dwt.v4\"}", spec).is_err());
+        let mut doc = String::from("{\"schema\": \"pj2k.bench_dwt.v4\"");
         for key in spec.keys {
             doc.push_str(&format!(", {key}: ["));
         }
