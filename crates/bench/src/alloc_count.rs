@@ -7,7 +7,7 @@
 //! oracle asserts on, immune to background threads allocating mid-probe).
 //!
 //! The hot-path contract this enforces is the runtime half of
-//! `cargo xtask audit-hotpath`: the static pass proves every
+//! `cargo xtask audit`'s `hot` check: the static pass proves every
 //! allocation site in the hot closure carries an `AUDIT(hot)`
 //! justification, and this allocator proves the "amortized" claims —
 //! after warm-up, a recycled Tier-1 arena codes blocks with **zero**

@@ -16,7 +16,7 @@
 //! 3. **Steady-state allocation oracle**: transforms of two plane heights
 //!    must show identical allocation-call counts — scratch is sized per
 //!    worker range per level, never per strip — the runtime proof behind
-//!    the `AUDIT(hot)` justifications `cargo xtask audit-hotpath` accepts
+//!    the `AUDIT(hot)` justifications `cargo xtask audit` accepts
 //!    in the DWT closure.
 //!
 //! ```sh
@@ -573,7 +573,7 @@ fn main() {
     // doubling the plane height (and hence the strip count) must not
     // change the allocation-call count of a sequential transform. This is
     // the runtime check behind the `AUDIT(hot): amortized` annotations
-    // audit-hotpath accepts in the DWT closure.
+    // `cargo xtask audit` accepts in the DWT closure.
     let (h_short, h_tall, o_levels) = (256usize, 512usize, 3u8);
     let a_short = strip_transform_allocs(256, h_short, o_levels);
     let a_tall = strip_transform_allocs(256, h_tall, o_levels);

@@ -25,7 +25,7 @@
 //! 6. **Steady-state allocation oracle**: the exact per-thread allocation
 //!    count of one warm arena pass over every block, which must be zero —
 //!    the runtime proof behind the `AUDIT(hot): amortized` justifications
-//!    `cargo xtask audit-hotpath` accepts in the Tier-1 closure.
+//!    `cargo xtask audit` accepts in the Tier-1 closure.
 //!
 //! 7. **Rate-aware vs full coding**: the sequential encoder at 1 bpp as
 //!    shipped (Tier-1 stops above the planes PCRD discards, DESIGN.md §18)
@@ -387,7 +387,7 @@ fn main() {
     // Exact (thread-local) count, not the whole-process estimate above:
     // the warm arena must allocate literally zero times per block, for
     // both engines. This is the runtime check behind the `AUDIT(hot):
-    // amortized` annotations audit-hotpath accepts in the Tier-1 closure.
+    // amortized` annotations `cargo xtask audit` accepts in the Tier-1 closure.
     let steady_ref = steady_state_allocs(&blocks, Tier1Engine::Reference);
     let steady_bp = steady_state_allocs(&blocks, Tier1Engine::Bitplane);
     let steady_allocs = steady_ref + steady_bp;

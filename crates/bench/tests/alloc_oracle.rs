@@ -1,6 +1,6 @@
 //! Steady-state zero-allocation oracle.
 //!
-//! The static half of the hot-path contract is `cargo xtask audit-hotpath`:
+//! The static half of the hot-path contract is `cargo xtask audit` (`hot`):
 //! every allocation site in the hot closure carries an `AUDIT(hot)`
 //! justification, many of which claim "amortized" — the site runs only
 //! while a recycled buffer grows to its high-water mark. This test is the

@@ -182,7 +182,7 @@ struct WorkerState {
 /// # Safety
 /// The block rectangle must lie inside the plane, and no other thread may
 /// access that rectangle until the caller's worker scope has joined.
-// AUDIT(fn): `geom` comes from `blocks_of` over the tile's own
+// AUDIT(panic): `geom` comes from `blocks_of` over the tile's own
 // decomposition and `stride` from the plane it was computed for, so every
 // offset stays inside the plane's buffer; `geom.w > 0` (Tier-1 rejects
 // empty blocks before this runs). Untrusted bytes reach none of it.
@@ -316,8 +316,8 @@ impl BlockSink<'_> {
                     *q = undo_roi_shift(*q, roi_s, roi_d);
                 }
             }
-            // AUDIT(block): `comp < ncomp` and `band_idx < nbands` by
-            // construction in the parser.
+            // AUDIT(panic): the scatter below indexes with `comp < ncomp`
+            // and `band_idx < nbands`, true by construction in the parser.
             #[allow(clippy::indexing_slicing)]
             // SAFETY: `geom` is a block of the decomposition of these very
             // planes, so its rectangle is inside them; `state.out` holds
@@ -326,9 +326,12 @@ impl BlockSink<'_> {
             // `pipeline_overlap_with_state` has joined every worker.
             unsafe {
                 if reversible {
+                    // AUDIT(panic): `comp < ncomp` by construction in the parser.
                     scatter_block(&ptrs_q[job.comp], stride, &job.geom, &state.out, |q| q);
                 } else {
+                    // AUDIT(panic): `band_idx < nbands` by construction in the parser.
                     let step = self.steps[job.band_idx];
+                    // AUDIT(panic): `comp < ncomp` by construction in the parser.
                     scatter_block(&ptrs_f[job.comp], stride, &job.geom, &state.out, |q| {
                         dequantize_value(q, step)
                     });
@@ -476,7 +479,7 @@ fn parse_tile_blocks(
                             "zero bitplanes {zbp} exceed band ceiling {ceiling}"
                         )));
                     }
-                    // AUDIT(block): `zbp <= ceiling <= MAX_PLANES` was just
+                    // AUDIT(panic): `zbp <= ceiling <= MAX_PLANES` was just
                     // checked, so the subtraction cannot wrap and `msb >= 1`
                     // holds in the max_passes arm.
                     #[allow(clippy::arithmetic_side_effects)]
@@ -484,7 +487,7 @@ fn parse_tile_blocks(
                     let max_passes = if msb == 0 {
                         0
                     } else {
-                        // AUDIT(block): `msb >= 1` in this arm; see above.
+                        // AUDIT(panic): `msb >= 1` in this arm; see above.
                         #[allow(clippy::arithmetic_side_effects)]
                         let mp = 1 + 3 * (usize::from(msb) - 1);
                         mp
@@ -866,7 +869,7 @@ impl SampleRange {
 /// of the (lazily zeroed) output.
 // AUDIT(hot): one pointer Vec per tile (setup-time); the per-sample loop
 // allocates nothing and calls no libm function.
-// AUDIT(fn): `rect` comes from the image's own tile grid, so the tile lies
+// AUDIT(panic): `rect` comes from the image's own tile grid, so the tile lies
 // inside the `hdr.width x hdr.height` output planes and `src` holds
 // `rect.w x rect.h` samples per component; no offset below can overflow.
 #[allow(clippy::arithmetic_side_effects)]
@@ -888,7 +891,7 @@ fn write_output<T: Copy + Sync>(
         for y in rows {
             for (plane, dst) in src.iter().zip(&dst) {
                 // SAFETY: row `rect.y0 + y`, columns `rect.x0..rect.x0 +
-                // rect.w`, is inside the output plane (see AUDIT(fn) above).
+                // rect.w`, is inside the output plane (see AUDIT(panic) above).
                 // AUDIT(alias): run_ranges hands each worker a distinct range
                 // of rows, components are distinct planes, and the caller
                 // holds `out` mutably borrowed and does not touch it until

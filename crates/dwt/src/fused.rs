@@ -51,7 +51,7 @@ use pj2k_parutil::DisjointClaim;
 use std::ops::Range;
 
 #[inline]
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
+// AUDIT(panic): encoder-side fused lifting kernel: indices derive from the claimed
 // region's geometry (debug-checked disjoint claims) and rolling-window
 // offsets are mirror-clamped.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -75,7 +75,7 @@ fn mirror_y(y: isize, h: usize) -> usize {
 /// # Safety
 /// `cols` must be in bounds and disjoint from ranges given to other
 /// threads; `h * stride` elements must be allocated.
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
+// AUDIT(panic): encoder-side fused lifting kernel: indices derive from the claimed
 // region's geometry (debug-checked disjoint claims) and rolling-window
 // offsets are mirror-clamped.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -146,7 +146,7 @@ pub unsafe fn fwd_fused_strip_53_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_strip_53_cols`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
+// AUDIT(panic): encoder-side fused lifting kernel: indices derive from the claimed
 // region's geometry (debug-checked disjoint claims) and rolling-window
 // offsets are mirror-clamped.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -233,7 +233,7 @@ pub unsafe fn inv_fused_strip_53_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_strip_53_cols`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
+// AUDIT(panic): encoder-side fused lifting kernel: indices derive from the claimed
 // region's geometry (debug-checked disjoint claims) and rolling-window
 // offsets are mirror-clamped.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -332,7 +332,7 @@ pub unsafe fn fwd_fused_strip_97_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_strip_53_cols`].
-// AUDIT(fn): encoder-side fused lifting kernel: indices derive from the claimed
+// AUDIT(panic): encoder-side fused lifting kernel: indices derive from the claimed
 // region's geometry (debug-checked disjoint claims) and rolling-window
 // offsets are mirror-clamped.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]

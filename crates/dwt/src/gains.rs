@@ -36,13 +36,13 @@ fn cache() -> &'static Mutex<HashMap<(u8, Band), f64>> {
 // here runs inside the per-sample loops.
 pub fn l2_gain_97(level: u8, band: Band) -> f64 {
     assert!(level >= 1, "subband level is 1-based");
-    // lint:allow(hot_path_panic) -- lock() only fails if a holder panicked,
+    // AUDIT(panic): lock() only fails if a holder panicked,
     // and no code panics while holding this cache lock.
     if let Some(&g) = cache().lock().unwrap().get(&(level, band)) {
         return g;
     }
     let g = compute_gain(level, band);
-    // lint:allow(hot_path_panic) -- same poisoning argument as above.
+    // AUDIT(panic): same poisoning argument as above.
     cache().lock().unwrap().insert((level, band), g);
     g
 }
@@ -63,13 +63,13 @@ fn cache_53() -> &'static Mutex<HashMap<(u8, Band), f64>> {
 /// Panics if `level == 0`.
 pub fn l2_gain_53(level: u8, band: Band) -> f64 {
     assert!(level >= 1, "subband level is 1-based");
-    // lint:allow(hot_path_panic) -- lock() only fails if a holder panicked,
+    // AUDIT(panic): lock() only fails if a holder panicked,
     // and no code panics while holding this cache lock.
     if let Some(&g) = cache_53().lock().unwrap().get(&(level, band)) {
         return g;
     }
     let g = compute_gain_53(level, band);
-    // lint:allow(hot_path_panic) -- same poisoning argument as above.
+    // AUDIT(panic): same poisoning argument as above.
     cache_53().lock().unwrap().insert((level, band), g);
     g
 }
@@ -82,7 +82,7 @@ fn compute_gain_53(level: u8, band: Band) -> f64 {
     let sb = bands
         .iter()
         .find(|s| s.band == band && (band == Band::LL || s.level == level))
-        // lint:allow(hot_path_panic) -- `Decomposition::subbands` always
+        // AUDIT(panic): `Decomposition::subbands` always
         // emits every band of every level, so the find cannot fail.
         .expect("requested band exists");
     // The reversible transform is integer-valued, so a unit impulse would
@@ -109,7 +109,7 @@ fn compute_gain(level: u8, band: Band) -> f64 {
     let sb = bands
         .iter()
         .find(|s| s.band == band && (band == Band::LL || s.level == level))
-        // lint:allow(hot_path_panic) -- `Decomposition::subbands` always
+        // AUDIT(panic): `Decomposition::subbands` always
         // emits every band of every level, so the find cannot fail.
         .expect("requested band exists");
     // Impulse in the middle of the band, away from boundary effects.

@@ -14,7 +14,7 @@ use crate::{ALPHA, BETA, DELTA, GAMMA, KAPPA};
 
 /// Mirror index `i` into `[0, n)` by whole-sample symmetric reflection.
 #[inline]
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn mirror(i: isize, n: usize) -> usize {
@@ -38,7 +38,7 @@ pub fn mirror(i: isize, n: usize) -> usize {
 /// reads ahead of every write), and the buffered odds are copied once into
 /// the high half — ~1.5n moves instead of the 2n of a full scratch
 /// round-trip.
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn deinterleave<T: Copy>(buf: &mut [T], scratch: &mut Vec<T>) {
@@ -61,7 +61,7 @@ pub fn deinterleave<T: Copy>(buf: &mut [T], scratch: &mut Vec<T>) {
 /// scheme: the high half is buffered, the low half is spread by a
 /// *descending* walk (`buf[2i] = buf[i]` writes land strictly ahead of
 /// every remaining read), and the buffered highs drop into the odd slots.
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn interleave<T: Copy>(buf: &mut [T], scratch: &mut Vec<T>) {
@@ -85,7 +85,7 @@ pub fn interleave<T: Copy>(buf: &mut [T], scratch: &mut Vec<T>) {
 // --------------------------------------------------------------------------
 
 /// Forward 5/3 analysis of one row, in place; output is `[low | high]`.
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn fwd_row_53(row: &mut [i32], scratch: &mut Vec<i32>) {
@@ -117,7 +117,7 @@ pub fn fwd_row_53(row: &mut [i32], scratch: &mut Vec<i32>) {
 }
 
 /// Inverse 5/3 synthesis of one row holding `[low | high]`, in place.
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn inv_row_53(row: &mut [i32], scratch: &mut Vec<i32>) {
@@ -154,7 +154,7 @@ pub fn inv_row_53(row: &mut [i32], scratch: &mut Vec<i32>) {
 /// One lifting step over a slice: `x[i] += c * (x[i-1] + x[i+1])` for every
 /// `i` of `parity` (0 = even, 1 = odd), with mirrored boundaries.
 #[inline]
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn lift_step_97(row: &mut [f32], parity: usize, c: f32) {
@@ -173,7 +173,7 @@ fn lift_step_97(row: &mut [f32], parity: usize, c: f32) {
 /// Scaling: lowpass × `1/K`, highpass × `K/2`, so that the lowpass filter
 /// has unit DC gain and the highpass unit Nyquist gain (the inverse of the
 /// synthesis scaling used by common JPEG2000 implementations).
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn fwd_row_97(row: &mut [f32], scratch: &mut Vec<f32>) {
@@ -198,7 +198,7 @@ pub fn fwd_row_97(row: &mut [f32], scratch: &mut Vec<f32>) {
 }
 
 /// Inverse 9/7 synthesis of one row holding `[low | high]`, in place.
-// AUDIT(fn): encoder-side 1-D lifting kernel: every index is either mirror-clamped
+// AUDIT(panic): encoder-side 1-D lifting kernel: every index is either mirror-clamped
 // into range or derived from the slice's own length.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub fn inv_row_97(row: &mut [f32], scratch: &mut Vec<f32>) {

@@ -56,7 +56,7 @@ use std::sync::OnceLock;
 pub const BATCH: usize = 16;
 
 #[inline]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -80,7 +80,7 @@ pub enum SimdTier {
 
 impl SimdTier {
     /// Whether this tier can run on the current host.
-    // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+    // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
     // LANES, base indices derive from the claimed region, and ragged tails
     // fall back to the scalar path (unsafe loads carry their own SAFETY
     // bounds arguments).
@@ -97,7 +97,7 @@ impl SimdTier {
 
     /// The best supported tier at or below this one (`Avx2 → Portable`),
     /// so a forced tier degrades gracefully on lesser hosts.
-    // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+    // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
     // LANES, base indices derive from the claimed region, and ragged tails
     // fall back to the scalar path (unsafe loads carry their own SAFETY
     // bounds arguments).
@@ -111,7 +111,7 @@ impl SimdTier {
     }
 
     /// The best tier the current host supports.
-    // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+    // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
     // LANES, base indices derive from the claimed region, and ragged tails
     // fall back to the scalar path (unsafe loads carry their own SAFETY
     // bounds arguments).
@@ -279,7 +279,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::ld` / `VecI::ld`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -295,7 +295,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::st` / `VecI::st`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -309,7 +309,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::lds` / `VecI::lds`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -326,7 +326,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::sts` / `VecI::sts`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -339,7 +339,7 @@ pub(crate) mod portable {
             }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -348,7 +348,7 @@ pub(crate) mod portable {
             F16([v; BATCH])
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -361,7 +361,7 @@ pub(crate) mod portable {
             F16(r)
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -374,7 +374,7 @@ pub(crate) mod portable {
             F16(r)
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -392,7 +392,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::ld` / `VecI::ld`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -408,7 +408,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::st` / `VecI::st`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -422,7 +422,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::lds` / `VecI::lds`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -439,7 +439,7 @@ pub(crate) mod portable {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::sts` / `VecI::sts`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -452,7 +452,7 @@ pub(crate) mod portable {
             }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -461,7 +461,7 @@ pub(crate) mod portable {
             I16([v; BATCH])
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -474,7 +474,7 @@ pub(crate) mod portable {
             I16(r)
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -487,7 +487,7 @@ pub(crate) mod portable {
             I16(r)
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -500,7 +500,7 @@ pub(crate) mod portable {
             I16(r)
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -543,7 +543,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::ld` / `VecI::ld`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -560,7 +560,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::st` / `VecI::st`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -579,7 +579,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::lds` / `VecI::lds`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -596,7 +596,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::sts` / `VecI::sts`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -613,7 +613,7 @@ pub(crate) mod avx2 {
             }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -624,7 +624,7 @@ pub(crate) mod avx2 {
             unsafe { F16([_mm256_set1_ps(v); 2]) }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -635,7 +635,7 @@ pub(crate) mod avx2 {
             unsafe { F16(core::array::from_fn(|k| _mm256_add_ps(self.0[k], o.0[k]))) }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -646,7 +646,7 @@ pub(crate) mod avx2 {
             unsafe { F16(core::array::from_fn(|k| _mm256_sub_ps(self.0[k], o.0[k]))) }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -662,7 +662,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::ld` / `VecI::ld`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -681,7 +681,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::st` / `VecI::st`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -700,7 +700,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::lds` / `VecI::lds`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -719,7 +719,7 @@ pub(crate) mod avx2 {
         // SAFETY: caller upholds the `# Safety` contract documented on
         // the trait method (`VecF::sts` / `VecI::sts`).
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -736,7 +736,7 @@ pub(crate) mod avx2 {
             }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -747,7 +747,7 @@ pub(crate) mod avx2 {
             unsafe { I16([_mm256_set1_epi32(v); 2]) }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -762,7 +762,7 @@ pub(crate) mod avx2 {
             }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -777,7 +777,7 @@ pub(crate) mod avx2 {
             }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -788,7 +788,7 @@ pub(crate) mod avx2 {
             unsafe { I16(core::array::from_fn(|k| _mm256_srai_epi32::<1>(self.0[k]))) }
         }
         #[inline(always)]
-        // AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+        // AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
         // LANES, base indices derive from the claimed region, and ragged tails
         // fall back to the scalar path (unsafe loads carry their own SAFETY
         // bounds arguments).
@@ -818,7 +818,7 @@ pub(crate) mod avx2 {
 /// Columns `x0..x0+BATCH` over all `h` rows must be owned by the claim;
 /// `h * stride` elements allocated; `h > 1`; CPU support for `I`'s tier.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -869,7 +869,7 @@ unsafe fn fwd_fused_53_batch<I: VecI>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`].
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -922,7 +922,7 @@ unsafe fn inv_fused_53_batch<I: VecI>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`].
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -998,7 +998,7 @@ unsafe fn fwd_fused_97_batch<F: VecF>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`].
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1087,7 +1087,7 @@ unsafe fn inv_fused_97_batch<F: VecF>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`] for the whole `cols` range.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1122,7 +1122,7 @@ unsafe fn fwd_vert_53_t<V: VecI>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`] for the whole `cols` range.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1157,7 +1157,7 @@ unsafe fn inv_vert_53_t<V: VecI>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`] for the whole `cols` range.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1192,7 +1192,7 @@ unsafe fn fwd_vert_97_t<V: VecF>(
 /// # Safety
 /// Same contract as [`fwd_fused_53_batch`] for the whole `cols` range.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1239,7 +1239,7 @@ unsafe fn inv_vert_97_t<V: VecF>(
 /// # Safety
 /// CPU support for `F`'s tier; `eb.len() >= ob.len() + usize::from(!even_n)`.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1279,7 +1279,7 @@ unsafe fn step_odd_97<F: VecF>(ob: &mut [f32], eb: &[f32], c: f32, even_n: bool)
 /// CPU support for `F`'s tier; `eb.len() == ob.len() + usize::from(odd_n)`
 /// with `ob` non-empty.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1313,7 +1313,7 @@ unsafe fn step_even_97<F: VecF>(eb: &mut [f32], ob: &[f32], c: f32, odd_n: bool)
 /// # Safety
 /// CPU support for `F`'s tier.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1340,7 +1340,7 @@ unsafe fn scale_97<F: VecF>(buf: &mut [f32], k: f32) {
 /// # Safety
 /// CPU support for `I`'s tier.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1411,7 +1411,7 @@ unsafe fn fwd_row_53_t<I: VecI>(row: &mut [i32], scratch: &mut Vec<i32>) {
 /// # Safety
 /// CPU support for `I`'s tier.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1481,7 +1481,7 @@ unsafe fn inv_row_53_t<I: VecI>(row: &mut [i32], scratch: &mut Vec<i32>) {
 /// # Safety
 /// CPU support for `F`'s tier.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).
@@ -1521,7 +1521,7 @@ unsafe fn fwd_row_97_t<F: VecF>(row: &mut [f32], scratch: &mut Vec<f32>) {
 /// # Safety
 /// CPU support for `F`'s tier.
 #[inline(always)]
-// AUDIT(fn): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
+// AUDIT(panic): encoder-side SIMD batch kernel: lane offsets are fixed by the tier's
 // LANES, base indices derive from the claimed region, and ragged tails
 // fall back to the scalar path (unsafe loads carry their own SAFETY
 // bounds arguments).

@@ -25,7 +25,7 @@ use pj2k_parutil::DisjointClaim;
 use std::ops::Range;
 
 #[inline]
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -44,7 +44,7 @@ fn mirror_y(y: isize, h: usize) -> usize {
 /// # Safety
 /// `cols` must be in bounds and disjoint from ranges given to other threads;
 /// `h * stride` elements must be allocated.
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -101,7 +101,7 @@ unsafe fn deinterleave_cols<T: Copy + Default>(
 ///
 /// # Safety
 /// Same contract as [`deinterleave_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -163,7 +163,7 @@ unsafe fn interleave_cols<T: Copy + Default>(
 ///
 /// # Safety
 /// `cols` in bounds, disjoint across threads, `h * stride` elements valid.
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -208,7 +208,7 @@ pub unsafe fn fwd_naive_53_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -262,7 +262,7 @@ pub unsafe fn inv_naive_53_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -320,7 +320,7 @@ pub unsafe fn fwd_strip_53_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -388,7 +388,7 @@ pub unsafe fn inv_strip_53_cols(
 /// # Safety
 /// Column `x` in bounds; exclusive access to it.
 #[inline]
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -419,7 +419,7 @@ unsafe fn lift_col_97(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -456,7 +456,7 @@ pub unsafe fn fwd_naive_97_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -504,7 +504,7 @@ pub unsafe fn inv_naive_97_cols(
 /// # Safety
 /// Strip in bounds; exclusive access to its columns.
 #[inline]
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -542,7 +542,7 @@ unsafe fn lift_strip_97(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -587,7 +587,7 @@ pub unsafe fn fwd_strip_97_cols(
 ///
 /// # Safety
 /// Same contract as [`fwd_naive_53_cols`].
-// AUDIT(fn): encoder-side column-lifting driver: indices derive from the claimed
+// AUDIT(panic): encoder-side column-lifting driver: indices derive from the claimed
 // rect (cols x rows inside the plane) and strip offsets are clamped to
 // the region height.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]

@@ -156,7 +156,7 @@ impl Coder<'_> {
     /// `plane` from its packed, causally masked neighborhood slice `nb`
     /// (self bit clear) and its pre-fetched magnitude bit; returns
     /// `(distortion_gain, became_significant)`.
-    // AUDIT(fn): encoder side — the LUT holds ZC indices < NUM_CTX by
+    // AUDIT(panic): encoder side — the LUT holds ZC indices < NUM_CTX by
     // zc_context's contract; nb is masked to 9 bits.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
     #[inline]
@@ -176,7 +176,7 @@ impl Coder<'_> {
     /// don't-care in the LUT, so they are read unmasked; a causally hidden
     /// south neighbor has its significance bit already cleared in `nb`,
     /// which zeroes its contribution exactly as the reference does.
-    // AUDIT(fn): encoder side — sc_lut packs contexts 9..=13 < NUM_CTX;
+    // AUDIT(panic): encoder side — sc_lut packs contexts 9..=13 < NUM_CTX;
     // row offsets are guarded (north/south of in-block rows exist);
     // `smag_at` indexes the caller-validated magnitude copy.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -207,7 +207,7 @@ impl Coder<'_> {
 // of caller-owned scratch, so bundling them would just add a struct
 // whose only job is to be destructured here.
 #[allow(clippy::too_many_arguments)]
-// AUDIT(fn): encoder side — indices derive from the validated geometry
+// AUDIT(panic): encoder side — indices derive from the validated geometry
 // (w * h == coeffs.len() == mag.len()); per-plane and per-stripe offsets
 // are products of in-range factors.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -352,7 +352,7 @@ pub(crate) fn encode_block_into(
 /// Stripes always start at multiples of [`STRIPE_HEIGHT`], so the causally
 /// hidden south row — `(y+1) % 4 == 0` under stripe-causal formation —
 /// is exactly in-stripe row index 3; the per-row mask below exploits that.
-// AUDIT(fn): encoder side — stripe offsets and word indices are bounded by
+// AUDIT(panic): encoder side — stripe offsets and word indices are bounded by
 // the scratch dimensions established in `reset`; column indices iterate
 // set bits of masks whose padding bits are cleared via `tail`; window
 // shifts are bounded by 3*3+4.
@@ -445,7 +445,7 @@ fn sig_prop_pass(enc: &mut Coder, plane: u8) -> f64 {
 /// plane-start significance snapshot, "first refinement" its predecessor.
 /// All per-coefficient state — membership, first-refinement, magnitude
 /// bits — comes from per-word row registers loaded once per 64 columns.
-// AUDIT(fn): encoder side — offsets as in `sig_prop_pass`; `smag_at`
+// AUDIT(panic): encoder side — offsets as in `sig_prop_pass`; `smag_at`
 // indexes the validated magnitude copy.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 // AUDIT(hot): the refinement-gain LUT refill is amortized — `rgain` is
@@ -572,7 +572,7 @@ fn mag_ref_pass(enc: &mut Coder, plane: u8) -> f64 {
 
 /// Cleanup pass over the packed state, with whole-column classification and
 /// batched run-length-zero stretches.
-// AUDIT(fn): encoder side — offsets as in `sig_prop_pass`.
+// AUDIT(panic): encoder side — offsets as in `sig_prop_pass`.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
     let (w, h, wpr) = (enc.bp.w, enc.bp.h, enc.bp.wpr);

@@ -96,7 +96,7 @@ impl std::error::Error for DecodeError {}
 /// Validate a block's structural parameters. `Ok(false)` is the zero-plane
 /// block, which carries no passes and decodes to all zeros; `Ok(true)` a
 /// block whose `passes` segments fit its plane structure.
-// AUDIT(fn): `msb_planes` is in 1..=MAX_PLANES at the subtraction and the
+// AUDIT(panic): `msb_planes` is in 1..=MAX_PLANES at the subtraction and the
 // pass bound is at most 1 + 3 * 30.
 #[allow(clippy::arithmetic_side_effects)]
 pub(crate) fn check_params(
@@ -267,7 +267,7 @@ impl Dec<'_> {
     /// coefficient `(x, y)` at `plane` from its packed, causally masked
     /// neighborhood slice `nb` (self bit clear); returns whether it became
     /// significant.
-    // AUDIT(fn): `nb` is masked to the 9-bit window and the LUT holds ZC
+    // AUDIT(panic): `nb` is masked to the 9-bit window and the LUT holds ZC
     // indices < NUM_CTX by zc_context's contract; the decoded bit selects
     // a branch, never an index.
     #[allow(clippy::indexing_slicing)]
@@ -295,7 +295,7 @@ impl Dec<'_> {
     /// Sign decoding for a coefficient turning significant at `plane`
     /// whose (causally masked) neighborhood slice is `nb`; marks
     /// significance and sign and starts its magnitude.
-    // AUDIT(fn): `(x, y)` is an in-block position from the scan over the
+    // AUDIT(panic): `(x, y)` is an in-block position from the scan over the
     // validated geometry, so its row (and the guard-padded rows around it)
     // exist and the stripe-interleaved magnitude slot is inside the
     // `ceil(h/4) * w * 4` accumulator; `sc_index` is 8 bits wide and the
@@ -338,7 +338,7 @@ struct LastPass {
 
 /// Shared body for [`decode_block_with`] and
 /// [`BlockDecoderScratch::decode_into`].
-// AUDIT(fn): `msb_planes` is in 1..=31 past `check_params`, so `plane + 1`
+// AUDIT(panic): `msb_planes` is in 1..=31 past `check_params`, so `plane + 1`
 // cannot overflow; untrusted segment bytes never influence an index. The
 // zero-block resize is AUDIT(hot)-amortized like the reconstruction's.
 #[allow(clippy::arithmetic_side_effects)]
@@ -360,7 +360,7 @@ fn decode_block_into<S: AsRef<[u8]>>(
         return Ok(());
     }
     st.reset(w, h, 0);
-    // AUDIT: `band_index` is < 3, the LUT's row count.
+    // AUDIT(panic): `band_index` is < 3, the LUT's row count.
     #[allow(clippy::indexing_slicing)]
     let zc_tab = &zc_lut()[band_index(band)];
     let mut dec = Dec {
@@ -426,7 +426,7 @@ fn decode_block_into<S: AsRef<[u8]>>(
 /// last pass at plane `q` every significant coefficient is known down to
 /// `q` — except after a propagation pass, where only the coefficients it
 /// turned significant (`sig & !sigstart`) are, and the rest stop at `q + 1`.
-// AUDIT(fn): `w * h` is the validated geometry; rows are `w` wide, words
+// AUDIT(panic): `w * h` is the validated geometry; rows are `w` wide, words
 // cover `min(64, w - 64*wi)` columns of them, and set bits of `sig` lie
 // below the block width (padding bits are never set), so `x < w` indexes
 // inside the row and inside the stripe-interleaved accumulator.
@@ -474,7 +474,7 @@ fn reconstruct(st: &BitplaneScratch, last: Option<LastPass>, out: &mut Vec<i32>)
 
 /// Significance-propagation pass over the packed state: the encoder's
 /// member stencil, with the bit decoded instead of looked up.
-// AUDIT(fn): stripe offsets and word indices are bounded by the scratch
+// AUDIT(panic): stripe offsets and word indices are bounded by the scratch
 // dimensions established in `reset` from the validated geometry; column
 // indices iterate set bits of masks whose padding bits are cleared via
 // `tail`; window shifts are bounded by 3*3+4. Decoded bits only decide
@@ -543,7 +543,7 @@ fn sig_prop_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
 
 /// Magnitude-refinement pass over the packed state: membership is the
 /// plane-start significance snapshot, "first refinement" its predecessor.
-// AUDIT(fn): offsets as in `sig_prop_pass`; the magnitude slot
+// AUDIT(panic): offsets as in `sig_prop_pass`; the magnitude slot
 // `((srow + x) << 2) | i` with `x < w`, `i < rows` is inside the
 // stripe-interleaved accumulator, `mr_context` returns 14..=16 < NUM_CTX
 // and `plane <= 30` bounds the shift. The decoded bit is OR-ed into a
@@ -621,7 +621,7 @@ fn mag_ref_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
 /// columns with nothing left to code come from mask algebra; unlike the
 /// encoder, the decoder cannot pre-classify zero columns (their bits are
 /// what it is about to learn), so every other column is walked.
-// AUDIT(fn): offsets as in `sig_prop_pass`. The run-length row offset is
+// AUDIT(panic): offsets as in `sig_prop_pass`. The run-length row offset is
 // the only input-derived position and it is two bits (`r <= 3`), applied
 // only inside a full stripe (`y0 + STRIPE_HEIGHT <= h`), so `y0 + r < h`
 // and `regs[r + 1]`, `3 * r` stay in range.

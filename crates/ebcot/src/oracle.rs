@@ -96,14 +96,14 @@ struct BlockDecoder<'a> {
 }
 
 impl BlockDecoder<'_> {
-    // AUDIT(fn): `y < h` in every caller, so `y + 1` cannot overflow.
+    // AUDIT(panic): `y < h` in every caller, so `y + 1` cannot overflow.
     #[allow(clippy::arithmetic_side_effects)]
     #[inline]
     fn skip_south(&self, y: usize) -> bool {
         self.opts.stripe_causal && (y + 1).is_multiple_of(STRIPE_HEIGHT)
     }
 
-    // AUDIT(fn): context indices come from the context tables, whose
+    // AUDIT(panic): context indices come from the context tables, whose
     // contract is `< NUM_CTX`; input bits select branches, never indices.
     #[allow(clippy::indexing_slicing)]
     fn decode_significance(&mut self, mq: &mut Source, x: usize, y: usize, plane: u8) {
@@ -121,7 +121,7 @@ impl BlockDecoder<'_> {
         }
     }
 
-    // AUDIT(fn): `(x, y)` comes from the scan over the validated `w x h`
+    // AUDIT(panic): `(x, y)` comes from the scan over the validated `w x h`
     // grid, so `k < w * h == mag.len()`; `plane < msb_planes <= 31` keeps
     // the shift in range. Untrusted bits only pick the sign branch.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -155,7 +155,7 @@ pub fn decode_block_with(
 
 /// Shared body for [`decode_block_with`] and
 /// [`OracleDecoderScratch::decode_into`].
-// AUDIT(fn): arithmetic and indexing run over the validated geometry —
+// AUDIT(panic): arithmetic and indexing run over the validated geometry —
 // `w * h > 0` (non-empty check above), `msb_planes <= 31` (bounds the
 // shifts and `max_passes`), and `k` scans `0..w * h` over buffers resized
 // to exactly that length. Untrusted segment bytes never influence an
@@ -253,7 +253,7 @@ fn decode_block_into<S: AsRef<[u8]>>(
     Ok(())
 }
 
-// AUDIT(fn): stripe geometry over the validated grid (`ymax <= h`); all
+// AUDIT(panic): stripe geometry over the validated grid (`ymax <= h`); all
 // indexing happens through the FlagGrid accessors on in-range (x, y).
 #[allow(clippy::arithmetic_side_effects)]
 fn sig_prop_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
@@ -275,7 +275,7 @@ fn sig_prop_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
     }
 }
 
-// AUDIT(fn): stripe geometry over the validated grid; `k = y * w + x` with
+// AUDIT(panic): stripe geometry over the validated grid; `k = y * w + x` with
 // `x < w`, `y < h` stays below `mag.len() == w * h`, the context index is
 // `< NUM_CTX` by the table contract, and `plane <= 30` bounds the shift.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -303,7 +303,7 @@ fn mag_ref_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
     }
 }
 
-// AUDIT(fn): the run-length row offset is the only input-derived position
+// AUDIT(panic): the run-length row offset is the only input-derived position
 // and it is two bits (`r <= 3`), applied only when the stripe is full
 // (`ymax - y0 == STRIPE_HEIGHT`), so `y0 + r < ymax <= h`; everything
 // else is validated-grid geometry and `< NUM_CTX` context indices.

@@ -29,7 +29,7 @@ pub(crate) const NB_NO_SOUTH: u32 = 0b0_0011_1111;
 /// packed neighborhood (self bit ignored). Generated from [`zc_context`],
 /// so the branchy Table D.1 logic runs 1536 times at startup instead of
 /// once per coded decision.
-// AUDIT(fn): startup LUT generation — `bi` enumerates the 3-row table
+// AUDIT(panic): startup LUT generation — `bi` enumerates the 3-row table
 // and the neighbor-bit sums are bounded by the 9-bit window.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub(crate) fn zc_lut() -> &'static [[u8; 512]; 3] {
@@ -40,7 +40,7 @@ pub(crate) fn zc_lut() -> &'static [[u8; 512]; 3] {
             .into_iter()
             .enumerate()
         {
-            // AUDIT: `bi` enumerates a 3-element array; `t` has 3 rows.
+            // AUDIT(panic): `bi` enumerates a 3-element array; `t` has 3 rows.
             for (nb, slot) in t[bi].iter_mut().enumerate() {
                 let b = |i: usize| (nb >> i) as u32 & 1;
                 let h = b(3) + b(5);
@@ -66,7 +66,7 @@ pub(crate) fn band_index(band: BandCtx) -> usize {
 /// 0 = sigW, 1 = sigE, 2 = sigN, 3 = sigS, 4..=7 the matching sign bits
 /// (set = negative). Insignificant neighbors' sign bits are don't-care.
 /// Generated from [`sc_context`].
-// AUDIT(fn): startup LUT generation — contributions are in {-1, 0, 1}
+// AUDIT(panic): startup LUT generation — contributions are in {-1, 0, 1}
 // before the clamp, so the sums cannot overflow.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 pub(crate) fn sc_lut() -> &'static [u8; 256] {
@@ -154,7 +154,7 @@ impl BitplaneScratch {
     /// zero all state, keeping allocations when large enough.
     // AUDIT(hot): amortized — every buffer is clear + resize over
     // recycled capacity; steady state allocates nothing (oracle-checked).
-    // AUDIT(fn): sizes derive from the caller-validated block geometry
+    // AUDIT(panic): sizes derive from the caller-validated block geometry
     // (w, h <= 1024, planes <= MAX_PLANES) on both the encode and the
     // decode side — never from coded bytes — far below overflow range.
     #[allow(clippy::arithmetic_side_effects)]
@@ -192,23 +192,23 @@ impl BitplaneScratch {
     /// Word offset of in-block row `y` (guard row 0 sits above).
     #[inline]
     pub(crate) fn row(&self, y: usize) -> usize {
-        // AUDIT: y < h and wpr * (h + 2) is the allocation size.
+        // AUDIT(panic): y < h and wpr * (h + 2) is the allocation size.
         (y.wrapping_add(1)).wrapping_mul(self.wpr)
     }
 
     /// Word offset of row `y` of `plane` in `bitp`.
     #[inline]
     pub(crate) fn prow(&self, plane: u8, y: usize) -> usize {
-        // AUDIT: plane < planes, y < h; the product is the bitp layout.
+        // AUDIT(panic): plane < planes, y < h; the product is the bitp layout.
         ((plane as usize).wrapping_mul(self.h).wrapping_add(y)).wrapping_mul(self.wpr)
     }
 
     /// Magnitude of `(x, y)` from the stripe-interleaved copy.
-    // AUDIT(fn): x < w and y < h index inside the copy by construction.
+    // AUDIT(panic): x < w and y < h index inside the copy by construction.
     #[allow(clippy::indexing_slicing)]
     #[inline]
     pub(crate) fn smag_at(&self, x: usize, y: usize) -> u32 {
-        // AUDIT: x < w and y < h index inside the copy by construction;
+        // AUDIT(panic): x < w and y < h index inside the copy by construction;
         // the shifts encode STRIPE_HEIGHT == 4.
         self.smag[(((y >> 2).wrapping_mul(self.w).wrapping_add(x)) << 2) | (y & 3)]
     }
@@ -220,7 +220,7 @@ impl BitplaneScratch {
         if used >= 64 {
             u64::MAX
         } else {
-            // AUDIT: used in 1..=63 here — wi indexes a word that covers at
+            // AUDIT(panic): used in 1..=63 here — wi indexes a word that covers at
             // least one in-block column.
             (1u64 << used).wrapping_sub(1)
         }
@@ -239,7 +239,7 @@ impl BitplaneScratch {
     /// Both are clipped to the block width. Within the pass only new
     /// significance one column to the west can invalidate a run-length
     /// bit; [`BitplaneScratch::clear_run_bits`] applies that.
-    // AUDIT(fn): `y0 + STRIPE_HEIGHT <= h`, so rows `y0-1 ..= y0+4` of the
+    // AUDIT(panic): `y0 + STRIPE_HEIGHT <= h`, so rows `y0-1 ..= y0+4` of the
     // guard-padded planes exist, and `wi < wpr` indexes inside each row and
     // each `wpr`-sized mask; nothing here derives from coded bytes.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -281,7 +281,7 @@ impl BitplaneScratch {
 
     /// New significance at column `x` reaches column `x + 1`: it is no
     /// longer run-length eligible in this stripe.
-    // AUDIT(fn): word index bounded by wpr since x + 1 < w.
+    // AUDIT(panic): word index bounded by wpr since x + 1 < w.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
     #[inline]
     pub(crate) fn clear_run_bits(&mut self, x: usize) {
@@ -299,7 +299,7 @@ impl BitplaneScratch {
 /// (result bit 0 = west, bit 1 = center, bit 2 = east). Word-boundary and
 /// block-edge reads resolve to 0 through the zero padding invariant (bits
 /// `>= w` of a row's last word are never set).
-// AUDIT(fn): `base + wi` stays inside the row (wi < wpr is checked on both
+// AUDIT(panic): `base + wi` stays inside the row (wi < wpr is checked on both
 // cross-word reads); shifts are by values in 0..=63 by construction.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 #[inline]
@@ -327,7 +327,7 @@ pub(crate) fn get3(buf: &[u64], base: usize, wpr: usize, x: usize) -> u32 {
 /// offset `top + j*wpr` (see the `NB_*` layout constants). Single-word rows
 /// — every block 64 columns wide or narrower — take a contiguous-slice fast
 /// path: one bounds check covers the whole gather.
-// AUDIT(fn): `top + nrows*wpr` stays inside the guard-padded buffer (the
+// AUDIT(panic): `top + nrows*wpr` stays inside the guard-padded buffer (the
 // caller gathers at most rows y0-1 ..= ymax of an in-block stripe); `sh`
 // and `3*j` shifts are bounded by 63 / 15.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -365,7 +365,7 @@ pub(crate) fn gather_win(buf: &[u64], top: usize, wpr: usize, nrows: usize, x: u
 /// For `sh == 0` / `sh == 63` the west / east neighbor is taken as 0,
 /// which is only correct at the block border — callers at interior word
 /// boundaries of multi-word rows must use the memory gather instead.
-// AUDIT(fn): regs is a fixed 6-word array, nrows <= 6; shifts bounded by
+// AUDIT(panic): regs is a fixed 6-word array, nrows <= 6; shifts bounded by
 // 62 / 15.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 #[inline]
@@ -391,7 +391,7 @@ pub(crate) fn win_regs(regs: &[u64; STRIPE_HEIGHT + 2], sh: usize) -> u32 {
 }
 
 /// Bit `x` of the row starting at `base`.
-// AUDIT(fn): base + (x >> 6) is inside the row for x < w.
+// AUDIT(panic): base + (x >> 6) is inside the row for x < w.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 #[inline]
 pub(crate) fn bit_at(buf: &[u64], base: usize, x: usize) -> u64 {
@@ -399,7 +399,7 @@ pub(crate) fn bit_at(buf: &[u64], base: usize, x: usize) -> u64 {
 }
 
 /// Set bit `x` of the row starting at `base`.
-// AUDIT(fn): as `bit_at`.
+// AUDIT(panic): as `bit_at`.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 #[inline]
 pub(crate) fn set_bit(buf: &mut [u64], base: usize, x: usize) {
@@ -412,7 +412,7 @@ pub(crate) fn set_bit(buf: &mut [u64], base: usize, x: usize) {
 /// Sign bits of insignificant neighbors are don't-care in the LUT, so they
 /// are read unmasked; a causally hidden south neighbor has its
 /// significance bit already cleared in `nb`, which zeroes its contribution.
-// AUDIT(fn): `base` is an in-block row of the guard-padded sign plane, so
+// AUDIT(panic): `base` is an in-block row of the guard-padded sign plane, so
 // the rows at `base - wpr` and `base + wpr` exist and `x < w` stays inside
 // each; nothing here derives from coded bytes.
 #[allow(clippy::arithmetic_side_effects)]
@@ -444,7 +444,7 @@ pub(crate) fn sc_index(neg: &[u64], base: usize, wpr: usize, x: usize, nb: u32) 
 /// bits of the row itself, anded with ~self. Stripes start at multiples of
 /// [`STRIPE_HEIGHT`], so the causally hidden south row is exactly in-stripe
 /// row index 3.
-// AUDIT(fn): `top + (rows + 1) * wpr + wi` is the stripe's south row (or
+// AUDIT(panic): `top + (rows + 1) * wpr + wi` is the stripe's south row (or
 // the bottom guard row) of the guard-padded plane, and the cross-word reads
 // are guarded by `wi > 0` / `wi + 1 < wpr`; `regs` has STRIPE_HEIGHT + 2
 // entries and `rows <= STRIPE_HEIGHT`. Nothing derives from coded bytes.

@@ -97,7 +97,7 @@ pub fn read(r: &mut impl BufRead) -> io::Result<Image> {
 /// # Errors
 /// Propagates I/O errors; returns `InvalidInput` for component counts other
 /// than 1 or 3.
-// AUDIT(fn): writer side — operates on an in-memory `Image` this process
+// AUDIT(panic): writer side — operates on an in-memory `Image` this process
 // built, never on untrusted bytes.
 #[allow(clippy::arithmetic_side_effects)]
 pub fn write(w: &mut impl Write, img: &Image) -> io::Result<()> {
@@ -157,7 +157,7 @@ fn read_token(r: &mut impl BufRead) -> io::Result<String> {
                 return Ok(tok);
             }
             _ => {
-                // AUDIT: fixed index 0 into the 1-byte read buffer.
+                // AUDIT(panic): fixed index 0 into the 1-byte read buffer.
                 #[allow(clippy::indexing_slicing)]
                 let ch = byte[0] as char;
                 if in_comment {

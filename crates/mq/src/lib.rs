@@ -35,7 +35,7 @@ impl CtxState {
     /// # Panics
     /// Panics if `index >= 47`.
     pub fn new(index: u8) -> Self {
-        // AUDIT: `index` is a compile-time context-initialization constant
+        // AUDIT(panic): `index` is a compile-time context-initialization constant
         // chosen by the Tier-1 coder (rows 0, 3 and 46 in practice), never
         // a value read from the codestream.
         assert!(
@@ -125,7 +125,7 @@ impl MqEncoder {
     /// no table transition — first, with a unified select-friendly
     /// conditional-exchange tail covering both the MPS-renormalize and LPS
     /// cases.
-    // AUDIT(fn): encoder side — consumes decisions this process generated,
+    // AUDIT(panic): encoder side — consumes decisions this process generated,
     // never untrusted bytes; `ctx.index` is always a valid table row
     // (CtxState::new asserts it, and every transition assigns an
     // nmps/nlps value from the table, all < 47).
@@ -166,7 +166,7 @@ impl MqEncoder {
     /// O(renormalizations) instead of O(n). Tier-1's cleanup pass uses
     /// this for the run-length context over stretches of all-quiet stripe
     /// columns.
-    // AUDIT(fn): encoder side; table-row invariant as in `encode`. The
+    // AUDIT(panic): encoder side; table-row invariant as in `encode`. The
     // batched subtraction keeps `a >= 0x8000` by construction of `k`, and
     // `k * qe <= a - 0x8000 < 0x8000` cannot overflow.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -197,7 +197,7 @@ impl MqEncoder {
         self.decisions
     }
 
-    // AUDIT(fn): encoder side; Annex C register discipline (A < 0x8000 on
+    // AUDIT(panic): encoder side; Annex C register discipline (A < 0x8000 on
     // entry, CT in 1..=12) bounds every shift and decrement.
     #[allow(clippy::arithmetic_side_effects)]
     #[inline]
@@ -227,7 +227,7 @@ impl MqEncoder {
         }
     }
 
-    // AUDIT(fn): encoder side; `bp` always indexes a pushed byte (the
+    // AUDIT(panic): encoder side; `bp` always indexes a pushed byte (the
     // sentinel guarantees `buf` is never empty).
     // AUDIT(hot): amortized — all pushes append to the recycled segment
     // buffer; steady state reuses capacity (oracle: 0 allocs/block).
@@ -258,7 +258,7 @@ impl MqEncoder {
         }
     }
 
-    // AUDIT(fn): encoder side; `bp` tracks `buf.len() - 1`.
+    // AUDIT(panic): encoder side; `bp` tracks `buf.len() - 1`.
     // AUDIT(hot): amortized — append into recycled segment buffer.
     #[allow(clippy::arithmetic_side_effects)]
     #[inline]
@@ -269,7 +269,7 @@ impl MqEncoder {
 
     /// Number of bytes the segment would occupy if flushed now (an upper
     /// bound used for conservative rate estimates before termination).
-    // AUDIT(fn): encoder side; `bp` is a small in-memory byte count.
+    // AUDIT(panic): encoder side; `bp` is a small in-memory byte count.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn bytes_upper_bound(&self) -> usize {
         // bp bytes committed (minus sentinel) + flush emits at most 2 more.
@@ -277,7 +277,7 @@ impl MqEncoder {
     }
 
     /// Terminate the codeword (FLUSH) and return the segment bytes.
-    // AUDIT(fn): encoder side; register discipline as in `renorm`, and the
+    // AUDIT(panic): encoder side; register discipline as in `renorm`, and the
     // sentinel keeps `buf[bp]` in bounds.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
     pub fn flush(mut self) -> Vec<u8> {
@@ -317,7 +317,7 @@ pub struct MqDecoder<'a> {
 
 impl<'a> MqDecoder<'a> {
     /// Initialize over `data` (INITDEC).
-    // AUDIT(fn): decoder-reachable. Register fills are shifts of freshly
+    // AUDIT(panic): decoder-reachable. Register fills are shifts of freshly
     // read bytes into an empty 28-bit C; `ct -= 7` runs right after
     // `byte_in` set `ct` to 7 or 8. Untrusted bytes land in register
     // *values* only — `bp` advances by 1 per read and every access goes
@@ -345,7 +345,7 @@ impl<'a> MqDecoder<'a> {
         self.data.get(i).copied().unwrap_or(0xFF)
     }
 
-    // AUDIT(fn): decoder-reachable. Every data access is either guarded by
+    // AUDIT(panic): decoder-reachable. Every data access is either guarded by
     // `bp < data.len()` on the same branch or goes through the
     // bounds-checked `byte_at` (which feeds 0xFF past the end, per the
     // standard); `bp + 1` cannot overflow because `bp <= data.len()`.
@@ -373,7 +373,7 @@ impl<'a> MqDecoder<'a> {
     }
 
     /// Decode one binary decision in context `ctx`.
-    // AUDIT(fn): decoder-reachable. `ctx.index` is always a valid table
+    // AUDIT(panic): decoder-reachable. `ctx.index` is always a valid table
     // row: CtxState construction asserts it and every transition assigns
     // an nmps/nlps entry from the table, all < 47 — untrusted bits select
     // *which* transition fires, never the index value itself. The
@@ -423,7 +423,7 @@ impl<'a> MqDecoder<'a> {
         d
     }
 
-    // AUDIT(fn): decoder-reachable. On entry `0 < a < 0x8000` (a is either
+    // AUDIT(panic): decoder-reachable. On entry `0 < a < 0x8000` (a is either
     // a table Qe, all non-zero, or `a - qe` with `a >= 0x8000 > qe`), so the
     // shortfall `n` is in 1..=15. `byte_in` leaves `ct` at 7 or 8, so each
     // round shifts `k = min(n, ct) >= 1` bits and `ct - k`, `n - k` cannot

@@ -44,7 +44,7 @@ impl RawEncoder {
     }
 
     /// Append one raw bit.
-    // AUDIT(fn): encoder side — emits bits this process generated.
+    // AUDIT(panic): encoder side — emits bits this process generated.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn put(&mut self, bit: u8) {
         debug_assert!(bit <= 1);
@@ -66,7 +66,7 @@ impl RawEncoder {
     /// the current partial byte they land with one shift/or instead of a
     /// per-bit loop. Tier-1's bypass passes use this to emit a stripe
     /// column's significance or refinement bits in one call.
-    // AUDIT(fn): encoder side — emits bits this process generated; `n <= 8`
+    // AUDIT(panic): encoder side — emits bits this process generated; `n <= 8`
     // is asserted and `filled + n <= nbits <= 8` guards the fast path.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn put_bits(&mut self, bits: u8, n: u8) {
@@ -90,7 +90,7 @@ impl RawEncoder {
 
     /// Terminate the segment: zero-pad to a byte, append a stuffing byte if
     /// the segment would otherwise end in `0xFF`.
-    // AUDIT(fn): encoder side; `filled < nbits` whenever it is non-zero.
+    // AUDIT(panic): encoder side; `filled < nbits` whenever it is non-zero.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn flush(mut self) -> Vec<u8> {
         if self.filled > 0 {
@@ -106,7 +106,7 @@ impl RawEncoder {
     }
 
     /// Bytes the segment would occupy if flushed now (upper bound).
-    // AUDIT(fn): encoder side; small in-memory byte count.
+    // AUDIT(panic): encoder side; small in-memory byte count.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn bytes_upper_bound(&self) -> usize {
         self.out.len() + 2
@@ -137,7 +137,7 @@ impl<'a> RawDecoder<'a> {
 
     /// Next raw bit (0 past the end — the decoder never reads more symbols
     /// than the encoder wrote).
-    // AUDIT(fn): decoder-reachable. Reads go through the bounds-checked
+    // AUDIT(panic): decoder-reachable. Reads go through the bounds-checked
     // `get`/`unwrap_or` (zero bits past the end); `left -= 1` runs right
     // after the refill set it to 7 or 8; untrusted bytes only become bit
     // *values*.

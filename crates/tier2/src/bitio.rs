@@ -37,7 +37,7 @@ impl HeaderBitWriter {
     }
 
     /// Append one bit.
-    // AUDIT(fn): encoder side; `filled` is reset whenever it reaches
+    // AUDIT(panic): encoder side; `filled` is reset whenever it reaches
     // `nbits <= 8`, so the increment and the shift cannot overflow.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn put_bit(&mut self, bit: u8) {
@@ -74,7 +74,7 @@ impl HeaderBitWriter {
     }
 
     /// Bits written so far (excluding alignment padding).
-    // AUDIT(fn): encoder side; header byte counts are far below
+    // AUDIT(panic): encoder side; header byte counts are far below
     // usize::MAX / 8.
     #[allow(clippy::arithmetic_side_effects)]
     pub fn bit_len(&self) -> usize {
@@ -105,7 +105,7 @@ impl<'a> HeaderBitReader<'a> {
     }
 
     /// Read one bit; 0 past the end (headers are self-delimiting).
-    // AUDIT(fn): decode path, but panic-free on any input — the byte fetch
+    // AUDIT(panic): decode path, but panic-free on any input — the byte fetch
     // is a checked `get` with a zero fallback, `pos` advances saturating,
     // and `left` is refilled to 7 or 8 before the decrement.
     #[allow(clippy::arithmetic_side_effects)]

@@ -206,7 +206,7 @@ pub struct MarkerWriter {
     out: Vec<u8>,
 }
 
-// AUDIT: the writer half serializes encoder-produced structures; it never
+// AUDIT(panic): the writer half serializes encoder-produced structures; it never
 // touches untrusted input. Its arithmetic is bounded by the asserted
 // 16-bit segment limit.
 #[allow(clippy::arithmetic_side_effects)]
@@ -226,7 +226,7 @@ impl MarkerWriter {
     /// # Panics
     /// Panics if the payload exceeds the 16-bit length field.
     pub fn segment(&mut self, code: u16, payload: &[u8]) {
-        // AUDIT: encoder-side size invariant on trusted data, not
+        // AUDIT(panic): encoder-side size invariant on trusted data, not
         // reachable from decoded input.
         assert!(
             payload.len() + 2 <= u16::MAX as usize,
@@ -427,10 +427,8 @@ impl<'a> PayloadReader<'a> {
             .checked_add(N)
             .and_then(|end| self.data.get(self.pos..end))
             .ok_or(ParseError::TruncatedPayload { offset: self.pos })?;
-        // AUDIT: `bytes` is exactly `N` long (taken with an `N`-wide
+        // AUDIT(panic): `bytes` is exactly `N` long (taken with an `N`-wide
         // range), so the slice-to-array conversion is infallible.
-        // lint:allow(hot_path_panic) -- `bytes` has exactly N elements, so
-        // the conversion cannot fail.
         let arr: [u8; N] = bytes.try_into().expect("length-checked slice");
         self.pos = self.pos.saturating_add(N);
         Ok(arr)

@@ -13,8 +13,8 @@
 //! the paper's Fig. 3 structure.
 //!
 //! The decode half of this crate sits on the untrusted-input boundary; see
-//! DESIGN.md §9 for the threat model and the `cargo xtask audit-panics`
-//! pass that keeps it panic-free.
+//! DESIGN.md §9 for the threat model and the `panic` check of `cargo xtask
+//! audit` that keeps it panic-free.
 
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 

@@ -93,7 +93,7 @@ impl PrecinctState {
     ///
     /// # Panics
     /// Panics on grid/vector size mismatch.
-    // AUDIT(fn): encoder-side construction over trusted tier-1 output; the
+    // AUDIT(panic): encoder-side construction over trusted tier-1 output; the
     // grid and value vectors come from the code-block partition, never from
     // untrusted bytes, so size mismatches are programming errors.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -161,7 +161,7 @@ impl PrecinctState {
     }
 }
 
-// AUDIT(fn): encoder-side helper; `v >= 1` is asserted by the caller on
+// AUDIT(panic): encoder-side helper; `v >= 1` is asserted by the caller on
 // trusted pass lengths, and `leading_zeros() <= usize::BITS` always.
 #[allow(clippy::arithmetic_side_effects)]
 fn bits_of(v: usize) -> u8 {
@@ -179,7 +179,7 @@ fn bits_of(v: usize) -> u8 {
 ///
 /// # Panics
 /// Panics on size mismatches or if `upto` regresses.
-// AUDIT(fn): encoder-side path over trusted tier-1 output — pass counts,
+// AUDIT(panic): encoder-side path over trusted tier-1 output — pass counts,
 // lengths, and grid indices come from the encoder's own partition, never
 // from untrusted bytes; the asserts below are programming-error tripwires.
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -203,7 +203,7 @@ pub fn encode_packet(
         for x in 0..state.grid_w {
             let b = y * state.grid_w + x;
             let prev = state.included[b];
-            // lint:allow(hot_path_panic) -- layer contributions are
+            // AUDIT(panic): layer contributions are
             // monotone by construction (caller passes cumulative counts),
             // so a regression is a programming error worth aborting on.
             let new = upto[b].checked_sub(prev).expect("pass count regressed");
@@ -250,7 +250,7 @@ pub fn encode_packet(
 /// `u32::MAX` sentinel in [`BlockDecodeResult::zero_bitplanes`] (rejected
 /// by the caller's Kmax validation), and segment lengths are for the
 /// caller to bounds-check against the remaining body bytes.
-// AUDIT(fn): arithmetic here is grid-index math bounded by the precinct's
+// AUDIT(panic): arithmetic here is grid-index math bounded by the precinct's
 // block count n = grid_w * grid_h (allocation-capped by the caller), the
 // layer index (caller-validated <= 4096), and the Lblock climb, which is
 // capped at MAX_LBLOCK before use. Indexing stays denied: all element
@@ -342,7 +342,7 @@ pub fn decode_packet(
 }
 
 /// Number-of-passes codewords (Table B.4).
-// AUDIT(fn): encoder-side; tier-1 pass counts are bounded by the plane
+// AUDIT(panic): encoder-side; tier-1 pass counts are bounded by the plane
 // budget (at most 1 + 3*30 = 91 passes), far below the 164 codeword limit.
 #[allow(clippy::arithmetic_side_effects)]
 fn encode_pass_count(w: &mut HeaderBitWriter, n: usize) {
@@ -362,13 +362,13 @@ fn encode_pass_count(w: &mut HeaderBitWriter, n: usize) {
             w.put_bits(0b11111, 5);
             w.put_bits((n - 37) as u32, 7);
         }
-        // lint:allow(hot_path_panic) -- 164 is the spec maximum number of
+        // AUDIT(panic): 164 is the spec maximum number of
         // coding passes; exceeding it is unrepresentable in the header.
         _ => panic!("pass count {n} out of range 1..=164"),
     }
 }
 
-// AUDIT(fn): decoder path, but every sum is bounded by its codeword class
+// AUDIT(panic): decoder path, but every sum is bounded by its codeword class
 // (`get_bits(7) <= 127`, so the largest result is 37 + 127 = 164).
 #[allow(clippy::arithmetic_side_effects)]
 fn decode_pass_count(r: &mut HeaderBitReader) -> usize {

@@ -46,7 +46,7 @@ impl BlockRd {
     /// # Panics
     /// Panics if `rates` and `dists` differ in length or rates are not
     /// strictly increasing.
-    // AUDIT(fn): encoder-only; the asserts pin the caller contract on
+    // AUDIT(panic): encoder-only; the asserts pin the caller contract on
     // trusted tier-1 statistics, and every index derives from hull entries
     // `1..=rates.len()` or validated window pairs.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -163,7 +163,7 @@ pub struct Allocation {
 /// # Panics
 /// Panics if budgets decrease, any block's rates are malformed, or
 /// `uncoded_below` is neither empty nor one entry per block.
-// AUDIT(fn): encoder-only; hull pass counts index `rates`/`dists` of the
+// AUDIT(panic): encoder-only; hull pass counts index `rates`/`dists` of the
 // same block (hull entries are `<= rates.len()` by construction), block
 // indices come from `enumerate`, `uncoded_below` is length-checked on
 // entry, and rate deltas are hull-monotone.

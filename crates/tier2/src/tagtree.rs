@@ -10,7 +10,7 @@
 //! node *values* and lower bounds, never node *indices* — the tree shape
 //! and every parent pointer are fixed at construction from caller-supplied
 //! grid dimensions, and the decode climb is bounded by the caller's
-//! threshold. That invariant is what the `AUDIT(fn)` annotations below
+//! threshold. That invariant is what the `AUDIT(panic)` annotations below
 //! rely on.
 
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -46,7 +46,7 @@ impl TagTree {
     ///
     /// # Panics
     /// Panics if `w * h == 0`.
-    // AUDIT(fn): construction-time geometry only. The level dims shrink by
+    // AUDIT(panic): construction-time geometry only. The level dims shrink by
     // div_ceil(2) per level down to (1, 1), every parent index was pushed
     // in an earlier (already materialized) level, and the caller caps
     // `w * h` before building per-precinct state from untrusted
@@ -61,7 +61,7 @@ impl TagTree {
         // root-first so parents precede children.
         let mut dims = vec![(w, h)];
         while dims.last() != Some(&(1, 1)) {
-            // lint:allow(hot_path_panic) -- `dims` is seeded with one entry
+            // AUDIT(panic): `dims` is seeded with one entry
             // and only ever grows, so `last()` is always `Some`.
             let &(lw, lh) = dims.last().unwrap();
             dims.push((lw.div_ceil(2), lh.div_ceil(2)));
@@ -110,7 +110,7 @@ impl TagTree {
     /// Assign leaf `(x, y)`'s value (encoder side). Must be called for every
     /// leaf before encoding; internal minima are recomputed lazily by
     /// [`TagTree::finalize`].
-    // AUDIT(fn): `leaf_index` bounds-checks (x, y), so the node index is
+    // AUDIT(panic): `leaf_index` bounds-checks (x, y), so the node index is
     // in range by construction.
     #[allow(clippy::indexing_slicing)]
     pub fn set_value(&mut self, x: usize, y: usize, v: u32) {
@@ -120,7 +120,7 @@ impl TagTree {
 
     /// Propagate leaf values up as minima (encoder side, after all
     /// `set_value` calls).
-    // AUDIT(fn): iterates the node vec by its own indices; parent pointers
+    // AUDIT(panic): iterates the node vec by its own indices; parent pointers
     // were created pointing at already-pushed nodes, so `p < i < len`.
     #[allow(clippy::indexing_slicing)]
     pub fn finalize(&mut self) {
@@ -142,7 +142,7 @@ impl TagTree {
         }
     }
 
-    // AUDIT(fn): the assert is a caller-contract tripwire — packet coding
+    // AUDIT(panic): the assert is a caller-contract tripwire — packet coding
     // iterates x < w, y < h of its own grid, so untrusted bytes cannot
     // select an out-of-range leaf; the sum then stays within the node vec
     // whose final level holds exactly w * h leaves.
@@ -152,7 +152,7 @@ impl TagTree {
         self.leaf_base + y * self.w + x
     }
 
-    // AUDIT(fn): walks fixed parent pointers (each `< len` and strictly
+    // AUDIT(panic): walks fixed parent pointers (each `< len` and strictly
     // decreasing until the self-parenting root), so the walk is in-bounds
     // and terminates regardless of input bits.
     #[allow(clippy::indexing_slicing)]
@@ -172,7 +172,7 @@ impl TagTree {
     /// Encode knowledge about leaf `(x, y)` up to `threshold`: after this
     /// call the decoder can answer "value < threshold?" (and knows the exact
     /// value if it is `< threshold`).
-    // AUDIT(fn): encoder side; node indices come from `path_to` (in-bounds
+    // AUDIT(panic): encoder side; node indices come from `path_to` (in-bounds
     // by construction) and `low` increments strictly below `threshold`.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
     pub fn encode(&mut self, x: usize, y: usize, threshold: u32, out: &mut HeaderBitWriter) {
@@ -206,7 +206,7 @@ impl TagTree {
     /// Input bits only set node values/known flags; they cannot steer an
     /// index or unbound the climb (`low` stays `< threshold`), so malformed
     /// bits can at worst mis-decode a value — never panic.
-    // AUDIT(fn): node indices come from `path_to` (fixed parent pointers,
+    // AUDIT(panic): node indices come from `path_to` (fixed parent pointers,
     // in-bounds by construction); `low += 1` is guarded by
     // `low < threshold`, and the caller bounds the threshold (layer index
     // or the zero-bit-plane cap).
@@ -244,7 +244,7 @@ impl TagTree {
     }
 
     /// Decoded (or assigned) value of leaf `(x, y)`.
-    // AUDIT(fn): `leaf_index` bounds-checks (x, y) against the leaf grid.
+    // AUDIT(panic): `leaf_index` bounds-checks (x, y) against the leaf grid.
     #[allow(clippy::indexing_slicing)]
     pub fn leaf_value(&self, x: usize, y: usize) -> u32 {
         self.nodes[self.leaf_index(x, y)].value

@@ -1,42 +1,27 @@
-//! `xtask audit-panics` — static panic-path audit of the decode pipeline.
+//! The `panic` query: panic sites need `// AUDIT(panic): <reason>`.
 //!
 //! The decoder consumes untrusted bytes (DESIGN.md §9): every way it could
-//! panic is a potential denial-of-service. This pass inventories every
-//! *panic site* in the decoder-reachable scope — panicking calls
-//! (`unwrap`/`expect`/`panic!`/`unreachable!`/asserts), slice/array
-//! indexing expressions, and scoped `#[allow(clippy::...)]` escapes from
-//! the no-panic lints — and requires each one to carry an explicit
-//! `// AUDIT:` justification classifying it as unreachable-from-input.
+//! panic is a potential denial-of-service. Two scopes, each with its own
+//! needle set:
 //!
-//! Three annotation forms are accepted, mirroring the SAFETY discipline of
-//! the concurrency lint ([`crate::lint`]):
-//!
-//! * `// AUDIT: <reason>` on the site's line or in the contiguous
-//!   comment/attribute block directly above it;
-//! * `// AUDIT(fn): <reason>` above an item — covers every site inside the
-//!   braced body that follows (used for encoder-only functions, which are
-//!   never fed untrusted bytes);
-//! * `// AUDIT(block): <reason>` above a statement or block — same
-//!   mechanics, scoped to the next braced region (or, for brace-less
-//!   statements, the statement itself via the lookback rule).
-//!
-//! The scope additionally must *declare* the no-panic lint wall: each
-//! audited file (or its crate root) carries
-//! `#![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]`,
-//! so unchecked arithmetic and unguarded indexing are compile errors unless
-//! explicitly allowed — and every such `allow` is itself an audit site.
-//!
-//! Test code is exempt (tests may panic freely); the inventory still counts
-//! it so the report shows the full picture.
+//! * the **decoder-reachable scope** ([`SCOPED_DIRS`], [`SCOPED_FILES`]):
+//!   panicking calls (`unwrap`/`expect`/`panic!`/`unreachable!`/asserts),
+//!   slice/array indexing expressions, and scoped
+//!   `#[allow(clippy::...)]` escapes from the no-panic lint wall. Each file
+//!   (or its crate root) must also declare the wall,
+//!   `#![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]`,
+//!   so unchecked arithmetic and unguarded indexing are compile errors
+//!   unless explicitly allowed — and every such `allow` is itself a site.
+//!   Test sites are inventoried but exempt.
+//! * the **codec crates** ([`CODEC_CRATES`]) outside that scope: `.unwrap()`,
+//!   `.expect(` and `panic!` in non-test code — codec paths propagate
+//!   errors, they do not abort mid-tile.
 
-use crate::scan::{classify, Line};
-use std::fmt;
-use std::path::{Path, PathBuf};
+use crate::scan::{find_word, is_ident, Finding, Kind, Source};
 
-/// The audited scope: everything untrusted bytes flow through
-/// (decoder-reachable code), plus encoder hot loops dense enough in
-/// index/shift arithmetic that they carry the same wall (the Tier-1
-/// bitplane engine). Directories mean "every `.rs` file directly inside".
+/// Everything untrusted bytes flow through, plus encoder hot loops dense
+/// enough in index/shift arithmetic that they carry the same wall.
+/// Directories mean "every `.rs` file directly inside".
 const SCOPED_DIRS: &[&str] = &["crates/tier2/src", "crates/mq/src"];
 const SCOPED_FILES: &[&str] = &[
     "crates/ebcot/src/decoder.rs",
@@ -48,488 +33,223 @@ const SCOPED_FILES: &[&str] = &[
     "crates/ebcot/src/bitplane.rs",
     "crates/core/src/decode.rs",
     "crates/image/src/pnm.rs",
-    // Encoder hot DWT kernels: same index/arithmetic density as the
-    // Tier-1 bitplane engine, and the same wall (ISSUE 8 satellite).
+    // Encoder DWT kernels: the Tier-1 engine's index/arithmetic density.
     "crates/dwt/src/lift.rs",
     "crates/dwt/src/fused.rs",
     "crates/dwt/src/vertical.rs",
     "crates/dwt/src/simd.rs",
 ];
 
+/// Crates whose non-test code is a codec path.
+const CODEC_CRATES: &[&str] = &["mq", "ebcot", "dwt", "tier2"];
+
 /// The lint wall every scoped file must live behind.
 const DENY_ARITH: &str = "clippy::arithmetic_side_effects";
 const DENY_INDEX: &str = "clippy::indexing_slicing";
 
-/// Panicking calls the audit looks for. Needles starting with an
-/// identifier character are matched at word boundaries, so
-/// `debug_assert!` (compiled out in release builds) does not match
-/// `assert!`.
-const PANIC_NEEDLES: &[&str] = &[
-    ".unwrap()",
-    ".expect(",
-    "panic!",
-    "unreachable!",
-    "todo!",
-    "unimplemented!",
-    "assert!",
-    "assert_eq!",
-    "assert_ne!",
-];
+/// Panicking calls. `debug_assert!` (compiled out in release builds) does
+/// not match `assert!`; the codec crates' rule uses the first three
+/// ([`CODEC_NEEDLES`]).
+pub const PANIC_NEEDLES: &str =
+    ".unwrap() .expect( panic! unreachable! todo! unimplemented! assert! assert_eq! assert_ne!";
+const CODEC_NEEDLES: usize = 3;
 
-/// Kind of panic site, for the inventory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// A panicking call (`unwrap`, `expect`, `panic!`, an assert, ...).
-    PanicCall,
-    /// A bracket-indexing expression (`x[i]`, `x[a..b]`).
-    Indexing,
-    /// A scoped `#[allow(clippy::arithmetic_side_effects)]` /
-    /// `#[allow(clippy::indexing_slicing)]` escape from the lint wall.
-    AllowAttr,
+/// Whether `src` is in the decoder-reachable scope.
+fn scoped(src: &Source) -> bool {
+    let p = src.path.to_string_lossy().replace('\\', "/");
+    SCOPED_FILES.contains(&p.as_str())
+        || p.rsplit_once('/')
+            .is_some_and(|(dir, _)| SCOPED_DIRS.contains(&dir))
 }
 
-impl fmt::Display for SiteKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SiteKind::PanicCall => "panic call",
-            SiteKind::Indexing => "indexing",
-            SiteKind::AllowAttr => "allow attr",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One inventoried site.
-#[derive(Debug, Clone)]
-pub struct AuditSite {
-    /// Workspace-relative path.
-    pub path: PathBuf,
-    /// 1-based line number.
-    pub line: usize,
-    /// What kind of site.
-    pub kind: SiteKind,
-    /// The matched token (needle or `[`-context snippet).
-    pub what: String,
-    /// Whether the site is in test code.
-    pub in_test: bool,
-    /// Whether an AUDIT justification covers it.
-    pub audited: bool,
-}
-
-/// One audit failure.
-#[derive(Debug, Clone)]
-pub struct AuditViolation {
-    /// Workspace-relative path.
-    pub path: PathBuf,
-    /// 1-based line number (0 for file-level findings).
-    pub line: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for AuditViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{} {}", self.path.display(), self.line, self.message)
-    }
-}
-
-/// Result of auditing the scope.
-#[derive(Debug, Default)]
-pub struct AuditReport {
-    /// Every site found, in file order.
-    pub sites: Vec<AuditSite>,
-    /// Unaudited sites and missing deny declarations.
-    pub violations: Vec<AuditViolation>,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-}
-
-impl AuditReport {
-    /// Render the inventory grouped by file.
-    pub fn render(&self) -> String {
-        use std::collections::BTreeMap;
-        let mut by_file: BTreeMap<String, Vec<&AuditSite>> = BTreeMap::new();
-        for site in &self.sites {
-            by_file
-                .entry(site.path.display().to_string())
-                .or_default()
-                .push(site);
-        }
-        let mut out = String::new();
-        out.push_str("== panic-site inventory (decoder-reachable scope) ==\n");
-        for (file, sites) in &by_file {
-            let tests = sites.iter().filter(|s| s.in_test).count();
-            out.push_str(&format!(
-                "{file}: {} sites ({} in tests)\n",
-                sites.len(),
-                tests
-            ));
-            for s in sites {
-                out.push_str(&format!(
-                    "  {}:{} {} `{}`{}{}\n",
-                    s.path.display(),
-                    s.line,
-                    s.kind,
-                    s.what,
-                    if s.in_test { " [test]" } else { "" },
-                    if s.audited || s.in_test {
-                        ""
-                    } else {
-                        " [NO AUDIT]"
-                    }
-                ));
-            }
-        }
-        let unaudited = self
-            .sites
-            .iter()
-            .filter(|s| !s.in_test && !s.audited)
-            .count();
-        out.push_str(&format!(
-            "total: {} sites across {} files ({} non-test sites lack an AUDIT comment)\n",
-            self.sites.len(),
-            self.files_scanned,
-            unaudited
-        ));
-        out
-    }
-}
-
-/// Audit every file in the decoder-reachable scope under `root`.
-pub fn audit_workspace(root: &Path) -> std::io::Result<AuditReport> {
-    let mut files = Vec::new();
-    for dir in SCOPED_DIRS {
-        let dir_path = root.join(dir);
-        if !dir_path.is_dir() {
-            continue;
-        }
-        for entry in std::fs::read_dir(&dir_path)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "rs") {
-                files.push(path);
-            }
-        }
-    }
-    for file in SCOPED_FILES {
-        let path = root.join(file);
-        if path.is_file() {
-            files.push(path);
-        }
-    }
-    files.sort();
-    let mut report = AuditReport::default();
-    for file in &files {
-        let source = std::fs::read_to_string(file)?;
-        let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-        // The lint wall may be declared per-file or at the crate root.
-        let crate_root_deny = file
-            .parent()
-            .map(|dir| dir.join("lib.rs"))
-            .filter(|lib| lib != file)
-            .and_then(|lib| std::fs::read_to_string(lib).ok())
-            .is_some_and(|src| declares_deny(&src));
-        audit_source(&rel, &source, crate_root_deny, &mut report);
-    }
-    Ok(report)
-}
-
-/// True when `source` declares the scoped no-panic lint wall.
-fn declares_deny(source: &str) -> bool {
-    source.lines().any(|l| {
-        let l = l.trim();
-        l.starts_with("#![deny(") && l.contains(DENY_ARITH) && l.contains(DENY_INDEX)
+/// Whether `src` declares the no-panic lint wall.
+pub fn declares_deny(src: &Source) -> bool {
+    src.lines.iter().any(|l| {
+        let c = l.code.trim();
+        c.starts_with("#![deny(") && c.contains(DENY_ARITH) && c.contains(DENY_INDEX)
     })
 }
 
-/// Audit one file's source text into `report`.
-pub fn audit_source(
-    path: &Path,
-    source: &str,
-    crate_root_declares_deny: bool,
-    report: &mut AuditReport,
-) {
-    report.files_scanned += 1;
-    if !declares_deny(source) && !crate_root_declares_deny {
-        report.violations.push(AuditViolation {
-            path: path.to_path_buf(),
-            line: 0,
-            message: format!(
-                "scoped file lacks `#![deny({DENY_ARITH}, {DENY_INDEX})]` \
-                 (here or in the crate root)"
-            ),
-        });
+/// The `panic` query over one file; `crate_root_deny` says whether the
+/// crate root declares the lint wall for it.
+pub fn panic(src: &Source, crate_root_deny: bool, out: &mut Vec<Finding>) {
+    let scoped = scoped(src);
+    let needles = if scoped {
+        usize::MAX
+    } else if CODEC_CRATES.contains(&src.krate.as_str()) && !src.test_file {
+        CODEC_NEEDLES
+    } else {
+        return;
+    };
+    if scoped && !crate_root_deny && !declares_deny(src) {
+        let what = format!(
+            "scoped file lacks `#![deny({DENY_ARITH}, {DENY_INDEX})]` (here or in the crate root)"
+        );
+        out.push(Finding::fail(&src.path, 0, "panic", what));
     }
-    let lines = classify(source);
-    let covered = block_coverage(&lines);
-    for (idx, line) in lines.iter().enumerate() {
-        let in_test = line.in_test_item || near_cfg_test(&lines, idx);
-        let mut sites: Vec<(SiteKind, String)> = Vec::new();
-        for needle in PANIC_NEEDLES {
-            if find_needle(&line.code, needle).is_some() {
-                sites.push((SiteKind::PanicCall, (*needle).to_string()));
-            }
-        }
-        for snippet in indexing_sites(&line.code) {
-            sites.push((SiteKind::Indexing, snippet));
-        }
-        if line.code.contains("allow(")
-            && (line.code.contains(DENY_ARITH) || line.code.contains(DENY_INDEX))
-        {
-            sites.push((SiteKind::AllowAttr, "#[allow(clippy::..)]".to_string()));
-        }
-        if sites.is_empty() {
+    for (idx, line) in src.lines.iter().enumerate() {
+        if !scoped && src.in_test(idx) {
             continue;
         }
-        let audited =
-            covered.get(idx).copied().unwrap_or(false) || has_audit_justification(&lines, idx);
-        for (kind, what) in sites {
-            report.sites.push(AuditSite {
-                path: path.to_path_buf(),
-                line: line.number,
-                kind,
-                what: what.clone(),
-                in_test,
-                audited,
-            });
-            if !in_test && !audited {
-                report.violations.push(AuditViolation {
-                    path: path.to_path_buf(),
-                    line: line.number,
-                    message: format!(
-                        "{kind} `{what}` without an `// AUDIT:` justification \
-                         (classify it as unreachable-from-input or return an error)"
-                    ),
-                });
+        let code = &line.code;
+        let mut sites: Vec<String> = PANIC_NEEDLES
+            .split_whitespace()
+            .take(needles)
+            .filter(|n| find_word(code, n).is_some())
+            .map(|n| format!("panic call `{n}`"))
+            .collect();
+        if scoped {
+            sites.extend(indexing_sites(code).map(|s| format!("indexing `{s}`")));
+            if code.contains("allow(") && (code.contains(DENY_ARITH) || code.contains(DENY_INDEX)) {
+                sites.push("allow attr `#[allow(clippy::..)]`".into());
             }
+        }
+        for what in sites {
+            let justified = src.covered(idx, Kind::Panic, true);
+            out.push(Finding::at(src, idx, "panic", what, justified));
         }
     }
 }
 
 /// Bracket-indexing expressions on a code line: a `[` directly preceded by
-/// an identifier character, `)` or `]` is an index/slice of a place
+/// an identifier character, `)` or `]` indexes or slices a place
 /// expression (attribute `#[..]`, macro `vec![..]`, array type `[u8; 4]`
-/// and slice pattern `&[a, b]` all fail the predecessor test). Returns a
-/// short context snippet per hit for the report.
-fn indexing_sites(code: &str) -> Vec<String> {
+/// and slice pattern `&[a, b]` all fail the predecessor test). Yields a
+/// short context snippet per hit.
+fn indexing_sites(code: &str) -> impl Iterator<Item = String> + '_ {
     let chars: Vec<char> = code.chars().collect();
-    let mut out = Vec::new();
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' || i == 0 {
-            continue;
-        }
-        let prev = chars[i - 1];
-        if prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']' {
-            let start = i.saturating_sub(12);
-            let end = (i + 8).min(chars.len());
-            out.push(chars[start..end].iter().collect::<String>());
-        }
-    }
-    out
-}
-
-/// Find `needle` in `code`. Needles starting with an identifier character
-/// are matched at word boundaries (so `debug_assert!` does not match
-/// `assert!`, and `my_panic!` does not match `panic!`); needles starting
-/// with `.` match anywhere.
-fn find_needle(code: &str, needle: &str) -> Option<usize> {
-    let needs_boundary = needle
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_alphanumeric() || c == '_');
-    let mut start = 0;
-    while let Some(rel) = code[start..].find(needle) {
-        let pos = start + rel;
-        let before_ok = !needs_boundary
-            || pos == 0
-            || !code[..pos]
-                .chars()
-                .next_back()
-                .is_some_and(|c| c.is_alphanumeric() || c == '_');
-        if before_ok {
-            return Some(pos);
-        }
-        start = pos + needle.len();
-    }
-    None
-}
-
-/// True when line `idx` sits within (a few lines below) a `#[cfg(test)]`
-/// attribute — covers attribute stacks between the cfg and the item brace,
-/// which the brace-tracking test marker cannot see yet.
-fn near_cfg_test(lines: &[Line], idx: usize) -> bool {
-    (idx.saturating_sub(3)..=idx).any(|i| lines[i].code.contains("#[cfg(test)]"))
-}
-
-/// How far above a site the contiguous-block lookback searches for its
-/// AUDIT comment (matches the SAFETY lookback of the concurrency lint).
-const AUDIT_LOOKBACK: usize = 24;
-
-/// True when line `idx` is covered by a per-site AUDIT comment: on the
-/// line itself, or in the contiguous run of comment/attribute/blank or
-/// wrapped-statement-head lines directly above.
-fn has_audit_justification(lines: &[Line], idx: usize) -> bool {
-    if is_audit_comment(&lines[idx].comment) {
-        return true;
-    }
-    let mut i = idx;
-    let mut looked = 0;
-    while i > 0 && looked < AUDIT_LOOKBACK {
-        i -= 1;
-        looked += 1;
-        let l = &lines[i];
-        if is_audit_comment(&l.comment) {
-            return true;
-        }
-        let code = l.code.trim();
-        let is_pass_through = code.is_empty()
-            || code.starts_with("#[")
-            || code.starts_with("#![")
-            // A statement head rustfmt wrapped above the site.
-            || code.ends_with('=')
-            || code.ends_with('(')
-            || code.ends_with(',');
-        if !is_pass_through {
-            return false;
-        }
-    }
-    false
-}
-
-fn is_audit_comment(comment: &str) -> bool {
-    comment.contains("AUDIT")
-}
-
-/// How many lines below an `AUDIT(fn)` / `AUDIT(block)` comment the opening
-/// brace of the covered item may sit (a multi-line comment, attributes and
-/// a fully wrapped signature all push the brace down).
-const BLOCK_SCAN: usize = 24;
-
-/// Per-line coverage by `AUDIT(fn)` / `AUDIT(block)` comments: from each
-/// such comment, scan forward to the first code line containing `{`, then
-/// brace-match (on comment-and-string-stripped code) to the region's end;
-/// every line in between is covered.
-fn block_coverage(lines: &[Line]) -> Vec<bool> {
-    let mut covered = vec![false; lines.len()];
-    for idx in 0..lines.len() {
-        let c = &lines[idx].comment;
-        if !(c.contains("AUDIT(fn)") || c.contains("AUDIT(block)")) {
-            continue;
-        }
-        // Find the opening brace of the item the comment annotates.
-        let open = lines
-            .iter()
-            .enumerate()
-            .take(lines.len().min(idx + BLOCK_SCAN))
-            .skip(idx)
-            .find(|(_, l)| l.code.contains('{'))
-            .map(|(j, _)| j);
-        let Some(open) = open else { continue };
-        let mut depth: i64 = 0;
-        let mut end = open;
-        'scan: for (j, line) in lines.iter().enumerate().skip(open) {
-            for ch in line.code.chars() {
-                match ch {
-                    '{' => depth += 1,
-                    '}' => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = j;
-                            break 'scan;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            end = j;
-        }
-        for slot in covered.iter_mut().take(end + 1).skip(idx) {
-            *slot = true;
-        }
-    }
-    covered
+    (1..chars.len())
+        .filter(move |&i| {
+            let prev = chars[i - 1];
+            chars[i] == '[' && (is_ident(prev) || matches!(prev, ')' | ']'))
+        })
+        .map(move |i| {
+            code.chars()
+                .skip(i.saturating_sub(12))
+                .take(i.min(12) + 8)
+                .collect()
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn audit_str(path: &str, src: &str) -> AuditReport {
-        let mut report = AuditReport::default();
-        audit_source(Path::new(path), src, false, &mut report);
-        report
-    }
+    use std::path::Path;
 
     const DENY: &str = "#![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]\n";
 
+    /// The panic findings of `src` in `tier2`, a scoped crate whose root
+    /// does not declare the wall.
+    fn audit_str(src: &str) -> Vec<Finding> {
+        let mut out = Vec::new();
+        panic(
+            &Source::new(Path::new("crates/tier2/src/x.rs"), src),
+            false,
+            &mut out,
+        );
+        out
+    }
+
+    fn violations(found: &[Finding]) -> Vec<&Finding> {
+        found.iter().filter(|f| f.is_violation()).collect()
+    }
+
+    fn of_kind<'a>(found: &'a [Finding], kind: &str) -> Vec<&'a Finding> {
+        found.iter().filter(|f| f.what.starts_with(kind)).collect()
+    }
+
     #[test]
     fn missing_deny_is_flagged() {
-        let r = audit_str("crates/tier2/src/x.rs", "fn f() {}\n");
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains("deny"));
+        let r = audit_str("fn f() {}\n");
+        assert_eq!(violations(&r).len(), 1);
+        assert!(r[0].what.contains("deny"));
     }
 
     #[test]
     fn crate_root_deny_satisfies_file() {
-        let mut r = AuditReport::default();
-        audit_source(
-            Path::new("crates/mq/src/raw.rs"),
-            "fn f() {}\n",
+        let mut r = Vec::new();
+        panic(
+            &Source::new(Path::new("crates/mq/src/raw.rs"), "fn f() {}\n"),
             true,
             &mut r,
         );
-        assert!(r.violations.is_empty());
+        assert!(r.is_empty());
     }
 
     #[test]
     fn unaudited_unwrap_is_flagged() {
-        let src = format!("{DENY}fn f() {{ x.unwrap(); }}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains(".unwrap()"));
-        assert_eq!(r.violations[0].line, 2);
+        let r = audit_str(&format!("{DENY}fn f() {{ x.unwrap(); }}\n"));
+        let v = violations(&r);
+        assert!(
+            v.len() == 1 && v[0].what.contains(".unwrap()") && v[0].line == 2,
+            "{v:?}"
+        );
     }
 
     #[test]
     fn audit_comment_above_covers_site() {
-        let src = format!(
-            "{DENY}fn f() {{\n    // AUDIT: length checked two lines up.\n    x.unwrap();\n}}\n"
-        );
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert_eq!(r.sites.len(), 1);
-        assert!(r.sites[0].audited);
+        let src =
+            format!("{DENY}fn f() {{\n    // AUDIT(panic): length checked two lines up.\n    x.unwrap();\n}}\n");
+        let r = audit_str(&src);
+        assert!(r.len() == 1 && r[0].justified, "{r:?}");
     }
 
     #[test]
     fn audit_comment_same_line_covers_site() {
-        let src = format!("{DENY}fn f() {{ x.unwrap(); // AUDIT: cannot fail\n}}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let r = audit_str(&format!(
+            "{DENY}fn f() {{ x.unwrap(); // AUDIT(panic): cannot fail\n}}\n"
+        ));
+        assert!(violations(&r).is_empty(), "{r:?}");
     }
 
     #[test]
     fn audit_fn_covers_whole_body() {
         let src = format!(
-            "{DENY}// AUDIT(fn): encoder side, no untrusted input.\n\
+            "{DENY}// AUDIT(panic): encoder side, no untrusted input.\n\
              #[allow(clippy::indexing_slicing)]\n\
              fn encode(v: &[u8]) {{\n    let a = v[0];\n    let b = v[1].max(2);\n}}\n"
         );
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        let r = audit_str(&src);
         // allow attr + two indexing sites, all audited
-        assert!(r.sites.len() >= 3);
-        assert!(r.sites.iter().all(|s| s.audited));
+        assert!(r.len() == 3 && r.iter().all(|s| s.justified), "{r:?}");
     }
 
     #[test]
     fn audit_fn_does_not_leak_past_body() {
         let src = format!(
-            "{DENY}// AUDIT(fn): covered.\nfn a(v: &[u8]) {{\n    let x = v[0];\n}}\n\
+            "{DENY}// AUDIT(panic): covered.\nfn a(v: &[u8]) {{\n    let x = v[0];\n}}\n\
              fn b(v: &[u8]) {{\n    let y = v[1];\n}}\n"
         );
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert_eq!(r.violations.len(), 1, "{:?}", r.violations);
-        assert_eq!(r.violations[0].line, 7);
+        let r = audit_str(&src);
+        let v = violations(&r);
+        assert!(v.len() == 1 && v[0].line == 7, "{v:?}");
+    }
+
+    #[test]
+    fn statement_annotation_does_not_reach_the_next_block() {
+        // Above a statement, an annotation covers that statement only, not
+        // the braced statement after it.
+        let src = format!(
+            "{DENY}fn f(v: &[u8], b: u8, c: u8, d: bool, i: usize) {{\n    \
+             // AUDIT(panic): b > c\n    let a = b - c;\n    if d {{\n        \
+             let x = v[i];\n    }}\n}}\n"
+        );
+        let v: Vec<usize> = violations(&audit_str(&src))
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(v, [6]);
+    }
+
+    #[test]
+    fn braceless_cfg_test_item_exempts_nothing_after_it() {
+        let src =
+            format!("{DENY}#[cfg(test)]\nmod tests_file;\nfn real() {{\n    x.unwrap();\n}}\n");
+        let v: Vec<usize> = violations(&audit_str(&src))
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(v, [5]);
     }
 
     #[test]
@@ -537,41 +257,29 @@ mod tests {
         let src = format!(
             "{DENY}fn f(v: &[u8; 4]) -> Vec<u8> {{\n    #[cfg(feature = \"x\")]\n    let a: [u8; 2] = [1, 2];\n    vec![0u8; 3]\n}}\n"
         );
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(
-            r.sites.iter().all(|s| s.kind != SiteKind::Indexing),
-            "{:?}",
-            r.sites
-        );
+        let r = audit_str(&src);
+        assert!(of_kind(&r, "indexing").is_empty(), "{r:?}");
     }
 
     #[test]
     fn indexing_heuristic_catches_place_expressions() {
-        let src = format!("{DENY}fn f(v: &[u8], i: usize) {{\n    let a = v[i];\n}}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert_eq!(
-            r.sites
-                .iter()
-                .filter(|s| s.kind == SiteKind::Indexing)
-                .count(),
-            1
-        );
-        assert_eq!(r.violations.len(), 1);
+        let r = audit_str(&format!(
+            "{DENY}fn f(v: &[u8], i: usize) {{\n    let a = v[i];\n}}\n"
+        ));
+        assert_eq!(of_kind(&r, "indexing").len(), 1);
+        assert_eq!(violations(&r).len(), 1);
     }
 
     #[test]
     fn debug_assert_is_not_a_site() {
-        let src = format!("{DENY}fn f(x: u8) {{ debug_assert!(x < 2); }}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.sites.is_empty(), "{:?}", r.sites);
+        let r = audit_str(&format!("{DENY}fn f(x: u8) {{ debug_assert!(x < 2); }}\n"));
+        assert!(r.is_empty(), "{r:?}");
     }
 
     #[test]
     fn assert_is_a_site() {
-        let src = format!("{DENY}fn f(x: u8) {{ assert!(x < 2); }}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert_eq!(r.sites.len(), 1);
-        assert_eq!(r.violations.len(), 1);
+        let r = audit_str(&format!("{DENY}fn f(x: u8) {{ assert!(x < 2); }}\n"));
+        assert_eq!((r.len(), violations(&r).len()), (1, 1));
     }
 
     #[test]
@@ -579,9 +287,8 @@ mod tests {
         let src = format!(
             "{DENY}#[cfg(test)]\n#[allow(clippy::indexing_slicing)]\nmod tests {{\n    fn t(v: &[u8]) {{ let a = v[0]; v.last().unwrap(); }}\n}}\n"
         );
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-        assert!(r.sites.iter().all(|s| s.in_test), "{:?}", r.sites);
+        let r = audit_str(&src);
+        assert!(r.len() == 3 && r.iter().all(|s| s.in_test), "{r:?}");
     }
 
     #[test]
@@ -589,32 +296,27 @@ mod tests {
         let src = format!(
             "{DENY}#[allow(clippy::arithmetic_side_effects)]\nfn f(a: u32, b: u32) -> u32 {{ a + b }}\n"
         );
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert_eq!(r.violations.len(), 1);
-        assert!(r.violations[0].message.contains("allow"));
+        let r = audit_str(&src);
+        let v = violations(&r);
+        assert!(v.len() == 1 && v[0].what.contains("allow"), "{v:?}");
     }
 
     #[test]
     fn needle_in_string_is_not_a_site() {
-        let src = format!("{DENY}fn f() {{ let s = \"call .unwrap() or panic!\"; }}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.sites.is_empty(), "{:?}", r.sites);
-    }
-
-    #[test]
-    fn expect_named_method_is_not_a_site() {
-        let src =
-            format!("{DENY}fn f(r: &mut R) -> Result<(), E> {{ r.expect_marker(SOC)?; Ok(()) }}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        assert!(r.sites.iter().all(|s| s.kind != SiteKind::PanicCall));
+        let r = audit_str(&format!(
+            "{DENY}fn f() {{ let s = \"call .unwrap() or panic!\"; }}\n"
+        ));
+        assert!(r.is_empty(), "{r:?}");
     }
 
     #[test]
     fn render_mentions_counts() {
-        let src = format!("{DENY}fn f() {{ x.unwrap(); }}\n");
-        let r = audit_str("crates/tier2/src/x.rs", &src);
-        let text = r.render();
-        assert!(text.contains("1 sites"), "{text}");
-        assert!(text.contains("NO AUDIT"), "{text}");
+        let r = audit_str(&format!("{DENY}fn f() {{ x.unwrap(); }}\n"));
+        let text = crate::scan::render(&r, &[], false);
+        assert!(
+            text.contains("== panic: 1 sites in 1 files, 1 violations"),
+            "{text}"
+        );
+        assert!(text.contains("UNJUSTIFIED"), "{text}");
     }
 }

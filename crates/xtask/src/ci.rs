@@ -1,10 +1,9 @@
 //! `xtask ci` — the one-command verification gate.
 //!
 //! Runs, in order: `cargo fmt --check`, `cargo clippy -D warnings`, the
-//! project lint pass including the std-only dependency gate (in-process),
-//! the panic-path audit (in-process), the concurrency-contract audit
-//! (in-process), the hot-path discipline audit (in-process), and `cargo
-//! test`. The cargo steps run `--offline --locked`: the workspace has no
+//! audit (in-process, every check; the full inventory goes to
+//! `target/audit_report.txt`), and `cargo test`. The cargo steps run
+//! `--offline --locked`: the workspace has no
 //! external dependency, so needing the network or a different lock file is
 //! itself a failure. All steps run even if an earlier one fails, so a
 //! single invocation reports every problem; the exit status is non-zero if
@@ -49,22 +48,10 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
         "clippy",
         opts.skip_clippy,
         Command::new("cargo")
-            .args([
-                "clippy",
-                "--offline",
-                "--locked",
-                "--workspace",
-                "--all-targets",
-                "--",
-                "-D",
-                "warnings",
-            ])
+            .args("clippy --offline --locked --workspace --all-targets -- -D warnings".split(' '))
             .current_dir(root),
     );
-    let lint = step_lint(root);
     let audit = step_audit(root);
-    let unsafe_audit = step_unsafe_audit(root);
-    let hotpath = step_hotpath(root);
     let test = step_cmd(
         "test",
         opts.skip_tests,
@@ -72,7 +59,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
             .args(["test", "--offline", "--locked", "--workspace", "-q"])
             .current_dir(root),
     );
-    let results = [fmt, clippy, lint, audit, unsafe_audit, hotpath, test];
+    let results = [fmt, clippy, audit, test];
 
     println!("\n== ci summary ==");
     let mut failed = false;
@@ -110,114 +97,13 @@ fn step_cmd(name: &'static str, skip: bool, cmd: &mut Command) -> StepResult {
     StepResult { name, outcome }
 }
 
-fn step_lint(root: &Path) -> StepResult {
-    println!("== ci: lint ==");
-    let outcome = match crate::lint::lint_workspace(root) {
-        Ok(report) => {
-            print!("{}", report.render_inventory());
-            if report.violations.is_empty() {
-                println!("lint: clean ({} files)", report.files_scanned);
-                Outcome::Pass
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("lint: {} violation(s)", report.violations.len());
-                Outcome::Fail
-            }
-        }
-        Err(err) => {
-            eprintln!("lint: io error: {err}");
-            Outcome::Fail
-        }
-    };
-    StepResult {
-        name: "lint",
-        outcome,
-    }
-}
-
 fn step_audit(root: &Path) -> StepResult {
-    println!("== ci: audit-panics ==");
-    let outcome = match crate::audit::audit_workspace(root) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.violations.is_empty() {
-                println!("audit-panics: clean ({} files)", report.files_scanned);
-                Outcome::Pass
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("audit-panics: {} violation(s)", report.violations.len());
-                Outcome::Fail
-            }
-        }
-        Err(err) => {
-            eprintln!("audit-panics: io error: {err}");
-            Outcome::Fail
-        }
-    };
+    println!("== ci: audit ==");
+    let report = root.join("target").join("audit_report.txt");
+    let written = std::fs::create_dir_all(root.join("target"));
+    let ok = written.is_ok() && crate::run_audit(root, true, Some(&report)) == 0;
     StepResult {
-        name: "audit-panics",
-        outcome,
-    }
-}
-
-fn step_unsafe_audit(root: &Path) -> StepResult {
-    println!("== ci: audit-unsafe ==");
-    let outcome = match crate::unsafe_audit::audit_unsafe_workspace(root) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.violations.is_empty() {
-                println!("audit-unsafe: clean ({} files)", report.files_scanned);
-                Outcome::Pass
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("audit-unsafe: {} violation(s)", report.violations.len());
-                Outcome::Fail
-            }
-        }
-        Err(err) => {
-            eprintln!("audit-unsafe: io error: {err}");
-            Outcome::Fail
-        }
-    };
-    StepResult {
-        name: "audit-unsafe",
-        outcome,
-    }
-}
-
-fn step_hotpath(root: &Path) -> StepResult {
-    println!("== ci: audit-hotpath ==");
-    let outcome = match crate::hotpath::audit_hotpath_workspace(root) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.violations.is_empty() {
-                println!(
-                    "audit-hotpath: clean ({} hot fns from {} roots)",
-                    report.closure.len(),
-                    report.roots.len()
-                );
-                Outcome::Pass
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("audit-hotpath: {} violation(s)", report.violations.len());
-                Outcome::Fail
-            }
-        }
-        Err(err) => {
-            eprintln!("audit-hotpath: io error: {err}");
-            Outcome::Fail
-        }
-    };
-    StepResult {
-        name: "audit-hotpath",
-        outcome,
+        name: "audit",
+        outcome: if ok { Outcome::Pass } else { Outcome::Fail },
     }
 }

@@ -1,30 +1,22 @@
 //! Workspace automation for pj2k.
 //!
-//! * `cargo run -p xtask -- lint` — project-specific concurrency/safety
-//!   lint over every crate (see [`lint`] for the rules), the std-only
-//!   dependency gate (see [`std_only`]), plus a full `unsafe` inventory
-//!   report. Exits non-zero on any violation.
-//! * `cargo run -p xtask -- audit-panics` — static panic-path audit of the
-//!   decoder-reachable scope (see [`audit`]): every panic site must carry
-//!   an `// AUDIT:` justification. Exits non-zero on any unaudited site.
-//! * `cargo run -p xtask -- audit-unsafe` — static concurrency-contract
-//!   audit (see [`unsafe_audit`]): Send/Sync impls need SAFETY contracts,
-//!   raw parallel writes must route through `DisjointClaim` or carry an
-//!   `// AUDIT(alias):` justification, and `SendPtr` stays inside its
-//!   allowlisted modules. Exits non-zero on any uncovered site.
-//! * `cargo run -p xtask -- audit-hotpath` — static hot-path discipline
-//!   audit (see [`hotpath`]): builds an approximate call graph from the
-//!   roots declared in `hotpaths.toml` and requires every allocation,
-//!   lock, I/O, or panic site in the transitive closure to carry an
-//!   `// AUDIT(hot):` justification. Exits non-zero on any uncovered site.
-//! * `cargo run -p xtask -- ci` — the full verification gate: fmt check,
-//!   clippy `-D warnings`, the custom lint, all three audits, and the
-//!   test suite.
-//! * `cargo run -p xtask -- bench-smoke` — run every benchmark harness in
-//!   smoke mode and re-validate the JSON it emits (see [`bench`]).
+//! * `cargo xtask audit [--quiet] [--report PATH]` — every static check,
+//!   as queries over one scan of the workspace sources (see [`scan`]):
+//!   `safety` and `thread` ([`lint`]), `panic` ([`audit`]), `alias`
+//!   ([`unsafe_audit`]), `hot` ([`hotpath`]) and `std_only`
+//!   ([`std_only`]), plus `annotation` for malformed `AUDIT(..)`
+//!   comments. Prints the inventory (only the summary and the violations
+//!   with `--quiet`), writes the full inventory to `PATH` with
+//!   `--report`, and exits non-zero on any violation.
+//! * `cargo xtask ci` — the full verification gate: fmt check, clippy
+//!   `-D warnings`, the audit, and the test suite (see [`ci`]).
+//! * `cargo xtask bench-smoke` — run every benchmark harness in smoke mode
+//!   and re-validate the JSON it emits (see [`bench`]).
 //!
 //! The binary is intentionally dependency-free so it builds anywhere the
 //! Rust toolchain exists, including offline CI runners.
+
+#![forbid(unsafe_code)]
 
 mod audit;
 mod bench;
@@ -35,33 +27,19 @@ mod scan;
 mod std_only;
 mod unsafe_audit;
 
+use scan::{Finding, Source};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let root = workspace_root();
-    match args.first().map(String::as_str) {
-        Some("lint") => {
+    let code = match args.first().map(String::as_str) {
+        Some("audit") => {
+            let report = args.iter().position(|a| a == "--report");
+            let report = report.and_then(|i| args.get(i + 1)).map(PathBuf::from);
             let quiet = args.iter().any(|a| a == "--quiet");
-            run_lint(&root, quiet)
-        }
-        Some("audit-panics") => {
-            let quiet = args.iter().any(|a| a == "--quiet");
-            run_audit(&root, quiet)
-        }
-        Some("audit-unsafe") => {
-            let quiet = args.iter().any(|a| a == "--quiet");
-            run_unsafe_audit(&root, quiet)
-        }
-        Some("audit-hotpath") => {
-            let quiet = args.iter().any(|a| a == "--quiet");
-            let report_path = args
-                .iter()
-                .position(|a| a == "--report")
-                .and_then(|i| args.get(i + 1))
-                .map(PathBuf::from);
-            run_hotpath_audit(&root, quiet, report_path.as_deref())
+            run_audit(&root, quiet, report.as_deref())
         }
         Some("ci") => {
             let opts = ci::CiOptions {
@@ -69,157 +47,123 @@ fn main() -> ExitCode {
                 skip_clippy: args.iter().any(|a| a == "--skip-clippy"),
                 skip_tests: args.iter().any(|a| a == "--skip-tests"),
             };
-            ExitCode::from(ci::run(&root, &opts) as u8)
+            ci::run(&root, &opts)
         }
-        Some("bench-smoke") => ExitCode::from(bench::run(&root) as u8),
+        Some("bench-smoke") => bench::run(&root),
         Some("help") | None => {
             print_help();
-            ExitCode::SUCCESS
+            0
         }
         Some(other) => {
             eprintln!("xtask: unknown command `{other}`\n");
             print_help();
-            ExitCode::FAILURE
+            1
         }
-    }
+    };
+    ExitCode::from(code as u8)
 }
 
-fn run_lint(root: &Path, quiet: bool) -> ExitCode {
-    match lint::lint_workspace(root) {
-        Ok(report) => {
-            if !quiet {
-                print!("{}", report.render_inventory());
-            } else {
-                println!(
-                    "unsafe inventory: {} sites across {} files",
-                    report.unsafe_sites.len(),
-                    report.files_scanned
-                );
-            }
-            if report.violations.is_empty() {
-                println!("lint: clean ({} files scanned)", report.files_scanned);
-                ExitCode::SUCCESS
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("lint: {} violation(s)", report.violations.len());
-                ExitCode::FAILURE
-            }
-        }
+/// Run every query over the workspace at `root`: print the inventory, write
+/// it to `report` if given, print the violations. Returns the exit code.
+fn run_audit(root: &Path, quiet: bool, report: Option<&Path>) -> i32 {
+    let (findings, notes) = match audit_workspace(root) {
+        Ok(found) => found,
         Err(err) => {
-            eprintln!("lint: io error: {err}");
-            ExitCode::FAILURE
+            eprintln!("audit: io error: {err}");
+            return 1;
         }
+    };
+    print!("{}", scan::render(&findings, &notes, quiet));
+    if let Some(path) = report {
+        if let Err(err) = std::fs::write(path, scan::render(&findings, &notes, false)) {
+            eprintln!("audit: cannot write {}: {err}", path.display());
+            return 1;
+        }
+        println!("audit: inventory written to {}", path.display());
     }
+    let violations: Vec<&Finding> = findings.iter().filter(|f| f.is_violation()).collect();
+    if violations.is_empty() {
+        println!("audit: clean ({} sites)", findings.len());
+        return 0;
+    }
+    for v in &violations {
+        eprintln!("{v}");
+    }
+    eprintln!(
+        "audit: {} violation(s). A site is justified by `// SAFETY: ..` (safety) or \
+         `// AUDIT(<check>): <reason>` (panic, hot, alias, thread) on its line, in the \
+         comment/attribute block directly above it, or above the signature of an item \
+         around it (not for safety, nor for a libm site).",
+        violations.len()
+    );
+    1
 }
 
-fn run_audit(root: &Path, quiet: bool) -> ExitCode {
-    match audit::audit_workspace(root) {
-        Ok(report) => {
-            if !quiet {
-                print!("{}", report.render());
-            } else {
-                println!(
-                    "panic-site inventory: {} sites across {} files",
-                    report.sites.len(),
-                    report.files_scanned
-                );
-            }
-            if report.violations.is_empty() {
-                println!(
-                    "audit-panics: clean ({} files scanned)",
-                    report.files_scanned
-                );
-                ExitCode::SUCCESS
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("audit-panics: {} violation(s)", report.violations.len());
-                ExitCode::FAILURE
-            }
-        }
-        Err(err) => {
-            eprintln!("audit-panics: io error: {err}");
-            ExitCode::FAILURE
-        }
-    }
+/// Every finding of every query over the workspace at `root`, and the hot
+/// query's notes.
+fn audit_workspace(root: &Path) -> std::io::Result<(Vec<Finding>, Vec<String>)> {
+    audit_sources(root, &scan::load(root)?)
 }
 
-fn run_unsafe_audit(root: &Path, quiet: bool) -> ExitCode {
-    match unsafe_audit::audit_unsafe_workspace(root) {
-        Ok(report) => {
-            if !quiet {
-                print!("{}", report.render());
-            } else {
-                println!(
-                    "concurrency-contract inventory: {} sites across {} files",
-                    report.sites.len(),
-                    report.files_scanned
-                );
-            }
-            if report.violations.is_empty() {
-                println!(
-                    "audit-unsafe: clean ({} files scanned)",
-                    report.files_scanned
-                );
-                ExitCode::SUCCESS
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("audit-unsafe: {} violation(s)", report.violations.len());
-                ExitCode::FAILURE
-            }
-        }
-        Err(err) => {
-            eprintln!("audit-unsafe: io error: {err}");
-            ExitCode::FAILURE
-        }
+/// [`audit_workspace`] over already classified `sources`.
+fn audit_sources(root: &Path, sources: &[Source]) -> std::io::Result<(Vec<Finding>, Vec<String>)> {
+    let mut out = Vec::new();
+    for src in sources {
+        // The panic lint wall may be declared per file or at the crate root.
+        let lib = src.path.with_file_name("lib.rs");
+        let root_deny = sources
+            .iter()
+            .any(|s| s.path == lib && s.path != src.path && audit::declares_deny(s));
+        audit_file(src, root_deny, &mut out);
     }
+    let manifests = std_only::manifests(root)?;
+    let mut notes = vec![format!("{} source files scanned", sources.len())];
+    notes.extend(hotpath::hot_workspace(root, sources, &manifests, &mut out));
+    std_only::check_workspace(root, &manifests, &mut out);
+    sort(&mut out);
+    Ok((out, notes))
 }
 
-fn run_hotpath_audit(root: &Path, quiet: bool, report_path: Option<&Path>) -> ExitCode {
-    match hotpath::audit_hotpath_workspace(root) {
-        Ok(report) => {
-            let rendered = report.render();
-            if !quiet {
-                print!("{rendered}");
-            } else {
-                println!(
-                    "hot-path inventory: {} sites across {} hot fns",
-                    report.sites.len(),
-                    report.closure.len()
-                );
-            }
-            if let Some(path) = report_path {
-                if let Err(err) = std::fs::write(path, &rendered) {
-                    eprintln!("audit-hotpath: cannot write {}: {err}", path.display());
-                    return ExitCode::FAILURE;
-                }
-                println!("audit-hotpath: report written to {}", path.display());
-            }
-            if report.violations.is_empty() {
-                println!(
-                    "audit-hotpath: clean ({} hot fns from {} roots)",
-                    report.closure.len(),
-                    report.roots.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                for v in &report.violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("audit-hotpath: {} violation(s)", report.violations.len());
-                ExitCode::FAILURE
-            }
-        }
-        Err(err) => {
-            eprintln!("audit-hotpath: io error: {err}");
-            ExitCode::FAILURE
+/// The per-file queries over one source.
+fn audit_file(src: &Source, crate_root_deny: bool, out: &mut Vec<Finding>) {
+    for (idx, line) in src.lines.iter().enumerate() {
+        if let Some(Err(what)) = scan::parse_annotation(&line.comment) {
+            let what = format!("malformed AUDIT annotation: {what}");
+            out.push(Finding::fail(&src.path, idx + 1, "annotation", what));
         }
     }
+    lint::safety(src, out);
+    lint::thread(src, out);
+    audit::panic(src, crate_root_deny, out);
+    unsafe_audit::alias(src, out);
+}
+
+/// Order findings by check, then by file and line.
+fn sort(found: &mut [Finding]) {
+    let rank = |c: &str| scan::CHECKS.iter().position(|k| *k == c);
+    found.sort_by(|a, b| (rank(a.check), &a.path, a.line).cmp(&(rank(b.check), &b.path, b.line)));
+}
+
+/// The per-file findings of `text` at the workspace-relative `path`, with
+/// the panic lint wall declared by the crate root.
+#[cfg(test)]
+fn fixture(path: &str, text: &str) -> Vec<Finding> {
+    let mut out = Vec::new();
+    audit_file(&Source::new(Path::new(path), text), true, &mut out);
+    sort(&mut out);
+    out
+}
+
+/// [`fixture`] over a file of this workspace.
+#[cfg(test)]
+fn workspace_fixture(rel: &str) -> Vec<Finding> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel);
+    fixture(
+        rel,
+        &std::fs::read_to_string(path).expect("workspace file exists"),
+    )
 }
 
 /// Locate the workspace root: walk up from the current directory to the
@@ -241,27 +185,88 @@ fn print_help() {
         "xtask — pj2k workspace automation\n\
          \n\
          USAGE:\n\
-         \tcargo run -p xtask -- <command> [flags]\n\
+         \tcargo xtask <command> [flags]\n\
          \n\
          COMMANDS:\n\
-         \tlint\trun the project lint rules + unsafe inventory\n\
-         \t\t--quiet\tsummarize the inventory instead of listing sites\n\
-         \taudit-panics\tstatic panic-path audit of the decode pipeline\n\
-         \t\t--quiet\tsummarize the inventory instead of listing sites\n\
-         \taudit-unsafe\tconcurrency-contract audit (Send/Sync, SendPtr, claims)\n\
-         \t\t--quiet\tsummarize the inventory instead of listing sites\n\
-         \taudit-hotpath\thot-path discipline audit (hotpaths.toml call-graph closure)\n\
-         \t\t--quiet\tsummarize the inventory instead of listing sites\n\
-         \t\t--report <path>\talso write the inventory report to a file\n\
-         \tci\tfmt-check + clippy -D warnings + lint + audits + tests\n\
+         \taudit\tevery static check: safety, thread, panic, alias, hot, std_only\n\
+         \t\t--quiet\tprint the summary and the violations, not every site\n\
+         \t\t--report <path>\talso write the full inventory to a file\n\
+         \tci\tfmt-check + clippy -D warnings + audit + tests\n\
          \t\t--skip-fmt | --skip-clippy | --skip-tests\n\
          \tbench-smoke\trun every bench harness in smoke mode, validate JSON\n\
          \thelp\tthis message\n\
          \n\
-         LINT RULES (suppress with `// lint:allow(<rule>) -- <reason>`):\n\
-         \tunsafe_needs_safety\tunsafe code must carry a SAFETY justification\n\
-         \thot_path_panic\tno unwrap/expect/panic! in mq, ebcot, dwt, tier2\n\
-         \traw_thread_spawn\tno raw thread creation outside parutil\n\
-         \tstd_only\tno dependency from outside the repository (Cargo.lock, manifests)"
+         CHECKS (justify a site with `// AUDIT(<check>): <reason>`):\n\
+         \tsafety\tunsafe code needs a `// SAFETY:` comment\n\
+         \tthread\tno raw thread creation outside parutil\n\
+         \tpanic\tno unjustified panic site in the decoder scope or the codec crates\n\
+         \talias\traw parallel writes route through claims; SendPtr stays allowlisted\n\
+         \thot\tno unjustified alloc/lock/io/libm/panic site under hotpaths.toml roots\n\
+         \tstd_only\tno dependency from outside the repository (not justifiable)"
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Replace `from` with `to` on the nearest line at or above the first
+    /// line containing `anchor`.
+    fn edit(text: &str, anchor: &str, from: &str, to: &str) -> String {
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let at = lines
+            .iter()
+            .position(|l| l.contains(anchor))
+            .expect("anchor");
+        let i = (0..=at)
+            .rev()
+            .find(|&i| lines[i].contains(from))
+            .expect("target");
+        lines[i] = lines[i].replacen(from, to, 1);
+        lines.join("\n") + "\n"
+    }
+
+    #[test]
+    fn seeded_violations_on_the_real_tree_fail_the_audit() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let (clean, _) = audit_workspace(&root).expect("workspace readable");
+        let bad: Vec<_> = clean.iter().filter(|f| f.is_violation()).collect();
+        assert!(bad.is_empty(), "the tree must audit clean: {bad:?}");
+        type Seed = fn(&str) -> String;
+        let cases: [(&str, &str, Seed); 5] = [
+            ("crates/parutil/src/exec.rs", "safety", |t| {
+                edit(t, "unsafe impl<T: Send> Send", "SAFETY", "NOTE")
+            }),
+            ("crates/core/src/quant.rs", "alias", |t| {
+                edit(t, "AUDIT(alias)", "AUDIT", "NOTE")
+            }),
+            ("crates/tier2/src/packet.rs", "panic", |t| {
+                edit(t, "AUDIT(panic)", "AUDIT", "NOTE")
+            }),
+            ("crates/ebcot/src/bitplane.rs", "hot", |t| {
+                edit(t, "AUDIT(hot)", "AUDIT", "NOTE")
+            }),
+            ("crates/core/src/lib.rs", "thread", |t| {
+                format!("{t}fn seeded() {{\n    std::thread::spawn(|| ());\n}}\n")
+            }),
+        ];
+        for (rel, check, seed) in cases {
+            let mut sources = scan::load(&root).expect("workspace readable");
+            let slot = sources.iter_mut().find(|s| s.path == Path::new(rel));
+            let slot = slot.expect("seeded file loaded");
+            let text = std::fs::read_to_string(root.join(rel)).expect("seeded file readable");
+            *slot = Source::new(Path::new(rel), &seed(&text));
+            let (found, _) = audit_sources(&root, &sources).expect("workspace readable");
+            let caught = found.iter().any(|f| f.check == check && f.is_violation());
+            assert!(caught, "seeded `{check}` violation in {rel} went unnoticed");
+        }
+        let lock = std::fs::read_to_string(root.join("Cargo.lock")).expect("lock file exists");
+        let lock =
+            format!("{lock}source = \"registry+https://github.com/rust-lang/crates.io-index\"\n");
+        let mut out = Vec::new();
+        std_only::check_lock(Path::new("Cargo.lock"), &lock, &mut out);
+        assert!(out
+            .iter()
+            .any(|f| f.check == "std_only" && f.is_violation()));
+    }
 }

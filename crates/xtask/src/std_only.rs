@@ -1,4 +1,5 @@
-//! The std-only gate of `xtask lint`.
+//! The `std_only` query: the workspace depends on nothing outside the
+//! repository.
 //!
 //! The root workspace must build with an empty registry and no network
 //! (`cargo build --offline --locked`), so every dependency has to be a
@@ -13,46 +14,50 @@
 //! The `fuzz/` and `loom/` crates need crates.io and are therefore their
 //! own workspaces, outside this gate (and outside `cargo build`).
 
-use crate::lint::{Report, Rule, Violation};
-use std::path::Path;
+use crate::scan::Finding;
+use std::path::{Path, PathBuf};
+
+/// The workspace manifests, `Cargo.toml` and `crates/*/Cargo.toml`, as
+/// (workspace-relative path, text) pairs in path order.
+pub fn manifests(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
+    let mut paths = vec![root.join("Cargo.toml")];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        paths.push(entry?.path().join("Cargo.toml"));
+    }
+    paths.sort();
+    let read = |m: &PathBuf| {
+        Ok((
+            m.strip_prefix(root).unwrap_or(m).to_path_buf(),
+            std::fs::read_to_string(m)?,
+        ))
+    };
+    paths.iter().filter(|m| m.is_file()).map(read).collect()
+}
 
 /// Run both checks over the workspace rooted at `root`.
-pub fn check_workspace(root: &Path, report: &mut Report) -> std::io::Result<()> {
+pub fn check_workspace(root: &Path, manifests: &[(PathBuf, String)], report: &mut Vec<Finding>) {
     match std::fs::read_to_string(root.join("Cargo.lock")) {
         Ok(lock) => check_lock(Path::new("Cargo.lock"), &lock, report),
-        Err(_) => report.violations.push(violation(
+        Err(_) => report.push(violation(
             Path::new("Cargo.lock"),
             1,
             "Cargo.lock is missing; commit it so `--locked` builds work".into(),
         )),
     }
-    let mut manifests = vec![root.join("Cargo.toml")];
-    for entry in std::fs::read_dir(root.join("crates"))? {
-        manifests.push(entry?.path().join("Cargo.toml"));
+    for (rel, text) in manifests {
+        check_manifest(rel, text, report);
     }
-    manifests.sort();
-    for manifest in manifests.iter().filter(|m| m.is_file()) {
-        let text = std::fs::read_to_string(manifest)?;
-        let rel = manifest.strip_prefix(root).unwrap_or(manifest);
-        check_manifest(rel, &text, report);
-    }
-    Ok(())
 }
 
-fn violation(path: &Path, line: usize, message: String) -> Violation {
-    Violation {
-        path: path.to_path_buf(),
-        line,
-        rule: Rule::StdOnly,
-        message,
-    }
+fn violation(path: &Path, line: usize, message: String) -> Finding {
+    Finding::fail(path, line, "std_only", message)
 }
 
 /// Flag every `source = ...` line of a lock file.
-pub fn check_lock(path: &Path, text: &str, report: &mut Report) {
+pub fn check_lock(path: &Path, text: &str, report: &mut Vec<Finding>) {
     for (i, line) in text.lines().enumerate() {
         if line.trim_start().starts_with("source =") {
-            report.violations.push(violation(
+            report.push(violation(
                 path,
                 i + 1,
                 format!(
@@ -65,16 +70,14 @@ pub fn check_lock(path: &Path, text: &str, report: &mut Report) {
 }
 
 /// Flag every dependency of a manifest that is not a `path` crate.
-pub fn check_manifest(path: &Path, text: &str, report: &mut Report) {
+pub fn check_manifest(path: &Path, text: &str, report: &mut Vec<Finding>) {
     // `[dependencies.foo]`-style table being scanned: (header line, name,
     // whether a `path`/`workspace` key was seen).
     let mut table: Option<(usize, String, bool)> = None;
     let mut in_dep_list = false;
-    let flush = |table: &mut Option<(usize, String, bool)>, report: &mut Report| {
+    let flush = |table: &mut Option<(usize, String, bool)>, report: &mut Vec<Finding>| {
         if let Some((line, name, false)) = table.take() {
-            report
-                .violations
-                .push(violation(path, line, non_path_message(&name)));
+            report.push(violation(path, line, non_path_message(&name)));
         }
     };
     for (i, raw) in text.lines().enumerate() {
@@ -99,9 +102,7 @@ pub fn check_manifest(path: &Path, text: &str, report: &mut Report) {
                 || value.contains("workspace = true");
             if !local {
                 let name = key.split('.').next().unwrap_or(key);
-                report
-                    .violations
-                    .push(violation(path, i + 1, non_path_message(name)));
+                report.push(violation(path, i + 1, non_path_message(name)));
             }
         }
     }
@@ -119,11 +120,13 @@ fn non_path_message(name: &str) -> String {
 mod tests {
     use super::*;
 
-    fn lines_flagged(check: fn(&Path, &str, &mut Report), text: &str) -> Vec<usize> {
-        let mut report = Report::default();
+    fn lines_flagged(check: fn(&Path, &str, &mut Vec<Finding>), text: &str) -> Vec<usize> {
+        let mut report = Vec::new();
         check(Path::new("x"), text, &mut report);
-        assert!(report.violations.iter().all(|v| v.rule == Rule::StdOnly));
-        report.violations.iter().map(|v| v.line).collect()
+        assert!(report
+            .iter()
+            .all(|v| v.check == "std_only" && v.is_violation()));
+        report.iter().map(|v| v.line).collect()
     }
 
     #[test]
