@@ -302,6 +302,14 @@ mod tests {
     }
 
     #[test]
+    fn expect_named_method_is_not_a_site() {
+        let r = audit_str(&format!(
+            "{DENY}fn f(r: &mut R) -> Result<(), E> {{ r.expect_marker(SOC)?; Ok(()) }}\n"
+        ));
+        assert!(r.is_empty(), "{r:?}");
+    }
+
+    #[test]
     fn needle_in_string_is_not_a_site() {
         let r = audit_str(&format!(
             "{DENY}fn f() {{ let s = \"call .unwrap() or panic!\"; }}\n"

@@ -250,6 +250,17 @@ mod tests {
     }
 
     #[test]
+    fn send_impl_in_test_code_still_fires() {
+        // Unlike the panic check, Send/Sync contracts are required even in
+        // test code: a bogus impl in a test harness still races for real.
+        let src =
+            "#[cfg(test)]\nmod tests {\n    struct W(*mut u8);\n    unsafe impl Send for W {}\n}\n";
+        let r = audit_str("crates/dwt/src/x.rs", src, "safety");
+        assert!(r.len() == 1 && !r[0].in_test, "{r:?}");
+        assert_eq!(violations(&r), [4]);
+    }
+
+    #[test]
     fn non_send_unsafe_impl_is_not_a_site() {
         let src = "unsafe impl GlobalAlloc for CountingAlloc {}\n";
         assert!(audit_str("crates/bench/src/bin/b.rs", src, "alias").is_empty());
