@@ -22,7 +22,7 @@ use pj2k_ebcot::{BlockDecoderScratch, Tier1Options};
 use pj2k_image::tile::{TileGrid, TileRect};
 use pj2k_image::transform::{ict_inverse, rct_inverse};
 use pj2k_image::{Image, Plane};
-use pj2k_parutil::{pipeline_overlap_with_state, Exec, PipelineQueue, SendPtr, StageTimes};
+use pj2k_parutil::{bounded_ordered_serve, clamp_workers, DisjointWriter, Exec, StageTimes};
 use pj2k_tier2::codestream::{self, MarkerReader, ParseError, PayloadReader};
 use pj2k_tier2::{decode_packet, PacketError, PrecinctState};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -177,31 +177,32 @@ struct WorkerState {
 }
 
 /// Write the `geom.w x geom.h` block `coeffs`, each sample through `map`,
-/// to its place in the `stride`-pitched sample plane behind `plane`.
+/// to its place in the `stride`-pitched sample plane behind `plane`,
+/// through one claim of the block's rectangle.
 ///
 /// # Safety
-/// The block rectangle must lie inside the plane, and no other thread may
-/// access that rectangle until the caller's worker scope has joined.
+/// `coeffs` holds `geom.w * geom.h` samples, and no other thread may claim
+/// a rectangle of `plane` overlapping the block's (checked in debug
+/// builds).
 // AUDIT(panic): `geom` comes from `blocks_of` over the tile's own
 // decomposition and `stride` from the plane it was computed for, so every
-// offset stays inside the plane's buffer; `geom.w > 0` (Tier-1 rejects
-// empty blocks before this runs). Untrusted bytes reach none of it.
+// offset stays inside the plane's buffer (and `claim_rect` checks it);
+// `geom.w > 0` (Tier-1 rejects empty blocks before this runs). Untrusted
+// bytes reach none of it.
 #[allow(clippy::arithmetic_side_effects)]
 unsafe fn scatter_block<T>(
-    plane: &SendPtr<T>,
+    plane: &DisjointWriter<'_, T>,
     stride: usize,
     geom: &crate::blocks::BlockGeom,
     coeffs: &[i32],
     map: impl Fn(i32) -> T,
 ) {
+    let (xs, ys) = (geom.x0..geom.x0 + geom.w, geom.y0..geom.y0 + geom.h);
+    let claim = plane.claim_rect(xs, ys, stride);
     for (dy, src) in coeffs.chunks_exact(geom.w).enumerate() {
-        // SAFETY: in bounds by the caller's contract.
-        // AUDIT(alias): code-blocks tile each subband and subbands tile the
-        // Mallat-layout plane, so the rectangles of distinct jobs are
-        // disjoint; the queue hands each job to exactly one worker; and the
-        // thread that owns the planes does not touch them between creating
-        // the pointers and the scope join. One argument covers every write.
-        let dst = unsafe { plane.slice_mut((geom.y0 + dy) * stride + geom.x0, geom.w) };
+        // SAFETY: the span is one row of the claimed rectangle, and by the
+        // caller's contract no other thread touches that rectangle.
+        let dst = unsafe { claim.slice_mut((geom.y0 + dy) * stride + geom.x0, geom.w) };
         for (d, &q) in dst.iter_mut().zip(src) {
             *d = map(q);
         }
@@ -255,7 +256,7 @@ impl BlockSink<'_> {
     /// A parse error wins; otherwise the error of the first failing block
     /// in stream order is returned, whatever the worker count. Either way
     /// the queue is drained and every worker has joined on return.
-    // AUDIT(hot): one queue, two pointer tables and two small atomics per
+    // AUDIT(hot): one queue, two writer tables and two small atomics per
     // tile (setup-time); the per-block closure runs on warm scratch.
     fn run(
         &self,
@@ -264,7 +265,14 @@ impl BlockSink<'_> {
         planes_f: &mut [Plane<f32>],
         parse: impl FnOnce(&mut dyn FnMut(BlockJob)) -> Result<(), CodecError>,
     ) -> Result<usize, CodecError> {
-        if workers > 1 {
+        // The parse never blocks (the queue is unbounded), so one worker
+        // gains nothing over decoding inline after it.
+        let consumers = if clamp_workers(workers) > 1 {
+            workers
+        } else {
+            0
+        };
+        if consumers > 0 {
             planes_q.iter_mut().for_each(touch_pages);
             planes_f.iter_mut().for_each(touch_pages);
         }
@@ -274,13 +282,13 @@ impl BlockSink<'_> {
             .map(Plane::stride)
             .or_else(|| planes_f.first().map(Plane::stride))
             .unwrap_or(0);
-        let ptrs_q: Vec<SendPtr<i32>> = planes_q
+        let writers_q: Vec<DisjointWriter<'_, i32>> = planes_q
             .iter_mut()
-            .map(|p| SendPtr::new(p.raw_mut()))
+            .map(|p| DisjointWriter::new(p.raw_mut()))
             .collect();
-        let ptrs_f: Vec<SendPtr<f32>> = planes_f
+        let writers_f: Vec<DisjointWriter<'_, f32>> = planes_f
             .iter_mut()
-            .map(|p| SendPtr::new(p.raw_mut()))
+            .map(|p| DisjointWriter::new(p.raw_mut()))
             .collect();
         // Jobs numbered from `stop_at` on are dropped undecoded. A failing
         // block lowers it to just past its own number, so every earlier
@@ -288,7 +296,6 @@ impl BlockSink<'_> {
         // lowest-numbered failure; a parse error lowers it to 0.
         let stop_at = AtomicUsize::new(usize::MAX);
         let first_failure: Mutex<Option<(usize, pj2k_ebcot::DecodeError)>> = Mutex::new(None);
-        let queue: PipelineQueue<BlockJob> = PipelineQueue::new();
         let (roi_s, roi_d) = self.roi;
 
         let consume = |state: &mut WorkerState, i: usize, job: BlockJob| {
@@ -319,43 +326,46 @@ impl BlockSink<'_> {
             // AUDIT(panic): the scatter below indexes with `comp < ncomp`
             // and `band_idx < nbands`, true by construction in the parser.
             #[allow(clippy::indexing_slicing)]
-            // SAFETY: `geom` is a block of the decomposition of these very
-            // planes, so its rectangle is inside them; `state.out` holds
-            // `geom.w * geom.h` samples (Tier-1 contract); the planes stay
-            // mutably borrowed by this call, which returns only after
-            // `pipeline_overlap_with_state` has joined every worker.
+            // SAFETY: `state.out` holds `geom.w * geom.h` samples (Tier-1
+            // contract); code-blocks tile each subband and subbands tile the
+            // Mallat-layout plane, so the rectangles of distinct jobs are
+            // disjoint, and the queue hands each job to exactly one worker.
             unsafe {
                 if reversible {
                     // AUDIT(panic): `comp < ncomp` by construction in the parser.
-                    scatter_block(&ptrs_q[job.comp], stride, &job.geom, &state.out, |q| q);
+                    scatter_block(&writers_q[job.comp], stride, &job.geom, &state.out, |q| q);
                 } else {
                     // AUDIT(panic): `band_idx < nbands` by construction in the parser.
                     let step = self.steps[job.band_idx];
                     // AUDIT(panic): `comp < ncomp` by construction in the parser.
-                    scatter_block(&ptrs_f[job.comp], stride, &job.geom, &state.out, |q| {
+                    scatter_block(&writers_f[job.comp], stride, &job.geom, &state.out, |q| {
                         dequantize_value(q, step)
                     });
                 }
             }
         };
-        let produce = || {
-            let mut n_jobs = 0usize;
-            let parsed = parse(&mut |job| {
-                queue.send(n_jobs, job);
-                n_jobs = n_jobs.saturating_add(1);
-            });
-            if parsed.is_err() {
-                stop_at.store(0, Ordering::Relaxed);
-            }
-            parsed.map(|()| n_jobs)
-        };
-        let n_jobs = pipeline_overlap_with_state(
-            workers,
-            &queue,
+        let mut produced = Ok(0);
+        bounded_ordered_serve(
+            consumers,
+            usize::MAX,
             |_| WorkerState::default(),
             consume,
-            produce,
-        )?;
+            |_, ()| {},
+            |queue| {
+                let mut n_jobs = 0usize;
+                let parsed = parse(&mut |job| {
+                    // A send fails only once a worker has panicked; that
+                    // panic reaches the caller at the join.
+                    let _ = queue.send(n_jobs, job);
+                    n_jobs = n_jobs.saturating_add(1);
+                });
+                if parsed.is_err() {
+                    stop_at.store(0, Ordering::Relaxed);
+                }
+                produced = parsed.map(|()| n_jobs);
+            },
+        );
+        let n_jobs = produced?;
         match first_failure
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner)
@@ -865,9 +875,9 @@ impl SampleRange {
 /// The output stage of one tile: write `clamp(to_int(v) + shift, lo, hi)`
 /// for every sample of the tile's component planes `src` into the tile's
 /// rectangle `rect` of the image planes `out`, with the rows split over
-/// `exec`. Each worker writes, and so first-touches, only its own row band
-/// of the (lazily zeroed) output.
-// AUDIT(hot): one pointer Vec per tile (setup-time); the per-sample loop
+/// `exec`. Each worker claims, and so first-touches, only its own row band
+/// of each (lazily zeroed) output plane.
+// AUDIT(hot): one writer Vec per tile (setup-time); the per-sample loop
 // allocates nothing and calls no libm function.
 // AUDIT(panic): `rect` comes from the image's own tile grid, so the tile lies
 // inside the `hdr.width x hdr.height` output planes and `src` holds
@@ -883,20 +893,21 @@ fn write_output<T: Copy + Sync>(
 ) {
     debug_assert!(src.len() == out.len());
     let stride = out.first().map_or(0, Plane::stride);
-    let dst: Vec<SendPtr<i32>> = out.iter_mut().map(|p| SendPtr::new(p.raw_mut())).collect();
+    let dst: Vec<DisjointWriter<'_, i32>> = out
+        .iter_mut()
+        .map(|p| DisjointWriter::new(p.raw_mut()))
+        .collect();
     exec.run_ranges(rect.h, |rows| {
         // Copied out once: read through the captured reference, they would
         // be reloaded after every store, which keeps the loop scalar.
         let SampleRange { shift, lo, hi } = range;
-        for y in rows {
-            for (plane, dst) in src.iter().zip(&dst) {
+        let band = rect.y0 + rows.start..rect.y0 + rows.end;
+        for (plane, dst) in src.iter().zip(&dst) {
+            let claim = dst.claim_rect(rect.x0..rect.x0 + rect.w, band.clone(), stride);
+            for y in rows.clone() {
                 // SAFETY: row `rect.y0 + y`, columns `rect.x0..rect.x0 +
-                // rect.w`, is inside the output plane (see AUDIT(panic) above).
-                // AUDIT(alias): run_ranges hands each worker a distinct range
-                // of rows, components are distinct planes, and the caller
-                // holds `out` mutably borrowed and does not touch it until
-                // run_ranges has joined, so no two writers share a sample.
-                let row = unsafe { dst.slice_mut((rect.y0 + y) * stride + rect.x0, rect.w) };
+                // rect.w`, lies inside this worker's claimed band.
+                let row = unsafe { claim.slice_mut((rect.y0 + y) * stride + rect.x0, rect.w) };
                 for (d, &v) in row.iter_mut().zip(plane.row(y)) {
                     *d = to_int(v).saturating_add(shift).clamp(lo, hi);
                 }

@@ -1,7 +1,7 @@
 //! The encoding pipeline.
 
 use crate::blocks::{band_ctx, blocks_of, grid_dims, indexed_resolutions, BlockGeom};
-use crate::config::{EncoderConfig, ParallelMode, RateControl, Roi};
+use crate::config::{EncoderConfig, RateControl, Roi};
 use crate::quant::{band_step, distortion_scale, quantize_plane};
 use crate::report::stage;
 use pj2k_dwt::{forward_53_with, forward_97_with, gains, Band, Decomposition, DwtStats};
@@ -533,19 +533,13 @@ impl Encoder {
         };
         let n = subset.map_or(jobs.len(), |(indices, _)| indices.len());
         let engine = self.cfg.tier1_engine;
-        match self.cfg.parallel {
-            ParallelMode::Sequential => {
-                let mut coder = BlockCoder::with_engine(engine);
-                (0..n).map(|k| code_one(&mut coder, k)).collect()
-            }
-            ParallelMode::WorkerPool { workers } => pool_map_with_state(
-                n,
-                workers.max(1),
-                self.cfg.tier1_schedule,
-                |_| BlockCoder::with_engine(engine),
-                code_one,
-            ),
-        }
+        pool_map_with_state(
+            n,
+            self.cfg.parallel.workers(),
+            self.cfg.tier1_schedule,
+            |_| BlockCoder::with_engine(engine),
+            code_one,
+        )
     }
 
     /// Tier-1 and rate allocation under a rate target, coding only the
@@ -771,7 +765,7 @@ fn intersect_roi(roi: Roi, origin: (usize, usize), w: usize, h: usize) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{FilterStrategy, RateControl};
+    use crate::config::{FilterStrategy, ParallelMode, RateControl};
     use pj2k_image::synth;
 
     #[test]

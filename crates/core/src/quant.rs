@@ -18,7 +18,7 @@
 
 use pj2k_dwt::{gains, Band};
 use pj2k_image::Plane;
-use pj2k_parutil::{Exec, SendPtr};
+use pj2k_parutil::{DisjointWriter, Exec};
 
 /// Quantization step for band `band` at decomposition `level`.
 pub fn band_step(base_step: f64, level: u8, band: Band) -> f64 {
@@ -82,35 +82,8 @@ pub fn quantize_plane(
     step: f64,
     exec: &Exec,
 ) {
-    let (x0, y0, w, h) = region;
-    debug_assert!(x0 + w <= src.width() && y0 + h <= src.height());
     let inv = 1.0 / step;
-    let src_stride = src.stride();
-    let dst_stride = dst.stride();
-    let src_ptr = SendPtr(src.raw().as_ptr() as *mut f32);
-    let dst_ptr = SendPtr::new(dst.raw_mut());
-    exec.run_ranges(h, |rows| {
-        // Capture the Send wrappers, and copy `inv` out once: read through
-        // the captured reference, it would be reloaded after every store
-        // through `dst_ptr`, which keeps the loop scalar.
-        let (src_ptr, dst_ptr, inv) = (src_ptr, dst_ptr, inv);
-        for dy in rows {
-            let y = y0 + dy;
-            // SAFETY: rows are disjoint across workers; src is only read.
-            let src_row =
-                unsafe { std::slice::from_raw_parts(src_ptr.0.add(y * src_stride + x0), w) };
-            // SAFETY: same disjoint row split; dst rows are exclusively
-            // owned by this worker and in bounds (debug-asserted above).
-            // AUDIT(alias): SendPtr bypasses the claim table on purpose —
-            // run_ranges hands each worker a distinct `rows` range, so the
-            // per-row spans never overlap; a DisjointClaim here would add
-            // a lock acquisition per row to a per-sample hot loop.
-            let dst_row = unsafe { dst_ptr.slice_mut(y * dst_stride + x0, w) };
-            for (d, &v) in dst_row.iter_mut().zip(src_row) {
-                *d = quantize_value(v, inv);
-            }
-        }
-    });
+    map_rows(src, dst, region, exec, move |v| quantize_value(v, inv));
 }
 
 /// Dequantize i32 indices back to f32 coefficients (mid-bin), in place over
@@ -122,28 +95,36 @@ pub fn dequantize_plane(
     step: f64,
     exec: &Exec,
 ) {
+    map_rows(src, dst, region, exec, move |q| dequantize_value(q, step));
+}
+
+/// Write `map(v)` for every sample `v` of the `region = (x0, y0, w, h)`
+/// rectangle of `src` to the same rectangle of `dst`, the rows split over
+/// `exec`: each worker claims its row band of `dst` once and reads `src`
+/// through plain shared rows.
+fn map_rows<S: Copy + Default + Sync, D: Copy + Default + Send>(
+    src: &Plane<S>,
+    dst: &mut Plane<D>,
+    region: (usize, usize, usize, usize),
+    exec: &Exec,
+    map: impl Fn(S) -> D + Copy + Sync,
+) {
     let (x0, y0, w, h) = region;
     debug_assert!(x0 + w <= src.width() && y0 + h <= src.height());
-    let src_stride = src.stride();
-    let dst_stride = dst.stride();
-    let src_ptr = SendPtr(src.raw().as_ptr() as *mut i32);
-    let dst_ptr = SendPtr::new(dst.raw_mut());
+    let stride = dst.stride();
+    let writer = DisjointWriter::new(dst.raw_mut());
     exec.run_ranges(h, |rows| {
-        let (src_ptr, dst_ptr) = (src_ptr, dst_ptr); // capture the Send wrappers
-        for dy in rows {
-            let y = y0 + dy;
-            // SAFETY: rows are disjoint across workers; src is only read.
-            let src_row =
-                unsafe { std::slice::from_raw_parts(src_ptr.0.add(y * src_stride + x0), w) };
-            // SAFETY: same disjoint row split; dst rows are exclusively
-            // owned by this worker and in bounds (debug-asserted above).
-            // AUDIT(alias): SendPtr bypasses the claim table on purpose —
-            // run_ranges hands each worker a distinct `rows` range, so the
-            // per-row spans never overlap; a DisjointClaim here would add
-            // a lock acquisition per row to a per-sample hot loop.
-            let dst_row = unsafe { dst_ptr.slice_mut(y * dst_stride + x0, w) };
-            for (d, &q) in dst_row.iter_mut().zip(src_row) {
-                *d = dequantize_value(q, step);
+        // Copied out once: read through the captured reference, the step
+        // would be reloaded after every store, which keeps the loop scalar.
+        #[allow(clippy::redundant_locals)]
+        let map = map;
+        let claim = writer.claim_rect(x0..x0 + w, y0 + rows.start..y0 + rows.end, stride);
+        for y in rows.map(|dy| y0 + dy) {
+            // SAFETY: row `y`, columns `x0..x0 + w`, lies inside this
+            // worker's claimed band (bounds-checked by `claim_rect`).
+            let dst_row = unsafe { claim.slice_mut(y * stride + x0, w) };
+            for (d, &v) in dst_row.iter_mut().zip(&src.row(y)[x0..x0 + w]) {
+                *d = map(v);
             }
         }
     });

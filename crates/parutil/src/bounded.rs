@@ -1,36 +1,41 @@
-//! Bounded-admission producer/consumer execution with ordered emission.
+//! Bounded-admission producer/consumer execution with ordered emission:
+//! the crate's one queue and its one serve loop.
 //!
-//! [`PipelineQueue`](crate::PipelineQueue) is unbounded by design: its
-//! producer (a DWT level loop) publishes work whose total footprint is the
-//! image already held in memory. A *batch service* is the opposite regime —
-//! the producer discovers an effectively unlimited stream of jobs (files on
-//! disk, requests on a socket) each carrying a large payload (a decoded
-//! image), and admitting them faster than the workers drain them is how a
-//! service falls over under overload. [`BoundedQueue`] adds the missing
+//! Two producers in the codec discover work over time. The batch service
+//! finds an effectively unlimited stream of jobs (files on disk, requests
+//! on a socket), each carrying a large payload (a decoded image), and
+//! admitting them faster than the workers drain them is how a service
+//! falls over under overload. [`BoundedQueue`] adds the missing
 //! backpressure: `send` blocks while the queue is at capacity, so at any
-//! instant at most `capacity` payloads sit queued plus one in each worker's
-//! hands — peak payload memory is O(capacity + workers), independent of how
-//! many jobs the producer still has pending.
+//! instant at most `capacity` payloads sit queued plus one in each
+//! worker's hands — peak payload memory is O(capacity + workers),
+//! independent of how many jobs the producer still has pending. The tile
+//! decoder's Tier-2 parser hands code-blocks to the Tier-1 workers through
+//! the same queue at capacity `usize::MAX`: its jobs are parts of a
+//! codestream already in memory, so the parse never blocks.
 //!
-//! [`bounded_ordered_serve`] is the executor built on it (the
+//! [`bounded_ordered_serve`] is the serve loop both run (the
 //! `bounded_parallel_map` shape): the calling thread produces, `workers`
 //! scoped threads consume, and finished results are handed to an `emit`
 //! callback in **strictly increasing index order** regardless of completion
 //! order — the reorder buffer holds only results that finished ahead of a
-//! straggler, never raw payloads.
+//! straggler, never raw payloads. Consumption is dynamically
+//! self-scheduled: idle workers claim items in arrival order, the runtime
+//! analogue of [`Schedule::Dynamic`](crate::Schedule) with chunk 1.
 //!
-//! Failure contract (mirrors `pipeline_shutdown.rs` expectations):
+//! Failure contract (pinned by `tests/pipeline_shutdown.rs`):
 //!
 //! * a panicking producer closes the queue on unwind, workers drain out;
 //! * a panicking worker marks the queue failed (senders error out, parked
-//!   peers wake and exit) and the panic propagates at scope join;
+//!   peers wake and exit) and the panic propagates at the join;
 //! * job-level failures are *not* panics — callers route them through the
 //!   result type `R` so one poisoned job cannot sink the batch.
 
 use crate::budget;
+use crate::exec::fork;
 use crate::sync::{Condvar, Mutex};
 use std::collections::{BTreeMap, VecDeque};
-use std::thread;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// A bounded FIFO of `(index, payload)` pairs with blocking admission.
 pub struct BoundedQueue<T> {
@@ -65,9 +70,7 @@ impl<T> BoundedQueue<T> {
         assert!(capacity > 0, "bounded queue capacity must be positive");
         Self {
             state: Mutex::new(BoundedState {
-                // Pre-size for the common small capacities; an effectively
-                // unbounded queue (the inline path) grows on demand.
-                items: VecDeque::with_capacity(capacity.min(1024)),
+                items: VecDeque::new(),
                 closed: false,
                 failed: false,
             }),
@@ -195,8 +198,8 @@ struct Reorder<R> {
 /// # Panics
 /// Propagates producer/worker/emit panics after releasing parked threads
 /// (never deadlocks on one); panics if the producer re-uses an index.
-// AUDIT(hot): batch dispatch — queue, reorder table, and scope setup are
-// O(jobs + workers) once per batch; the per-image work happens inside
+// AUDIT(hot): batch dispatch — queue, reorder table, and fork setup are
+// O(jobs + workers) once per batch; the per-job work happens inside
 // `work`, not in this wrapper.
 pub fn bounded_ordered_serve<T, S, R, I, W, E, P>(
     workers: usize,
@@ -213,56 +216,40 @@ pub fn bounded_ordered_serve<T, S, R, I, W, E, P>(
     E: Fn(usize, R) + Sync,
     P: FnOnce(&BoundedQueue<T>),
 {
-    let p = budget::clamp_workers(workers);
-    if workers == 0 {
-        // Inline degenerate path: unbounded admission (capacity can't be
-        // honoured without a concurrent consumer), then ordered drain.
-        let queue = BoundedQueue::new(usize::MAX >> 1);
-        producer(&queue);
-        queue.close();
-        let mut state = init(0);
-        let mut reorder = Reorder {
-            next: 0,
-            pending: BTreeMap::new(),
-        };
-        while let Some((i, item)) = queue.recv() {
-            let r = work(&mut state, i, item);
-            push_ordered(&mut reorder, i, r, &emit);
-        }
-        return;
-    }
-    let queue = BoundedQueue::new(capacity);
+    // Without a concurrent consumer no bound can be honoured: the inline
+    // path admits everything, then drains.
+    let queue = BoundedQueue::new(if workers == 0 { usize::MAX } else { capacity });
     let reorder = Mutex::new(Reorder {
         next: 0,
         pending: BTreeMap::new(),
     });
-    thread::scope(|scope| {
-        for w in 0..p {
-            let (init, work, emit) = (&init, &work, &emit);
-            let (queue, reorder) = (&queue, &reorder);
-            scope.spawn(move || {
-                let mut state = init(w);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    while let Some((i, item)) = queue.recv() {
-                        let r = work(&mut state, i, item);
-                        let mut ord = reorder.lock().unwrap_or_else(|e| e.into_inner());
-                        push_ordered(&mut ord, i, r, emit);
-                    }
-                }));
-                if let Err(payload) = run {
-                    // Wake the producer (send now errors) and parked
-                    // peers before re-raising at scope join.
-                    queue.fail();
-                    std::panic::resume_unwind(payload);
-                }
-            });
+    let drain = |w: usize| {
+        let mut state = init(w);
+        while let Some((i, item)) = queue.recv() {
+            let r = work(&mut state, i, item);
+            let mut ord = reorder.lock().unwrap_or_else(|e| e.into_inner());
+            push_ordered(&mut ord, i, r, &emit);
         }
+    };
+    let produce = || {
         // Close on unwind too: a panicking producer must not strand
         // consumers parked on an open empty queue.
-        let guard = CloseOnDrop(&queue);
+        let _close = CloseOnDrop(&queue);
         producer(&queue);
-        drop(guard);
-    });
+    };
+    if workers == 0 {
+        produce();
+        return drain(0);
+    }
+    let consume = |w: usize| {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drain(w))) {
+            // Wake the producer (send now errors) and parked peers before
+            // re-raising at the join.
+            queue.fail();
+            resume_unwind(payload);
+        }
+    };
+    fork(budget::clamp_workers(workers), consume, produce);
 }
 
 /// Park `r` at index `i` and flush the contiguous run starting at `next`.

@@ -1,9 +1,9 @@
 //! Process-wide worker-thread budget (`PJ2K_THREADS`).
 //!
-//! The intra-image executors ([`pool_map`](crate::pool_map),
-//! [`pool_run`](crate::pool_run), [`WorkerPool`](crate::WorkerPool), the
-//! pipeline executors, [`Exec::run_ranges`](crate::Exec::run_ranges)) each
-//! take a worker count from their caller — and before this module nothing
+//! The executors ([`pool_map`](crate::pool_map),
+//! [`pool_run`](crate::pool_run), [`Exec::run_ranges`](crate::Exec::run_ranges),
+//! the serve loop [`bounded_ordered_serve`](crate::bounded_ordered_serve))
+//! each take a worker count from their caller — and before this module nothing
 //! stopped *nested* parallelism from oversubscribing the machine: a batch
 //! layer running `j` concurrent images whose encoder each asked for "all
 //! cores" would spawn `j × cores` runnable threads. The budget closes that

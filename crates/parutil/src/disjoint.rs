@@ -2,9 +2,9 @@
 //!
 //! The paper's parallel schemes (static row/column splits for the DWT,
 //! schedule-driven slot assignment for the Tier-1 pool) all rest on the same
-//! invariant: *every worker touches a disjoint set of element indices*. The
-//! raw [`crate::SendPtr`] escape hatch leaves that invariant entirely to
-//! code review. [`DisjointWriter`] makes it mechanically checked:
+//! invariant: *every worker touches a disjoint set of element indices*.
+//! [`DisjointWriter`], the workspace's one raw-write primitive, makes it
+//! mechanically checked:
 //!
 //! * Workers **claim** the region they intend to access — a contiguous
 //!   range, an explicit index set, or a strided rectangle — and receive a
@@ -200,6 +200,8 @@ impl<'a, T> DisjointWriter<'a, T> {
     /// # Panics
     /// If the rectangle exceeds the row pitch or the buffer; in debug
     /// builds, if any element is already claimed.
+    // AUDIT(hot): O(1) bounds asserts per claim, not per element; the Range
+    // clones copy two integers each and feed the debug-only registration.
     pub fn claim_rect(
         &self,
         xs: Range<usize>,
@@ -270,9 +272,8 @@ impl<'a, T> DisjointWriter<'a, T> {
 
 /// A worker's claimed region of a [`DisjointWriter`] buffer.
 ///
-/// Accessors mirror [`crate::SendPtr`] (`read`, `write`, `slice_mut`) so
-/// kernels port over mechanically; in debug builds every access is checked
-/// against the claimed region.
+/// Accessors are `read`, `write` and `slice_mut`; in debug builds every
+/// access is checked against the claimed region.
 pub struct DisjointClaim<'w, T> {
     ptr: *mut T,
     #[cfg(debug_assertions)]

@@ -1,19 +1,68 @@
-//! Static-split executor over contiguous index ranges.
+//! The crate's one fork-join, and the static-split executor on it.
+//!
+//! [`fork`] is the only place this crate creates OS threads: every
+//! executor — [`Exec::run_ranges`], [`pool_map_with_state`] and the queue
+//! drain loop behind [`bounded_ordered_serve`] — is written on it, so a
+//! change of threading model (a warm pool instead of scoped threads) is a
+//! change to one function.
 //!
 //! The paper's wavelet transform parallelization assigns *contiguous* row or
 //! column ranges to processors ("the deterministic workload allows a static
 //! load allocation") with a barrier between the vertical and horizontal
 //! filtering of every decomposition level — both for the JJ2000 Java
 //! threads and for Jasper's `#pragma omp parallel for` static loop split
-//! (Fig. 6). [`Exec`] is exactly that pattern on scoped OS threads; one
-//! worker runs inline.
+//! (Fig. 6). [`Exec`] is exactly that pattern; one worker runs inline.
+//!
+//! [`pool_map_with_state`]: crate::pool_map_with_state
+//! [`bounded_ordered_serve`]: crate::bounded_ordered_serve
 
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
+use std::thread;
 
 use crate::schedule::chunk_ranges;
 
-/// An execution policy: the number of contiguous ranges (= scoped threads)
-/// per parallel region.
+/// Run `worker(w)` for every `w in 0..k` on one scoped thread each and
+/// `caller()` on the calling thread, then join them all and return what
+/// `caller` returned. With `k == 0` nothing is spawned.
+///
+/// A panic in any share reaches the caller with its payload once every
+/// thread has joined: the caller's own panic first, else the first
+/// worker's to panic. Shares that wait on one another (a queue) must
+/// release each other when one of them unwinds, or the join cannot
+/// return.
+// AUDIT(hot): batch dispatch — one panic slot per parallel region, locked
+// only when a worker panics; the per-item work runs inside `worker` and
+// `caller`.
+pub(crate) fn fork<R>(k: usize, worker: impl Fn(usize) + Sync, caller: impl FnOnce() -> R) -> R {
+    if k == 0 {
+        return caller();
+    }
+    // Workers hand a panic over instead of leaving it to the scope, which
+    // would replace the payload with its own message. The scope's wait
+    // is also cheaper than joining each handle.
+    let panicked = Mutex::new(None);
+    let out = thread::scope(|scope| {
+        for w in 0..k {
+            let (worker, panicked) = (&worker, &panicked);
+            scope.spawn(move || {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| worker(w))) {
+                    let mut first = panicked.lock().unwrap_or_else(|e| e.into_inner());
+                    first.get_or_insert(payload);
+                }
+            });
+        }
+        caller()
+    });
+    if let Some(payload) = panicked.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        resume_unwind(payload);
+    }
+    out
+}
+
+/// An execution policy: the number of contiguous ranges (= workers) per
+/// parallel region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exec {
     /// Number of workers (contiguous ranges) per parallel region.
@@ -36,7 +85,9 @@ impl Exec {
     /// the rest on one scoped thread each. Returns after all ranges
     /// complete (barrier semantics). The worker count is clamped to the
     /// process-wide [`thread_budget`](crate::thread_budget)
-    /// (`PJ2K_THREADS`) before splitting.
+    /// (`PJ2K_THREADS`) and to `n` before splitting.
+    // AUDIT(hot): batch dispatch — one O(p) range list per parallel region;
+    // the clones copy Ranges, not buffers.
     pub fn run_ranges<F>(&self, n: usize, f: F)
     where
         F: Fn(Range<usize>) + Sync,
@@ -45,92 +96,15 @@ impl Exec {
             return;
         }
         let p = crate::budget::clamp_workers(self.workers).min(n);
-        if p <= 1 {
-            f(0..n);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut ranges = chunk_ranges(n, p).into_iter();
-            let mine = ranges.next();
-            for range in ranges {
-                let f = &f;
-                scope.spawn(move || f(range));
-            }
-            if let Some(range) = mine {
-                f(range);
-            }
-        });
+        let ranges = chunk_ranges(n, p);
+        fork(p - 1, |w| f(ranges[w + 1].clone()), || f(ranges[0].clone()));
     }
 }
 
-/// A raw mutable pointer that asserts `Send + Sync`, for handing disjoint
-/// regions of one buffer to scoped workers.
-///
-/// # Safety contract (on the *user*)
-/// Every concurrent user must access a disjoint set of element indices, and
-/// the pointee must outlive all uses. The wavelet drivers uphold this by
-/// assigning disjoint row or column ranges per worker.
-pub struct SendPtr<T>(pub *mut T);
-
-impl<T> SendPtr<T> {
-    /// Wrap a mutable slice's base pointer.
-    pub fn new(slice: &mut [T]) -> Self {
-        SendPtr(slice.as_mut_ptr())
-    }
-
-    /// Read element `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds of the original buffer and not concurrently
-    /// written by another thread.
-    #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        // SAFETY: `i` in bounds is the caller's contract.
-        unsafe { *self.0.add(i) }
-    }
-
-    /// Write element `i`.
-    ///
-    /// # Safety
-    /// `i` must be in bounds and owned exclusively by the calling worker.
-    #[inline]
-    pub unsafe fn write(&self, i: usize, v: T) {
-        // SAFETY: `i` in bounds and exclusively owned is the caller's
-        // contract.
-        unsafe { *self.0.add(i) = v };
-    }
-
-    /// Reborrow a sub-slice `[start, start+len)`.
-    ///
-    /// # Safety
-    /// The range must be in bounds and disjoint from every range handed to
-    /// other threads.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [T] {
-        // SAFETY: the range being in bounds and disjoint from other
-        // threads' ranges is the caller's contract.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: see the safety contract in the type docs; disjointness is the
-// caller's obligation.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-#[cfg(test)]
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::DisjointWriter;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -163,15 +137,18 @@ mod tests {
     }
 
     #[test]
-    fn send_ptr_disjoint_writes() {
+    fn run_ranges_claimed_writes() {
         let mut buf = vec![0u32; 64];
-        let ptr = SendPtr::new(&mut buf);
+        let writer = DisjointWriter::new(&mut buf);
         Exec::threads(4).run_ranges(64, |range| {
+            let claim = writer.claim_range(range.clone());
             for i in range {
-                // SAFETY: ranges from run_ranges are disjoint.
-                unsafe { ptr.write(i, i as u32 * 2) };
+                // SAFETY: the claim owns `range`; ranges are disjoint.
+                unsafe { claim.write(i, i as u32 * 2) };
             }
         });
+        writer.debug_assert_fully_claimed();
+        drop(writer);
         for (i, v) in buf.iter().enumerate() {
             assert_eq!(*v, i as u32 * 2);
         }

@@ -13,11 +13,15 @@
 //!   which is the same contiguous-range split on scoped threads
 //!   ([`Exec::run_ranges`] over [`chunk_ranges`]).
 //!
-//! This crate provides the pieces shared by both: work schedules
-//! ([`Schedule`], [`assign`]), a scoped fork-join executor over those
-//! schedules ([`pool_map`], [`pool_run`]), and the per-stage wall-clock
-//! instrumentation ([`StageTimes`]) used to regenerate the paper's runtime
-//! breakdown charts (Figs. 3, 6, 9).
+//! This crate provides the pieces shared by both, one of each: work
+//! schedules ([`Schedule`], [`assign`]); one fork-join, under every
+//! executor ([`pool_map`], [`pool_run`], [`Exec::run_ranges`] and the serve
+//! loop); one queue with its serve loop ([`BoundedQueue`],
+//! [`bounded_ordered_serve`]), which hands the decoder's code-blocks from
+//! the Tier-2 parser to the Tier-1 workers and the batch service's jobs to
+//! its encoders; one raw-write primitive ([`DisjointWriter`] claims); and
+//! the per-stage wall-clock instrumentation ([`StageTimes`]) used to
+//! regenerate the paper's runtime breakdown charts (Figs. 3, 6, 9).
 //!
 //! The synchronization primitives the executors rely on are imported through
 //! the private `sync` facade, so the workspace-excluded `loom/` crate can
@@ -33,7 +37,10 @@ pub mod bounded;
 pub mod budget;
 pub mod disjoint;
 pub mod exec;
-pub mod pipeline;
+// Tests only: the decoder's parse/decode overlap on the serve loop. Gated
+// out under loom: they drive real scoped threads.
+#[cfg(all(test, not(loom)))]
+mod pipeline;
 pub mod pool;
 pub mod schedule;
 mod sync;
@@ -42,8 +49,7 @@ pub mod timing;
 pub use bounded::{bounded_ordered_serve, BoundedQueue, SendError};
 pub use budget::{clamp_workers, parse_thread_budget_token, resolve_thread_budget, thread_budget};
 pub use disjoint::{DisjointClaim, DisjointWriter};
-pub use exec::{Exec, SendPtr};
-pub use pipeline::{pipeline_overlap_with_state, PipelineQueue};
+pub use exec::Exec;
 pub use pool::{pool_map, pool_map_with_state, pool_run};
 pub use schedule::{assign, chunk_ranges, DynamicCursor, Schedule};
 pub use timing::{StageClock, StageTimes};

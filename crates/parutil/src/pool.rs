@@ -1,18 +1,19 @@
 //! Fork-join execution over explicit worker threads.
 //!
-//! [`pool_map`] / [`pool_run`] are scoped: they spawn `p` OS threads, run the
-//! assigned items, and join — the pattern used for per-stage parallelism
-//! where a stage is entered and left as a unit (the DWT level loop, the
-//! Tier-1 coding of one tile's code-blocks).
+//! [`pool_map`] / [`pool_run`] are scoped: they run `p` workers — the
+//! calling thread and `p - 1` scoped threads — over the assigned items and
+//! join; the pattern used for per-stage parallelism where a stage is
+//! entered and left as a unit (the Tier-1 coding of one tile's
+//! code-blocks).
 
-use crate::disjoint::DisjointWriter;
+use crate::disjoint::{DisjointClaim, DisjointWriter};
+use crate::exec::fork;
 use crate::schedule::{assign, DynamicCursor, Schedule};
-use std::thread;
 
-/// Run `f(i)` for every `i in 0..n` on `p` scoped worker threads and collect
-/// the results in item order.
+/// Run `f(i)` for every `i in 0..n` on `p` workers and collect the results
+/// in item order.
 ///
-/// With `p == 1` no threads are spawned and `f` runs inline, so sequential
+/// With `p == 1` nothing is spawned and `f` runs inline, so sequential
 /// baselines measured through this entry point carry no threading overhead.
 ///
 /// Like every parutil executor, the requested `p` is clamped to the
@@ -30,11 +31,12 @@ where
 /// value: worker `w` starts with `init(w)` and every item it processes runs
 /// as `f(&mut state, i)`. The state is the natural home for reusable
 /// scratch buffers (Tier-1 coding arenas) that would otherwise be
-/// reallocated per item.
+/// reallocated per item. Results are collected in item order regardless of
+/// schedule.
 ///
-/// With `p == 1` (or fewer than two items) everything runs inline on one
-/// state, so sequential baselines carry neither threading nor extra-state
-/// overhead. Results are collected in item order regardless of schedule.
+/// `p` is clamped to the thread budget and to `n`, so no worker is started
+/// for an empty share; worker 0 is the calling thread, and with `p == 1`
+/// (or fewer than two items) everything runs inline on one state.
 ///
 /// For static schedules each worker claims exactly the indices [`assign`]
 /// hands it; for [`Schedule::Dynamic`] workers claim consecutive chunks
@@ -57,64 +59,37 @@ where
     F: Fn(&mut S, usize) -> R + Sync,
 {
     assert!(p > 0, "worker count must be positive");
-    let p = crate::budget::clamp_workers(p);
-    if p == 1 || n <= 1 {
-        let mut state = init(0);
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
+    let p = crate::budget::clamp_workers(p).min(n).max(1);
+    let (cursor, parts) = match schedule {
+        Schedule::Dynamic { chunk } => (Some(DynamicCursor::new(n, chunk)), Vec::new()),
+        _ => (None, assign(n, p, schedule)),
+    };
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
     // Each worker claims its slot indices through the checked disjoint-
     // access layer: a schedule bug that assigned one index to two workers
     // panics deterministically in debug builds instead of racing.
     let writer = DisjointWriter::new(&mut slots);
-    match schedule {
-        Schedule::Dynamic { chunk } => {
-            let cursor = DynamicCursor::new(n, chunk);
-            thread::scope(|scope| {
-                for w in 0..p {
-                    let (f, init) = (&f, &init);
-                    let (writer, cursor) = (&writer, &cursor);
-                    scope.spawn(move || {
-                        let mut state = init(w);
-                        while let Some(range) = cursor.claim() {
-                            let claim = writer.claim_range(range.clone());
-                            for i in range {
-                                // SAFETY: the cursor hands each chunk to
-                                // exactly one worker (checked by the claim
-                                // in debug builds and the loom model), and
-                                // `slots` outlives the scope. Every slot
-                                // starts as an initialized `None`, so the
-                                // plain store only drops a `None`.
-                                unsafe { claim.write(i, Some(f(&mut state, i))) };
-                            }
-                        }
-                    });
+    let worker = |w: usize| {
+        let mut state = init(w);
+        match &cursor {
+            Some(cursor) => {
+                while let Some(range) = cursor.claim() {
+                    fill(&writer.claim_range(range.clone()), range, &mut state, &f);
                 }
-            });
+            }
+            None => {
+                let part = &parts[w];
+                fill(
+                    &writer.claim_indices(part),
+                    part.iter().copied(),
+                    &mut state,
+                    &f,
+                );
+            }
         }
-        _ => {
-            let parts = assign(n, p, schedule);
-            thread::scope(|scope| {
-                for (w, part) in parts.iter().enumerate() {
-                    let (f, init) = (&f, &init);
-                    let writer = &writer;
-                    scope.spawn(move || {
-                        let mut state = init(w);
-                        let claim = writer.claim_indices(part);
-                        for &i in part {
-                            // SAFETY: `assign` partitions 0..n, so no two
-                            // workers ever receive the same index (checked by
-                            // the claim in debug builds), and `slots` outlives
-                            // the scope. Every slot starts as an initialized
-                            // `None`, so the plain store only drops a `None`.
-                            unsafe { claim.write(i, Some(f(&mut state, i))) };
-                        }
-                    });
-                }
-            });
-        }
-    }
+    };
+    fork(p - 1, |w| worker(w + 1), || worker(0));
     // The realized schedule must also be a *cover* of 0..n — every slot
     // written.
     writer.debug_assert_fully_claimed();
@@ -125,48 +100,32 @@ where
         .collect()
 }
 
-/// Run `f(i)` for every `i in 0..n` on `p` scoped worker threads, discarding
-/// results. Like [`pool_map`] but for side-effecting work (e.g. in-place
-/// filtering of disjoint row ranges).
-// AUDIT(hot): batch dispatch — same O(n + p) per-batch costs as
-// `pool_map_with_state`, with no result slots.
+/// Store `f(state, i)` into slot `i` for every claimed index `i` in
+/// `items`.
+fn fill<S, R>(
+    claim: &DisjointClaim<'_, Option<R>>,
+    items: impl Iterator<Item = usize>,
+    state: &mut S,
+    f: &impl Fn(&mut S, usize) -> R,
+) {
+    for i in items {
+        // SAFETY: `items` is exactly the region `claim` was taken for —
+        // an `assign` part or a cursor chunk, each handed to one worker
+        // (checked by the claim in debug builds and the loom model) — and
+        // the slots outlive the fork. Every slot starts as an initialized
+        // `None`, so the plain store only drops a `None`.
+        unsafe { claim.write(i, Some(f(state, i))) };
+    }
+}
+
+/// Run `f(i)` for every `i in 0..n` on `p` workers, discarding results.
+/// Like [`pool_map`] but for side-effecting work (e.g. in-place filtering
+/// of disjoint row ranges).
 pub fn pool_run<F>(n: usize, p: usize, schedule: Schedule, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    assert!(p > 0, "worker count must be positive");
-    let p = crate::budget::clamp_workers(p);
-    if p == 1 || n <= 1 {
-        (0..n).for_each(f);
-        return;
-    }
-    if let Schedule::Dynamic { chunk } = schedule {
-        let cursor = DynamicCursor::new(n, chunk);
-        thread::scope(|scope| {
-            for _ in 0..p {
-                let (f, cursor) = (&f, &cursor);
-                scope.spawn(move || {
-                    while let Some(range) = cursor.claim() {
-                        for i in range {
-                            f(i);
-                        }
-                    }
-                });
-            }
-        });
-        return;
-    }
-    let parts = assign(n, p, schedule);
-    thread::scope(|scope| {
-        for part in &parts {
-            let f = &f;
-            scope.spawn(move || {
-                for &i in part {
-                    f(i);
-                }
-            });
-        }
-    });
+    pool_map(n, p, schedule, f);
 }
 
 // Gated out under loom: these tests drive the std executors directly, and

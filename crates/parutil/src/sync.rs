@@ -2,8 +2,9 @@
 //!
 //! Every synchronization primitive the executor core relies on for
 //! *correctness* — the claim-table mutex in [`crate::disjoint`], the
-//! queue mutex/condvar in [`crate::pipeline`] and the dynamic-schedule
-//! claim cursor in [`crate::schedule`] — is imported through this module
+//! queue mutex/condvars and reorder mutex in [`crate::bounded`] and the
+//! dynamic-schedule claim cursor in [`crate::schedule`] — is imported
+//! through this module
 //! instead of `std::sync` directly. A normal build re-exports `std`; the
 //! workspace-excluded `loom/` crate compiles this same source with
 //! `RUSTFLAGS="--cfg loom"` and loom on its dependency list (this crate
@@ -12,13 +13,13 @@
 //! explore thread interleavings of the *production* claim/hand-off code,
 //! not a copy.
 //!
-//! Deliberately **not** routed through the facade: thread creation
-//! (`std::thread::scope`) and the scoped executors built on it. loom has no
-//! scoped threads (its `thread::spawn` requires `'static`), so the models
-//! drive the extracted cores — `DynamicCursor`, `PipelineQueue`,
-//! `DisjointWriter` — from loom threads directly; the executors still
-//! compile under `cfg(loom)` but are only exercised by the std/TSan/Miri
-//! gates.
+//! Deliberately **not** routed through the facade: thread creation (the
+//! one `std::thread::scope`, in `exec::fork`) and the executors built on
+//! it. loom has no scoped threads (its `thread::spawn` requires
+//! `'static`), so the models drive the extracted cores — `DynamicCursor`,
+//! `BoundedQueue`, `DisjointWriter` — from loom threads directly; the
+//! executors still compile under `cfg(loom)` but are only exercised by the
+//! std/TSan/Miri gates.
 //!
 //! [loom]: https://docs.rs/loom
 

@@ -2,9 +2,8 @@
 //!
 //! These tests are deliberately small (Miri interprets every memory access)
 //! and touch exactly the raw-pointer paths that the borrow checker cannot
-//! see through: [`DisjointWriter`]/[`DisjointClaim`] and the legacy
-//! [`SendPtr`] escape hatch, both single-threaded and across scoped
-//! threads. Run them under the interpreter with:
+//! see through: [`DisjointWriter`]/[`DisjointClaim`], the crate's one
+//! raw-write primitive, both single-threaded and across scoped threads. Run them under the interpreter with:
 //!
 //! ```text
 //! cargo +nightly miri test -p pj2k-parutil --test miri_unsafe_cores
@@ -16,7 +15,7 @@
 // outside `loom::model`); loom/tests/loom.rs model-checks the cores instead.
 #![cfg(not(loom))]
 
-use pj2k_parutil::{pool_map, DisjointWriter, Schedule, SendPtr};
+use pj2k_parutil::{pool_map, DisjointWriter, Schedule};
 use std::thread;
 
 #[test]
@@ -87,22 +86,42 @@ fn disjoint_claim_slice_mut_is_writable_through() {
     }
 }
 
+/// The decoder's scatter shape: many small rectangles of one strided
+/// buffer, claimed and written from several threads at once.
 #[test]
-fn send_ptr_disjoint_ranges_across_threads() {
-    let mut buf = vec![0u16; 32];
-    let ptr = SendPtr::new(&mut buf);
+fn claim_rect_small_blocks_across_threads() {
+    // A 12 x 8 plane with row pitch 16, tiled by 4 x 2 blocks.
+    const STRIDE: usize = 16;
+    let (bw, bh, cols, rows) = (4, 2, 3, 4);
+    let mut buf = vec![0u16; STRIDE * bh * rows];
+    let writer = DisjointWriter::new(&mut buf);
     thread::scope(|scope| {
-        for w in 0..2 {
+        for w in 0..3 {
+            let writer = &writer;
             scope.spawn(move || {
-                for i in w * 16..(w + 1) * 16 {
-                    // SAFETY: the two workers touch disjoint halves and the
-                    // buffer outlives the scope.
-                    unsafe { ptr.write(i, ptr.read(i) + 7) };
+                for b in (w..cols * rows).step_by(3) {
+                    let (x0, y0) = (b % cols * bw, b / cols * bh);
+                    let claim = writer.claim_rect(x0..x0 + bw, y0..y0 + bh, STRIDE);
+                    for y in y0..y0 + bh {
+                        // SAFETY: one row of this worker's claimed block.
+                        let row = unsafe { claim.slice_mut(y * STRIDE + x0, bw) };
+                        row.fill(b as u16 + 1);
+                    }
                 }
             });
         }
     });
-    assert!(buf.iter().all(|&v| v == 7));
+    writer.debug_assert_claimed(cols * bw * rows * bh);
+    drop(writer);
+    for (i, &v) in buf.iter().enumerate() {
+        let (x, y) = (i % STRIDE, i / STRIDE);
+        let want = if x < cols * bw {
+            (y / bh * cols + x / bw) as u16 + 1
+        } else {
+            0
+        };
+        assert_eq!(v, want, "({x},{y})");
+    }
 }
 
 #[test]

@@ -6,7 +6,6 @@
 
 use pj2k_parutil::{
     assign, chunk_ranges, pool_map, pool_map_with_state, pool_run, DisjointWriter, Exec, Schedule,
-    SendPtr,
 };
 use pj2k_testkit::{cases, Rng};
 use std::collections::BTreeSet;
@@ -196,20 +195,23 @@ fn with_state_tallies_sum_to_n() {
     });
 }
 
-/// Exec::run_ranges writes every slot exactly once via SendPtr.
+/// Exec::run_ranges writes every slot exactly once through range claims.
 #[test]
 fn run_ranges_disjoint_writes() {
     cases(CASES, |rng| {
         let n = rng.range(1usize..300);
         let workers = rng.range(1usize..9);
         let mut buf = vec![0u32; n];
-        let ptr = SendPtr::new(&mut buf);
+        let writer = DisjointWriter::new(&mut buf);
         Exec::threads(workers).run_ranges(n, |range| {
+            let claim = writer.claim_range(range.clone());
             for i in range {
-                // SAFETY: ranges are disjoint.
-                unsafe { ptr.write(i, ptr.read(i) + 1) };
+                // SAFETY: the claim owns `range`; ranges are disjoint.
+                unsafe { claim.write(i, claim.read(i) + 1) };
             }
         });
+        writer.debug_assert_fully_claimed();
+        drop(writer);
         assert!(buf.iter().all(|&v| v == 1));
     });
 }

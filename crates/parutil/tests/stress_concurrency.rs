@@ -12,7 +12,7 @@
 // outside `loom::model`); loom/tests/loom.rs model-checks the cores instead.
 #![cfg(not(loom))]
 
-use pj2k_parutil::{pool_map, pool_run, DisjointWriter, Schedule};
+use pj2k_parutil::{bounded_ordered_serve, pool_map, pool_run, DisjointWriter, Schedule};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -77,5 +77,34 @@ fn pool_run_stress_side_effects() {
             counters[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore)] // stress volume: too slow under the interpreter
+fn serve_loop_consumes_every_item_exactly_once() {
+    // The batch service's bounded shape and the decoder's unbounded one.
+    for capacity in [1, usize::MAX] {
+        for _ in 0..ROUNDS {
+            let counters: Vec<AtomicUsize> = (0..ITEMS).map(|_| AtomicUsize::new(0)).collect();
+            let emitted = AtomicUsize::new(0);
+            bounded_ordered_serve(
+                4,
+                capacity,
+                |_| (),
+                |_s, i, payload: usize| {
+                    assert_eq!(payload, i * 7, "payload misrouted");
+                    counters[i].fetch_add(1, Ordering::Relaxed);
+                },
+                |i, ()| assert_eq!(emitted.fetch_add(1, Ordering::Relaxed), i),
+                |q| {
+                    for i in 0..ITEMS {
+                        q.send(i, i * 7).expect("queue open");
+                    }
+                },
+            );
+            assert!(counters.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+            assert_eq!(emitted.load(Ordering::SeqCst), ITEMS, "capacity {capacity}");
+        }
     }
 }

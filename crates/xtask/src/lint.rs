@@ -9,15 +9,16 @@
 //!   just as hard when a test harness relies on them, and an undocumented
 //!   test-only Send impl races for real.
 //! * **thread** — no raw `thread::spawn` / `thread::scope` /
-//!   `thread::Builder` outside `parutil` and test code: all parallelism
-//!   flows through the pool/exec API so schedules stay observable and
-//!   disjointness stays checkable. `// AUDIT(thread): <reason>` justifies
-//!   an exception.
+//!   `thread::Builder` outside parutil's one fork (`parutil::exec`) and
+//!   test code: all parallelism flows through the pool/exec API so
+//!   schedules stay observable, disjointness stays checkable, and a change
+//!   of threading model stays a change to one function.
+//!   `// AUDIT(thread): <reason>` justifies an exception.
 
 use crate::scan::{find_word, ident_at, Finding, Kind, Source};
 
-/// The only crate allowed to create OS threads.
-const THREAD_CRATES: &[&str] = &["parutil"];
+/// The only file allowed to create OS threads: the home of parutil's `fork`.
+const FORK_FILE: &str = "crates/parutil/src/exec.rs";
 const THREAD_NEEDLES: &[&str] = &["thread::spawn(", "thread::scope(", "thread::Builder"];
 
 /// The `safety` query over one file.
@@ -36,14 +37,19 @@ pub fn safety(src: &Source, out: &mut Vec<Finding>) {
 
 /// The `thread` query over one file.
 pub fn thread(src: &Source, out: &mut Vec<Finding>) {
-    if THREAD_CRATES.contains(&src.krate.as_str()) {
-        return;
-    }
+    let fork = src.path.to_string_lossy().replace('\\', "/") == FORK_FILE;
     for (idx, line) in src.lines.iter().enumerate() {
         for needle in THREAD_NEEDLES {
             if !src.in_test(idx) && find_word(&line.code, needle).is_some() {
-                let what = format!("raw `{needle}` outside parutil (use pool_map/pool_run/Exec)");
-                let ok = src.covered(idx, Kind::Thread, true);
+                let (what, ok) = if fork {
+                    (format!("parutil's fork `{needle}`"), true)
+                } else {
+                    let what = "outside parutil's fork (use pool_map/pool_run/Exec)";
+                    (
+                        format!("raw `{needle}` {what}"),
+                        src.covered(idx, Kind::Thread, true),
+                    )
+                };
                 out.push(Finding::at(src, idx, "thread", what, ok));
             }
         }
@@ -192,8 +198,19 @@ mod tests {
 
     #[test]
     fn thread_spawn_inside_parutil_is_fine() {
+        // ... in the module that holds parutil's one fork.
         let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(fired("crates/parutil/src/x.rs", src).is_empty());
+        assert!(fired("crates/parutil/src/exec.rs", src).is_empty());
+    }
+
+    #[test]
+    fn thread_scope_elsewhere_in_parutil_is_flagged() {
+        let src = "fn f() {\n    std::thread::scope(|s| {});\n}\n";
+        assert_eq!(fired("crates/parutil/src/pool.rs", src), ["thread"]);
+        assert_eq!(lines("crates/parutil/src/pool.rs", src), [2]);
+        // Test code in parutil may still spawn.
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::scope(|s| {}); }\n}\n";
+        assert!(fired("crates/parutil/src/pool.rs", src).is_empty());
     }
 
     #[test]

@@ -1,34 +1,22 @@
 //! The `alias` query: the concurrency contract of the unsafe disjoint-write
 //! machinery.
 //!
-//! The parallel encoder's speedups rest on `unsafe` shared-buffer writes
-//! (DESIGN.md §12): workers write disjoint regions of one output plane
-//! through `DisjointWriter`/`DisjointClaim` (debug-checked claims) or, in
-//! two audited hot paths, through the `SendPtr` escape hatch. This query
-//! inventories every aliasing-relevant site — `SendPtr` uses, claim-table
-//! escapes, raw mutable-slice fabrication, raw pointer reads — and enforces
-//! two rules (the Send/Sync contracts are the `safety` query's):
+//! The parallel codec's speedups rest on `unsafe` shared-buffer writes
+//! (DESIGN.md §12): workers write disjoint regions of one plane through
+//! `DisjointWriter`/`DisjointClaim`, the workspace's one raw-write
+//! primitive, whose claims are overlap-checked in debug builds. This query
+//! inventories every aliasing-relevant site — claim routes, raw
+//! mutable-slice fabrication, raw pointer reads — and enforces one rule
+//! (the Send/Sync contracts are the `safety` query's):
 //!
 //! * **raw-write routing** — inside the parallel-write scope (`parutil`,
 //!   `dwt`, `mq` sources, `core::quant`, and `core::decode`), every raw
 //!   parallel write must be lexically routed through a `DisjointClaim`:
-//!   mutable-slice fabrication (`from_raw_parts_mut`, `ptr::write`) and
-//!   `.write(..)` / `.slice_mut(..)` calls on `SendPtr`-rooted receivers
-//!   need an `// AUDIT(alias): <reason>` naming the disjointness argument.
-//!   The two files that *implement* the routing layer
-//!   (`parutil/src/disjoint.rs`, `parutil/src/exec.rs`) are exempt — their
-//!   internals are governed by SAFETY contracts and the Miri/loom gates.
-//! * **`SendPtr` allowlist** — the `SendPtr` type must not appear outside
-//!   `parutil::exec` where it lives, the `parutil` crate root that
-//!   re-exports it, `core::quant`'s audited hot loops, `core::decode`'s
-//!   join-synchronized block scatter, and `parutil/tests/` — test code
-//!   included. New code uses `DisjointWriter` claims; growing the allowlist
-//!   is a reviewed change to this file.
-//!
-//! Known limitation: receiver rooting is per-file and lexical. A `SendPtr`
-//! smuggled through a struct field or renamed through a non-`let` binding
-//! will not be receiver-matched — but its construction site still trips
-//! the allowlist, which is the load-bearing fence.
+//!   mutable-slice fabrication (`from_raw_parts_mut`, `ptr::write`) needs
+//!   an `// AUDIT(alias): <reason>` naming the disjointness argument. The
+//!   file that *implements* the claim layer (`parutil/src/disjoint.rs`) is
+//!   exempt — its internals are governed by SAFETY contracts and the
+//!   Miri/loom gates.
 
 use crate::scan::{find_word, ident_at, ident_before, Finding, Kind, Line, Source};
 use std::collections::BTreeSet;
@@ -38,21 +26,9 @@ use std::collections::BTreeSet;
 const SCOPED_DIRS: &[&str] = &["crates/parutil/src", "crates/dwt/src", "crates/mq/src"];
 const SCOPED_FILES: &[&str] = &["crates/core/src/quant.rs", "crates/core/src/decode.rs"];
 
-/// Files implementing the claim/escape layer itself: writes get routed
-/// *to* them, so the routing rule does not apply.
-const LAYER_FILES: &[&str] = &[
-    "crates/parutil/src/disjoint.rs",
-    "crates/parutil/src/exec.rs",
-];
-
-/// Where the `SendPtr` token may appear.
-const SENDPTR_ALLOWED_FILES: &[&str] = &[
-    "crates/parutil/src/exec.rs",
-    "crates/parutil/src/lib.rs",
-    "crates/core/src/quant.rs",
-    "crates/core/src/decode.rs",
-];
-const SENDPTR_ALLOWED_DIRS: &[&str] = &["crates/parutil/tests"];
+/// The file implementing the claim layer itself: writes get routed *to*
+/// it, so the routing rule does not apply.
+const LAYER_FILES: &[&str] = &["crates/parutil/src/disjoint.rs"];
 
 const CLAIMS: [&str; 3] = ["claim_range(", "claim_indices(", "claim_rect("];
 
@@ -62,26 +38,11 @@ pub fn alias(src: &Source, out: &mut Vec<Finding>) {
     let in_dir = |dirs: &[&str]| dirs.iter().any(|d| p.starts_with(&format!("{d}/")));
     let write_scoped = in_dir(SCOPED_DIRS) || SCOPED_FILES.contains(&p.as_str());
     let layer_file = LAYER_FILES.contains(&p.as_str());
-    let sendptr_allowed =
-        SENDPTR_ALLOWED_FILES.contains(&p.as_str()) || in_dir(SENDPTR_ALLOWED_DIRS);
-    let roots = rooted_idents(&src.lines);
+    let claims = claim_idents(&src.lines);
     let site = |idx: usize, what: String, ok: bool| Finding::at(src, idx, "alias", what, ok);
 
     for (idx, line) in src.lines.iter().enumerate() {
         let code = &line.code;
-        if find_word(code, "SendPtr").is_some() {
-            let what = if sendptr_allowed {
-                format!("SendPtr use `{}`", snippet(code))
-            } else {
-                "`SendPtr` outside the allowlisted modules (parutil::exec, parutil crate \
-                 root, core::quant, core::decode, parutil/tests): route writes through \
-                 DisjointWriter claims instead"
-                    .to_string()
-            };
-            let mut f = site(idx, what, sendptr_allowed);
-            f.in_test = false; // the allowlist binds test code too
-            out.push(f);
-        }
         for claim in CLAIMS.iter().filter(|c| code.contains(&format!(".{c}"))) {
             out.push(site(
                 idx,
@@ -95,30 +56,27 @@ pub fn alias(src: &Source, out: &mut Vec<Finding>) {
         if !write_scoped || layer_file || src.in_test(idx) {
             continue;
         }
-        let mut raw_writes: Vec<String> = [
+        for method in [".write(", ".slice_mut("] {
+            for recv in receivers(code, method)
+                .into_iter()
+                .filter(|r| claims.contains(*r))
+            {
+                let call = format!("{recv}{}", method.trim_end_matches('('));
+                out.push(site(idx, format!("claim route `{call}`"), true));
+            }
+            // Other receivers (io::Write, Vec writes, ...) are not
+            // parallel-aliasing sites.
+        }
+        for raw in [
             "from_raw_parts_mut(",
             "ptr::write(",
             "ptr::write_unaligned(",
-        ]
-        .iter()
-        .filter(|n| code.contains(*n))
-        .map(|n| n.trim_end_matches('(').to_string())
-        .collect();
-        for method in [".write(", ".slice_mut("] {
-            for recv in receivers(code, method) {
-                let call = format!("{recv}{}", method.trim_end_matches('('));
-                if roots.sendptr.contains(recv) {
-                    raw_writes.push(call);
-                } else if roots.claim.contains(recv) {
-                    out.push(site(idx, format!("claim route `{call}`"), true));
-                }
-                // Unknown receivers (io::Write, Vec writes, ...) are not
-                // parallel-aliasing sites.
+        ] {
+            if code.contains(raw) {
+                let ok = src.covered(idx, Kind::Alias, true);
+                let what = format!("raw write `{}`", raw.trim_end_matches('('));
+                out.push(site(idx, what, ok));
             }
-        }
-        for what in raw_writes {
-            let ok = src.covered(idx, Kind::Alias, true);
-            out.push(site(idx, format!("raw write `{what}`"), ok));
         }
     }
 }
@@ -133,32 +91,18 @@ fn snippet(code: &str) -> String {
     s
 }
 
-/// Identifiers rooted to the claim layer / the `SendPtr` escape hatch,
-/// collected per file.
-#[derive(Default)]
-struct RootedIdents {
-    /// Bound from a claim escape or typed `DisjointClaim`: writes through
-    /// these are routed.
-    claim: BTreeSet<String>,
-    /// Bound from `SendPtr(..)` / `SendPtr::new(..)` or typed `SendPtr`:
-    /// writes through these bypass the claim table.
-    sendptr: BTreeSet<String>,
-}
-
-fn rooted_idents(lines: &[Line]) -> RootedIdents {
-    let mut roots = RootedIdents::default();
+/// Identifiers rooted to the claim layer, collected per file: bound from
+/// a claim call or typed `DisjointClaim`. Writes through these are routed.
+fn claim_idents(lines: &[Line]) -> BTreeSet<String> {
+    let mut claims = BTreeSet::new();
     for (idx, line) in lines.iter().enumerate() {
         let code = &line.code;
         if CLAIMS.iter().any(|c| code.contains(&format!(".{c}"))) {
-            roots.claim.extend(let_binding_ident(lines, idx));
+            claims.extend(let_binding_ident(lines, idx));
         }
-        if code.contains("SendPtr(") || code.contains("SendPtr::new(") {
-            roots.sendptr.extend(let_binding_ident(lines, idx));
-        }
-        roots.claim.extend(typed_idents(code, "DisjointClaim"));
-        roots.sendptr.extend(typed_idents(code, "SendPtr"));
+        claims.extend(typed_idents(code, "DisjointClaim"));
     }
-    roots
+    claims
 }
 
 /// The identifier bound by the `let` statement containing line `idx`: on
@@ -267,59 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn sendptr_outside_allowlist_fires() {
-        let src = "fn f(buf: &mut [u8]) {\n    let p = SendPtr::new(buf);\n}\n";
-        assert_eq!(
-            violations(&audit_str("crates/dwt/src/x.rs", src, "alias")),
-            [2]
-        );
-        // ... test code included.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(b: &mut [u8]) { SendPtr::new(b); }\n}\n";
-        assert_eq!(
-            violations(&audit_str("crates/dwt/src/x.rs", src, "alias")),
-            [3]
-        );
-    }
-
-    #[test]
-    fn sendptr_in_quant_is_allowed() {
-        let src = "fn f(buf: &mut [i32]) {\n    let p = SendPtr::new(buf);\n}\n";
-        assert!(violations(&audit_str("crates/core/src/quant.rs", src, "alias")).is_empty());
-    }
-
-    #[test]
-    fn sendptr_in_parutil_tests_is_allowed() {
-        let src = "let p = SendPtr::new(buf);\n";
-        assert!(fixture("crates/parutil/tests/t.rs", src)
-            .iter()
-            .all(|f| !f.is_violation()));
-    }
-
-    #[test]
-    fn sendptr_write_without_alias_audit_fires() {
-        let src = "fn f(dst: &mut [i32]) {\n    let p = SendPtr::new(dst);\n    \
-                   // SAFETY: rows are disjoint.\n    let row = unsafe { p.slice_mut(0, 4) };\n}\n";
-        let all = fixture("crates/core/src/quant.rs", src);
-        let bad: Vec<_> = all
-            .iter()
-            .filter(|f| f.is_violation())
-            .map(|f| (f.check, f.line))
-            .collect();
-        assert_eq!(bad, [("alias", 4)]);
-    }
-
-    #[test]
-    fn sendptr_write_with_alias_audit_is_clean() {
-        let src = "fn f(dst: &mut [i32]) {\n    let p = SendPtr::new(dst);\n    \
-                   // AUDIT(alias): rows are worker-disjoint by construction.\n    \
-                   let row = unsafe { p.slice_mut(0, 4) };\n}\n";
-        let r = audit_str("crates/core/src/quant.rs", src, "alias");
-        let writes = of_kind(&r, "raw write");
-        assert!(writes.len() == 1 && writes[0].justified, "{r:?}");
-        assert!(violations(&r).is_empty());
-    }
-
-    #[test]
     fn claim_routed_write_is_clean() {
         let src = "unsafe fn st(c: &DisjointClaim<f32>, i: usize, v: f32) {\n    \
                    unsafe { c.write(i, v) };\n}\n";
@@ -358,6 +249,33 @@ mod tests {
     }
 
     #[test]
+    fn from_raw_parts_mut_with_alias_audit_is_clean() {
+        let src = "fn f(p: *mut i32) {\n    \
+                   // AUDIT(alias): rows are worker-disjoint by construction.\n    \
+                   let row = unsafe { std::slice::from_raw_parts_mut(p, 4) };\n}\n";
+        let r = audit_str("crates/core/src/quant.rs", src, "alias");
+        let writes = of_kind(&r, "raw write");
+        assert!(writes.len() == 1 && writes[0].justified, "{r:?}");
+        assert!(violations(&r).is_empty());
+    }
+
+    #[test]
+    fn sendptr_write_without_alias_audit_fires() {
+        // A hand-rolled Send pointer wrapper is no way around the claims:
+        // its raw write needs an AUDIT(alias) reason, and a SAFETY comment
+        // does not stand in for one.
+        let src = "fn f(dst: &mut [i32]) {\n    let p = SendPtr(dst.as_mut_ptr());\n    \
+                   // SAFETY: rows are disjoint.\n    \
+                   let row = unsafe { std::slice::from_raw_parts_mut(p.0, 4) };\n}\n";
+        let bad: Vec<_> = fixture("crates/core/src/quant.rs", src)
+            .iter()
+            .filter(|f| f.is_violation())
+            .map(|f| (f.check, f.line))
+            .collect();
+        assert_eq!(bad, [("alias", 4)]);
+    }
+
+    #[test]
     fn from_raw_parts_mut_in_layer_file_is_exempt() {
         assert!(audit_str("crates/parutil/src/disjoint.rs", RAW_MUT, "alias").is_empty());
     }
@@ -383,8 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn sendptr_in_comment_is_not_a_site() {
-        let src = "// SendPtr is not allowed here; use claims.\nfn f() {}\n";
+    fn raw_write_in_comment_is_not_a_site() {
+        let src = "// from_raw_parts_mut( is not allowed here; use claims.\nfn f() {}\n";
         assert!(fixture("crates/dwt/src/x.rs", src).is_empty());
     }
 
@@ -399,7 +317,7 @@ mod tests {
 
     #[test]
     fn render_mentions_counts() {
-        let r = fixture("crates/dwt/src/x.rs", "fn f() { SendPtr::new(b); }\n");
+        let r = fixture("crates/dwt/src/x.rs", RAW_MUT);
         let text = crate::scan::render(&r, &[], false);
         assert!(
             text.contains("== alias: 1 sites in 1 files, 1 violations"),
@@ -419,19 +337,20 @@ mod tests {
 
     #[test]
     fn real_quant_hot_loops_stay_audited() {
-        // The two SendPtr hot loops in core::quant keep their AUDIT(alias).
+        // core::quant's row loops write through claims, not raw slices.
         let r = real("crates/core/src/quant.rs", "alias");
-        assert!(!of_kind(&r, "raw write").is_empty());
+        assert!(!of_kind(&r, "claim route").is_empty(), "{r:?}");
+        assert!(of_kind(&r, "raw write").is_empty(), "{r:?}");
     }
 
     #[test]
     fn real_decode_pipeline_scatter_stays_audited() {
-        // The decoder's two SendPtr writers — the scatter of code-blocks
-        // into the inverse-DWT planes and the output pass into the image
-        // (DESIGN.md §15) — keep their AUDIT(alias) coverage.
+        // The decoder's two writers — the scatter of code-blocks into the
+        // inverse-DWT planes and the output pass into the image (DESIGN.md
+        // §15) — take claims, so debug builds check them for overlap.
         let r = real("crates/core/src/decode.rs", "alias");
-        assert!(of_kind(&r, "raw write").len() >= 2, "{r:?}");
-        assert!(!of_kind(&r, "SendPtr use").is_empty());
+        assert!(of_kind(&r, "claim route `claim_rect`").len() >= 2, "{r:?}");
+        assert!(of_kind(&r, "raw write").is_empty(), "{r:?}");
     }
 
     #[test]

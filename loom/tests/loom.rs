@@ -6,7 +6,7 @@
 //! the root workspace is std-only). Under `--cfg loom` parutil's private
 //! `sync` facade swaps `std::sync` for loom's model-checked primitives, so these
 //! tests drive the *production* claim/hand-off code — [`DynamicCursor`],
-//! [`PipelineQueue`], [`DisjointWriter`] — through every reachable thread
+//! [`BoundedQueue`], [`DisjointWriter`] — through every reachable thread
 //! interleaving (bounded by `preemption_bound`) instead of the handful a
 //! stress run happens to hit.
 //!
@@ -19,7 +19,7 @@
 
 use loom::sync::{Arc, Mutex};
 use loom::thread;
-use pj2k_parutil::{DisjointWriter, DynamicCursor, PipelineQueue};
+use pj2k_parutil::{BoundedQueue, DisjointWriter, DynamicCursor};
 
 /// Run `f` under loom with a bounded number of preemptions per execution.
 ///
@@ -104,13 +104,13 @@ fn dynamic_cursor_chunked_tail_is_exact() {
     });
 }
 
-/// Every item sent through the pipeline queue reaches exactly one of two
-/// competing consumers, with its payload intact, and both consumers
-/// terminate after close.
+/// Every item sent through the queue reaches exactly one of two competing
+/// consumers, with its payload intact, and both consumers terminate after
+/// close.
 #[test]
-fn pipeline_queue_hands_each_item_to_exactly_one_consumer() {
+fn bounded_queue_hands_each_item_to_exactly_one_consumer() {
     model(|| {
-        let queue = Arc::new(PipelineQueue::new());
+        let queue = Arc::new(BoundedQueue::new(usize::MAX));
         let seen = Arc::new(Mutex::new(vec![0usize; 2]));
         let consumers: Vec<_> = (0..2)
             .map(|_| {
@@ -124,8 +124,8 @@ fn pipeline_queue_hands_each_item_to_exactly_one_consumer() {
                 })
             })
             .collect();
-        queue.send(0, 10);
-        queue.send(1, 11);
+        queue.send(0, 10).unwrap();
+        queue.send(1, 11).unwrap();
         queue.close();
         for c in consumers {
             c.join().unwrap();
@@ -140,15 +140,33 @@ fn pipeline_queue_hands_each_item_to_exactly_one_consumer() {
 /// Closing the queue wakes a consumer blocked on an empty queue; it must
 /// observe `None`, never hang, in every interleaving of close vs. wait.
 #[test]
-fn pipeline_queue_close_unblocks_empty_consumers() {
+fn bounded_queue_close_unblocks_empty_consumers() {
     model(|| {
-        let queue: Arc<PipelineQueue<()>> = Arc::new(PipelineQueue::new());
+        let queue: Arc<BoundedQueue<()>> = Arc::new(BoundedQueue::new(usize::MAX));
         let h = {
             let queue = Arc::clone(&queue);
             thread::spawn(move || queue.recv())
         };
         queue.close();
         assert!(h.join().unwrap().is_none());
+    });
+}
+
+/// Failing the queue (what a panicking worker does) wakes a producer
+/// parked on a full queue: its send errors out with the payload, in every
+/// interleaving of fail vs. wait.
+#[test]
+fn bounded_queue_fail_wakes_a_producer_parked_on_a_full_queue() {
+    model(|| {
+        let queue = Arc::new(BoundedQueue::new(1));
+        queue.send(0, 10).unwrap();
+        let h = {
+            let queue = Arc::clone(&queue);
+            thread::spawn(move || queue.send(1, 11))
+        };
+        queue.fail();
+        let rejected = h.join().unwrap().expect_err("send on a failed queue");
+        assert_eq!(rejected.0, 11);
     });
 }
 
