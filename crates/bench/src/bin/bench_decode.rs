@@ -162,7 +162,8 @@ fn probe_blocks(n: usize) -> Vec<(EncodedBlock, Vec<i32>)> {
                     }
                 })
                 .collect();
-            let blk = coder.encode_with(&coeffs, 64, 64, BANDS[b % 3], Tier1Options::default());
+            coder.coeff_scratch().extend_from_slice(&coeffs);
+            let blk = coder.encode_scratch(64, 64, BANDS[b % 3], Tier1Options::default());
             (blk, coeffs)
         })
         .collect()

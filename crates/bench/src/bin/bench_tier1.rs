@@ -4,13 +4,14 @@
 //! measurements that track this workspace's Tier-1 performance over time:
 //!
 //! 1. **Scratch-arena microbenchmark**: blocks/sec and heap allocations
-//!    per block for the seed path (a fresh coefficient buffer and a fresh
-//!    [`pj2k_ebcot::encode_block_with`] per block) versus the reused
+//!    per block for the seed path ([`pj2k_ebcot::encode_block`] per block,
+//!    which copies the coefficients into a fresh coder) versus the reused
 //!    [`pj2k_ebcot::BlockCoder`] per-worker arena refilling a recycled
 //!    [`pj2k_ebcot::EncodedBlock`] — the steady-state arena path must stay
 //!    allocation-free (enforced below).
 //! 2. **Engine ablation**: the same arena loop pinned to
-//!    [`Tier1Engine::Reference`] and [`Tier1Engine::Bitplane`];
+//!    [`Tier1Engine::Reference`] (the `oracle` feature's test oracle) and
+//!    [`Tier1Engine::Bitplane`] (the product engine);
 //!    `bitplane_speedup` is their blocks/sec ratio, measured in the same
 //!    run and required to be > 1 (the bitplane engine must beat the
 //!    reference engine it replaced as default).
@@ -45,7 +46,7 @@ use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::{test_image, time};
 use pj2k_core::{Encoder, EncoderConfig, ParallelMode, RateControl, Schedule};
 use pj2k_ebcot::{
-    encode_block_with, BandCtx, BlockCoder, EncodedBlock, Tier1Engine, Tier1Options, Tier1Profile,
+    encode_block, BandCtx, BlockCoder, EncodedBlock, Tier1Engine, Tier1Options, Tier1Profile,
 };
 use pj2k_mq::MqEncoder;
 use pj2k_smpsim::makespan;
@@ -119,8 +120,7 @@ fn micro_seed(blocks: &[Vec<i32>], reps: usize) -> MicroResult {
             let mut sink = 0usize;
             for _ in 0..reps {
                 for (i, coeffs) in blocks.iter().enumerate() {
-                    let copy = coeffs.to_vec();
-                    let blk = encode_block_with(&copy, 64, 64, band_of(i), opts);
+                    let blk = encode_block(coeffs, 64, 64, band_of(i), opts);
                     sink += blk.data.len();
                 }
             }
@@ -149,7 +149,7 @@ fn micro_arena(blocks: &[Vec<i32>], reps: usize, engine: Tier1Engine) -> MicroRe
     let mut sink = 0usize;
     for (i, coeffs) in blocks.iter().enumerate() {
         coder.coeff_scratch().extend_from_slice(coeffs);
-        coder.encode_scratch_into(64, 64, band_of(i), opts, &mut out);
+        coder.encode_scratch_into(64, 64, band_of(i), opts, 0, &mut out);
         sink += out.data.len();
     }
     let a0 = allocs();
@@ -159,7 +159,7 @@ fn micro_arena(blocks: &[Vec<i32>], reps: usize, engine: Tier1Engine) -> MicroRe
             for _ in 0..reps {
                 for (i, coeffs) in blocks.iter().enumerate() {
                     coder.coeff_scratch().extend_from_slice(coeffs);
-                    coder.encode_scratch_into(64, 64, band_of(i), opts, &mut out);
+                    coder.encode_scratch_into(64, 64, band_of(i), opts, 0, &mut out);
                     sink += out.data.len();
                 }
             }
@@ -188,13 +188,13 @@ fn steady_state_allocs(blocks: &[Vec<i32>], engine: Tier1Engine) -> u64 {
     // Warm-up: size every buffer for the largest block in the set.
     for (i, coeffs) in blocks.iter().enumerate() {
         coder.coeff_scratch().extend_from_slice(coeffs);
-        coder.encode_scratch_into(64, 64, band_of(i), opts, &mut out);
+        coder.encode_scratch_into(64, 64, band_of(i), opts, 0, &mut out);
         sink += out.data.len();
     }
     let a0 = alloc_count::thread_allocs();
     for (i, coeffs) in blocks.iter().enumerate() {
         coder.coeff_scratch().extend_from_slice(coeffs);
-        coder.encode_scratch_into(64, 64, band_of(i), opts, &mut out);
+        coder.encode_scratch_into(64, 64, band_of(i), opts, 0, &mut out);
         sink += out.data.len();
     }
     std::hint::black_box(sink);
@@ -347,16 +347,19 @@ fn main() {
     let mut ref_coder = BlockCoder::with_engine(Tier1Engine::Reference);
     let mut bp_coder = BlockCoder::with_engine(Tier1Engine::Bitplane);
     for (i, c) in blocks.iter().enumerate() {
-        let a = encode_block_with(c, 64, 64, band_of(i), Tier1Options::default());
-        let r = ref_coder.encode_with(c, 64, 64, band_of(i), Tier1Options::default());
-        let b = bp_coder.encode_with(c, 64, 64, band_of(i), Tier1Options::default());
+        let opts = Tier1Options::default();
+        let a = encode_block(c, 64, 64, band_of(i), opts);
+        ref_coder.coeff_scratch().extend_from_slice(c);
+        let r = ref_coder.encode_scratch(64, 64, band_of(i), opts);
+        bp_coder.coeff_scratch().extend_from_slice(c);
+        let b = bp_coder.encode_scratch(64, 64, band_of(i), opts);
         assert_eq!(a.data, r.data, "scratch arena changed the bitstream");
         assert_eq!(r.data, b.data, "bitplane engine changed the bitstream");
     }
     // Untimed warm-up of the seed path, then measure.
     let _ = micro_seed(&blocks, 1);
     let seed = micro_seed(&blocks, reps);
-    let scratch = micro_arena(&blocks, reps, Tier1Engine::Auto);
+    let scratch = micro_arena(&blocks, reps, Tier1Engine::Bitplane);
     let speedup = if scratch.secs > 0.0 {
         seed.secs / scratch.secs
     } else {
@@ -372,8 +375,9 @@ fn main() {
         scratch.allocs_per_block
     );
     // Self-validation: the warm arena path must not allocate. The floor is
-    // intentionally strict — 2.0 allocs/block was the pre-`encode_into`
-    // residual this harness existed to flag.
+    // intentionally strict — 2.0 allocs/block was the residual, before the
+    // arena refilled a recycled `EncodedBlock`, this harness existed to
+    // flag.
     const ALLOCS_PER_BLOCK_FLOOR: f64 = 0.5;
     if scratch.allocs_per_block > ALLOCS_PER_BLOCK_FLOOR {
         eprintln!(

@@ -70,14 +70,14 @@ fn tier1_steady_allocs(engine: Tier1Engine) -> u64 {
     // Warm-up pass sizes every buffer for the largest block in the set.
     for (i, coeffs) in blocks.iter().enumerate() {
         coder.coeff_scratch().extend_from_slice(coeffs);
-        coder.encode_scratch_into(64, 64, band_of(i), opts, &mut out);
+        coder.encode_scratch_into(64, 64, band_of(i), opts, 0, &mut out);
         sink += out.data.len();
     }
     let a0 = alloc_count::thread_allocs();
     for _ in 0..3 {
         for (i, coeffs) in blocks.iter().enumerate() {
             coder.coeff_scratch().extend_from_slice(coeffs);
-            coder.encode_scratch_into(64, 64, band_of(i), opts, &mut out);
+            coder.encode_scratch_into(64, 64, band_of(i), opts, 0, &mut out);
             sink += out.data.len();
         }
     }

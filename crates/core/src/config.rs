@@ -167,11 +167,10 @@ pub struct EncoderConfig {
     /// Tier-1 coding-style options (stripe-causal contexts, per-pass
     /// context reset). Signalled in the codestream header.
     pub tier1: Tier1Options,
-    /// Tier-1 coding engine: the packed flag-word engine by default
-    /// (`Auto`, overridable at runtime with `PJ2K_TIER1=reference`), or a
-    /// pinned engine for ablation. Every engine produces bit-identical
-    /// codestreams (asserted in tests), so this knob never changes the
-    /// output.
+    /// Tier-1 coding engine. The product build has one, the packed
+    /// flag-word engine; `oracle` builds add the reference engine it
+    /// replaced, which produces bit-identical codestreams (asserted in
+    /// tests), so this knob never changes the output.
     pub tier1_engine: Tier1Engine,
     /// How [`ParallelMode::WorkerPool`] hands code-blocks to its workers:
     /// the paper's staggered round-robin by default, or
@@ -205,7 +204,7 @@ impl Default for EncoderConfig {
             simd: SimdMode::Auto,
             overlap: StageOverlap::Barriered,
             tier1: Tier1Options::default(),
-            tier1_engine: Tier1Engine::Auto,
+            tier1_engine: Tier1Engine::Bitplane,
             tier1_schedule: Schedule::StaggeredRoundRobin,
             roi: None,
         }

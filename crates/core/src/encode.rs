@@ -503,9 +503,9 @@ impl Encoder {
     /// order.
     ///
     /// Every execution path feeds its blocks through a per-worker
-    /// [`BlockCoder`] scratch arena: the coefficient staging buffer, flag
-    /// grid, and MQ byte buffers are allocated once per worker and reused
-    /// for every block that worker codes.
+    /// [`BlockCoder`] scratch arena: the coefficient staging buffer, the
+    /// packed engine state and the MQ byte buffers are allocated once per
+    /// worker and reused for every block that worker codes.
     fn map_blocks(
         &self,
         jobs: &[BlockJob],
@@ -522,12 +522,14 @@ impl Encoder {
             for y in j.geom.y0..j.geom.y0 + j.geom.h {
                 coeffs.extend_from_slice(&p.row(y)[j.geom.x0..j.geom.x0 + j.geom.w]);
             }
-            let blk = coder.encode_scratch_above(
+            let mut blk = EncodedBlock::default();
+            coder.encode_scratch_into(
                 j.geom.w,
                 j.geom.h,
                 band_ctx(j.band),
                 self.cfg.tier1,
                 floor,
+                &mut blk,
             );
             (blk, t.elapsed().as_secs_f64())
         };

@@ -150,7 +150,7 @@ fn parse_tier_token(tok: &str) -> Option<Option<SimdTier>> {
 /// unrecognized value warns on stderr instead of silently falling back to
 /// runtime detection, so a typo (`PJ2K_SIMD=avx`) can't masquerade as a
 /// forced-tier run. Empty and `auto` are accepted silently as explicit
-/// "no override"; mirrors `PJ2K_TIER1` in `pj2k_ebcot::bitplane`.
+/// "no override"; `PJ2K_THREADS` in `pj2k_parutil::budget` does the same.
 fn env_override() -> Option<Option<SimdTier>> {
     static OVERRIDE: OnceLock<Option<Option<SimdTier>>> = OnceLock::new();
     *OVERRIDE.get_or_init(|| {

@@ -1,11 +1,11 @@
 //! Packed flag-word Tier-1 engine.
 //!
-//! The reference encoder ([`crate::encoder`]) walks every coefficient of
+//! The reference encoder this engine replaced walks every coefficient of
 //! every pass of every bit-plane and forms contexts from per-coefficient
-//! byte lookups in a padded [`crate::state::FlagGrid`]. This module keeps
-//! the same coding decisions — bit for bit — but stores the per-coefficient
-//! state as *bit-planes*: one `u64` word covers 64 consecutive columns of a
-//! row, and significance / visited / sign state are parallel word arrays.
+//! byte lookups in a padded flag grid. This module keeps the same coding
+//! decisions — bit for bit — but stores the per-coefficient state as
+//! *bit-planes*: one `u64` word covers 64 consecutive columns of a row, and
+//! significance / visited / sign state are parallel word arrays.
 //! That representation turns the three inner loops into word-level stencil
 //! operations:
 //!
@@ -44,14 +44,14 @@
 //! shared with the block decoder ([`crate::decoder`]).
 //!
 //! Every decision, its context, and the f64 distortion accumulation order
-//! are identical to the reference engine, which stays available behind
-//! [`Tier1Engine::Reference`]; `tests/engines.rs` and the whole-codec
-//! equality tests enforce byte-identical output across all
-//! [`Tier1Options`] combinations.
+//! are identical to that reference coder, which survives as a test oracle
+//! behind the `oracle` cargo feature (`Tier1Engine::Reference`);
+//! `tests/engines.rs` and the whole-codec equality tests enforce
+//! byte-identical output across all [`Tier1Options`] combinations.
 //!
 //! The stencil words are already 64-way data-parallel, and a code-block row
 //! is at most 1024 coefficients (usually 64), i.e. 1–16 words — there is no
-//! inner loop long enough for the `pj2k_dwt::simd` SSE2/AVX2 tiers to beat
+//! inner loop long enough for the `pj2k_dwt::simd` portable/AVX2 tiers to beat
 //! plain scalar word ops, so this module deliberately stays portable (see
 //! DESIGN.md §13).
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
@@ -67,69 +67,21 @@ use crate::packed::{
 };
 use crate::STRIPE_HEIGHT;
 use pj2k_mq::{CtxState, MqEncoder, RawEncoder};
-use std::sync::OnceLock;
 
 /// Which Tier-1 coding engine a [`crate::BlockCoder`] runs.
 ///
-/// Both engines produce byte-identical codestreams; the knob exists for
-/// ablation, regression hunting, and as an escape hatch. Mirrors
-/// `pj2k_dwt::SimdMode`.
+/// The product build has one: the packed flag-word coder of this module.
+/// Under the `oracle` cargo feature the per-coefficient coder it replaced
+/// is a second value, so tests and `bench_tier1` can hold the two to byte
+/// equality and time them side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Tier1Engine {
-    /// Use the bitplane engine unless the `PJ2K_TIER1` environment
-    /// variable overrides it (`reference`, or `bitplane` to force the
-    /// default explicitly).
-    #[default]
-    Auto,
-    /// The original per-coefficient flag-grid coder.
-    Reference,
     /// The packed flag-word coder (this module).
+    #[default]
     Bitplane,
-}
-
-/// Parsed value of a `PJ2K_TIER1` token, `None` meaning "no override".
-fn parse_engine_token(tok: &str) -> Option<Tier1Engine> {
-    match tok.trim().to_ascii_lowercase().as_str() {
-        "reference" | "ref" | "scalar" => Some(Tier1Engine::Reference),
-        "bitplane" | "bitmask" => Some(Tier1Engine::Bitplane),
-        _ => None,
-    }
-}
-
-/// The cached `PJ2K_TIER1` override, read once per process. A set but
-/// unrecognized value warns on stderr instead of silently falling back,
-/// so a typo (`PJ2K_TIER1=refrence`) can't masquerade as an ablation run.
-/// Empty and `auto` are accepted silently as explicit "no override".
-fn env_override() -> Option<Tier1Engine> {
-    static OVERRIDE: OnceLock<Option<Tier1Engine>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let v = std::env::var("PJ2K_TIER1").ok()?;
-        let tok = v.trim();
-        if tok.is_empty() || tok.eq_ignore_ascii_case("auto") {
-            return None;
-        }
-        let parsed = parse_engine_token(tok);
-        if parsed.is_none() {
-            // AUDIT(hot): cold diagnostic — runs at most once per process
-            // (OnceLock) and only when the env var is set to garbage.
-            eprintln!(
-                "pj2k: ignoring unrecognized PJ2K_TIER1={v:?} \
-                 (expected reference|ref|scalar, bitplane|bitmask, or auto)"
-            );
-        }
-        parsed
-    })
-}
-
-impl Tier1Engine {
-    /// Resolve to a concrete engine (never [`Tier1Engine::Auto`]):
-    /// `Auto` honours `PJ2K_TIER1` and otherwise picks `Bitplane`.
-    pub fn resolve(self) -> Tier1Engine {
-        match self {
-            Tier1Engine::Auto => env_override().unwrap_or(Tier1Engine::Bitplane),
-            forced => forced,
-        }
-    }
+    /// The original per-coefficient flag-grid coder (`oracle` builds only).
+    #[cfg(feature = "oracle")]
+    Reference,
 }
 
 /// The bitplane engine's per-block coding state (sink + contexts + the
@@ -753,38 +705,4 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
         y0 = ymax;
     }
     dd
-}
-
-#[cfg(test)]
-#[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_engine_token_covers_knob_vocabulary() {
-        assert_eq!(
-            parse_engine_token("reference"),
-            Some(Tier1Engine::Reference)
-        );
-        assert_eq!(parse_engine_token("ref"), Some(Tier1Engine::Reference));
-        assert_eq!(parse_engine_token("scalar"), Some(Tier1Engine::Reference));
-        assert_eq!(parse_engine_token("bitplane"), Some(Tier1Engine::Bitplane));
-        assert_eq!(parse_engine_token("bitmask"), Some(Tier1Engine::Bitplane));
-        // Case-insensitive, whitespace-tolerant — matches PJ2K_SIMD.
-        assert_eq!(
-            parse_engine_token(" Bitplane "),
-            Some(Tier1Engine::Bitplane)
-        );
-        assert_eq!(parse_engine_token("REF"), Some(Tier1Engine::Reference));
-        // Garbage and empty are rejected (env_override warns, not here).
-        assert_eq!(parse_engine_token("refrence"), None);
-        assert_eq!(parse_engine_token(""), None);
-        assert_eq!(parse_engine_token("auto"), None);
-    }
-
-    #[test]
-    fn forced_engines_resolve_to_themselves() {
-        assert_eq!(Tier1Engine::Reference.resolve(), Tier1Engine::Reference);
-        assert_eq!(Tier1Engine::Bitplane.resolve(), Tier1Engine::Bitplane);
-    }
 }

@@ -715,7 +715,7 @@ mod tests {
     use crate::encoder::encode_block;
 
     fn roundtrip_exact(coeffs: &[i32], w: usize, h: usize, band: BandCtx) {
-        let blk = encode_block(coeffs, w, h, band);
+        let blk = encode_block(coeffs, w, h, band, Tier1Options::default());
         let segments: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
         let got = decode_block(w, h, band, blk.msb_planes, &segments).unwrap();
         assert_eq!(got, coeffs, "{w}x{h} {band:?}");
@@ -781,7 +781,7 @@ mod tests {
         let coeffs: Vec<i32> = (0..256)
             .map(|i| (((i * 29) % 255) - 127) / (1 + (i % 3)))
             .collect();
-        let blk = encode_block(&coeffs, 16, 16, BandCtx::LlLh);
+        let blk = encode_block(&coeffs, 16, 16, BandCtx::LlLh, Tier1Options::default());
         let all: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
         let mut prev_err = f64::INFINITY;
         for n in 0..=blk.passes.len() {
@@ -866,7 +866,7 @@ mod tests {
         for (w, h) in [(16usize, 16usize), (3, 9), (32, 4), (1, 1), (8, 8)] {
             let coeffs: Vec<i32> = (0..w * h).map(|i| (i as i32 % 23) - 11).collect();
             for band in [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh] {
-                let blk = encode_block(&coeffs, w, h, band);
+                let blk = encode_block(&coeffs, w, h, band, Tier1Options::default());
                 // Owned segments, passed without a per-block ref vector.
                 let owned: Vec<Vec<u8>> = (0..blk.passes.len())
                     .map(|p| blk.segment(p).to_vec())

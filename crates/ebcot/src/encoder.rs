@@ -1,16 +1,13 @@
 //! Tier-1 block encoder.
 
 use crate::bitplane::Tier1Engine;
-use crate::context::{
-    initial_states, mr_context, sc_context, zc_context, BandCtx, CTX_RL, CTX_UNI, NUM_CTX,
-};
-use crate::state::{FlagGrid, NEG, NEWSIG, REFINED, SIG, VISITED};
-use crate::{MAX_PLANES, STRIPE_HEIGHT};
+use crate::context::BandCtx;
+use crate::MAX_PLANES;
 use pj2k_mq::{CtxState, MqEncoder, RawEncoder};
 
 /// Optional Tier-1 coding-style switches (ISO 15444-1 COD flags).
 ///
-/// Both default to off, the configuration the paper's era used. Either
+/// All three default to off, the configuration the paper's era used. Each
 /// changes the produced bitstream, so they are signalled in the
 /// codestream header by `pj2k-core`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -94,7 +91,7 @@ impl Sink {
 
 /// Per-pass-kind time and decision-count breakdown of Tier-1 coding,
 /// accumulated across every block fed through a profiled entry point
-/// ([`BlockCoder::encode_scratch_profiled_into`] and friends).
+/// ([`BlockCoder::encode_scratch_profiled_into`]).
 ///
 /// Seconds measure the pass body only (context formation + entropy
 /// coding); decision counts are exact — MQ decisions or raw bits emitted
@@ -160,8 +157,8 @@ pub struct PassInfo {
 /// rate/distortion bookkeeping PCRD needs.
 ///
 /// `Default` is the empty 0×0 block; it exists so callers can keep a pool
-/// of `EncodedBlock`s and refill them through [`BlockCoder::encode_into`]
-/// without per-block allocations.
+/// of `EncodedBlock`s and refill them through
+/// [`BlockCoder::encode_scratch_into`] without per-block allocations.
 #[derive(Debug, Clone, Default)]
 pub struct EncodedBlock {
     /// Block width in coefficients.
@@ -195,75 +192,11 @@ impl EncodedBlock {
                 .sum::<f64>()
     }
 
-    /// Byte ranges (into `data`) of the first `n` passes.
+    /// The terminated segment of pass `pass` (a slice of `data`).
     pub fn segment(&self, pass: usize) -> &[u8] {
         let start = self.rate_after(pass);
         let end = start + self.passes[pass].len;
         &self.data[start..end]
-    }
-}
-
-/// Internal encoder state shared by the three passes.
-struct BlockEncoder<'a> {
-    mag: &'a [u32],
-    grid: &'a mut FlagGrid,
-    band: BandCtx,
-    ctx: [CtxState; NUM_CTX],
-    sink: Sink,
-    opts: Tier1Options,
-}
-
-impl BlockEncoder<'_> {
-    #[inline]
-    fn bit(&self, x: usize, y: usize, plane: u8) -> u8 {
-        ((self.mag[y * self.grid.w + x] >> plane) & 1) as u8
-    }
-
-    /// Whether (x, y)'s southern neighbors are causally invisible.
-    #[inline]
-    fn skip_south(&self, y: usize) -> bool {
-        self.opts.stripe_causal && (y + 1).is_multiple_of(crate::STRIPE_HEIGHT)
-    }
-
-    /// Code significance (ZC) + possible sign (SC) of one coefficient at
-    /// `plane`; returns the distortion reduction if it became significant.
-    #[inline]
-    fn code_significance(&mut self, x: usize, y: usize, plane: u8) -> f64 {
-        let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
-        let (h, v, d) = (
-            self.grid.h_count(i),
-            self.grid.v_count(i, ss),
-            self.grid.d_count(i, ss),
-        );
-        let zc = zc_context(self.band, h, v, d);
-        let bit = self.bit(x, y, plane);
-        self.sink.decision(&mut self.ctx[zc], bit);
-        if bit == 1 {
-            self.code_sign_and_mark(x, y, plane)
-        } else {
-            0.0
-        }
-    }
-
-    /// Sign coding and significance marking for a coefficient whose bit at
-    /// `plane` is 1. Returns the distortion reduction.
-    #[inline]
-    fn code_sign_and_mark(&mut self, x: usize, y: usize, plane: u8) -> f64 {
-        let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
-        let (sc, xor) = sc_context(self.grid.hc(i), self.grid.vc(i, ss));
-        let m = self.mag[y * self.grid.w + x];
-        let neg = u8::from(self.neg(x, y));
-        self.sink.sign(&mut self.ctx[sc], xor, neg);
-        self.grid
-            .set(i, SIG | NEWSIG | if neg == 1 { NEG } else { 0 });
-        sig_distortion_gain(m, plane)
-    }
-
-    #[inline]
-    fn neg(&self, x: usize, y: usize) -> bool {
-        self.grid.get(self.grid.idx(x, y)) & NEG != 0
     }
 }
 
@@ -302,55 +235,51 @@ pub(crate) fn half_step(plane: u8) -> f64 {
     }
 }
 
-/// Encode one code-block with default coding style (see
-/// [`encode_block_with`]).
-///
-/// # Panics
-/// Panics if `coeffs.len() != w * h`, the block is empty, or a magnitude
-/// needs more than [`MAX_PLANES`] bit-planes.
-pub fn encode_block(coeffs: &[i32], w: usize, h: usize, band: BandCtx) -> EncodedBlock {
-    encode_block_with(coeffs, w, h, band, Tier1Options::default())
-}
-
 /// Encode one code-block of signed quantized coefficients (row-major,
 /// `w * h` entries) from subband class `band` under the given coding
-/// style.
+/// style, through a fresh [`BlockCoder`]. Workers coding many blocks keep
+/// one coder instead and stage each block in
+/// [`BlockCoder::coeff_scratch`].
 ///
 /// # Panics
 /// Panics if `coeffs.len() != w * h`, the block is empty, or a magnitude
 /// needs more than [`MAX_PLANES`] bit-planes.
-pub fn encode_block_with(
+// AUDIT(hot): one-shot convenience — a cold coder per call; the codec's
+// workers stage blocks into a warm coder instead.
+pub fn encode_block(
     coeffs: &[i32],
     w: usize,
     h: usize,
     band: BandCtx,
     opts: Tier1Options,
 ) -> EncodedBlock {
-    BlockCoder::new().encode_with(coeffs, w, h, band, opts)
+    let mut coder = BlockCoder::new();
+    coder.coeff_scratch().extend_from_slice(coeffs);
+    coder.encode_scratch(w, h, band, opts)
 }
 
 /// Reusable Tier-1 block-coding scratch arena.
 ///
 /// One `BlockCoder` owns every buffer the block-coding loop needs — the
-/// magnitude plane, the engine's per-coefficient state (the padded flag
-/// grid of the reference engine or the packed word arrays of the bitplane
-/// engine), a coefficient staging buffer, and the MQ/raw byte buffer that
-/// is recycled from each terminated pass into the next. Coding a block
-/// through a warm coder with [`BlockCoder::encode_into`] into a recycled
+/// coefficient staging buffer, the magnitude plane, the packed word arrays
+/// of the bitplane engine, and the MQ/raw byte buffer that is recycled from
+/// each terminated pass into the next. Coding a block through a warm coder
+/// with [`BlockCoder::encode_scratch_into`] into a recycled
 /// [`EncodedBlock`] allocates nothing at steady state; the value-returning
-/// entry points cost only the returned block's own two buffers.
+/// entry point costs only the returned block's own two buffers.
 ///
 /// Workers in a parallel Tier-1 stage keep one coder each and feed it
 /// every block they claim; the produced bitstream is bit-identical to the
-/// single-use path, and — enforced by the engine-equivalence tests —
-/// identical across [`Tier1Engine`]s.
+/// single-use path.
 pub struct BlockCoder {
-    engine: Tier1Engine,
     mag: Vec<u32>,
-    grid: FlagGrid,
     bp: crate::packed::BitplaneScratch,
     coeffs: Vec<i32>,
     seg_buf: Vec<u8>,
+    /// The reference engine's flag grid, present when the coder is pinned
+    /// to [`Tier1Engine::Reference`].
+    #[cfg(feature = "oracle")]
+    reference: Option<crate::state::FlagGrid>,
 }
 
 impl Default for BlockCoder {
@@ -360,30 +289,26 @@ impl Default for BlockCoder {
 }
 
 impl BlockCoder {
-    /// Fresh coder with empty scratch buffers and the default
-    /// ([`Tier1Engine::Auto`]) engine selection.
+    /// Fresh coder with empty scratch buffers.
     pub fn new() -> Self {
-        Self::with_engine(Tier1Engine::Auto)
+        Self::with_engine(Tier1Engine::default())
     }
 
-    /// Fresh coder pinned to `engine` (still subject to the `PJ2K_TIER1`
-    /// override when `engine` is [`Tier1Engine::Auto`]).
+    /// Fresh coder running `engine`.
     // AUDIT(hot): setup-time — empty vectors; per-block work recycles
     // them via clear/resize.
     pub fn with_engine(engine: Tier1Engine) -> Self {
+        // The product build has one engine.
+        #[cfg(not(feature = "oracle"))]
+        let Tier1Engine::Bitplane = engine;
         Self {
-            engine,
             mag: Vec::new(),
-            grid: FlagGrid::new(0, 0),
             bp: crate::packed::BitplaneScratch::new(),
             coeffs: Vec::new(),
             seg_buf: Vec::new(),
+            #[cfg(feature = "oracle")]
+            reference: (engine == Tier1Engine::Reference).then(crate::state::FlagGrid::default),
         }
-    }
-
-    /// The engine selection this coder was built with (possibly `Auto`).
-    pub fn engine(&self) -> Tier1Engine {
-        self.engine
     }
 
     /// Cleared coefficient staging buffer, for callers that assemble the
@@ -394,10 +319,14 @@ impl BlockCoder {
         &mut self.coeffs
     }
 
-    /// Encode the block currently staged in [`BlockCoder::coeff_scratch`].
+    /// Encode the block currently staged in [`BlockCoder::coeff_scratch`]:
+    /// `w * h` signed quantized coefficients (row-major) from subband class
+    /// `band` under the given coding style.
     ///
     /// # Panics
-    /// As [`BlockCoder::encode_with`], with the staged buffer as `coeffs`.
+    /// Panics if the staged buffer does not hold `w * h` coefficients, the
+    /// block is empty, or a magnitude needs more than [`MAX_PLANES`]
+    /// bit-planes.
     pub fn encode_scratch(
         &mut self,
         w: usize,
@@ -405,52 +334,37 @@ impl BlockCoder {
         band: BandCtx,
         opts: Tier1Options,
     ) -> EncodedBlock {
-        self.encode_scratch_above(w, h, band, opts, 0)
+        let mut out = EncodedBlock::default();
+        self.encode_scratch_into(w, h, band, opts, 0, &mut out);
+        out
     }
 
-    /// Allocation-free variant of [`BlockCoder::encode_scratch`]: refills
-    /// `out` (any previous contents are discarded, capacity kept).
+    /// As [`BlockCoder::encode_scratch`], refilling `out` (any previous
+    /// contents are discarded, capacity kept) and stopping above bit-plane
+    /// `floor`: only planes `floor..msb_planes` are coded (none when
+    /// `floor >= msb_planes`; `floor == 0` codes every plane). Every pass is
+    /// its own terminated segment, so the result is byte for byte the
+    /// prefix of the full encode that ends with the cleanup pass of plane
+    /// `floor` — same `msb_planes`, `initial_distortion`, pass lengths and
+    /// distortion gains. A rate-targeted encoder uses it to skip the planes
+    /// PCRD is certain to discard.
+    ///
+    /// # Panics
+    /// As [`BlockCoder::encode_scratch`].
     pub fn encode_scratch_into(
         &mut self,
         w: usize,
         h: usize,
         band: BandCtx,
         opts: Tier1Options,
+        floor: u8,
         out: &mut EncodedBlock,
     ) {
-        let coeffs = std::mem::take(&mut self.coeffs);
-        self.encode_inner(&coeffs, w, h, band, opts, 0, None, out);
-        self.coeffs = coeffs;
+        self.encode_inner(w, h, band, opts, floor, None, out);
     }
 
-    /// As [`BlockCoder::encode_scratch`], but stop above bit-plane `floor`:
-    /// only planes `floor..msb_planes` are coded (none when `floor >=
-    /// msb_planes`; `floor == 0` is `encode_scratch`). Every pass is its
-    /// own terminated segment, so the result is byte for byte the prefix of
-    /// the full encode that ends with the cleanup pass of plane `floor` —
-    /// same `msb_planes`, `initial_distortion`, pass lengths and distortion
-    /// gains. A rate-targeted encoder uses it to skip the planes PCRD is
-    /// certain to discard.
-    ///
-    /// # Panics
-    /// As [`BlockCoder::encode_with`], with the staged buffer as `coeffs`.
-    pub fn encode_scratch_above(
-        &mut self,
-        w: usize,
-        h: usize,
-        band: BandCtx,
-        opts: Tier1Options,
-        floor: u8,
-    ) -> EncodedBlock {
-        let mut out = EncodedBlock::default();
-        let coeffs = std::mem::take(&mut self.coeffs);
-        self.encode_inner(&coeffs, w, h, band, opts, floor, None, &mut out);
-        self.coeffs = coeffs;
-        out
-    }
-
-    /// As [`BlockCoder::encode_scratch_into`], additionally accumulating a
-    /// per-pass time/decision breakdown into `profile`.
+    /// As [`BlockCoder::encode_scratch_into`] with floor 0, additionally
+    /// accumulating a per-pass time/decision breakdown into `profile`.
     pub fn encode_scratch_profiled_into(
         &mut self,
         w: usize,
@@ -460,56 +374,14 @@ impl BlockCoder {
         profile: &mut Tier1Profile,
         out: &mut EncodedBlock,
     ) {
-        let coeffs = std::mem::take(&mut self.coeffs);
-        self.encode_inner(&coeffs, w, h, band, opts, 0, Some(profile), out);
-        self.coeffs = coeffs;
+        self.encode_inner(w, h, band, opts, 0, Some(profile), out);
     }
 
-    /// Encode one code-block of signed quantized coefficients (row-major,
-    /// `w * h` entries) from subband class `band` under the given coding
-    /// style, reusing this coder's scratch buffers.
-    ///
-    /// # Panics
-    /// Panics if `coeffs.len() != w * h`, the block is empty, or a
-    /// magnitude needs more than [`MAX_PLANES`] bit-planes.
-    pub fn encode_with(
-        &mut self,
-        coeffs: &[i32],
-        w: usize,
-        h: usize,
-        band: BandCtx,
-        opts: Tier1Options,
-    ) -> EncodedBlock {
-        let mut out = EncodedBlock::default();
-        self.encode_inner(coeffs, w, h, band, opts, 0, None, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`BlockCoder::encode_with`]: refills
-    /// `out` (any previous contents are discarded, capacity kept).
-    ///
-    /// # Panics
-    /// As [`BlockCoder::encode_with`].
-    pub fn encode_into(
-        &mut self,
-        coeffs: &[i32],
-        w: usize,
-        h: usize,
-        band: BandCtx,
-        opts: Tier1Options,
-        out: &mut EncodedBlock,
-    ) {
-        self.encode_inner(coeffs, w, h, band, opts, 0, None, out);
-    }
-
-    /// Shared setup (magnitudes, plane count, distortion baseline) and
-    /// engine dispatch. The wide signature mirrors the public
-    /// `encode_with`/`encode_into` entry points plus the floor plane (0 =
-    /// code everything) and the optional profile.
+    /// Shared setup (magnitudes, plane count, distortion baseline) of the
+    /// staged block, then the engine's pass loop.
     #[allow(clippy::too_many_arguments)]
     fn encode_inner(
         &mut self,
-        coeffs: &[i32],
         w: usize,
         h: usize,
         band: BandCtx,
@@ -518,6 +390,7 @@ impl BlockCoder {
         profile: Option<&mut Tier1Profile>,
         out: &mut EncodedBlock,
     ) {
+        let coeffs = &self.coeffs;
         assert!(w > 0 && h > 0, "empty code-block"); // AUDIT(hot): per-block precondition, O(1) at entry.
         assert_eq!(coeffs.len(), w * h, "coefficient count mismatch"); // AUDIT(hot): per-block precondition.
         self.mag.clear();
@@ -541,9 +414,10 @@ impl BlockCoder {
         if floor >= msb_planes {
             return; // all-zero block, or every plane is below the floor
         }
-        match self.engine.resolve() {
-            Tier1Engine::Bitplane => crate::bitplane::encode_block_into(
-                &mut self.bp,
+        #[cfg(feature = "oracle")]
+        if let Some(grid) = &mut self.reference {
+            return crate::reference::encode_block_into(
+                grid,
                 &self.mag,
                 coeffs,
                 w,
@@ -555,218 +429,23 @@ impl BlockCoder {
                 &mut self.seg_buf,
                 profile,
                 out,
-            ),
-            _ => self
-                .encode_reference_into(coeffs, w, h, band, opts, msb_planes, floor, profile, out),
+            );
         }
-    }
-
-    /// The reference per-coefficient flag-grid engine.
-    #[allow(clippy::too_many_arguments)]
-    // AUDIT(hot): all growth amortized — same recycled-buffer emit
-    // protocol as the bitplane engine (pass records and coded bytes
-    // reuse `EncodedBlock` and sink storage); oracle holds 0
-    // allocations per block after warm-up.
-    fn encode_reference_into(
-        &mut self,
-        coeffs: &[i32],
-        w: usize,
-        h: usize,
-        band: BandCtx,
-        opts: Tier1Options,
-        msb_planes: u8,
-        floor: u8,
-        mut profile: Option<&mut Tier1Profile>,
-        out: &mut EncodedBlock,
-    ) {
-        self.grid.reset(w, h);
-        for (k, &c) in coeffs.iter().enumerate() {
-            if c < 0 {
-                let (x, y) = (k % w, k / w);
-                self.grid.set(self.grid.idx(x, y), NEG);
-            }
-        }
-
-        let passes = &mut out.passes;
-        let data = &mut out.data;
-        let mut enc = BlockEncoder {
-            mag: &self.mag,
-            grid: &mut self.grid,
+        crate::bitplane::encode_block_into(
+            &mut self.bp,
+            &self.mag,
+            coeffs,
+            w,
+            h,
             band,
-            ctx: initial_states(),
-            sink: Sink::Mq(MqEncoder::from_recycled(std::mem::take(&mut self.seg_buf))),
             opts,
-        };
-
-        let mut emit = |enc: &mut BlockEncoder, kind, plane, dd: f64, next_raw: bool| {
-            // Park an allocation-free placeholder in the encoder, flush the
-            // finished pass, then rebuild the next sink over the flushed
-            // segment's storage.
-            let sink = std::mem::replace(&mut enc.sink, Sink::Raw(RawEncoder::new()));
-            if enc.opts.reset_contexts {
-                enc.ctx = initial_states();
-            }
-            let seg = sink.flush();
-            passes.push(PassInfo {
-                kind,
-                plane,
-                len: seg.len().max(1),
-                delta_distortion: dd,
-            });
-            if seg.is_empty() {
-                data.push(0); // keep every terminated pass at least one byte
-            } else {
-                data.extend_from_slice(&seg);
-            }
-            enc.sink = if next_raw {
-                Sink::Raw(RawEncoder::from_recycled(seg))
-            } else {
-                Sink::Mq(MqEncoder::from_recycled(seg))
-            };
-        };
-
-        // Planes below `floor` are left uncoded (the caller knows PCRD
-        // discards them); the passes above are unaffected by the stop.
-        for plane in (floor..msb_planes).rev() {
-            enc.grid.clear_plane_flags();
-            let first_plane = plane + 1 == msb_planes;
-            let bypassed = opts.bypass && in_bypass_region(plane, msb_planes);
-            if !first_plane {
-                // SPP of this plane: raw when bypassed (the previous emit
-                // set the sink accordingly).
-                let t = profile.as_ref().map(|_| std::time::Instant::now());
-                let d0 = enc.sink.decisions();
-                let dd = sig_prop_pass(&mut enc, plane);
-                if let (Some(p), Some(t)) = (profile.as_deref_mut(), t) {
-                    p.sig_prop_secs += t.elapsed().as_secs_f64();
-                    p.sig_prop_decisions += enc.sink.decisions() - d0;
-                }
-                emit(&mut enc, PassKind::SigProp, plane, dd, bypassed);
-                let t = profile.as_ref().map(|_| std::time::Instant::now());
-                let d0 = enc.sink.decisions();
-                let dd = mag_ref_pass(&mut enc, plane);
-                if let (Some(p), Some(t)) = (profile.as_deref_mut(), t) {
-                    p.mag_ref_secs += t.elapsed().as_secs_f64();
-                    p.mag_ref_decisions += enc.sink.decisions() - d0;
-                }
-                emit(&mut enc, PassKind::MagRef, plane, dd, false);
-            }
-            let t = profile.as_ref().map(|_| std::time::Instant::now());
-            let d0 = enc.sink.decisions();
-            let dd = cleanup_pass(&mut enc, plane);
-            if let (Some(p), Some(t)) = (profile.as_deref_mut(), t) {
-                p.cleanup_secs += t.elapsed().as_secs_f64();
-                p.cleanup_decisions += enc.sink.decisions() - d0;
-            }
-            // Next pass is the SPP of the plane below: raw iff that plane
-            // is bypassed.
-            let next_raw = opts.bypass && plane > 0 && in_bypass_region(plane - 1, msb_planes);
-            emit(&mut enc, PassKind::Cleanup, plane, dd, next_raw);
-        }
-
-        // The last emit armed a sink that never coded anything; reclaim its
-        // byte buffer for the next block.
-        let sink = enc.sink;
-        self.seg_buf = sink.flush();
+            msb_planes,
+            floor,
+            &mut self.seg_buf,
+            profile,
+            out,
+        );
     }
-}
-
-/// Significance-propagation pass: insignificant coefficients with at least
-/// one significant neighbor.
-fn sig_prop_pass(enc: &mut BlockEncoder, plane: u8) -> f64 {
-    let (w, h) = (enc.grid.w, enc.grid.h);
-    let mut dd = 0.0;
-    let mut y0 = 0;
-    while y0 < h {
-        let ymax = (y0 + STRIPE_HEIGHT).min(h);
-        for x in 0..w {
-            for y in y0..ymax {
-                let i = enc.grid.idx(x, y);
-                let f = enc.grid.get(i);
-                if f & SIG == 0 && enc.grid.any_sig_neighbor(i, enc.skip_south(y)) {
-                    dd += enc.code_significance(x, y, plane);
-                    enc.grid.set(i, VISITED);
-                }
-            }
-        }
-        y0 = ymax;
-    }
-    dd
-}
-
-/// Magnitude-refinement pass: coefficients significant before this plane.
-fn mag_ref_pass(enc: &mut BlockEncoder, plane: u8) -> f64 {
-    let (w, h) = (enc.grid.w, enc.grid.h);
-    let mut dd = 0.0;
-    let mut y0 = 0;
-    while y0 < h {
-        let ymax = (y0 + STRIPE_HEIGHT).min(h);
-        for x in 0..w {
-            for y in y0..ymax {
-                let i = enc.grid.idx(x, y);
-                let f = enc.grid.get(i);
-                if f & SIG != 0 && f & NEWSIG == 0 {
-                    let first = f & REFINED == 0;
-                    let mr = mr_context(first, enc.grid.any_sig_neighbor(i, enc.skip_south(y)));
-                    let bit = enc.bit(x, y, plane);
-                    enc.sink.decision(&mut enc.ctx[mr], bit);
-                    enc.grid.set(i, REFINED);
-                    dd += ref_distortion_gain(enc.mag[y * w + x], plane);
-                }
-            }
-        }
-        y0 = ymax;
-    }
-    dd
-}
-
-/// Cleanup pass: everything still uncoded at this plane, with run-length
-/// shortcuts on all-quiet stripe columns.
-fn cleanup_pass(enc: &mut BlockEncoder, plane: u8) -> f64 {
-    let (w, h) = (enc.grid.w, enc.grid.h);
-    let mut dd = 0.0;
-    let mut y0 = 0;
-    while y0 < h {
-        let ymax = (y0 + STRIPE_HEIGHT).min(h);
-        for x in 0..w {
-            let full_stripe = ymax - y0 == STRIPE_HEIGHT;
-            // Run-length mode: the whole 4-column is insignificant,
-            // unvisited, and context-free.
-            let rl_applicable = full_stripe
-                && (y0..ymax).all(|y| {
-                    let i = enc.grid.idx(x, y);
-                    enc.grid.get(i) & (SIG | VISITED) == 0
-                        && !enc.grid.any_sig_neighbor(i, enc.skip_south(y))
-                });
-            let mut y = y0;
-            if rl_applicable {
-                let first_sig = (y0..ymax).find(|&yy| enc.bit(x, yy, plane) == 1);
-                match first_sig {
-                    None => {
-                        enc.sink.decision(&mut enc.ctx[CTX_RL], 0);
-                        continue; // whole column stays zero
-                    }
-                    Some(ys) => {
-                        enc.sink.decision(&mut enc.ctx[CTX_RL], 1);
-                        let r = (ys - y0) as u8;
-                        enc.sink.decision(&mut enc.ctx[CTX_UNI], (r >> 1) & 1);
-                        enc.sink.decision(&mut enc.ctx[CTX_UNI], r & 1);
-                        dd += enc.code_sign_and_mark(x, ys, plane);
-                        y = ys + 1;
-                    }
-                }
-            }
-            for yy in y..ymax {
-                let i = enc.grid.idx(x, yy);
-                let f = enc.grid.get(i);
-                if f & (SIG | VISITED) == 0 {
-                    dd += enc.code_significance(x, yy, plane);
-                }
-            }
-        }
-        y0 = ymax;
-    }
-    dd
 }
 
 #[cfg(test)]
@@ -775,7 +454,7 @@ mod tests {
 
     #[test]
     fn zero_block_codes_to_nothing() {
-        let blk = encode_block(&[0; 16], 4, 4, BandCtx::LlLh);
+        let blk = encode_block(&[0; 16], 4, 4, BandCtx::LlLh, Tier1Options::default());
         assert_eq!(blk.msb_planes, 0);
         assert!(blk.passes.is_empty());
         assert!(blk.data.is_empty());
@@ -788,7 +467,7 @@ mod tests {
         let mut coeffs = vec![0i32; 64];
         coeffs[10] = 5;
         coeffs[30] = -3;
-        let blk = encode_block(&coeffs, 8, 8, BandCtx::Hh);
+        let blk = encode_block(&coeffs, 8, 8, BandCtx::Hh, Tier1Options::default());
         assert_eq!(blk.msb_planes, 3);
         assert_eq!(blk.passes.len(), 7);
         assert_eq!(blk.passes[0].kind, PassKind::Cleanup);
@@ -802,7 +481,7 @@ mod tests {
     #[test]
     fn rates_are_cumulative_and_match_data() {
         let coeffs: Vec<i32> = (0..256).map(|i| ((i * 17) % 64) - 32).collect();
-        let blk = encode_block(&coeffs, 16, 16, BandCtx::LlLh);
+        let blk = encode_block(&coeffs, 16, 16, BandCtx::LlLh, Tier1Options::default());
         let total: usize = blk.passes.iter().map(|p| p.len).sum();
         assert_eq!(total, blk.data.len());
         assert_eq!(blk.rate_after(blk.passes.len()), blk.data.len());
@@ -812,7 +491,7 @@ mod tests {
     #[test]
     fn distortion_decreases_monotonically_to_zero() {
         let coeffs: Vec<i32> = (0..64).map(|i| (i - 32) * 3).collect();
-        let blk = encode_block(&coeffs, 8, 8, BandCtx::Hl);
+        let blk = encode_block(&coeffs, 8, 8, BandCtx::Hl, Tier1Options::default());
         let mut prev = blk.initial_distortion;
         for n in 1..=blk.passes.len() {
             let d = blk.distortion_after(n);
@@ -836,7 +515,7 @@ mod tests {
 
     #[test]
     fn single_coefficient_block() {
-        let blk = encode_block(&[-9], 1, 1, BandCtx::LlLh);
+        let blk = encode_block(&[-9], 1, 1, BandCtx::LlLh, Tier1Options::default());
         assert_eq!(blk.msb_planes, 4);
         assert_eq!(blk.passes.len(), 10);
         assert!(blk.initial_distortion == 81.0);
@@ -884,10 +563,12 @@ mod tests {
             },
         ];
         let mut coder = BlockCoder::new();
+        let mut reused = EncodedBlock::default();
         for opts in styles {
             for (coeffs, w, h, band) in &blocks {
-                let fresh = encode_block_with(coeffs, *w, *h, *band, opts);
-                let reused = coder.encode_with(coeffs, *w, *h, *band, opts);
+                let fresh = encode_block(coeffs, *w, *h, *band, opts);
+                coder.coeff_scratch().extend_from_slice(coeffs);
+                coder.encode_scratch_into(*w, *h, *band, opts, 0, &mut reused);
                 assert_eq!(reused.data, fresh.data, "{opts:?} {w}x{h}");
                 assert_eq!(reused.msb_planes, fresh.msb_planes);
                 assert_eq!(reused.passes.len(), fresh.passes.len());
@@ -897,10 +578,6 @@ mod tests {
                     assert_eq!(a.len, b.len);
                     assert!((a.delta_distortion - b.delta_distortion).abs() < 1e-9);
                 }
-                // The staged-coefficients entry point is the same encoder.
-                coder.coeff_scratch().extend_from_slice(coeffs);
-                let staged = coder.encode_scratch(*w, *h, *band, opts);
-                assert_eq!(staged.data, fresh.data);
             }
         }
     }
@@ -908,7 +585,7 @@ mod tests {
     #[test]
     fn segments_are_individually_addressable() {
         let coeffs: Vec<i32> = (0..64).map(|i| if i % 7 == 0 { 12 } else { 0 }).collect();
-        let blk = encode_block(&coeffs, 8, 8, BandCtx::Hh);
+        let blk = encode_block(&coeffs, 8, 8, BandCtx::Hh, Tier1Options::default());
         let mut reassembled = Vec::new();
         for p in 0..blk.passes.len() {
             reassembled.extend_from_slice(blk.segment(p));

@@ -22,14 +22,16 @@ pub mod encoder;
 #[cfg(feature = "oracle")]
 pub mod oracle;
 pub(crate) mod packed;
+#[cfg(feature = "oracle")]
+mod reference;
+#[cfg(feature = "oracle")]
 pub(crate) mod state;
 
 pub use bitplane::Tier1Engine;
 pub use context::BandCtx;
 pub use decoder::{decode_block, decode_block_with, BlockDecoderScratch, DecodeError};
 pub use encoder::{
-    encode_block, encode_block_with, BlockCoder, EncodedBlock, PassInfo, PassKind, Tier1Options,
-    Tier1Profile,
+    encode_block, BlockCoder, EncodedBlock, PassInfo, PassKind, Tier1Options, Tier1Profile,
 };
 
 /// Code-block scan geometry: stripes of 4 rows, columns left-to-right,

@@ -1,4 +1,6 @@
-//! Shared per-coefficient coding state for the Tier-1 encoder and decoder.
+//! Per-coefficient coding state of the two test oracles: the reference
+//! block encoder ([`crate::reference`]) and decoder ([`crate::oracle`]).
+//! Compiled only under the `oracle` cargo feature.
 
 /// Flag bits stored per coefficient.
 pub(crate) const SIG: u8 = 1; // significant
@@ -18,14 +20,9 @@ pub(crate) struct FlagGrid {
 }
 
 impl FlagGrid {
-    // AUDIT(hot): setup-time — delegates to `reset`, which recycles.
+    #[cfg(test)]
     pub fn new(w: usize, h: usize) -> Self {
-        let mut g = Self {
-            w: 0,
-            h: 0,
-            stride: 0,
-            flags: Vec::new(),
-        };
+        let mut g = Self::default();
         g.reset(w, h);
         g
     }

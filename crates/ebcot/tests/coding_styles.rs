@@ -1,7 +1,7 @@
 //! Tests for the optional Tier-1 coding styles (stripe-causal context
 //! formation, per-pass context reset).
 
-use pj2k_ebcot::{decode_block_with, encode_block_with, BandCtx, Tier1Options};
+use pj2k_ebcot::{decode_block_with, encode_block, BandCtx, Tier1Options};
 use pj2k_testkit::{cases, Rng};
 
 const ALL_OPTS: [Tier1Options; 6] = [
@@ -54,7 +54,7 @@ fn every_style_roundtrips_exactly() {
     let coeffs = sample_block(w, h, 7);
     for opts in ALL_OPTS {
         for band in [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh] {
-            let blk = encode_block_with(&coeffs, w, h, band, opts);
+            let blk = encode_block(&coeffs, w, h, band, opts);
             let segs: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
             let got = decode_block_with(w, h, band, blk.msb_planes, &segs, opts).unwrap();
             assert_eq!(got, coeffs, "{opts:?} {band:?}");
@@ -68,9 +68,9 @@ fn styles_change_the_bitstream() {
     // signalled, which pj2k-core does in the COD segment).
     let (w, h) = (16, 16);
     let coeffs = sample_block(w, h, 3);
-    let base = encode_block_with(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[0]);
-    let causal = encode_block_with(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[1]);
-    let reset = encode_block_with(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[2]);
+    let base = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[0]);
+    let causal = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[1]);
+    let reset = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[2]);
     assert_ne!(
         base.data, causal.data,
         "stripe-causal must alter the stream"
@@ -84,8 +84,8 @@ fn bypass_trades_rate_for_simpler_coding() {
     // and must still round-trip exactly (deep planes => bypass kicks in).
     let (w, h) = (32, 32);
     let coeffs: Vec<i32> = sample_block(w, h, 21).iter().map(|v| v * 16).collect();
-    let base = encode_block_with(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[0]);
-    let lazy = encode_block_with(
+    let base = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[0]);
+    let lazy = encode_block(
         &coeffs,
         w,
         h,
@@ -131,8 +131,8 @@ fn reset_contexts_costs_rate() {
     // Fresh contexts every pass adapt slower: the stream should not shrink.
     let (w, h) = (32, 32);
     let coeffs = sample_block(w, h, 11);
-    let base = encode_block_with(&coeffs, w, h, BandCtx::Hh, ALL_OPTS[0]);
-    let reset = encode_block_with(&coeffs, w, h, BandCtx::Hh, ALL_OPTS[2]);
+    let base = encode_block(&coeffs, w, h, BandCtx::Hh, ALL_OPTS[0]);
+    let reset = encode_block(&coeffs, w, h, BandCtx::Hh, ALL_OPTS[2]);
     assert!(
         reset.data.len() >= base.data.len(),
         "reset {} < base {}",
@@ -146,8 +146,8 @@ fn causal_only_differs_when_stripes_interact() {
     // A block a single stripe tall has no next stripe: stripe-causal
     // context formation is then a no-op and streams must match.
     let coeffs = sample_block(24, 4, 5);
-    let base = encode_block_with(&coeffs, 24, 4, BandCtx::LlLh, ALL_OPTS[0]);
-    let causal = encode_block_with(&coeffs, 24, 4, BandCtx::LlLh, ALL_OPTS[1]);
+    let base = encode_block(&coeffs, 24, 4, BandCtx::LlLh, ALL_OPTS[0]);
+    let causal = encode_block(&coeffs, 24, 4, BandCtx::LlLh, ALL_OPTS[1]);
     assert_eq!(base.data, causal.data);
 }
 
@@ -168,7 +168,7 @@ fn styles_roundtrip_arbitrary_blocks() {
             bypass,
         };
         let coeffs = sample_block(w, h, seed);
-        let blk = encode_block_with(&coeffs, w, h, BandCtx::Hl, opts);
+        let blk = encode_block(&coeffs, w, h, BandCtx::Hl, opts);
         let segs: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
         assert_eq!(
             decode_block_with(w, h, BandCtx::Hl, blk.msb_planes, &segs, opts).unwrap(),
@@ -193,7 +193,7 @@ fn styles_keep_rd_contract() {
         };
         let (w, h) = (12, 10);
         let coeffs = sample_block(w, h, seed);
-        let blk = encode_block_with(&coeffs, w, h, BandCtx::Hh, opts);
+        let blk = encode_block(&coeffs, w, h, BandCtx::Hh, opts);
         for n in 0..=blk.passes.len() {
             let segs: Vec<&[u8]> = (0..n).map(|p| blk.segment(p)).collect();
             let got = decode_block_with(w, h, BandCtx::Hh, blk.msb_planes, &segs, opts).unwrap();

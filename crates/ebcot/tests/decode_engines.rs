@@ -9,7 +9,7 @@
 
 use pj2k_ebcot::oracle::{self, OracleDecoderScratch};
 use pj2k_ebcot::{
-    decode_block_with, BandCtx, BlockCoder, BlockDecoderScratch, EncodedBlock, Tier1Options,
+    decode_block_with, encode_block, BandCtx, BlockDecoderScratch, EncodedBlock, Tier1Options,
 };
 use pj2k_testkit::Rng;
 
@@ -148,7 +148,6 @@ impl Pair {
 #[test]
 fn packed_matches_oracle_at_every_truncation_point() {
     let mut pair = Pair::new();
-    let mut coder = BlockCoder::new();
     let mut seed = 0u64;
     for (gi, &(w, h)) in GEOMETRIES.iter().enumerate() {
         for (si, opts) in all_styles().into_iter().enumerate() {
@@ -168,7 +167,7 @@ fn packed_matches_oracle_at_every_truncation_point() {
                         [3, 90, 5000, 1 << 20][(gi + si + bi + fi) % 4]
                     };
                     let coeffs = synth_block(seed, w * h, fill, max_mag);
-                    let blk = coder.encode_with(&coeffs, w, h, band, opts);
+                    let blk = encode_block(&coeffs, w, h, band, opts);
                     let segs = segments(&blk);
                     for n in 0..=segs.len() {
                         let what = format!(
@@ -190,7 +189,6 @@ fn packed_matches_oracle_at_every_truncation_point() {
 #[test]
 fn packed_matches_oracle_on_deep_planes() {
     let mut pair = Pair::new();
-    let mut coder = BlockCoder::new();
     for (seed, opts) in all_styles().into_iter().enumerate() {
         let (w, h) = (11, 6);
         let mut rng = Rng::new(900 + seed as u64);
@@ -205,7 +203,7 @@ fn packed_matches_oracle_on_deep_planes() {
             })
             .collect();
         let band = BANDS[seed % 3];
-        let blk = coder.encode_with(&coeffs, w, h, band, opts);
+        let blk = encode_block(&coeffs, w, h, band, opts);
         let segs = segments(&blk);
         for n in 0..=segs.len() {
             let what = format!("deep {opts:?} prefix {n}");
@@ -250,7 +248,6 @@ fn packed_matches_oracle_on_garbage_segments() {
 #[test]
 fn packed_matches_oracle_on_bit_flipped_segments() {
     let mut pair = Pair::new();
-    let mut coder = BlockCoder::new();
     let styles = all_styles();
     let mut rng = Rng::new(0xF11_BEEF);
     for trial in 0..240 {
@@ -260,7 +257,7 @@ fn packed_matches_oracle_on_bit_flipped_segments() {
         let fill = [Fill::Dense, Fill::Sparse][(trial % 2) as usize];
         let max_mag = if w * h >= 2048 { 60 } else { 3000 };
         let coeffs = synth_block(7000 + trial, w * h, fill, max_mag);
-        let blk = coder.encode_with(&coeffs, w, h, band, opts);
+        let blk = encode_block(&coeffs, w, h, band, opts);
         let mut segs = segments(&blk);
         if segs.is_empty() {
             continue;
@@ -294,7 +291,6 @@ fn packed_matches_oracle_on_bit_flipped_segments() {
 #[test]
 fn scratch_reuse_across_shapes_matches_one_shot_decodes() {
     let mut pair = Pair::new();
-    let mut coder = BlockCoder::new();
     let styles = all_styles();
     let order = [11usize, 0, 10, 3, 12, 1, 8, 2, 9, 13, 4, 11, 7, 5, 6];
     for (round, &gi) in order.iter().enumerate() {
@@ -303,7 +299,7 @@ fn scratch_reuse_across_shapes_matches_one_shot_decodes() {
         let band = BANDS[round % 3];
         let fill = [Fill::Dense, Fill::Sparse, Fill::Single][round % 3];
         let coeffs = synth_block(31 + round as u64, w * h, fill, 700);
-        let blk = coder.encode_with(&coeffs, w, h, band, opts);
+        let blk = encode_block(&coeffs, w, h, band, opts);
         let segs = segments(&blk);
         let what = format!("reuse round {round}: {w}x{h}");
         let got = pair

@@ -2,6 +2,8 @@
 //! reference engine's output byte for byte — same segments, same pass
 //! table, same (order-sensitive, hence exactly equal) distortion sums —
 //! across every coding-style combination, band class, and block geometry.
+//! The reference engine is the `oracle` cargo feature's test oracle,
+//! switched on by this crate's self dev-dependency.
 
 use pj2k_ebcot::{BandCtx, BlockCoder, EncodedBlock, Tier1Engine, Tier1Options};
 use pj2k_testkit::{cases, Rng};
@@ -59,13 +61,26 @@ fn assert_identical(a: &EncodedBlock, b: &EncodedBlock, what: &str) {
     );
 }
 
+/// Stage `coeffs` in `coder` and encode them.
+fn encode(
+    coder: &mut BlockCoder,
+    coeffs: &[i32],
+    w: usize,
+    h: usize,
+    band: BandCtx,
+    opts: Tier1Options,
+) -> EncodedBlock {
+    coder.coeff_scratch().extend_from_slice(coeffs);
+    coder.encode_scratch(w, h, band, opts)
+}
+
 fn check_block(coeffs: &[i32], w: usize, h: usize, what: &str) {
     let mut reference = BlockCoder::with_engine(Tier1Engine::Reference);
     let mut bitplane = BlockCoder::with_engine(Tier1Engine::Bitplane);
     for band in BANDS {
         for opts in all_styles() {
-            let a = reference.encode_with(coeffs, w, h, band, opts);
-            let b = bitplane.encode_with(coeffs, w, h, band, opts);
+            let a = encode(&mut reference, coeffs, w, h, band, opts);
+            let b = encode(&mut bitplane, coeffs, w, h, band, opts);
             assert_identical(&a, &b, &format!("{what} {band:?} {opts:?}"));
         }
     }
@@ -140,8 +155,9 @@ fn bitplane_encode_into_recycles_without_divergence() {
             stripe_causal: seed % 3 == 0,
             reset_contexts: false,
         };
-        let fresh = coder.encode_with(&coeffs, w, h, BandCtx::Hl, opts);
-        coder.encode_into(&coeffs, w, h, BandCtx::Hl, opts, &mut out);
+        let fresh = encode(&mut coder, &coeffs, w, h, BandCtx::Hl, opts);
+        coder.coeff_scratch().extend_from_slice(&coeffs);
+        coder.encode_scratch_into(w, h, BandCtx::Hl, opts, 0, &mut out);
         assert_identical(&fresh, &out, &format!("recycled seed {seed}"));
     }
 }
@@ -163,10 +179,10 @@ fn tier1_engines_bit_identical() {
         let coeffs = synth_block(seed, w * h, keep, max_mag);
         let band = BANDS[band_i];
         let opts = all_styles()[style_i];
-        let a =
-            BlockCoder::with_engine(Tier1Engine::Reference).encode_with(&coeffs, w, h, band, opts);
-        let b =
-            BlockCoder::with_engine(Tier1Engine::Bitplane).encode_with(&coeffs, w, h, band, opts);
+        let mut reference = BlockCoder::with_engine(Tier1Engine::Reference);
+        let mut bitplane = BlockCoder::with_engine(Tier1Engine::Bitplane);
+        let a = encode(&mut reference, &coeffs, w, h, band, opts);
+        let b = encode(&mut bitplane, &coeffs, w, h, band, opts);
         assert_eq!(&a.data, &b.data, "segments differ");
         assert_eq!(a.passes.len(), b.passes.len());
         for (pa, pb) in a.passes.iter().zip(&b.passes) {
@@ -187,10 +203,11 @@ fn check_floor_prefixes(coeffs: &[i32], w: usize, h: usize, what: &str) {
         let mut coder = BlockCoder::with_engine(engine);
         for band in BANDS {
             for opts in all_styles() {
-                let full = coder.encode_with(coeffs, w, h, band, opts);
+                let full = encode(&mut coder, coeffs, w, h, band, opts);
+                let mut cut = EncodedBlock::default();
                 for floor in 0..=full.msb_planes + 1 {
                     coder.coeff_scratch().extend_from_slice(coeffs);
-                    let cut = coder.encode_scratch_above(w, h, band, opts, floor);
+                    coder.encode_scratch_into(w, h, band, opts, floor, &mut cut);
                     let planes = usize::from(full.msb_planes.saturating_sub(floor));
                     let n = (3 * planes).saturating_sub(2);
                     let mut want = full.clone();

@@ -2,7 +2,7 @@
 //! exactly, and every pass-boundary truncation must decode with exactly
 //! the distortion the encoder predicted.
 
-use pj2k_ebcot::{decode_block, encode_block, BandCtx};
+use pj2k_ebcot::{decode_block, encode_block, BandCtx, Tier1Options};
 use pj2k_testkit::{cases, Rng};
 
 type Block = (Vec<i32>, usize, usize);
@@ -36,7 +36,7 @@ fn full_roundtrip_is_exact() {
     cases(CASES, |rng| {
         let (coeffs, w, h) = arb_block(rng);
         let band = bands(rng);
-        let blk = encode_block(&coeffs, w, h, band);
+        let blk = encode_block(&coeffs, w, h, band, Tier1Options::default());
         let segs: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
         let got = decode_block(w, h, band, blk.msb_planes, &segs).unwrap();
         assert_eq!(got, coeffs);
@@ -48,7 +48,7 @@ fn sparse_roundtrip_is_exact() {
     cases(CASES, |rng| {
         let (coeffs, w, h) = arb_sparse_block(rng);
         let band = bands(rng);
-        let blk = encode_block(&coeffs, w, h, band);
+        let blk = encode_block(&coeffs, w, h, band, Tier1Options::default());
         let segs: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
         let got = decode_block(w, h, band, blk.msb_planes, &segs).unwrap();
         assert_eq!(got, coeffs);
@@ -64,7 +64,7 @@ fn truncation_matches_prediction() {
         let (coeffs, w, h) = arb_block(rng);
         let band = bands(rng);
         let cut_seed: u64 = rng.range(..);
-        let blk = encode_block(&coeffs, w, h, band);
+        let blk = encode_block(&coeffs, w, h, band, Tier1Options::default());
         if blk.passes.is_empty() {
             return;
         }
@@ -98,7 +98,7 @@ fn pass_metadata_is_sane() {
 }
 
 fn check_pass_metadata(coeffs: &[i32], w: usize, h: usize) {
-    let blk = encode_block(coeffs, w, h, BandCtx::LlLh);
+    let blk = encode_block(coeffs, w, h, BandCtx::LlLh, Tier1Options::default());
     let mut rate = 0;
     for p in &blk.passes {
         assert!(p.len >= 1, "terminated pass emits at least one byte");
@@ -134,9 +134,9 @@ fn sign_flip_preserves_structure() {
 }
 
 fn check_sign_flip(coeffs: &[i32], w: usize, h: usize) {
-    let blk_pos = encode_block(coeffs, w, h, BandCtx::Hh);
+    let blk_pos = encode_block(coeffs, w, h, BandCtx::Hh, Tier1Options::default());
     let flipped: Vec<i32> = coeffs.iter().map(|v| -v).collect();
-    let blk_neg = encode_block(&flipped, w, h, BandCtx::Hh);
+    let blk_neg = encode_block(&flipped, w, h, BandCtx::Hh, Tier1Options::default());
     assert_eq!(blk_pos.msb_planes, blk_neg.msb_planes);
     assert_eq!(blk_pos.passes.len(), blk_neg.passes.len());
     assert!((blk_pos.initial_distortion - blk_neg.initial_distortion).abs() < 1e-9);

@@ -18,7 +18,7 @@
 //!   `p = 8` sweep on a 4-core host must still spawn 8 OS threads, or the
 //!   measured curves would silently flatline at the host width.
 //! * An unrecognized value warns on stderr instead of silently falling
-//!   back (mirrors `PJ2K_TIER1` / `PJ2K_SIMD`), so a typo cannot
+//!   back (mirrors `PJ2K_SIMD`), so a typo cannot
 //!   masquerade as an unbounded run.
 //!
 //! The cap is read once per process and cached; tests exercise the parse

@@ -1,8 +1,13 @@
 //! `xtask ci` — the one-command verification gate.
 //!
-//! Runs, in order: `cargo fmt --check`, `cargo clippy -D warnings`, the
-//! audit (in-process, every check; the full inventory goes to
-//! `target/audit_report.txt`), and `cargo test`. The cargo steps run
+//! Runs, in order: `cargo fmt --check`, `cargo clippy -D warnings` twice —
+//! over the whole workspace, then over the product build alone — the audit
+//! (in-process, every check; the full inventory goes to
+//! `target/audit_report.txt`), and `cargo test`. The workspace clippy run
+//! unifies `pj2k-bench`'s `oracle` features into every crate, so it never
+//! sees the build users get; the product run lints the codec and CLI
+//! crates' libraries and binaries without them, catching oracle-only code
+//! that leaks into, or goes dead in, the default build. The cargo steps run
 //! `--offline --locked`: the workspace has no
 //! external dependency, so needing the network or a different lock file is
 //! itself a failure. All steps run even if an earlier one fails, so a
@@ -51,6 +56,16 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
             .args("clippy --offline --locked --workspace --all-targets -- -D warnings".split(' '))
             .current_dir(root),
     );
+    let clippy_product = step_cmd(
+        "clippy (product build)",
+        opts.skip_clippy,
+        Command::new("cargo")
+            .args(
+                "clippy --offline --locked -p pj2k-ebcot -p pj2k-core -p pj2k-serve --lib --bins -- -D warnings"
+                    .split(' '),
+            )
+            .current_dir(root),
+    );
     let audit = step_audit(root);
     let test = step_cmd(
         "test",
@@ -59,7 +74,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
             .args(["test", "--offline", "--locked", "--workspace", "-q"])
             .current_dir(root),
     );
-    let results = [fmt, clippy, audit, test];
+    let results = [fmt, clippy, clippy_product, audit, test];
 
     println!("\n== ci summary ==");
     let mut failed = false;

@@ -9,7 +9,8 @@
 //!   with `--quiet`), writes the full inventory to `PATH` with
 //!   `--report`, and exits non-zero on any violation.
 //! * `cargo xtask ci` — the full verification gate: fmt check, clippy
-//!   `-D warnings`, the audit, and the test suite (see [`ci`]).
+//!   `-D warnings` on the workspace and on the product build, the audit,
+//!   and the test suite (see [`ci`]).
 //! * `cargo xtask bench-smoke` — run every benchmark harness in smoke mode
 //!   and re-validate the JSON it emits (see [`bench`]).
 //!
