@@ -41,7 +41,8 @@ use pj2k_ebcot::oracle::OracleDecoderScratch;
 use pj2k_ebcot::{
     BandCtx, BlockCoder, BlockDecoderScratch, DecodeError, EncodedBlock, Tier1Options,
 };
-use pj2k_image::{synth, Image, Plane};
+use pj2k_image::{Image, Plane};
+use pj2k_testkit::synth;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;

@@ -9,6 +9,9 @@
 //!    naive and strip columns) and the fused strip columns, on a
 //!    power-of-two width and a padded stride; the production fused strip
 //!    transform is then timed under every SIMD tier, and at p ∈ {2, 4, 8}.
+//!    `naive_vertical_slowdown` is the paper's §3.2 finding in one number:
+//!    the per-step naive vertical pass over the per-step strip one, at the
+//!    power-of-two width.
 //! 2. **Pass split**: the production transform (fused strip, one thread)
 //!    forward and inverse, with row and column time reported separately,
 //!    at two sizes, under the SIMD tier `Auto` picks and under scalar
@@ -323,6 +326,7 @@ const REQUIRED_KEYS: &[&str] = &[
     "\"mpix_per_sec\"",
     "\"fused_strip_speedup_97\"",
     "\"fused_strip_speedup_53\"",
+    "\"naive_vertical_slowdown\"",
     "\"simd\"",
     "\"vert_secs\"",
     "\"simd_tiers\"",
@@ -505,6 +509,11 @@ fn main() {
         "fused speedup (single thread, pow2 width): 9/7 strip {fused_strip_97:.3}x, \
          5/3 strip {fused_strip_53:.3}x"
     );
+    let naive_vertical_slowdown =
+        pick("9/7", "per_step", "naive", "scalar").1 / pick("9/7", "per_step", "strip", "scalar").1;
+    println!(
+        "naive over strip vertical pass (9/7 per-step, pow2 width): {naive_vertical_slowdown:.3}x"
+    );
     // SIMD strip-vertical speedup: scalar fused strip vertical pass over
     // the best forced tier's fused strip vertical pass (ISSUE 5 gate).
     let mut simd_best_tier = "scalar";
@@ -632,6 +641,10 @@ fn main() {
     doc.push_str(&format!(
         "  \"fused_strip_speedup_53\": {},\n",
         jf(fused_strip_53)
+    ));
+    doc.push_str(&format!(
+        "  \"naive_vertical_slowdown\": {},\n",
+        jf(naive_vertical_slowdown)
     ));
     let tier_names: Vec<String> = simd_modes()
         .iter()

@@ -30,9 +30,10 @@ use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::{paper_config, time};
 use pj2k_core::report::stage;
 use pj2k_core::{Encoder, EncoderConfig, ParallelMode};
-use pj2k_image::{synth, Image};
+use pj2k_image::Image;
 use pj2k_serve::{encode_stream, BatchOptions, BatchPlan};
 use pj2k_smpsim::{batch_speedup, choose_split, makespan, ImageCost, Schedule};
+use pj2k_testkit::synth;
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -182,12 +183,8 @@ fn validate(doc: &str) -> Result<(), String> {
 /// Run the whole mixed workload as one batch under a total budget `p`,
 /// returning (wall seconds, sorted per-job latencies, executed plan).
 fn run_batch(cfg: &EncoderConfig, images: &[Image], p: usize) -> (f64, Vec<f64>, BatchPlan) {
-    let pixels: Vec<u64> = images
-        .iter()
-        .map(|im| (im.width() * im.height()) as u64)
-        .collect();
     let plan = BatchPlan::for_workload(
-        &pixels,
+        images.len(),
         &BatchOptions {
             budget: Some(p),
             ..Default::default()

@@ -8,7 +8,8 @@
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, RateControl};
 use pj2k_image::metrics::psnr;
-use pj2k_image::{pnm, synth};
+use pj2k_image::pnm;
+use pj2k_testkit::synth;
 
 fn main() {
     let outdir = std::env::args().nth(1).unwrap_or_else(|| ".".into());

@@ -8,7 +8,7 @@
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, RateControl};
 use pj2k_image::metrics::psnr;
-use pj2k_image::synth;
+use pj2k_testkit::synth;
 
 fn main() {
     let side = 512;

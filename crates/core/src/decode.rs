@@ -923,7 +923,7 @@ mod tests {
     use crate::config::{EncoderConfig, FilterStrategy, RateControl};
     use crate::encode::Encoder;
     use pj2k_image::metrics::{max_abs_error, psnr};
-    use pj2k_image::synth;
+    use pj2k_testkit::synth;
 
     fn encode(img: &Image, cfg: EncoderConfig) -> Vec<u8> {
         Encoder::new(cfg).unwrap().encode(img).0

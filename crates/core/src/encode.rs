@@ -768,7 +768,7 @@ fn intersect_roi(roi: Roi, origin: (usize, usize), w: usize, h: usize) -> Option
 mod tests {
     use super::*;
     use crate::config::{FilterStrategy, ParallelMode, RateControl};
-    use pj2k_image::synth;
+    use pj2k_testkit::synth;
 
     #[test]
     fn encode_produces_marker_structure() {

@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use pj2k_core::{Encoder, Decoder, EncoderConfig, RateControl};
-//! use pj2k_image::synth;
+//! use pj2k_testkit::synth;
 //!
 //! let img = synth::natural_gray(128, 128, 42);
 //! let cfg = EncoderConfig {

@@ -16,8 +16,7 @@
 //! failing_block_reports_the_first_error_at_any_worker_count` injects one.
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet};
-use pj2k_image::synth;
-use pj2k_testkit::Rng;
+use pj2k_testkit::{synth, Rng};
 use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;

@@ -23,7 +23,8 @@
 
 use pj2k_core::config::{Roi, Tier1Options};
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet};
-use pj2k_image::{metrics, synth, Image};
+use pj2k_image::{metrics, Image};
+use pj2k_testkit::synth;
 
 struct Fnv(u64);
 

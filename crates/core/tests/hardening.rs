@@ -9,8 +9,7 @@
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
 use pj2k_dwt::Wavelet;
-use pj2k_image::synth;
-use pj2k_testkit::Rng;
+use pj2k_testkit::{synth, Rng};
 
 /// Small but structurally rich corpus: tiles, layers, both wavelets, and
 /// the Tier-1 coding-style variations all exercise different header paths.

@@ -3,8 +3,8 @@
 
 use pj2k_core::config::{Roi, Tier1Engine};
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet};
-use pj2k_image::{metrics, synth, Image, Plane};
-use pj2k_testkit::{cases, Rng};
+use pj2k_image::{metrics, Image, Plane};
+use pj2k_testkit::{cases, synth, Rng};
 
 fn arb_image(rng: &mut Rng) -> Image {
     let (w, h) = (rng.range(1..48), rng.range(1..48));

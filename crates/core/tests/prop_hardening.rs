@@ -9,8 +9,7 @@
 
 use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
 use pj2k_dwt::Wavelet;
-use pj2k_image::synth;
-use pj2k_testkit::cases;
+use pj2k_testkit::{cases, synth};
 use std::sync::OnceLock;
 
 /// Encoded corpus, built once per process: the same structurally diverse

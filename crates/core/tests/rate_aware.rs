@@ -7,8 +7,8 @@ use pj2k_core::config::{Tier1Engine, Tier1Options};
 use pj2k_core::{
     EncodeReport, Encoder, EncoderConfig, ParallelMode, RateControl, Roi, Schedule, Wavelet,
 };
-use pj2k_image::{synth, Image, Plane};
-use pj2k_testkit::{cases, Rng};
+use pj2k_image::{Image, Plane};
+use pj2k_testkit::{cases, synth, Rng};
 
 const SCHEDULES: [Schedule; 5] = [
     Schedule::StaticBlock,

@@ -2,10 +2,10 @@
 //!
 //! Provides the containers and utilities every codec in this reproduction
 //! shares: a strided 2-D sample plane ([`Plane`]), a multi-component
-//! [`Image`], PGM/PPM I/O ([`pnm`]), deterministic synthetic test imagery
-//! ([`synth`] — the stand-in for the paper's photographic test set, see
-//! DESIGN.md §2), quality metrics ([`metrics`]), the JPEG2000 component
-//! transforms ([`transform`]) and tiling ([`tile`]).
+//! [`Image`], PGM/PPM I/O ([`pnm`]), quality metrics ([`metrics`]), the
+//! JPEG2000 component transforms ([`transform`]) and tiling ([`tile`]).
+//! The synthetic test imagery that stands in for the paper's photographs
+//! is `pj2k_testkit::synth` (DESIGN.md §2): test code, not codec code.
 //!
 //! The [`Plane`] type carries an explicit row stride so the paper's
 //! "pad the image width off a power of two" cache fix (§3.2) can be
@@ -16,7 +16,6 @@ pub mod image;
 pub mod metrics;
 pub mod plane;
 pub mod pnm;
-pub mod synth;
 pub mod tile;
 pub mod transform;
 

@@ -9,7 +9,8 @@
 //! `f64::cos` sums to 8 bits, so a libm that differs in the last ulp could
 //! in principle move a sample on another platform; these are x86-64 Linux.)
 
-use pj2k_image::{synth, Image};
+use pj2k_image::Image;
+use pj2k_testkit::synth;
 
 /// 64-bit FNV-1a over width and height (u32 LE) followed by every 8-bit
 /// sample, component by component in row-major order.

@@ -402,7 +402,7 @@ pub fn decode(data: &[u8]) -> Result<Image, JpegError> {
 mod tests {
     use super::*;
     use pj2k_image::metrics::psnr;
-    use pj2k_image::synth;
+    use pj2k_testkit::synth;
 
     #[test]
     fn category_and_extra_bits_roundtrip() {

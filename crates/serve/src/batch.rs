@@ -21,7 +21,6 @@ use pj2k_core::config::ConfigError;
 use pj2k_core::{Encoder, EncoderConfig, ParallelMode};
 use pj2k_image::{pnm, Image};
 use pj2k_parutil::{bounded_ordered_serve, resolve_thread_budget};
-use pj2k_smpsim::{choose_split, ImageCost};
 use std::fmt;
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -32,8 +31,8 @@ use std::time::Instant;
 /// decide" (see [`BatchPlan::for_workload`]).
 #[derive(Debug, Clone, Default)]
 pub struct BatchOptions {
-    /// Number of concurrent images (`j`). Planner default: the bi-criteria
-    /// split tuner over the per-image cost estimates.
+    /// Number of concurrent images (`j`), clamped to the budget. Planner
+    /// default: one job per file up to the budget, `min(files, B)`.
     pub jobs: Option<usize>,
     /// Total worker budget (`B`). Default: [`resolve_thread_budget`]
     /// (`PJ2K_THREADS`, else host parallelism).
@@ -57,38 +56,19 @@ pub struct BatchPlan {
     pub queue_capacity: usize,
 }
 
-/// Serial share assumed when estimating [`ImageCost`] from input byte
-/// sizes: the measured stage breakdown puts image IO + setup + rate
-/// allocation + Tier-2 + bitstream IO at roughly a third of a
-/// single-thread encode on PNM-sized inputs, and only the *shape* of the
-/// estimate matters to the split tuner (ratios, not seconds).
-const EST_SERIAL_SHARE: f64 = 0.35;
-
 impl BatchPlan {
-    /// Plan the `j/k` split for a workload of input byte sizes under
-    /// `opts`: an explicit `jobs` override wins (clamped to the budget);
-    /// otherwise the [`choose_split`] tuner runs on per-image cost
-    /// estimates — input bytes as the work proxy, split
-    /// [`EST_SERIAL_SHARE`] serial / rest parallel — picking throughput
-    /// first and breaking near-ties toward fewer, wider jobs (latency).
-    pub fn for_workload(input_sizes: &[u64], opts: &BatchOptions) -> BatchPlan {
+    /// Plan the `j/k` split for a batch of `files` images under `opts`: an
+    /// explicit `jobs` override wins (clamped to `[1, B]`); otherwise
+    /// `j = min(files, B)`, at least 1. Either way `k = B / j`.
+    ///
+    /// Whole images share nothing, so the widest `j` gives the most
+    /// throughput (the period end of the period/latency trade, DESIGN.md
+    /// §16); `k` only gets the threads left over when there are fewer
+    /// files than budget.
+    pub fn for_workload(files: usize, opts: &BatchOptions) -> BatchPlan {
         let budget = opts.budget.unwrap_or_else(resolve_thread_budget).max(1);
-        let (jobs, threads_per_job) = match opts.jobs {
-            Some(j) => {
-                let j = j.clamp(1, budget);
-                (j, (budget / j).max(1))
-            }
-            None => {
-                let costs: Vec<ImageCost> = input_sizes
-                    .iter()
-                    .map(|&s| {
-                        let w = (s.max(1)) as f64;
-                        ImageCost::new(EST_SERIAL_SHARE * w, (1.0 - EST_SERIAL_SHARE) * w, 0.0)
-                    })
-                    .collect();
-                choose_split(&costs, budget)
-            }
-        };
+        let jobs = opts.jobs.unwrap_or(files).clamp(1, budget);
+        let threads_per_job = budget / jobs;
         let queue_capacity = opts.queue_capacity.unwrap_or(jobs * 2).max(1);
         BatchPlan {
             jobs,
@@ -281,8 +261,9 @@ where
 }
 
 /// Encode `(input, output)` file pairs as one batch: plan the `j/k` split
-/// from the input sizes, stream the files through the bounded-admission
-/// scheduler, and write each output in input order as its job emerges.
+/// from the number of inputs, stream the files through the
+/// bounded-admission scheduler, and write each output in input order as
+/// its job emerges.
 ///
 /// Returns the per-job outcomes; IO and parse failures are per-job errors
 /// in the report, not batch failures. Errors only on an invalid encoder
@@ -292,11 +273,7 @@ pub fn encode_files(
     cfg: &EncoderConfig,
     opts: &BatchOptions,
 ) -> Result<BatchReport, ConfigError> {
-    let sizes: Vec<u64> = pairs
-        .iter()
-        .map(|(input, _)| std::fs::metadata(input).map(|m| m.len()).unwrap_or(0))
-        .collect();
-    let plan = BatchPlan::for_workload(&sizes, opts);
+    let plan = BatchPlan::for_workload(pairs.len(), opts);
     let outcomes = Mutex::new(Vec::with_capacity(pairs.len()));
     encode_stream(
         cfg,
@@ -341,7 +318,7 @@ pub fn encode_files(
 mod tests {
     use super::*;
     use pj2k_core::RateControl;
-    use pj2k_image::synth;
+    use pj2k_testkit::synth;
 
     fn test_cfg() -> EncoderConfig {
         EncoderConfig {
@@ -357,30 +334,28 @@ mod tests {
 
     #[test]
     fn plan_respects_budget_and_overrides() {
-        let sizes = [10_000u64; 8];
-        for budget in [1usize, 2, 4, 8] {
-            let plan = BatchPlan::for_workload(
-                &sizes,
-                &BatchOptions {
-                    budget: Some(budget),
-                    ..Default::default()
-                },
-            );
-            assert!(plan.jobs * plan.threads_per_job <= budget, "{plan:?}");
-            assert!(plan.jobs >= 1 && plan.threads_per_job >= 1, "{plan:?}");
-            assert!(plan.queue_capacity >= 1, "{plan:?}");
+        let opts = |budget, jobs, queue_capacity| BatchOptions {
+            jobs,
+            budget: Some(budget),
+            queue_capacity,
+        };
+        // (files, options) -> (j, k, queue capacity).
+        let table = [
+            (24, opts(1, None, None), (1, 1, 2)),
+            (24, opts(2, None, None), (2, 1, 4)),
+            (24, opts(8, None, None), (8, 1, 16)),
+            (1, opts(8, None, None), (1, 8, 2)),
+            (3, opts(8, None, None), (3, 2, 6)),
+            (0, opts(4, None, None), (1, 4, 2)),
+            (8, opts(4, Some(16), Some(3)), (4, 1, 3)),
+            (8, opts(4, Some(0), None), (1, 4, 2)),
+        ];
+        for (files, o, want) in table {
+            let plan = BatchPlan::for_workload(files, &o);
+            let got = (plan.jobs, plan.threads_per_job, plan.queue_capacity);
+            assert_eq!(got, want, "{files} files, {o:?}");
+            assert_eq!(Some(plan.budget), o.budget);
         }
-        // Explicit jobs override wins and is clamped to the budget.
-        let plan = BatchPlan::for_workload(
-            &sizes,
-            &BatchOptions {
-                jobs: Some(16),
-                budget: Some(4),
-                queue_capacity: Some(3),
-            },
-        );
-        assert_eq!((plan.jobs, plan.threads_per_job), (4, 1));
-        assert_eq!(plan.queue_capacity, 3);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! during each image's serial stages (image IO, rate allocation, Tier-2,
 //! bitstream IO) and burns the granularity losses of wide intra-image
 //! splits once per image. This crate stacks the second level of
-//! parallelism (ROADMAP item 2):
+//! parallelism (DESIGN.md §16):
 //!
 //! * [`discovery`] expands CLI inputs (files or directories) into an
 //!   ordered job list;
 //! * [`batch`] runs `j` concurrent images, each encoded by its own
 //!   `k`-thread intra-image executor, with `j × k ≤ B` under one global
 //!   thread budget (`PJ2K_THREADS`, [`pj2k_parutil::thread_budget`]). The
-//!   `j/k` split is chosen by the deterministic tuner in
-//!   [`pj2k_smpsim::batch`] from per-image cost estimates — throughput
-//!   first, latency as tie-break, the bi-criteria mapping rule of
-//!   arXiv 0801.1772;
+//!   split is `j = min(files, B)`, `k = B / j`
+//!   ([`BatchPlan::for_workload`]): one whole image per worker while there
+//!   are images to go round, the throughput end of arXiv 0801.1772's
+//!   period/latency trade;
 //! * admission is a bounded queue ([`pj2k_parutil::bounded_ordered_serve`]):
 //!   the producer blocks when `queue_capacity` decoded images are waiting,
 //!   so peak payload memory stays O(j · image) no matter how long the

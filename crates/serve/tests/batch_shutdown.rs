@@ -12,8 +12,9 @@
 //! deadline guard so a parked thread is a test failure, not a CI timeout.
 
 use pj2k_core::{EncoderConfig, RateControl};
-use pj2k_image::{synth, Image};
+use pj2k_image::Image;
 use pj2k_serve::{encode_stream, BatchPlan, JobError};
+use pj2k_testkit::synth;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::thread;

@@ -15,12 +15,14 @@
 //! [`amdahl`](crate::amdahl) does — a serial share, a parallelizable
 //! share, and a granule that caps intra-image scaling —
 //! [`batch_makespan`] list-schedules a workload onto `j` image slots, and
-//! [`choose_split`] is the greedy tuner the `pj2k-serve` scheduler runs:
-//! enumerate the feasible splits, keep the best-throughput one, and break
-//! near-ties toward larger `k` (lower latency). As everywhere in this
-//! crate the claims are *shape* claims, so the CI floor on batch-vs-serial
-//! throughput is checked against this deterministic model and cannot flake
-//! on a single-core host.
+//! [`choose_split`] is a greedy tuner over the model: enumerate the
+//! feasible splits, keep the best-throughput one, and break near-ties
+//! toward larger `k` (lower latency). `bench_serve`'s modelled rows run it;
+//! the `pj2k-serve` planner does not, it takes `j = min(files, B)`
+//! (DESIGN.md §16), which is the tuner's answer whenever there are at least
+//! `B` images. As everywhere in this crate the claims are *shape* claims,
+//! so the CI floor on batch-vs-serial throughput is checked against this
+//! deterministic model and cannot flake on a one-core host.
 
 /// Cost summary of encoding one image, in seconds (or any fixed unit —
 /// only ratios matter to the model).

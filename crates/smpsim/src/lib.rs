@@ -2,8 +2,8 @@
 //!
 //! The paper reports speedups on a 4-CPU Intel SMP and a 16-CPU SGI Power
 //! Challenge. This reproduction cannot assume such hardware (the reference
-//! CI host has a single core), so in addition to real threaded execution
-//! the harness projects parallel runtimes through this model:
+//! host has 2 cores), so in addition to real threaded execution the
+//! harness projects parallel runtimes through this model:
 //!
 //! * per-work-item costs are **measured** on the host (per code-block
 //!   Tier-1 times from `pj2k-core`'s `EncodeReport`, per-direction DWT
@@ -17,8 +17,9 @@
 //!   of the bus caused by the high number of cache misses"),
 //! * [`amdahl`] provides the §3.4 theoretical-speedup bounds,
 //! * [`batch`] projects the batch service (DESIGN.md §16): `j` concurrent
-//!   images × `k` intra-image threads under one budget, and the
-//!   throughput-first/latency-tie-break split tuner.
+//!   images × `k` intra-image threads under one budget, and a
+//!   throughput-first/latency-tie-break split tuner that `bench_serve`'s
+//!   modelled rows run (the product's planner is a fixed rule).
 //!
 //! The model's claims are *shape* claims (who wins, where scaling
 //! saturates), matching how EXPERIMENTS.md compares against the paper.

@@ -376,7 +376,7 @@ pub fn decode(data: &[u8]) -> Result<Image, SpihtError> {
 mod tests {
     use super::*;
     use pj2k_image::metrics::psnr;
-    use pj2k_image::synth;
+    use pj2k_testkit::synth;
 
     #[test]
     fn high_rate_reconstruction_is_good() {

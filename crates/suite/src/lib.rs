@@ -1,6 +1,7 @@
 //! Umbrella crate: owns the repository-level `examples/` and `tests/`
 //! targets and re-exports the whole pj2k workspace under one roof so the
-//! examples can `use pj2k_suite::prelude::*`.
+//! examples can `use pj2k_suite::prelude::*`. Their synthetic imagery is
+//! `pj2k_testkit::synth`, a dev-dependency.
 
 pub use pj2k_cachesim as cachesim;
 pub use pj2k_core as core;
@@ -20,7 +21,7 @@ pub mod prelude {
         Decoder, Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl, Wavelet,
     };
     pub use pj2k_image::metrics::{mse, psnr};
-    pub use pj2k_image::{synth, Image, Plane};
+    pub use pj2k_image::{Image, Plane};
 }
 
 /// Write `img` as a binary PNM named `name` under `target/examples-out/`

@@ -1,15 +1,18 @@
-//! The workspace's one random source and its property-test runner.
+//! The workspace's one random source, its property-test runner and the
+//! synthetic test imagery.
 //!
 //! [`Rng`] is SplitMix64 (Steele, Lea & Flood 2014): one `u64` of state,
-//! every seed valid, the same stream on every platform. `pj2k-image::synth`
-//! draws its imagery from it and every randomized test draws its inputs
-//! from it, so a failure is always reproducible from one number.
+//! every seed valid, the same stream on every platform. [`synth`] draws its
+//! imagery from it and every randomized test draws its inputs from it, so
+//! a failure is always reproducible from one number.
 //!
 //! [`cases`] runs a property `n` times, each case on an `Rng` seeded from
 //! the case index. When a case panics, the panic is re-raised as
 //! `case <i> seed <s>: <original message>`; `Rng::new(<s>)` then replays
 //! exactly that case's draws. There is no shrinking and no environment
 //! variable: a failing input worth keeping becomes a named `#[test]`.
+
+pub mod synth;
 
 use std::ops::{Bound, Range, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

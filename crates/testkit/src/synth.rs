@@ -15,9 +15,8 @@
 //! quality experiments compare codecs *on the same input*, so a deterministic
 //! synthetic stand-in preserves the comparisons (DESIGN.md §2).
 
-use crate::image::Image;
-use crate::plane::Plane;
-use pj2k_testkit::Rng;
+use crate::Rng;
+use pj2k_image::{Image, Plane};
 
 /// Image sizes used throughout the paper's figures, in Kpixel
 /// (256 Kpx = 512x512 ... 16384 Kpx = 4096x4096).

@@ -89,13 +89,19 @@ const BENCHES: &[BenchSpec] = &[
             "\"allocs_marginal_per_strip\"",
             "\"fused_strip_speedup_97\"",
             "\"fused_strip_speedup_53\"",
+            "\"naive_vertical_slowdown\"",
             "\"simd_tiers\"",
             "\"simd_best_tier\"",
             "\"simd_strip_speedup_97\"",
             "\"simd_strip_speedup_53\"",
             "\"simd_bit_identity\"",
         ],
-        floors: &[],
+        // The paper's cache finding on the runner's clock: at a
+        // power-of-two width the naive vertical pass must be slower than
+        // the strip pass (≈7x at 2048² on a 2-core AVX2 host, 7-10x in
+        // smoke runs at 256²). The unit tests check the same gap in
+        // simulated miss traffic, which has no clock to flake on.
+        floors: &[("\"naive_vertical_slowdown\"", 1.0)],
         // Extra DWT strips must not cost extra allocations.
         ceilings: &[("\"allocs_marginal_per_strip\"", 0.0)],
     },
@@ -284,7 +290,29 @@ mod tests {
     #[test]
     fn check_doc_accepts_minimal_valid_doc() {
         let spec = &BENCHES[1];
-        assert!(check_doc(&doc_with_all_keys(spec), spec).is_ok());
+        let doc = doc_with_all_keys(spec).replace(
+            "\"naive_vertical_slowdown\": 1",
+            "\"naive_vertical_slowdown\": 7.2",
+        );
+        assert!(check_doc(&doc, spec).is_ok());
+    }
+
+    #[test]
+    fn dwt_spec_enforces_naive_slowdown_floor() {
+        let spec = &BENCHES[1];
+        assert_eq!(spec.bin, "bench_dwt");
+        assert_eq!(spec.floors, &[("\"naive_vertical_slowdown\"", 1.0)]);
+        // Strict: a naive vertical pass exactly as fast as the strip one
+        // means the power-of-two width no longer costs cache misses.
+        let tie = doc_with_all_keys(spec);
+        assert!(check_doc(&tie, spec).is_err());
+        let slower = tie.replace(
+            "\"naive_vertical_slowdown\": 1",
+            "\"naive_vertical_slowdown\": 1.05",
+        );
+        assert!(check_doc(&slower, spec).is_ok());
+        let dropped = tie.replace("\"naive_vertical_slowdown\": 1", "\"other\": 1");
+        assert!(check_doc(&dropped, spec).is_err());
     }
 
     #[test]

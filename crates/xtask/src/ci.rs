@@ -3,14 +3,16 @@
 //! Runs, in order: `cargo fmt --check`, `cargo clippy -D warnings` twice —
 //! over the whole workspace, then over the product build alone — the audit
 //! (in-process, every check; the full inventory goes to
-//! `target/audit_report.txt`), and `cargo test`. The workspace clippy run
+//! `target/audit_report.txt`), the size check and `cargo test`. The workspace clippy run
 //! unifies `pj2k-bench`'s `oracle` features into every crate, so it never
 //! sees the build users get; the product run lints the codec and CLI
 //! crates' libraries and binaries without them, catching oracle-only code
-//! that leaks into, or goes dead in, the default build. The cargo steps run
-//! `--offline --locked`: the workspace has no
-//! external dependency, so needing the network or a different lock file is
-//! itself a failure. All steps run even if an earlier one fails, so a
+//! that leaks into, or goes dead in, the default build. The size step
+//! recomputes the product line count in process and fails when the
+//! committed `BENCH_code.json` differs (see [`crate::size`]). The cargo
+//! steps run `--offline --locked`: the workspace has no external
+//! dependency, so needing the network or a different lock file is itself a
+//! failure. All steps run even if an earlier one fails, so a
 //! single invocation reports every problem; the exit status is non-zero if
 //! any step failed.
 
@@ -67,6 +69,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
             .current_dir(root),
     );
     let audit = step_audit(root);
+    let size = step_size(root);
     let test = step_cmd(
         "test",
         opts.skip_tests,
@@ -74,7 +77,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
             .args(["test", "--offline", "--locked", "--workspace", "-q"])
             .current_dir(root),
     );
-    let results = [fmt, clippy, clippy_product, audit, test];
+    let results = [fmt, clippy, clippy_product, audit, size, test];
 
     println!("\n== ci summary ==");
     let mut failed = false;
@@ -120,5 +123,20 @@ fn step_audit(root: &Path) -> StepResult {
     StepResult {
         name: "audit",
         outcome: if ok { Outcome::Pass } else { Outcome::Fail },
+    }
+}
+
+fn step_size(root: &Path) -> StepResult {
+    println!("== ci: size ==");
+    let outcome = match crate::size::check(root) {
+        Ok(()) => Outcome::Pass,
+        Err(msg) => {
+            eprintln!("ci: size: {msg}");
+            Outcome::Fail
+        }
+    };
+    StepResult {
+        name: "size",
+        outcome,
     }
 }

@@ -143,20 +143,26 @@ pub fn hot_workspace(
     let roots = std::fs::read_to_string(root.join("hotpaths.toml"))
         .map_err(|e| format!("cannot read hot-root declarations: {e}"))
         .and_then(|text| parse_roots(&text));
-    let deps: DepMap = manifests
-        .iter()
-        .filter_map(|(rel, text)| {
-            let krate = rel.strip_prefix("crates").ok()?.parent()?.to_str()?;
-            Some((krate.to_string(), parse_manifest_deps(text)))
-        })
-        .collect();
     match roots {
-        Ok(roots) => hot(sources, &roots, &deps, out),
+        Ok(roots) => hot(sources, &roots, &dep_map(manifests), out),
         Err(msg) => {
             out.push(Finding::fail(Path::new("hotpaths.toml"), 0, "hot", msg));
             Vec::new()
         }
     }
+}
+
+/// The crate graph of the workspace `manifests` (as
+/// [`crate::std_only::manifests`] reads them), by `[dependencies]` edges
+/// only.
+pub fn dep_map(manifests: &[(PathBuf, String)]) -> DepMap {
+    manifests
+        .iter()
+        .filter_map(|(rel, text)| {
+            let krate = rel.strip_prefix("crates").ok()?.parent()?.to_str()?;
+            Some((krate.to_string(), parse_manifest_deps(text)))
+        })
+        .collect()
 }
 
 /// `pj2k-*` entries in the `[dependencies]` section of a manifest (not
@@ -182,7 +188,7 @@ fn parse_manifest_deps(manifest: &str) -> BTreeSet<String> {
 
 /// Crates reachable from `krate` through the dependency graph, `krate`
 /// included.
-fn reachable_crates(deps: &DepMap, krate: &str) -> HashSet<String> {
+pub fn reachable_crates(deps: &DepMap, krate: &str) -> HashSet<String> {
     let mut seen = HashSet::from([krate.to_string()]);
     let mut queue = VecDeque::from([krate.to_string()]);
     while let Some(cur) = queue.pop_front() {

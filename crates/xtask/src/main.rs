@@ -10,9 +10,11 @@
 //!   `--report`, and exits non-zero on any violation.
 //! * `cargo xtask ci` — the full verification gate: fmt check, clippy
 //!   `-D warnings` on the workspace and on the product build, the audit,
-//!   and the test suite (see [`ci`]).
+//!   the size report's freshness and the test suite (see [`ci`]).
 //! * `cargo xtask bench-smoke` — run every benchmark harness in smoke mode
 //!   and re-validate the JSON it emits (see [`bench`]).
+//! * `cargo xtask size` — count the lines of the crates the `pj2k` binary
+//!   links and write `BENCH_code.json` (see [`size`]).
 //!
 //! The binary is intentionally dependency-free so it builds anywhere the
 //! Rust toolchain exists, including offline CI runners.
@@ -25,6 +27,7 @@ mod ci;
 mod hotpath;
 mod lint;
 mod scan;
+mod size;
 mod std_only;
 mod unsafe_audit;
 
@@ -51,6 +54,7 @@ fn main() -> ExitCode {
             ci::run(&root, &opts)
         }
         Some("bench-smoke") => bench::run(&root),
+        Some("size") => size::run(&root),
         Some("help") | None => {
             print_help();
             0
@@ -192,9 +196,10 @@ fn print_help() {
          \taudit\tevery static check: safety, thread, panic, alias, hot, std_only\n\
          \t\t--quiet\tprint the summary and the violations, not every site\n\
          \t\t--report <path>\talso write the full inventory to a file\n\
-         \tci\tfmt-check + clippy -D warnings + audit + tests\n\
+         \tci\tfmt-check + clippy -D warnings + audit + size check + tests\n\
          \t\t--skip-fmt | --skip-clippy | --skip-tests\n\
          \tbench-smoke\trun every bench harness in smoke mode, validate JSON\n\
+         \tsize\tcount the product crates' lines, write BENCH_code.json\n\
          \thelp\tthis message\n\
          \n\
          CHECKS (justify a site with `// AUDIT(<check>): <reason>`):\n\

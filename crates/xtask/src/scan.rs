@@ -192,17 +192,33 @@ fn is_raw_string_start(bytes: &[char], i: usize) -> bool {
 /// through the item's end is test code. A `cfg(all(test, ..))` conjunction
 /// only narrows the plain gate, so it counts too.
 fn mark_test_items(lines: &mut [Line]) {
+    let gate = |code: &str| {
+        let attr = code
+            .find("#[cfg(test)]")
+            .or_else(|| code.find("#[cfg(all(test,"))?;
+        Some(attr + code[attr..].find(']').map_or(0, |p| p + 1))
+    };
+    for (start, end) in gated_items(lines, |i| gate(&lines[i].code)) {
+        for line in &mut lines[start..=end] {
+            line.in_test = true;
+        }
+    }
+}
+
+/// The line spans of the items an attribute gates, from the attribute line
+/// through the item's end. `gate(idx)` finds the attribute on line `idx`
+/// and returns the byte column of its `code` just past it; the item starts
+/// there or on the next line that is not blank or another attribute. A
+/// gate inside a gated item is part of that item's span.
+pub fn gated_items(lines: &[Line], gate: impl Fn(usize) -> Option<usize>) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
     let mut idx = 0;
     while idx < lines.len() {
-        let code = &lines[idx].code;
-        let Some(attr) = code
-            .find("#[cfg(test)]")
-            .or_else(|| code.find("#[cfg(all(test,"))
-        else {
+        let Some(after) = gate(idx) else {
             idx += 1;
             continue;
         };
-        let after = attr + code[attr..].find(']').map_or(0, |p| p + 1);
+        let code = &lines[idx].code;
         let (start, col) = if code[after..].trim().is_empty() {
             let next = (idx + 1..lines.len()).find(|&j| {
                 let c = lines[j].code.trim();
@@ -213,11 +229,10 @@ fn mark_test_items(lines: &mut [Line]) {
             (idx, after)
         };
         let (end, _) = item_end(lines, start, col);
-        for line in &mut lines[idx..=end] {
-            line.in_test = true;
-        }
+        spans.push((idx, end));
         idx = end + 1;
     }
+    spans
 }
 
 /// The brace matcher. From `(line, byte column)`, find where the item or
@@ -330,7 +345,7 @@ fn items(lines: &[Line]) -> Vec<Item> {
     out
 }
 
-fn strip_visibility(code: &str) -> &str {
+pub fn strip_visibility(code: &str) -> &str {
     let Some(rest) = code.strip_prefix("pub") else {
         return code;
     };
@@ -545,6 +560,16 @@ impl Source {
 /// Every `.rs` file under `root/crates`, classified, in path order. The
 /// `xtask` crate is left out: its sources name every token it audits.
 pub fn load(root: &Path) -> std::io::Result<Vec<Source>> {
+    let files = files(root)?;
+    Ok(files
+        .iter()
+        .map(|(path, text)| Source::new(path, text))
+        .collect())
+}
+
+/// The (workspace-relative path, text) of every `.rs` file [`load`]
+/// classifies, in path order.
+pub fn files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
     fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
@@ -564,10 +589,10 @@ pub fn load(root: &Path) -> std::io::Result<Vec<Source>> {
     walk(&root.join("crates"), &mut files)?;
     files.sort();
     files
-        .iter()
+        .into_iter()
         .map(|file| {
-            let text = std::fs::read_to_string(file)?;
-            Ok(Source::new(file.strip_prefix(root).unwrap_or(file), &text))
+            let text = std::fs::read_to_string(&file)?;
+            Ok((file.strip_prefix(root).unwrap_or(&file).to_path_buf(), text))
         })
         .collect()
 }

@@ -13,6 +13,7 @@
 //! ```
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 use std::time::Instant;
 
 fn main() {

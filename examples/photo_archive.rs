@@ -13,6 +13,7 @@
 //! ```
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 
 fn main() {
     let img = synth::natural_rgb(512, 512, 7);

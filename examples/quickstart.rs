@@ -9,6 +9,7 @@
 //! Without an argument a deterministic synthetic photograph is used.
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 use std::io::BufReader;
 
 fn main() {

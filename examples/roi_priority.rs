@@ -12,6 +12,7 @@
 
 use pj2k_suite::core::Roi;
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 
 fn main() {
     let side = 512;

@@ -2,6 +2,7 @@
 //! on must hold between our three codecs (JPEG, SPIHT, JPEG2000).
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 use std::time::Instant;
 
 /// Encode with baseline JPEG at (approximately) `bpp`, by searching the

@@ -5,6 +5,7 @@
 //! single bit); for the decoder, bit-identical images.
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 
 fn all_modes(workers: usize) -> Vec<ParallelMode> {
     vec![

@@ -2,6 +2,7 @@
 //! budgets respected, quality monotone in rate, layering consistent.
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 
 fn encode_at(img: &Image, bpp: f64) -> Vec<u8> {
     let cfg = EncoderConfig {

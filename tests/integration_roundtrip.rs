@@ -3,6 +3,7 @@
 //! codestream container together.
 
 use pj2k_suite::prelude::*;
+use pj2k_testkit::synth;
 use std::io::Cursor;
 
 fn lossless_cfg() -> EncoderConfig {
