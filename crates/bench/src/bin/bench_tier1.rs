@@ -490,8 +490,9 @@ fn main() {
 
     // --- rate-aware vs full coding ----------------------------------------
     // Best of three each, alternating, on the sequential encoder. At least
-    // 512x512 also in smoke runs: the 25 blocks of the 256x256 smoke image
-    // are mostly pilot blocks, which are coded in full.
+    // 512x512 also in smoke runs: 16 of the 25 blocks of the 256x256 smoke
+    // image are its bands' first blocks, which the pilot's first stage
+    // codes in full.
     let img = test_image(kpx.max(256));
     let fast_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin)).expect("config");
     let full_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin))

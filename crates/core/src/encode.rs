@@ -37,14 +37,64 @@ pub struct EncodeReport {
     /// Coding passes the final quality layer includes.
     pub kept_passes: usize,
     /// Tier-1 rounds of the tile that needed most: 1 when every block is
-    /// coded once in full; a rate-targeted encode takes 2 (pilot blocks,
-    /// then the rest down to their floor planes) plus one per re-coding
-    /// round the rate allocator asked for.
+    /// coded once in full; a rate-targeted encode takes 3 (the pilot's two
+    /// stages, then the rest down to their floor planes; a stage without
+    /// blocks is skipped) plus one per certification or re-coding round.
     pub tier1_rounds: usize,
+    /// Every Tier-1 round of every tile, in the order they ran.
+    pub rounds: Vec<Tier1Round>,
+    /// The pilot estimate `(λ̂, C)` of every tile coded to a rate target
+    /// without an ROI — slope threshold and envelope, DESIGN.md §18 — in
+    /// tile order.
+    pub pilot_estimates: Vec<(f64, f64)>,
     /// Per-block Tier-1 coding time in seconds, in job order — the
     /// work-item costs consumed by the SMP scheduling model. A block coded
     /// in several rounds reports the sum.
     pub block_times: Vec<f64>,
+}
+
+/// What a Tier-1 round coded (DESIGN.md §18).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoundKind {
+    /// Every block in full, once: lossless, ROI and full-coding encodes.
+    Full,
+    /// The pilot's first stage: its sub-lattice coded in full.
+    Pilot1,
+    /// The rest of the pilot, down to a plane below the stage-1 floor.
+    Pilot2,
+    /// Stage-2 pilot blocks coded deeper until the estimate is certified.
+    Certify,
+    /// Every non-pilot block, down to its floor plane.
+    Main,
+    /// Blocks the rate allocation could not clear, coded deeper.
+    Verify,
+}
+
+impl RoundKind {
+    /// Short name, as `pj2k encode --stats` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Full => "full",
+            Self::Pilot1 => "pilot-1",
+            Self::Pilot2 => "pilot-2",
+            Self::Certify => "certify",
+            Self::Main => "main",
+            Self::Verify => "verify",
+        }
+    }
+}
+
+/// One Tier-1 round: one `pool_map_with_state` over a subset of blocks.
+#[derive(Debug, Clone)]
+pub struct Tier1Round {
+    /// What the round coded.
+    pub kind: RoundKind,
+    /// Blocks coded in the round.
+    pub blocks: usize,
+    /// Coding passes the round produced.
+    pub passes: usize,
+    /// Wall-clock seconds of the round.
+    pub seconds: f64,
 }
 
 /// JPEG2000-style encoder configured by [`EncoderConfig`].
@@ -67,9 +117,11 @@ struct BlockJob {
     /// Index of the subband in `Decomposition::subbands()` order (the
     /// Kmax-table key).
     band_idx: usize,
-    /// Member of the rate-aware encoder's pilot sample (see
-    /// [`Encoder::code_to_rate`]).
-    pilot: bool,
+    /// `bx + 3·by` on the band's block grid: the block is in the
+    /// rate-aware encoder's pilot when it is a multiple of
+    /// [`PILOT_PERIOD`], and in its first stage when it is a multiple of
+    /// [`STAGE1_PERIOD`] (see [`Encoder::code_to_rate`]).
+    lattice: usize,
 }
 
 /// Per-(comp, resolution, band) precinct bookkeeping.
@@ -331,23 +383,40 @@ impl Encoder {
             _ => {
                 let t0 = Instant::now();
                 let coded = self.map_blocks(&jobs, &planes_i, None);
-                report.stages.add(stage::TIER1, t0.elapsed());
+                let elapsed = t0.elapsed();
+                report.stages.add(stage::TIER1, elapsed);
+                let passes = coded.iter().map(|(b, _)| b.passes.len()).sum::<usize>();
+                report.coded_passes += passes;
+                report.tier1_rounds = report.tier1_rounds.max(1);
+                report.rounds.push(Tier1Round {
+                    kind: RoundKind::Full,
+                    blocks: coded.len(),
+                    passes,
+                    seconds: elapsed.as_secs_f64(),
+                });
                 (coded, None)
             }
         };
         // The paths that code every pass once allocate afterwards.
         let alloc = alloc.unwrap_or_else(|| {
-            report.coded_passes += coded.iter().map(|(b, _)| b.passes.len()).sum::<usize>();
-            report.tier1_rounds = report.tier1_rounds.max(1);
             let t0 = Instant::now();
             let alloc = match &budgets {
                 None => vec![coded.iter().map(|(b, _)| b.passes.len()).collect()],
                 Some(budgets) => {
-                    let rd: Vec<BlockRd> = jobs
+                    let scales: Vec<f64> = jobs.iter().map(|j| self.distortion_scale(j)).collect();
+                    let rd: Vec<BlockRd> = coded
                         .iter()
-                        .zip(&coded)
-                        .map(|(job, (blk, _))| block_rd(blk, self.distortion_scale(job)))
+                        .zip(&scales)
+                        .map(|((blk, _), &scale)| block_rd(blk, scale))
                         .collect();
+                    // What the rate-aware pilot's estimate is compared
+                    // with: the one from its whole lattice coded in full.
+                    #[cfg(feature = "oracle")]
+                    if cfg.roi.is_none() {
+                        let budget = budgets.last().copied().unwrap_or(0);
+                        let est = pilot_estimate(&jobs, PILOT_PERIOD, &coded, &rd, &scales, budget);
+                        report.pilot_estimates.push(est);
+                    }
                     allocate_layers(&rd, budgets)
                 }
             };
@@ -464,12 +533,10 @@ impl Encoder {
                             level: sb.level,
                             band: sb.band,
                             band_idx: *band_idx,
-                            // One block in eight, every band's first among
-                            // them. The skewed lattice spreads the sample
-                            // over rows and columns alike; `i % 8` would
-                            // pick whole columns of a power-of-two-wide
-                            // grid.
-                            pilot: (bx + 3 * by) % 8 == 0,
+                            // The skewed lattice spreads a sample over rows
+                            // and columns alike; `i % 8` would pick whole
+                            // columns of a power-of-two-wide grid.
+                            lattice: bx + 3 * by,
                         });
                     }
                     precincts.push(PrecinctGeom {
@@ -548,17 +615,27 @@ impl Encoder {
     /// bit-planes the allocation can use (DESIGN.md §18). Returns the same
     /// blocks-as-far-as-kept and the same allocation as coding every pass
     /// and running [`allocate_layers`] would — the codestream is
-    /// byte-identical — in three steps:
+    /// byte-identical — in four steps:
     ///
-    /// 1. *Pilot.* One block in eight of every band is coded in full. Its
-    ///    hull increments, each weighted by the share of its band the pilot
-    ///    stands for, predict the slope threshold λ̂ the last layer's budget
-    ///    will reach, and their largest slope per unit of `scale · 4^plane`
-    ///    is the envelope: the steepest any bit-plane codes, relative to
-    ///    its weight in the image.
-    /// 2. *Main.* Every other block is coded down to its floor plane, the
+    /// 1. *Pilot, stage 1.* One block in [`STAGE1_PERIOD`] of every band
+    ///    is coded in full. Its hull increments, each weighted by the share
+    ///    of its band the sample stands for, predict the slope threshold
+    ///    λ̂ the last layer's budget will reach, and their largest slope
+    ///    per unit of `scale · 4^plane` is the envelope: the steepest any
+    ///    bit-plane codes, relative to its weight in the image.
+    /// 2. *Pilot, stage 2.* The rest of the pilot (one block in
+    ///    [`PILOT_PERIOD`]) is coded to one plane below the floor stage 1
+    ///    predicts, and λ̂ and the envelope are taken again from the whole
+    ///    pilot. A stage-2 block whose first uncoded plane could still
+    ///    reach λ̂ is coded deeper until none is left (*certify*). Every
+    ///    increment steeper than that plane's bound is the same in the
+    ///    block's truncated and complete hulls, so λ̂ is the one the pilot
+    ///    coded in full gives, and so is the envelope unless a block hides
+    ///    below its floor a plane steeper than the envelope says — the
+    ///    assumption the main round makes of every block.
+    /// 3. *Main.* Every other block is coded down to its floor plane, the
     ///    lowest whose envelope slope still reaches [`FLOOR_MARGIN`] · λ̂.
-    /// 3. *Verify.* The real allocation runs over everything coded, told
+    /// 4. *Verify.* The real allocation runs over everything coded, told
     ///    for each stopped block the envelope slope of its first uncoded
     ///    plane. Blocks it cannot clear (see
     ///    [`allocate_layers_truncated`]), and blocks whose kept prefix
@@ -577,55 +654,57 @@ impl Encoder {
         report: &mut EncodeReport,
     ) -> (Coded, Vec<Vec<usize>>) {
         let n = jobs.len();
-        let scales: Vec<f64> = jobs.iter().map(|j| self.distortion_scale(j)).collect();
-        let mut floors = vec![0u8; n];
-        let mut coded = Coded::new();
-        coded.resize_with(n, Default::default);
-        let mut rd = vec![BlockRd::default(); n];
-        let mut rounds = 0;
-        // One Tier-1 round over `indices`, each block down to its floor.
-        let mut code = |indices: &[usize],
-                        floors: &mut [u8],
-                        coded: &mut [(EncodedBlock, f64)],
-                        rd: &mut [BlockRd],
-                        report: &mut EncodeReport| {
-            let t0 = Instant::now();
-            let out = self.map_blocks(jobs, planes, Some((indices, floors)));
-            for (&i, (blk, secs)) in indices.iter().zip(out) {
-                report.coded_passes += blk.passes.len();
-                // A floor at or above the top plane codes nothing; what is
-                // left uncoded then starts at the top plane.
-                floors[i] = floors[i].min(blk.msb_planes);
-                rd[i] = block_rd(&blk, scales[i]);
-                coded[i] = (blk, coded[i].1 + secs);
-            }
-            report.stages.add(stage::TIER1, t0.elapsed());
-            rounds += 1;
+        let mut st = ToRate {
+            enc: self,
+            jobs,
+            planes,
+            scales: jobs.iter().map(|j| self.distortion_scale(j)).collect(),
+            floors: vec![0u8; n],
+            coded: (0..n).map(|_| Default::default()).collect(),
+            rd: vec![BlockRd::default(); n],
+            rounds: 0,
         };
-
-        let (pilot, rest): (Vec<usize>, Vec<usize>) = (0..n).partition(|&i| jobs[i].pilot);
-        code(&pilot, &mut floors, &mut coded, &mut rd, report);
-        let t0 = Instant::now();
         let budget = budgets.last().copied().unwrap_or(0);
-        let (lambda, envelope) = pilot_estimate(jobs, &pilot, &coded, &rd, &scales, budget);
-        report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
-        if !rest.is_empty() {
-            for &i in &rest {
-                floors[i] = floor_plane(FLOOR_MARGIN * lambda, envelope, scales[i]);
-            }
-            code(&rest, &mut floors, &mut coded, &mut rd, report);
+        let (pilot, rest): (Vec<usize>, Vec<usize>) =
+            (0..n).partition(|&i| jobs[i].lattice.is_multiple_of(PILOT_PERIOD));
+        let (stage1, stage2): (Vec<usize>, Vec<usize>) = pilot
+            .into_iter()
+            .partition(|&i| jobs[i].lattice.is_multiple_of(STAGE1_PERIOD));
+
+        st.code(RoundKind::Pilot1, &stage1, report);
+        let (lambda0, envelope0) = st.estimate(STAGE1_PERIOD, budget, report);
+        for &i in &stage2 {
+            st.floors[i] =
+                floor_plane(FLOOR_MARGIN * lambda0, envelope0, st.scales[i]).saturating_sub(1);
         }
+        st.code(RoundKind::Pilot2, &stage2, report);
+        let mut step = 1u8;
+        let (lambda, envelope) = loop {
+            let (lambda, envelope) = st.estimate(PILOT_PERIOD, budget, report);
+            // Stage-2 blocks whose first uncoded plane could reach λ̂.
+            let open: Vec<usize> = stage2
+                .iter()
+                .copied()
+                .filter(|&i| st.floors[i] > 0 && st.uncoded_bound(i, envelope) >= lambda)
+                .collect();
+            if open.is_empty() {
+                break (lambda, envelope);
+            }
+            st.deepen(&open, step, lambda, envelope);
+            st.code(RoundKind::Certify, &open, report);
+            step = step.saturating_mul(2);
+        };
+        report.pilot_estimates.push((lambda, envelope));
+        for &i in &rest {
+            st.floors[i] = floor_plane(FLOOR_MARGIN * lambda, envelope, st.scales[i]);
+        }
+        st.code(RoundKind::Main, &rest, report);
 
         let mut step = 1u8;
         loop {
             let t0 = Instant::now();
-            let uncoded_below: Vec<f64> = (0..n)
-                .map(|i| match floors[i] {
-                    0 => 0.0,
-                    q => envelope * plane_weight(scales[i], q - 1),
-                })
-                .collect();
-            let alloc = allocate_layers_truncated(&rd, budgets, &uncoded_below);
+            let uncoded_below: Vec<f64> = (0..n).map(|i| st.uncoded_bound(i, envelope)).collect();
+            let alloc = allocate_layers_truncated(&st.rd, budgets, &uncoded_below);
             // Code again: the blocks the allocation could not clear, and
             // the stopped blocks it kept to within one bit-plane (three
             // passes) of where they stopped.
@@ -635,27 +714,121 @@ impl Encoder {
             }
             if let Some(kept) = alloc.layers.last() {
                 for i in 0..n {
-                    again[i] |= floors[i] > 0 && kept[i] > 0 && kept[i] + 3 > rd[i].rates.len();
+                    again[i] |=
+                        st.floors[i] > 0 && kept[i] > 0 && kept[i] + 3 > st.rd[i].rates.len();
                 }
             }
             let again: Vec<usize> = (0..n).filter(|&i| again[i]).collect();
             report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
             if again.is_empty() {
-                report.tier1_rounds = report.tier1_rounds.max(rounds);
-                return (coded, alloc.layers);
+                report.tier1_rounds = report.tier1_rounds.max(st.rounds);
+                return (st.coded, alloc.layers);
             }
-            // Down to where the measured threshold puts the floor, and by
-            // at least `step` planes, doubling, so that a block the
-            // envelope misjudges reaches floor 0 in a handful of rounds.
-            for &i in &again {
-                let by_threshold = floor_plane(FLOOR_MARGIN * alloc.threshold, envelope, scales[i]);
-                floors[i] = floors[i].saturating_sub(step).min(by_threshold);
-            }
-            code(&again, &mut floors, &mut coded, &mut rd, report);
+            st.deepen(&again, step, alloc.threshold, envelope);
+            st.code(RoundKind::Verify, &again, report);
             step = step.saturating_mul(2);
         }
     }
 }
+
+/// What [`Encoder::code_to_rate`] carries from one Tier-1 round to the
+/// next, per job: the floor plane, the block as far as it is coded and its
+/// rate/distortion trajectory.
+struct ToRate<'a> {
+    enc: &'a Encoder,
+    jobs: &'a [BlockJob],
+    planes: &'a [Plane<i32>],
+    scales: Vec<f64>,
+    floors: Vec<u8>,
+    coded: Coded,
+    rd: Vec<BlockRd>,
+    rounds: usize,
+}
+
+impl ToRate<'_> {
+    /// One Tier-1 round over `indices`, each block down to its floor; an
+    /// empty round is skipped.
+    fn code(&mut self, kind: RoundKind, indices: &[usize], report: &mut EncodeReport) {
+        if indices.is_empty() {
+            return;
+        }
+        let t0 = Instant::now();
+        let out = self
+            .enc
+            .map_blocks(self.jobs, self.planes, Some((indices, &self.floors)));
+        let mut passes = 0;
+        for (&i, (blk, secs)) in indices.iter().zip(out) {
+            passes += blk.passes.len();
+            // A floor at or above the top plane codes nothing; what is
+            // left uncoded then starts at the top plane.
+            self.floors[i] = self.floors[i].min(blk.msb_planes);
+            self.rd[i] = block_rd(&blk, self.scales[i]);
+            self.coded[i] = (blk, self.coded[i].1 + secs);
+        }
+        let elapsed = t0.elapsed();
+        report.stages.add(stage::TIER1, elapsed);
+        report.coded_passes += passes;
+        report.rounds.push(Tier1Round {
+            kind,
+            blocks: indices.len(),
+            passes,
+            seconds: elapsed.as_secs_f64(),
+        });
+        self.rounds += 1;
+    }
+
+    /// [`pilot_estimate`] over the blocks coded so far.
+    fn estimate(&self, period: usize, budget: usize, report: &mut EncodeReport) -> (f64, f64) {
+        let t0 = Instant::now();
+        let est = pilot_estimate(
+            self.jobs,
+            period,
+            &self.coded,
+            &self.rd,
+            &self.scales,
+            budget,
+        );
+        report.stages.add(stage::RD_ALLOCATION, t0.elapsed());
+        est
+    }
+
+    /// The envelope slope of job `i`'s first uncoded plane, 0 when it is
+    /// complete: the bound [`allocate_layers_truncated`] takes.
+    fn uncoded_bound(&self, i: usize, envelope: f64) -> f64 {
+        match self.floors[i] {
+            0 => 0.0,
+            q => envelope * plane_weight(self.scales[i], q - 1),
+        }
+    }
+
+    /// Lower the floors of `again` to where `lambda` puts them, and by at
+    /// least `step` planes — the callers double it per round — so that a
+    /// block the envelope misjudges reaches floor 0 in a handful of rounds.
+    fn deepen(&mut self, again: &[usize], step: u8, lambda: f64, envelope: f64) {
+        for &i in again {
+            let by_threshold = floor_plane(FLOOR_MARGIN * lambda, envelope, self.scales[i]);
+            self.floors[i] = self.floors[i].saturating_sub(step).min(by_threshold);
+        }
+    }
+}
+
+/// The pilot is the blocks with `(bx + 3·by) mod PILOT_PERIOD == 0` on
+/// their band's block grid: one in eight, every band's first block among
+/// them.
+const PILOT_PERIOD: usize = 8;
+
+/// The pilot's first stage, the blocks it codes in full: a multiple of
+/// [`PILOT_PERIOD`], so that stage 1 is a sub-lattice of the pilot that
+/// still holds every band's first block (lattice position 0). Stage 1 only
+/// has to place the stage-2 floors, and those tolerate a poor estimate: a
+/// stage-2 block stops one plane (a factor 4 in slope) below a floor that
+/// already takes [`FLOOR_MARGIN`] (a factor 2), so its first uncoded plane
+/// is bounded by λ̂₀/8, and certification re-codes anything only when the
+/// whole pilot's λ̂ lands 8× under stage 1's. Full coding is what stage 1
+/// costs, so the period is as coarse as the sample allows: at 32 stage 1
+/// is a quarter of the pilot (16 would be half), while the finest bands of
+/// a large image (a 16×16 grid) still put six blocks in it.
+const STAGE1_PERIOD: usize = 4 * PILOT_PERIOD;
 
 /// Share of the predicted slope threshold a plane's envelope slope must
 /// reach for the main round to code it. Below 1 so that a threshold
@@ -694,34 +867,36 @@ fn block_rd(blk: &EncodedBlock, scale: f64) -> BlockRd {
     BlockRd { rates, dists }
 }
 
-/// What the fully coded `pilot` blocks predict for the whole tile: the
-/// slope threshold at which `budget` bytes run out, and the envelope (the
-/// largest hull-increment slope per unit of [`plane_weight`]). Each pilot
-/// block's bytes count for the share of its band's samples it represents,
-/// so bands the pilot covers whole (the few-block coarse levels, where a
-/// low rate spends most of its bytes) are not counted eight times over.
+/// What the sample of blocks with `lattice` a multiple of `period`
+/// predicts for the whole tile: the slope threshold at which `budget` bytes
+/// run out, and the envelope (the largest hull-increment slope per unit of
+/// [`plane_weight`]). Each sampled block's bytes count for the share of its
+/// band's samples it represents, so bands the sample covers whole (the
+/// few-block coarse levels, where a low rate spends most of its bytes) are
+/// not counted `period` times over.
 fn pilot_estimate(
     jobs: &[BlockJob],
-    pilot: &[usize],
+    period: usize,
     coded: &[(EncodedBlock, f64)],
     rd: &[BlockRd],
     scales: &[f64],
     budget: usize,
 ) -> (f64, f64) {
+    let member = |j: &BlockJob| j.lattice.is_multiple_of(period);
     let nbands = jobs.iter().map(|j| j.band_idx + 1).max().unwrap_or(0);
     let band = |j: &BlockJob| j.comp * nbands + j.band_idx;
     let ncomp = jobs.iter().map(|j| j.comp + 1).max().unwrap_or(0);
-    let mut samples = vec![(0usize, 0usize); ncomp * nbands]; // (all, pilot)
+    let mut samples = vec![(0usize, 0usize); ncomp * nbands]; // (all, sampled)
     for j in jobs {
         let area = j.geom.w * j.geom.h;
         samples[band(j)].0 += area;
-        if j.pilot {
+        if member(j) {
             samples[band(j)].1 += area;
         }
     }
     let mut envelope = 0f64;
     let mut incs: Vec<(f64, f64)> = Vec::new(); // (slope, bytes it stands for)
-    for &i in pilot {
+    for i in (0..jobs.len()).filter(|&i| member(&jobs[i])) {
         let (all, sampled) = samples[band(&jobs[i])];
         let weight = all as f64 / sampled as f64;
         let (mut prev_r, mut prev_d) = (0usize, 0f64);

@@ -52,5 +52,5 @@ pub use config::{
     Schedule, StageOverlap,
 };
 pub use decode::{CodecError, DecodeReport, Decoder};
-pub use encode::{EncodeReport, Encoder};
+pub use encode::{EncodeReport, Encoder, RoundKind, Tier1Round};
 pub use pj2k_dwt::{DwtStats, Wavelet};

@@ -5,7 +5,8 @@
 
 use pj2k_core::config::{Tier1Engine, Tier1Options};
 use pj2k_core::{
-    EncodeReport, Encoder, EncoderConfig, ParallelMode, RateControl, Roi, Schedule, Wavelet,
+    EncodeReport, Encoder, EncoderConfig, ParallelMode, RateControl, Roi, RoundKind, Schedule,
+    Wavelet,
 };
 use pj2k_image::{Image, Plane};
 use pj2k_testkit::{cases, synth, Rng};
@@ -34,7 +35,35 @@ fn assert_identical(img: &Image, cfg: &EncoderConfig, what: &str) -> (Vec<u8>, E
     assert_eq!(oracle.tier1_rounds, 1, "{what}: oracle rounds");
     assert!(report.kept_passes <= report.coded_passes, "{what}");
     assert_eq!(report.block_times.len(), report.num_blocks, "{what}");
+    // The two-stage pilot certifies the threshold of the pilot coded in
+    // full, to the bit. Its envelope is never above that pilot's (a hull
+    // prefix has no steeper normalised increment than the whole hull) and
+    // equal to it unless a stage-2 block hides, below its floor, a plane
+    // steeper than the envelope — DESIGN.md §18's one assumption.
+    assert_eq!(
+        report.pilot_estimates.len(),
+        oracle.pilot_estimates.len(),
+        "{what}: pilot estimates"
+    );
+    for (&(lambda, envelope), &(want_lambda, want_envelope)) in
+        report.pilot_estimates.iter().zip(&oracle.pilot_estimates)
+    {
+        assert_eq!(lambda.to_bits(), want_lambda.to_bits(), "{what}: λ̂");
+        assert!(
+            envelope <= want_envelope,
+            "{what}: envelope {envelope} > {want_envelope}"
+        );
+    }
     (fast, report)
+}
+
+/// Kind, blocks and passes of every Tier-1 round (not its seconds).
+fn rounds(report: &EncodeReport) -> Vec<(RoundKind, usize, usize)> {
+    report
+        .rounds
+        .iter()
+        .map(|r| (r.kind, r.blocks, r.passes))
+        .collect()
 }
 
 /// Sizes from 1x1 through odd and non-multiples of the code-block.
@@ -179,22 +208,73 @@ fn workers_and_schedules_do_not_change_the_stream() {
             code_block: (16, 16),
             ..arb_config(rng, w, h)
         };
-        let (want, seq) = assert_identical(&img, &cfg, "sequential");
-        for workers in [1usize, 2, 3, 5] {
-            for tier1_schedule in SCHEDULES {
-                let cfg = EncoderConfig {
-                    parallel: ParallelMode::WorkerPool { workers },
-                    tier1_schedule,
-                    ..cfg.clone()
-                };
-                let (got, report) = Encoder::new(cfg).unwrap().encode(&img);
-                let what = format!("workers={workers} {tier1_schedule:?}");
-                assert!(got == want, "{what}: codestream differs");
-                assert_eq!(report.coded_passes, seq.coded_passes, "{what}");
-                assert_eq!(report.tier1_rounds, seq.tier1_rounds, "{what}");
-            }
-        }
+        assert_schedule_free(&img, &cfg);
     });
+}
+
+/// Encode `img` sequentially and under every worker count and schedule:
+/// the same file, the same passes and the same rounds every time.
+fn assert_schedule_free(img: &Image, cfg: &EncoderConfig) {
+    let (want, seq) = assert_identical(img, cfg, "sequential");
+    for workers in [1usize, 2, 3, 5] {
+        for tier1_schedule in SCHEDULES {
+            let cfg = EncoderConfig {
+                parallel: ParallelMode::WorkerPool { workers },
+                tier1_schedule,
+                ..cfg.clone()
+            };
+            let (got, report) = Encoder::new(cfg).unwrap().encode(img);
+            let what = format!("workers={workers} {tier1_schedule:?}");
+            assert!(got == want, "{what}: codestream differs");
+            assert_eq!(report.coded_passes, seq.coded_passes, "{what}");
+            assert_eq!(report.tier1_rounds, seq.tier1_rounds, "{what}");
+            assert_eq!(rounds(&report), rounds(&seq), "{what}");
+            assert_eq!(report.pilot_estimates, seq.pilot_estimates, "{what}");
+        }
+    }
+}
+
+/// Pinned: busy stage-1 pilot blocks, quieter stage-2 blocks, a near-flat
+/// rest. Stage 1 alone predicts a threshold high in the busy planes, so
+/// stage 2 codes little or nothing; the whole pilot, where the busy blocks
+/// weigh a quarter as much, puts the threshold several planes lower —
+/// within reach of the planes stage 2 left uncoded. Certification has to
+/// code them before the main round may use the estimate.
+#[test]
+fn certification_codes_the_stage_two_blocks_the_threshold_reaches() {
+    let mut noise = Rng::new(7);
+    let plane = Plane::from_fn(256, 256, |x, y| {
+        // With no decomposition level the band is the image and its 16x16
+        // block grid is the pilot lattice's: `bx + 3·by` mod 32 is stage
+        // 1, mod 8 stage 2.
+        let lattice = x / 16 + 3 * (y / 16);
+        let amp = match (lattice % 32, lattice % 8) {
+            (0, _) => 120,
+            (_, 0) => 30,
+            _ => 2,
+        };
+        (128 + noise.range(-amp..=amp)).clamp(0, 255)
+    });
+    let img = Image::gray8(plane);
+    for wavelet in [Wavelet::Reversible53, Wavelet::Irreversible97] {
+        for bpp in [1.0, 1.5] {
+            let cfg = EncoderConfig {
+                wavelet,
+                levels: 0,
+                code_block: (16, 16),
+                rate: RateControl::TargetBpp(vec![bpp]),
+                ..EncoderConfig::default()
+            };
+            let what = format!("{wavelet:?} at {bpp} bpp");
+            let (_, report) = assert_identical(&img, &cfg, &what);
+            assert!(
+                report.rounds.iter().any(|r| r.kind == RoundKind::Certify),
+                "{what}: no certify round in {:?}",
+                rounds(&report)
+            );
+            assert_schedule_free(&img, &cfg);
+        }
+    }
 }
 
 /// Pinned: a block whose top planes hold one outlier coefficient above a

@@ -21,7 +21,9 @@
 //!     --reset            reset MQ contexts every pass
 //!     --bypass           lazy mode: raw-code the deep SPP/MRP passes
 //!     --roi X,Y,W,H      prioritize a region of interest (MAXSHIFT)
-//!     --stats            print the per-stage timing breakdown (single image)
+//!     --stats            print the per-stage timing breakdown, then one
+//!                        line per Tier-1 round and the pilot estimate
+//!                        (single image)
 //!
 //! pj2k decode <in.pj2k> <out.pgm> [--layers N] [--threads N] [--stats]
 //!     --stats            print the per-stage timing breakdown; the output
@@ -258,6 +260,18 @@ fn cmd_encode_single(opts: &Opts, input: &PathBuf, output: &PathBuf) -> ExitCode
     );
     if opts.has("--stats") {
         print_stats(&report.stages, &report.dwt);
+        for r in &report.rounds {
+            println!(
+                "  tier-1 round {:<8} {:>6} blocks {:>7} passes {:>9.2} ms",
+                r.kind.name(),
+                r.blocks,
+                r.passes,
+                r.seconds * 1e3
+            );
+        }
+        for (lambda, envelope) in &report.pilot_estimates {
+            println!("  pilot estimate: threshold {lambda:.6e}, envelope {envelope:.6e}");
+        }
     }
     ExitCode::SUCCESS
 }

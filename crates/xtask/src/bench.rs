@@ -66,14 +66,18 @@ const BENCHES: &[BenchSpec] = &[
         // block — the runtime half of the audit-hotpath contract. The
         // rate-aware encoder must write the bytes full coding writes
         // (exact zero; the binary also exits non-zero otherwise) and must
-        // actually skip work at 1 bpp: it codes 0.82 of the nominal passes
-        // of the 512x512 smoke image and 0.85 of the full run's 1024x1024
-        // one (these synthetic images give it less to skip than the
-        // benchmark's, ~0.6), so 0.95 means the floors have stopped biting.
+        // actually skip work at 1 bpp: it codes 0.818 of the nominal passes
+        // of the 512x512 smoke image and 0.850 of the full run's 1024x1024
+        // one. These synthetic images keep most planes at 1 bpp, so the
+        // pilot's second stage codes about as deep as its first and the
+        // two-stage pilot leaves both shares where they were (the
+        // benchmark's inputs give it more to skip, 0.56-0.60). The ceiling
+        // is the smoke share plus 0.06, a third of the passes it now skips:
+        // past that the floors have stopped biting.
         ceilings: &[
             ("\"steady_allocs_per_block\"", 0.0),
             ("\"byte_mismatches\"", 0.0),
-            ("\"coded_pass_share\"", 0.95),
+            ("\"coded_pass_share\"", 0.88),
         ],
     },
     BenchSpec {
@@ -337,7 +341,7 @@ mod tests {
             &[
                 ("\"steady_allocs_per_block\"", 0.0),
                 ("\"byte_mismatches\"", 0.0),
-                ("\"coded_pass_share\"", 0.95)
+                ("\"coded_pass_share\"", 0.88)
             ]
         );
         let good =

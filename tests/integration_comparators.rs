@@ -88,10 +88,12 @@ fn encode_time_ordering_matches_figure_2() {
     let t_spiht = t0.elapsed().as_secs_f64();
 
     // The paper's JPEG2000 coders filter columns naively, one sweep per
-    // lifting step; so does this one here. (The default fused SIMD
-    // transform runs about 1.5x faster in an unoptimised test build,
-    // where SPIHT's list handling is slowest, which would turn this into
-    // a comparison of build modes.)
+    // lifting step, and code every pass before rate allocation; so does
+    // this one here. (The default fused SIMD transform runs about 1.5x
+    // faster in an unoptimised test build, where SPIHT's list handling is
+    // slowest, and the default rate-aware Tier-1 skips most of the passes
+    // PCRD discards: either would turn this into a comparison of later
+    // optimisations.)
     let t0 = Instant::now();
     let cfg = EncoderConfig {
         rate: RateControl::TargetBpp(vec![1.0]),
@@ -99,7 +101,7 @@ fn encode_time_ordering_matches_figure_2() {
         lifting: pj2k_suite::core::LiftingMode::PerStep,
         ..EncoderConfig::default()
     };
-    let _ = Encoder::new(cfg).unwrap().encode(&img);
+    let _ = Encoder::new(cfg).unwrap().with_full_coding().encode(&img);
     let t_j2k = t0.elapsed().as_secs_f64();
 
     assert!(
