@@ -6,12 +6,37 @@
 //! ```sh
 //! cargo run --release -p pj2k-bench --bin fig02_codec_comparison
 //! PJ2K_FULL=1 cargo run ... # the paper's full 256..16384 Kpixel sweep
+//! cargo run --release -p pj2k-bench --bin fig02_codec_comparison -- \
+//!     [--smoke] --out PATH
 //! ```
+//!
+//! With `--out`, the binary skips the table and writes the figure's
+//! ordering as JSON: JPEG, SPIHT and a JPEG2000 coder built like the
+//! paper's (naive per-step column filtering, every pass coded before rate
+//! allocation) encode one image at 1 bpp, best of [`ROUNDS`] alternated
+//! rounds each. `j2k_over_jpeg` and `j2k_over_spiht` are the JPEG2000 time
+//! over the other two; `cargo xtask bench-smoke` floors both (JPEG fastest,
+//! SPIHT no slower than 1.2x JPEG2000). `--smoke` encodes a 512x512 image,
+//! the full run 1024x1024.
 
-use pj2k_bench::{ms, row, sizes_kpixel, test_image, time};
+use pj2k_bench::{ms, paper_config, row, sizes_kpixel, test_image, time};
 use pj2k_core::{Encoder, EncoderConfig, RateControl};
+use pj2k_image::Image;
+
+/// Alternated rounds per codec in the `--out` measurement.
+const ROUNDS: usize = 5;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out = args.iter().position(|a| a == "--out");
+    match out.and_then(|i| args.get(i + 1)) {
+        Some(path) => ordering(smoke, path),
+        None => table(),
+    }
+}
+
+fn table() {
     println!("Fig. 2 — compression timings (encode wall-clock, ms)\n");
     row(
         "image size (Kpixel)",
@@ -34,4 +59,37 @@ fn main() {
         "\nExpected shape (paper): JPEG fastest by a wide margin, JPEG2000\n\
          slowest, SPIHT in between; all grow ~linearly with pixel count."
     );
+}
+
+/// Time the three coders on one image and write the ordering to `path`.
+fn ordering(smoke: bool, path: &str) {
+    let side = if smoke { 512 } else { 1024 };
+    let img: Image = pj2k_testkit::synth::natural_gray(side, side, 606);
+    let j2k = Encoder::new(paper_config())
+        .expect("config")
+        .with_full_coding();
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..ROUNDS {
+        let times = [
+            time(|| pj2k_jpegbase::encode(&img, 75).expect("jpeg")).1,
+            time(|| pj2k_spiht::encode(&img, 5, 1.0).expect("spiht")).1,
+            time(|| j2k.encode(&img)).1,
+        ];
+        for (b, t) in best.iter_mut().zip(times) {
+            *b = b.min(t);
+        }
+    }
+    let [jpeg, spiht, j2k] = best;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let doc = format!(
+        "{{\n  \"schema\": \"pj2k.fig02.v1\",\n  \"smoke\": {smoke},\n  \
+         \"host_cores\": {cores},\n  \"image_side\": {side},\n  \"rounds\": {ROUNDS},\n  \
+         \"jpeg_secs\": {jpeg:.6},\n  \"spiht_secs\": {spiht:.6},\n  \
+         \"j2k_secs\": {j2k:.6},\n  \"j2k_over_jpeg\": {:.3},\n  \
+         \"j2k_over_spiht\": {:.3}\n}}\n",
+        j2k / jpeg,
+        j2k / spiht
+    );
+    print!("{doc}");
+    std::fs::write(path, doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

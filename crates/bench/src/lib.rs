@@ -377,6 +377,9 @@ mod tests {
         );
         // Items reproduce the measured serial times.
         let naive_total: f64 = fp.naive_items.iter().map(|i| i.compute + i.stall).sum();
+        // AUDIT(timing): an accounting identity, not a race: the items are
+        // split from this measured time, so they sum back to it up to float
+        // rounding whatever the clock read.
         assert!((naive_total - fp.naive.vertical.as_secs_f64()).abs() < 1e-9);
     }
 

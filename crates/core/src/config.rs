@@ -83,8 +83,8 @@ impl FilterStrategy {
 /// sequence (DESIGN.md §10, §15) and ignore the value — both variants give
 /// the same bytes and pixels, pinned by a test. The enum and the two
 /// `overlap` fields survive only because `benchmark/README.md` pins them;
-/// the follow-up `[benchmark]` issue that unpins `overlap`/`StageOverlap`
-/// (ROADMAP item 2) removes them.
+/// the change to the benchmark that unpins `overlap`/`StageOverlap`
+/// removes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageOverlap {
     /// Accepted and ignored.
@@ -164,8 +164,8 @@ pub struct EncoderConfig {
     /// runs DWT, quantization and Tier-1 one after the other whatever this
     /// says.
     pub overlap: StageOverlap,
-    /// Tier-1 coding-style options (stripe-causal contexts, per-pass
-    /// context reset). Signalled in the codestream header.
+    /// Tier-1 coding style: selective arithmetic bypass, off by default.
+    /// Signalled in the codestream header.
     pub tier1: Tier1Options,
     /// Tier-1 coding engine. The product build has one, the packed
     /// flag-word engine; `oracle` builds add the reference engine it

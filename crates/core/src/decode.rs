@@ -128,20 +128,138 @@ impl Default for Decoder {
     }
 }
 
-/// Stream-level parameters parsed from the main header.
-struct MainHeader {
-    width: usize,
-    height: usize,
-    ncomp: usize,
-    bit_depth: u8,
-    signed: bool,
-    tiles: Option<(usize, usize)>,
-    wavelet: Wavelet,
-    levels: u8,
-    code_block: (usize, usize),
-    n_layers: usize,
-    base_step: f64,
-    tier1: Tier1Options,
+/// Stream-level parameters of a codestream's main header (SIZ, COD and
+/// QCD), as [`read_header`] returns them. Every field has passed the
+/// decoder's plausibility checks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamHeader {
+    /// Image width in samples.
+    pub width: usize,
+    /// Image height in samples.
+    pub height: usize,
+    /// Number of components (1..=4).
+    pub ncomp: usize,
+    /// Sample bit depth (1..=16).
+    pub bit_depth: u8,
+    /// Whether samples are signed.
+    pub signed: bool,
+    /// Tile size, or `None` for one tile covering the image.
+    pub tiles: Option<(usize, usize)>,
+    /// The wavelet filter.
+    pub wavelet: Wavelet,
+    /// Decomposition levels (0..=12).
+    pub levels: u8,
+    /// Nominal code-block size.
+    pub code_block: (usize, usize),
+    /// Number of quality layers.
+    pub n_layers: usize,
+    /// Quantizer base step.
+    pub base_step: f64,
+    /// The Tier-1 coding style.
+    pub tier1: Tier1Options,
+}
+
+/// COD's Tier-1 style byte: bit 2 is selective arithmetic bypass. The
+/// other bits are ISO 15444-1's remaining code-block styles, which this
+/// codec does not implement (DESIGN.md §5), so any other byte is invalid.
+pub(crate) const COD_BYPASS: u8 = 1 << 2;
+
+/// Parse and check the main header (SOC, SIZ, COD, QCD) of a codestream:
+/// the same parse, and the same errors, as [`Decoder::decode`].
+///
+/// # Errors
+/// Returns [`CodecError`] when the header is malformed or describes a
+/// stream this codec cannot have written.
+pub fn read_header(bytes: &[u8]) -> Result<StreamHeader, CodecError> {
+    parse_main_header(&mut MarkerReader::new(bytes))
+}
+
+/// [`read_header`] on a reader that continues with the tile segments.
+// AUDIT(hot): runs once per stream (setup-time); every format! here is a
+// cold malformed-input error path.
+fn parse_main_header(r: &mut MarkerReader<'_>) -> Result<StreamHeader, CodecError> {
+    r.expect_marker(codestream::SOC)?;
+    let siz = r.expect_segment(codestream::SIZ)?;
+    let mut p = PayloadReader::new(siz);
+    let width = p.u32()? as usize;
+    let height = p.u32()? as usize;
+    let ncomp = p.u8()? as usize;
+    let bit_depth = p.u8()?;
+    let signed = p.u8()? != 0;
+    let tw = p.u32()? as usize;
+    let th = p.u32()? as usize;
+    let cod = r.expect_segment(codestream::COD)?;
+    let mut p = PayloadReader::new(cod);
+    let wavelet = match p.u8()? {
+        0 => Wavelet::Reversible53,
+        1 => Wavelet::Irreversible97,
+        x => return Err(CodecError::Invalid(format!("unknown wavelet {x}"))),
+    };
+    let levels = p.u8()?;
+    let cbw = p.u16()? as usize;
+    let cbh = p.u16()? as usize;
+    let n_layers = p.u16()? as usize;
+    let t1flags = p.u8()?;
+    if t1flags & !COD_BYPASS != 0 {
+        return Err(CodecError::Invalid(format!(
+            "unsupported tier-1 style flags {t1flags:#04x}"
+        )));
+    }
+    let tier1 = Tier1Options {
+        bypass: t1flags == COD_BYPASS,
+    };
+    let qcd = r.expect_segment(codestream::QCD)?;
+    let base_step = PayloadReader::new(qcd).f64()?;
+    if width == 0 || height == 0 || ncomp == 0 {
+        return Err(CodecError::Invalid("empty image".into()));
+    }
+    // Harden against corrupted headers: bound allocations and reject
+    // geometry the encoder can never produce.
+    if width.saturating_mul(height).saturating_mul(ncomp) > (1 << 28) {
+        return Err(CodecError::Invalid(format!(
+            "implausible image size {width}x{height}x{ncomp}"
+        )));
+    }
+    if ncomp > 4 {
+        return Err(CodecError::Invalid(format!("{ncomp} components")));
+    }
+    if !(1..=16).contains(&bit_depth) {
+        return Err(CodecError::Invalid(format!("bit depth {bit_depth}")));
+    }
+    if tw != 0 && th == 0 {
+        return Err(CodecError::Invalid("zero tile dimension".into()));
+    }
+    if levels > 12 {
+        return Err(CodecError::Invalid(format!("{levels} levels")));
+    }
+    if !cbw.is_power_of_two()
+        || !cbh.is_power_of_two()
+        || !(4..=1024).contains(&cbw)
+        || !(4..=1024).contains(&cbh)
+        || cbw.saturating_mul(cbh) > 4096
+    {
+        return Err(CodecError::Invalid(format!("code-block {cbw}x{cbh}")));
+    }
+    if n_layers == 0 || n_layers > 4096 {
+        return Err(CodecError::Invalid(format!("{n_layers} layers")));
+    }
+    if !(base_step.is_finite() && base_step > 0.0) {
+        return Err(CodecError::Invalid(format!("base step {base_step}")));
+    }
+    Ok(StreamHeader {
+        width,
+        height,
+        ncomp,
+        bit_depth,
+        signed,
+        tiles: if tw == 0 { None } else { Some((tw, th)) },
+        wavelet,
+        levels,
+        code_block: (cbw, cbh),
+        n_layers,
+        base_step,
+        tier1,
+    })
 }
 
 /// Geometry and packet-parsing context of one tile.
@@ -387,7 +505,7 @@ impl BlockSink<'_> {
 // block, each built exactly once and handed off to the Tier-1 stage;
 // the format! sites are cold malformed-input error paths.
 fn parse_tile_blocks(
-    hdr: &MainHeader,
+    hdr: &StreamHeader,
     ctx: &TileCtx<'_>,
     res: &[Vec<(usize, Subband)>],
     nbands: usize,
@@ -528,104 +646,18 @@ impl Decoder {
     ///
     /// # Errors
     /// Returns [`CodecError`] on malformed input.
-    // AUDIT(hot): main-header parsing runs once per stream (setup-time);
-    // every format! here is a cold malformed-input error path.
+    // AUDIT(hot): the header parse and the tile loop's format! run once per
+    // stream or tile, on cold malformed-input error paths.
     pub fn decode(&self, bytes: &[u8]) -> Result<(Image, DecodeReport), CodecError> {
         let mut report = DecodeReport::default();
         let t0 = Instant::now();
         let mut r = MarkerReader::new(bytes);
-        r.expect_marker(codestream::SOC)?;
-        let siz = r.expect_segment(codestream::SIZ)?;
-        let mut p = PayloadReader::new(siz);
-        let width = p.u32()? as usize;
-        let height = p.u32()? as usize;
-        let ncomp = p.u8()? as usize;
-        let bit_depth = p.u8()?;
-        let signed = p.u8()? != 0;
-        let tw = p.u32()? as usize;
-        let th = p.u32()? as usize;
-        let cod = r.expect_segment(codestream::COD)?;
-        let mut p = PayloadReader::new(cod);
-        let wavelet = match p.u8()? {
-            0 => Wavelet::Reversible53,
-            1 => Wavelet::Irreversible97,
-            x => return Err(CodecError::Invalid(format!("unknown wavelet {x}"))),
-        };
-        let levels = p.u8()?;
-        let cbw = p.u16()? as usize;
-        let cbh = p.u16()? as usize;
-        let n_layers = p.u16()? as usize;
-        let t1flags = p.u8()?;
-        if t1flags > 7 {
-            return Err(CodecError::Invalid(format!(
-                "unknown tier-1 flags {t1flags:#x}"
-            )));
-        }
-        let tier1 = Tier1Options {
-            stripe_causal: t1flags & 1 != 0,
-            reset_contexts: t1flags & 2 != 0,
-            bypass: t1flags & 4 != 0,
-        };
-        let qcd = r.expect_segment(codestream::QCD)?;
-        let base_step = PayloadReader::new(qcd).f64()?;
-        let hdr = MainHeader {
-            width,
-            height,
-            ncomp,
-            bit_depth,
-            signed,
-            tiles: if tw == 0 { None } else { Some((tw, th)) },
-            wavelet,
-            levels,
-            code_block: (cbw, cbh),
-            n_layers,
-            base_step,
-            tier1,
-        };
-        if width == 0 || height == 0 || ncomp == 0 {
-            return Err(CodecError::Invalid("empty image".into()));
-        }
-        // Harden against corrupted headers: bound allocations and reject
-        // geometry the encoder can never produce.
-        if width.saturating_mul(height).saturating_mul(ncomp) > (1 << 28) {
-            return Err(CodecError::Invalid(format!(
-                "implausible image size {width}x{height}x{ncomp}"
-            )));
-        }
-        if ncomp > 4 {
-            return Err(CodecError::Invalid(format!("{ncomp} components")));
-        }
-        if !(1..=16).contains(&bit_depth) {
-            return Err(CodecError::Invalid(format!("bit depth {bit_depth}")));
-        }
-        if let Some((tw, th)) = hdr.tiles {
-            if tw == 0 || th == 0 {
-                return Err(CodecError::Invalid("zero tile dimension".into()));
-            }
-        }
-        if hdr.levels > 12 {
-            return Err(CodecError::Invalid(format!("{} levels", hdr.levels)));
-        }
-        let (cbw2, cbh2) = hdr.code_block;
-        if !cbw2.is_power_of_two()
-            || !cbh2.is_power_of_two()
-            || !(4..=1024).contains(&cbw2)
-            || !(4..=1024).contains(&cbh2)
-            || cbw2.saturating_mul(cbh2) > 4096
-        {
-            return Err(CodecError::Invalid(format!("code-block {cbw2}x{cbh2}")));
-        }
-        if hdr.n_layers == 0 || hdr.n_layers > 4096 {
-            return Err(CodecError::Invalid(format!("{} layers", hdr.n_layers)));
-        }
-        if !(hdr.base_step.is_finite() && hdr.base_step > 0.0) {
-            return Err(CodecError::Invalid(format!("base step {}", hdr.base_step)));
-        }
+        let hdr = parse_main_header(&mut r)?;
         report.stages.add(stage::BITSTREAM_IO, t0.elapsed());
 
         let grid = match hdr.tiles {
-            Some((tw, th)) => TileGrid::new(width, height, tw, th),
-            None => TileGrid::single(width, height),
+            Some((tw, th)) => TileGrid::new(hdr.width, hdr.height, tw, th),
+            None => TileGrid::single(hdr.width, hdr.height),
         };
         // The output planes. The first tile allocates them once its header
         // and block budget have passed (DESIGN.md §9), and every tile writes
@@ -667,7 +699,7 @@ impl Decoder {
     // at zero allocations per block; format! sites are cold error paths.
     fn decode_tile(
         &self,
-        hdr: &MainHeader,
+        hdr: &StreamHeader,
         body: &[u8],
         rect: TileRect,
         out: &mut Vec<Plane<i32>>,
@@ -1251,14 +1283,7 @@ mod tests {
         // emit the same bytes, across coding styles and parallel modes.
         use crate::config::{Tier1Engine, Tier1Options};
         let img = synth::natural_gray(96, 64, 21);
-        for tier1 in [
-            Tier1Options::default(),
-            Tier1Options {
-                stripe_causal: true,
-                reset_contexts: false,
-                bypass: true,
-            },
-        ] {
+        for tier1 in [Tier1Options::default(), Tier1Options { bypass: true }] {
             let mk = |tier1_engine, parallel| {
                 encode(
                     &img,

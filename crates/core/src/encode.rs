@@ -2,6 +2,7 @@
 
 use crate::blocks::{band_ctx, blocks_of, grid_dims, indexed_resolutions, BlockGeom};
 use crate::config::{EncoderConfig, RateControl, Roi};
+use crate::decode::COD_BYPASS;
 use crate::quant::{band_step, distortion_scale, quantize_plane};
 use crate::report::stage;
 use pj2k_dwt::{forward_53_with, forward_97_with, gains, Band, Decomposition, DwtStats};
@@ -221,9 +222,7 @@ impl Encoder {
         cod.u16(self.cfg.code_block.0 as u16);
         cod.u16(self.cfg.code_block.1 as u16);
         cod.u16(self.cfg.num_layers() as u16);
-        cod.u8(u8::from(self.cfg.tier1.stripe_causal)
-            | (u8::from(self.cfg.tier1.reset_contexts) << 1)
-            | (u8::from(self.cfg.tier1.bypass) << 2));
+        cod.u8(if self.cfg.tier1.bypass { COD_BYPASS } else { 0 });
         out.segment(codestream::COD, &cod.finish());
         let mut qcd = PayloadWriter::new();
         qcd.f64(self.cfg.base_step);

@@ -51,6 +51,6 @@ pub use config::{
     ConfigError, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl, Roi,
     Schedule, StageOverlap,
 };
-pub use decode::{CodecError, DecodeReport, Decoder};
+pub use decode::{read_header, CodecError, DecodeReport, Decoder, StreamHeader};
 pub use encode::{EncodeReport, Encoder, RoundKind, Tier1Round};
 pub use pj2k_dwt::{DwtStats, Wavelet};

@@ -11,8 +11,8 @@ use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
 use pj2k_dwt::Wavelet;
 use pj2k_testkit::{synth, Rng};
 
-/// Small but structurally rich corpus: tiles, layers, both wavelets, and
-/// the Tier-1 coding-style variations all exercise different header paths.
+/// Small but structurally rich corpus: tiles, layers and both wavelets
+/// exercise different header paths.
 fn corpus() -> Vec<Vec<u8>> {
     let gray = synth::natural_gray(48, 40, 3);
     let rgb = synth::natural_rgb(32, 32, 5);
@@ -182,7 +182,9 @@ fn write_fuzz_seed_corpus() {
 // sequences so the exact bad input stays pinned even if the writers evolve.
 
 mod fixtures {
-    use pj2k_core::Decoder;
+    use super::*;
+    use pj2k_core::config::Tier1Options;
+    use pj2k_core::CodecError;
     use pj2k_tier2::codestream::{self, MarkerWriter, PayloadWriter};
 
     fn header(w: u32, h: u32, tiles: (u32, u32), cb: (u16, u16)) -> MarkerWriter {
@@ -275,6 +277,52 @@ mod fixtures {
         m.marker(codestream::SOD);
         m.marker(codestream::EOC);
         assert!(Decoder::default().decode(&m.finish()).is_err());
+    }
+
+    /// The COD style byte has two legal values, 0 (default) and 4
+    /// (selective bypass); the other ISO 15444-1 code-block styles are not
+    /// implemented, so every other byte is an `Invalid` stream naming the
+    /// byte. Table over all 256 bytes, in an otherwise valid stream of
+    /// each style.
+    #[test]
+    fn rejected_style_flag() {
+        // SOC (2), SIZ with its length and 19-byte payload (23), COD and
+        // its length (4), then the 8 COD bytes before the style byte.
+        const COD_STYLE_AT: usize = 37;
+        let img = synth::natural_gray(24, 20, 8);
+        for bypass in [false, true] {
+            let cfg = EncoderConfig {
+                wavelet: Wavelet::Reversible53,
+                rate: RateControl::Lossless,
+                levels: 2,
+                tier1: Tier1Options { bypass },
+                ..Default::default()
+            };
+            let stream = Encoder::new(cfg).unwrap().encode(&img).0;
+            let own = stream[COD_STYLE_AT];
+            assert_eq!(own, u8::from(bypass) << 2);
+            for flags in 0..=u8::MAX {
+                let mut bytes = stream.clone();
+                bytes[COD_STYLE_AT] = flags;
+                let got = Decoder::default().decode(&bytes);
+                match flags {
+                    // The other legal style reads the same passes with the
+                    // other entropy sources: wrong pixels, but no error.
+                    0 | 4 => {
+                        let (out, _) = got.unwrap_or_else(|e| panic!("flags {flags}: {e}"));
+                        if flags == own {
+                            assert_eq!(out, img, "flags {flags}");
+                        }
+                    }
+                    _ => match got {
+                        Err(CodecError::Invalid(msg)) => {
+                            assert!(msg.contains(&format!("{flags:#04x}")), "{msg}")
+                        }
+                        other => panic!("flags {flags}: {:?}", other.map(|_| ())),
+                    },
+                }
+            }
+        }
     }
 
     /// Tile body full of 0xEF/0x7F patterns: an implausible Kmax table

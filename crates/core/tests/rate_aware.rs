@@ -140,11 +140,7 @@ fn arb_config(rng: &mut Rng, w: usize, h: usize) -> EncoderConfig {
         rate: RateControl::TargetBpp(arb_rates(rng)),
         tiles,
         roi,
-        tier1: Tier1Options {
-            stripe_causal: rng.bool(),
-            reset_contexts: rng.bool(),
-            bypass: rng.bool(),
-        },
+        tier1: Tier1Options { bypass: rng.bool() },
         tier1_engine: if rng.bool() {
             Tier1Engine::Bitplane
         } else {
@@ -167,26 +163,22 @@ fn rate_aware_bytes_equal_full_coding() {
     });
 }
 
-/// Every `Tier1Options` combination under both engines, on an image large
-/// enough that most blocks stop early.
+/// Both coding styles under both engines, on an image large enough that
+/// most blocks stop early.
 #[test]
 fn every_coding_style_and_engine() {
     let img = synth::natural_gray(160, 144, 21);
     for engine in [Tier1Engine::Bitplane, Tier1Engine::Reference] {
-        for bits in 0u8..8 {
+        for bypass in [false, true] {
             let cfg = EncoderConfig {
                 levels: 3,
                 code_block: (16, 16),
                 rate: RateControl::TargetBpp(vec![0.3, 1.1]),
-                tier1: Tier1Options {
-                    stripe_causal: bits & 1 != 0,
-                    reset_contexts: bits & 2 != 0,
-                    bypass: bits & 4 != 0,
-                },
+                tier1: Tier1Options { bypass },
                 tier1_engine: engine,
                 ..EncoderConfig::default()
             };
-            let (_, report) = assert_identical(&img, &cfg, &format!("{engine:?} style {bits}"));
+            let (_, report) = assert_identical(&img, &cfg, &format!("{engine:?} bypass={bypass}"));
             assert!(
                 report.coded_passes < report.total_passes,
                 "nothing was skipped"

@@ -12,7 +12,7 @@
 //! - **Significance propagation** computes, per 4-row stripe and 64-column
 //!   word, an *exact member mask*: for each row, the horizontally dilated
 //!   significance of the row above, the row itself (east/west bits only),
-//!   and — unless causally hidden — the row below, ANDed with the row's
+//!   and the row below, ANDed with the row's
 //!   insignificant coefficients, ORed across the stripe. Columns outside
 //!   the mask contain no pass member and are skipped wholesale; the sparse
 //!   early planes of a typical block touch a handful of columns instead of
@@ -63,7 +63,7 @@ use crate::encoder::{
 };
 use crate::packed::{
     band_index, bit_at, gather_win, sc_index, sc_lut, set_bit, spp_members, win_regs, zc_lut,
-    BitplaneScratch, NB_NEIGHBORS, NB_NO_SOUTH, NB_SELF,
+    BitplaneScratch, NB_NEIGHBORS, NB_SELF,
 };
 use crate::STRIPE_HEIGHT;
 use pj2k_mq::{CtxState, MqEncoder, RawEncoder};
@@ -90,7 +90,6 @@ struct Coder<'a> {
     bp: &'a mut BitplaneScratch,
     ctx: [CtxState; NUM_CTX],
     sink: Sink,
-    opts: Tier1Options,
     /// Zero-coding LUT row for this block's band.
     zc_tab: &'static [u8; 512],
     /// Sign-coding LUT.
@@ -105,7 +104,7 @@ impl Coder<'_> {
     }
 
     /// Code significance (ZC) + possible sign (SC) of one coefficient at
-    /// `plane` from its packed, causally masked neighborhood slice `nb`
+    /// `plane` from its packed neighborhood slice `nb`
     /// (self bit clear) and its pre-fetched magnitude bit; returns
     /// `(distortion_gain, became_significant)`.
     // AUDIT(panic): encoder side — the LUT holds ZC indices < NUM_CTX by
@@ -122,12 +121,10 @@ impl Coder<'_> {
         }
     }
 
-    /// Sign coding for a coefficient turning significant whose (causally
-    /// masked) neighborhood slice is `nb`; marks significance and returns
-    /// the distortion reduction. Sign bits of insignificant neighbors are
-    /// don't-care in the LUT, so they are read unmasked; a causally hidden
-    /// south neighbor has its significance bit already cleared in `nb`,
-    /// which zeroes its contribution exactly as the reference does.
+    /// Sign coding for a coefficient turning significant whose
+    /// neighborhood slice is `nb`; marks significance and returns the
+    /// distortion reduction. Sign bits of insignificant neighbors are
+    /// don't-care in the LUT, so they are read unmasked.
     // AUDIT(panic): encoder side — sc_lut packs contexts 9..=13 < NUM_CTX;
     // row offsets are guarded (north/south of in-block rows exist);
     // `smag_at` indexes the caller-validated magnitude copy.
@@ -225,7 +222,6 @@ pub(crate) fn encode_block_into(
         bp,
         ctx: initial_states(),
         sink: Sink::Mq(MqEncoder::from_recycled(std::mem::take(seg_buf))),
-        opts,
         zc_tab: &zc_lut()[band_index(band)],
         sc_tab: sc_lut(),
     };
@@ -234,9 +230,6 @@ pub(crate) fn encode_block_into(
     let data = &mut out.data;
     let mut emit = |enc: &mut Coder, kind, plane, dd: f64, next_raw: bool| {
         let sink = std::mem::replace(&mut enc.sink, Sink::Raw(RawEncoder::new()));
-        if enc.opts.reset_contexts {
-            enc.ctx = initial_states();
-        }
         let seg = sink.flush();
         passes.push(PassInfo {
             kind,
@@ -300,10 +293,6 @@ pub(crate) fn encode_block_into(
 }
 
 /// Significance-propagation pass over the packed state.
-///
-/// Stripes always start at multiples of [`STRIPE_HEIGHT`], so the causally
-/// hidden south row — `(y+1) % 4 == 0` under stripe-causal formation —
-/// is exactly in-stripe row index 3; the per-row mask below exploits that.
 // AUDIT(panic): encoder side — stripe offsets and word indices are bounded by
 // the scratch dimensions established in `reset`; column indices iterate
 // set bits of masks whose padding bits are cleared via `tail`; window
@@ -311,7 +300,6 @@ pub(crate) fn encode_block_into(
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn sig_prop_pass(enc: &mut Coder, plane: u8) -> f64 {
     let (w, h, wpr) = (enc.bp.w, enc.bp.h, enc.bp.wpr);
-    let causal = enc.opts.stripe_causal;
     let mut dd = 0.0;
     let mut y0 = 0;
     while y0 < h {
@@ -330,7 +318,7 @@ fn sig_prop_pass(enc: &mut Coder, plane: u8) -> f64 {
             // re-enter via the `bits |=` below (same word) or are caught
             // by the next word's lazy computation seeing the updated sig
             // (cross-word west inputs read live memory).
-            let mut bits = spp_members(&enc.bp.sig, top, wpr, wi, rows, causal, &mut regs);
+            let mut bits = spp_members(&enc.bp.sig, top, wpr, wi, rows, &mut regs);
             bits &= enc.bp.tail(wi);
             if bits == 0 {
                 continue;
@@ -355,10 +343,7 @@ fn sig_prop_pass(enc: &mut Coder, plane: u8) -> f64 {
                     if win & (NB_SELF << (3 * i)) != 0 {
                         continue; // already significant
                     }
-                    let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                    if causal && i + 1 == STRIPE_HEIGHT {
-                        nb &= NB_NO_SOUTH;
-                    }
+                    let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                     if nb == 0 {
                         continue; // no significant neighbor: not a member
                     }
@@ -405,7 +390,6 @@ fn sig_prop_pass(enc: &mut Coder, plane: u8) -> f64 {
 // sample.
 fn mag_ref_pass(enc: &mut Coder, plane: u8) -> f64 {
     let (h, w, wpr) = (enc.bp.h, enc.bp.w, enc.bp.wpr);
-    let causal = enc.opts.stripe_causal;
     let raw = matches!(enc.sink, Sink::Raw(_));
     // The refinement gain depends only on the magnitude bits at and below
     // the refined plane — ref_distortion_gain(m, p) computes exclusively
@@ -498,10 +482,7 @@ fn mag_ref_pass(enc: &mut Coder, plane: u8) -> f64 {
                         } else {
                             gather_win(&enc.bp.sig, y0 * wpr, wpr, rows + 2, x)
                         };
-                        let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                        if causal && i + 1 == STRIPE_HEIGHT {
-                            nb &= NB_NO_SOUTH;
-                        }
+                        let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                         mr_context(true, nb != 0)
                     } else {
                         mr_context(false, false)
@@ -528,7 +509,6 @@ fn mag_ref_pass(enc: &mut Coder, plane: u8) -> f64 {
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
     let (w, h, wpr) = (enc.bp.w, enc.bp.h, enc.bp.wpr);
-    let causal = enc.opts.stripe_causal;
     let mut dd = 0.0;
     let mut y0 = 0;
     while y0 < h {
@@ -536,8 +516,6 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
         let full = ymax - y0 == STRIPE_HEIGHT;
         if !full {
             // Partial bottom stripe: no run-length mode; plain column scan.
-            // Rows here never sit on a stripe-causal boundary ((y+1) % 4
-            // != 0 for every partial-stripe row), so no south masking.
             let rows = ymax - y0;
             for x in 0..w {
                 let mut win = gather_win(&enc.bp.sig, y0 * wpr, wpr, rows + 2, x);
@@ -568,7 +546,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
         // code a single RL-0 decision each and change no state, so maximal
         // stretches of rl_zero/done columns collapse into one encode_run
         // call.
-        enc.bp.classify_cleanup_columns(y0, causal);
+        enc.bp.classify_cleanup_columns(y0);
         for wi in 0..wpr {
             let mut or_bits = 0u64;
             for y in y0..ymax {
@@ -649,10 +627,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
                 } else {
                     gather_win(&enc.bp.sig, y0 * wpr, wpr, STRIPE_HEIGHT + 2, x)
                 };
-                let mut nb = (win >> (3 * ri)) & NB_NEIGHBORS;
-                if causal && ri + 1 == STRIPE_HEIGHT {
-                    nb &= NB_NO_SOUTH;
-                }
+                let nb = (win >> (3 * ri)) & NB_NEIGHBORS;
                 dd += enc.code_sign_and_mark_nb(x, y0 + ri, plane, nb);
                 win |= NB_SELF << (3 * ri);
                 regs[ri + 1] |= 1u64 << sh;
@@ -661,10 +636,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
                     if win & (NB_SELF << (3 * i)) != 0 {
                         continue;
                     }
-                    let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                    if causal && i + 1 == STRIPE_HEIGHT {
-                        nb &= NB_NO_SOUTH;
-                    }
+                    let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                     let bit = ((pm[i] >> sh) & 1) as u8;
                     let (gain, newsig) = enc.code_sig_bit_nb(x, y0 + i, plane, nb, bit);
                     dd += gain;
@@ -687,10 +659,7 @@ fn cleanup_pass(enc: &mut Coder, plane: u8) -> f64 {
                 if win & (NB_SELF << (3 * i)) != 0 || (vis[i] >> sh) & 1 != 0 {
                     continue;
                 }
-                let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                if causal && i + 1 == STRIPE_HEIGHT {
-                    nb &= NB_NO_SOUTH;
-                }
+                let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                 let bit = ((pm[i] >> sh) & 1) as u8;
                 let (gain, newsig) = enc.code_sig_bit_nb(x, y0 + i, plane, nb, bit);
                 dd += gain;

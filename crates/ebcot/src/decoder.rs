@@ -41,7 +41,7 @@ use crate::context::{initial_states, mr_context, BandCtx, CTX_RL, CTX_UNI, NUM_C
 use crate::encoder::{in_bypass_region, Tier1Options};
 use crate::packed::{
     band_index, gather_win, sc_index, sc_lut, set_bit, spp_members, win_regs, zc_lut,
-    BitplaneScratch, NB_NEIGHBORS, NB_NO_SOUTH, NB_SELF,
+    BitplaneScratch, NB_NEIGHBORS, NB_SELF,
 };
 use crate::{MAX_PLANES, STRIPE_HEIGHT};
 use pj2k_mq::{CtxState, MqDecoder, RawDecoder};
@@ -255,7 +255,6 @@ pub fn decode_block_with(
 struct Dec<'a> {
     st: &'a mut BitplaneScratch,
     ctx: [CtxState; NUM_CTX],
-    causal: bool,
     /// Zero-coding LUT row for this block's band.
     zc_tab: &'static [u8; 512],
     /// Sign-coding LUT.
@@ -264,9 +263,8 @@ struct Dec<'a> {
 
 impl Dec<'_> {
     /// Decode significance (ZC) + possible sign (SC) of the insignificant
-    /// coefficient `(x, y)` at `plane` from its packed, causally masked
-    /// neighborhood slice `nb` (self bit clear); returns whether it became
-    /// significant.
+    /// coefficient `(x, y)` at `plane` from its packed neighborhood slice
+    /// `nb` (self bit clear); returns whether it became significant.
     // AUDIT(panic): `nb` is masked to the 9-bit window and the LUT holds ZC
     // indices < NUM_CTX by zc_context's contract; the decoded bit selects
     // a branch, never an index.
@@ -293,7 +291,7 @@ impl Dec<'_> {
     }
 
     /// Sign decoding for a coefficient turning significant at `plane`
-    /// whose (causally masked) neighborhood slice is `nb`; marks
+    /// whose neighborhood slice is `nb`; marks
     /// significance and sign and starts its magnitude.
     // AUDIT(panic): `(x, y)` is an in-block position from the scan over the
     // validated geometry, so its row (and the guard-padded rows around it)
@@ -366,7 +364,6 @@ fn decode_block_into<S: AsRef<[u8]>>(
     let mut dec = Dec {
         st,
         ctx: initial_states(),
-        causal: opts.stripe_causal,
         zc_tab,
         sc_tab: sc_lut(),
     };
@@ -395,9 +392,6 @@ fn decode_block_into<S: AsRef<[u8]>>(
                     (false, true) => mag_ref_pass(&mut dec, &mut RawDecoder::new(seg), plane),
                 }
                 last = Some(LastPass { plane, sig_prop });
-                if opts.reset_contexts {
-                    dec.ctx = initial_states();
-                }
             }
         }
         let Some(seg) = seg_iter.next() else {
@@ -408,9 +402,6 @@ fn decode_block_into<S: AsRef<[u8]>>(
             plane,
             sig_prop: false,
         });
-        if opts.reset_contexts {
-            dec.ctx = initial_states();
-        }
     }
 
     reconstruct(dec.st, last, out);
@@ -482,7 +473,6 @@ fn reconstruct(st: &BitplaneScratch, last: Option<LastPass>, out: &mut Vec<i32>)
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn sig_prop_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
     let (w, h, wpr) = (dec.st.w, dec.st.h, dec.st.wpr);
-    let causal = dec.causal;
     let mut y0 = 0;
     while y0 < h {
         let ymax = (y0 + STRIPE_HEIGHT).min(h);
@@ -494,7 +484,7 @@ fn sig_prop_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
             // mid-pass re-enter through the same-word east bit below or
             // are caught by the next word's stencil reading live memory.
             let mut regs = [0u64; STRIPE_HEIGHT + 2];
-            let mut bits = spp_members(&dec.st.sig, top, wpr, wi, rows, causal, &mut regs);
+            let mut bits = spp_members(&dec.st.sig, top, wpr, wi, rows, &mut regs);
             bits &= dec.st.tail(wi);
             if bits == 0 {
                 continue;
@@ -513,10 +503,7 @@ fn sig_prop_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
                     if win & (NB_SELF << (3 * i)) != 0 {
                         continue; // already significant
                     }
-                    let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                    if causal && i + 1 == STRIPE_HEIGHT {
-                        nb &= NB_NO_SOUTH;
-                    }
+                    let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                     if nb == 0 {
                         continue; // no significant neighbor: not a member
                     }
@@ -551,7 +538,6 @@ fn sig_prop_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn mag_ref_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
     let (w, h, wpr) = (dec.st.w, dec.st.h, dec.st.wpr);
-    let causal = dec.causal;
     let mut y0 = 0;
     while y0 < h {
         let ymax = (y0 + STRIPE_HEIGHT).min(h);
@@ -600,10 +586,7 @@ fn mag_ref_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
                     let mr = if !S::CODED {
                         0
                     } else if (sp[i] >> sh) & 1 == 0 {
-                        let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                        if causal && i + 1 == STRIPE_HEIGHT {
-                            nb &= NB_NO_SOUTH;
-                        }
+                        let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                         mr_context(true, nb != 0)
                     } else {
                         mr_context(false, false)
@@ -628,7 +611,6 @@ fn mag_ref_pass<S: Source>(dec: &mut Dec<'_>, src: &mut S, plane: u8) {
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 fn cleanup_pass(dec: &mut Dec<'_>, src: &mut MqDecoder<'_>, plane: u8) {
     let (h, wpr) = (dec.st.h, dec.st.wpr);
-    let causal = dec.causal;
     let mut y0 = 0;
     while y0 < h {
         let ymax = (y0 + STRIPE_HEIGHT).min(h);
@@ -637,7 +619,7 @@ fn cleanup_pass(dec: &mut Dec<'_>, src: &mut MqDecoder<'_>, plane: u8) {
         let full = rows == STRIPE_HEIGHT;
         if full {
             // `colmask` = run-length columns, `aux2` = done columns.
-            dec.st.classify_cleanup_columns(y0, causal);
+            dec.st.classify_cleanup_columns(y0);
         }
         for wi in 0..wpr {
             let mut todo = dec.st.tail(wi);
@@ -678,10 +660,7 @@ fn cleanup_pass(dec: &mut Dec<'_>, src: &mut MqDecoder<'_>, plane: u8) {
                     let hi = src.decode(&mut dec.ctx[CTX_UNI]);
                     let lo = src.decode(&mut dec.ctx[CTX_UNI]);
                     let r = usize::from(((hi << 1) | lo) & 3);
-                    let mut nb = (win >> (3 * r)) & NB_NEIGHBORS;
-                    if causal && r + 1 == STRIPE_HEIGHT {
-                        nb &= NB_NO_SOUTH;
-                    }
+                    let nb = (win >> (3 * r)) & NB_NEIGHBORS;
                     dec.decode_sign_and_mark(src, x, y0 + r, plane, nb);
                     win |= NB_SELF << (3 * r);
                     regs[r + 1] |= 1u64 << sh;
@@ -692,10 +671,7 @@ fn cleanup_pass(dec: &mut Dec<'_>, src: &mut MqDecoder<'_>, plane: u8) {
                     if win & (NB_SELF << (3 * i)) != 0 || (vis[i] >> sh) & 1 != 0 {
                         continue;
                     }
-                    let mut nb = (win >> (3 * i)) & NB_NEIGHBORS;
-                    if causal && i + 1 == STRIPE_HEIGHT {
-                        nb &= NB_NO_SOUTH;
-                    }
+                    let nb = (win >> (3 * i)) & NB_NEIGHBORS;
                     if dec.decode_sig(src, x, y0 + i, plane, nb) {
                         win |= NB_SELF << (3 * i);
                         regs[i + 1] |= 1u64 << sh;

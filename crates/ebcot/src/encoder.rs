@@ -5,20 +5,16 @@ use crate::context::BandCtx;
 use crate::MAX_PLANES;
 use pj2k_mq::{CtxState, MqEncoder, RawEncoder};
 
-/// Optional Tier-1 coding-style switches (ISO 15444-1 COD flags).
+/// The optional Tier-1 coding style (an ISO 15444-1 COD flag).
 ///
-/// All three default to off, the configuration the paper's era used. Each
-/// changes the produced bitstream, so they are signalled in the
-/// codestream header by `pj2k-core`.
+/// Off by default, the configuration the paper times. Bypass changes the
+/// produced bitstream, so `pj2k-core` signals it in the codestream header.
+/// ISO 15444-1's stripe-causal and per-pass context-reset styles serve
+/// hardware decoders and error resilience; no decoder outside this codec
+/// reads its streams and neither makes coding faster, so they are not
+/// implemented (DESIGN.md §5).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tier1Options {
-    /// Vertically stripe-causal context formation: contexts never consult
-    /// coefficients of the next stripe, enabling stripe-pipelined
-    /// hardware/software decoders.
-    pub stripe_causal: bool,
-    /// Reset all MQ contexts at every coding-pass boundary, making the
-    /// passes independently decodable at the cost of slower adaptation.
-    pub reset_contexts: bool,
     /// Selective arithmetic bypass ("lazy" coding): from the fifth
     /// most-significant bit-plane on, significance-propagation and
     /// refinement passes emit raw bits instead of MQ decisions — faster,
@@ -550,18 +546,7 @@ mod tests {
                 BandCtx::Hh,
             ),
         ];
-        let styles = [
-            Tier1Options::default(),
-            Tier1Options {
-                bypass: true,
-                ..Default::default()
-            },
-            Tier1Options {
-                stripe_causal: true,
-                reset_contexts: true,
-                bypass: true,
-            },
-        ];
+        let styles = [Tier1Options::default(), Tier1Options { bypass: true }];
         let mut coder = BlockCoder::new();
         let mut reused = EncodedBlock::default();
         for opts in styles {

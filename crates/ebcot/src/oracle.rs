@@ -92,27 +92,18 @@ struct BlockDecoder<'a> {
     ctx: [CtxState; NUM_CTX],
     mag: &'a mut [u32],
     known_plane: &'a mut [u8],
-    opts: Tier1Options,
 }
 
 impl BlockDecoder<'_> {
-    // AUDIT(panic): `y < h` in every caller, so `y + 1` cannot overflow.
-    #[allow(clippy::arithmetic_side_effects)]
-    #[inline]
-    fn skip_south(&self, y: usize) -> bool {
-        self.opts.stripe_causal && (y + 1).is_multiple_of(STRIPE_HEIGHT)
-    }
-
     // AUDIT(panic): context indices come from the context tables, whose
     // contract is `< NUM_CTX`; input bits select branches, never indices.
     #[allow(clippy::indexing_slicing)]
     fn decode_significance(&mut self, mq: &mut Source, x: usize, y: usize, plane: u8) {
         let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
         let (h, v, d) = (
             self.grid.h_count(i),
-            self.grid.v_count(i, ss),
-            self.grid.d_count(i, ss),
+            self.grid.v_count(i),
+            self.grid.d_count(i),
         );
         let zc = zc_context(self.band, h, v, d);
         let bit = mq.decision(&mut self.ctx[zc]);
@@ -127,8 +118,7 @@ impl BlockDecoder<'_> {
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
     fn decode_sign_and_mark(&mut self, mq: &mut Source, x: usize, y: usize, plane: u8) {
         let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
-        let (sc, xor) = sc_context(self.grid.hc(i), self.grid.vc(i, ss));
+        let (sc, xor) = sc_context(self.grid.hc(i), self.grid.vc(i));
         let neg = mq.sign(&mut self.ctx[sc], xor);
         self.grid
             .set(i, SIG | NEWSIG | if neg == 1 { NEG } else { 0 });
@@ -192,7 +182,6 @@ fn decode_block_into<S: AsRef<[u8]>>(
         ctx: initial_states(),
         mag: scratch.mag.as_mut_slice(),
         known_plane: scratch.known_plane.as_mut_slice(),
-        opts,
     };
     let mut seg_iter = segments.iter();
 
@@ -217,9 +206,6 @@ fn decode_block_into<S: AsRef<[u8]>>(
                 } else {
                     mag_ref_pass(&mut dec, &mut mq, plane);
                 }
-                if opts.reset_contexts {
-                    dec.ctx = initial_states();
-                }
             }
         }
         let Some(seg) = seg_iter.next() else {
@@ -227,9 +213,6 @@ fn decode_block_into<S: AsRef<[u8]>>(
         };
         let mut mq = Source::Mq(MqDecoder::new(seg.as_ref()));
         cleanup_pass(&mut dec, &mut mq, plane);
-        if opts.reset_contexts {
-            dec.ctx = initial_states();
-        }
     }
 
     // Midpoint reconstruction with sign.
@@ -265,7 +248,7 @@ fn sig_prop_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
             for y in y0..ymax {
                 let i = dec.grid.idx(x, y);
                 let f = dec.grid.get(i);
-                if f & SIG == 0 && dec.grid.any_sig_neighbor(i, dec.skip_south(y)) {
+                if f & SIG == 0 && dec.grid.any_sig_neighbor(i) {
                     dec.decode_significance(mq, x, y, plane);
                     dec.grid.set(i, VISITED);
                 }
@@ -290,7 +273,7 @@ fn mag_ref_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
                 let f = dec.grid.get(i);
                 if f & SIG != 0 && f & NEWSIG == 0 {
                     let first = f & REFINED == 0;
-                    let mr = mr_context(first, dec.grid.any_sig_neighbor(i, dec.skip_south(y)));
+                    let mr = mr_context(first, dec.grid.any_sig_neighbor(i));
                     let bit = mq.decision(&mut dec.ctx[mr]);
                     dec.grid.set(i, REFINED);
                     let k = y * w + x;
@@ -318,8 +301,7 @@ fn cleanup_pass(dec: &mut BlockDecoder<'_>, mq: &mut Source, plane: u8) {
             let rl_applicable = full_stripe
                 && (y0..ymax).all(|y| {
                     let i = dec.grid.idx(x, y);
-                    dec.grid.get(i) & (SIG | VISITED) == 0
-                        && !dec.grid.any_sig_neighbor(i, dec.skip_south(y))
+                    dec.grid.get(i) & (SIG | VISITED) == 0 && !dec.grid.any_sig_neighbor(i)
                 });
             let mut y = y0;
             if rl_applicable {

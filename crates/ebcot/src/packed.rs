@@ -21,9 +21,6 @@ use std::sync::OnceLock;
 pub(crate) const NB_SELF: u32 = 1 << 4;
 /// All eight neighbor bits (self excluded).
 pub(crate) const NB_NEIGHBORS: u32 = 0b1_1110_1111;
-/// Neighborhood restricted to the rows above (vertically causal mode hides
-/// the stripe below, i.e. the south row of a stripe's last coefficient).
-pub(crate) const NB_NO_SOUTH: u32 = 0b0_0011_1111;
 
 /// Zero-coding context table per band: `zc_lut()[band][nb]` for a 9-bit
 /// packed neighborhood (self bit ignored). Generated from [`zc_context`],
@@ -231,8 +228,7 @@ impl BitplaneScratch {
     ///
     /// - `colmask` = run-length columns: quiet (no coefficient has SIG or
     ///   VISITED) and neighbor-free (outside the horizontal dilation of
-    ///   the consulted significance rows `y0-1 ..= y0+4`, the last one
-    ///   invisible under stripe-causal formation);
+    ///   the consulted significance rows `y0-1 ..= y0+4`);
     /// - `aux2` = done columns: every coefficient has SIG or VISITED, so
     ///   the pass codes nothing there.
     ///
@@ -243,22 +239,21 @@ impl BitplaneScratch {
     // guard-padded planes exist, and `wi < wpr` indexes inside each row and
     // each `wpr`-sized mask; nothing here derives from coded bytes.
     #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
-    pub(crate) fn classify_cleanup_columns(&mut self, y0: usize, causal: bool) {
+    pub(crate) fn classify_cleanup_columns(&mut self, y0: usize) {
         let wpr = self.wpr;
         let top = y0 * wpr; // row y0 - 1 (the guard row covers y0 = 0)
         for wi in 0..wpr {
             let mut or_flags = 0u64;
             let mut and_flags = u64::MAX;
-            let mut m = self.sig[top + wi];
+            // Rows y0 - 1 and y0 + 4 (or a guard row) count only as
+            // neighbors.
+            let mut m = self.sig[top + wi] | self.sig[top + (STRIPE_HEIGHT + 1) * wpr + wi];
             for j in 1..=STRIPE_HEIGHT {
                 let r = top + j * wpr + wi;
                 let f = self.sig[r] | self.visited[r];
                 or_flags |= f;
                 and_flags &= f;
                 m |= self.sig[r];
-            }
-            if !causal {
-                m |= self.sig[top + (STRIPE_HEIGHT + 1) * wpr + wi]; // row y0 + 4 (or guard)
             }
             self.rowor[wi] = m;
             self.colmask[wi] = !or_flags; // quiet
@@ -407,11 +402,10 @@ pub(crate) fn set_bit(buf: &mut [u64], base: usize, x: usize) {
 }
 
 /// [`sc_lut`] index for the coefficient at column `x` of the row at word
-/// offset `base`, whose (causally masked) neighborhood slice is `nb`, plus
-/// that row's 3-wide sign window (bit 1 = the coefficient's own sign).
-/// Sign bits of insignificant neighbors are don't-care in the LUT, so they
-/// are read unmasked; a causally hidden south neighbor has its
-/// significance bit already cleared in `nb`, which zeroes its contribution.
+/// offset `base`, whose neighborhood slice is `nb`, plus that row's 3-wide
+/// sign window (bit 1 = the coefficient's own sign). Sign bits of
+/// insignificant neighbors are don't-care in the LUT, so they are read
+/// unmasked.
 // AUDIT(panic): `base` is an in-block row of the guard-padded sign plane, so
 // the rows at `base - wpr` and `base + wpr` exist and `x < w` stays inside
 // each; nothing here derives from coded bytes.
@@ -439,11 +433,8 @@ pub(crate) fn sc_index(neg: &[u64], base: usize, wpr: usize, x: usize, nb: u32) 
 /// stay zero).
 ///
 /// A member row bit is insignificant with a significant neighbor — per
-/// row, the or of the dilated row above, the dilated row below (hidden from
-/// the last in-stripe row under stripe-causal formation), and the east/west
-/// bits of the row itself, anded with ~self. Stripes start at multiples of
-/// [`STRIPE_HEIGHT`], so the causally hidden south row is exactly in-stripe
-/// row index 3.
+/// row, the or of the dilated rows above and below and the east/west bits
+/// of the row itself, anded with ~self.
 // AUDIT(panic): `top + (rows + 1) * wpr + wi` is the stripe's south row (or
 // the bottom guard row) of the guard-padded plane, and the cross-word reads
 // are guarded by `wi > 0` / `wi + 1 < wpr`; `regs` has STRIPE_HEIGHT + 2
@@ -456,7 +447,6 @@ pub(crate) fn spp_members(
     wpr: usize,
     wi: usize,
     rows: usize,
-    causal: bool,
     regs: &mut [u64; STRIPE_HEIGHT + 2],
 ) -> u64 {
     for (j, reg) in regs.iter_mut().enumerate().take(rows + 2) {
@@ -480,11 +470,7 @@ pub(crate) fn spp_members(
                 hn |= sig[top + (i + 2) * wpr + wi + 1] << 63;
             }
         }
-        let mut nb = hp | hc;
-        if !(causal && i + 1 == STRIPE_HEIGHT) {
-            nb |= hn;
-        }
-        bits |= !c & nb;
+        bits |= !c & (hp | hc | hn);
     }
     bits
 }

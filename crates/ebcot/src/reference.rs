@@ -29,7 +29,6 @@ struct BlockEncoder<'a> {
     band: BandCtx,
     ctx: [CtxState; NUM_CTX],
     sink: Sink,
-    opts: Tier1Options,
 }
 
 impl BlockEncoder<'_> {
@@ -38,22 +37,15 @@ impl BlockEncoder<'_> {
         ((self.mag[y * self.grid.w + x] >> plane) & 1) as u8
     }
 
-    /// Whether (x, y)'s southern neighbors are causally invisible.
-    #[inline]
-    fn skip_south(&self, y: usize) -> bool {
-        self.opts.stripe_causal && (y + 1).is_multiple_of(STRIPE_HEIGHT)
-    }
-
     /// Code significance (ZC) + possible sign (SC) of one coefficient at
     /// `plane`; returns the distortion reduction if it became significant.
     #[inline]
     fn code_significance(&mut self, x: usize, y: usize, plane: u8) -> f64 {
         let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
         let (h, v, d) = (
             self.grid.h_count(i),
-            self.grid.v_count(i, ss),
-            self.grid.d_count(i, ss),
+            self.grid.v_count(i),
+            self.grid.d_count(i),
         );
         let zc = zc_context(self.band, h, v, d);
         let bit = self.bit(x, y, plane);
@@ -70,8 +62,7 @@ impl BlockEncoder<'_> {
     #[inline]
     fn code_sign_and_mark(&mut self, x: usize, y: usize, plane: u8) -> f64 {
         let i = self.grid.idx(x, y);
-        let ss = self.skip_south(y);
-        let (sc, xor) = sc_context(self.grid.hc(i), self.grid.vc(i, ss));
+        let (sc, xor) = sc_context(self.grid.hc(i), self.grid.vc(i));
         let m = self.mag[y * self.grid.w + x];
         let neg = u8::from(self.grid.get(i) & NEG != 0);
         self.sink.sign(&mut self.ctx[sc], xor, neg);
@@ -117,7 +108,6 @@ pub(crate) fn encode_block_into(
         band,
         ctx: initial_states(),
         sink: Sink::Mq(MqEncoder::from_recycled(std::mem::take(seg_buf))),
-        opts,
     };
 
     let mut emit = |enc: &mut BlockEncoder, kind, plane, dd: f64, next_raw: bool| {
@@ -125,9 +115,6 @@ pub(crate) fn encode_block_into(
         // finished pass, then rebuild the next sink over the flushed
         // segment's storage.
         let sink = std::mem::replace(&mut enc.sink, Sink::Raw(RawEncoder::new()));
-        if enc.opts.reset_contexts {
-            enc.ctx = initial_states();
-        }
         let seg = sink.flush();
         passes.push(PassInfo {
             kind,
@@ -203,7 +190,7 @@ fn sig_prop_pass(enc: &mut BlockEncoder, plane: u8) -> f64 {
             for y in y0..ymax {
                 let i = enc.grid.idx(x, y);
                 let f = enc.grid.get(i);
-                if f & SIG == 0 && enc.grid.any_sig_neighbor(i, enc.skip_south(y)) {
+                if f & SIG == 0 && enc.grid.any_sig_neighbor(i) {
                     dd += enc.code_significance(x, y, plane);
                     enc.grid.set(i, VISITED);
                 }
@@ -227,7 +214,7 @@ fn mag_ref_pass(enc: &mut BlockEncoder, plane: u8) -> f64 {
                 let f = enc.grid.get(i);
                 if f & SIG != 0 && f & NEWSIG == 0 {
                     let first = f & REFINED == 0;
-                    let mr = mr_context(first, enc.grid.any_sig_neighbor(i, enc.skip_south(y)));
+                    let mr = mr_context(first, enc.grid.any_sig_neighbor(i));
                     let bit = enc.bit(x, y, plane);
                     enc.sink.decision(&mut enc.ctx[mr], bit);
                     enc.grid.set(i, REFINED);
@@ -255,8 +242,7 @@ fn cleanup_pass(enc: &mut BlockEncoder, plane: u8) -> f64 {
             let rl_applicable = full_stripe
                 && (y0..ymax).all(|y| {
                     let i = enc.grid.idx(x, y);
-                    enc.grid.get(i) & (SIG | VISITED) == 0
-                        && !enc.grid.any_sig_neighbor(i, enc.skip_south(y))
+                    enc.grid.get(i) & (SIG | VISITED) == 0 && !enc.grid.any_sig_neighbor(i)
                 });
             let mut y = y0;
             if rl_applicable {

@@ -73,35 +73,25 @@ impl FlagGrid {
         self.sig(i - 1) + self.sig(i + 1)
     }
 
-    /// Vertical significant-neighbor count (0..=2). With `skip_south`
-    /// (vertically stripe-causal mode at a stripe's last row) the southern
-    /// neighbor is treated as insignificant.
+    /// Vertical significant-neighbor count (0..=2).
     #[inline]
-    pub fn v_count(&self, i: usize, skip_south: bool) -> u32 {
-        self.sig(i - self.stride)
-            + if skip_south {
-                0
-            } else {
-                self.sig(i + self.stride)
-            }
+    pub fn v_count(&self, i: usize) -> u32 {
+        self.sig(i - self.stride) + self.sig(i + self.stride)
     }
 
-    /// Diagonal significant-neighbor count (0..=4), optionally ignoring the
-    /// southern diagonals (stripe-causal mode).
+    /// Diagonal significant-neighbor count (0..=4).
     #[inline]
-    pub fn d_count(&self, i: usize, skip_south: bool) -> u32 {
-        let north = self.sig(i - self.stride - 1) + self.sig(i - self.stride + 1);
-        if skip_south {
-            north
-        } else {
-            north + self.sig(i + self.stride - 1) + self.sig(i + self.stride + 1)
-        }
+    pub fn d_count(&self, i: usize) -> u32 {
+        self.sig(i - self.stride - 1)
+            + self.sig(i - self.stride + 1)
+            + self.sig(i + self.stride - 1)
+            + self.sig(i + self.stride + 1)
     }
 
-    /// True if any of the (causally visible) 8 neighbors is significant.
+    /// True if any of the 8 neighbors is significant.
     #[inline]
-    pub fn any_sig_neighbor(&self, i: usize, skip_south: bool) -> bool {
-        self.h_count(i) + self.v_count(i, skip_south) + self.d_count(i, skip_south) > 0
+    pub fn any_sig_neighbor(&self, i: usize) -> bool {
+        self.h_count(i) + self.v_count(i) + self.d_count(i) > 0
     }
 
     #[inline]
@@ -121,16 +111,10 @@ impl FlagGrid {
         (self.sign_contrib(i - 1) + self.sign_contrib(i + 1)).clamp(-1, 1)
     }
 
-    /// Clamped vertical sign contribution (-1..=1), optionally ignoring the
-    /// southern neighbor (stripe-causal mode).
+    /// Clamped vertical sign contribution (-1..=1).
     #[inline]
-    pub fn vc(&self, i: usize, skip_south: bool) -> i32 {
-        let south = if skip_south {
-            0
-        } else {
-            self.sign_contrib(i + self.stride)
-        };
-        (self.sign_contrib(i - self.stride) + south).clamp(-1, 1)
+    pub fn vc(&self, i: usize) -> i32 {
+        (self.sign_contrib(i - self.stride) + self.sign_contrib(i + self.stride)).clamp(-1, 1)
     }
 }
 
@@ -144,8 +128,8 @@ mod tests {
         // corner coefficient: all out-of-block neighbors count as zero
         let i = g.idx(0, 0);
         assert_eq!(g.h_count(i), 0);
-        assert_eq!(g.v_count(i, false), 0);
-        assert_eq!(g.d_count(i, false), 0);
+        assert_eq!(g.v_count(i), 0);
+        assert_eq!(g.d_count(i), 0);
         g.set(g.idx(1, 0), SIG);
         assert_eq!(g.h_count(i), 1);
     }
@@ -158,12 +142,9 @@ mod tests {
         }
         let c = g.idx(1, 1);
         assert_eq!(g.h_count(c), 2);
-        assert_eq!(g.v_count(c, false), 2);
-        assert_eq!(g.d_count(c, false), 2);
-        assert!(g.any_sig_neighbor(c, false));
-        // Stripe-causal mode masks the southern contributions.
-        assert_eq!(g.v_count(c, true), 1);
-        assert_eq!(g.d_count(c, true), 1);
+        assert_eq!(g.v_count(c), 2);
+        assert_eq!(g.d_count(c), 2);
+        assert!(g.any_sig_neighbor(c));
     }
 
     #[test]
@@ -179,8 +160,7 @@ mod tests {
         assert_eq!(g2.hc(g2.idx(1, 0)), 0);
         let mut g3 = FlagGrid::new(1, 2);
         g3.set(g3.idx(0, 1), SIG);
-        assert_eq!(g3.vc(g3.idx(0, 0), false), 1);
-        assert_eq!(g3.vc(g3.idx(0, 0), true), 0);
+        assert_eq!(g3.vc(g3.idx(0, 0)), 1);
     }
 
     #[test]

@@ -1,40 +1,12 @@
-//! Tests for the optional Tier-1 coding styles (stripe-causal context
-//! formation, per-pass context reset).
+//! Tests for the optional Tier-1 coding style (selective arithmetic
+//! bypass) against the default style.
 
 use pj2k_ebcot::{decode_block_with, encode_block, BandCtx, Tier1Options};
 use pj2k_testkit::{cases, Rng};
 
-const ALL_OPTS: [Tier1Options; 6] = [
-    Tier1Options {
-        stripe_causal: false,
-        reset_contexts: false,
-        bypass: false,
-    },
-    Tier1Options {
-        stripe_causal: true,
-        reset_contexts: false,
-        bypass: false,
-    },
-    Tier1Options {
-        stripe_causal: false,
-        reset_contexts: true,
-        bypass: false,
-    },
-    Tier1Options {
-        stripe_causal: true,
-        reset_contexts: true,
-        bypass: false,
-    },
-    Tier1Options {
-        stripe_causal: false,
-        reset_contexts: false,
-        bypass: true,
-    },
-    Tier1Options {
-        stripe_causal: true,
-        reset_contexts: true,
-        bypass: true,
-    },
+const ALL_OPTS: [Tier1Options; 2] = [
+    Tier1Options { bypass: false },
+    Tier1Options { bypass: true },
 ];
 
 /// One coefficient in three zero, the rest uniform in -1000..1000.
@@ -64,18 +36,13 @@ fn every_style_roundtrips_exactly() {
 
 #[test]
 fn styles_change_the_bitstream() {
-    // The options are not no-ops: streams differ (so they must be
-    // signalled, which pj2k-core does in the COD segment).
+    // The option is not a no-op: streams differ (so it must be signalled,
+    // which pj2k-core does in the COD segment).
     let (w, h) = (16, 16);
     let coeffs = sample_block(w, h, 3);
     let base = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[0]);
-    let causal = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[1]);
-    let reset = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[2]);
-    assert_ne!(
-        base.data, causal.data,
-        "stripe-causal must alter the stream"
-    );
-    assert_ne!(base.data, reset.data, "context reset must alter the stream");
+    let lazy = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[1]);
+    assert_ne!(base.data, lazy.data, "bypass must alter the stream");
 }
 
 #[test]
@@ -85,16 +52,7 @@ fn bypass_trades_rate_for_simpler_coding() {
     let (w, h) = (32, 32);
     let coeffs: Vec<i32> = sample_block(w, h, 21).iter().map(|v| v * 16).collect();
     let base = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[0]);
-    let lazy = encode_block(
-        &coeffs,
-        w,
-        h,
-        BandCtx::LlLh,
-        Tier1Options {
-            bypass: true,
-            ..Tier1Options::default()
-        },
-    );
+    let lazy = encode_block(&coeffs, w, h, BandCtx::LlLh, ALL_OPTS[1]);
     assert!(
         base.msb_planes >= 6,
         "need deep planes: {}",
@@ -102,18 +60,7 @@ fn bypass_trades_rate_for_simpler_coding() {
     );
     assert_ne!(base.data, lazy.data, "bypass must alter the stream");
     let segs: Vec<&[u8]> = (0..lazy.passes.len()).map(|p| lazy.segment(p)).collect();
-    let got = pj2k_ebcot::decode_block_with(
-        w,
-        h,
-        BandCtx::LlLh,
-        lazy.msb_planes,
-        &segs,
-        Tier1Options {
-            bypass: true,
-            ..Tier1Options::default()
-        },
-    )
-    .unwrap();
+    let got = decode_block_with(w, h, BandCtx::LlLh, lazy.msb_planes, &segs, ALL_OPTS[1]).unwrap();
     assert_eq!(got, coeffs);
     // Rate penalty is bounded (it is content-dependent: random blocks are
     // the worst case for raw significance coding; natural imagery pays a
@@ -126,31 +73,6 @@ fn bypass_trades_rate_for_simpler_coding() {
     );
 }
 
-#[test]
-fn reset_contexts_costs_rate() {
-    // Fresh contexts every pass adapt slower: the stream should not shrink.
-    let (w, h) = (32, 32);
-    let coeffs = sample_block(w, h, 11);
-    let base = encode_block(&coeffs, w, h, BandCtx::Hh, ALL_OPTS[0]);
-    let reset = encode_block(&coeffs, w, h, BandCtx::Hh, ALL_OPTS[2]);
-    assert!(
-        reset.data.len() >= base.data.len(),
-        "reset {} < base {}",
-        reset.data.len(),
-        base.data.len()
-    );
-}
-
-#[test]
-fn causal_only_differs_when_stripes_interact() {
-    // A block a single stripe tall has no next stripe: stripe-causal
-    // context formation is then a no-op and streams must match.
-    let coeffs = sample_block(24, 4, 5);
-    let base = encode_block(&coeffs, 24, 4, BandCtx::LlLh, ALL_OPTS[0]);
-    let causal = encode_block(&coeffs, 24, 4, BandCtx::LlLh, ALL_OPTS[1]);
-    assert_eq!(base.data, causal.data);
-}
-
 const CASES: u32 = 32;
 
 #[test]
@@ -159,14 +81,7 @@ fn styles_roundtrip_arbitrary_blocks() {
         let w = rng.range(1usize..20);
         let h = rng.range(1usize..20);
         let seed = rng.range(..);
-        let causal = rng.bool();
-        let reset = rng.bool();
-        let bypass = rng.bool();
-        let opts = Tier1Options {
-            stripe_causal: causal,
-            reset_contexts: reset,
-            bypass,
-        };
+        let opts = Tier1Options { bypass: rng.bool() };
         let coeffs = sample_block(w, h, seed);
         let blk = encode_block(&coeffs, w, h, BandCtx::Hl, opts);
         let segs: Vec<&[u8]> = (0..blk.passes.len()).map(|p| blk.segment(p)).collect();
@@ -183,14 +98,7 @@ fn styles_roundtrip_arbitrary_blocks() {
 fn styles_keep_rd_contract() {
     cases(CASES, |rng| {
         let seed = rng.range(..);
-        let causal = rng.bool();
-        let reset = rng.bool();
-        let bypass = rng.bool();
-        let opts = Tier1Options {
-            stripe_causal: causal,
-            reset_contexts: reset,
-            bypass,
-        };
+        let opts = Tier1Options { bypass: rng.bool() };
         let (w, h) = (12, 10);
         let coeffs = sample_block(w, h, seed);
         let blk = encode_block(&coeffs, w, h, BandCtx::Hh, opts);

@@ -15,21 +15,11 @@ use pj2k_testkit::Rng;
 
 const BANDS: [BandCtx; 3] = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
 
-fn all_styles() -> Vec<Tier1Options> {
-    let mut v = Vec::new();
-    for stripe_causal in [false, true] {
-        for reset_contexts in [false, true] {
-            for bypass in [false, true] {
-                v.push(Tier1Options {
-                    stripe_causal,
-                    reset_contexts,
-                    bypass,
-                });
-            }
-        }
-    }
-    v
-}
+/// The default style and selective bypass.
+const STYLES: [Tier1Options; 2] = [
+    Tier1Options { bypass: false },
+    Tier1Options { bypass: true },
+];
 
 /// Block geometries: degenerate shapes, heights that leave a partial last
 /// stripe, widths around the 64-column word boundary, the paper's 64x64
@@ -150,7 +140,7 @@ fn packed_matches_oracle_at_every_truncation_point() {
     let mut pair = Pair::new();
     let mut seed = 0u64;
     for (gi, &(w, h)) in GEOMETRIES.iter().enumerate() {
-        for (si, opts) in all_styles().into_iter().enumerate() {
+        for (si, opts) in STYLES.into_iter().enumerate() {
             for (bi, &band) in BANDS.iter().enumerate() {
                 for (fi, fill) in [Fill::Dense, Fill::Sparse, Fill::Single]
                     .into_iter()
@@ -189,7 +179,7 @@ fn packed_matches_oracle_at_every_truncation_point() {
 #[test]
 fn packed_matches_oracle_on_deep_planes() {
     let mut pair = Pair::new();
-    for (seed, opts) in all_styles().into_iter().enumerate() {
+    for (seed, opts) in STYLES.into_iter().enumerate() {
         let (w, h) = (11, 6);
         let mut rng = Rng::new(900 + seed as u64);
         let coeffs: Vec<i32> = (0..w * h)
@@ -220,7 +210,6 @@ fn packed_matches_oracle_on_deep_planes() {
 #[test]
 fn packed_matches_oracle_on_garbage_segments() {
     let mut pair = Pair::new();
-    let styles = all_styles();
     let mut rng = Rng::new(0xBAD_5EED);
     for trial in 0..600 {
         let (w, h) = GEOMETRIES[rng.range(0..11)]; // skip the largest shapes
@@ -236,7 +225,7 @@ fn packed_matches_oracle_on_garbage_segments() {
                 _ => r.range(..),
             })
         });
-        let opts = styles[rng.range(0..8)];
+        let opts = STYLES[rng.range(0..STYLES.len())];
         let band = BANDS[rng.range(0..3)];
         let what = format!("garbage trial {trial}: {w}x{h} {band:?} {opts:?} planes {planes}");
         pair.check(w, h, band, planes, &segs, opts, &what);
@@ -248,11 +237,10 @@ fn packed_matches_oracle_on_garbage_segments() {
 #[test]
 fn packed_matches_oracle_on_bit_flipped_segments() {
     let mut pair = Pair::new();
-    let styles = all_styles();
     let mut rng = Rng::new(0xF11_BEEF);
     for trial in 0..240 {
         let (w, h) = GEOMETRIES[(trial % 12) as usize];
-        let opts = styles[rng.range(0..8)];
+        let opts = STYLES[rng.range(0..STYLES.len())];
         let band = BANDS[rng.range(0..3)];
         let fill = [Fill::Dense, Fill::Sparse][(trial % 2) as usize];
         let max_mag = if w * h >= 2048 { 60 } else { 3000 };
@@ -291,11 +279,10 @@ fn packed_matches_oracle_on_bit_flipped_segments() {
 #[test]
 fn scratch_reuse_across_shapes_matches_one_shot_decodes() {
     let mut pair = Pair::new();
-    let styles = all_styles();
     let order = [11usize, 0, 10, 3, 12, 1, 8, 2, 9, 13, 4, 11, 7, 5, 6];
     for (round, &gi) in order.iter().enumerate() {
         let (w, h) = GEOMETRIES[gi];
-        let opts = styles[round % 8];
+        let opts = STYLES[round % STYLES.len()];
         let band = BANDS[round % 3];
         let fill = [Fill::Dense, Fill::Sparse, Fill::Single][round % 3];
         let coeffs = synth_block(31 + round as u64, w * h, fill, 700);

@@ -1,7 +1,7 @@
 //! Engine-equivalence suite: the bitplane Tier-1 engine must reproduce the
 //! reference engine's output byte for byte — same segments, same pass
 //! table, same (order-sensitive, hence exactly equal) distortion sums —
-//! across every coding-style combination, band class, and block geometry.
+//! across both coding styles, every band class, and block geometry.
 //! The reference engine is the `oracle` cargo feature's test oracle,
 //! switched on by this crate's self dev-dependency.
 
@@ -10,21 +10,11 @@ use pj2k_testkit::{cases, Rng};
 
 const BANDS: [BandCtx; 3] = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
 
-fn all_styles() -> Vec<Tier1Options> {
-    let mut v = Vec::new();
-    for sc in [false, true] {
-        for rc in [false, true] {
-            for by in [false, true] {
-                v.push(Tier1Options {
-                    stripe_causal: sc,
-                    reset_contexts: rc,
-                    bypass: by,
-                });
-            }
-        }
-    }
-    v
-}
+/// The default style and selective bypass.
+const STYLES: [Tier1Options; 2] = [
+    Tier1Options { bypass: false },
+    Tier1Options { bypass: true },
+];
 
 /// Deterministic pseudo-random coefficients with a density knob
 /// (`keep_mod`: 1 = dense, larger = sparser) and a magnitude cap.
@@ -78,7 +68,7 @@ fn check_block(coeffs: &[i32], w: usize, h: usize, what: &str) {
     let mut reference = BlockCoder::with_engine(Tier1Engine::Reference);
     let mut bitplane = BlockCoder::with_engine(Tier1Engine::Bitplane);
     for band in BANDS {
-        for opts in all_styles() {
+        for opts in STYLES {
             let a = encode(&mut reference, coeffs, w, h, band, opts);
             let b = encode(&mut bitplane, coeffs, w, h, band, opts);
             assert_identical(&a, &b, &format!("{what} {band:?} {opts:?}"));
@@ -152,8 +142,6 @@ fn bitplane_encode_into_recycles_without_divergence() {
         let coeffs = synth_block(seed, w * h, 2 + seed % 4, 300);
         let opts = Tier1Options {
             bypass: seed % 2 == 0,
-            stripe_causal: seed % 3 == 0,
-            reset_contexts: false,
         };
         let fresh = encode(&mut coder, &coeffs, w, h, BandCtx::Hl, opts);
         coder.coeff_scratch().extend_from_slice(&coeffs);
@@ -175,10 +163,10 @@ fn tier1_engines_bit_identical() {
         let keep = rng.range(1u64..24);
         let max_mag = rng.range(1i32..5000);
         let band_i = rng.range(0usize..3);
-        let style_i = rng.range(0usize..8);
+        let style_i = rng.range(0..STYLES.len());
         let coeffs = synth_block(seed, w * h, keep, max_mag);
         let band = BANDS[band_i];
-        let opts = all_styles()[style_i];
+        let opts = STYLES[style_i];
         let mut reference = BlockCoder::with_engine(Tier1Engine::Reference);
         let mut bitplane = BlockCoder::with_engine(Tier1Engine::Bitplane);
         let a = encode(&mut reference, &coeffs, w, h, band, opts);
@@ -202,7 +190,7 @@ fn check_floor_prefixes(coeffs: &[i32], w: usize, h: usize, what: &str) {
     for engine in [Tier1Engine::Reference, Tier1Engine::Bitplane] {
         let mut coder = BlockCoder::with_engine(engine);
         for band in BANDS {
-            for opts in all_styles() {
+            for opts in STYLES {
                 let full = encode(&mut coder, coeffs, w, h, band, opts);
                 let mut cut = EncodedBlock::default();
                 for floor in 0..=full.msb_planes + 1 {

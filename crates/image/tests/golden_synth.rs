@@ -1,5 +1,5 @@
-//! Golden hashes of the synthetic imagery (first entries of the golden
-//! manifest, ROADMAP item 5).
+//! Golden hashes of the synthetic imagery (the first entries of the golden
+//! manifest, whose whole-codec rows are `crates/core/tests/golden_streams.rs`).
 //!
 //! Every figure, threshold and committed `results/` output that depends on
 //! image content is a function of these generators, so a change to them —

@@ -17,8 +17,6 @@
 //!                        batch: total worker budget B (default PJ2K_THREADS
 //!                        or host parallelism)
 //!     --jobs J           batch: concurrent images (default: auto j×k ≤ B split)
-//!     --causal           stripe-causal Tier-1 contexts
-//!     --reset            reset MQ contexts every pass
 //!     --bypass           lazy mode: raw-code the deep SPP/MRP passes
 //!     --roi X,Y,W,H      prioritize a region of interest (MAXSHIFT)
 //!     --stats            print the per-stage timing breakdown, then one
@@ -36,11 +34,12 @@
 
 use pj2k_core::config::Tier1Options;
 use pj2k_core::DwtStats;
-use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode, RateControl};
+use pj2k_core::{
+    read_header, CodecError, Decoder, Encoder, EncoderConfig, ParallelMode, RateControl, Wavelet,
+};
 use pj2k_image::pnm;
 use pj2k_parutil::StageTimes;
 use pj2k_serve::{discover, encode_files, BatchOptions};
-use pj2k_tier2::codestream::{self, MarkerReader, PayloadReader};
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -89,8 +88,6 @@ const ENCODE_OPTS: &[(&str, bool)] = &[
     ("--tiles", true),
     ("--threads", true),
     ("--jobs", true),
-    ("--causal", false),
-    ("--reset", false),
     ("--bypass", false),
     ("--roi", true),
     ("--stats", false),
@@ -152,7 +149,7 @@ fn parallel_mode(opts: &Opts) -> Result<ParallelMode, String> {
 fn encoder_config(opts: &Opts) -> Result<EncoderConfig, String> {
     let mut cfg = EncoderConfig::default();
     if opts.has("--lossless") {
-        cfg.wavelet = pj2k_core::Wavelet::Reversible53;
+        cfg.wavelet = Wavelet::Reversible53;
         cfg.rate = RateControl::Lossless;
     } else if let Some(bpp) = opts.value("--bpp") {
         let rates: Result<Vec<f64>, _> = bpp.split(',').map(str::parse).collect();
@@ -177,8 +174,6 @@ fn encoder_config(opts: &Opts) -> Result<EncoderConfig, String> {
         );
     }
     cfg.tier1 = Tier1Options {
-        stripe_causal: opts.has("--causal"),
-        reset_contexts: opts.has("--reset"),
         bypass: opts.has("--bypass"),
     };
     if let Some(spec) = opts.value("--roi") {
@@ -436,69 +431,49 @@ fn cmd_info(opts: &Opts) -> ExitCode {
     }
 }
 
-/// Render the main-header parameters of a codestream.
-fn describe(bytes: &[u8]) -> Result<String, codestream::ParseError> {
+/// Render the main-header parameters of a codestream, as the decoder
+/// parses and checks them.
+fn describe(bytes: &[u8]) -> Result<String, CodecError> {
     use std::fmt::Write;
-    let mut r = MarkerReader::new(bytes);
-    r.expect_marker(codestream::SOC)?;
-    let siz = r.expect_segment(codestream::SIZ)?;
-    let mut p = PayloadReader::new(siz);
-    let (w, h) = (p.u32()?, p.u32()?);
-    let ncomp = p.u8()?;
-    let depth = p.u8()?;
-    let signed = p.u8()? != 0;
-    let (tw, th) = (p.u32()?, p.u32()?);
-    let cod = r.expect_segment(codestream::COD)?;
-    let mut p = PayloadReader::new(cod);
-    let wavelet = p.u8()?;
-    let levels = p.u8()?;
-    let (cbw, cbh) = (p.u16()?, p.u16()?);
-    let layers = p.u16()?;
-    let flags = p.u8()?;
-    let qcd = r.expect_segment(codestream::QCD)?;
-    let step = PayloadReader::new(qcd).f64()?;
+    let hdr = read_header(bytes)?;
     let mut out = String::new();
     let _ = writeln!(out, "pj2k codestream, {} bytes", bytes.len());
     let _ = writeln!(
         out,
-        "  image:      {w}x{h}, {ncomp} component(s), {depth}-bit{}",
-        if signed { " signed" } else { "" }
+        "  image:      {}x{}, {} component(s), {}-bit{}",
+        hdr.width,
+        hdr.height,
+        hdr.ncomp,
+        hdr.bit_depth,
+        if hdr.signed { " signed" } else { "" }
     );
     let _ = writeln!(
         out,
         "  tiles:      {}",
-        if tw == 0 {
-            "none (single tile)".to_string()
-        } else {
-            format!("{tw}x{th}")
+        match hdr.tiles {
+            None => "none (single tile)".to_string(),
+            Some((tw, th)) => format!("{tw}x{th}"),
         }
     );
     let _ = writeln!(
         out,
-        "  wavelet:    {} ({levels} levels)",
-        if wavelet == 0 {
-            "reversible 5/3"
-        } else {
-            "irreversible 9/7"
-        }
+        "  wavelet:    {} ({} levels)",
+        match hdr.wavelet {
+            Wavelet::Reversible53 => "reversible 5/3",
+            Wavelet::Irreversible97 => "irreversible 9/7",
+        },
+        hdr.levels
     );
+    let (cbw, cbh) = hdr.code_block;
     let _ = writeln!(out, "  code-block: {cbw}x{cbh}");
-    let _ = writeln!(out, "  layers:     {layers}");
-    let _ = writeln!(out, "  base step:  {step}");
-    let mut style = String::new();
-    if flags & 1 != 0 {
-        style.push_str("stripe-causal ");
-    }
-    if flags & 2 != 0 {
-        style.push_str("reset-contexts ");
-    }
-    if flags & 4 != 0 {
-        style.push_str("bypass ");
-    }
-    if style.is_empty() {
-        style.push_str("default");
-    }
-    let _ = writeln!(out, "  tier-1:     {}", style.trim_end());
+    let _ = writeln!(out, "  layers:     {}", hdr.n_layers);
+    let _ = writeln!(out, "  base step:  {}", hdr.base_step);
+    let style = if hdr.tier1.bypass {
+        "bypass"
+    } else {
+        "default"
+    };
+    let _ = writeln!(out, "  tier-1:     {style}");
     Ok(out)
 }
 
@@ -528,6 +503,13 @@ mod tests {
             parse(&["in.pgm", "out.pj2k", "--filter", "strip"]),
             Err("unknown option \"--filter\"".to_string())
         );
+        // The deleted Tier-1 coding styles are unknown options too.
+        for gone in ["--causal", "--reset"] {
+            assert_eq!(
+                parse(&["in.pgm", "out.pj2k", gone]),
+                Err(format!("unknown option {gone:?}"))
+            );
+        }
         // Options belong to their subcommand.
         assert!(parse_opts(&strings(&["a", "b", "--bpp", "1"]), DECODE_OPTS).is_err());
         assert!(parse_opts(&strings(&["a", "--stats"]), &[]).is_err());
@@ -569,8 +551,6 @@ mod tests {
             "2",
             "--jobs",
             "2",
-            "--causal",
-            "--reset",
             "--bypass",
             "--roi",
             "0,0,8,8",
@@ -582,7 +562,7 @@ mod tests {
             (cfg.levels, cfg.code_block, cfg.tiles),
             (3, (32, 32), Some((64, 64)))
         );
-        assert!(cfg.tier1.stripe_causal && cfg.tier1.reset_contexts && cfg.tier1.bypass);
+        assert!(cfg.tier1.bypass);
         assert!(cfg.roi.is_some());
         let lossless = config(&["in.pgm", "out.pj2k", "--lossless"]).unwrap();
         assert_eq!(lossless.rate, RateControl::Lossless);
@@ -615,6 +595,37 @@ mod tests {
             let err = config(&["--tiles", bad]).unwrap_err();
             assert!(err.starts_with("bad --tiles"), "{bad:?}: {err}");
         }
+    }
+
+    #[test]
+    fn info_reads_the_decoders_header_parse() {
+        let img = pj2k_testkit::synth::natural_gray(40, 24, 3);
+        let cfg = EncoderConfig {
+            levels: 2,
+            ..EncoderConfig::default()
+        };
+        let mut bytes = Encoder::new(cfg).unwrap().encode(&img).0;
+        let text = describe(&bytes).unwrap();
+        for line in [
+            "image:      40x24, 1 component(s), 8-bit",
+            "tiles:      none (single tile)",
+            "wavelet:    irreversible 9/7 (2 levels)",
+            "code-block: 64x64",
+            "layers:     1",
+            "tier-1:     default",
+        ] {
+            assert!(text.contains(line), "{line:?} missing from\n{text}");
+        }
+        // SOC, SIZ with its length and 19-byte payload (25 bytes), COD and
+        // its length (4) and the 8 COD bytes before the style byte. Flag
+        // byte 1 (ISO 15444-1's stripe-causal style, which this codec
+        // does not implement) fails `info` with the error `decode` gives.
+        const COD_STYLE_AT: usize = 37;
+        assert_eq!(bytes[COD_STYLE_AT], 0);
+        bytes[COD_STYLE_AT] = 1;
+        let err = describe(&bytes).unwrap_err();
+        assert!(matches!(err, CodecError::Invalid(_)), "{err:?}");
+        assert_eq!(Some(err), Decoder::default().decode(&bytes).err());
     }
 
     #[test]

@@ -178,6 +178,28 @@ const BENCHES: &[BenchSpec] = &[
         // binary additionally checks the absolute admission ceiling).
         ceilings: &[("\"flatness_ratio\"", 1.25)],
     },
+    BenchSpec {
+        bin: "fig02_codec_comparison",
+        out: "target/BENCH_fig02_smoke.json",
+        schema: "pj2k.fig02.v1",
+        keys: &[
+            "\"host_cores\"",
+            "\"jpeg_secs\"",
+            "\"spiht_secs\"",
+            "\"j2k_secs\"",
+            "\"j2k_over_jpeg\"",
+            "\"j2k_over_spiht\"",
+        ],
+        // Fig. 2's ordering on the runner's clock, best of 5 alternated
+        // rounds: JPEG fastest, SPIHT no slower than 1.2x the paper-style
+        // JPEG2000 coder. Smoke runs on a 2-core host read 16-19x and
+        // 2.3-2.4x.
+        floors: &[
+            ("\"j2k_over_jpeg\"", 1.0),
+            ("\"j2k_over_spiht\"", 1.0 / 1.2),
+        ],
+        ceilings: &[],
+    },
 ];
 
 /// Run all smoke benches rooted at `root`. Returns the process exit code.
@@ -409,6 +431,22 @@ mod tests {
         // flat-memory ceiling.
         let bloated = above.replace("\"flatness_ratio\": 0", "\"flatness_ratio\": 1.3");
         assert!(check_doc(&bloated, spec).is_err());
+    }
+
+    #[test]
+    fn fig02_spec_enforces_the_codec_ordering() {
+        let spec = &BENCHES[4];
+        assert_eq!(spec.bin, "fig02_codec_comparison");
+        let ordered = doc_with_all_keys(spec)
+            .replace("\"j2k_over_jpeg\": 1", "\"j2k_over_jpeg\": 17.2")
+            .replace("\"j2k_over_spiht\": 1", "\"j2k_over_spiht\": 2.4");
+        assert!(check_doc(&ordered, spec).is_ok());
+        // JPEG2000 no slower than JPEG, or SPIHT more than 1.2x slower
+        // than JPEG2000, breaks the figure.
+        let jpeg_slow = ordered.replace("\"j2k_over_jpeg\": 17.2", "\"j2k_over_jpeg\": 0.9");
+        assert!(check_doc(&jpeg_slow, spec).is_err());
+        let spiht_slow = ordered.replace("\"j2k_over_spiht\": 2.4", "\"j2k_over_spiht\": 0.8");
+        assert!(check_doc(&spiht_slow, spec).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! * `cargo xtask audit [--quiet] [--report PATH]` — every static check,
 //!   as queries over one scan of the workspace sources (see [`scan`]):
 //!   `safety` and `thread` ([`lint`]), `panic` ([`audit`]), `alias`
-//!   ([`unsafe_audit`]), `hot` ([`hotpath`]) and `std_only`
-//!   ([`std_only`]), plus `annotation` for malformed `AUDIT(..)`
+//!   ([`unsafe_audit`]), `hot` ([`hotpath`]), `timing` ([`timing`]) and
+//!   `std_only` ([`std_only`]), plus `annotation` for malformed `AUDIT(..)`
 //!   comments. Prints the inventory (only the summary and the violations
 //!   with `--quiet`), writes the full inventory to `PATH` with
 //!   `--report`, and exits non-zero on any violation.
@@ -29,6 +29,7 @@ mod lint;
 mod scan;
 mod size;
 mod std_only;
+mod timing;
 mod unsafe_audit;
 
 use scan::{Finding, Source};
@@ -96,7 +97,7 @@ fn run_audit(root: &Path, quiet: bool, report: Option<&Path>) -> i32 {
     }
     eprintln!(
         "audit: {} violation(s). A site is justified by `// SAFETY: ..` (safety) or \
-         `// AUDIT(<check>): <reason>` (panic, hot, alias, thread) on its line, in the \
+         `// AUDIT(<check>): <reason>` (panic, hot, alias, thread, timing) on its line, in the \
          comment/attribute block directly above it, or above the signature of an item \
          around it (not for safety, nor for a libm site).",
         violations.len()
@@ -141,6 +142,7 @@ fn audit_file(src: &Source, crate_root_deny: bool, out: &mut Vec<Finding>) {
     lint::thread(src, out);
     audit::panic(src, crate_root_deny, out);
     unsafe_audit::alias(src, out);
+    timing::timing(src, out);
 }
 
 /// Order findings by check, then by file and line.
@@ -193,7 +195,7 @@ fn print_help() {
          \tcargo xtask <command> [flags]\n\
          \n\
          COMMANDS:\n\
-         \taudit\tevery static check: safety, thread, panic, alias, hot, std_only\n\
+         \taudit\tevery static check: safety, thread, panic, alias, hot, timing, std_only\n\
          \t\t--quiet\tprint the summary and the violations, not every site\n\
          \t\t--report <path>\talso write the full inventory to a file\n\
          \tci\tfmt-check + clippy -D warnings + audit + size check + tests\n\
@@ -208,6 +210,7 @@ fn print_help() {
          \tpanic\tno unjustified panic site in the decoder scope or the codec crates\n\
          \talias\traw parallel writes route through DisjointWriter claims\n\
          \thot\tno unjustified alloc/lock/io/libm/panic site under hotpaths.toml roots\n\
+         \ttiming\tno test assertion racing measured durations or a sub-second budget\n\
          \tstd_only\tno dependency from outside the repository (not justifiable)"
     );
 }
@@ -239,7 +242,7 @@ mod tests {
         let bad: Vec<_> = clean.iter().filter(|f| f.is_violation()).collect();
         assert!(bad.is_empty(), "the tree must audit clean: {bad:?}");
         type Seed = fn(&str) -> String;
-        let cases: [(&str, &str, Seed); 6] = [
+        let cases: [(&str, &str, Seed); 7] = [
             ("crates/parutil/src/disjoint.rs", "safety", |t| {
                 edit(t, "unsafe impl<T: Send> Send", "SAFETY", "NOTE")
             }),
@@ -261,6 +264,9 @@ mod tests {
             ("crates/parutil/src/pool.rs", "thread", |t| {
                 let (head, tests) = t.split_at(t.find("#[cfg(").expect("test module"));
                 format!("{head}fn seeded() {{\n    std::thread::scope(|_| ());\n}}\n{tests}")
+            }),
+            ("crates/bench/src/lib.rs", "timing", |t| {
+                edit(t, "AUDIT(timing)", "AUDIT", "NOTE")
             }),
         ];
         for (rel, check, seed) in cases {

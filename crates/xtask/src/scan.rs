@@ -438,13 +438,16 @@ pub enum Kind {
     Alias,
     /// A raw thread outside `parutil` is sound.
     Thread,
+    /// A test assertion on measured durations cannot lose its race.
+    Timing,
 }
 
-const KINDS: [(&str, Kind); 4] = [
+const KINDS: [(&str, Kind); 5] = [
     ("panic", Kind::Panic),
     ("hot", Kind::Hot),
     ("alias", Kind::Alias),
     ("thread", Kind::Thread),
+    ("timing", Kind::Timing),
 ];
 
 /// Parse a comment that starts with `AUDIT(`: the kind, or what is wrong
@@ -457,7 +460,7 @@ pub fn parse_annotation(comment: &str) -> Option<Result<Kind, String>> {
     };
     let Some(&(_, kind)) = KINDS.iter().find(|(n, _)| *n == name) else {
         return Some(Err(format!(
-            "unknown kind `{name}` (one of panic, hot, alias, thread)"
+            "unknown kind `{name}` (one of panic, hot, alias, thread, timing)"
         )));
     };
     match after.strip_prefix(':') {
@@ -557,8 +560,10 @@ impl Source {
     }
 }
 
-/// Every `.rs` file under `root/crates`, classified, in path order. The
-/// `xtask` crate is left out: its sources name every token it audits.
+/// Every `.rs` file under `root/crates`, `root/tests` and `root/examples`
+/// (the last two are `pj2k-suite`'s test targets), classified, in path
+/// order. The `xtask` crate is left out: its sources name every token it
+/// audits.
 pub fn load(root: &Path) -> std::io::Result<Vec<Source>> {
     let files = files(root)?;
     Ok(files
@@ -586,7 +591,11 @@ pub fn files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
         Ok(())
     }
     let mut files = Vec::new();
-    walk(&root.join("crates"), &mut files)?;
+    for dir in ["crates", "tests", "examples"] {
+        if root.join(dir).is_dir() {
+            walk(&root.join(dir), &mut files)?;
+        }
+    }
     files.sort();
     files
         .into_iter()
@@ -598,13 +607,14 @@ pub fn files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
 }
 
 /// The checks, in report order.
-pub const CHECKS: [&str; 7] = [
+pub const CHECKS: [&str; 8] = [
     "annotation",
     "safety",
     "thread",
     "panic",
     "alias",
     "hot",
+    "timing",
     "std_only",
 ];
 

@@ -3,7 +3,6 @@
 
 use pj2k_suite::prelude::*;
 use pj2k_testkit::synth;
-use std::time::Instant;
 
 /// Encode with baseline JPEG at (approximately) `bpp`, by searching the
 /// quality knob.
@@ -70,47 +69,6 @@ fn spiht_is_competitive_at_low_rates() {
         mean_gap > -2.5,
         "SPIHT trails JPEG by {:.2} dB on average at {bpp} bpp",
         -mean_gap
-    );
-}
-
-#[test]
-fn encode_time_ordering_matches_figure_2() {
-    // Fig. 2: JPEG is by far the fastest; the JPEG2000 implementations are
-    // the slowest; SPIHT sits in between. Use a size large enough for the
-    // ordering to be stable.
-    let img = synth::natural_gray(512, 512, 606);
-    let t0 = Instant::now();
-    let _ = pj2k_suite::jpegbase::encode(&img, 75).unwrap();
-    let t_jpeg = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let _ = pj2k_suite::spiht::encode(&img, 5, 1.0).unwrap();
-    let t_spiht = t0.elapsed().as_secs_f64();
-
-    // The paper's JPEG2000 coders filter columns naively, one sweep per
-    // lifting step, and code every pass before rate allocation; so does
-    // this one here. (The default fused SIMD transform runs about 1.5x
-    // faster in an unoptimised test build, where SPIHT's list handling is
-    // slowest, and the default rate-aware Tier-1 skips most of the passes
-    // PCRD discards: either would turn this into a comparison of later
-    // optimisations.)
-    let t0 = Instant::now();
-    let cfg = EncoderConfig {
-        rate: RateControl::TargetBpp(vec![1.0]),
-        filter: FilterStrategy::Naive,
-        lifting: pj2k_suite::core::LiftingMode::PerStep,
-        ..EncoderConfig::default()
-    };
-    let _ = Encoder::new(cfg).unwrap().with_full_coding().encode(&img);
-    let t_j2k = t0.elapsed().as_secs_f64();
-
-    assert!(
-        t_jpeg < t_j2k,
-        "JPEG ({t_jpeg:.3}s) should be faster than JPEG2000 ({t_j2k:.3}s)"
-    );
-    assert!(
-        t_spiht < t_j2k * 1.2,
-        "SPIHT ({t_spiht:.3}s) should not exceed JPEG2000 ({t_j2k:.3}s)"
     );
 }
 

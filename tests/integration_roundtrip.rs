@@ -156,20 +156,9 @@ fn comparator_codecs_roundtrip_same_inputs() {
 fn tier1_coding_styles_roundtrip_end_to_end() {
     use pj2k_suite::core::config::Tier1Options;
     let img = synth::natural_gray(96, 96, 33);
-    for (causal, reset, bypass) in [
-        (false, false, false),
-        (true, false, false),
-        (false, true, false),
-        (true, true, false),
-        (false, false, true),
-        (true, true, true),
-    ] {
+    for bypass in [false, true] {
         let cfg = EncoderConfig {
-            tier1: Tier1Options {
-                stripe_causal: causal,
-                reset_contexts: reset,
-                bypass,
-            },
+            tier1: Tier1Options { bypass },
             ..lossless_cfg()
         };
         let (bytes, _) = Encoder::new(cfg).unwrap().encode(&img);
@@ -177,7 +166,7 @@ fn tier1_coding_styles_roundtrip_end_to_end() {
         assert_eq!(
             pj2k_suite::image::metrics::max_abs_error(&img, &out),
             0,
-            "causal={causal} reset={reset} bypass={bypass}"
+            "bypass={bypass}"
         );
     }
 }
@@ -186,21 +175,17 @@ fn tier1_coding_styles_roundtrip_end_to_end() {
 fn tier1_style_flags_are_signalled_in_the_stream() {
     use pj2k_suite::core::config::Tier1Options;
     let img = synth::natural_gray(64, 64, 34);
-    let mk = |causal, reset| {
+    let mk = |bypass| {
         let cfg = EncoderConfig {
-            tier1: Tier1Options {
-                stripe_causal: causal,
-                reset_contexts: reset,
-                bypass: false,
-            },
+            tier1: Tier1Options { bypass },
             ..lossless_cfg()
         };
         Encoder::new(cfg).unwrap().encode(&img).0
     };
-    let plain = mk(false, false);
-    let styled = mk(true, true);
+    let plain = mk(false);
+    let styled = mk(true);
     assert_ne!(plain, styled, "styles must change the stream");
-    // Both decode with no external hints: the header carries the flags.
+    // Both decode with no external hints: the header carries the flag.
     let (a, _) = Decoder::default().decode(&plain).unwrap();
     let (b, _) = Decoder::default().decode(&styled).unwrap();
     assert_eq!(a, b, "both must reconstruct the same lossless image");
