@@ -110,15 +110,9 @@ pub struct FilteringProfile {
 ///
 /// Both strategies run the paper's scalar per-step walkers (reference rows,
 /// per-step naive or strip columns), whatever the production default is.
-///
-/// Calibration: both strategies are *measured* serially on the host; the
-/// cache simulator supplies the miss-traffic ratio between them, from
-/// which a per-byte stall cost is derived
-/// (`kappa = (t_naive - t_strip) / (traffic_naive - traffic_strip)`).
-/// Each strategy's work items then carry `compute = t - kappa * traffic`
-/// and `stall = kappa * traffic` (stall capped at half the measured time,
-/// since the host's prefetchers make streaming traffic cheaper than the
-/// trace's byte count suggests).
+/// Both are *measured* serially on the host, the cache simulator supplies
+/// their miss traffic, and [`split_filtering`] turns the two into work
+/// items.
 pub fn filtering_profile(side: usize, levels: u8) -> FilteringProfile {
     let mk = || {
         let mut p = Plane::<f32>::new(side, side);
@@ -168,9 +162,49 @@ pub fn filtering_profile(side: usize, levels: u8) -> FilteringProfile {
         h = h.div_ceil(2);
     }
 
-    let t_naive = naive.vertical.as_secs_f64();
-    let t_strip = strip.vertical.as_secs_f64();
-    let t_horiz = naive.horizontal.as_secs_f64();
+    let (naive_items, strip_items, horiz_items) = split_filtering(
+        naive.vertical.as_secs_f64(),
+        strip.vertical.as_secs_f64(),
+        naive.horizontal.as_secs_f64(),
+        m_naive,
+        m_strip,
+        m_horiz,
+        side,
+    );
+    FilteringProfile {
+        naive_items,
+        strip_items,
+        horiz_items,
+        m_naive,
+        m_strip,
+        naive,
+        strip,
+    }
+}
+
+/// Split serial filtering times into per-column (vertical) and per-row
+/// (horizontal) work items, `side` per pass, for the bus model.
+///
+/// `t_naive`, `t_strip` and `t_horiz` are the serial seconds of the naive
+/// and strip vertical passes and of the horizontal pass; `m_naive`,
+/// `m_strip` and `m_horiz` are their simulated miss traffic in bytes. The
+/// traffic gap prices a per-byte stall cost
+/// (`kappa = (t_naive - t_strip) / (m_naive - m_strip)`, 0 unless naive is
+/// both slower and heavier). The strip and horizontal items carry
+/// `stall = kappa * traffic` (capped at half the time, since the host's
+/// prefetchers make streaming traffic cheaper than the trace's byte count
+/// suggests) and `compute = t - stall`. The naive items share the strip's
+/// arithmetic and stall for the rest. Returns the naive, strip and
+/// horizontal items; each vector sums to its time.
+pub fn split_filtering(
+    t_naive: f64,
+    t_strip: f64,
+    t_horiz: f64,
+    m_naive: f64,
+    m_strip: f64,
+    m_horiz: f64,
+    side: usize,
+) -> (Vec<WorkItem>, Vec<WorkItem>, Vec<WorkItem>) {
     let kappa = if m_naive > m_strip && t_naive > t_strip {
         (t_naive - t_strip) / (m_naive - m_strip)
     } else {
@@ -197,15 +231,11 @@ pub fn filtering_profile(side: usize, levels: u8) -> FilteringProfile {
             })
             .collect()
     };
-    FilteringProfile {
-        naive_items: per(c_naive, s_naive),
-        strip_items: per(c_strip, s_strip),
-        horiz_items: per(c_horiz, s_horiz),
-        m_naive,
-        m_strip,
-        naive,
-        strip,
-    }
+    (
+        per(c_naive, s_naive),
+        per(c_strip, s_strip),
+        per(c_horiz, s_horiz),
+    )
 }
 
 /// Projected wall time of a filtering pass on `p` virtual CPUs.
@@ -385,20 +415,32 @@ mod tests {
 
     #[test]
     fn projection_shows_paper_shape() {
-        let fp = filtering_profile(512, 3);
+        // Constructed serial times, no clock: the strip items must scale
+        // no worse than the naive ones whether the naive pass timed slower
+        // (it stalls for the extra traffic), the same, or faster (the
+        // quiet run where `kappa` is 0 and both are all arithmetic).
         let bus = BusParams::PENTIUM2_FSB;
-        let naive_1 = project_filtering(&fp.naive_items, 1, bus);
-        let naive_4 = project_filtering(&fp.naive_items, 4, bus);
-        let strip_1 = project_filtering(&fp.strip_items, 1, bus);
-        let strip_4 = project_filtering(&fp.strip_items, 4, bus);
-        let s_naive = naive_1 / naive_4;
-        let s_strip = strip_1 / strip_4;
-        // On quiet hosts the measured naive stall can be ~0, leaving both
-        // projections at exactly p; tolerate float dust in that tie.
-        assert!(
-            s_strip > s_naive - 1e-6,
-            "strip should scale no worse: {s_strip} vs {s_naive}"
-        );
+        let speedup = |items: &[WorkItem]| {
+            project_filtering(items, 1, bus) / project_filtering(items, 4, bus)
+        };
+        let (m_naive, m_strip, m_horiz) = (24e6, 3e6, 2e6);
+        for (t_naive, t_strip) in [(0.012, 0.004), (0.004, 0.004), (0.003, 0.004)] {
+            let (naive, strip, horiz) =
+                split_filtering(t_naive, t_strip, 0.002, m_naive, m_strip, m_horiz, 512);
+            let total = |items: &[WorkItem]| items.iter().map(|i| i.compute + i.stall).sum();
+            for (items, t) in [(&naive, t_naive), (&strip, t_strip), (&horiz, 0.002)] {
+                let sum: f64 = total(items);
+                assert!((sum - t).abs() < 1e-12, "items sum to {sum}, not {t}");
+            }
+            let (s_naive, s_strip) = (speedup(&naive), speedup(&strip));
+            assert!(
+                s_strip >= s_naive - 1e-9,
+                "naive {t_naive} s, strip {t_strip} s: strip scales {s_strip}, naive {s_naive}"
+            );
+            if t_naive > t_strip {
+                assert!(s_strip > s_naive, "{s_strip} vs {s_naive}");
+            }
+        }
     }
 
     #[test]

@@ -45,35 +45,27 @@ impl ParallelMode {
 }
 
 /// Vertical wavelet-filtering strategy (the paper's §3.2).
+///
+/// The paper's other fix, padding the width off the power of two, is a
+/// plane layout (`Plane::with_stride`), not a strategy: the figure
+/// binaries measure it on the DWT directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterStrategy {
     /// Original column-at-a-time filtering (cache-hostile on power-of-two
-    /// pitches).
+    /// pitches), the paper's baseline (`oracle` builds only).
+    #[cfg(feature = "oracle")]
     Naive,
-    /// Naive filtering over a plane whose row pitch is padded off the power
-    /// of two (the paper's first fix: "the image width is forced to be not
-    /// a power-of-two").
-    PaddedWidth,
     /// Strip filtering: several adjacent columns per processor (the paper's
-    /// second, preferred fix).
+    /// preferred fix).
     Strip,
 }
 
 impl FilterStrategy {
     pub(crate) fn vertical(&self) -> pj2k_dwt::VerticalStrategy {
         match self {
-            FilterStrategy::Naive | FilterStrategy::PaddedWidth => {
-                pj2k_dwt::VerticalStrategy::Naive
-            }
+            #[cfg(feature = "oracle")]
+            FilterStrategy::Naive => pj2k_dwt::VerticalStrategy::Naive,
             FilterStrategy::Strip => pj2k_dwt::VerticalStrategy::DEFAULT_STRIP,
-        }
-    }
-
-    /// Extra stride elements to add when laying out component planes.
-    pub(crate) fn stride_pad(&self, width: usize) -> usize {
-        match self {
-            FilterStrategy::PaddedWidth if width.is_power_of_two() && width >= 64 => 8,
-            _ => 0,
         }
     }
 }
@@ -146,14 +138,16 @@ pub struct EncoderConfig {
     pub tiles: Option<(usize, usize)>,
     /// Parallel execution mode.
     pub parallel: ParallelMode,
-    /// Vertical filtering strategy. The default, [`FilterStrategy::Strip`]
-    /// with [`LiftingMode::Fused`], runs the decoder's kernels; `Naive` and
-    /// `PaddedWidth` run the paper's scalar column walker.
+    /// Vertical filtering strategy. The product build has one value,
+    /// [`FilterStrategy::Strip`], which with [`LiftingMode::Fused`] runs the
+    /// decoder's kernels; `oracle` builds add `Naive`, the paper's scalar
+    /// column walker. Every value gives the same codestream.
     pub filter: FilterStrategy,
-    /// Lifting traversal of the strip column pass: the fused single-pass
-    /// kernels (the default), or the reference one-sweep-per-step walker.
-    /// Bit-identical outputs; only the memory traffic differs. Rows and the
-    /// naive walker ignore it.
+    /// Lifting traversal of the strip column pass. The product build has
+    /// one value, the fused single-pass kernels; `oracle` builds add
+    /// `PerStep`, the reference one-sweep-per-step walker. Bit-identical
+    /// outputs; only the memory traffic differs. Rows and the naive walker
+    /// ignore it.
     pub lifting: LiftingMode,
     /// SIMD tier for the lifting kernels: runtime-detected best tier by
     /// default, a forced tier for ablation, or pure scalar. Every tier
@@ -187,7 +181,7 @@ impl Default for EncoderConfig {
     /// tiling, sequential execution, lossy at 1 bpp — on the production
     /// wavelet kernels: strip filtering with fused lifting, the transform
     /// the decoder runs. The paper's naive per-step baseline is
-    /// `filter: Naive, lifting: PerStep`.
+    /// `filter: Naive, lifting: PerStep` (`oracle` builds only).
     // AUDIT(hot): config construction — once per encoder, setup-time
     // (pulled into the decode closure only via approximate call matching).
     fn default() -> Self {
@@ -386,14 +380,5 @@ mod tests {
         assert_eq!(ParallelMode::Sequential.workers(), 1);
         assert_eq!(ParallelMode::WorkerPool { workers: 4 }.workers(), 4);
         assert_eq!(ParallelMode::WorkerPool { workers: 0 }.workers(), 1);
-    }
-
-    #[test]
-    fn padded_width_only_pads_pow2() {
-        let f = FilterStrategy::PaddedWidth;
-        assert_eq!(f.stride_pad(512), 8);
-        assert_eq!(f.stride_pad(500), 0);
-        assert_eq!(f.stride_pad(16), 0, "small widths are cache-benign");
-        assert_eq!(FilterStrategy::Naive.stride_pad(512), 0);
     }
 }

@@ -1316,23 +1316,6 @@ mod tests {
     }
 
     #[test]
-    fn padded_width_stream_decodes_identically() {
-        let img = synth::natural_gray(128, 128, 14);
-        let cfg_strip = EncoderConfig {
-            levels: 3,
-            ..Default::default()
-        };
-        let cfg_padded = EncoderConfig {
-            levels: 3,
-            filter: FilterStrategy::PaddedWidth,
-            ..Default::default()
-        };
-        let a = encode(&img, cfg_strip);
-        let b = encode(&img, cfg_padded);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn garbage_input_is_rejected_not_panicking() {
         assert!(Decoder::default().decode(&[]).is_err());
         assert!(Decoder::default().decode(&[0x00, 0x11, 0x22]).is_err());

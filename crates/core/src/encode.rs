@@ -259,22 +259,16 @@ impl Encoder {
         let t0 = Instant::now();
         let mut work = tile.clone();
         dc_level_shift_forward(&mut work);
-        let pad = cfg.filter.stride_pad(w);
         let mut planes_f: Vec<Plane<f32>> = Vec::new();
         let mut planes_i: Vec<Plane<i32>> = Vec::new();
         if reversible {
             for c in 0..ncomp {
-                let p = work.component(c);
-                planes_i.push(if pad > 0 {
-                    p.restride(w + pad)
-                } else {
-                    p.clone()
-                });
+                planes_i.push(work.component(c).clone());
             }
         } else {
             for c in 0..ncomp {
                 let src = work.component(c);
-                let mut p = Plane::<f32>::with_stride(w, h, w + pad);
+                let mut p = Plane::<f32>::new(w, h);
                 for y in 0..h {
                     for (dst, &v) in p.row_mut(y).iter_mut().zip(src.row(y)) {
                         *dst = v as f32;
@@ -1068,9 +1062,8 @@ mod tests {
     #[test]
     fn filter_strategies_produce_identical_streams() {
         // Strip and naive filtering compute the same transform, to the last
-        // 9/7 float bit, so the codestream must be identical; padded width
-        // changes only the layout, not the samples. A power-of-two and an
-        // odd-sized image, both wavelets.
+        // 9/7 float bit, so the codestream must be identical. A power-of-two
+        // and an odd-sized image, both wavelets.
         for img in [
             synth::natural_gray(128, 64, 7),
             synth::natural_gray(65, 127, 4),
@@ -1090,9 +1083,8 @@ mod tests {
                     enc.encode(&img).0
                 };
                 let naive = mk(FilterStrategy::Naive);
-                for filter in [FilterStrategy::PaddedWidth, FilterStrategy::Strip] {
-                    assert!(naive == mk(filter), "{wavelet:?} {filter:?}");
-                }
+                let strip = mk(FilterStrategy::Strip);
+                assert!(naive == strip, "{wavelet:?}");
             }
         }
     }
@@ -1123,11 +1115,7 @@ mod tests {
                     enc.encode(&img).0
                 };
                 let base = mk(FilterStrategy::Naive, LiftingMode::PerStep);
-                for filter in [
-                    FilterStrategy::Naive,
-                    FilterStrategy::PaddedWidth,
-                    FilterStrategy::Strip,
-                ] {
+                for filter in [FilterStrategy::Naive, FilterStrategy::Strip] {
                     for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
                         assert!(
                             base == mk(filter, lifting),

@@ -1,6 +1,7 @@
 //! Fused single-pass column lifting kernels ("single-loop" schemes).
 //!
-//! The per-step kernels in [`crate::vertical`] make one full sweep down the
+//! The per-step kernels of the `vertical` module (the paper's walkers,
+//! compiled only under the `oracle` feature) make one full sweep down the
 //! columns *per lifting step* — two sweeps for 5/3, five (four lifting +
 //! scaling) for 9/7, plus a deinterleave pass. For a memory-bound transform
 //! that traffic dominates. The kernels here apply every predict/update/scale
@@ -30,8 +31,8 @@
 //! deinterleaved `[low | high]` Mallat halves with `ceil(n/2)` low
 //! coefficients; synthesis consumes that layout.
 //!
-//! The kernels keep the strip discipline of
-//! [`crate::vertical`]: the inner loop iterates across `strip` adjacent
+//! The kernels keep the strip discipline of the per-step strip walker: the
+//! inner loop iterates across `strip` adjacent
 //! columns of one row so every fetched cache line is fully used and the
 //! compiler can vectorize the lane loop. Per-lane history lives in small
 //! scratch arrays. Low rows are written in place *behind* the read front
@@ -69,8 +70,8 @@ fn mirror_y(y: isize, h: usize) -> usize {
 /// One top-to-bottom sweep applies predict + update and deinterleaves on
 /// the fly: low rows land in place behind the read front, high rows are
 /// buffered in `scratch` and stored to the bottom half after the sweep.
-/// Bit-identical to [`crate::vertical::fwd_strip_53_cols`] (and hence the
-/// naive kernel) for every strip width.
+/// Bit-identical to the per-step walker `vertical::fwd_strip_53_cols` (and
+/// hence the naive one) for every strip width.
 ///
 /// # Safety
 /// `cols` must be in bounds and disjoint from ranges given to other
@@ -142,7 +143,8 @@ pub unsafe fn fwd_fused_strip_53_cols(
 ///
 /// The low half is buffered in `scratch` up front (the interleaved write
 /// front overtakes it), then one rolling sweep reconstructs even/odd rows
-/// in place. Bit-identical to [`crate::vertical::inv_strip_53_cols`].
+/// in place. Bit-identical to the per-step walker
+/// `vertical::inv_strip_53_cols`.
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_strip_53_cols`].
@@ -229,7 +231,7 @@ pub unsafe fn inv_fused_strip_53_cols(
 /// All four lifting stages plus scaling run in one top-to-bottom sweep with
 /// three per-lane history rows; low rows land in place behind the read
 /// front, high rows are buffered and stored afterwards. Bit-identical to
-/// [`crate::vertical::fwd_strip_97_cols`] for every strip width.
+/// the per-step walker `vertical::fwd_strip_97_cols` for every strip width.
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_strip_53_cols`].
@@ -328,7 +330,7 @@ pub unsafe fn fwd_fused_strip_97_cols(
 
 /// Fused inverse 9/7 vertical synthesis over columns `cols`.
 ///
-/// Bit-identical to [`crate::vertical::inv_strip_97_cols`].
+/// Bit-identical to the per-step walker `vertical::inv_strip_97_cols`.
 ///
 /// # Safety
 /// Same contract as [`fwd_fused_strip_53_cols`].

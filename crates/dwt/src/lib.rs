@@ -2,20 +2,23 @@
 //!
 //! Implements the two JPEG2000 filter banks — the reversible integer 5/3
 //! (lossless path) and the irreversible 9/7 (lossy path) — as lifting
-//! schemes with whole-sample symmetric boundary extension, the multi-level
-//! Mallat decomposition over [`pj2k_image::Plane`], and, central to the
-//! reproduced paper, **three vertical-filtering strategies**:
+//! schemes with whole-sample symmetric boundary extension, and the
+//! multi-level Mallat decomposition over [`pj2k_image::Plane`].
 //!
-//! * [`VerticalStrategy::Naive`] — each column is filtered by walking down
-//!   the column once per lifting step. For images whose row pitch is a large
-//!   power of two this maps the whole column onto a single cache set and
-//!   thrashes (paper §3.2, Figs. 7/10).
-//! * width padding — not a filtering algorithm but a layout fix: allocate
-//!   the plane with `stride = width + pad` (`Plane::with_stride`) so
-//!   columns spread over many cache sets; the naive walker then behaves.
-//! * [`VerticalStrategy::Strip`] — the paper's preferred fix: several
-//!   adjacent columns are filtered concurrently within one processor, so
-//!   every cache line fetched during the column walk is fully used.
+//! The reproduced paper (§3.2) finds that naive column filtering thrashes
+//! the cache on power-of-two row pitches, and offers two fixes: pad the
+//! width, or filter a strip of adjacent columns at a time so every fetched
+//! cache line is fully used. The product runs one vertical pass, the strip
+//! fix with fused single-loop lifting ([`fused`], vectorized in [`simd`]):
+//! [`VerticalStrategy::Strip`] with [`LiftingMode::Fused`].
+//!
+//! The paper's baselines are test and figure oracles, compiled only under
+//! the `oracle` feature: `VerticalStrategy::Naive` (one column at a time,
+//! one strided walk per lifting step) and `LiftingMode::PerStep` (one sweep
+//! per lifting step down a strip), both run by the scalar walkers of the
+//! `vertical` module. Width padding is not a filtering algorithm but a
+//! layout: a plane allocated with `stride = width + pad`
+//! (`Plane::with_stride`), which every strategy accepts.
 //!
 //! Both the horizontal and vertical passes can be split across workers with
 //! a [`pj2k_parutil::Exec`] policy (static contiguous ranges, barrier per
@@ -31,6 +34,7 @@ pub mod lift;
 pub mod simd;
 pub mod subband;
 pub mod transform2d;
+#[cfg(feature = "oracle")]
 pub mod vertical;
 
 pub use simd::{SimdMode, SimdTier};

@@ -19,15 +19,18 @@
 //! * **columns** under `Strip` + [`LiftingMode::Fused`] run the fused SIMD
 //!   batches with the scalar fused kernel for the tail (all scalar under
 //!   `SimdMode::Scalar`). This is the production transform: the encoder
-//!   and the decoder both run it.
+//!   and the decoder both run it, and it is the only column pass of a
+//!   default build.
 //! * **columns** under `Strip` + `PerStep`, and under `Naive` with either
-//!   mode, run the scalar paper walkers in [`crate::vertical`], which the
-//!   figure binaries and the bit-identity tests measure.
+//!   mode, run the scalar paper walkers of the `vertical` module, which the
+//!   figure binaries and the bit-identity tests measure. Those values and
+//!   that module exist only under the `oracle` feature.
 
 use crate::fused;
 use crate::lift::{fwd_row_53, fwd_row_97, inv_row_53, inv_row_97};
 use crate::simd::{self, SimdMode};
 use crate::subband::Decomposition;
+#[cfg(feature = "oracle")]
 use crate::vertical;
 use pj2k_image::Plane;
 use pj2k_parutil::{DisjointWriter, Exec};
@@ -38,7 +41,8 @@ use std::time::{Duration, Instant};
 pub enum VerticalStrategy {
     /// One column at a time, one strided walk per lifting step — the
     /// original reference-implementation behaviour the paper diagnoses as
-    /// cache-hostile for power-of-two pitches.
+    /// cache-hostile for power-of-two pitches (`oracle` builds only).
+    #[cfg(feature = "oracle")]
     Naive,
     /// Filter `width` adjacent columns concurrently within one worker — the
     /// paper's improved vertical filtering.
@@ -63,7 +67,9 @@ impl VerticalStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiftingMode {
     /// One full sweep over the signal per lifting step (two for 5/3, five
-    /// for 9/7 including scaling) — the reference formulation.
+    /// for 9/7 including scaling) — the reference formulation (`oracle`
+    /// builds only).
+    #[cfg(feature = "oracle")]
     PerStep,
     /// All predict/update/scale steps applied in a single rolling sweep
     /// with a small coefficient-history window (the "single-loop" scheme).
@@ -123,13 +129,13 @@ macro_rules! define_2d {
     ($fwd_name:ident, $fwd_with:ident, $fwd_level:ident,
      $inv_name:ident, $inv_with:ident, $inv_level:ident, $ty:ty,
      $fwd_row:ident, $inv_row:ident,
-     $fwd_naive:ident, $inv_naive:ident, $fwd_strip:ident, $inv_strip:ident,
      $fwd_fused_strip:ident, $inv_fused_strip:ident,
      $fwd_row_simd:ident, $inv_row_simd:ident,
      $fwd_vert_simd:ident, $inv_vert_simd:ident) => {
         /// Forward multi-level analysis of `plane`, in place (Mallat layout),
         /// with the production kernels: fused lifting and automatic SIMD
-        /// dispatch (the paper's walkers under `VerticalStrategy::Naive`).
+        /// dispatch (the paper's naive walker under `VerticalStrategy::Naive`
+        /// in `oracle` builds).
         ///
         /// Returns the decomposition geometry and per-direction timings.
         pub fn $fwd_name(
@@ -233,11 +239,16 @@ macro_rules! define_2d {
                                     &mut scratch,
                                 )
                             }
-                            (VerticalStrategy::Strip { width }, LiftingMode::PerStep, _) => {
-                                vertical::$fwd_strip(&claim, stride, cols, hl, width, &mut scratch)
-                            }
-                            (VerticalStrategy::Naive, _, _) => {
-                                vertical::$fwd_naive(&claim, stride, cols, hl, &mut scratch)
+                            #[cfg(feature = "oracle")]
+                            (VerticalStrategy::Naive, ..) | (_, LiftingMode::PerStep, _) => {
+                                <$ty as vertical::Walkers>::fwd(
+                                    strategy,
+                                    &claim,
+                                    stride,
+                                    cols,
+                                    hl,
+                                    &mut scratch,
+                                )
                             }
                         }
                     }
@@ -327,11 +338,16 @@ macro_rules! define_2d {
                                     &mut scratch,
                                 )
                             }
-                            (VerticalStrategy::Strip { width }, LiftingMode::PerStep, _) => {
-                                vertical::$inv_strip(&claim, stride, cols, hl, width, &mut scratch)
-                            }
-                            (VerticalStrategy::Naive, _, _) => {
-                                vertical::$inv_naive(&claim, stride, cols, hl, &mut scratch)
+                            #[cfg(feature = "oracle")]
+                            (VerticalStrategy::Naive, ..) | (_, LiftingMode::PerStep, _) => {
+                                <$ty as vertical::Walkers>::inv(
+                                    strategy,
+                                    &claim,
+                                    stride,
+                                    cols,
+                                    hl,
+                                    &mut scratch,
+                                )
                             }
                         }
                     }
@@ -375,10 +391,6 @@ define_2d!(
     i32,
     fwd_row_53,
     inv_row_53,
-    fwd_naive_53_cols,
-    inv_naive_53_cols,
-    fwd_strip_53_cols,
-    inv_strip_53_cols,
     fwd_fused_strip_53_cols,
     inv_fused_strip_53_cols,
     fwd_row_53_simd,
@@ -397,10 +409,6 @@ define_2d!(
     f32,
     fwd_row_97,
     inv_row_97,
-    fwd_naive_97_cols,
-    inv_naive_97_cols,
-    fwd_strip_97_cols,
-    inv_strip_97_cols,
     fwd_fused_strip_97_cols,
     inv_fused_strip_97_cols,
     fwd_row_97_simd,
@@ -992,7 +1000,7 @@ mod tests {
     #[cfg_attr(miri, ignore)] // large planes: too slow under the interpreter
     fn stats_record_time() {
         let mut p = test_plane_f32(128, 128);
-        let (_, stats) = forward_97(&mut p, 5, VerticalStrategy::Naive, &Exec::SEQ);
+        let (_, stats) = forward_97(&mut p, 5, VerticalStrategy::DEFAULT_STRIP, &Exec::SEQ);
         assert!(stats.total() > Duration::ZERO);
         assert!(stats.vertical > Duration::ZERO);
         assert!(stats.horizontal > Duration::ZERO);

@@ -17,9 +17,15 @@
 //! [`pj2k_parutil::DisjointClaim`] — the checked disjoint-access layer —
 //! so that parallel drivers can hand disjoint column ranges to different
 //! workers and have the disjointness enforced in debug builds.
+//!
+//! The module is compiled only under the `oracle` feature: production runs
+//! the fused kernels of [`crate::fused`] and [`crate::simd`], which the
+//! tests hold bit-identical to these walkers, and the figure binaries
+//! time the walkers as the paper's baselines.
 
 #![deny(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 
+use crate::transform2d::VerticalStrategy;
 use crate::{ALPHA, BETA, DELTA, GAMMA, KAPPA};
 use pj2k_parutil::DisjointClaim;
 use std::ops::Range;
@@ -634,6 +640,104 @@ pub unsafe fn inv_strip_97_cols(
         }
     }
 }
+
+// --------------------------------------------------------------------------
+// Dispatch from the 2-D drivers
+// --------------------------------------------------------------------------
+
+/// The walkers of one sample type — 5/3 on `i32`, 9/7 on `f32` — as the
+/// level functions of `transform2d` call them: the naive walker under
+/// [`VerticalStrategy::Naive`], the per-step strip walker under
+/// [`VerticalStrategy::Strip`].
+pub(crate) trait Walkers: Sized {
+    /// Forward vertical analysis over columns `cols`.
+    ///
+    /// # Safety
+    /// Same contract as [`fwd_naive_53_cols`].
+    unsafe fn fwd(
+        strategy: VerticalStrategy,
+        ptr: &DisjointClaim<Self>,
+        stride: usize,
+        cols: Range<usize>,
+        h: usize,
+        scratch: &mut Vec<Self>,
+    );
+
+    /// Inverse vertical synthesis over columns `cols`.
+    ///
+    /// # Safety
+    /// Same contract as [`fwd_naive_53_cols`].
+    unsafe fn inv(
+        strategy: VerticalStrategy,
+        ptr: &DisjointClaim<Self>,
+        stride: usize,
+        cols: Range<usize>,
+        h: usize,
+        scratch: &mut Vec<Self>,
+    );
+}
+
+macro_rules! walkers {
+    ($ty:ty, $fwd_naive:ident, $inv_naive:ident, $fwd_strip:ident, $inv_strip:ident) => {
+        impl Walkers for $ty {
+            // SAFETY: the contract of [`Walkers::fwd`], the walkers' own.
+            unsafe fn fwd(
+                strategy: VerticalStrategy,
+                ptr: &DisjointClaim<$ty>,
+                stride: usize,
+                cols: Range<usize>,
+                h: usize,
+                scratch: &mut Vec<$ty>,
+            ) {
+                // SAFETY: the caller upholds the walkers' shared contract.
+                unsafe {
+                    match strategy {
+                        VerticalStrategy::Naive => $fwd_naive(ptr, stride, cols, h, scratch),
+                        VerticalStrategy::Strip { width } => {
+                            $fwd_strip(ptr, stride, cols, h, width, scratch)
+                        }
+                    }
+                }
+            }
+
+            // SAFETY: the contract of [`Walkers::inv`], the walkers' own.
+            unsafe fn inv(
+                strategy: VerticalStrategy,
+                ptr: &DisjointClaim<$ty>,
+                stride: usize,
+                cols: Range<usize>,
+                h: usize,
+                scratch: &mut Vec<$ty>,
+            ) {
+                // SAFETY: the caller upholds the walkers' shared contract.
+                unsafe {
+                    match strategy {
+                        VerticalStrategy::Naive => $inv_naive(ptr, stride, cols, h, scratch),
+                        VerticalStrategy::Strip { width } => {
+                            $inv_strip(ptr, stride, cols, h, width, scratch)
+                        }
+                    }
+                }
+            }
+        }
+    };
+}
+
+walkers!(
+    i32,
+    fwd_naive_53_cols,
+    inv_naive_53_cols,
+    fwd_strip_53_cols,
+    inv_strip_53_cols
+);
+walkers!(
+    f32,
+    fwd_naive_97_cols,
+    inv_naive_97_cols,
+    fwd_strip_97_cols,
+    inv_strip_97_cols
+);
+
 #[cfg(test)]
 #[allow(clippy::arithmetic_side_effects, clippy::indexing_slicing)]
 mod tests {

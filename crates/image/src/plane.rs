@@ -64,15 +64,6 @@ impl<T: Copy + Default> Plane<T> {
         p
     }
 
-    /// Copy this plane into a new one with row stride `stride`.
-    pub fn restride(&self, stride: usize) -> Self {
-        let mut out = Self::with_stride(self.width, self.height, stride);
-        for y in 0..self.height {
-            out.row_mut(y).copy_from_slice(&self.row(y)[..self.width]);
-        }
-        out
-    }
-
     /// Extract the rectangle `[x0, x0+w) x [y0, y0+h)` as a dense plane.
     ///
     /// # Panics
@@ -287,18 +278,6 @@ mod tests {
         let p = Plane::from_fn(3, 2, |x, y| (10 * y + x) as i32);
         assert_eq!(p.row(0), &[0, 1, 2]);
         assert_eq!(p.row(1), &[10, 11, 12]);
-    }
-
-    #[test]
-    fn restride_preserves_samples() {
-        let p = Plane::from_fn(4, 4, |x, y| (y * 4 + x) as i32);
-        let q = p.restride(7);
-        assert_eq!(q.stride(), 7);
-        for y in 0..4 {
-            assert_eq!(p.row(y), q.row(y));
-        }
-        let back = q.restride(4);
-        assert_eq!(back, p);
     }
 
     #[test]

@@ -209,7 +209,9 @@ fn mark_test_items(lines: &mut [Line]) {
 /// through the item's end. `gate(idx)` finds the attribute on line `idx`
 /// and returns the byte column of its `code` just past it; the item starts
 /// there or on the next line that is not blank or another attribute. A
-/// gate inside a gated item is part of that item's span.
+/// gate inside a gated item is part of that item's span. An element that
+/// does not open an item — an enum variant, a field, a match arm — may
+/// instead end at the first line that closes it with a comma.
 pub fn gated_items(lines: &[Line], gate: impl Fn(usize) -> Option<usize>) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut idx = 0;
@@ -228,11 +230,48 @@ pub fn gated_items(lines: &[Line], gate: impl Fn(usize) -> Option<usize>) -> Vec
         } else {
             (idx, after)
         };
-        let (end, _) = item_end(lines, start, col);
+        let (mut end, _) = item_end(lines, start, col);
+        if !opens_item(&lines[start].code[col..]) {
+            end = list_element_end(&lines[start..=end], col).map_or(end, |j| start + j);
+        }
         spans.push((idx, end));
         idx = end + 1;
     }
     spans
+}
+
+/// Whether `code` starts an item that can carry a `where` clause (a fn,
+/// possibly qualified, or a type or impl): its commas sit at depth 0, so
+/// it ends at its `;` or closing brace, never at a comma.
+fn opens_item(code: &str) -> bool {
+    const HEADS: [&str; 11] = [
+        "fn", "impl", "trait", "struct", "enum", "union", "type", "const", "unsafe", "async",
+        "extern",
+    ];
+    HEADS.contains(&ident_at(strip_visibility(code.trim_start())))
+}
+
+/// The index in `lines` of the line that ends a list element starting at
+/// byte `col` of the first line: the first line ending in a comma outside
+/// every bracket and brace the element opened.
+fn list_element_end(lines: &[Line], col: usize) -> Option<usize> {
+    let (mut nest, mut braces) = (0i64, 0i64);
+    for (j, line) in lines.iter().enumerate() {
+        let from = if j == 0 { col.min(line.code.len()) } else { 0 };
+        for c in line.code[from..].chars() {
+            match c {
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest -= 1,
+                '{' => braces += 1,
+                '}' => braces -= 1,
+                _ => {}
+            }
+        }
+        if nest == 0 && braces == 0 && line.code.trim_end().ends_with(',') {
+            return Some(j);
+        }
+    }
+    None
 }
 
 /// The brace matcher. From `(line, byte column)`, find where the item or
@@ -575,14 +614,21 @@ pub fn load(root: &Path) -> std::io::Result<Vec<Source>> {
 /// The (workspace-relative path, text) of every `.rs` file [`load`]
 /// classifies, in path order.
 pub fn files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
-    fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    files_in(root, &["crates", "tests", "examples"], "xtask")
+}
+
+/// The (workspace-relative path, text) of every `.rs` file under the
+/// directories `dirs` of `root`, in path order, leaving out `target`,
+/// hidden directories and every directory named `skip`.
+pub fn files_in(root: &Path, dirs: &[&str], skip: &str) -> std::io::Result<Vec<(PathBuf, String)>> {
+    fn walk(dir: &Path, skip: &str, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
             let name = name.unwrap_or_default();
             if path.is_dir() {
-                if name != "target" && name != "xtask" && !name.starts_with('.') {
-                    walk(&path, out)?;
+                if name != "target" && name != skip && !name.starts_with('.') {
+                    walk(&path, skip, out)?;
                 }
             } else if name.ends_with(".rs") {
                 out.push(path);
@@ -591,9 +637,9 @@ pub fn files(root: &Path) -> std::io::Result<Vec<(PathBuf, String)>> {
         Ok(())
     }
     let mut files = Vec::new();
-    for dir in ["crates", "tests", "examples"] {
+    for dir in dirs {
         if root.join(dir).is_dir() {
-            walk(&root.join(dir), &mut files)?;
+            walk(&root.join(dir), skip, &mut files)?;
         }
     }
     files.sort();
@@ -789,6 +835,28 @@ mod tests {
         assert_eq!(test_lines(src), [true, true, false, false, false]);
         let src = "#[cfg(test)] use std::fmt;\n#[cfg(test)]\n#[allow(dead_code)]\nconst N: [u8; 2] = [0; 2];\nfn real() {}\n";
         assert_eq!(test_lines(src), [true, true, true, true, false]);
+    }
+
+    #[test]
+    fn gated_list_elements_end_at_their_comma() {
+        // A gated enum variant, match arm or struct-literal field ends at
+        // its own comma; a gated fn with a `where` clause still runs to its
+        // closing brace.
+        let spans = |src: &str| {
+            let lines = classify(src);
+            gated_items(&lines, |i| {
+                let attr = lines[i].code.find("#[cfg(x)]")?;
+                Some(attr + "#[cfg(x)]".len())
+            })
+        };
+        let src = "enum E {\n    #[cfg(x)]\n    A,\n    B {\n        w: u8,\n    },\n}\n";
+        assert_eq!(spans(src), [(1, 2)]);
+        let src = "match v {\n    #[cfg(x)]\n    (A, _) => {\n        f(a,\n          b)\n    }\n    _ => g(),\n}\n";
+        assert_eq!(spans(src), [(1, 5)]);
+        let src = "S {\n    #[cfg(x)] r: f(\n        a,\n    ),\n    q: 1,\n}\n";
+        assert_eq!(spans(src), [(1, 3)]);
+        let src = "#[cfg(x)]\nfn f<T>()\nwhere\n    T: Copy,\n{\n}\nfn g() {}\n";
+        assert_eq!(spans(src), [(0, 5)]);
     }
 
     #[test]

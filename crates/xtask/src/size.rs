@@ -1,4 +1,4 @@
-//! `xtask size` — how much code the product is.
+//! `xtask size` — how much code the product is, and how much supports it.
 //!
 //! The product is the `pj2k` binary: `pj2k-serve` and every crate its
 //! `[dependencies]` reach (dev-dependencies are test edges and do not
@@ -9,7 +9,14 @@
 //! `#[cfg(feature = "oracle")]`. A gated `mod` takes its whole file with
 //! it. `lines` counts every remaining line; `code_lines` also leaves out
 //! blank and comment-only lines, so deleting comments does not read as
-//! less code.
+//! less code. `oracle_lines` counts the non-test lines the `oracle` gate
+//! takes out, gated files included, so moving code behind the gate reads
+//! as a move and not as a deletion.
+//!
+//! Every other crate under `crates/` is support code (the task runner, the
+//! benchmark harness, the simulators, the comparators, the test kit, the
+//! example and test umbrella) and gets a second table, counted the same
+//! way.
 //!
 //! The report is `BENCH_code.json`, committed like the other trajectories.
 //! `cargo xtask ci` recomputes it and fails when the committed file is
@@ -30,13 +37,14 @@ const PRODUCT: &str = "serve";
 /// The attribute that compiles an item only into oracle builds.
 const ORACLE_GATE: &str = "#[cfg(feature = \"oracle\")]";
 
-/// The size of one product crate.
+/// The size of one crate.
 #[derive(Debug, PartialEq)]
 struct CrateSize {
     name: String,
     files: usize,
     lines: usize,
     code_lines: usize,
+    oracle_lines: usize,
 }
 
 /// `cargo xtask size`: write the report at `root` and print it. Returns
@@ -73,31 +81,46 @@ pub fn check(root: &Path) -> Result<(), String> {
 /// The report of the workspace at `root`.
 fn report(root: &Path) -> std::io::Result<String> {
     let manifests = crate::std_only::manifests(root)?;
-    Ok(render(&measure(&scan::files(root)?, &manifests)))
+    let files = scan::files_in(root, &["crates"], "target")?;
+    let (product, support) = measure(&files, &manifests);
+    Ok(render(&product, &support))
 }
 
-/// The size of every product crate, by name, over the workspace `files`
-/// and `manifests` (both workspace-relative paths with their text).
-fn measure(files: &[(PathBuf, String)], manifests: &[(PathBuf, String)]) -> Vec<CrateSize> {
-    let mut out: Vec<CrateSize> = reachable_crates(&dep_map(manifests), PRODUCT)
-        .into_iter()
-        .map(|krate| {
-            let name = package_name(manifests, &krate).unwrap_or_else(|| krate.clone());
-            crate_size(files, &Path::new("crates").join(krate).join("src"), name)
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
+/// The size of every product crate and of every support crate, each
+/// sorted by name, over the workspace `files` and `manifests` (both
+/// workspace-relative paths with their text).
+fn measure(
+    files: &[(PathBuf, String)],
+    manifests: &[(PathBuf, String)],
+) -> (Vec<CrateSize>, Vec<CrateSize>) {
+    let deps = dep_map(manifests);
+    let product = reachable_crates(&deps, PRODUCT);
+    let size = |krate: &String| {
+        let name = package_name(manifests, krate).unwrap_or_else(|| krate.clone());
+        crate_size(files, &Path::new("crates").join(krate).join("src"), name)
+    };
+    let table = |in_product: bool| {
+        let mut rows: Vec<CrateSize> = deps
+            .keys()
+            .filter(|k| product.contains(*k) == in_product)
+            .map(size)
+            .collect();
+        rows.sort_by(|a, b| a.name.cmp(&b.name));
+        rows
+    };
+    (table(true), table(false))
 }
 
 /// The size of the crate whose sources are under `src`: every file the
-/// crate roots reach through compiled `mod` declarations.
+/// crate roots reach through compiled `mod` declarations, and apart from
+/// them, in `oracle_lines`, what `oracle`-gated items and modules add.
 fn crate_size(files: &[(PathBuf, String)], src: &Path, name: String) -> CrateSize {
     let text_of = |path: &Path| files.iter().find(|(p, _)| p == path).map(|(_, t)| t);
     let bin = src.join("bin");
     // The library, the default binary and every `src/bin/*.rs` or
-    // `src/bin/*/main.rs` binary.
-    let mut queue: Vec<PathBuf> = files
+    // `src/bin/*/main.rs` binary, each paired with whether only oracle
+    // builds compile it (which a declaring `mod` line decides).
+    let mut queue: Vec<(PathBuf, bool)> = files
         .iter()
         .map(|(p, _)| p.clone())
         .filter(|p| {
@@ -106,15 +129,17 @@ fn crate_size(files: &[(PathBuf, String)], src: &Path, name: String) -> CrateSiz
                 || p.parent() == Some(&bin)
                 || (p.ends_with("main.rs") && p.parent().and_then(Path::parent) == Some(&bin))
         })
+        .map(|p| (p, false))
         .collect();
     let mut size = CrateSize {
         name,
         files: 0,
         lines: 0,
         code_lines: 0,
+        oracle_lines: 0,
     };
     let mut seen = BTreeSet::new();
-    while let Some(path) = queue.pop() {
+    while let Some((path, oracle_only)) = queue.pop() {
         let Some(text) = text_of(&path).filter(|_| seen.insert(path.clone())) else {
             continue;
         };
@@ -127,21 +152,28 @@ fn crate_size(files: &[(PathBuf, String)], src: &Path, name: String) -> CrateSiz
                 .filter(|_| raw[i].contains(ORACLE_GATE))?;
             Some(attr + code[attr..].find(']')? + 1)
         };
-        let mut compiled: Vec<bool> = lines.iter().map(|l| !l.in_test).collect();
+        let mut gated = vec![oracle_only; lines.len()];
         for (start, end) in gated_items(&lines, oracle) {
-            compiled[start..=end].fill(false);
+            gated[start..=end].fill(true);
         }
-        size.files += 1;
-        for (i, line) in lines.iter().enumerate().filter(|(i, _)| compiled[*i]) {
+        if !oracle_only {
+            size.files += 1;
+        }
+        for (i, line) in lines.iter().enumerate().filter(|(_, l)| !l.in_test) {
+            if let Some(module) = mod_declaration(&line.code) {
+                let file = module_file(&path, module, |p| text_of(p).is_some());
+                queue.push((file, gated[i]));
+            }
+            if gated[i] {
+                size.oracle_lines += 1;
+                continue;
+            }
             size.lines += 1;
             // A line inside a multi-line string literal has neither code
             // text nor a comment, but is code.
             let blank = raw[i].trim().is_empty();
             if !line.code.trim().is_empty() || (line.comment.is_empty() && !blank) {
                 size.code_lines += 1;
-            }
-            if let Some(module) = mod_declaration(&line.code) {
-                queue.push(module_file(&path, module, |p| text_of(p).is_some()));
             }
         }
     }
@@ -188,32 +220,42 @@ fn module_file(parent: &Path, name: &str, exists: impl Fn(&Path) -> bool) -> Pat
     }
 }
 
-/// The JSON report: one row per product crate, then the totals.
-fn render(sizes: &[CrateSize]) -> String {
-    let mut doc = String::from("{\n  \"schema\": \"pj2k.bench_code.v1\",\n");
-    doc.push_str(&format!(
-        "  \"product\": \"pj2k-{PRODUCT}\",\n  \"crates\": [\n"
-    ));
-    let row = |name: &str, files: usize, lines: usize, code: usize| {
+/// The JSON report: one row per product crate and their total, then one
+/// row per support crate and theirs.
+fn render(product: &[CrateSize], support: &[CrateSize]) -> String {
+    let mut doc = String::from("{\n  \"schema\": \"pj2k.bench_code.v2\",\n");
+    doc.push_str(&format!("  \"product\": \"pj2k-{PRODUCT}\",\n"));
+    table(&mut doc, "crates", "total", product);
+    doc.push_str(",\n");
+    table(&mut doc, "support", "support_total", support);
+    doc.push_str("\n}\n");
+    doc
+}
+
+/// Append the rows of `sizes` as the array `key`, then their sum as the
+/// object `total_key`.
+fn table(doc: &mut String, key: &str, total_key: &str, sizes: &[CrateSize]) {
+    let row = |c: &CrateSize| {
         format!(
-            "{{ \"crate\": \"{name}\", \"files\": {files}, \"lines\": {lines}, \
-             \"code_lines\": {code} }}"
+            "{{ \"crate\": \"{}\", \"files\": {}, \"lines\": {}, \"code_lines\": {}, \
+             \"oracle_lines\": {} }}",
+            c.name, c.files, c.lines, c.code_lines, c.oracle_lines
         )
     };
+    doc.push_str(&format!("  \"{key}\": [\n"));
     for (i, c) in sizes.iter().enumerate() {
         let sep = if i + 1 < sizes.len() { "," } else { "" };
-        let r = row(&c.name, c.files, c.lines, c.code_lines);
-        doc.push_str(&format!("    {r}{sep}\n"));
+        doc.push_str(&format!("    {}{sep}\n", row(c)));
     }
     let sum = |f: fn(&CrateSize) -> usize| sizes.iter().map(f).sum::<usize>();
-    let total = row(
-        "total",
-        sum(|c| c.files),
-        sum(|c| c.lines),
-        sum(|c| c.code_lines),
-    );
-    doc.push_str(&format!("  ],\n  \"total\": {total}\n}}\n"));
-    doc
+    let total = CrateSize {
+        name: "total".to_string(),
+        files: sum(|c| c.files),
+        lines: sum(|c| c.lines),
+        code_lines: sum(|c| c.code_lines),
+        oracle_lines: sum(|c| c.oracle_lines),
+    };
+    doc.push_str(&format!("  ],\n  \"{total_key}\": {}", row(&total)));
 }
 
 #[cfg(test)]
@@ -271,27 +313,88 @@ mod tests {
                 "pub fn only_tests_reach_me() {}\n",
             ),
         ]);
-        let sizes = measure(&files, &manifests);
-        let want = |name: &str, files, lines, code_lines| CrateSize {
+        let (product, support) = measure(&files, &manifests);
+        let want = |name: &str, files, lines, code_lines, oracle_lines| CrateSize {
             name: name.to_string(),
             files,
             lines,
             code_lines,
+            oracle_lines,
         };
         // serve: lib.rs keeps the doc line, `pub mod batch;`, the blank
         // line and the five lines of `f` (the string's inner line is code);
-        // batch.rs and cli.rs add one each. The oracle module, the oracle
-        // fn, the test module and the undeclared file do not count, nor
-        // does testkit, reached only through a dev-dependency.
+        // batch.rs and cli.rs add one each. The oracle module (2 lines of
+        // declaration, 2 of file) and the oracle fn (4) count as oracle
+        // lines; the test module and the undeclared file count nowhere.
+        // testkit, reached only through a dev-dependency, is support.
         assert_eq!(
-            sizes,
-            [want("pj2k-core", 3, 5, 3), want("pj2k-serve", 3, 10, 8)]
+            product,
+            [
+                want("pj2k-core", 3, 5, 3, 0),
+                want("pj2k-serve", 3, 10, 8, 8)
+            ]
         );
-        let doc = render(&sizes);
+        assert_eq!(support, [want("pj2k-testkit", 1, 1, 1, 0)]);
+        let doc = render(&product, &support);
         assert!(doc.contains(
-            "\"total\": { \"crate\": \"total\", \"files\": 6, \"lines\": 15, \"code_lines\": 11 }"
+            "\"total\": { \"crate\": \"total\", \"files\": 6, \"lines\": 15, \
+             \"code_lines\": 11, \"oracle_lines\": 8 }"
         ));
-        assert!(!doc.contains("testkit"));
+        assert!(doc.contains(
+            "\"support_total\": { \"crate\": \"total\", \"files\": 1, \"lines\": 1, \
+             \"code_lines\": 1, \"oracle_lines\": 0 }"
+        ));
+    }
+
+    #[test]
+    fn oracle_lines_follow_the_gate() {
+        // The gate on an enum variant and on a match arm takes exactly
+        // that element; a gated module takes its file and the modules it
+        // declares, less their tests.
+        let manifests = fixture(&[(
+            "crates/serve/Cargo.toml",
+            "[package]\nname = \"pj2k-serve\"\n",
+        )]);
+        let files = fixture(&[
+            (
+                "crates/serve/src/lib.rs",
+                "#[cfg(feature = \"oracle\")]\n\
+                 mod walk;\n\
+                 pub enum Mode {\n\
+                 \x20   /// The baseline.\n\
+                 \x20   #[cfg(feature = \"oracle\")]\n\
+                 \x20   Naive,\n\
+                 \x20   Strip { width: usize },\n\
+                 }\n\
+                 pub fn run(m: Mode) -> usize {\n\
+                 \x20   match m {\n\
+                 \x20       Mode::Strip { width } => width,\n\
+                 \x20       #[cfg(feature = \"oracle\")]\n\
+                 \x20       Mode::Naive => {\n\
+                 \x20           walk::naive()\n\
+                 \x20       }\n\
+                 \x20   }\n\
+                 }\n",
+            ),
+            (
+                "crates/serve/src/walk.rs",
+                "mod inner;\npub fn naive() -> usize {\n    inner::one()\n}\n\
+                 #[cfg(test)]\nmod tests {}\n",
+            ),
+            (
+                "crates/serve/src/walk/inner.rs",
+                "pub fn one() -> usize {\n    1\n}\n",
+            ),
+        ]);
+        let (product, support) = measure(&files, &manifests);
+        // lib.rs: 17 lines, of which the module gate (2), the variant (2)
+        // and the arm (4) are oracle-only; walk.rs adds 4 non-test lines
+        // and inner.rs 3.
+        assert_eq!(product.len(), 1);
+        assert!(support.is_empty());
+        let serve = &product[0];
+        assert_eq!((serve.files, serve.lines, serve.code_lines), (1, 9, 8));
+        assert_eq!(serve.oracle_lines, 8 + 4 + 3);
     }
 
     #[test]

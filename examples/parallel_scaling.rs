@@ -2,7 +2,7 @@
 //!
 //! Encodes the same image under every combination of parallel mode
 //! (sequential / scoped worker threads) and vertical-filtering strategy
-//! (naive / padded width / strip), printing wall-clock, the
+//! (the paper's naive baseline / strip), printing wall-clock, the
 //! vertical-vs-horizontal DWT split, and the speedup over the
 //! sequential-naive baseline. On a multi-core host this reproduces the
 //! paper's Figs. 7–9 live; on one core the scheduling model in
@@ -37,7 +37,6 @@ fn main() {
     ];
     let filters = [
         ("naive", FilterStrategy::Naive),
-        ("padded", FilterStrategy::PaddedWidth),
         ("strip", FilterStrategy::Strip),
     ];
 

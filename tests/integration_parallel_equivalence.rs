@@ -14,11 +14,7 @@ fn all_modes(workers: usize) -> Vec<ParallelMode> {
     ]
 }
 
-const FILTERS: [FilterStrategy; 3] = [
-    FilterStrategy::Naive,
-    FilterStrategy::PaddedWidth,
-    FilterStrategy::Strip,
-];
+const FILTERS: [FilterStrategy; 2] = [FilterStrategy::Naive, FilterStrategy::Strip];
 
 #[test]
 fn encoder_is_bit_identical_across_all_configurations_97() {
