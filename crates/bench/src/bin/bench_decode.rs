@@ -34,9 +34,10 @@
 //! ```
 
 use pj2k_bench::alloc_count::{self, CountingAlloc};
-use pj2k_bench::{paper_config, test_image, time};
+use pj2k_bench::report::Json;
+use pj2k_bench::{harness_args, obj, paper_config, parallel, test_image, time};
 use pj2k_core::report::stage;
-use pj2k_core::{Decoder, Encoder, EncoderConfig, ParallelMode};
+use pj2k_core::{Decoder, Encoder, EncoderConfig};
 use pj2k_ebcot::oracle::OracleDecoderScratch;
 use pj2k_ebcot::{
     BandCtx, BlockCoder, BlockDecoderScratch, DecodeError, EncodedBlock, Tier1Options,
@@ -66,11 +67,7 @@ fn skewed_image(side: usize) -> Image {
 
 fn decoder(p: usize) -> Decoder {
     Decoder {
-        parallel: if p == 1 {
-            ParallelMode::Sequential
-        } else {
-            ParallelMode::WorkerPool { workers: p }
-        },
+        parallel: parallel(p),
         ..Decoder::default()
     }
 }
@@ -79,61 +76,6 @@ struct Workload {
     name: &'static str,
     bytes: Vec<u8>,
     pixels: f64,
-}
-
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Keys the emitted document must contain; checked after writing so a
-/// refactor cannot silently change the schema consumers parse.
-const REQUIRED_KEYS: &[&str] = &[
-    "\"schema\"",
-    "\"smoke\"",
-    "\"host_cores\"",
-    "\"bit_identity\"",
-    "\"steady_state\"",
-    "\"steady_allocs_per_block\"",
-    "\"tier1_decode\"",
-    "\"equality\"",
-    "\"oracle\"",
-    "\"packed\"",
-    "\"blocks_per_sec\"",
-    "\"ns_per_block\"",
-    "\"warm_allocs_per_block\"",
-    "\"packed_speedup\"",
-    "\"workloads\"",
-    "\"pyramid\"",
-    "\"skewed\"",
-    "\"parse_secs\"",
-    "\"tier1_secs\"",
-    "\"dwt_secs\"",
-    "\"measured\"",
-    "\"secs\"",
-    "\"mpix_per_sec\"",
-    "\"speedup\"",
-    "\"oversubscribed\"",
-];
-
-fn validate(doc: &str) -> Result<(), String> {
-    for key in REQUIRED_KEYS {
-        if !doc.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    let opens = doc.matches('{').count();
-    let closes = doc.matches('}').count();
-    if opens == 0 || opens != closes {
-        return Err(format!("unbalanced braces: {opens} vs {closes}"));
-    }
-    if doc.matches('[').count() != doc.matches(']').count() {
-        return Err("unbalanced brackets".to_string());
-    }
-    Ok(())
 }
 
 const BANDS: [BandCtx; 3] = [BandCtx::LlLh, BandCtx::Hl, BandCtx::Hh];
@@ -218,14 +160,8 @@ fn run_engine(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_decode.json".to_string());
+    let (smoke, out_path) = harness_args();
+    let out_path = out_path.unwrap_or_else(|| "BENCH_decode.json".to_string());
     let (kpx, trials, oracle_blocks, engine_reps) = if smoke {
         (64, 1, 10, 8)
     } else {
@@ -310,108 +246,85 @@ fn main() {
     let mut sections = Vec::new();
     for w in &workloads {
         let (_, report) = decoder(1).decode(&w.bytes).expect("valid stream");
-        let parse_total = report.stages.get(stage::TIER2).as_secs_f64();
-        let tier1_total = report.stages.get(stage::TIER1).as_secs_f64();
-        let dwt_total = report.stages.get(stage::INTRA_COMPONENT).as_secs_f64();
+        let [parse, tier1, dwt] = [stage::TIER2, stage::TIER1, stage::INTRA_COMPONENT]
+            .map(|name| report.stages.get(name).as_secs_f64());
         let n = report.num_blocks;
         println!(
-            "{}: {} blocks — parse {:.1} ms, tier-1 {:.1} ms, dwt {:.1} ms",
+            "{}: {n} blocks — parse {:.1} ms, tier-1 {:.1} ms, dwt {:.1} ms",
             w.name,
-            n,
-            parse_total * 1e3,
-            tier1_total * 1e3,
-            dwt_total * 1e3
+            parse * 1e3,
+            tier1 * 1e3,
+            dwt * 1e3
         );
-        let mut measured = Vec::new();
-        for &p in &cpus {
-            let mut best = f64::INFINITY;
-            for _ in 0..trials {
-                let (_, t) = time(|| decoder(p).decode(&w.bytes).expect("valid stream"));
-                best = best.min(t);
-            }
-            measured.push((p, best));
-        }
+        let best = |p: usize| {
+            let decode = || time(|| decoder(p).decode(&w.bytes).expect("valid stream")).1;
+            (0..trials).map(|_| decode()).fold(f64::INFINITY, f64::min)
+        };
+        let measured: Vec<(usize, f64)> = cpus.iter().map(|&p| (p, best(p))).collect();
         let p1 = measured[0].1;
+        let mut rows = Vec::new();
         for &(p, secs) in &measured {
+            let (mpix_per_sec, oversubscribed) = (w.pixels / 1e6 / secs, p > host_cores);
+            let flag = if oversubscribed {
+                " oversubscribed"
+            } else {
+                ""
+            };
+            let speedup = p1 / secs;
             println!(
-                "  p={p}: {:.1} ms, {:.1} Mpix/s (x{:.3}){}",
-                secs * 1e3,
-                w.pixels / 1e6 / secs,
-                p1 / secs,
-                if p > host_cores {
-                    " oversubscribed"
-                } else {
-                    ""
-                }
+                "  p={p}: {:.1} ms, {mpix_per_sec:.1} Mpix/s (x{speedup:.3}){flag}",
+                secs * 1e3
             );
+            rows.push(obj! {
+                "p" => p,
+                "secs" => secs,
+                "mpix_per_sec" => mpix_per_sec,
+                "speedup" => speedup,
+                "oversubscribed" => oversubscribed,
+            });
         }
-        sections.push((w, parse_total, tier1_total, dwt_total, n, measured));
+        let section = obj! {
+            "blocks" => n,
+            "parse_secs" => parse,
+            "tier1_secs" => tier1,
+            "dwt_secs" => dwt,
+            "measured" => rows,
+        };
+        sections.push((w.name.to_string(), section));
     }
 
-    // --- hand-rolled JSON -------------------------------------------------
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_decode.v3\",\n");
-    doc.push_str(&format!("  \"smoke\": {smoke},\n"));
-    doc.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    doc.push_str(&format!("  \"kpixels\": {kpx},\n"));
-    doc.push_str("  \"bit_identity\": \"ok\",\n");
-    doc.push_str(&format!(
-        "  \"steady_state\": {{ \"blocks\": {oracle_n}, \"allocs\": {steady_allocs}, \
-         \"steady_allocs_per_block\": {} }},\n",
-        jf(steady_per_block)
-    ));
-    doc.push_str(&format!(
-        "  \"tier1_decode\": {{\n    \"blocks\": {}, \"reps\": {engine_reps}, \"equality\": \"ok\",\n",
-        probe.len()
-    ));
-    for (name, row) in [("oracle", &oracle), ("packed", &packed)] {
-        doc.push_str(&format!(
-            "    \"{name}\": {{ \"secs\": {}, \"blocks_per_sec\": {}, \"ns_per_block\": {}, \
-             \"warm_allocs_per_block\": {} }},\n",
-            jf(row.secs),
-            jf(row.decoded as f64 / row.secs),
-            jf(row.secs * 1e9 / row.decoded as f64),
-            jf(row.allocs as f64 / row.decoded as f64)
-        ));
-    }
-    doc.push_str(&format!(
-        "    \"packed_speedup\": {}\n  }},\n",
-        jf(packed_speedup)
-    ));
-    doc.push_str("  \"workloads\": {\n");
-    for (wi, (w, parse, tier1, dwt, n, measured)) in sections.iter().enumerate() {
-        doc.push_str(&format!("    \"{}\": {{\n", w.name));
-        doc.push_str(&format!("      \"blocks\": {n},\n"));
-        doc.push_str(&format!("      \"parse_secs\": {},\n", jf(*parse)));
-        doc.push_str(&format!("      \"tier1_secs\": {},\n", jf(*tier1)));
-        doc.push_str(&format!("      \"dwt_secs\": {},\n", jf(*dwt)));
-        doc.push_str("      \"measured\": [\n");
-        let p1 = measured[0].1;
-        for (i, &(p, secs)) in measured.iter().enumerate() {
-            doc.push_str(&format!(
-                "        {{ \"p\": {p}, \"secs\": {}, \"mpix_per_sec\": {}, \"speedup\": {}, \
-                 \"oversubscribed\": {} }}{}\n",
-                jf(secs),
-                jf(w.pixels / 1e6 / secs),
-                jf(p1 / secs),
-                p > host_cores,
-                if i + 1 < measured.len() { "," } else { "" }
-            ));
+    // --- JSON ---------------------------------------------------------------
+    let engine = |row: &EngineRow| {
+        let n = row.decoded as f64;
+        obj! {
+            "secs" => row.secs,
+            "blocks_per_sec" => n / row.secs,
+            "ns_per_block" => row.secs * 1e9 / n,
+            "warm_allocs_per_block" => row.allocs as f64 / n,
         }
-        doc.push_str("      ]\n");
-        doc.push_str(&format!(
-            "    }}{}\n",
-            if wi + 1 < sections.len() { "," } else { "" }
-        ));
+    };
+    let doc = obj! {
+        "schema" => "pj2k.bench_decode.v3",
+        "smoke" => smoke,
+        "host_cores" => host_cores,
+        "kpixels" => kpx,
+        "bit_identity" => "ok",
+        "steady_state" => obj! {
+            "blocks" => oracle_n,
+            "allocs" => steady_allocs,
+            "steady_allocs_per_block" => steady_per_block,
+        },
+        "tier1_decode" => obj! {
+            "blocks" => probe.len(),
+            "reps" => engine_reps,
+            "equality" => "ok",
+            "oracle" => engine(&oracle),
+            "packed" => engine(&packed),
+            "packed_speedup" => packed_speedup,
+        },
+        "workloads" => Json::Obj(sections),
     }
-    doc.push_str("  }\n}\n");
-
+    .pretty();
     std::fs::write(&out_path, &doc).expect("write benchmark JSON");
-    let written = std::fs::read_to_string(&out_path).expect("re-read benchmark JSON");
-    if let Err(e) = validate(&written) {
-        eprintln!("BENCH_decode schema validation failed: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path} ({} bytes, schema OK)", written.len());
+    println!("wrote {out_path} ({} bytes)", doc.len());
 }

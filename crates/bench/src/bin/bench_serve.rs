@@ -27,7 +27,7 @@
 //! ```
 
 use pj2k_bench::alloc_count::{self, CountingAlloc};
-use pj2k_bench::{paper_config, time};
+use pj2k_bench::{harness_args, obj, paper_config, parallel, time};
 use pj2k_core::report::stage;
 use pj2k_core::{Encoder, EncoderConfig, ParallelMode};
 use pj2k_image::Image;
@@ -47,10 +47,17 @@ struct SizeClass {
     cost: ImageCost,
 }
 
+/// The median of a non-empty sample.
+fn median(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut samples: Vec<f64> = samples.collect();
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples[samples.len() / 2]
+}
+
 /// Measure a sequential encode of a `side × side` image, repeated `reps`
-/// times (sub-millisecond stage timings are noisy; the rep with the
-/// smallest total carries the least scheduler interference), and split it
-/// into the model's serial / parallel / granule components. The
+/// times (sub-millisecond stage timings are noisy, so each component is
+/// its median over the reps), and split it into the model's serial /
+/// parallel / granule components. The
 /// parallelizable share is the paper's low-effort stage set (DWT +
 /// quantization + Tier-1); the granule is calibrated at the headline
 /// budget `k = 4` as the parallel-phase floor the whole-pool encoder
@@ -58,12 +65,6 @@ struct SizeClass {
 /// staggered-round-robin stride (the same projection `project_encode`
 /// uses) plus the DWT/quantization split. For `k > 4` the floor is
 /// conservative (the stride can only balance better with more workers).
-fn median(samples: impl Iterator<Item = f64>) -> f64 {
-    let mut samples: Vec<f64> = samples.collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
 fn profile_size(cfg: &EncoderConfig, side: usize, seed: u64, reps: usize) -> SizeClass {
     let img = synth::natural_gray(side, side, seed);
     let enc = Encoder::new(EncoderConfig {
@@ -106,80 +107,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-struct MeasuredRow {
-    p: usize,
-    jobs: usize,
-    threads_per_job: usize,
-    batch_secs: f64,
-    p50: f64,
-    p99: f64,
-    serial_secs: f64,
-}
-
-struct ModeledRow {
-    p: usize,
-    jobs: usize,
-    threads_per_job: usize,
-    batch_speedup: f64,
-}
-
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "0".to_string()
-    }
-}
-
-/// Keys the emitted document must contain; checked after writing so a
-/// refactor cannot silently change the schema consumers parse.
-const REQUIRED_KEYS: &[&str] = &[
-    "\"schema\"",
-    "\"smoke\"",
-    "\"bit_identity\"",
-    "\"workload\"",
-    "\"images\"",
-    "\"classes\"",
-    "\"serial_secs\"",
-    "\"parallel_secs\"",
-    "\"granule_secs\"",
-    "\"measured\"",
-    "\"batch_secs\"",
-    "\"images_per_sec\"",
-    "\"p50_latency_secs\"",
-    "\"p99_latency_secs\"",
-    "\"serial_pool_secs\"",
-    "\"serial_images_per_sec\"",
-    "\"batch_over_serial\"",
-    "\"modeled\"",
-    "\"batch_speedup\"",
-    "\"memory\"",
-    "\"per_job_bytes\"",
-    "\"peak_1x_bytes\"",
-    "\"peak_2x_bytes\"",
-    "\"flatness_ratio\"",
-    "\"ceiling_bytes\"",
-    "\"measured_p4_batch_over_serial\"",
-    "\"mixed_p4_batch_speedup\"",
-];
-
-fn validate(doc: &str) -> Result<(), String> {
-    for key in REQUIRED_KEYS {
-        if !doc.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    let opens = doc.matches('{').count();
-    let closes = doc.matches('}').count();
-    if opens == 0 || opens != closes {
-        return Err(format!("unbalanced braces: {opens} vs {closes}"));
-    }
-    if doc.matches('[').count() != doc.matches(']').count() {
-        return Err("unbalanced brackets".to_string());
-    }
-    Ok(())
-}
-
 /// Run the whole mixed workload as one batch under a total budget `p`,
 /// returning (wall seconds, sorted per-job latencies, executed plan).
 fn run_batch(cfg: &EncoderConfig, images: &[Image], p: usize) -> (f64, Vec<f64>, BatchPlan) {
@@ -213,11 +140,7 @@ fn run_batch(cfg: &EncoderConfig, images: &[Image], p: usize) -> (f64, Vec<f64>,
 /// as that image's intra-image pool.
 fn run_serial_pool(cfg: &EncoderConfig, images: &[Image], p: usize) -> f64 {
     let enc = Encoder::new(EncoderConfig {
-        parallel: if p <= 1 {
-            ParallelMode::Sequential
-        } else {
-            ParallelMode::WorkerPool { workers: p }
-        },
+        parallel: parallel(p),
         ..cfg.clone()
     })
     .expect("valid config");
@@ -251,14 +174,8 @@ fn oversub_peak(cfg: &EncoderConfig, plan: BatchPlan, side: usize, n: usize) -> 
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let (smoke, out_path) = harness_args();
+    let out_path = out_path.unwrap_or_else(|| "BENCH_serve.json".to_string());
     // Mixed-size workload: the thumbnail/tile sizes a batch service
     // actually sees (a 4x pixel-count spread). Small images are where the
     // j/k split matters — their Tier-1 stride schedule leaves the
@@ -350,31 +267,35 @@ fn main() {
 
     // --- measured + modeled sweeps ---------------------------------------
     let budgets = [1usize, 2, 4, 8];
-    let mut measured = Vec::new();
-    let mut modeled = Vec::new();
-    let mut mixed_p4 = 0.0f64;
+    let n_images = images.len() as f64;
+    let (mut measured, mut modeled) = (Vec::new(), Vec::new());
+    let (mut mixed_p4, mut measured_p4) = (0.0f64, 0.0f64);
     for &p in &budgets {
         let (batch_secs, lats, plan) = run_batch(&cfg, &images, p);
         let serial_secs = run_serial_pool(&cfg, &images, p);
-        measured.push(MeasuredRow {
-            p,
-            jobs: plan.jobs,
-            threads_per_job: plan.threads_per_job,
-            batch_secs,
-            p50: percentile(&lats, 0.50),
-            p99: percentile(&lats, 0.99),
-            serial_secs,
+        let (p50, p99) = (percentile(&lats, 0.50), percentile(&lats, 0.99));
+        measured.push(obj! {
+            "p" => p,
+            "jobs" => plan.jobs,
+            "threads_per_job" => plan.threads_per_job,
+            "batch_secs" => batch_secs,
+            "images_per_sec" => n_images / batch_secs,
+            "p50_latency_secs" => p50,
+            "p99_latency_secs" => p99,
+            "serial_pool_secs" => serial_secs,
+            "serial_images_per_sec" => n_images / serial_secs,
+            "batch_over_serial" => serial_secs / batch_secs,
         });
         let (mj, mk) = choose_split(&costs, p);
         let speedup = batch_speedup(&costs, p);
         if p == 4 {
-            mixed_p4 = speedup;
+            (mixed_p4, measured_p4) = (speedup, serial_secs / batch_secs);
         }
-        modeled.push(ModeledRow {
-            p,
-            jobs: mj,
-            threads_per_job: mk,
-            batch_speedup: speedup,
+        modeled.push(obj! {
+            "p" => p,
+            "jobs" => mj,
+            "threads_per_job" => mk,
+            "batch_speedup" => speedup,
         });
         println!(
             "  p={p}: measured batch {:.1} ms (j={} k={}, p50 {:.1} ms, p99 {:.1} ms), \
@@ -382,8 +303,8 @@ fn main() {
             batch_secs * 1e3,
             plan.jobs,
             plan.threads_per_job,
-            percentile(&lats, 0.50) * 1e3,
-            percentile(&lats, 0.99) * 1e3,
+            p50 * 1e3,
+            p99 * 1e3,
             serial_secs * 1e3,
             speedup
         );
@@ -402,11 +323,6 @@ fn main() {
         eprintln!("FAIL: modeled mixed p=4 batch speedup {mixed_p4:.3} under floor 1.1");
         std::process::exit(1);
     }
-    let measured_p4 = measured
-        .iter()
-        .find(|r| r.p == 4)
-        .map(|r| r.serial_secs / r.batch_secs)
-        .unwrap_or(0.0);
     if !smoke && measured_p4 < 1.5 {
         eprintln!("FAIL: measured p=4 batch/serial images/sec {measured_p4:.3} under floor 1.5");
         std::process::exit(1);
@@ -460,82 +376,38 @@ fn main() {
         std::process::exit(1);
     }
 
-    // --- hand-rolled JSON -------------------------------------------------
-    let mut doc = String::new();
-    doc.push_str("{\n");
-    doc.push_str("  \"schema\": \"pj2k.bench_serve.v1\",\n");
-    doc.push_str(&format!("  \"smoke\": {smoke},\n"));
-    doc.push_str("  \"bit_identity\": \"ok\",\n");
-    doc.push_str("  \"workload\": {\n");
-    doc.push_str(&format!("    \"images\": {},\n", images.len()));
-    doc.push_str("    \"classes\": [\n");
-    for (i, c) in classes.iter().enumerate() {
-        doc.push_str(&format!(
-            "      {{ \"side\": {}, \"blocks\": {}, \"serial_secs\": {}, \
-             \"parallel_secs\": {}, \"granule_secs\": {} }}{}\n",
-            c.side,
-            c.blocks,
-            jf(c.cost.serial),
-            jf(c.cost.parallel),
-            jf(c.cost.granule),
-            if i + 1 < classes.len() { "," } else { "" }
-        ));
+    // --- JSON ---------------------------------------------------------------
+    let class_rows = classes.iter().map(|c| {
+        obj! {
+            "side" => c.side,
+            "blocks" => c.blocks,
+            "serial_secs" => c.cost.serial,
+            "parallel_secs" => c.cost.parallel,
+            "granule_secs" => c.cost.granule,
+        }
+    });
+    let doc = obj! {
+        "schema" => "pj2k.bench_serve.v1",
+        "smoke" => smoke,
+        "bit_identity" => "ok",
+        "workload" => obj! {
+            "images" => images.len(),
+            "classes" => class_rows.collect::<Vec<_>>(),
+        },
+        "measured" => measured,
+        "modeled" => modeled,
+        "memory" => obj! {
+            "per_job_bytes" => per_job_bytes,
+            "peak_1x_bytes" => peak_1x,
+            "peak_2x_bytes" => peak_2x,
+            "flatness_ratio" => flatness,
+            "ceiling_jobs" => ceiling_jobs,
+            "ceiling_bytes" => ceiling_bytes,
+        },
+        "measured_p4_batch_over_serial" => measured_p4,
+        "mixed_p4_batch_speedup" => mixed_p4,
     }
-    doc.push_str("    ]\n  },\n");
-    doc.push_str("  \"measured\": [\n");
-    let n_images = images.len() as f64;
-    for (i, r) in measured.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{ \"p\": {}, \"jobs\": {}, \"threads_per_job\": {}, \"batch_secs\": {}, \
-             \"images_per_sec\": {}, \"p50_latency_secs\": {}, \"p99_latency_secs\": {}, \
-             \"serial_pool_secs\": {}, \"serial_images_per_sec\": {}, \
-             \"batch_over_serial\": {} }}{}\n",
-            r.p,
-            r.jobs,
-            r.threads_per_job,
-            jf(r.batch_secs),
-            jf(n_images / r.batch_secs),
-            jf(r.p50),
-            jf(r.p99),
-            jf(r.serial_secs),
-            jf(n_images / r.serial_secs),
-            jf(r.serial_secs / r.batch_secs),
-            if i + 1 < measured.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str("  \"modeled\": [\n");
-    for (i, r) in modeled.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{ \"p\": {}, \"jobs\": {}, \"threads_per_job\": {}, \"batch_speedup\": {} }}{}\n",
-            r.p,
-            r.jobs,
-            r.threads_per_job,
-            jf(r.batch_speedup),
-            if i + 1 < modeled.len() { "," } else { "" }
-        ));
-    }
-    doc.push_str("  ],\n");
-    doc.push_str(&format!(
-        "  \"memory\": {{ \"per_job_bytes\": {per_job_bytes}, \"peak_1x_bytes\": {peak_1x}, \
-         \"peak_2x_bytes\": {peak_2x}, \"flatness_ratio\": {}, \"ceiling_jobs\": {ceiling_jobs}, \
-         \"ceiling_bytes\": {ceiling_bytes} }},\n",
-        jf(flatness)
-    ));
-    doc.push_str(&format!(
-        "  \"measured_p4_batch_over_serial\": {},\n",
-        jf(measured_p4)
-    ));
-    doc.push_str(&format!(
-        "  \"mixed_p4_batch_speedup\": {}\n}}\n",
-        jf(mixed_p4)
-    ));
-
+    .pretty();
     std::fs::write(&out_path, &doc).expect("write benchmark JSON");
-    let written = std::fs::read_to_string(&out_path).expect("re-read benchmark JSON");
-    if let Err(e) = validate(&written) {
-        eprintln!("BENCH_serve schema validation failed: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path} ({} bytes, schema OK)", written.len());
+    println!("wrote {out_path} ({} bytes)", doc.len());
 }

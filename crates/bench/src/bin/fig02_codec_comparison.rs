@@ -19,7 +19,9 @@
 //! SPIHT no slower than 1.2x JPEG2000). `--smoke` encodes a 512x512 image,
 //! the full run 1024x1024.
 
-use pj2k_bench::{ms, paper_config, row, sizes_kpixel, test_image, time};
+use pj2k_bench::figures::Scale;
+use pj2k_bench::report::Json;
+use pj2k_bench::{harness_args, ms, obj, paper_config, row, test_image, time};
 use pj2k_core::{Encoder, EncoderConfig, RateControl};
 use pj2k_image::Image;
 
@@ -27,22 +29,17 @@ use pj2k_image::Image;
 const ROUNDS: usize = 5;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args.iter().position(|a| a == "--out");
-    match out.and_then(|i| args.get(i + 1)) {
-        Some(path) => ordering(smoke, path),
-        None => table(),
+    match harness_args() {
+        (smoke, Some(path)) => ordering(smoke, &path),
+        (_, None) => table(),
     }
 }
 
 fn table() {
     println!("Fig. 2 — compression timings (encode wall-clock, ms)\n");
-    row(
-        "image size (Kpixel)",
-        &["JPEG".into(), "SPIHT".into(), "pj2k (j2k)".into()],
-    );
-    for kpx in sizes_kpixel() {
+    let cols = ["JPEG", "SPIHT", "pj2k (j2k)"].map(String::from);
+    println!("{}", row("image size (Kpixel)", &cols));
+    for kpx in Scale::from_env().sizes_kpx {
         let img = test_image(kpx);
         let (_, t_jpeg) = time(|| pj2k_jpegbase::encode(&img, 75).expect("jpeg"));
         let levels = 5u8;
@@ -53,7 +50,10 @@ fn table() {
         };
         let encoder = Encoder::new(cfg).expect("config");
         let (_, t_j2k) = time(|| encoder.encode(&img));
-        row(&format!("{kpx}"), &[ms(t_jpeg), ms(t_spiht), ms(t_j2k)]);
+        println!(
+            "{}",
+            row(&format!("{kpx}"), &[ms(t_jpeg), ms(t_spiht), ms(t_j2k)])
+        );
     }
     println!(
         "\nExpected shape (paper): JPEG fastest by a wide margin, JPEG2000\n\
@@ -81,15 +81,19 @@ fn ordering(smoke: bool, path: &str) {
     }
     let [jpeg, spiht, j2k] = best;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = format!(
-        "{{\n  \"schema\": \"pj2k.fig02.v1\",\n  \"smoke\": {smoke},\n  \
-         \"host_cores\": {cores},\n  \"image_side\": {side},\n  \"rounds\": {ROUNDS},\n  \
-         \"jpeg_secs\": {jpeg:.6},\n  \"spiht_secs\": {spiht:.6},\n  \
-         \"j2k_secs\": {j2k:.6},\n  \"j2k_over_jpeg\": {:.3},\n  \
-         \"j2k_over_spiht\": {:.3}\n}}\n",
-        j2k / jpeg,
-        j2k / spiht
-    );
+    let doc = obj! {
+        "schema" => "pj2k.fig02.v1",
+        "smoke" => smoke,
+        "host_cores" => cores,
+        "image_side" => side,
+        "rounds" => ROUNDS,
+        "jpeg_secs" => jpeg,
+        "spiht_secs" => spiht,
+        "j2k_secs" => j2k,
+        "j2k_over_jpeg" => Json::Num(j2k / jpeg, 3),
+        "j2k_over_spiht" => Json::Num(j2k / spiht, 3),
+    }
+    .pretty();
     print!("{doc}");
     std::fs::write(path, doc).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
 }

@@ -1,12 +1,16 @@
-//! Shared harness for the figure-regeneration and `bench_*` binaries.
+//! Shared harness for the `figures` and `bench_*` binaries.
 //!
-//! Every table/figure of the paper has a `fig*` binary (see DESIGN.md §4)
-//! built from the helpers here: workload construction, host measurement,
-//! and the measured-costs → SMP-model projection that stands in for the
-//! paper's 4-CPU Intel / 16-CPU SGI machines (DESIGN.md §2).
+//! The paper's tables and figures come from one `figures` run
+//! ([`figures`], DESIGN.md §4) over the profiles measured here: workload
+//! construction, host measurement, and the measured-costs → SMP-model
+//! projection that stands in for the paper's 4-CPU Intel / 16-CPU SGI
+//! machines (DESIGN.md §2). The harnesses write their JSON through
+//! [`report`].
 
 #[cfg(feature = "alloc-count")]
 pub mod alloc_count;
+pub mod figures;
+pub mod report;
 
 use pj2k_cachesim::{
     horizontal_filter_trace, vertical_naive_trace, vertical_strip_trace, CacheConfig,
@@ -15,32 +19,14 @@ use pj2k_cachesim::{
 use pj2k_core::{Encoder, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl};
 use pj2k_dwt::{forward_97_with, DwtStats, SimdMode, VerticalStrategy};
 use pj2k_image::{Image, Plane};
-use pj2k_parutil::Exec;
+use pj2k_parutil::{Exec, StageTimes};
 use pj2k_smpsim::{bus_makespan, BusParams, Schedule, WorkItem};
 use pj2k_testkit::synth;
 use std::time::Instant;
 
-/// Kpixel sizes used by the figure binaries.
-///
-/// Defaults to a laptop-friendly subset; set `PJ2K_FULL=1` for the paper's
-/// full sweep (256..16384 Kpixel — the 16-Mpixel points take minutes per
-/// codec on one core).
-pub fn sizes_kpixel() -> Vec<usize> {
-    if std::env::var("PJ2K_FULL").is_ok_and(|v| v == "1") {
-        synth::PAPER_SIZES_KPIXEL.to_vec()
-    } else {
-        vec![256, 1024, 4096]
-    }
-}
-
-/// Square side for a Kpixel count.
-pub fn side(kpx: usize) -> usize {
-    synth::side_for_kpixels(kpx)
-}
-
 /// The deterministic test image for a Kpixel count.
 pub fn test_image(kpx: usize) -> Image {
-    let s = side(kpx);
+    let s = synth::side_for_kpixels(kpx);
     synth::natural_gray(s, s, 0xA5A5 + kpx as u64)
 }
 
@@ -56,6 +42,23 @@ pub fn paper_config() -> EncoderConfig {
     }
 }
 
+/// A harness's command line, `[--smoke] [--out PATH]`: whether this is a
+/// smoke run, and the `--out` path if one was given.
+pub fn harness_args() -> (bool, Option<String>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = args.iter().position(|a| a == "--out");
+    let out = out.and_then(|i| args.get(i + 1)).cloned();
+    (args.iter().any(|a| a == "--smoke"), out)
+}
+
+/// `p` workers, or the sequential path for one.
+pub fn parallel(p: usize) -> ParallelMode {
+    match p {
+        0 | 1 => ParallelMode::Sequential,
+        workers => ParallelMode::WorkerPool { workers },
+    }
+}
+
 /// Wall-clock one closure.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
@@ -63,13 +66,10 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, t0.elapsed().as_secs_f64())
 }
 
-/// Print a row of right-aligned columns after a left-aligned label.
-pub fn row(label: &str, cols: &[String]) {
-    print!("{label:<34}");
-    for c in cols {
-        print!(" {c:>12}");
-    }
-    println!();
+/// A table row: a left-aligned label, then right-aligned columns.
+pub fn row(label: &str, cols: &[String]) -> String {
+    let cols: String = cols.iter().map(|c| format!(" {c:>12}")).collect();
+    format!("{label:<34}{cols}")
 }
 
 /// Format seconds as milliseconds.
@@ -82,13 +82,11 @@ pub fn x(v: f64) -> String {
     format!("{v:.2}x")
 }
 
-// ---------------------------------------------------------------------------
-// Filtering measurement + projection (Figs. 7, 8, 10, 11 substrate)
-// ---------------------------------------------------------------------------
-
 /// Measured serial filtering times plus modeled per-column work items for
 /// one multi-level 9/7 transform of a `side x side` plane.
 pub struct FilteringProfile {
+    /// Side of the square plane.
+    pub side: usize,
     /// Host-measured serial vertical/horizontal times, naive strategy.
     pub naive: DwtStats,
     /// Host-measured serial vertical/horizontal times, strip strategy.
@@ -172,6 +170,7 @@ pub fn filtering_profile(side: usize, levels: u8) -> FilteringProfile {
         side,
     );
     FilteringProfile {
+        side,
         naive_items,
         strip_items,
         horiz_items,
@@ -243,33 +242,34 @@ pub fn project_filtering(items: &[WorkItem], p: usize, bus: BusParams) -> f64 {
     bus_makespan(items, p, Schedule::StaticBlock, bus)
 }
 
-// ---------------------------------------------------------------------------
-// Whole-encoder projection (Figs. 6, 9, 12, 13 substrate)
-// ---------------------------------------------------------------------------
-
 /// Measured serial stage times plus the ingredients to project them onto
 /// `p` virtual CPUs.
-pub struct EncodeProfile {
-    /// Serial per-stage seconds, in [`pj2k_core::report::stage::ALL`] order.
-    pub stage_secs: Vec<(String, f64)>,
+pub struct EncodeProfile<'a> {
+    /// Serial per-stage times, in the order the encoder recorded them.
+    pub stages: StageTimes,
     /// Per-code-block Tier-1 seconds.
     pub block_times: Vec<f64>,
     /// Vertical/horizontal DWT split.
     pub dwt: DwtStats,
     /// Filtering projection items for the DWT stage.
-    pub filtering: FilteringProfile,
+    pub filtering: &'a FilteringProfile,
     /// The strategy the profile was measured with (anchors the model
     /// scale).
     pub filter: FilterStrategy,
-    /// Bytes produced.
-    pub bytes: usize,
 }
 
 /// Measure a sequential encode of `img` under `filter`, coding every pass
 /// of every block as the JJ2000/Jasper coders the paper profiles do (the
 /// production encoder stops above the planes PCRD discards, DESIGN.md
 /// §18): the stage shares of Figs. 3/6/9/12/13 are the paper's coder's.
-pub fn encode_profile(img: &Image, filter: FilterStrategy, levels: u8) -> EncodeProfile {
+/// `filtering` is the measured filtering profile that
+/// [`project_encode`] scales to this encode's DWT time.
+pub fn encode_profile<'a>(
+    img: &Image,
+    filter: FilterStrategy,
+    levels: u8,
+    filtering: &'a FilteringProfile,
+) -> EncodeProfile<'a> {
     let cfg = EncoderConfig {
         filter,
         levels,
@@ -277,19 +277,13 @@ pub fn encode_profile(img: &Image, filter: FilterStrategy, levels: u8) -> Encode
         ..paper_config()
     };
     let encoder = Encoder::new(cfg).expect("valid config").with_full_coding();
-    let (bytes, report) = encoder.encode(img);
-    let filtering = filtering_profile(img.width().min(1024), levels);
+    let (_, report) = encoder.encode(img);
     EncodeProfile {
-        stage_secs: report
-            .stages
-            .iter()
-            .map(|(n, d)| (n.to_string(), d.as_secs_f64()))
-            .collect(),
+        stages: report.stages,
         block_times: report.block_times,
         dwt: report.dwt,
         filtering,
         filter,
-        bytes: bytes.len(),
     }
 }
 
@@ -304,7 +298,7 @@ pub fn project_encode(
     bus: BusParams,
 ) -> (f64, Vec<(String, f64)>) {
     use pj2k_core::report::stage;
-    let fp = &profile.filtering;
+    let fp = profile.filtering;
     // Scale factor from the (possibly smaller) filtering-profile plane to
     // the measured DWT magnitude — anchored on the strategy the profile
     // was *measured* with, so projecting the other strategy preserves the
@@ -330,61 +324,17 @@ pub fn project_encode(
     let tier1_p = pj2k_smpsim::makespan(&profile.block_times, p, Schedule::StaggeredRoundRobin);
     let mut total = 0.0;
     let mut stages = Vec::new();
-    for (name, secs) in &profile.stage_secs {
-        let t = match name.as_str() {
+    for (name, d) in profile.stages.iter() {
+        let t = match name {
             stage::INTRA_COMPONENT => dwt_p,
             stage::TIER1 => tier1_p,
-            stage::QUANTIZATION => *secs / p as f64,
-            _ => *secs,
+            stage::QUANTIZATION => d.as_secs_f64() / p as f64,
+            _ => d.as_secs_f64(),
         };
-        stages.push((name.clone(), t));
+        stages.push((name.to_string(), t));
         total += t;
     }
     (total, stages)
-}
-
-/// Shared driver for Figs. 6 and 9 (parallel per-stage breakdown at 4
-/// virtual CPUs; they differ only in filter strategy).
-pub fn parallel_breakdown(filter: FilterStrategy, fig: &str, desc: &str) {
-    let p = 4;
-    println!("{fig} — parallel runtime analysis, {p} virtual CPUs, {desc}\n");
-    for kpx in sizes_kpixel() {
-        let img = test_image(kpx);
-        let profile = encode_profile(&img, filter, 5);
-        let strip = filter == FilterStrategy::Strip;
-        let (serial_total, _) = project_encode(&profile, 1, strip, BusParams::PENTIUM2_FSB);
-        let (par_total, stages) = project_encode(&profile, p, strip, BusParams::PENTIUM2_FSB);
-        println!("--- {kpx} Kpixel ---");
-        for (name, secs) in &stages {
-            println!("  {name:<28} {:>9.1} ms", secs * 1e3);
-        }
-        println!(
-            "  {:<28} {:>9.1} ms   (serial {:.1} ms, modeled speedup {:.2}x)",
-            "TOTAL",
-            par_total * 1e3,
-            serial_total * 1e3,
-            serial_total / par_total
-        );
-        // Honest wall-clock with real threads (speedup bounded by the
-        // host's core count).
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if host >= 2 {
-            let cfg = EncoderConfig {
-                filter,
-                parallel: ParallelMode::WorkerPool {
-                    workers: p.min(host),
-                },
-                ..paper_config()
-            };
-            let encoder = Encoder::new(cfg).expect("config").with_full_coding();
-            let (_, t_real) = time(|| encoder.encode(&img));
-            println!(
-                "  measured threaded total       {:>9.1} ms ({host} host cores)",
-                t_real * 1e3
-            );
-        }
-        println!();
-    }
 }
 
 #[cfg(test)]
@@ -446,16 +396,19 @@ mod tests {
     #[test]
     fn encode_projection_is_consistent() {
         let img = test_image(64); // 256x256
-        let profile = encode_profile(&img, FilterStrategy::Naive, 4);
+        let fp = filtering_profile(256, 4);
+        let profile = encode_profile(&img, FilterStrategy::Naive, 4, &fp);
         let (t1, _) = project_encode(&profile, 1, false, BusParams::PENTIUM2_FSB);
         let (t4, stages4) = project_encode(&profile, 4, false, BusParams::PENTIUM2_FSB);
         assert!(t4 <= t1 * 1.05, "more CPUs cannot be slower: {t1} -> {t4}");
-        assert_eq!(stages4.len(), profile.stage_secs.len());
+        assert_eq!(stages4.len(), profile.stages.iter().count());
         // Serial stages unchanged.
-        for ((n1, s1), (n4, s4)) in profile.stage_secs.iter().zip(&stages4) {
+        for ((n1, s1), (n4, s4)) in profile.stages.iter().zip(&stages4) {
             assert_eq!(n1, n4);
             if n1 == pj2k_core::report::stage::RD_ALLOCATION {
-                assert!((s1 - s4).abs() < 1e-12);
+                // AUDIT(timing): an identity, not a race: a serial stage is
+                // projected as the time it measured.
+                assert!((s1.as_secs_f64() - s4).abs() < 1e-12);
             }
         }
     }

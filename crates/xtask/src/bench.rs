@@ -1,25 +1,31 @@
 //! `xtask bench-smoke` — run every benchmark harness in smoke mode and
-//! re-validate the JSON it emits.
+//! check the JSON it emits.
 //!
-//! The bench binaries already self-validate before exiting, so a green run
-//! means "the harness builds, the workload completes, and the document
-//! matches the schema". This command exists so local runs and CI share the
-//! exact invocation and the exact follow-up checks, and so adding a new
-//! harness is a one-line [`BENCHES`] edit rather than a YAML diff.
+//! The harnesses enforce their own semantic contracts (bit identity, the
+//! zero-allocation oracles, their in-run speedup floors) and write their
+//! documents through one JSON writer (`pj2k_bench::report`). The schema
+//! each document must meet — its id and required keys — lives here, once:
+//! [`BENCHES`]. `bench-smoke` checks the smoke documents against it and
+//! against the floors and ceilings; `xtask ci` checks the committed
+//! full-run `BENCH_*.json` against the schema alone ([`check_committed`]).
+//! Local runs and CI share the exact invocation and checks, and adding a
+//! harness is a one-entry [`BENCHES`] edit rather than a YAML diff.
 //!
 //! Validation is intentionally dependency-free (substring keys plus
-//! balanced-delimiter counts) — same posture as the binaries themselves.
+//! balanced-delimiter counts).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// One benchmark harness: the binary name, where its smoke output lands
-/// (relative to the workspace root), and the keys the JSON must contain.
+/// (relative to the workspace root), its schema id and the keys the JSON
+/// must contain.
 struct BenchSpec {
     bin: &'static str,
     out: &'static str,
     schema: &'static str,
-    keys: &'static [&'static str],
+    /// Required keys, space-separated, without their quotes.
+    keys: &'static str,
     /// Numeric regression floors: the first number following each key in
     /// the document must be strictly greater than the given value.
     floors: &'static [(&'static str, f64)],
@@ -34,27 +40,15 @@ const BENCHES: &[BenchSpec] = &[
         bin: "bench_tier1",
         out: "target/BENCH_tier1_smoke.json",
         schema: "pj2k.bench_tier1.v4",
-        keys: &[
-            "\"microbench\"",
-            "\"steady_state\"",
-            "\"steady_allocs_per_block\"",
-            "\"encoder\"",
-            "\"dynamic_over_staggered\"",
-            "\"engines\"",
-            "\"bitplane_speedup\"",
-            "\"per_pass\"",
-            "\"sig_prop\"",
-            "\"mag_ref\"",
-            "\"cleanup\"",
-            "\"decisions\"",
-            "\"components\"",
-            "\"entropy_secs_est\"",
-            "\"context_formation_secs_est\"",
-            "\"rate_aware\"",
-            "\"rate_aware_speedup\"",
-            "\"coded_pass_share\"",
-            "\"byte_mismatches\"",
-        ],
+        keys: "smoke microbench seed_path scratch_path blocks_per_sec \
+               allocs_per_block scratch_speedup allocs_avoided_per_block steady_state \
+               steady_allocs_per_block engines reference bitplane bitplane_speedup \
+               per_pass sig_prop mag_ref cleanup decisions components \
+               mq_cost_per_decision_ns entropy_secs_est context_formation_secs_est \
+               encoder staggered_secs dynamic_secs dynamic_over_staggered \
+               modeled_staggered_speedup modeled_dynamic_speedup rate_aware \
+               rate_aware_secs full_coding_secs rate_aware_speedup coded_pass_share \
+               byte_mismatches",
         // The default bitplane engine must beat the reference engine in
         // the same run; the binary exits non-zero on <= 1.0, and this
         // floor re-checks the emitted document with headroom for a real
@@ -84,22 +78,11 @@ const BENCHES: &[BenchSpec] = &[
         bin: "bench_dwt",
         out: "target/BENCH_dwt_smoke.json",
         schema: "pj2k.bench_dwt.v4",
-        keys: &[
-            "\"kernels\"",
-            "\"passes\"",
-            "\"direction\"",
-            "\"horiz_secs\"",
-            "\"steady_state\"",
-            "\"allocs_marginal_per_strip\"",
-            "\"fused_strip_speedup_97\"",
-            "\"fused_strip_speedup_53\"",
-            "\"naive_vertical_slowdown\"",
-            "\"simd_tiers\"",
-            "\"simd_best_tier\"",
-            "\"simd_strip_speedup_97\"",
-            "\"simd_strip_speedup_53\"",
-            "\"simd_bit_identity\"",
-        ],
+        keys: "smoke kernels wavelet lifting vertical mpix_per_sec \
+               fused_strip_speedup_97 fused_strip_speedup_53 naive_vertical_slowdown \
+               simd vert_secs simd_tiers simd_best_tier simd_strip_speedup_97 \
+               simd_strip_speedup_53 simd_bit_identity passes direction horiz_secs \
+               steady_state allocs_marginal_per_strip",
         // The paper's cache finding on the runner's clock: at a
         // power-of-two width the naive vertical pass must be slower than
         // the strip pass (≈7x at 2048² on a 2-core AVX2 host, 7-10x in
@@ -113,27 +96,11 @@ const BENCHES: &[BenchSpec] = &[
         bin: "bench_decode",
         out: "target/BENCH_decode_smoke.json",
         schema: "pj2k.bench_decode.v3",
-        keys: &[
-            "\"host_cores\"",
-            "\"bit_identity\"",
-            "\"steady_state\"",
-            "\"steady_allocs_per_block\"",
-            "\"tier1_decode\"",
-            "\"equality\"",
-            "\"oracle\"",
-            "\"packed\"",
-            "\"blocks_per_sec\"",
-            "\"ns_per_block\"",
-            "\"warm_allocs_per_block\"",
-            "\"packed_speedup\"",
-            "\"workloads\"",
-            "\"pyramid\"",
-            "\"skewed\"",
-            "\"measured\"",
-            "\"mpix_per_sec\"",
-            "\"speedup\"",
-            "\"oversubscribed\"",
-        ],
+        keys: "smoke host_cores bit_identity steady_state steady_allocs_per_block \
+               tier1_decode equality oracle packed blocks_per_sec ns_per_block \
+               warm_allocs_per_block packed_speedup workloads pyramid skewed \
+               parse_secs tier1_secs dwt_secs measured secs mpix_per_sec speedup \
+               oversubscribed",
         // The packed Tier-1 decoder must beat the per-coefficient oracle
         // it replaced in the same run (the binary exits non-zero on
         // <= 1.0 and reports nothing before both reproduced every block).
@@ -152,23 +119,12 @@ const BENCHES: &[BenchSpec] = &[
         bin: "bench_serve",
         out: "target/BENCH_serve_smoke.json",
         schema: "pj2k.bench_serve.v1",
-        keys: &[
-            "\"bit_identity\"",
-            "\"workload\"",
-            "\"classes\"",
-            "\"measured\"",
-            "\"images_per_sec\"",
-            "\"p50_latency_secs\"",
-            "\"p99_latency_secs\"",
-            "\"batch_over_serial\"",
-            "\"modeled\"",
-            "\"batch_speedup\"",
-            "\"memory\"",
-            "\"peak_2x_bytes\"",
-            "\"flatness_ratio\"",
-            "\"measured_p4_batch_over_serial\"",
-            "\"mixed_p4_batch_speedup\"",
-        ],
+        keys: "smoke bit_identity workload images classes serial_secs parallel_secs \
+               granule_secs measured batch_secs images_per_sec p50_latency_secs \
+               p99_latency_secs serial_pool_secs serial_images_per_sec \
+               batch_over_serial modeled batch_speedup memory per_job_bytes \
+               peak_1x_bytes peak_2x_bytes flatness_ratio ceiling_bytes \
+               measured_p4_batch_over_serial mixed_p4_batch_speedup",
         // At a budget of 4 the batch scheduler must beat serial whole-pool
         // encoding in the deterministic model (measured cost splits, so it
         // holds on single-core runners; the binary itself enforces 1.1).
@@ -182,14 +138,8 @@ const BENCHES: &[BenchSpec] = &[
         bin: "fig02_codec_comparison",
         out: "target/BENCH_fig02_smoke.json",
         schema: "pj2k.fig02.v1",
-        keys: &[
-            "\"host_cores\"",
-            "\"jpeg_secs\"",
-            "\"spiht_secs\"",
-            "\"j2k_secs\"",
-            "\"j2k_over_jpeg\"",
-            "\"j2k_over_spiht\"",
-        ],
+        keys: "smoke host_cores jpeg_secs spiht_secs j2k_secs j2k_over_jpeg \
+               j2k_over_spiht",
         // Fig. 2's ordering on the runner's clock, best of 5 alternated
         // rounds: JPEG fastest, SPIHT no slower than 1.2x the paper-style
         // JPEG2000 coder. Smoke runs on a 2-core host read 16-19x and
@@ -207,7 +157,17 @@ pub fn run(root: &Path) -> i32 {
     let mut failed = false;
     for spec in BENCHES {
         println!("== bench-smoke: {} ==", spec.bin);
-        let out = root.join(spec.out);
+        let out = match smoke_out(root, spec) {
+            Ok(out) => out,
+            Err(err) => {
+                eprintln!(
+                    "bench-smoke: cannot create the directory of {}: {err}",
+                    spec.out
+                );
+                failed = true;
+                continue;
+            }
+        };
         let status = Command::new("cargo")
             .args(["run", "--release", "--offline", "--locked", "-q"])
             .args(["-p", "pj2k-bench", "--bin"])
@@ -253,21 +213,54 @@ pub fn run(root: &Path) -> i32 {
     i32::from(failed)
 }
 
-/// Check one emitted document against its spec.
-fn check_doc(doc: &str, spec: &BenchSpec) -> Result<(), String> {
-    if !doc.contains(spec.schema) {
-        return Err(format!("missing schema marker `{}`", spec.schema));
+/// The smoke document's path under `root`, its directory created: there
+/// is no `target/` in a fresh checkout built with `CARGO_TARGET_DIR`
+/// pointing elsewhere.
+fn smoke_out(root: &Path, spec: &BenchSpec) -> std::io::Result<PathBuf> {
+    let out = root.join(spec.out);
+    if let Some(dir) = out.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    for key in spec.keys {
-        if !doc.contains(key) {
-            return Err(format!("missing key {key}"));
+    Ok(out)
+}
+
+/// The committed full-run document of a harness: `bench_tier1` keeps
+/// `BENCH_tier1.json` at the root. Fig. 2's ordering has none.
+fn committed(spec: &BenchSpec) -> Option<String> {
+    spec.bin
+        .strip_prefix("bench_")
+        .map(|name| format!("BENCH_{name}.json"))
+}
+
+/// Check every committed full-run document under `root` against its spec's
+/// schema id and keys. Floors and ceilings are smoke-run checks: a full
+/// run is judged by the binary that wrote it.
+pub fn check_committed(root: &Path) -> Result<(), String> {
+    let mut problems = Vec::new();
+    for spec in BENCHES {
+        let Some(file) = committed(spec) else {
+            continue;
+        };
+        match std::fs::read_to_string(root.join(&file)) {
+            Ok(doc) => {
+                if let Err(msg) = check_schema(&doc, spec) {
+                    problems.push(format!("{file}: {msg}"));
+                }
+            }
+            Err(err) => problems.push(format!("cannot read {file}: {err}")),
         }
     }
-    if doc.matches('{').count() != doc.matches('}').count()
-        || doc.matches('[').count() != doc.matches(']').count()
-    {
-        return Err("unbalanced JSON delimiters".to_string());
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(problems.join("\n"))
     }
+}
+
+/// Check one emitted smoke document against its spec: schema, then
+/// floors and ceilings.
+fn check_doc(doc: &str, spec: &BenchSpec) -> Result<(), String> {
+    check_schema(doc, spec)?;
     for (key, floor) in spec.floors {
         match extract_number(doc, key) {
             Some(v) if v > *floor => {}
@@ -281,6 +274,24 @@ fn check_doc(doc: &str, spec: &BenchSpec) -> Result<(), String> {
             Some(v) => return Err(format!("{key} = {v} exceeds the ceiling {ceiling}")),
             None => return Err(format!("no numeric value found for {key}")),
         }
+    }
+    Ok(())
+}
+
+/// Check a document's schema id, required keys and delimiter balance.
+fn check_schema(doc: &str, spec: &BenchSpec) -> Result<(), String> {
+    if !doc.contains(spec.schema) {
+        return Err(format!("missing schema marker `{}`", spec.schema));
+    }
+    for key in spec.keys.split_whitespace() {
+        if !doc.contains(&format!("\"{key}\"")) {
+            return Err(format!("missing key \"{key}\""));
+        }
+    }
+    if doc.matches('{').count() != doc.matches('}').count()
+        || doc.matches('[').count() != doc.matches(']').count()
+    {
+        return Err("unbalanced JSON delimiters".to_string());
     }
     Ok(())
 }
@@ -305,8 +316,9 @@ mod tests {
     /// (the steady-state contracts are exact-zero), everything else 1.
     fn doc_with_all_keys(spec: &BenchSpec) -> String {
         let mut doc = format!("{{\"schema\": \"{}\"", spec.schema);
-        for key in spec.keys {
-            let ceiled = spec.ceilings.iter().any(|(k, _)| k == key);
+        for key in spec.keys.split_whitespace() {
+            let key = format!("\"{key}\"");
+            let ceiled = spec.ceilings.iter().any(|(k, _)| *k == key);
             doc.push_str(&format!(", {key}: {}", if ceiled { 0 } else { 1 }));
         }
         doc.push('}');
@@ -449,13 +461,67 @@ mod tests {
         assert!(check_doc(&spiht_slow, spec).is_err());
     }
 
+    /// A fresh directory under the system temp dir.
+    fn temp_root(name: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("xtask-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).expect("create temp root");
+        root
+    }
+
+    #[test]
+    fn smoke_out_creates_the_missing_target_directory() {
+        // A fresh checkout whose build goes to CARGO_TARGET_DIR elsewhere
+        // has no `target/`; the harness must still find its `--out` dir.
+        let root = temp_root("smoke-out");
+        assert!(!root.join("target").exists());
+        for spec in BENCHES {
+            let out = smoke_out(&root, spec).expect("create the out dir");
+            assert_eq!(out, root.join(spec.out));
+            assert!(out.parent().is_some_and(Path::is_dir), "{}", spec.out);
+        }
+        std::fs::remove_dir_all(&root).expect("remove temp root");
+    }
+
+    #[test]
+    fn committed_documents_are_checked_against_the_schema_only() {
+        let root = temp_root("committed");
+        let specs: Vec<_> = BENCHES.iter().filter(|s| committed(s).is_some()).collect();
+        assert_eq!(specs.len(), 4, "fig02 has no committed document");
+        for spec in &specs {
+            // Every key, and values that would fail the smoke floors: the
+            // full-run check does not apply them.
+            let doc = doc_with_all_keys(spec).replace(": 1", ": 0.5");
+            assert!(check_doc(&doc, spec).is_err() || spec.floors.is_empty());
+            std::fs::write(root.join(committed(spec).unwrap()), doc).unwrap();
+        }
+        assert_eq!(check_committed(&root), Ok(()));
+        // A stale document, missing one key, fails and names the file.
+        let dwt = &BENCHES[1];
+        let stale = doc_with_all_keys(dwt).replace("\"naive_vertical_slowdown\"", "\"other\"");
+        std::fs::write(root.join("BENCH_dwt.json"), stale).unwrap();
+        let err = check_committed(&root).unwrap_err();
+        assert!(err.starts_with("BENCH_dwt.json: missing key"), "{err}");
+        std::fs::remove_file(root.join("BENCH_tier1.json")).unwrap();
+        assert!(check_committed(&root)
+            .unwrap_err()
+            .contains("cannot read BENCH_tier1.json"));
+        std::fs::remove_dir_all(&root).expect("remove temp root");
+    }
+
+    #[test]
+    fn the_committed_documents_meet_their_schema() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        assert_eq!(check_committed(&root), Ok(()));
+    }
+
     #[test]
     fn check_doc_rejects_missing_key_and_imbalance() {
         let spec = &BENCHES[1];
         assert!(check_doc("{\"schema\": \"pj2k.bench_dwt.v4\"}", spec).is_err());
         let mut doc = String::from("{\"schema\": \"pj2k.bench_dwt.v4\"");
-        for key in spec.keys {
-            doc.push_str(&format!(", {key}: ["));
+        for key in spec.keys.split_whitespace() {
+            doc.push_str(&format!(", \"{key}\": ["));
         }
         assert!(check_doc(&doc, spec).is_err());
     }

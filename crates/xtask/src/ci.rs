@@ -3,13 +3,17 @@
 //! Runs, in order: `cargo fmt --check`, `cargo clippy -D warnings` twice —
 //! over the whole workspace, then over the product build alone — the audit
 //! (in-process, every check; the full inventory goes to
-//! `target/audit_report.txt`), the size check and `cargo test`. The workspace clippy run
+//! `target/audit_report.txt`), the size check, the bench-docs check and
+//! `cargo test`. The workspace clippy run
 //! unifies `pj2k-bench`'s `oracle` features into every crate, so it never
 //! sees the build users get; the product run lints the codec and CLI
 //! crates' libraries and binaries without them, catching oracle-only code
 //! that leaks into, or goes dead in, the default build. The size step
 //! recomputes the product line count in process and fails when the
-//! committed `BENCH_code.json` differs (see [`crate::size`]). The cargo
+//! committed `BENCH_code.json` differs (see [`crate::size`]). The
+//! bench-docs step checks the committed `BENCH_*.json` of the four
+//! harnesses against the schema ids and keys `bench-smoke` uses (see
+//! [`crate::bench::check_committed`]). The cargo
 //! steps run `--offline --locked`: the workspace has no external
 //! dependency, so needing the network or a different lock file is itself a
 //! failure. All steps run even if an earlier one fails, so a
@@ -70,6 +74,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
     );
     let audit = step_audit(root);
     let size = step_size(root);
+    let bench_docs = step_bench_docs(root);
     let test = step_cmd(
         "test",
         opts.skip_tests,
@@ -77,7 +82,7 @@ pub fn run(root: &Path, opts: &CiOptions) -> i32 {
             .args(["test", "--offline", "--locked", "--workspace", "-q"])
             .current_dir(root),
     );
-    let results = [fmt, clippy, clippy_product, audit, size, test];
+    let results = [fmt, clippy, clippy_product, audit, size, bench_docs, test];
 
     println!("\n== ci summary ==");
     let mut failed = false;
@@ -123,6 +128,21 @@ fn step_audit(root: &Path) -> StepResult {
     StepResult {
         name: "audit",
         outcome: if ok { Outcome::Pass } else { Outcome::Fail },
+    }
+}
+
+fn step_bench_docs(root: &Path) -> StepResult {
+    println!("== ci: bench docs ==");
+    let outcome = match crate::bench::check_committed(root) {
+        Ok(()) => Outcome::Pass,
+        Err(msg) => {
+            eprintln!("ci: bench docs:\n{msg}");
+            Outcome::Fail
+        }
+    };
+    StepResult {
+        name: "bench docs",
+        outcome,
     }
 }
 
