@@ -9,6 +9,8 @@
 //!    naive and strip columns) and the fused strip columns, on a
 //!    power-of-two width and a padded stride; the production fused strip
 //!    transform is then timed under every SIMD tier, and at p ∈ {2, 4, 8}.
+//!    The document records `host_cores`, and a row whose `p` exceeds it
+//!    is flagged `oversubscribed`.
 //!    `naive_vertical_slowdown` is the paper's §3.2 finding in one number:
 //!    the per-step naive vertical pass over the per-step strip one, at the
 //!    power-of-two width.
@@ -30,12 +32,11 @@
 //! the performance numbers.
 
 use pj2k_bench::alloc_count::{self, CountingAlloc};
-use pj2k_bench::report::Json;
+use pj2k_bench::report::{host_cores, Json};
 use pj2k_bench::{harness_args, obj, time};
-use pj2k_core::LiftingMode;
 use pj2k_dwt::{
-    forward_53_with, forward_97_with, inverse_53_with, inverse_97_with, DwtStats, SimdMode,
-    SimdTier, VerticalStrategy,
+    forward_53_with, forward_97_with, inverse_53_with, inverse_97_with, DwtStats, LiftingMode,
+    SimdMode, SimdTier, VerticalStrategy,
 };
 use pj2k_image::Plane;
 use pj2k_parutil::Exec;
@@ -45,6 +46,7 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const TRIALS: usize = 3;
 const STRIP: VerticalStrategy = VerticalStrategy::DEFAULT_STRIP;
+const FUSED: LiftingMode = LiftingMode::Fused;
 
 /// A multi-level transform: plane, levels, column walker, lifting, SIMD
 /// tier, executor.
@@ -163,23 +165,9 @@ fn pass_split<T: Wavelet>(
     let mut best = DwtStats::default();
     for t in 0..TRIALS {
         fill(&mut plane);
-        let mut stats = (T::FORWARD)(
-            &mut plane,
-            LEVELS,
-            STRIP,
-            LiftingMode::Fused,
-            simd,
-            &Exec::SEQ,
-        );
+        let mut stats = (T::FORWARD)(&mut plane, LEVELS, STRIP, FUSED, simd, &Exec::SEQ);
         if inverse {
-            stats = (T::INVERSE)(
-                &mut plane,
-                LEVELS,
-                STRIP,
-                LiftingMode::Fused,
-                simd,
-                &Exec::SEQ,
-            );
+            stats = (T::INVERSE)(&mut plane, LEVELS, STRIP, FUSED, simd, &Exec::SEQ);
         }
         if t == 0 || stats.total() < best.total() {
             best = stats;
@@ -210,14 +198,7 @@ fn strip_transform_allocs(w: usize, h: usize, levels: u8) -> u64 {
     let mut p = Plane::<f32>::new(w, h);
     fill(&mut p);
     let a0 = alloc_count::thread_allocs();
-    (f32::FORWARD)(
-        &mut p,
-        levels,
-        STRIP,
-        LiftingMode::Fused,
-        SimdMode::Auto,
-        &Exec::SEQ,
-    );
+    (f32::FORWARD)(&mut p, levels, STRIP, FUSED, SimdMode::Auto, &Exec::SEQ);
     let spent = alloc_count::thread_allocs() - a0;
     std::hint::black_box(&p);
     spent
@@ -242,7 +223,7 @@ fn bit_identical<T: Wavelet>(side: usize) -> bool {
     let forward = |simd| {
         let mut p = Plane::<T>::new(side, side);
         fill(&mut p);
-        (T::FORWARD)(&mut p, LEVELS, STRIP, LiftingMode::Fused, simd, &Exec::SEQ);
+        (T::FORWARD)(&mut p, LEVELS, STRIP, FUSED, simd, &Exec::SEQ);
         p
     };
     let scalar = forward(SimdMode::Scalar);
@@ -270,14 +251,14 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| "BENCH_dwt.json".to_string());
 
     let side = if smoke { 256usize } else { 2048 };
+    let cores = host_cores();
 
     // --- kernel sweep ----------------------------------------------------
     // Untimed warm-up touches every code path once.
     let auto = ("auto", SimdMode::Auto);
     let scalar = ("scalar", SimdMode::Scalar);
-    let fused = LiftingMode::Fused;
-    let _ = kernel::<f32>(64, 0, fused, STRIP, auto, 1);
-    let _ = kernel::<i32>(64, 0, fused, STRIP, auto, 1);
+    let _ = kernel::<f32>(64, 0, FUSED, STRIP, auto, 1);
+    let _ = kernel::<i32>(64, 0, FUSED, STRIP, auto, 1);
 
     // The scalar matrix (simd = "scalar") keeps the trajectory rows of the
     // paper's walkers comparable release over release; the tier sweep below
@@ -287,7 +268,7 @@ fn main() {
     for (lifting, vstrat) in [
         (LiftingMode::PerStep, VerticalStrategy::Naive),
         (LiftingMode::PerStep, STRIP),
-        (fused, STRIP),
+        (FUSED, STRIP),
     ] {
         for pad in [0usize, 8] {
             rows.push(kernel::<f32>(side, pad, lifting, vstrat, scalar, 1));
@@ -297,15 +278,15 @@ fn main() {
     // Per-tier ablation: the production fused strip transform under every
     // runtime-dispatch tier this host supports, both wavelets.
     for mode in simd_modes() {
-        rows.push(kernel::<f32>(side, 0, fused, STRIP, mode, 1));
-        rows.push(kernel::<i32>(side, 0, fused, STRIP, mode, 1));
+        rows.push(kernel::<f32>(side, 0, FUSED, STRIP, mode, 1));
+        rows.push(kernel::<i32>(side, 0, FUSED, STRIP, mode, 1));
     }
     for p in [2usize, 4, 8] {
-        rows.push(kernel::<f32>(side, 0, fused, STRIP, auto, p));
+        rows.push(kernel::<f32>(side, 0, FUSED, STRIP, auto, p));
     }
     for r in &rows {
         println!(
-            "kernel {} {}/{} simd={} pad={} p={}: {:.1} ms, vert {:.1} ms ({:.1} Mpix/s)",
+            "kernel {} {}/{} simd={} pad={} p={}: {:.1} ms, vert {:.1} ms ({:.1} Mpix/s){}",
             r.wavelet,
             r.lifting,
             r.vertical,
@@ -314,7 +295,8 @@ fn main() {
             r.p,
             r.secs * 1e3,
             r.vert_secs * 1e3,
-            r.mpix_per_sec
+            r.mpix_per_sec,
+            if r.p > cores { " oversubscribed" } else { "" }
         );
     }
     let pick = |wav: &str, lift: &str, vert: &str, simd: &str| {
@@ -417,6 +399,7 @@ fn main() {
             "simd" => r.simd,
             "stride_pad" => r.pad,
             "p" => r.p,
+            "oversubscribed" => r.p > cores,
             "secs" => r.secs,
             "vert_secs" => r.vert_secs,
             "mpix_per_sec" => r.mpix_per_sec,
@@ -426,6 +409,7 @@ fn main() {
     let doc = obj! {
         "schema" => "pj2k.bench_dwt.v4",
         "smoke" => smoke,
+        "host_cores" => cores,
         "image_side" => side,
         "levels" => LEVELS,
         "kernels" => kernels.collect::<Vec<_>>(),

@@ -1,6 +1,6 @@
 //! Tier-1 throughput trajectory harness.
 //!
-//! Emits `BENCH_tier1.json` (schema `pj2k.bench_tier1.v4`) with seven
+//! Emits `BENCH_tier1.json` (schema `pj2k.bench_tier1.v5`) with six
 //! measurements that track this workspace's Tier-1 performance over time:
 //!
 //! 1. **Scratch-arena microbenchmark**: blocks/sec and heap allocations
@@ -20,15 +20,11 @@
 //!    and cleanup passes (via [`pj2k_ebcot::Tier1Profile`]).
 //! 4. **Per-component estimate**: a calibrated MQ cost-per-decision splits
 //!    each engine's time into entropy coding vs context formation.
-//! 5. **Whole-encoder schedule sweep** at p ∈ {1, 2, 4, 8} workers
-//!    (staggered round-robin vs dynamic self-scheduling) plus modeled
-//!    makespans from the measured per-block times.
-//! 6. **Steady-state allocation oracle**: the exact per-thread allocation
+//! 5. **Steady-state allocation oracle**: the exact per-thread allocation
 //!    count of one warm arena pass over every block, which must be zero —
 //!    the runtime proof behind the `AUDIT(hot): amortized` justifications
 //!    `cargo xtask audit` accepts in the Tier-1 closure.
-//!
-//! 7. **Rate-aware vs full coding**: the sequential encoder at 1 bpp as
+//! 6. **Rate-aware vs full coding**: the sequential encoder at 1 bpp as
 //!    shipped (Tier-1 stops above the planes PCRD discards, DESIGN.md §18)
 //!    against `Encoder::with_full_coding` on the same image — seconds, the
 //!    share of the nominal passes actually coded, and a byte comparison of
@@ -41,16 +37,18 @@
 //! `--smoke` shrinks the workload for CI: it validates the harness, the
 //! allocation floor, and the engine-ordering floor — not absolute
 //! performance numbers.
+//!
+//! Whole-encoder throughput at p workers is the end-to-end benchmark's
+//! (`benchmark/`), measured there with alternation and quartiles.
 
 use pj2k_bench::alloc_count::{self, CountingAlloc};
 use pj2k_bench::report::Json;
-use pj2k_bench::{harness_args, obj, parallel, test_image, time};
-use pj2k_core::{Encoder, EncoderConfig, RateControl, Schedule};
+use pj2k_bench::{harness_args, obj, test_image, time};
+use pj2k_core::{Encoder, EncoderConfig, RateControl};
 use pj2k_ebcot::{
     encode_block, BandCtx, BlockCoder, EncodedBlock, Tier1Engine, Tier1Options, Tier1Profile,
 };
 use pj2k_mq::MqEncoder;
-use pj2k_smpsim::makespan;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -210,15 +208,6 @@ fn mq_cost_per_decision() -> f64 {
     best / N as f64
 }
 
-fn encoder_cfg(p: usize, schedule: Schedule) -> EncoderConfig {
-    EncoderConfig {
-        rate: RateControl::TargetBpp(vec![1.0]),
-        parallel: parallel(p),
-        tier1_schedule: schedule,
-        ..EncoderConfig::default()
-    }
-}
-
 fn pass_rows(p: &Tier1Profile) -> [(&'static str, f64, u64); 3] {
     [
         ("sig_prop", p.sig_prop_secs, p.sig_prop_decisions),
@@ -231,7 +220,10 @@ fn main() {
     let (smoke, out_path) = harness_args();
     let out_path = out_path.unwrap_or_else(|| "BENCH_tier1.json".to_string());
 
-    let (n_blocks, reps, kpx) = if smoke { (8, 2, 64) } else { (96, 10, 1024) };
+    // At least 512x512 also in smoke runs: 16 of the 25 blocks of a
+    // 256x256 image are its bands' first blocks, which the rate-aware
+    // pilot's first stage codes in full.
+    let (n_blocks, reps, kpx) = if smoke { (8, 2, 256) } else { (96, 10, 1024) };
 
     // --- microbenchmark: seed path vs scratch arenas ---------------------
     let blocks = synth_blocks(n_blocks);
@@ -253,11 +245,7 @@ fn main() {
     let _ = micro_seed(&blocks, 1);
     let seed = micro_seed(&blocks, reps);
     let scratch = micro_arena(&blocks, reps, Tier1Engine::Bitplane);
-    let speedup = if scratch.secs > 0.0 {
-        seed.secs / scratch.secs
-    } else {
-        1.0
-    };
+    let speedup = seed.secs / scratch.secs;
     let avoided = (seed.allocs_per_block - scratch.allocs_per_block).max(0.0);
     println!(
         "microbench: {n_blocks} blocks x {reps} reps — seed {:.1} blk/s ({:.2} allocs/blk), \
@@ -301,13 +289,10 @@ fn main() {
     }
 
     // --- engine ablation --------------------------------------------------
+    // The bitplane side is the scratch-arena measurement above.
     let reference = micro_arena(&blocks, reps, Tier1Engine::Reference);
-    let bitplane = micro_arena(&blocks, reps, Tier1Engine::Bitplane);
-    let bitplane_speedup = if bitplane.secs > 0.0 {
-        reference.secs / bitplane.secs
-    } else {
-        1.0
-    };
+    let bitplane = &scratch;
+    let bitplane_speedup = reference.secs / bitplane.secs;
     println!(
         "engines: reference {:.1} blk/s, bitplane {:.1} blk/s — bitplane speedup {bitplane_speedup:.3}x",
         reference.blocks_per_sec, bitplane.blocks_per_sec
@@ -333,61 +318,15 @@ fn main() {
         println!("per-pass {name}: {}", shares.join(", "));
     }
 
-    // --- whole-encoder schedule sweep ------------------------------------
-    let img = test_image(kpx);
-    // One sequential run supplies the per-block costs for the model.
-    let profile_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin)).expect("config");
-    let (_, profile) = profile_enc.encode(&img);
-    let costs = &profile.block_times;
-    let tier1_total: f64 = costs.iter().sum();
-
-    // Chunk 1: one atomic claim per ~ms-scale block is negligible
-    // traffic, and fine chunks give the best balance.
-    let dynamic = Schedule::Dynamic { chunk: 1 };
-    let modeled = |schedule| {
-        move |p| {
-            let m = makespan(costs, p, schedule);
-            if m > 0.0 {
-                tier1_total / m
-            } else {
-                1.0
-            }
-        }
-    };
-    let (stag_model, dyn_model) = (modeled(Schedule::StaggeredRoundRobin), modeled(dynamic));
-    let mut encoder_rows = Vec::new();
-    for p in [1usize, 2, 4, 8] {
-        let stag_enc = Encoder::new(encoder_cfg(p, Schedule::StaggeredRoundRobin)).expect("config");
-        let (_, t_stag) = time(|| stag_enc.encode(&img));
-        let dyn_enc = Encoder::new(encoder_cfg(p, dynamic)).expect("config");
-        let (_, t_dyn) = time(|| dyn_enc.encode(&img));
-        let (rel, m_stag, m_dyn) = (t_stag / t_dyn, stag_model(p), dyn_model(p));
-        println!(
-            "encoder p={p}: staggered {:.1} ms, dynamic {:.1} ms (x{rel:.3}); modeled tier-1 \
-             speedup {m_stag:.2} vs {m_dyn:.2}",
-            t_stag * 1e3,
-            t_dyn * 1e3,
-        );
-        encoder_rows.push(obj! {
-            "p" => p,
-            "staggered_secs" => t_stag,
-            "dynamic_secs" => t_dyn,
-            "dynamic_over_staggered" => rel,
-            "modeled_staggered_speedup" => m_stag,
-            "modeled_dynamic_speedup" => m_dyn,
-        });
-    }
-
     // --- rate-aware vs full coding ----------------------------------------
-    // Best of three each, alternating, on the sequential encoder. At least
-    // 512x512 also in smoke runs: 16 of the 25 blocks of the 256x256 smoke
-    // image are its bands' first blocks, which the pilot's first stage
-    // codes in full.
-    let img = test_image(kpx.max(256));
-    let fast_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin)).expect("config");
-    let full_enc = Encoder::new(encoder_cfg(1, Schedule::StaggeredRoundRobin))
-        .expect("config")
-        .with_full_coding();
+    // Best of three each, alternating, on the sequential encoder.
+    let img = test_image(kpx);
+    let cfg = EncoderConfig {
+        rate: RateControl::TargetBpp(vec![1.0]),
+        ..EncoderConfig::default()
+    };
+    let fast_enc = Encoder::new(cfg.clone()).expect("config");
+    let full_enc = Encoder::new(cfg).expect("config").with_full_coding();
     let (mut t_fast, mut t_full) = (f64::INFINITY, f64::INFINITY);
     let (fast_bytes, fast_report) = fast_enc.encode(&img);
     let (full_bytes, _) = full_enc.encode(&img);
@@ -447,9 +386,8 @@ fn main() {
     )];
     components_obj.extend(components);
     let doc = obj! {
-        "schema" => "pj2k.bench_tier1.v4",
+        "schema" => "pj2k.bench_tier1.v5",
         "smoke" => smoke,
-        "kpixels" => kpx,
         "microbench" => obj! {
             "blocks" => n_blocks,
             "reps" => reps,
@@ -466,16 +404,14 @@ fn main() {
         },
         "engines" => obj! {
             "reference" => micro(&reference),
-            "bitplane" => micro(&bitplane),
+            "bitplane" => micro(bitplane),
             "bitplane_speedup" => bitplane_speedup,
         },
         "per_pass" => Json::Obj(per_pass.to_vec()),
         "components" => Json::Obj(components_obj),
-        "dynamic_chunk" => 1usize,
-        "encoder" => encoder_rows,
         "rate_aware" => obj! {
             "bpp" => Json::Num(1.0, 1),
-            "kpixels" => kpx.max(256),
+            "kpixels" => kpx,
             "rate_aware_secs" => t_fast,
             "full_coding_secs" => t_full,
             "rate_aware_speedup" => t_full / t_fast,

@@ -20,7 +20,7 @@
 //! the full run 1024x1024.
 
 use pj2k_bench::figures::Scale;
-use pj2k_bench::report::Json;
+use pj2k_bench::report::{host_cores, Json};
 use pj2k_bench::{harness_args, ms, obj, paper_config, row, test_image, time};
 use pj2k_core::{Encoder, EncoderConfig, RateControl};
 use pj2k_image::Image;
@@ -80,11 +80,10 @@ fn ordering(smoke: bool, path: &str) {
         }
     }
     let [jpeg, spiht, j2k] = best;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let doc = obj! {
         "schema" => "pj2k.fig02.v1",
         "smoke" => smoke,
-        "host_cores" => cores,
+        "host_cores" => host_cores(),
         "image_side" => side,
         "rounds" => ROUNDS,
         "jpeg_secs" => jpeg,

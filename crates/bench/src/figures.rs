@@ -9,14 +9,15 @@
 //! to `<out>/<name>.txt` under its title line; Fig. 4 also writes its
 //! three crops as PGM.
 
+use crate::report::host_cores;
 use crate::{
-    encode_profile, filtering_profile, ms, paper_config, parallel, project_encode,
-    project_filtering, row, test_image, time, x, EncodeProfile, FilteringProfile,
+    encode_profile, filtering_profile, ms, paper_config, project_encode, project_filtering, row,
+    test_image, time, x, EncodeProfile, FilteringProfile,
 };
 use pj2k_cachesim::{vertical_naive_trace, vertical_strip_trace, CacheConfig, FilterTraceParams};
 use pj2k_core::quant::quantize_plane;
 use pj2k_core::report::stage;
-use pj2k_core::{Decoder, Encoder, EncoderConfig, FilterStrategy, RateControl};
+use pj2k_core::{Decoder, Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl};
 use pj2k_image::metrics::psnr;
 use pj2k_image::{pnm, Image, Plane};
 use pj2k_parutil::{Exec, StageTimes};
@@ -484,7 +485,7 @@ fn fig06_09(sizes: &[SizeProfile], strip: bool) -> String {
     };
     let mut s =
         format!("{fig} — parallel runtime analysis, {p} virtual CPUs, {desc} filtering\n\n");
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host = host_cores();
     for sp in sizes {
         let profile = if strip { &sp.strip } else { &sp.naive };
         let (serial, _) = project_encode(profile, 1, strip, BusParams::PENTIUM2_FSB);
@@ -505,7 +506,9 @@ fn fig06_09(sizes: &[SizeProfile], strip: bool) -> String {
         if host >= 2 {
             let cfg = EncoderConfig {
                 filter,
-                parallel: parallel(p.min(host)),
+                parallel: ParallelMode::WorkerPool {
+                    workers: p.min(host),
+                },
                 ..paper_config()
             };
             let encoder = Encoder::new(cfg).expect("config").with_full_coding();
@@ -595,7 +598,7 @@ fn quant_speedup(side: usize) -> String {
             t_seq / t
         );
     }
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host = host_cores();
     if host >= 2 {
         let p = host.min(4);
         let t = quantize(&Exec::threads(p));

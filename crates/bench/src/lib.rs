@@ -16,8 +16,8 @@ use pj2k_cachesim::{
     horizontal_filter_trace, vertical_naive_trace, vertical_strip_trace, CacheConfig,
     FilterTraceParams,
 };
-use pj2k_core::{Encoder, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl};
-use pj2k_dwt::{forward_97_with, DwtStats, SimdMode, VerticalStrategy};
+use pj2k_core::{Encoder, EncoderConfig, FilterStrategy, ParallelMode, RateControl};
+use pj2k_dwt::{forward_97_with, DwtStats, LiftingMode, SimdMode, VerticalStrategy};
 use pj2k_image::{Image, Plane};
 use pj2k_parutil::{Exec, StageTimes};
 use pj2k_smpsim::{bus_makespan, BusParams, Schedule, WorkItem};
@@ -31,13 +31,12 @@ pub fn test_image(kpx: usize) -> Image {
 }
 
 /// The paper's baseline encoder configuration at 1 bpp: its naive column
-/// filtering with one sweep per lifting step (the production default is
+/// filtering, one strided walk per lifting step (the production default is
 /// strip filtering with fused lifting).
 pub fn paper_config() -> EncoderConfig {
     EncoderConfig {
         rate: RateControl::TargetBpp(vec![1.0]),
         filter: FilterStrategy::Naive,
-        lifting: LiftingMode::PerStep,
         ..EncoderConfig::default()
     }
 }
@@ -49,14 +48,6 @@ pub fn harness_args() -> (bool, Option<String>) {
     let out = args.iter().position(|a| a == "--out");
     let out = out.and_then(|i| args.get(i + 1)).cloned();
     (args.iter().any(|a| a == "--smoke"), out)
-}
-
-/// `p` workers, or the sequential path for one.
-pub fn parallel(p: usize) -> ParallelMode {
-    match p {
-        0 | 1 => ParallelMode::Sequential,
-        workers => ParallelMode::WorkerPool { workers },
-    }
 }
 
 /// Wall-clock one closure.

@@ -6,6 +6,13 @@
 //! unbalanced. The schema each document must meet (its id and required
 //! keys) lives once, in `xtask`'s `BenchSpec`.
 
+/// The CPUs this process may run on: every document records it as
+/// `host_cores`, and a row run on more threads than this is
+/// `oversubscribed`.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {

@@ -2,17 +2,15 @@
 //! the two axes the paper studies — parallelization mode and
 //! vertical-filtering strategy.
 
-pub use pj2k_dwt::LiftingMode;
 use pj2k_dwt::Wavelet;
 pub use pj2k_dwt::{SimdMode, SimdTier};
 pub use pj2k_ebcot::{Tier1Engine, Tier1Options};
-pub use pj2k_parutil::Schedule;
 
 /// How (and how wide) the codec runs in parallel.
 ///
 /// `WorkerPool` covers both of the paper's implementations: the JJ2000
-/// scheme (explicit threads; Tier-1 code-blocks handed out per
-/// [`Schedule`]) and the Jasper/OpenMP static loop split, which is the
+/// scheme (explicit threads; Tier-1 code-blocks handed out in the paper's
+/// staggered round-robin) and the Jasper/OpenMP static loop split, which is the
 /// contiguous-range [`Exec`](pj2k_parutil::Exec) the DWT and quantization
 /// loops run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,16 +137,10 @@ pub struct EncoderConfig {
     /// Parallel execution mode.
     pub parallel: ParallelMode,
     /// Vertical filtering strategy. The product build has one value,
-    /// [`FilterStrategy::Strip`], which with [`LiftingMode::Fused`] runs the
-    /// decoder's kernels; `oracle` builds add `Naive`, the paper's scalar
-    /// column walker. Every value gives the same codestream.
+    /// [`FilterStrategy::Strip`], which runs the decoder's fused lifting
+    /// kernels; `oracle` builds add `Naive`, the paper's scalar column
+    /// walker. Every value gives the same codestream.
     pub filter: FilterStrategy,
-    /// Lifting traversal of the strip column pass. The product build has
-    /// one value, the fused single-pass kernels; `oracle` builds add
-    /// `PerStep`, the reference one-sweep-per-step walker. Bit-identical
-    /// outputs; only the memory traffic differs. Rows and the naive walker
-    /// ignore it.
-    pub lifting: LiftingMode,
     /// SIMD tier for the lifting kernels: runtime-detected best tier by
     /// default, a forced tier for ablation, or pure scalar. Every tier
     /// produces bit-identical coefficients (asserted in tests), so this
@@ -166,12 +158,6 @@ pub struct EncoderConfig {
     /// replaced, which produces bit-identical codestreams (asserted in
     /// tests), so this knob never changes the output.
     pub tier1_engine: Tier1Engine,
-    /// How [`ParallelMode::WorkerPool`] hands code-blocks to its workers:
-    /// the paper's staggered round-robin by default, or
-    /// [`Schedule::Dynamic`] self-scheduling where idle workers claim the
-    /// next unprocessed blocks at runtime. The produced codestream is
-    /// identical under every schedule; only the load balance changes.
-    pub tier1_schedule: Schedule,
     /// Optional region of interest, prioritized with MAXSHIFT scaling.
     pub roi: Option<Roi>,
 }
@@ -180,8 +166,8 @@ impl Default for EncoderConfig {
     /// The paper's coding defaults — 5-level 9/7, 64x64 code-blocks, no
     /// tiling, sequential execution, lossy at 1 bpp — on the production
     /// wavelet kernels: strip filtering with fused lifting, the transform
-    /// the decoder runs. The paper's naive per-step baseline is
-    /// `filter: Naive, lifting: PerStep` (`oracle` builds only).
+    /// the decoder runs. The paper's naive baseline is `filter: Naive`
+    /// (`oracle` builds only).
     // AUDIT(hot): config construction — once per encoder, setup-time
     // (pulled into the decode closure only via approximate call matching).
     fn default() -> Self {
@@ -194,12 +180,10 @@ impl Default for EncoderConfig {
             tiles: None,
             parallel: ParallelMode::Sequential,
             filter: FilterStrategy::Strip,
-            lifting: LiftingMode::Fused,
             simd: SimdMode::Auto,
             overlap: StageOverlap::Barriered,
             tier1: Tier1Options::default(),
             tier1_engine: Tier1Engine::Bitplane,
-            tier1_schedule: Schedule::StaggeredRoundRobin,
             roi: None,
         }
     }
@@ -262,11 +246,6 @@ impl EncoderConfig {
             if roi.w == 0 || roi.h == 0 {
                 return Err(ConfigError("ROI must have positive area".into()));
             }
-        }
-        if let Schedule::Dynamic { chunk: 0 } = self.tier1_schedule {
-            return Err(ConfigError(
-                "dynamic tier-1 schedule needs a positive chunk size".into(),
-            ));
         }
         match &self.rate {
             RateControl::Lossless => {
@@ -359,20 +338,6 @@ mod tests {
             ..Default::default()
         };
         assert!(cfg2.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_zero_chunk_dynamic_schedule() {
-        let cfg = EncoderConfig {
-            tier1_schedule: Schedule::Dynamic { chunk: 0 },
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        let ok = EncoderConfig {
-            tier1_schedule: Schedule::Dynamic { chunk: 4 },
-            ..Default::default()
-        };
-        ok.validate().unwrap();
     }
 
     #[test]

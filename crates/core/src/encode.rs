@@ -5,12 +5,13 @@ use crate::config::{EncoderConfig, RateControl, Roi};
 use crate::decode::COD_BYPASS;
 use crate::quant::{band_step, distortion_scale, quantize_plane};
 use crate::report::stage;
+use pj2k_dwt::LiftingMode::Fused;
 use pj2k_dwt::{forward_53_with, forward_97_with, gains, Band, Decomposition, DwtStats};
 use pj2k_ebcot::{BlockCoder, EncodedBlock};
 use pj2k_image::tile::TileGrid;
 use pj2k_image::transform::{dc_level_shift_forward, ict_forward, rct_forward};
 use pj2k_image::{Image, Plane};
-use pj2k_parutil::{pool_map_with_state, StageTimes};
+use pj2k_parutil::{pool_map_with_state, Schedule, StageTimes};
 use pj2k_tier2::codestream::{self, MarkerWriter, PayloadWriter};
 use pj2k_tier2::pcrd::{allocate_layers, allocate_layers_truncated, BlockRd};
 use pj2k_tier2::{encode_packet, PrecinctState};
@@ -195,7 +196,7 @@ impl Encoder {
             let t0 = Instant::now();
             let tile_img = img.crop(rect.x0, rect.y0, rect.w, rect.h);
             report.stages.add(stage::SETUP, t0.elapsed());
-            let body = self.encode_tile(&tile_img, (rect.x0, rect.y0), &mut report);
+            let body = self.encode_tile(tile_img, (rect.x0, rect.y0), &mut report);
             tile_bodies.push(body);
         }
 
@@ -243,9 +244,12 @@ impl Encoder {
     }
 
     /// Encode one tile into its body bytes (Kmax + ROI header + packets).
+    /// The tile is consumed: the DC shift runs on it in place, and its
+    /// components become the transform planes (the 5/3's as they are, the
+    /// 9/7's converted to f32), so no second i32 copy stays live.
     fn encode_tile(
         &self,
-        tile: &Image,
+        mut tile: Image,
         origin: (usize, usize),
         report: &mut EncodeReport,
     ) -> Vec<u8> {
@@ -257,26 +261,15 @@ impl Encoder {
 
         // --- pipeline setup: DC shift + sample-type conversion -----------
         let t0 = Instant::now();
-        let mut work = tile.clone();
-        dc_level_shift_forward(&mut work);
-        let mut planes_f: Vec<Plane<f32>> = Vec::new();
-        let mut planes_i: Vec<Plane<i32>> = Vec::new();
-        if reversible {
-            for c in 0..ncomp {
-                planes_i.push(work.component(c).clone());
-            }
+        dc_level_shift_forward(&mut tile);
+        let (mut planes_i, mut planes_f): (Vec<Plane<i32>>, Vec<Plane<f32>>) = if reversible {
+            (tile.into_components(), Vec::new())
         } else {
-            for c in 0..ncomp {
-                let src = work.component(c);
-                let mut p = Plane::<f32>::new(w, h);
-                for y in 0..h {
-                    for (dst, &v) in p.row_mut(y).iter_mut().zip(src.row(y)) {
-                        *dst = v as f32;
-                    }
-                }
-                planes_f.push(p);
-            }
-        }
+            // Each i32 component is dropped once converted: only the f32
+            // planes stay live into the transform.
+            let planes = tile.into_components().into_iter();
+            (Vec::new(), planes.map(|p| p.map(|v| v as f32)).collect())
+        };
         report.stages.add(stage::SETUP, t0.elapsed());
 
         // --- inter-component transform ------------------------------------
@@ -318,25 +311,9 @@ impl Encoder {
         let t0 = Instant::now();
         for c in 0..ncomp {
             let stats = if reversible {
-                forward_53_with(
-                    &mut planes_i[c],
-                    cfg.levels,
-                    vstrat,
-                    cfg.lifting,
-                    cfg.simd,
-                    &exec,
-                )
-                .1
+                forward_53_with(&mut planes_i[c], cfg.levels, vstrat, Fused, cfg.simd, &exec).1
             } else {
-                forward_97_with(
-                    &mut planes_f[c],
-                    cfg.levels,
-                    vstrat,
-                    cfg.lifting,
-                    cfg.simd,
-                    &exec,
-                )
-                .1
+                forward_97_with(&mut planes_f[c], cfg.levels, vstrat, Fused, cfg.simd, &exec).1
             };
             report.dwt.merge(&stats);
         }
@@ -598,7 +575,7 @@ impl Encoder {
         pool_map_with_state(
             n,
             self.cfg.parallel.workers(),
-            self.cfg.tier1_schedule,
+            Schedule::StaggeredRoundRobin,
             |_| BlockCoder::with_engine(engine),
             code_one,
         )
@@ -1008,55 +985,68 @@ mod tests {
     }
 
     #[test]
-    fn tier1_schedules_produce_identical_streams() {
-        use crate::config::Schedule;
-        // Dynamic self-scheduling races workers for blocks, but the output
-        // slots are fixed per job, so the codestream must be bit-identical
-        // to the sequential encode for every schedule and worker count.
+    fn parallel_modes_produce_identical_streams() {
+        // Workers never reorder output: every block has a fixed output
+        // slot, so the codestream is the sequential one at every worker
+        // count.
         for (wi, hi, seed) in [(96usize, 80usize, 5u64), (65, 127, 12)] {
             let img = synth::natural_gray(wi, hi, seed);
-            let mk = |parallel, tier1_schedule| {
+            let mk = |parallel| {
                 let enc = Encoder::new(EncoderConfig {
                     levels: 3,
                     parallel,
-                    tier1_schedule,
                     ..Default::default()
                 })
                 .unwrap();
                 enc.encode(&img).0
             };
-            let seq = mk(ParallelMode::Sequential, Schedule::StaggeredRoundRobin);
+            let seq = mk(ParallelMode::Sequential);
             for workers in [2usize, 3, 5] {
-                for schedule in [
-                    Schedule::StaticBlock,
-                    Schedule::StaggeredRoundRobin,
-                    Schedule::Dynamic { chunk: 1 },
-                    Schedule::Dynamic { chunk: 3 },
-                ] {
-                    assert_eq!(
-                        seq,
-                        mk(ParallelMode::WorkerPool { workers }, schedule),
-                        "{wi}x{hi} workers={workers} {schedule:?}"
-                    );
-                }
+                assert_eq!(
+                    seq,
+                    mk(ParallelMode::WorkerPool { workers }),
+                    "{wi}x{hi} workers={workers}"
+                );
             }
         }
     }
 
     #[test]
-    fn parallel_modes_produce_identical_streams() {
-        let img = synth::natural_gray(96, 80, 5);
-        let mk = |parallel| {
-            let enc = Encoder::new(EncoderConfig {
-                levels: 3,
-                parallel,
-                ..Default::default()
-            })
-            .unwrap();
-            enc.encode(&img).0
-        };
-        let seq = mk(ParallelMode::Sequential);
-        assert_eq!(seq, mk(ParallelMode::WorkerPool { workers: 3 }));
+    fn tier1_schedules_produce_identical_streams() {
+        // The encoder hands Tier-1 blocks out in staggered round-robin, the
+        // paper's policy. With small code-blocks over three components
+        // each worker gets many blocks from every component and band, and
+        // each block still lands in its own slot: lossless or lossy, the
+        // codestream is the sequential one at every worker count.
+        let img = synth::natural_rgb(72, 56, 9);
+        for (wavelet, rate) in [
+            (pj2k_dwt::Wavelet::Reversible53, RateControl::Lossless),
+            (
+                pj2k_dwt::Wavelet::Irreversible97,
+                RateControl::TargetBpp(vec![0.5, 2.0]),
+            ),
+        ] {
+            let mk = |parallel| {
+                let enc = Encoder::new(EncoderConfig {
+                    wavelet,
+                    levels: 3,
+                    code_block: (16, 16),
+                    rate: rate.clone(),
+                    parallel,
+                    ..Default::default()
+                })
+                .unwrap();
+                enc.encode(&img).0
+            };
+            let seq = mk(ParallelMode::Sequential);
+            for workers in [2usize, 3, 5] {
+                assert_eq!(
+                    seq,
+                    mk(ParallelMode::WorkerPool { workers }),
+                    "{wavelet:?} workers={workers}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1085,44 +1075,6 @@ mod tests {
                 let naive = mk(FilterStrategy::Naive);
                 let strip = mk(FilterStrategy::Strip);
                 assert!(naive == strip, "{wavelet:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_lifting_produces_identical_streams() {
-        use crate::config::LiftingMode;
-        // Fused kernels evaluate the same lifting expressions on the same
-        // operands, so even the 9/7 float outputs are bit-identical and the
-        // codestream cannot change — under any vertical strategy.
-        for img in [
-            synth::natural_gray(128, 64, 7),
-            synth::natural_gray(65, 127, 4),
-        ] {
-            for wavelet in [
-                pj2k_dwt::Wavelet::Reversible53,
-                pj2k_dwt::Wavelet::Irreversible97,
-            ] {
-                let mk = |filter, lifting| {
-                    let enc = Encoder::new(EncoderConfig {
-                        levels: 3,
-                        wavelet,
-                        filter,
-                        lifting,
-                        ..Default::default()
-                    })
-                    .unwrap();
-                    enc.encode(&img).0
-                };
-                let base = mk(FilterStrategy::Naive, LiftingMode::PerStep);
-                for filter in [FilterStrategy::Naive, FilterStrategy::Strip] {
-                    for lifting in [LiftingMode::PerStep, LiftingMode::Fused] {
-                        assert!(
-                            base == mk(filter, lifting),
-                            "{wavelet:?} {filter:?} {lifting:?}"
-                        );
-                    }
-                }
             }
         }
     }

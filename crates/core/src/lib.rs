@@ -48,8 +48,7 @@ pub mod report;
 pub mod roi;
 
 pub use config::{
-    ConfigError, EncoderConfig, FilterStrategy, LiftingMode, ParallelMode, RateControl, Roi,
-    Schedule, StageOverlap,
+    ConfigError, EncoderConfig, FilterStrategy, ParallelMode, RateControl, Roi, StageOverlap,
 };
 pub use decode::{read_header, CodecError, DecodeReport, Decoder, StreamHeader};
 pub use encode::{EncodeReport, Encoder, RoundKind, Tier1Round};

@@ -15,24 +15,16 @@
 //! * [`bus`] adds the shared-memory-bus contention that the paper blames
 //!   for the poor scalability of naive vertical filtering ("the congestion
 //!   of the bus caused by the high number of cache misses"),
-//! * [`amdahl`] provides the §3.4 theoretical-speedup bounds,
-//! * [`batch`] projects the batch service (DESIGN.md §16): `j` concurrent
-//!   images × `k` intra-image threads under one budget, and a
-//!   throughput-first/latency-tie-break split tuner that `bench_serve`'s
-//!   modelled rows run (the product's planner is a fixed rule).
+//! * [`amdahl`] provides the §3.4 theoretical-speedup bounds.
 //!
 //! The model's claims are *shape* claims (who wins, where scaling
 //! saturates), matching how EXPERIMENTS.md compares against the paper.
 
 pub mod amdahl;
-pub mod batch;
 pub mod bus;
 pub mod makespan;
 
 pub use amdahl::{amdahl_speedup, serial_fraction};
-pub use batch::{
-    batch_makespan, batch_speedup, choose_split, serial_whole_pool_makespan, ImageCost,
-};
 pub use bus::{bus_makespan, BusParams, WorkItem};
 pub use makespan::{makespan, speedup_curve};
 pub use pj2k_parutil::Schedule;
